@@ -10,6 +10,8 @@ pub(crate) struct Warp<'w> {
     /// The SM this warp is resident on.
     pub sm: usize,
     lanes: Vec<Option<Box<dyn ThreadProgram + 'w>>>,
+    /// The current phase's gathered ops; reused from phase to phase.
+    ops: Vec<Op>,
 }
 
 impl<'w> Warp<'w> {
@@ -25,22 +27,27 @@ impl<'w> Warp<'w> {
         let lanes = (0..lane_count as u64)
             .map(|l| Some(workload.create_thread(first_thread + l)))
             .collect();
-        Warp { id, sm, lanes }
+        Warp {
+            id,
+            sm,
+            lanes,
+            ops: Vec::with_capacity(lane_count as usize),
+        }
     }
 
     /// Advances every live lane by one operation and returns the gathered
     /// ops. An empty result means every lane has exited: the warp retires.
-    pub fn gather_phase(&mut self) -> Vec<Op> {
-        let mut ops = Vec::with_capacity(self.lanes.len());
+    pub fn gather_phase(&mut self) -> &[Op] {
+        self.ops.clear();
         for lane in &mut self.lanes {
             if let Some(program) = lane {
                 match program.next_op() {
-                    Some(op) => ops.push(op),
+                    Some(op) => self.ops.push(op),
                     None => *lane = None,
                 }
             }
         }
-        ops
+        &self.ops
     }
 
     /// Number of lanes still running.

@@ -212,6 +212,7 @@ impl<'w, H: SimHooks> Engine<'w, H> {
             sm: ev.sm,
             slot: ev.slot,
         });
+        source.recycle(mix);
     }
 }
 

@@ -46,6 +46,11 @@ pub(crate) trait PhaseSource {
     /// `(sm, slot)`. Never called again for a warp after it returned
     /// [`DecodedPhase::Retire`].
     fn next_phase(&mut self, sm: usize, slot: usize, warp_id: u64) -> DecodedPhase;
+
+    /// Takes back a mix the commit loop has finished with, so a source that
+    /// decodes inline can reuse its line buffers. Purely an allocation
+    /// hint: sources may drop it (the default) and callers may skip it.
+    fn recycle(&mut self, _mix: PhaseMix) {}
 }
 
 /// The serial decode path: warps are instantiated at launch and decoded
@@ -57,6 +62,8 @@ pub(crate) struct SerialSource<'w> {
     /// Resident warps, indexed `[sm][slot]`. Slots are dense and stable:
     /// a retired warp's slot is reused by its backfill.
     warps: Vec<Vec<Option<Warp<'w>>>>,
+    /// The last recycled mix; its line buffers back the next phase.
+    spare: PhaseMix,
 }
 
 impl<'w> SerialSource<'w> {
@@ -65,6 +72,7 @@ impl<'w> SerialSource<'w> {
             workload,
             line_bytes,
             warps: (0..num_sms).map(|_| Vec::new()).collect(),
+            spare: PhaseMix::default(),
         }
     }
 }
@@ -84,24 +92,33 @@ impl PhaseSource for SerialSource<'_> {
         let slot_ref = &mut self.warps[sm][slot];
         // zatel-lint: allow(panic-hygiene, reason = "engine invariant: next_phase is only called for slots the engine launched into and never after Retire")
         let warp = slot_ref.as_mut().expect("phase for a vacant warp slot");
-        let phase = decode_one(warp, self.line_bytes);
+        let phase = decode_one(warp, self.line_bytes, std::mem::take(&mut self.spare));
         if phase == DecodedPhase::Retire {
             *slot_ref = None;
         }
         phase
     }
+
+    fn recycle(&mut self, mix: PhaseMix) {
+        self.spare = mix;
+    }
 }
 
 /// Decodes one phase of `warp`: gathers ops from every live lane and
-/// categorizes them, or signals retirement (the caller drops the warp).
-/// Shared by the serial and sharded paths so their decode streams are
-/// identical by construction.
-pub(crate) fn decode_one(warp: &mut Warp<'_>, line_bytes: u32) -> DecodedPhase {
+/// categorizes them into `spare`'s buffers, or signals retirement (the
+/// caller drops the warp). Shared by the serial and sharded paths so their
+/// decode streams are identical by construction.
+pub(crate) fn decode_one(
+    warp: &mut Warp<'_>,
+    line_bytes: u32,
+    mut spare: PhaseMix,
+) -> DecodedPhase {
     let ops = warp.gather_phase();
     if ops.is_empty() {
         DecodedPhase::Retire
     } else {
-        DecodedPhase::Mix(PhaseMix::categorize(&ops, line_bytes))
+        spare.categorize(ops, line_bytes);
+        DecodedPhase::Mix(spare)
     }
 }
 

@@ -90,7 +90,7 @@ pub(crate) fn run_shard(
             let warp = warps.get_mut(&warp_id).expect("active warp has a program");
             let mut batch = Vec::with_capacity(space.min(CHUNK));
             while batch.len() < space.min(CHUNK) {
-                let phase = decode_one(warp, line_bytes);
+                let phase = decode_one(warp, line_bytes, Default::default());
                 let is_retire = phase == DecodedPhase::Retire;
                 batch.push(phase);
                 if is_retire {

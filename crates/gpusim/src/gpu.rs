@@ -88,7 +88,7 @@ impl Simulator {
         workload: &dyn Workload,
         hooks: &mut H,
     ) -> (SimStats, Option<SimTelemetry>) {
-        if self.config.sim_threads > 1 {
+        let (mut stats, telemetry) = if self.config.sim_threads > 1 {
             let (stats, telemetry) = EpochDriver::new(&self.config, workload).run(hooks);
             (stats, Some(telemetry))
         } else {
@@ -105,6 +105,9 @@ impl Simulator {
                 ..SimTelemetry::default()
             });
             (stats, telemetry)
-        }
+        };
+        // Filtering is a property of the workload, not of any engine path.
+        stats.threads_filtered = workload.filtered_threads();
+        (stats, telemetry)
     }
 }

@@ -1,4 +1,10 @@
-//! Set-associative LRU cache tag array with fill-time tracking.
+//! Set-associative exact-LRU cache tag array with fill-time tracking.
+//!
+//! One structure serves every geometry, from the fully associative L1
+//! (1 set × 512 ways) to the L2 slices (sets × 16 ways): a slab of entries,
+//! an intrusive per-set recency ring whose cursor names the victim, and an
+//! open-addressed `line → slot` index, so `probe` and `fill` are O(1)
+//! whatever the associativity. See DESIGN.md, "Memory model".
 
 use crate::config::CacheConfig;
 
@@ -16,11 +22,23 @@ pub enum Probe {
     Miss,
 }
 
+/// One resident line: a slab slot linked into its set's recency ring.
 #[derive(Debug, Clone, Copy)]
 struct TagEntry {
-    tag: u64,
+    line: u64,
     valid_from: u64,
-    last_used: u64,
+    newer: u32,
+    older: u32,
+}
+
+/// One set's recency ring. Following `newer` from the `lru` slot visits the
+/// set's entries from least to most recently used and then wraps around, so
+/// the most recent entry is `lru`'s `older`.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetRing {
+    /// The eviction victim; meaningless while `len == 0`.
+    lru: u32,
+    len: u32,
 }
 
 /// A timing-aware cache tag array.
@@ -28,6 +46,9 @@ struct TagEntry {
 /// Data is never stored — only tags and fill times — because the simulator
 /// works with real scene data held elsewhere. Misses with in-flight fills
 /// are merged (hit on the pending line), modeling MSHR behaviour.
+///
+/// `new`, `probe(line, now)` and `fill` are called by the repository's
+/// benchmark and stay source-compatible.
 ///
 /// # Examples
 ///
@@ -44,12 +65,19 @@ struct TagEntry {
 #[derive(Debug, Clone)]
 pub struct Cache {
     name: &'static str,
-    sets: Vec<Vec<TagEntry>>,
-    ways: usize,
+    /// Slab of resident lines. A slot is allocated by the fill that first
+    /// needs it and afterwards only ever reused by evictions in its set.
+    entries: Vec<TagEntry>,
+    sets: Vec<SetRing>,
+    /// Open-addressed (linear probing) map from line to slab slot + 1;
+    /// `0` marks an empty bucket. Power-of-two sized, at most half full.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: the multiplicative hash keeps the top bits.
+    index_shift: u32,
+    ways: u32,
     set_count: u64,
     accesses: u64,
     misses: u64,
-    use_counter: u64,
 }
 
 impl Cache {
@@ -57,28 +85,93 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration yields zero lines.
+    /// Panics if the configuration yields zero lines, or more lines than a
+    /// `u32` slot can address.
     pub fn new(name: &'static str, config: CacheConfig) -> Self {
         let set_count = config.sets();
-        let ways = config.effective_ways() as usize;
+        let ways = config.effective_ways();
         assert!(set_count > 0 && ways > 0, "cache must have lines");
+        let buckets = (2 * set_count * ways).next_power_of_two().max(2);
+        assert!(buckets <= 1 << 31, "cache too large for u32 slots");
         Cache {
             name,
-            sets: vec![Vec::with_capacity(ways.min(64)); set_count as usize],
-            ways,
+            entries: Vec::new(),
+            sets: vec![SetRing::default(); set_count as usize],
+            index: vec![0; buckets as usize],
+            index_shift: 64 - buckets.trailing_zeros(),
+            ways: ways as u32,
             set_count,
             accesses: 0,
             misses: 0,
-            use_counter: 0,
         }
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line % self.set_count) as usize
+    /// Home bucket of `line`: Fibonacci hashing, which spreads the strided
+    /// and region-aligned line addresses of real layouts evenly.
+    fn home(&self, line: u64) -> usize {
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
     }
 
-    fn tag_of(&self, line: u64) -> u64 {
-        line / self.set_count
+    /// The bucket holding `line`'s slot, or the empty bucket where its probe
+    /// sequence ends. Terminates because the index is never more than half
+    /// full.
+    fn bucket_of(&self, line: u64) -> usize {
+        let mask = self.index.len() - 1;
+        let mut bucket = self.home(line);
+        loop {
+            match self.index[bucket] {
+                0 => return bucket,
+                s if self.entries[s as usize - 1].line == line => return bucket,
+                _ => bucket = (bucket + 1) & mask,
+            }
+        }
+    }
+
+    /// Empties `bucket`, shifting later members of its probe run back so
+    /// every remaining line stays reachable from its home bucket
+    /// (tombstone-free linear-probing deletion).
+    fn unindex(&mut self, bucket: usize) {
+        let mask = self.index.len() - 1;
+        let (mut hole, mut next) = (bucket, bucket);
+        loop {
+            next = (next + 1) & mask;
+            let s = self.index[next];
+            if s == 0 {
+                break;
+            }
+            // `s` may move into the hole unless its home lies cyclically
+            // in (hole, next].
+            let home = self.home(self.entries[s as usize - 1].line);
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.index[hole] = s;
+                hole = next;
+            }
+        }
+        self.index[hole] = 0;
+    }
+
+    /// Makes resident `slot` the most recently used entry of `set`.
+    fn touch(&mut self, set: usize, slot: u32) {
+        let TagEntry { newer, older, .. } = self.entries[slot as usize];
+        let lru = self.sets[set].lru;
+        if slot == lru {
+            // The ring closes behind the LRU entry: moving the boundary
+            // past it turns it into the most recent one.
+            self.sets[set].lru = newer;
+        } else if newer != lru {
+            self.entries[newer as usize].older = older;
+            self.entries[older as usize].newer = newer;
+            self.link_newest(lru, slot);
+        }
+    }
+
+    /// Links detached `slot` into the ring of `lru` as its most recent
+    /// entry: between the previous most recent one and `lru`.
+    fn link_newest(&mut self, lru: u32, slot: u32) {
+        let newest = std::mem::replace(&mut self.entries[lru as usize].older, slot);
+        self.entries[newest as usize].newer = slot;
+        self.entries[slot as usize].newer = lru;
+        self.entries[slot as usize].older = newest;
     }
 
     /// Probes for `line` (a line-granular address) at time `now`, updating
@@ -86,52 +179,60 @@ impl Cache {
     pub fn probe(&mut self, line: u64, now: u64) -> Probe {
         let _ = now;
         self.accesses += 1;
-        self.use_counter += 1;
-        let tag = self.tag_of(line);
-        let set_index = self.set_of(line);
-        let set = &mut self.sets[set_index];
-        if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
-            e.last_used = self.use_counter;
-            return Probe::Hit {
-                valid_from: e.valid_from,
-            };
+        match self.index[self.bucket_of(line)] {
+            0 => {
+                self.misses += 1;
+                Probe::Miss
+            }
+            s => {
+                self.touch((line % self.set_count) as usize, s - 1);
+                Probe::Hit {
+                    valid_from: self.entries[s as usize - 1].valid_from,
+                }
+            }
         }
-        self.misses += 1;
-        Probe::Miss
     }
 
     /// Installs `line` with its data arriving at `valid_from`, evicting the
-    /// LRU entry if the set is full.
+    /// LRU entry if the set is full. Re-filling a resident line keeps the
+    /// earlier of the two arrival times.
     pub fn fill(&mut self, line: u64, valid_from: u64) {
-        self.use_counter += 1;
-        let tag = self.tag_of(line);
-        let set_index = self.set_of(line);
-        let use_counter = self.use_counter;
-        let ways = self.ways;
-        let set = &mut self.sets[set_index];
-        if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
-            e.valid_from = e.valid_from.min(valid_from);
-            e.last_used = use_counter;
+        let set = (line % self.set_count) as usize;
+        let bucket = self.bucket_of(line);
+        if let s @ 1.. = self.index[bucket] {
+            let entry = &mut self.entries[s as usize - 1];
+            entry.valid_from = entry.valid_from.min(valid_from);
+            self.touch(set, s - 1);
             return;
         }
-        if set.len() < ways {
-            set.push(TagEntry {
-                tag,
+        let ring = self.sets[set];
+        if ring.len < self.ways {
+            // A lone entry is a ring by itself.
+            let slot = self.entries.len() as u32;
+            self.entries.push(TagEntry {
+                line,
                 valid_from,
-                last_used: use_counter,
+                newer: slot,
+                older: slot,
             });
+            match ring.len {
+                0 => self.sets[set].lru = slot,
+                _ => self.link_newest(ring.lru, slot),
+            }
+            self.sets[set].len += 1;
+            self.index[bucket] = slot + 1;
             return;
         }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|e| e.last_used)
-            // zatel-lint: allow(panic-hygiene, reason = "the early return above handles the not-full case, so the set has entries")
-            .expect("set is full, so non-empty");
-        *victim = TagEntry {
-            tag,
-            valid_from,
-            last_used: use_counter,
-        };
+        // Full set: the LRU entry is the victim. Its slot is reused in place
+        // and becomes the most recent by moving the ring boundary past it.
+        let victim = ring.lru as usize;
+        self.sets[set].lru = self.entries[victim].newer;
+        self.unindex(self.bucket_of(self.entries[victim].line));
+        self.entries[victim].line = line;
+        self.entries[victim].valid_from = valid_from;
+        // The deletion may have shifted entries across `bucket`: re-probe.
+        let bucket = self.bucket_of(line);
+        self.index[bucket] = ring.lru + 1;
     }
 
     /// Rewrites every entry's `valid_from` through `f`, preserving tags,
@@ -139,11 +240,9 @@ impl Cache {
     /// epoch seam to replace slot-tagged placeholder fill times with their
     /// resolved cycles; residency never depends on `valid_from`, so the
     /// rewrite cannot change which lines are cached.
-    pub(crate) fn remap_valid(&mut self, f: impl Fn(u64) -> u64) {
-        for set in &mut self.sets {
-            for entry in set.iter_mut() {
-                entry.valid_from = f(entry.valid_from);
-            }
+    pub fn remap_valid(&mut self, f: impl Fn(u64) -> u64) {
+        for entry in &mut self.entries {
+            entry.valid_from = f(entry.valid_from);
         }
     }
 
@@ -201,8 +300,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        // 1 set × 2 ways: lines 0, 4, 8 map to the same set (4 sets? no).
-        // Use fully-assoc with 2 lines for clarity.
+        // Fully associative with 2 lines.
         let mut c = small(0, 2);
         c.fill(1, 0);
         c.fill(2, 0);
@@ -243,6 +341,23 @@ mod tests {
         assert_eq!(c.probe(0, 1), Probe::Miss);
         assert!(matches!(c.probe(4, 2), Probe::Hit { .. }));
         assert!(matches!(c.probe(8, 3), Probe::Hit { .. }));
+    }
+
+    #[test]
+    fn lines_sharing_a_home_bucket_survive_deletions() {
+        // 8 lines → 16 buckets. Every line below hashes to one bucket, so
+        // the whole resident set is a single probe run and each eviction
+        // deletes from its front.
+        let mut c = small(0, 8);
+        let home = c.home(0);
+        let colliding: Vec<u64> = (0..).filter(|&l| c.home(l) == home).take(24).collect();
+        for (i, &line) in colliding.iter().enumerate() {
+            c.fill(line, i as u64);
+            for (j, &earlier) in colliding[..=i].iter().enumerate() {
+                let resident = c.index[c.bucket_of(earlier)] != 0;
+                assert_eq!(resident, j + 8 > i, "line {earlier} after fill {i}");
+            }
+        }
     }
 
     #[test]

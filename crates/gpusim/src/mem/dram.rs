@@ -34,6 +34,9 @@ impl Default for RowBufferConfig {
 ///
 /// `busy / active` is the paper's *DRAM efficiency*; `busy / total` is its
 /// *bandwidth utilization*.
+///
+/// `new` and `service_at` are called by the repository's benchmark and stay
+/// source-compatible.
 #[derive(Debug, Clone)]
 pub struct DramChannel {
     bytes_per_cycle: f32,

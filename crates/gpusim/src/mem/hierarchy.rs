@@ -17,6 +17,9 @@ use super::partition::MemPartition;
 /// step relies on. The partition-side timing lives in [`MemPartition`] so
 /// the timing-sharded engine can detach the partitions onto worker threads;
 /// this type is the serial, inline composition of the same arithmetic.
+///
+/// `new` and `read` are called by the repository's benchmark and stay
+/// source-compatible.
 #[derive(Debug)]
 pub struct MemoryHierarchy {
     l1: Vec<Cache>,

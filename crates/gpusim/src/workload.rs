@@ -86,7 +86,8 @@ impl Op {
 /// A lazily evaluated per-thread instruction stream.
 pub trait ThreadProgram {
     /// Advances the thread and returns its next operation, or `None` once
-    /// the thread has exited.
+    /// the thread has exited. Called by the repository's benchmark: the
+    /// signature stays source-compatible.
     fn next_op(&mut self) -> Option<Op>;
 }
 
@@ -109,7 +110,18 @@ pub trait Workload: Sync {
     /// before its warp becomes resident (and programs for many warps may
     /// exist simultaneously). The serial engine still creates each program
     /// exactly once, when its warp launches.
+    ///
+    /// Called by the repository's benchmark: the boxed return type stays
+    /// source-compatible.
     fn create_thread(&self, index: u64) -> Box<dyn ThreadProgram + '_>;
+
+    /// How many of the grid's threads are launched only to exit at once
+    /// (a pixel filter's deselected threads). Reported as
+    /// [`SimStats::threads_filtered`](crate::SimStats); `0` unless the
+    /// workload filters.
+    fn filtered_threads(&self) -> u64 {
+        0
+    }
 }
 
 /// A scripted thread whose ops come from a pre-built list. The workhorse of

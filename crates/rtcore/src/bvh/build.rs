@@ -3,7 +3,7 @@
 use crate::geom::Primitive;
 use crate::math::Aabb;
 
-use super::flat::{Bvh, FlatNode};
+use super::flat::{Bvh, FlatNode, MAX_DEPTH};
 
 /// BVH construction strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,7 +59,7 @@ pub fn build_bvh_with(prims: &[Primitive], method: BuildMethod) -> Bvh {
 
     let mut nodes: Vec<FlatNode> = Vec::with_capacity(prims.len() * 2);
     let len = info.len();
-    build_range(&mut nodes, &mut info, 0, len, method);
+    build_range(&mut nodes, &mut info, 0, len, 0, method);
     let order: Vec<u32> = info.iter().map(|p| p.index).collect();
     Bvh::new(nodes, order)
 }
@@ -72,6 +72,7 @@ fn build_range(
     info: &mut [PrimInfo],
     start: usize,
     end: usize,
+    depth: usize,
     method: BuildMethod,
 ) -> u32 {
     let mut bounds = Aabb::empty();
@@ -84,7 +85,9 @@ fn build_range(
     let node_index = nodes.len() as u32;
     let count = end - start;
 
-    if count <= MAX_LEAF_PRIMS {
+    // A branch that reaches the traversal stack's depth limit (only a
+    // pathologically skewed split sequence does) ends in an oversized leaf.
+    if count <= MAX_LEAF_PRIMS || depth == MAX_DEPTH {
         nodes.push(FlatNode::leaf(bounds, start as u32, count as u32));
         return node_index;
     }
@@ -109,8 +112,8 @@ fn build_range(
 
     // Placeholder; patched after children are built.
     nodes.push(FlatNode::leaf(bounds, 0, 0));
-    let _left = build_range(nodes, info, start, mid, method);
-    let right = build_range(nodes, info, mid, end, method);
+    let _left = build_range(nodes, info, start, mid, depth + 1, method);
+    let right = build_range(nodes, info, mid, end, depth + 1, method);
     nodes[node_index as usize] = FlatNode::interior(bounds, right, axis as u8);
     node_index
 }

@@ -230,13 +230,62 @@ pub enum TraversalStep {
 pub struct Bvh {
     nodes: Vec<FlatNode>,
     prim_order: Vec<u32>,
+    /// Level of the deepest node (root = 0); at most [`MAX_DEPTH`].
+    depth: usize,
+}
+
+/// Deepest node level a [`Bvh`] may have (root = 0). [`Traversal`] keeps its
+/// stack inline: ordered depth-first traversal defers at most one sibling
+/// per level, so a tree of depth `d` never stacks more than `d + 1` nodes.
+/// The builder ends a branch with a leaf at this level and
+/// [`Bvh::from_json`] rejects deeper trees.
+pub const MAX_DEPTH: usize = 47;
+
+/// The level of the deepest node, or `None` unless `nodes` is a non-empty
+/// tree laid out depth-first (left child at `parent + 1`, right child
+/// later — anything else could send traversal out of bounds or in circles)
+/// and no deeper than [`MAX_DEPTH`].
+fn tree_depth(nodes: &[FlatNode]) -> Option<usize> {
+    // A byte per node (a saturated level is far past MAX_DEPTH): the scratch
+    // of a 64 k-node scene stays a small heap block instead of a fresh
+    // half-megabyte mapping per scene build.
+    let mut level = vec![0u8; nodes.len()];
+    for (i, node) in nodes.iter().enumerate() {
+        if !node.leaf {
+            let right = node.first_or_right as usize;
+            if right <= i + 1 || right >= nodes.len() {
+                return None;
+            }
+            for child in [i + 1, right] {
+                level[child] = level[child].max(level[i].saturating_add(1));
+            }
+        }
+    }
+    let depth = usize::from(level.into_iter().max()?);
+    (depth <= MAX_DEPTH).then_some(depth)
 }
 
 impl Bvh {
-    /// Assembles a BVH from prebuilt parts (used by the builder).
+    /// Assembles a BVH from prebuilt parts; `None` if [`tree_depth`] rejects
+    /// `nodes`.
+    fn checked(nodes: Vec<FlatNode>, prim_order: Vec<u32>) -> Option<Self> {
+        let depth = tree_depth(&nodes)?;
+        Some(Bvh {
+            nodes,
+            prim_order,
+            depth,
+        })
+    }
+
+    /// Assembles a BVH from the builder's output.
     pub(crate) fn new(nodes: Vec<FlatNode>, prim_order: Vec<u32>) -> Self {
-        assert!(!nodes.is_empty(), "a BVH needs at least one node");
-        Bvh { nodes, prim_order }
+        // zatel-lint: allow(panic-hygiene, reason = "audited stack invariant: the builder lays nodes out depth-first and ends branches at MAX_DEPTH, so a failure is a builder bug")
+        Self::checked(nodes, prim_order).expect("builder output fits the traversal stack")
+    }
+
+    /// Level of the deepest node (root = 0); never above [`MAX_DEPTH`].
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
     /// Builds a BVH over `prims` with the binned-SAH builder.
@@ -316,9 +365,6 @@ impl FromJson for Bvh {
             .iter()
             .map(FlatNode::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        if nodes.is_empty() {
-            return Err(JsonError::conversion("Bvh: node array must be non-empty"));
-        }
         let prim_order = value
             .get("prim_order")
             .and_then(Value::as_array)
@@ -330,7 +376,9 @@ impl FromJson for Bvh {
                     .ok_or_else(|| JsonError::missing_field("Bvh", "prim_order"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Bvh { nodes, prim_order })
+        Bvh::checked(nodes, prim_order).ok_or_else(|| {
+            JsonError::conversion("Bvh: nodes must form a depth-first tree within MAX_DEPTH")
+        })
     }
 }
 
@@ -345,7 +393,9 @@ pub struct Traversal<'a> {
     prims: &'a [Primitive],
     ray: Ray,
     inv_dir: Vec3,
-    stack: Vec<u32>,
+    /// Nodes still to visit; `stack[..stack_len]` is live.
+    stack: [u32; MAX_DEPTH + 1],
+    stack_len: usize,
     /// Pending primitive tests from the current leaf: (order index, end).
     pending: Option<(u32, u32)>,
     best_t: f32,
@@ -365,27 +415,32 @@ impl<'a> Traversal<'a> {
 
     fn with_mode(bvh: &'a Bvh, ray: Ray, prims: &'a [Primitive], any_hit: bool) -> Self {
         let inv_dir = ray.inv_dir();
-        let mut stack = Vec::with_capacity(48);
         let mut stats = TraversalStats::default();
         // The root box is tested once up front ("does the ray enter the
         // scene at all"), mirroring how the ray-generation shader rejects
         // rays that miss the scene bounds.
         stats.box_tests += 1;
-        if bvh.nodes[0].bounds.hit(&ray, inv_dir).is_some() {
-            stack.push(0);
-        }
+        // The stack starts as `[root]`, or empty if the ray misses the scene.
+        let stack_len = bvh.nodes[0].bounds.hit(&ray, inv_dir).is_some() as usize;
         Traversal {
             bvh,
             prims,
             ray,
             inv_dir,
-            stack,
+            stack: [0; MAX_DEPTH + 1],
+            stack_len,
             pending: None,
             best_t: ray.t_max,
             best_prim: None,
             any_hit,
             stats,
         }
+    }
+
+    /// Defers `node`. In bounds by the [`MAX_DEPTH`] invariant of [`Bvh`].
+    fn push(&mut self, node: u32) {
+        self.stack[self.stack_len] = node;
+        self.stack_len += 1;
     }
 
     /// Executes one traversal step, or returns `None` when finished.
@@ -420,7 +475,8 @@ impl<'a> Traversal<'a> {
         }
 
         let node_index = loop {
-            let idx = self.stack.pop()?;
+            self.stack_len = self.stack_len.checked_sub(1)?;
+            let idx = self.stack[self.stack_len];
             // Cheap re-check against the (possibly shrunk) interval; this
             // models culling stale stack entries and costs no extra fetch.
             let mut probe = self.ray;
@@ -465,15 +521,15 @@ impl<'a> Traversal<'a> {
         match (t_left, t_right) {
             (Some(tl), Some(tr)) => {
                 if tl <= tr {
-                    self.stack.push(right);
-                    self.stack.push(left);
+                    self.push(right);
+                    self.push(left);
                 } else {
-                    self.stack.push(left);
-                    self.stack.push(right);
+                    self.push(left);
+                    self.push(right);
                 }
             }
-            (Some(_), None) => self.stack.push(left),
-            (None, Some(_)) => self.stack.push(right),
+            (Some(_), None) => self.push(left),
+            (None, Some(_)) => self.push(right),
             (None, None) => {}
         }
         Some(TraversalStep::InteriorNode { node: node_index })
@@ -515,7 +571,7 @@ mod tests {
     use super::*;
     use crate::geom::{Sphere, Triangle};
     use crate::material::MaterialId;
-    use crate::math::Pcg;
+    use crate::math::{uniform_sphere, Pcg};
 
     fn two_spheres() -> Vec<Primitive> {
         vec![
@@ -619,6 +675,145 @@ mod tests {
                 (a, b) => panic!("ray {i}: bvh {a:?} vs brute {b:?}"),
             }
         }
+    }
+
+    /// Triangles centred along the three axes at distances growing 17-fold,
+    /// each large enough to reach back over the origin. On whichever axis is
+    /// longest, all centroids but the farthest share the first SAH bin, so
+    /// every split peels off exactly one triangle: the tree is a chain as
+    /// deep as the builder allows, and every node's box holds the origin.
+    fn axis_star() -> Vec<Primitive> {
+        let mut prims = Vec::new();
+        for step in 0..19 {
+            let d = 1e-6 * 17f32.powi(step);
+            for axis in [Vec3::X, Vec3::Y, Vec3::Z] {
+                let c = axis * d;
+                let (u, v) = (
+                    Vec3::new(2.0, -1.5, 0.5) * d,
+                    Vec3::new(-0.5, 2.0, -1.5) * d,
+                );
+                prims.push(Primitive::Triangle(Triangle::new(
+                    c + u,
+                    c + v,
+                    c - u - v,
+                    MaterialId(0),
+                )));
+            }
+        }
+        prims
+    }
+
+    /// Closest-hit traversal as it was before the inline stack: the same
+    /// visit order and culling over a growable `Vec`.
+    fn vec_stack_intersect(
+        bvh: &Bvh,
+        ray: &Ray,
+        prims: &[Primitive],
+    ) -> (Option<u32>, TraversalStats) {
+        let inv_dir = ray.inv_dir();
+        let mut stats = TraversalStats {
+            box_tests: 1,
+            ..TraversalStats::default()
+        };
+        let mut probe = *ray;
+        let mut best = None;
+        let mut stack = Vec::new();
+        if bvh.nodes[0].bounds.hit(ray, inv_dir).is_some() {
+            stack.push(0u32);
+        }
+        while let Some(idx) = stack.pop() {
+            let node = bvh.nodes[idx as usize];
+            if node.bounds.hit(&probe, inv_dir).is_none() {
+                continue;
+            }
+            stats.nodes_visited += 1;
+            if node.is_leaf() {
+                stats.leaf_visits += 1;
+                let first = node.first_prim() as usize;
+                for &prim in &bvh.prim_order[first..first + node.prim_count() as usize] {
+                    stats.prim_tests += 1;
+                    if let Some(t) = prims[prim as usize].hit(&probe) {
+                        probe.t_max = t;
+                        best = Some(prim);
+                    }
+                }
+                continue;
+            }
+            stats.box_tests += 2;
+            let (left, right) = (idx + 1, node.right_child());
+            let t_left = bvh.nodes[left as usize].bounds.hit(&probe, inv_dir);
+            let t_right = bvh.nodes[right as usize].bounds.hit(&probe, inv_dir);
+            match (t_left, t_right) {
+                (Some(tl), Some(tr)) if tl <= tr => stack.extend([right, left]),
+                (Some(_), Some(_)) => stack.extend([left, right]),
+                (Some(_), None) => stack.push(left),
+                (None, Some(_)) => stack.push(right),
+                (None, None) => {}
+            }
+        }
+        (best, stats)
+    }
+
+    #[test]
+    fn deepest_allowed_tree_traverses_within_the_inline_stack() {
+        let prims = axis_star();
+        let bvh = Bvh::build(&prims);
+        assert_eq!(bvh.depth(), MAX_DEPTH, "the star must reach the depth cap");
+        let mut order = bvh.primitive_order().to_vec();
+        order.sort_unstable();
+        let all: Vec<u32> = (0..prims.len() as u32).collect();
+        assert_eq!(order, all, "the capped branch's leaf keeps its primitives");
+        let mut deepest_stack = 0;
+        for i in 0..64 {
+            // From beside the origin outwards: the ray starts inside every
+            // node's box, so each level defers a sibling.
+            let mut rng = Pcg::for_index(3, i);
+            let origin = Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()) * 1e-7;
+            let ray = Ray::new(origin, uniform_sphere(&mut rng));
+            let mut tr = bvh.traverse(ray, &prims);
+            while tr.step().is_some() {
+                deepest_stack = deepest_stack.max(tr.stack_len);
+            }
+            let (want_hit, want_stats) = vec_stack_intersect(&bvh, &ray, &prims);
+            assert_eq!(tr.hit().map(|h| h.primitive.0), want_hit, "ray {i}");
+            assert_eq!(*tr.stats(), want_stats, "ray {i}");
+        }
+        assert_eq!(
+            deepest_stack,
+            MAX_DEPTH + 1,
+            "the rays fill the whole stack"
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_trees_the_stack_cannot_hold() {
+        let bvh = Bvh::build(&axis_star());
+        assert_eq!(Bvh::from_json(&bvh.to_json()).unwrap(), bvh);
+        let leaf = FlatNode::leaf(Aabb::empty(), 0, 0);
+        // A right child pointing back at its parent: traversal would cycle.
+        let cyclic = Bvh {
+            nodes: vec![FlatNode::interior(Aabb::empty(), 0, 0), leaf, leaf],
+            prim_order: Vec::new(),
+            depth: 0,
+        };
+        assert!(Bvh::from_json(&cyclic.to_json()).is_err());
+        // A well-formed left spine of `levels` interior nodes: accepted up to
+        // the stack's depth, rejected one level beyond it.
+        let spine = |levels: u32| {
+            let mut nodes: Vec<FlatNode> = (0..levels)
+                .map(|i| FlatNode::interior(Aabb::empty(), 2 * levels - i, 0))
+                .collect();
+            nodes.resize(2 * levels as usize + 1, leaf);
+            let json = Bvh {
+                nodes,
+                prim_order: Vec::new(),
+                depth: 0,
+            }
+            .to_json();
+            Bvh::from_json(&json).map(|bvh| bvh.depth())
+        };
+        assert_eq!(spine(MAX_DEPTH as u32).ok(), Some(MAX_DEPTH));
+        assert!(spine(MAX_DEPTH as u32 + 1).is_err());
     }
 
     #[test]

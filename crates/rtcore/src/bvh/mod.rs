@@ -4,4 +4,4 @@ mod build;
 mod flat;
 
 pub use build::BuildMethod;
-pub use flat::{Bvh, FlatNode, Traversal, TraversalStats, TraversalStep};
+pub use flat::{Bvh, FlatNode, Traversal, TraversalStats, TraversalStep, MAX_DEPTH};

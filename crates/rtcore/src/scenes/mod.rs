@@ -796,6 +796,18 @@ mod tests {
     }
 
     #[test]
+    fn every_scene_fits_the_traversal_stack_with_room() {
+        // Strictly below the limit: the builder's depth cap never fired, so
+        // no registry scene's tree was reshaped to fit the inline stack.
+        for id in SceneId::ALL {
+            for seed in [1, 42, 77] {
+                let depth = id.build(seed).bvh().depth();
+                assert!(depth < crate::bvh::MAX_DEPTH, "{id} seed {seed}: {depth}");
+            }
+        }
+    }
+
+    #[test]
     fn scene_builds_are_deterministic() {
         for id in [SceneId::Park, SceneId::Bath] {
             let a = id.build(7);

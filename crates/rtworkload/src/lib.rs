@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 
 use gpusim::{Op, ThreadProgram, Workload};
 use rtcore::bvh::{Traversal, TraversalStep};
+use rtcore::geom::Hit;
 use rtcore::material::Surface;
 use rtcore::math::{cosine_hemisphere, uniform_sphere, Pcg, Ray, Vec3, RAY_EPSILON};
 use rtcore::scene::Scene;
@@ -160,6 +161,8 @@ impl<'s> RtWorkload<'s> {
     ///
     /// `width`/`height` are the *full* image dimensions; pixel coordinates
     /// are absolute so per-pixel RNG streams match the full-frame render.
+    /// Called by the repository's benchmark, as is
+    /// [`RtWorkload::with_selection`]: both stay source-compatible.
     ///
     /// # Panics
     ///
@@ -268,6 +271,10 @@ impl Workload for RtWorkload<'_> {
             self.map,
         ))
     }
+
+    fn filtered_threads(&self) -> u64 {
+        (self.pixels.len() - self.traced_count()) as u64
+    }
 }
 
 /// The two-instruction early-exit program run by filtered-out pixels
@@ -362,15 +369,15 @@ impl<'s> PixelProgram<'s> {
         }
     }
 
-    fn op_of(&self, step: TraversalStep) -> Op {
+    fn op_of(map: &AddressMap, step: TraversalStep) -> Op {
         match step {
             TraversalStep::InteriorNode { node } | TraversalStep::LeafNode { node, .. } => {
                 Op::RtNode {
-                    addr: self.map.node_addr(node),
+                    addr: map.node_addr(node),
                 }
             }
             TraversalStep::PrimitiveTest { prim, .. } => Op::RtPrim {
-                addr: self.map.prim_addr(prim.0),
+                addr: map.prim_addr(prim.0),
             },
         }
     }
@@ -381,10 +388,11 @@ impl<'s> PixelProgram<'s> {
         self.state = State::StartSample;
     }
 
-    /// Resolves a finished primary/bounce traversal, mirroring
-    /// `rtcore::tracer` decision for decision (and RNG draw for RNG draw).
-    fn resolve_path_hit(&mut self, tr: Traversal<'s>, bounce: u32) {
-        let Some(hit) = tr.hit() else {
+    /// Resolves a finished primary/bounce traversal — its closest `hit` and
+    /// the `incoming` ray direction — mirroring `rtcore::tracer` decision
+    /// for decision (and RNG draw for RNG draw).
+    fn resolve_path_hit(&mut self, hit: Option<Hit>, incoming: Vec3, bounce: u32) {
+        let Some(hit) = hit else {
             // Sky: small shade cost, path ends.
             self.queue.push_back(Op::Compute {
                 cycles: 4,
@@ -448,7 +456,6 @@ impl<'s> PixelProgram<'s> {
             }
             Surface::Mirror { fuzz } => {
                 self.throughput = self.throughput.hadamard(material.color);
-                let incoming = tr.ray().dir;
                 let mut dir = incoming.reflect(hit.normal);
                 if fuzz > 0.0 {
                     dir = (dir + uniform_sphere(&mut self.rng) * fuzz)
@@ -463,7 +470,6 @@ impl<'s> PixelProgram<'s> {
                 self.continue_bounce(ray, bounce);
             }
             Surface::Glass { ior } => {
-                let incoming = tr.ray().dir;
                 let eta = 1.0 / ior;
                 let cos_i = (-incoming).dot(hit.normal).clamp(0.0, 1.0);
                 let reflect_prob = schlick(cos_i, ior);
@@ -521,8 +527,9 @@ impl ThreadProgram for PixelProgram<'_> {
             if let Some(op) = self.queue.pop_front() {
                 return Some(op);
             }
-            // Temporarily swap the state out so traversals can be moved.
-            match std::mem::replace(&mut self.state, State::Finished) {
+            // Traversals are stepped where they live; the state is only
+            // rewritten when a ray ends.
+            match &mut self.state {
                 State::StartSample => {
                     if self.sample >= self.spp {
                         // Frame done for this pixel: write the framebuffer.
@@ -530,7 +537,8 @@ impl ThreadProgram for PixelProgram<'_> {
                             addr: self.map.pixel_addr(self.pixel.x, self.pixel.y, self.width),
                             bytes: self.map.pixel_stride as u32,
                         });
-                        // State stays Finished; the store drains, then None.
+                        // The store drains, then None.
+                        self.state = State::Finished;
                         continue;
                     }
                     self.sample += 1;
@@ -548,31 +556,25 @@ impl ThreadProgram for PixelProgram<'_> {
                     let tr = self.scene.bvh().traverse(ray, self.scene.primitives());
                     self.state = State::Path { tr, bounce: 0 };
                 }
-                State::Path { mut tr, bounce } => match tr.step() {
-                    Some(step) => {
-                        let op = self.op_of(step);
-                        self.state = State::Path { tr, bounce };
-                        return Some(op);
-                    }
+                State::Path { tr, bounce } => match tr.step() {
+                    Some(step) => return Some(Self::op_of(&self.map, step)),
                     None => {
-                        self.resolve_path_hit(tr, bounce);
+                        let (hit, incoming, bounce) = (tr.hit(), tr.ray().dir, *bounce);
+                        self.resolve_path_hit(hit, incoming, bounce);
                     }
                 },
-                State::Shadow { mut tr, resume } => match tr.step() {
-                    Some(step) => {
-                        let op = self.op_of(step);
-                        if tr.hit_found() {
-                            // Early-out: occlusion proven; finish the bounce.
-                            self.continue_after_diffuse(resume);
-                        } else {
-                            self.state = State::Shadow { tr, resume };
-                        }
-                        return Some(op);
-                    }
-                    None => {
+                State::Shadow { tr, resume } => {
+                    let step = tr.step();
+                    // Early-out once occlusion is proven; either way the
+                    // bounce finishes when the shadow query does.
+                    if step.is_none() || tr.hit_found() {
+                        let resume = *resume;
                         self.continue_after_diffuse(resume);
                     }
-                },
+                    if let Some(step) = step {
+                        return Some(Self::op_of(&self.map, step));
+                    }
+                }
                 State::Finished => return None,
             }
         }
@@ -697,6 +699,28 @@ mod tests {
             })
         );
         assert_eq!(t.next_op(), None);
+    }
+
+    #[test]
+    fn filtered_threads_are_counted_in_the_stats() {
+        let scene = SceneId::Sprng.build(1);
+        let (w, h) = (16u32, 16u32);
+        let sel: Vec<bool> = (0..(w * h) as usize).map(|i| i % 4 == 0).collect();
+        let workload = RtWorkload::full_frame(&scene, w, h, cfg()).with_selection(sel);
+        for sim_threads in [1, 2] {
+            let mut config = GpuConfig::mobile_soc();
+            config.sim_threads = sim_threads;
+            let stats = Simulator::new(config).run(&workload);
+            assert_eq!(stats.threads_launched, 256);
+            assert_eq!(stats.threads_filtered, 192, "75 % filtered");
+            assert_eq!(
+                stats.threads_launched - stats.threads_filtered,
+                workload.traced_count() as u64
+            );
+        }
+        let unfiltered = RtWorkload::full_frame(&scene, w, h, cfg());
+        let stats = Simulator::new(GpuConfig::mobile_soc()).run(&unfiltered);
+        assert_eq!(stats.threads_filtered, 0);
     }
 
     #[test]

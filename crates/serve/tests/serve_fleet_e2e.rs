@@ -40,12 +40,12 @@ fn tiny_request(seed: u64) -> PredictRequest {
     req
 }
 
-/// A request slow enough (~1s) to pin the single shard worker while the
-/// test stacks jobs up behind it.
+/// A request slow enough (~0.7 s optimized, several seconds unoptimized) to
+/// pin the single shard worker while the test stacks jobs up behind it.
 fn plug_request() -> PredictRequest {
     let mut req = PredictRequest::new("WKND", ConfigRef::preset("mobile"));
-    req.res = 64;
-    req.spp = 1;
+    req.res = 128;
+    req.spp = 4;
     req.seed = 999;
     req
 }
