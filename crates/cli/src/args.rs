@@ -28,7 +28,7 @@ impl std::error::Error for ParseArgsError {}
 
 /// Option keys that take a value; everything else with a `--` prefix is a
 /// boolean flag.
-const VALUE_KEYS: [&str; 44] = [
+const VALUE_KEYS: [&str; 42] = [
     "scene",
     "config",
     "res",
@@ -41,8 +41,6 @@ const VALUE_KEYS: [&str; 44] = [
     "dist",
     "out",
     "jobs",
-    "sim-threads",
-    "timing-threads",
     "trace-out",
     "run-out",
     "run",

@@ -101,13 +101,6 @@ fn print_help() {
            --reference         also run the full simulation and report errors\n\
            --json              emit machine-readable JSON instead of tables\n\
            --jobs N            worker threads for group simulation (default: host cores)\n\
-           --sim-threads N     engine threads inside each group simulation;\n\
-                               results are bit-identical for every N (default:\n\
-                               ZATEL_SIM_THREADS, else 1 = serial engine)\n\
-           --timing-threads N  memory-partition timing threads inside each\n\
-                               simulation; composes with --sim-threads and is\n\
-                               bit-identical for every N (default:\n\
-                               ZATEL_TIMING_THREADS, else 1 = inline timing)\n\
            --progress          per-group progress lines + engine trace counters (stderr)\n\
            --trace-out FILE    write a Perfetto/Chrome-trace JSON timeline of the run\n\
            --run-out FILE      persist a zatel-run-v1 record for 'zatel report'\n\
@@ -145,13 +138,6 @@ fn print_help() {
                                either way; useful for A/B load tests)\n\
            --sim-jobs N        per-request simulation thread cap, when the\n\
                                request does not set options.jobs itself\n\
-           --sim-threads N     global intra-sim engine-thread budget, split\n\
-                               evenly across workers (each request defaults to\n\
-                               max(1, N/workers) engine threads per simulation;\n\
-                               results are bit-identical for every N)\n\
-           --timing-threads N  global timing-thread budget, split evenly\n\
-                               across workers like --sim-threads; results\n\
-                               are bit-identical for every N\n\
            --deadline-ms N     default deadline for requests that carry none;\n\
                                requests queued past it answer 504\n\
            --cache-dir DIR     persist stage artifacts on disk across restarts\n\
@@ -306,24 +292,6 @@ fn apply_options(args: &Args, opts: &mut zatel::ZatelOptions) -> Result<(), Stri
             return Err("--jobs must be at least 1".into());
         }
         opts.jobs = Some(j);
-    }
-    if let Some(t) = args.get("sim-threads") {
-        let t: usize = t
-            .parse()
-            .map_err(|_| format!("--sim-threads value '{t}' is not a number"))?;
-        if t == 0 {
-            return Err("--sim-threads must be at least 1".into());
-        }
-        opts.sim_threads = Some(t);
-    }
-    if let Some(t) = args.get("timing-threads") {
-        let t: usize = t
-            .parse()
-            .map_err(|_| format!("--timing-threads value '{t}' is not a number"))?;
-        if t == 0 {
-            return Err("--timing-threads must be at least 1".into());
-        }
-        opts.timing_threads = Some(t);
     }
     Ok(())
 }
@@ -788,24 +756,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 .map_err(|e| e.to_string())?,
         );
     }
-    if args.get("sim-threads").is_some() {
-        let budget = args
-            .get_parsed("sim-threads", 1usize)
-            .map_err(|e| e.to_string())?;
-        if budget == 0 {
-            return Err("--sim-threads must be at least 1".into());
-        }
-        config.sim_threads = Some(budget);
-    }
-    if args.get("timing-threads").is_some() {
-        let budget = args
-            .get_parsed("timing-threads", 1usize)
-            .map_err(|e| e.to_string())?;
-        if budget == 0 {
-            return Err("--timing-threads must be at least 1".into());
-        }
-        config.timing_threads = Some(budget);
-    }
     if args.get("deadline-ms").is_some() {
         config.default_deadline_ms = Some(
             args.get_parsed("deadline-ms", 0u64)
@@ -983,16 +933,10 @@ fn run_record(
         minijson::Value::Array(prediction.spans.iter().map(ToJson::to_json).collect()),
     );
     rec.insert("metrics".into(), registry.to_json());
-    // Observational tracing/concurrency sections, deliberately separate
-    // from the deterministic "metrics" registry: the request ID and the
-    // sharded engine's wall-clock telemetry vary run to run.
+    // Observational, deliberately separate from the deterministic
+    // "metrics" registry: the request ID varies run to run.
     if let Some(id) = &prediction.request_id {
         rec.insert("request_id".into(), minijson::json!(id.as_str()));
-    }
-    if let Some(telemetry) = &prediction.concurrency {
-        let mut conc = obs::MetricsRegistry::new();
-        obs::export_telemetry(telemetry, &mut conc);
-        rec.insert("concurrency".into(), conc.to_json());
     }
     if let Some(heatmap) = &prediction.heatmap {
         rec.insert("heatmap".into(), heatmap_to_json(heatmap));

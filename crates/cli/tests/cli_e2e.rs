@@ -310,25 +310,23 @@ fn predict_json_includes_pipeline_spans() {
 fn trace_out_is_deterministic_and_schema_valid() {
     let dir = std::env::temp_dir().join("zatel-cli-trace");
     std::fs::create_dir_all(&dir).unwrap();
-    let run = |name: &str| {
+    let run = |name: &str, threads_env: Option<&str>| {
         let path = dir.join(name);
-        stdout(&[
-            "predict",
-            "--scene",
-            "SPRNG",
-            "--res",
-            "32",
-            "--spp",
-            "1",
-            "--seed",
-            "7",
-            "--trace-out",
-            path.to_str().unwrap(),
-        ]);
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_zatel"));
+        cmd.args(["predict", "--scene", "SPRNG", "--res", "32", "--spp", "1"])
+            .args(["--seed", "7", "--trace-out", path.to_str().unwrap()]);
+        if let Some(n) = threads_env {
+            cmd.env("ZATEL_SIM_THREADS", n)
+                .env("ZATEL_TIMING_THREADS", n);
+        }
+        let out = cmd.output().expect("binary runs");
+        assert!(out.status.success(), "predict failed: {out:?}");
         std::fs::read(&path).expect("trace written")
     };
-    let a = run("a.json");
-    let b = run("b.json");
+    let a = run("a.json", None);
+    // The second process also carries the environment variables of the
+    // removed intra-simulation thread knobs: they are simply unread.
+    let b = run("b.json", Some("4"));
     assert_eq!(a, b, "fixed-seed traces are byte-identical");
 
     // Chrome trace format: an array of objects, each with at least

@@ -101,22 +101,6 @@ pub struct GpuConfig {
     pub core_clock_mhz: u32,
     /// Memory clock in MHz.
     pub memory_clock_mhz: u32,
-    /// OS threads the engine may use for one simulation (`1` = the serial
-    /// engine). Purely an execution knob: results are bit-identical for
-    /// every value, so it is *excluded* from [`ToJson`] output — serialized
-    /// configs, artifact fingerprints and trace JSON never vary with it.
-    /// [`FromJson`] still accepts an explicit `"sim_threads"` key so
-    /// inline/custom config files can request a threaded run.
-    pub sim_threads: u32,
-    /// OS threads the engine may use for the memory-partition timing model
-    /// (`1` = inline timing on the commit thread). Like
-    /// [`sim_threads`](Self::sim_threads) this is purely an execution knob:
-    /// the timing-sharded engine is bit-identical to the serial one for
-    /// every value, so it is *excluded* from [`ToJson`] output while
-    /// [`FromJson`] still accepts an explicit `"timing_threads"` key. The
-    /// two knobs compose — decode shards and timing workers come out of
-    /// separate pools.
-    pub timing_threads: u32,
 }
 
 /// Error returned when a configuration cannot be downscaled.
@@ -168,8 +152,6 @@ impl GpuConfig {
             issue_width: 1,
             core_clock_mhz: 1365,
             memory_clock_mhz: 3500,
-            sim_threads: 1,
-            timing_threads: 1,
         }
     }
 
@@ -205,8 +187,6 @@ impl GpuConfig {
             issue_width: 1,
             core_clock_mhz: 1365,
             memory_clock_mhz: 3500,
-            sim_threads: 1,
-            timing_threads: 1,
         }
     }
 
@@ -290,12 +270,6 @@ impl GpuConfig {
         }
         if self.interconnect_bytes_per_cycle <= 0.0 {
             return Err("interconnect_bytes_per_cycle must be positive".into());
-        }
-        if self.sim_threads == 0 {
-            return Err("sim_threads must be positive (1 = serial engine)".into());
-        }
-        if self.timing_threads == 0 {
-            return Err("timing_threads must be positive (1 = inline timing)".into());
         }
         Ok(())
     }
@@ -426,22 +400,6 @@ impl FromJson for GpuConfig {
             issue_width: field_u32(value, TY, "issue_width")?,
             core_clock_mhz: field_u32(value, TY, "core_clock_mhz")?,
             memory_clock_mhz: field_u32(value, TY, "memory_clock_mhz")?,
-            // Execution knob, absent from ToJson output: optional on the
-            // way in so custom config files can opt into threaded runs.
-            sim_threads: match value.get("sim_threads") {
-                Some(v) => v
-                    .as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| JsonError::missing_field(TY, "sim_threads"))?,
-                None => 1,
-            },
-            timing_threads: match value.get("timing_threads") {
-                Some(v) => v
-                    .as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| JsonError::missing_field(TY, "timing_threads"))?,
-                None => 1,
-            },
         })
     }
 }
@@ -548,48 +506,6 @@ mod tests {
             latency: 160,
         };
         assert_eq!(c2.sets(), 512);
-    }
-
-    #[test]
-    fn sim_threads_is_an_unserialized_execution_knob() {
-        let mut cfg = GpuConfig::mobile_soc();
-        assert_eq!(cfg.sim_threads, 1, "presets default to the serial engine");
-        cfg.sim_threads = 4;
-        cfg.validate().expect("threaded config is valid");
-        // Never serialized: a threaded and a serial config print the same
-        // JSON, so fingerprints and trace output cannot depend on it.
-        let json = cfg.to_json().to_string();
-        assert!(!json.contains("sim_threads"));
-        assert_eq!(json, GpuConfig::mobile_soc().to_json().to_string());
-        // But an explicit key is honored on the way in.
-        let parsed = Value::parse(&json).unwrap();
-        assert_eq!(GpuConfig::from_json(&parsed).unwrap().sim_threads, 1);
-        let threaded = json.replacen('{', "{\"sim_threads\": 4,", 1);
-        let parsed = Value::parse(&threaded).unwrap();
-        assert_eq!(GpuConfig::from_json(&parsed).unwrap().sim_threads, 4);
-        cfg.sim_threads = 0;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn timing_threads_is_an_unserialized_execution_knob() {
-        let mut cfg = GpuConfig::mobile_soc();
-        assert_eq!(cfg.timing_threads, 1, "presets default to inline timing");
-        cfg.timing_threads = 4;
-        cfg.validate().expect("timing-sharded config is valid");
-        // Never serialized: timing-sharded and inline configs print the
-        // same JSON, so fingerprints and trace output cannot depend on it.
-        let json = cfg.to_json().to_string();
-        assert!(!json.contains("timing_threads"));
-        assert_eq!(json, GpuConfig::mobile_soc().to_json().to_string());
-        // But an explicit key is honored on the way in.
-        let parsed = Value::parse(&json).unwrap();
-        assert_eq!(GpuConfig::from_json(&parsed).unwrap().timing_threads, 1);
-        let sharded = json.replacen('{', "{\"timing_threads\": 4,", 1);
-        let parsed = Value::parse(&sharded).unwrap();
-        assert_eq!(GpuConfig::from_json(&parsed).unwrap().timing_threads, 4);
-        cfg.timing_threads = 0;
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -1,49 +1,48 @@
 //! The event-driven commit loop: launches the grid, steps warps through
 //! their SIMT phases and collects the final statistics.
 //!
-//! The loop itself is the engine's single serialization point. It pulls
-//! decoded phases through a [`PhaseSource`] — inline for the serial engine,
-//! from decode shards for the sharded one — and charges them to the shared
-//! timing state (issue ports, RT units, memory hierarchy) strictly in
-//! [`EventQueue`] pop order. Because every timing decision and every hook
-//! call happens here, in that one deterministic order, results are
-//! bit-identical regardless of how many threads fed the source.
+//! The loop decodes each phase inline through its [`Decoder`] and charges
+//! it to the timing state (issue ports, RT units, memory hierarchy)
+//! strictly in [`EventQueue`] pop order. Every timing decision and every
+//! hook call happens here, in that one deterministic order.
 
 use crate::config::GpuConfig;
 use crate::hooks::{PhaseClass, SimHooks};
 use crate::mem::MemoryHierarchy;
 use crate::stats::SimStats;
-use crate::telemetry::TimingTelemetry;
+use crate::workload::Workload;
 
-use super::decode::{deal_warps, DecodedPhase, PhaseSource};
+use super::decode::{deal_warps, DecodedPhase, Decoder};
 use super::events::{Event, EventQueue};
 use super::sm::SmState;
-use super::timing;
 
 /// Cycles between a warp slot freeing and the replacement warp's first issue.
-pub(super) const WARP_LAUNCH_LATENCY: u64 = 4;
+const WARP_LAUNCH_LATENCY: u64 = 4;
 
 /// One simulation run in flight: the configuration, all mutable machine
 /// state and the observer. Generic over the hook type so the cycle path
 /// monomorphizes — [`NullHooks`](crate::hooks::NullHooks) compiles to
-/// exactly the pre-seam engine. Fields are `pub(super)` so the
-/// timing-sharded commit loop ([`super::timing`]) can drive the same state.
+/// exactly the pre-seam engine.
 pub(crate) struct Engine<'w, H: SimHooks> {
-    pub(super) config: &'w GpuConfig,
-    pub(super) mem: MemoryHierarchy,
-    pub(super) sms: Vec<SmState>,
-    pub(super) events: EventQueue,
-    pub(super) stats: SimStats,
-    pub(super) max_time: u64,
-    pub(super) hooks: &'w mut H,
+    config: &'w GpuConfig,
+    threads: u64,
+    decoder: Decoder<'w>,
+    mem: MemoryHierarchy,
+    sms: Vec<SmState>,
+    events: EventQueue,
+    stats: SimStats,
+    max_time: u64,
+    hooks: &'w mut H,
 }
 
 impl<'w, H: SimHooks> Engine<'w, H> {
-    pub fn new(config: &'w GpuConfig, hooks: &'w mut H) -> Self {
+    pub fn new(config: &'w GpuConfig, workload: &'w dyn Workload, hooks: &'w mut H) -> Self {
         let mem = MemoryHierarchy::new(config);
         let sms = (0..config.num_sms).map(|_| SmState::new(config)).collect();
         Engine {
             config,
+            threads: workload.thread_count(),
+            decoder: Decoder::new(workload, config.num_sms as usize, config.l1d.line_bytes),
             mem,
             sms,
             events: EventQueue::new(),
@@ -53,39 +52,26 @@ impl<'w, H: SimHooks> Engine<'w, H> {
         }
     }
 
-    /// Runs a grid of `threads` threads to completion, pulling decoded
-    /// phases from `source`. With `timing_threads > 1` the memory
-    /// partitions are dealt to timing workers (see [`super::timing`]) and
-    /// the run's [`TimingTelemetry`] is returned alongside the
-    /// bit-identical stats.
-    pub fn run<S: PhaseSource>(
-        mut self,
-        threads: u64,
-        source: &mut S,
-    ) -> (SimStats, Option<TimingTelemetry>) {
-        let timing = if timing::worker_count(self.config) > 0 {
-            Some(timing::run_sharded(&mut self, threads, source))
-        } else {
-            self.launch_grid(threads, source);
-            while let Some(ev) = self.events.pop() {
-                self.step_warp(ev, source);
-            }
-            None
-        };
+    /// Runs the workload's grid to completion.
+    pub fn run(mut self) -> SimStats {
+        self.launch_grid();
+        while let Some(ev) = self.events.pop() {
+            self.step_warp(ev);
+        }
         // The run ends when the last warp retires AND all write-back
         // traffic has drained from the DRAM channels.
         self.stats.cycles = self.max_time.max(self.mem.drain_time());
         self.stats.rt_warp_phases = self.sms.iter().map(|s| s.rt_unit.phases()).sum();
         self.stats.rt_active_rays = self.sms.iter().map(|s| s.rt_unit.active_rays()).sum();
         self.mem.export_stats(&mut self.stats);
-        (self.stats, timing)
+        self.stats
     }
 
     /// Deals warps to SMs (see [`deal_warps`]) and fills the initial warp
     /// slots.
-    fn launch_grid<S: PhaseSource>(&mut self, threads: u64, source: &mut S) {
-        self.stats.threads_launched = threads;
-        let lists = deal_warps(threads, self.config.warp_size, self.sms.len());
+    fn launch_grid(&mut self) {
+        self.stats.threads_launched = self.threads;
+        let lists = deal_warps(self.threads, self.config.warp_size, self.sms.len());
         for (sm, list) in lists.into_iter().enumerate() {
             self.sms[sm].pending = list
                 .into_iter()
@@ -94,7 +80,7 @@ impl<'w, H: SimHooks> Engine<'w, H> {
         }
         for sm in 0..self.sms.len() {
             for _ in 0..self.config.max_warps_per_sm {
-                if !self.try_launch(sm, 0, source) {
+                if !self.try_launch(sm, 0) {
                     break;
                 }
             }
@@ -102,13 +88,13 @@ impl<'w, H: SimHooks> Engine<'w, H> {
     }
 
     /// Launches the oldest warp pending on `sm` into a fresh slot at `t`.
-    fn try_launch<S: PhaseSource>(&mut self, sm: usize, t: u64, source: &mut S) -> bool {
+    fn try_launch(&mut self, sm: usize, t: u64) -> bool {
         let Some((id, first, lanes)) = self.sms[sm].pending.pop_front() else {
             return false;
         };
         let slot = self.sms[sm].slots_used;
         self.sms[sm].slots_used += 1;
-        source.on_launch(sm, slot, id, first, lanes);
+        self.decoder.on_launch(sm, slot, id, first, lanes);
         self.hooks.on_warp_launch(sm, id, t);
         self.events.push(Event {
             time: t + WARP_LAUNCH_LATENCY,
@@ -120,8 +106,8 @@ impl<'w, H: SimHooks> Engine<'w, H> {
     }
 
     /// Executes one SIMT phase of a warp (or retires it).
-    fn step_warp<S: PhaseSource>(&mut self, ev: Event, source: &mut S) {
-        let mix = match source.next_phase(ev.sm, ev.slot, ev.warp_id) {
+    fn step_warp(&mut self, ev: Event) {
+        let mix = match self.decoder.next_phase(ev.sm, ev.slot) {
             DecodedPhase::Mix(mix) => mix,
             DecodedPhase::Retire => {
                 // Retired: backfill the slot with this SM's oldest pending
@@ -130,7 +116,7 @@ impl<'w, H: SimHooks> Engine<'w, H> {
                 self.max_time = self.max_time.max(ev.time);
                 self.hooks.on_warp_retire(ev.sm, ev.warp_id, ev.time);
                 if let Some((id, first, lanes)) = self.sms[ev.sm].pending.pop_front() {
-                    source.on_launch(ev.sm, ev.slot, id, first, lanes);
+                    self.decoder.on_launch(ev.sm, ev.slot, id, first, lanes);
                     self.hooks.on_warp_launch(ev.sm, id, ev.time);
                     self.events.push(Event {
                         time: ev.time + WARP_LAUNCH_LATENCY,
@@ -212,7 +198,7 @@ impl<'w, H: SimHooks> Engine<'w, H> {
             sm: ev.sm,
             slot: ev.slot,
         });
-        source.recycle(mix);
+        self.decoder.recycle(mix);
     }
 }
 

@@ -1,17 +1,12 @@
-//! The decode seam: where warp instruction streams turn into categorized
-//! phases, independent of the timing model.
+//! Decoding: where warp instruction streams turn into categorized phases,
+//! independent of the timing model.
 //!
 //! The engine's event loop ([`Engine`](super::Engine)) consumes
-//! [`DecodedPhase`]s through the [`PhaseSource`] trait. Decoding a phase —
-//! advancing every live lane of a warp one op and categorizing the gather
-//! into a [`PhaseMix`] — is a pure function of the workload and the line
-//! size; it touches no shared timing state. That purity is what the sharded
-//! engine exploits: decode runs ahead on shard threads while the single
-//! commit loop replays phases in exact serial order.
-//!
-//! [`SerialSource`] is the `sim_threads = 1` implementation: it decodes
-//! inline, at the moment the commit loop asks, reproducing the historical
-//! monolithic engine's call order exactly.
+//! [`DecodedPhase`]s from its [`Decoder`]. Decoding a phase — advancing
+//! every live lane of a warp one op and categorizing the gather into a
+//! [`PhaseMix`] — is a pure function of the workload and the line size; it
+//! touches no timing state. Warps are instantiated at launch and decoded
+//! inline, at the moment the commit loop asks.
 
 use crate::core::warp::Warp;
 use crate::workload::Workload;
@@ -30,33 +25,11 @@ pub(crate) enum DecodedPhase {
 
 /// Supplies decoded phases to the engine's commit loop.
 ///
-/// The engine drives the source with the exact warp schedule it commits:
-/// [`PhaseSource::on_launch`] when a warp enters a slot, then one
-/// [`PhaseSource::next_phase`] per wake-up event until the source returns
-/// [`DecodedPhase::Retire`]. Implementations may decode eagerly (shards) or
-/// lazily (serial), but the phases returned for a given warp must be the
-/// warp's decode stream in order — that alone guarantees the commit loop's
-/// results are independent of *when* decoding happened.
-pub(crate) trait PhaseSource {
-    /// Warp `warp_id`, covering threads `[first_thread, first_thread +
-    /// lanes)`, was launched into `slot` on `sm`.
-    fn on_launch(&mut self, sm: usize, slot: usize, warp_id: u64, first_thread: u64, lanes: u32);
-
-    /// Returns the next decoded phase of warp `warp_id`, resident in
-    /// `(sm, slot)`. Never called again for a warp after it returned
-    /// [`DecodedPhase::Retire`].
-    fn next_phase(&mut self, sm: usize, slot: usize, warp_id: u64) -> DecodedPhase;
-
-    /// Takes back a mix the commit loop has finished with, so a source that
-    /// decodes inline can reuse its line buffers. Purely an allocation
-    /// hint: sources may drop it (the default) and callers may skip it.
-    fn recycle(&mut self, _mix: PhaseMix) {}
-}
-
-/// The serial decode path: warps are instantiated at launch and decoded
-/// inline when the commit loop asks — byte-for-byte the behavior of the
-/// pre-shard monolithic engine.
-pub(crate) struct SerialSource<'w> {
+/// The engine drives it with the exact warp schedule it commits:
+/// [`Decoder::on_launch`] when a warp enters a slot, then one
+/// [`Decoder::next_phase`] per wake-up event until it returns
+/// [`DecodedPhase::Retire`].
+pub(crate) struct Decoder<'w> {
     workload: &'w dyn Workload,
     line_bytes: u32,
     /// Resident warps, indexed `[sm][slot]`. Slots are dense and stable:
@@ -66,19 +39,26 @@ pub(crate) struct SerialSource<'w> {
     spare: PhaseMix,
 }
 
-impl<'w> SerialSource<'w> {
+impl<'w> Decoder<'w> {
     pub fn new(workload: &'w dyn Workload, num_sms: usize, line_bytes: u32) -> Self {
-        SerialSource {
+        Decoder {
             workload,
             line_bytes,
             warps: (0..num_sms).map(|_| Vec::new()).collect(),
             spare: PhaseMix::default(),
         }
     }
-}
 
-impl PhaseSource for SerialSource<'_> {
-    fn on_launch(&mut self, sm: usize, slot: usize, warp_id: u64, first_thread: u64, lanes: u32) {
+    /// Warp `warp_id`, covering threads `[first_thread, first_thread +
+    /// lanes)`, was launched into `slot` on `sm`.
+    pub fn on_launch(
+        &mut self,
+        sm: usize,
+        slot: usize,
+        warp_id: u64,
+        first_thread: u64,
+        lanes: u32,
+    ) {
         let warp = Warp::new(self.workload, warp_id, sm, first_thread, lanes);
         let slots = &mut self.warps[sm];
         if slot == slots.len() {
@@ -88,7 +68,10 @@ impl PhaseSource for SerialSource<'_> {
         }
     }
 
-    fn next_phase(&mut self, sm: usize, slot: usize, _warp_id: u64) -> DecodedPhase {
+    /// Returns the next decoded phase of the warp resident in `(sm, slot)`.
+    /// Never called again for a warp after it returned
+    /// [`DecodedPhase::Retire`].
+    pub fn next_phase(&mut self, sm: usize, slot: usize) -> DecodedPhase {
         let slot_ref = &mut self.warps[sm][slot];
         // zatel-lint: allow(panic-hygiene, reason = "engine invariant: next_phase is only called for slots the engine launched into and never after Retire")
         let warp = slot_ref.as_mut().expect("phase for a vacant warp slot");
@@ -99,15 +82,16 @@ impl PhaseSource for SerialSource<'_> {
         phase
     }
 
-    fn recycle(&mut self, mix: PhaseMix) {
+    /// Takes back a mix the commit loop has finished with, so the next
+    /// phase reuses its line buffers.
+    pub fn recycle(&mut self, mix: PhaseMix) {
         self.spare = mix;
     }
 }
 
 /// Decodes one phase of `warp`: gathers ops from every live lane and
 /// categorizes them into `spare`'s buffers, or signals retirement (the
-/// caller drops the warp). Shared by the serial and sharded paths so their
-/// decode streams are identical by construction.
+/// caller drops the warp).
 pub(crate) fn decode_one(
     warp: &mut Warp<'_>,
     line_bytes: u32,
@@ -122,8 +106,7 @@ pub(crate) fn decode_one(
     }
 }
 
-/// A warp's launch geometry, shared by the commit loop's `launch_grid` and
-/// the decode shards (both must deal warps to SMs identically).
+/// A warp's launch geometry, as dealt to an SM by [`deal_warps`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WarpDesc {
     /// Global warp id (launch order).
@@ -160,7 +143,7 @@ mod tests {
     use crate::workload::{Op, ScriptedWorkload};
 
     #[test]
-    fn serial_source_decodes_until_retire() {
+    fn decoder_decodes_until_retire() {
         let w = ScriptedWorkload::uniform(
             4,
             vec![
@@ -171,23 +154,23 @@ mod tests {
                 Op::Load { addr: 0, bytes: 4 },
             ],
         );
-        let mut src = SerialSource::new(&w, 1, 128);
+        let mut src = Decoder::new(&w, 1, 128);
         src.on_launch(0, 0, 0, 0, 4);
-        match src.next_phase(0, 0, 0) {
+        match src.next_phase(0, 0) {
             DecodedPhase::Mix(mix) => {
                 assert_eq!(mix.compute_cycles, 2);
                 assert_eq!(mix.instructions, 8, "4 lanes x 2 insts");
             }
             other => panic!("expected a compute phase, got {other:?}"),
         }
-        match src.next_phase(0, 0, 0) {
+        match src.next_phase(0, 0) {
             DecodedPhase::Mix(mix) => assert_eq!(mix.load_lines, vec![0]),
             other => panic!("expected a load phase, got {other:?}"),
         }
-        assert_eq!(src.next_phase(0, 0, 0), DecodedPhase::Retire);
+        assert_eq!(src.next_phase(0, 0), DecodedPhase::Retire);
         // The slot is vacated and immediately reusable by a backfill.
         src.on_launch(0, 0, 1, 0, 4);
-        assert!(matches!(src.next_phase(0, 0, 1), DecodedPhase::Mix(_)));
+        assert!(matches!(src.next_phase(0, 0), DecodedPhase::Mix(_)));
     }
 
     #[test]

@@ -18,15 +18,13 @@ pub(crate) struct Event {
 }
 
 impl Ord for Event {
-    /// The engine's documented total order: **(time, sequence, shard-rank,
-    /// slot)**, where the sequence is the warp's launch age (`warp_id`) and
-    /// the shard-rank is the owning SM's index. This is a total order over
-    /// every event the engine can ever schedule — two live events never
-    /// compare equal, because a warp occupies one slot at a time — so pop
-    /// order can never depend on heap-insertion incidentals, and merging
-    /// per-shard traffic sorts identically regardless of which shard
-    /// produced an event. Spelled out (rather than derived) because the
-    /// field order above is load-bearing for cross-shard determinism.
+    /// The engine's documented total order: **(time, warp age, SM,
+    /// slot)**, where the age is the warp's launch order (`warp_id`). This
+    /// is a total order over every event the engine can ever schedule — two
+    /// live events never compare equal, because a warp occupies one slot at
+    /// a time — so pop order can never depend on heap-insertion
+    /// incidentals. Spelled out (rather than derived) because the golden
+    /// statistics depend on exactly this field order.
     fn cmp(&self, other: &Self) -> Ordering {
         (self.time, self.warp_id, self.sm, self.slot).cmp(&(
             other.time,
@@ -45,8 +43,8 @@ impl PartialOrd for Event {
 
 /// Min-heap of [`Event`]s. Pop order is the engine's global time order and
 /// the sole source of scheduling nondeterminism — which is why [`Event`]'s
-/// explicit `Ord` defines the full (time, sequence, shard-rank, slot)
-/// total order rather than stopping at `time`.
+/// explicit `Ord` defines the full (time, warp age, SM, slot) total order
+/// rather than stopping at `time`.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Reverse<Event>>,
@@ -67,12 +65,6 @@ impl EventQueue {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|Reverse(ev)| ev)
-    }
-
-    /// The earliest event without removing it (the timing-sharded engine
-    /// peeks to decide whether popping is order-safe before committing).
-    pub fn peek(&self) -> Option<&Event> {
-        self.heap.peek().map(|Reverse(ev)| ev)
     }
 }
 
@@ -115,7 +107,7 @@ mod tests {
     }
 
     #[test]
-    fn order_is_time_then_sequence_then_shard_rank_then_slot() {
+    fn order_is_time_then_warp_age_then_sm_then_slot() {
         let e = |time, warp_id, sm, slot| Event {
             time,
             warp_id,
@@ -123,7 +115,7 @@ mod tests {
             slot,
         };
         // Each successive event differs in exactly one field of the
-        // documented (time, sequence, shard-rank, slot) order.
+        // documented (time, warp age, SM, slot) order.
         let ordered = [
             e(1, 9, 9, 9),
             e(2, 0, 9, 9),

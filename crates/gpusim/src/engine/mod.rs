@@ -4,32 +4,17 @@
 //!
 //! * [`sm`] — per-SM timing state and phase categorization;
 //! * [`events`] — the global warp wake-up heap with its documented
-//!   (time, sequence, shard-rank, slot) total order;
-//! * [`decode`] — the decode seam: warp streams turned into categorized
-//!   phases, pure of all timing state;
-//! * [`core`] — the event-driven commit loop tying them together, the
-//!   engine's single serialization point;
-//! * [`shard`] / [`router`] / [`epoch`] — the sharded engine
-//!   (`sim_threads > 1`): decode shards over disjoint SM ranges, the
-//!   interconnect seam they hand traffic through, and the lockstep driver
-//!   that keeps results bit-identical to the serial engine;
-//! * [`timing`] — the timing-sharded commit loop (`timing_threads > 1`):
-//!   memory partitions dealt to lockstep worker threads, cross-partition
-//!   traffic exchanged at epoch seams in the documented total order.
+//!   (time, warp age, SM, slot) total order;
+//! * [`decode`] — warp streams turned into categorized phases, pure of
+//!   all timing state;
+//! * [`core`] — the event-driven commit loop tying them together.
 //!
 //! The public surface stays [`crate::Simulator`]; everything here is
 //! crate-private machinery behind it.
 
 mod core;
 mod decode;
-mod epoch;
 mod events;
-mod router;
-mod shard;
 mod sm;
-mod sync;
-mod timing;
 
 pub(crate) use core::Engine;
-pub(crate) use decode::SerialSource;
-pub(crate) use epoch::EpochDriver;

@@ -1,10 +1,9 @@
 //! Public facade over the simulation engine.
 
 use crate::config::GpuConfig;
-use crate::engine::{Engine, EpochDriver, SerialSource};
+use crate::engine::Engine;
 use crate::hooks::{NullHooks, SimHooks};
 use crate::stats::SimStats;
-use crate::telemetry::SimTelemetry;
 use crate::workload::Workload;
 
 /// The cycle-level GPU simulator.
@@ -64,50 +63,10 @@ impl Simulator {
     /// observability seam costs nothing when `hooks` is
     /// [`NullHooks`](crate::hooks::NullHooks). Hooks observe only — the
     /// returned statistics are bit-identical for every hook implementation.
-    ///
-    /// When [`GpuConfig::sim_threads`] is greater than one, the run is
-    /// executed by the sharded engine on that many OS threads. Results,
-    /// hook event order and serialized output are bit-identical to the
-    /// serial engine for every thread count; hooks still fire on the
-    /// calling thread only.
     pub fn run_with_hooks<H: SimHooks>(&self, workload: &dyn Workload, hooks: &mut H) -> SimStats {
-        self.run_instrumented(workload, hooks).0
-    }
-
-    /// Runs `workload` like [`Simulator::run_with_hooks`], additionally
-    /// returning the run's concurrency telemetry when either sharded mode
-    /// executed it (`sim_threads > 1` or `timing_threads > 1`); fully
-    /// serial runs return `None`.
-    ///
-    /// The telemetry is an observational wall-clock side channel
-    /// ([`SimTelemetry`]): collecting it never changes the returned
-    /// statistics, the hook event order, or any serialized output — the
-    /// stats are bit-identical to [`Simulator::run`] in every mode.
-    pub fn run_instrumented<H: SimHooks>(
-        &self,
-        workload: &dyn Workload,
-        hooks: &mut H,
-    ) -> (SimStats, Option<SimTelemetry>) {
-        let (mut stats, telemetry) = if self.config.sim_threads > 1 {
-            let (stats, telemetry) = EpochDriver::new(&self.config, workload).run(hooks);
-            (stats, Some(telemetry))
-        } else {
-            let mut source = SerialSource::new(
-                workload,
-                self.config.num_sms as usize,
-                self.config.l1d.line_bytes,
-            );
-            let (stats, timing) =
-                Engine::new(&self.config, hooks).run(workload.thread_count(), &mut source);
-            let telemetry = timing.map(|t| SimTelemetry {
-                runs: 1,
-                timing: Some(t),
-                ..SimTelemetry::default()
-            });
-            (stats, telemetry)
-        };
-        // Filtering is a property of the workload, not of any engine path.
+        let mut stats = Engine::new(&self.config, workload, hooks).run();
+        // Filtering is a property of the workload, not of the engine.
         stats.threads_filtered = workload.filtered_threads();
-        (stats, telemetry)
+        stats
     }
 }

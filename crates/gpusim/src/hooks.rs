@@ -13,13 +13,9 @@
 //! testable: a run with [`TraceHooks`] must produce bit-identical
 //! [`SimStats`](crate::stats::SimStats) to a run with [`NullHooks`].
 //!
-//! Hooks are also single-threaded by contract, even under the sharded
-//! engine (`sim_threads > 1`): every callback fires on the calling thread,
-//! from the engine's commit loop, in the exact event order of a serial run.
-//! Decode shards never invoke hooks — they hand decoded phases to the
-//! commit loop, which replays them in its deterministic merge order — so
-//! `&mut H` needs no `Send`/`Sync` bound and recorded traces are
-//! byte-identical for every thread count.
+//! Every callback fires on the calling thread, from the engine's commit
+//! loop, in event order — so `&mut H` needs no `Send`/`Sync` bound and
+//! recorded traces are byte-identical from run to run.
 //!
 //! ```
 //! use gpusim::{GpuConfig, Simulator, TraceHooks};

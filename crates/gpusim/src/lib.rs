@@ -49,10 +49,7 @@ mod engine;
 mod gpu;
 pub mod hooks;
 pub mod mem;
-#[cfg(zatel_schedule_test)]
-pub mod schedule;
 pub mod stats;
-pub mod telemetry;
 pub mod workload;
 
 pub use config::{gcd, CacheConfig, DownscaleError, GpuConfig};
@@ -61,5 +58,4 @@ pub use hooks::{
     CacheLevel, NullHooks, PhaseClass, SimHooks, TraceCounters, TraceHooks, TraceSlice,
 };
 pub use stats::{CombineRule, Metric, SimStats};
-pub use telemetry::{DepthHistogram, ShardTelemetry, SimTelemetry};
 pub use workload::{MemSpace, Op, ThreadProgram, Workload};

@@ -235,17 +235,6 @@ impl Cache {
         self.index[bucket] = ring.lru + 1;
     }
 
-    /// Rewrites every entry's `valid_from` through `f`, preserving tags,
-    /// LRU order and statistics. Used by the timing-sharded engine at an
-    /// epoch seam to replace slot-tagged placeholder fill times with their
-    /// resolved cycles; residency never depends on `valid_from`, so the
-    /// rewrite cannot change which lines are cached.
-    pub fn remap_valid(&mut self, f: impl Fn(u64) -> u64) {
-        for entry in &mut self.entries {
-            entry.valid_from = f(entry.valid_from);
-        }
-    }
-
     /// Cache display name.
     pub fn name(&self) -> &'static str {
         self.name

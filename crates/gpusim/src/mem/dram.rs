@@ -127,14 +127,6 @@ impl DramChannel {
         self.service_at(arrival, 0, bytes)
     }
 
-    /// Lower bound on `service_at(arrival, ..) - arrival` for a `bytes`
-    /// transaction: the transfer time plus the fixed latency. Queueing and
-    /// row switches only push completion later.
-    pub(crate) fn min_service_delta(&self, bytes: u32) -> u64 {
-        let transfer = (bytes as f32 / self.bytes_per_cycle).ceil().max(1.0) as u64;
-        transfer + self.fixed_latency as u64
-    }
-
     /// Row-buffer hits so far.
     pub fn row_hits(&self) -> u64 {
         self.row_hits

@@ -14,9 +14,7 @@ use super::partition::MemPartition;
 /// Line-granular addresses are interleaved across partitions, so shrinking
 /// the partition count (GPU downscaling) automatically shrinks total L2
 /// capacity and aggregate DRAM bandwidth — the property Zatel's downscaling
-/// step relies on. The partition-side timing lives in [`MemPartition`] so
-/// the timing-sharded engine can detach the partitions onto worker threads;
-/// this type is the serial, inline composition of the same arithmetic.
+/// step relies on. The partition-side timing lives in [`MemPartition`].
 ///
 /// `new` and `read` are called by the repository's benchmark and stay
 /// source-compatible.
@@ -24,9 +22,6 @@ use super::partition::MemPartition;
 pub struct MemoryHierarchy {
     l1: Vec<Cache>,
     parts: Vec<MemPartition>,
-    /// Interleave width — fixed at construction so [`MemoryHierarchy::partition_of`]
-    /// stays valid while the partitions are detached onto timing workers.
-    num_parts: usize,
     line_bytes: u32,
     l1_latency: u32,
     read_latency_sum: u64,
@@ -45,7 +40,6 @@ impl MemoryHierarchy {
         MemoryHierarchy {
             l1,
             parts,
-            num_parts: config.num_mem_partitions as usize,
             line_bytes: config.l1d.line_bytes,
             l1_latency: config.l1d.latency,
             read_latency_sum: 0,
@@ -65,54 +59,7 @@ impl MemoryHierarchy {
 
     /// The memory partition owning `line` (address-interleaved).
     pub(crate) fn partition_of(&self, line: u64) -> usize {
-        (line % self.num_parts as u64) as usize
-    }
-
-    /// L1 load-to-use latency in cycles.
-    pub(crate) fn l1_latency(&self) -> u64 {
-        self.l1_latency as u64
-    }
-
-    /// Detaches the partition timing state so the timing-sharded engine can
-    /// move it onto worker threads. The hierarchy keeps the L1 front end;
-    /// partition-side calls are invalid until
-    /// [`MemoryHierarchy::restore_partitions`].
-    pub(crate) fn take_partitions(&mut self) -> Vec<MemPartition> {
-        std::mem::take(&mut self.parts)
-    }
-
-    /// Re-attaches partitions previously taken with
-    /// [`MemoryHierarchy::take_partitions`], in partition order.
-    pub(crate) fn restore_partitions(&mut self, parts: Vec<MemPartition>) {
-        self.parts = parts;
-    }
-
-    /// Probes SM `sm`'s L1 for `line` without firing hooks (the
-    /// timing-sharded engine defers hook delivery to its reorder buffer).
-    pub(crate) fn l1_probe(&mut self, sm: usize, line: u64, now: u64) -> Probe {
-        self.l1[sm].probe(line, now)
-    }
-
-    /// Fills SM `sm`'s L1 with `line` arriving at `valid_from` (which may
-    /// be a slot-tagged placeholder under the timing-sharded engine).
-    pub(crate) fn l1_fill(&mut self, sm: usize, line: u64, valid_from: u64) {
-        self.l1[sm].fill(line, valid_from);
-    }
-
-    /// Rewrites every L1 entry's `valid_from` through `f` (see
-    /// [`Cache::remap_valid`]).
-    pub(crate) fn remap_l1_valid(&mut self, f: impl Fn(u64) -> u64 + Copy) {
-        for l1 in &mut self.l1 {
-            l1.remap_valid(f);
-        }
-    }
-
-    /// Accounts one completed read of latency `latency` (the serial path
-    /// does this inside [`MemoryHierarchy::read_with`]; the timing-sharded
-    /// engine at reorder-buffer replay).
-    pub(crate) fn note_read(&mut self, latency: u64) {
-        self.read_latency_sum += latency;
-        self.reads += 1;
+        (line % self.parts.len() as u64) as usize
     }
 
     /// Issues a read of cache line `line` from SM `sm` at cycle `now`;
@@ -130,7 +77,8 @@ impl MemoryHierarchy {
     /// identical for every hook implementation.
     pub fn read_with<H: SimHooks>(&mut self, sm: usize, line: u64, now: u64, hooks: &mut H) -> u64 {
         let t = self.read_inner(sm, line, now, hooks);
-        self.note_read(t - now);
+        self.read_latency_sum += t - now;
+        self.reads += 1;
         hooks.on_mem_read(sm, t - now);
         t
     }
@@ -291,19 +239,5 @@ mod tests {
             times.last().unwrap() - times.first().unwrap() >= 8 * 15 - 20,
             "DRAM bandwidth must serialize concurrent misses"
         );
-    }
-
-    #[test]
-    fn detached_partitions_round_trip() {
-        let mut h = hierarchy();
-        h.read(0, 3, 0);
-        let mut before = SimStats::default();
-        h.export_stats(&mut before);
-        let parts = h.take_partitions();
-        assert_eq!(parts.len(), 4);
-        h.restore_partitions(parts);
-        let mut after = SimStats::default();
-        h.export_stats(&mut after);
-        assert_eq!(before, after, "detach/re-attach must preserve counters");
     }
 }

@@ -1,15 +1,10 @@
 //! One memory partition: an L2 slice, its DRAM channel and the partition's
-//! pair of interconnect ports, bundled into a single movable unit.
+//! pair of interconnect ports, bundled into one unit.
 //!
-//! The partition is the natural sharding grain of the memory system —
-//! line-granular addresses interleave across partitions, and nothing a
-//! partition computes depends on another partition's state. The serial
+//! Line-granular addresses interleave across partitions, and nothing a
+//! partition computes depends on another partition's state.
 //! [`MemoryHierarchy`](super::MemoryHierarchy) owns a `Vec<MemPartition>`
-//! and calls into it inline; the timing-sharded engine
-//! (`timing_threads > 1`) detaches the partitions, hands each worker
-//! thread an interleaved subset, and re-attaches them at the end of the
-//! run. Both paths execute the exact same arithmetic in the exact same
-//! per-partition order, which is what keeps results bit-identical.
+//! and calls into it inline.
 
 use crate::config::GpuConfig;
 
@@ -18,10 +13,10 @@ use super::dram::DramChannel;
 
 /// Cycles an L2 slice's tag pipeline is occupied per access (throughput
 /// limit creating backpressure under load).
-pub(crate) const L2_SERVICE_CYCLES: u64 = 2;
+const L2_SERVICE_CYCLES: u64 = 2;
 
 /// Bytes of a read-request packet (address + metadata).
-pub(crate) const REQUEST_BYTES: u32 = 8;
+const REQUEST_BYTES: u32 = 8;
 
 /// Timing outcome of one partition-side read.
 #[derive(Debug, Clone, Copy)]
@@ -145,33 +140,6 @@ impl MemPartition {
         )
     }
 
-    /// Lower bound on `read(line, now).data_ready - now` for any read this
-    /// partition can service. Contention, queueing and in-flight fills only
-    /// push completion later, so the timing-sharded engine may keep
-    /// committing events earlier than `now + min_read_delta()` while the
-    /// read is still in flight without risking a reordering.
-    pub(crate) fn min_read_delta(&self) -> u64 {
-        let icnt = self.icnt_latency as u64;
-        let l2 = self.l2_latency as u64;
-        // L2 hit: depart >= (now + l2_latency) - icnt, response adds at
-        // least one occupancy cycle plus the crossing back. When the
-        // configured L2 latency is below the crossing latency the
-        // saturating subtraction voids the bound; fall back to "no bound".
-        let hit = if l2 >= icnt { l2 + 1 } else { 0 };
-        // L2 miss: request crossing, L2 pipeline, DRAM transfer + fixed
-        // latency, response crossing.
-        let req_occ = ((REQUEST_BYTES as f32 / self.icnt_bytes_per_cycle).ceil() as u64).max(1);
-        let resp_occ = ((self.line_bytes as f32 / self.icnt_bytes_per_cycle).ceil() as u64).max(1);
-        let miss = self.l1_latency as u64
-            + req_occ
-            + icnt
-            + L2_SERVICE_CYCLES
-            + self.dram.min_service_delta(self.line_bytes)
-            + resp_occ
-            + icnt;
-        hit.min(miss)
-    }
-
     /// The partition's L2 slice (for statistics export).
     pub(crate) fn l2(&self) -> &Cache {
         &self.l2
@@ -218,21 +186,6 @@ mod tests {
         let warm = p.read(0, cold.data_ready);
         assert!(warm.l2_hit);
         assert!(warm.data_ready < cold.data_ready * 2 + 400);
-    }
-
-    #[test]
-    fn min_read_delta_bounds_observed_reads() {
-        let mut p = part();
-        let floor = p.min_read_delta();
-        assert!(floor > 0);
-        for (i, now) in [(0u64, 0u64), (4, 100), (8, 100), (0, 5000)] {
-            let r = p.read(i, now);
-            assert!(
-                r.data_ready >= now + floor,
-                "read at {now} completed at {} < floor {floor}",
-                r.data_ready
-            );
-        }
     }
 
     #[test]

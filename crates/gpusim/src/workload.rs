@@ -95,20 +95,13 @@ pub trait ThreadProgram {
 ///
 /// Thread index order defines warp packing: threads `[i*warp_size,
 /// (i+1)*warp_size)` form warp `i`.
-///
-/// The `Sync` bound exists for the sharded engine
-/// ([`GpuConfig::sim_threads`](crate::GpuConfig) > 1), whose decode shards
-/// instantiate thread programs from multiple OS threads concurrently.
-pub trait Workload: Sync {
+pub trait Workload {
     /// Total number of threads in the grid.
     fn thread_count(&self) -> u64;
 
     /// Instantiates the program for thread `index`.
     ///
-    /// Must be a pure function of `index`: the sharded engine decodes ahead
-    /// of the timing model, so a thread's program may be instantiated well
-    /// before its warp becomes resident (and programs for many warps may
-    /// exist simultaneously). The serial engine still creates each program
+    /// Must be a pure function of `index`. The engine creates each program
     /// exactly once, when its warp launches.
     ///
     /// Called by the repository's benchmark: the boxed return type stays

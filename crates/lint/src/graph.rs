@@ -19,7 +19,7 @@
 //! type, or the file stem for free functions), with all-caps statics kept
 //! global (`REF_CACHE`). Two locks with the same canonical name are
 //! treated as one lock *class*: per-shard instances of
-//! `ShardRouter::state` intentionally collapse, which is exactly the
+//! `Shard::queue` intentionally collapse, which is exactly the
 //! granularity lock-order discipline is defined at.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,7 +35,7 @@ use crate::LintConfig;
 pub struct CallRef {
     /// Last path segment — the function name.
     pub name: String,
-    /// Preceding `::` path segments (`ShardRouter::new` → `["ShardRouter"]`),
+    /// Preceding `::` path segments (`Shard::new` → `["Shard"]`),
     /// empty for bare and method calls.
     pub qual: Vec<String>,
     /// Whether the call was a method call (`x.f(…)`).
@@ -420,7 +420,7 @@ fn waived_at(file: &ScannedFile, rule: &str, line: u32) -> bool {
 /// Canonicalizes a lock/atomic receiver into a class name.
 ///
 /// `self.queue` in `impl Shard` → `Shard::queue`; a bare local (`state`)
-/// in `impl ShardRouter` → `ShardRouter::state`; an all-caps static
+/// in `impl ServerState` → `ServerState::state`; an all-caps static
 /// (`REF_CACHE`) stays global; an opaque receiver yields `None`.
 fn canonical_target(
     receiver: &[String],
@@ -831,7 +831,7 @@ impl ConcGraph {
         if visible.is_empty() {
             return None;
         }
-        // Qualified: `ShardRouter::lock` → container match.
+        // Qualified: `Shard::push` → container match.
         if let Some(q) = callee.qual.last() {
             let by_container: Vec<usize> = visible
                 .iter()

@@ -226,9 +226,9 @@ impl LintConfig {
             // the libc `signal()` already linked by std — the one unsafe
             // block the workspace accepts (audited in-file).
             unsafe_allow: vec!["crates/serve/src/signal.rs".to_owned()],
-            // The whole engine crate is an obs-free zone: decode shards,
-            // the epoch commit loop and the cores may be observed only
-            // through the SimHooks seam. hooks.rs is the seam itself.
+            // The whole engine crate is an obs-free zone: the decoder,
+            // the commit loop and the cores may be observed only through
+            // the SimHooks seam. hooks.rs is the seam itself.
             obs_ban: vec!["crates/gpusim/src".to_owned()],
             obs_allow: vec!["crates/gpusim/src/hooks.rs".to_owned()],
             // The serve crate is thread-watched rather than
@@ -238,27 +238,6 @@ impl LintConfig {
             // surface, so every seam must be on the audit list below.
             thread_watch: vec!["crates/serve/src".to_owned()],
             thread_allow: vec![
-                ThreadAllowance {
-                    path: "crates/gpusim/src/engine/epoch.rs".to_owned(),
-                    reason: "the audited sharded-engine seam: decode shards spawned \
-                             here are pure of timing state, joined before the run \
-                             returns, and consumed by the single commit thread in \
-                             serial event order — pinned bit-identical by the \
-                             sim_threads identity tests"
-                        .to_owned(),
-                },
-                ThreadAllowance {
-                    path: "crates/gpusim/src/engine/timing.rs".to_owned(),
-                    reason: "the audited timing-partition seam: memory-partition \
-                             workers spawned here own disjoint L2-slice/DRAM-channel \
-                             partitions, exchange cross-partition traffic only at \
-                             epoch seams in the documented (time, sequence, \
-                             shard-rank, slot) total order, and are joined before \
-                             the run returns — pinned bit-identical by the \
-                             timing_threads identity tests and the seam-exchange \
-                             schedule sweep"
-                        .to_owned(),
-                },
                 ThreadAllowance {
                     path: "crates/serve/src/server.rs".to_owned(),
                     reason: "the fleet topology seam: the accept loop, router \
@@ -837,8 +816,7 @@ mod tests {
         assert!(!shard.thread_allowed, "only listed files get allowances");
         assert!(!c.kind_of("crates/cli/src/main.rs").thread_watched);
         assert!(
-            !c.kind_of("crates/gpusim/src/engine/epoch.rs")
-                .thread_watched,
+            !c.kind_of("crates/gpusim/src/engine/core.rs").thread_watched,
             "result-affecting paths carry the rule already"
         );
     }
@@ -847,8 +825,7 @@ mod tests {
     fn obs_ban_covers_the_engine_except_the_hook_seam() {
         let c = LintConfig::zatel_workspace("/does-not-matter");
         assert!(c.kind_of("crates/gpusim/src/engine/core.rs").obs_banned);
-        assert!(c.kind_of("crates/gpusim/src/engine/shard.rs").obs_banned);
-        assert!(c.kind_of("crates/gpusim/src/engine/epoch.rs").obs_banned);
+        assert!(c.kind_of("crates/gpusim/src/engine/decode.rs").obs_banned);
         assert!(
             !c.kind_of("crates/gpusim/src/hooks.rs").obs_banned,
             "the hook seam itself is the audited bridge"
@@ -863,16 +840,23 @@ mod tests {
     #[test]
     fn thread_allowance_is_exact_and_needs_a_reason() {
         let mut c = LintConfig::zatel_workspace("/does-not-matter");
-        let epoch = "crates/gpusim/src/engine/epoch.rs";
-        assert!(c.kind_of(epoch).thread_allowed);
-        assert!(!c.kind_of("crates/gpusim/src/engine/core.rs").thread_allowed);
-        assert!(
-            !c.kind_of("crates/gpusim/src/engine/shard.rs")
-                .thread_allowed
-        );
+        let server = "crates/serve/src/server.rs";
+        assert_eq!(c.thread_allow[0].path, server);
+        assert!(c.kind_of(server).thread_allowed);
+        assert!(!c.kind_of("crates/serve/src/shard.rs").thread_allowed);
+        // The engine is single-threaded: nothing the simulator is built
+        // from may hold a thread allowance.
+        for single_threaded in ["crates/gpusim", "crates/rtworkload", "crates/rtcore"] {
+            assert!(
+                !c.thread_allow
+                    .iter()
+                    .any(|a| a.path.starts_with(single_threaded)),
+                "{single_threaded} must stay free of thread seams"
+            );
+        }
         c.thread_allow[0].reason = "  ".to_owned();
         assert!(
-            !c.kind_of(epoch).thread_allowed,
+            !c.kind_of(server).thread_allowed,
             "a blank reason must not grant the allowance"
         );
     }

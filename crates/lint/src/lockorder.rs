@@ -12,7 +12,7 @@
 //! potential deadlock, reported at every witness site of both directions
 //! so either side can carry the fix (or an audited waiver).
 //!
-//! Per-instance locks that share a class (`ShardRouter::state` across
+//! Per-instance locks that share a class (`Shard::queue` across serve
 //! shards) never pair with themselves: same-name pairs are skipped, so a
 //! sharded seam where each thread touches one instance stays silent.
 

@@ -20,8 +20,8 @@ pub const PANIC_HYGIENE: &str = "panic-hygiene";
 pub const UNSAFE_CODE: &str = "unsafe-code";
 /// Rule: the `SimHooks` trait and its no-op/forwarding impls drifted.
 pub const HOOK_SEAM: &str = "hook-seam";
-/// Rule: thread creation (`spawn`/`channel`) in result-affecting code
-/// outside the audited sharded-engine seam.
+/// Rule: thread creation (`spawn`/`channel`) in result-affecting or
+/// thread-watched code without an audited allowance.
 pub const THREAD_SEAM: &str = "thread-seam";
 /// Rule: observability types (loggers, metrics registries, span sheets)
 /// reached into the engine's decode/commit paths instead of going
@@ -210,11 +210,10 @@ fn panic_hygiene(file: &str, lineno: u32, line: &Line, findings: &mut Vec<Findin
 }
 
 /// `thread-seam`: `spawn`/`channel`/`sync_channel` calls in
-/// result-affecting or thread-watched code. The sharded engine keeps its
-/// bit-identity proof by funnelling every thread through the audited
-/// `EpochDriver` seam (`crates/gpusim/src/engine/epoch.rs`); a thread
-/// created anywhere else in a result-affecting path can reorder
-/// result-visible events with no test to catch it. Thread-watched paths
+/// result-affecting or thread-watched code. The simulation engine is
+/// single-threaded: every result-visible event is ordered by one commit
+/// loop, and a thread created in a result-affecting path can reorder
+/// such events with no test to catch it. Thread-watched paths
 /// (the serve fleet) carry the same rule so new router/shard channels
 /// land on the audit list deliberately. `Mutex`/`Condvar` are
 /// deliberately not flagged — blocking primitives don't create
@@ -246,10 +245,10 @@ fn thread_seam(
         if hit {
             let message = if result_affecting {
                 format!(
-                    "`{ident}` in result-affecting code{}: threads may only be \
-                     created inside the audited sharded-engine seam; route the \
-                     work through `EpochDriver`, or add a `thread_allow` entry \
-                     with its audit reason",
+                    "`{ident}` in result-affecting code{}: result-affecting \
+                     code is single-threaded; move the work out of the \
+                     result path, or add a `thread_allow` entry with its \
+                     audit reason",
                     at_item(line)
                 )
             } else {

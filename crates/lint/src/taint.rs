@@ -9,7 +9,7 @@
 //! chain down to the clock read so the fix site is obvious.
 //!
 //! Audited `wall-clock` waivers are taint *stops*, not sources: a waived
-//! telemetry read (the epoch commit-loop spans) has already been reviewed
+//! telemetry read (the `sim_executor` job spans) has already been reviewed
 //! as result-invisible, and propagating it anyway would make every waiver
 //! useless. Direct unwaived reads inside result-affecting files are
 //! *not* re-reported here — the per-line rule already owns that site;

@@ -1,6 +1,6 @@
 //! # zatel-obs — observability for the Zatel simulation suite
 //!
-//! Four pieces, each usable on its own and wired together by the CLI:
+//! Five pieces, each usable on its own and wired together by the CLI:
 //!
 //! * [`hooks::ObsHooks`] — a [`gpusim::SimHooks`] implementation recording
 //!   latency/lifetime/traversal histograms, event counters and (optionally)
@@ -13,9 +13,7 @@
 //! * [`span`] + [`report`] — host wall-clock pipeline spans and the
 //!   `zatel report` renderer for persisted `zatel-run-v1` records;
 //! * [`log`] — the `zatel-log-v1` structured JSONL event log used by
-//!   `zatel serve` and the CLI's `--log-out`;
-//! * [`concurrency`] — the bridge flattening the sharded engine's
-//!   [`gpusim::SimTelemetry`] into `sim_*` registry metrics.
+//!   `zatel serve` and the CLI's `--log-out`.
 //!
 //! Everything derived from the simulation is a function of simulated time
 //! only: fixed-seed runs export byte-identical traces and metric
@@ -25,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod concurrency;
 pub mod hooks;
 pub mod log;
 pub mod perfetto;
@@ -33,7 +30,6 @@ pub mod registry;
 pub mod report;
 pub mod span;
 
-pub use concurrency::export_telemetry;
 pub use hooks::{ObsHooks, ObserveOptions};
 pub use log::{LogLevel, Logger, LOG_SCHEMA};
 pub use perfetto::{merge_trace, validate_trace, Timeline, TraceEvent};

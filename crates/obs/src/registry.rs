@@ -66,25 +66,6 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Builds a histogram from pre-bucketed log2 counts (index =
-    /// [`bucket_of`] the sample) plus the summary stats the buckets alone
-    /// cannot recover. This is the bridge for histograms recorded outside
-    /// the obs crate — e.g. `gpusim`'s engine telemetry, which mirrors the
-    /// same bucket layout without depending on obs.
-    pub fn from_log2_buckets(buckets: &[u64], count: u64, sum: u64, min: u64, max: u64) -> Self {
-        let mut buckets = buckets.to_vec();
-        while buckets.last() == Some(&0) {
-            buckets.pop();
-        }
-        Histogram {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        }
-    }
-
     /// Records one sample.
     pub fn observe(&mut self, value: u64) {
         let idx = bucket_of(value);

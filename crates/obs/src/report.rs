@@ -136,10 +136,6 @@ pub fn render(run: &Value) -> Result<String, String> {
         }
     }
 
-    if let Some(conc) = run.get("concurrency").and_then(Value::as_object) {
-        render_concurrency(&mut out, conc);
-    }
-
     if let Some(reference) = run.get("reference").and_then(Value::as_object) {
         let prediction = run.get("prediction").and_then(Value::as_object);
         let _ = writeln!(out, "\npredicted vs reference:");
@@ -177,111 +173,6 @@ pub fn render(run: &Value) -> Result<String, String> {
     }
 
     Ok(out)
-}
-
-/// Renders the sharded-engine concurrency section from a run record's
-/// `concurrency` object (a metrics-registry snapshot in the `sim_*`
-/// namespace — see `obs::concurrency::export_telemetry`). All values are
-/// host wall-clock and observational: they never appear in the
-/// deterministic `metrics` section above.
-fn render_concurrency(out: &mut String, conc: &Map) {
-    let counter = |name: &str| {
-        conc.get(name)
-            .and_then(|e| e.get("value"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    let commit_wall = counter("sim_commit_wall_us");
-    let timing_workers = conc
-        .get("sim_timing_workers")
-        .and_then(|e| e.get("value"))
-        .map(num)
-        .unwrap_or(0.0) as usize;
-    // A timing-sharded run with sim_threads = 1 never enters the decode
-    // commit loop, so the section must not hinge on the commit wall alone.
-    if commit_wall == 0 && timing_workers == 0 {
-        return;
-    }
-    let _ = writeln!(
-        out,
-        "\nconcurrency (sharded engine, host wall-clock, observational):"
-    );
-    if commit_wall > 0 {
-        let shards = conc
-            .get("sim_shards")
-            .and_then(|e| e.get("value"))
-            .map(num)
-            .unwrap_or(0.0) as usize;
-        let runs = counter("sim_runs").max(1);
-        let commit_wait = counter("sim_commit_wait_us");
-        let takes = counter("sim_commit_take_waits");
-        let occupancy = 100.0 * commit_wall.saturating_sub(commit_wait) as f64 / commit_wall as f64;
-        let _ = writeln!(
-            out,
-            "  commit loop: {:.2} ms over {runs} run(s), occupancy {occupancy:.0}% \
-             ({takes} seam takes, {:.2} ms blocked)",
-            commit_wall as f64 / 1000.0,
-            commit_wait as f64 / 1000.0,
-        );
-        let mut decode_total = 0u64;
-        let mut lines = Vec::new();
-        for rank in 0..shards {
-            let decode = counter(&format!("sim_shard{rank}_decode_wall_us"));
-            let stall_wall = counter(&format!("sim_shard{rank}_stall_wall_us"));
-            let phases = counter(&format!("sim_shard{rank}_decoded_phases"));
-            let stalls = counter(&format!("sim_shard{rank}_stall_waits"));
-            decode_total += decode;
-            let busy = decode + stall_wall;
-            let idle = if busy == 0 {
-                0.0
-            } else {
-                100.0 * stall_wall as f64 / busy as f64
-            };
-            lines.push(format!(
-                "  shard {rank}: decode {:.2} ms (idle {idle:.0}%), {phases} phases, {stalls} epoch stalls",
-                decode as f64 / 1000.0,
-            ));
-        }
-        let _ = writeln!(
-            out,
-            "  decode share: {:.2}x of commit wall across {shards} shard(s)",
-            decode_total as f64 / commit_wall as f64,
-        );
-        for line in lines {
-            let _ = writeln!(out, "{line}");
-        }
-    }
-    if timing_workers > 0 {
-        let seams = counter("sim_timing_seam_exchanges");
-        let deferred = counter("sim_timing_deferred_requests");
-        let wait = counter("sim_timing_commit_wait_us");
-        let _ = writeln!(
-            out,
-            "  timing partitions: {deferred} deferred request(s) over {seams} seam exchange(s), \
-             commit blocked {:.2} ms",
-            wait as f64 / 1000.0,
-        );
-        for rank in 0..timing_workers {
-            let requests = counter(&format!("sim_timing_worker{rank}_requests"));
-            let batches = counter(&format!("sim_timing_worker{rank}_batches"));
-            let busy = counter(&format!("sim_timing_worker{rank}_busy_wall_us"));
-            let idle = counter(&format!("sim_timing_worker{rank}_idle_wall_us"));
-            let occupancy = if busy + idle == 0 {
-                0.0
-            } else {
-                100.0 * busy as f64 / (busy + idle) as f64
-            };
-            let _ = writeln!(
-                out,
-                "  timing worker {rank}: {requests} request(s) in {batches} batch(es), \
-                 busy {:.2} ms (occupancy {occupancy:.0}%)",
-                busy as f64 / 1000.0,
-            );
-        }
-    }
-    if let Some(depth) = conc.get("sim_admission_depth") {
-        render_histogram(out, "sim_admission_depth", depth);
-    }
 }
 
 /// Width of the widest histogram bar in [`render`].
@@ -445,148 +336,19 @@ mod tests {
     }
 
     #[test]
-    fn render_prints_request_id_and_concurrency_section() {
-        use gpusim::telemetry::{DepthHistogram, ShardTelemetry, SimTelemetry};
-        let mut depth = DepthHistogram::new();
-        depth.observe(12);
-        let telemetry = SimTelemetry {
-            runs: 1,
-            shard_count: 2,
-            shards: vec![
-                ShardTelemetry {
-                    decode_wall_us: 5000,
-                    decoded_phases: 4096,
-                    publishes: 128,
-                    stall_waits: 3,
-                    stall_wall_us: 1000,
-                    admission_depth: depth.clone(),
-                },
-                ShardTelemetry {
-                    decode_wall_us: 4000,
-                    decoded_phases: 4000,
-                    publishes: 120,
-                    stall_waits: 2,
-                    stall_wall_us: 500,
-                    admission_depth: depth,
-                },
-            ],
-            commit_wall_us: 10000,
-            commit_take_waits: 64,
-            commit_wait_us: 2500,
-            timing: Some(gpusim::telemetry::TimingTelemetry {
-                worker_count: 1,
-                workers: vec![gpusim::telemetry::TimingWorkerTelemetry {
-                    requests: 77,
-                    batches: 9,
-                    busy_wall_us: 3000,
-                    idle_waits: 4,
-                    idle_wall_us: 1000,
-                    partitions: vec![gpusim::telemetry::TimingPartitionTelemetry {
-                        partition: 0,
-                        requests: 77,
-                        dram_busy_cycles: 640,
-                        icnt_busy_cycles: 320,
-                    }],
-                }],
-                seam_exchanges: 9,
-                deferred_requests: 77,
-                commit_wait_us: 1500,
-            }),
-        };
-        let mut conc = MetricsRegistry::new();
-        crate::concurrency::export_telemetry(&telemetry, &mut conc);
+    fn render_prints_request_id_and_ignores_a_legacy_concurrency_key() {
         let mut run = sample_run();
         if let Value::Object(m) = &mut run {
             m.insert("request_id".into(), Value::from("req-cafe-0001"));
+            // Run records written before the engine became single-threaded
+            // carry a `concurrency` registry snapshot; it is not rendered.
+            let mut conc = MetricsRegistry::new();
+            conc.counter_add("sim_commit_wall_us", 10000);
             m.insert("concurrency".into(), conc.to_json());
         }
         let report = render(&run).unwrap();
         assert!(report.contains("request req-cafe-0001"), "{report}");
-        assert!(report.contains("concurrency (sharded engine"), "{report}");
-        assert!(
-            report.contains("commit loop: 10.00 ms over 1 run(s), occupancy 75%"),
-            "{report}"
-        );
-        assert!(
-            report.contains("decode share: 0.90x of commit wall across 2 shard(s)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("shard 0: decode 5.00 ms (idle 17%), 4096 phases, 3 epoch stalls"),
-            "{report}"
-        );
-        assert!(report.contains("sim_admission_depth (count 2"), "{report}");
-        assert!(
-            report.contains(
-                "timing partitions: 77 deferred request(s) over 9 seam exchange(s), \
-                 commit blocked 1.50 ms"
-            ),
-            "{report}"
-        );
-        assert!(
-            report.contains(
-                "timing worker 0: 77 request(s) in 9 batch(es), busy 3.00 ms (occupancy 75%)"
-            ),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn render_prints_timing_section_without_decode_sharding() {
-        use gpusim::telemetry::SimTelemetry;
-        // sim_threads = 1: no commit-loop wall, only timing telemetry.
-        let telemetry = SimTelemetry {
-            runs: 1,
-            timing: Some(gpusim::telemetry::TimingTelemetry {
-                worker_count: 1,
-                workers: vec![gpusim::telemetry::TimingWorkerTelemetry {
-                    requests: 42,
-                    batches: 6,
-                    busy_wall_us: 2000,
-                    idle_waits: 2,
-                    idle_wall_us: 2000,
-                    partitions: vec![gpusim::telemetry::TimingPartitionTelemetry {
-                        partition: 0,
-                        requests: 42,
-                        dram_busy_cycles: 100,
-                        icnt_busy_cycles: 50,
-                    }],
-                }],
-                seam_exchanges: 6,
-                deferred_requests: 42,
-                commit_wait_us: 500,
-            }),
-            ..SimTelemetry::default()
-        };
-        let mut conc = MetricsRegistry::new();
-        crate::concurrency::export_telemetry(&telemetry, &mut conc);
-        let mut run = sample_run();
-        if let Value::Object(m) = &mut run {
-            m.insert("concurrency".into(), conc.to_json());
-        }
-        let report = render(&run).unwrap();
-        assert!(report.contains("concurrency (sharded engine"), "{report}");
-        assert!(!report.contains("commit loop:"), "{report}");
-        assert!(!report.contains("decode share:"), "{report}");
-        assert!(
-            report.contains(
-                "timing partitions: 42 deferred request(s) over 6 seam exchange(s), \
-                 commit blocked 0.50 ms"
-            ),
-            "{report}"
-        );
-        assert!(
-            report.contains(
-                "timing worker 0: 42 request(s) in 6 batch(es), busy 2.00 ms (occupancy 50%)"
-            ),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn render_omits_concurrency_for_serial_runs() {
-        let report = render(&sample_run()).unwrap();
-        assert!(!report.contains("concurrency ("));
+        assert!(!report.contains("concurrency"), "{report}");
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Execution hints: the execution-only knobs of a request, grouped into
 //! one DTO.
 //!
-//! Every field here changes *how* a request executes — thread budgets,
-//! worker pools, deadlines, dedup opt-out — and never *what* it
-//! computes. That invariant is what lets servers exclude the whole
-//! object from affinity and dedup fingerprints: two requests that differ
-//! only in their hints still produce byte-identical deterministic
-//! subsets, so they may share cached artifacts and even coalesce onto
-//! one execution.
+//! Every field here changes *how* a request executes — the worker pool,
+//! deadlines, dedup opt-out — and never *what* it computes. That
+//! invariant is what lets servers exclude the whole object from affinity
+//! and dedup fingerprints: two requests that differ only in their hints
+//! still produce byte-identical deterministic subsets, so they may share
+//! cached artifacts and even coalesce onto one execution.
 //!
 //! `ExecutionHints` supersedes the loose per-field plumbing of the same
-//! knobs (the top-level `deadline_ms` request field, thread counts
-//! smuggled through `options`). The legacy `deadline_ms` field is still
+//! knobs (the top-level `deadline_ms` request field, `jobs` smuggled
+//! through `options`). The legacy `deadline_ms` field is still
 //! accepted for `zatel-api-v1` compatibility; when both are set the hint
 //! wins (see `PredictRequest::effective_deadline_ms`).
 
@@ -23,14 +22,6 @@ use crate::optional;
 /// fields are optional; [`ExecutionHints::default`] hints nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecutionHints {
-    /// Intra-simulation decode shard threads per group simulation
-    /// (`ZatelOptions::sim_threads`). Results are bit-identical for
-    /// every value.
-    pub sim_threads: Option<usize>,
-    /// Memory-partition timing worker budget per group simulation
-    /// (`ZatelOptions::timing_threads`). Results are bit-identical for
-    /// every value.
-    pub timing_threads: Option<usize>,
     /// Worker-thread cap for the per-request group pool
     /// (`ZatelOptions::jobs`).
     pub jobs: Option<usize>,
@@ -50,43 +41,26 @@ impl ExecutionHints {
         *self == ExecutionHints::default()
     }
 
-    /// Checks semantic invariants: thread and job counts must be
-    /// positive (absent means "no hint", never zero threads).
+    /// Checks semantic invariants: the job count must be positive
+    /// (absent means "no hint", never zero workers).
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, value) in [
-            ("hints.sim_threads", self.sim_threads),
-            ("hints.timing_threads", self.timing_threads),
-            ("hints.jobs", self.jobs),
-        ] {
-            match value {
-                Some(0) => return Err(format!("{name} must be positive (omit it to defer)")),
-                Some(n) if u32::try_from(n).is_err() => {
-                    return Err(format!("{name} must fit in a u32, got {n}"))
-                }
-                _ => {}
+        match self.jobs {
+            Some(0) => Err("hints.jobs must be positive (omit it to defer)".into()),
+            Some(n) if u32::try_from(n).is_err() => {
+                Err(format!("hints.jobs must fit in a u32, got {n}"))
             }
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
 impl ToJson for ExecutionHints {
     fn to_json(&self) -> Value {
         let mut m = Map::new();
-        m.insert(
-            "sim_threads".into(),
-            self.sim_threads
-                .map_or(Value::Null, |n| Value::from(n as u64)),
-        );
-        m.insert(
-            "timing_threads".into(),
-            self.timing_threads
-                .map_or(Value::Null, |n| Value::from(n as u64)),
-        );
         m.insert(
             "jobs".into(),
             self.jobs.map_or(Value::Null, |n| Value::from(n as u64)),
@@ -106,19 +80,14 @@ impl FromJson for ExecutionHints {
         if value.as_object().is_none() {
             return Err(JsonError::conversion(format!("{TY} must be an object")));
         }
-        let count = |name: &'static str| {
-            optional(value, name)
+        Ok(ExecutionHints {
+            jobs: optional(value, "jobs")
                 .map(|v| {
                     v.as_u64()
                         .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| JsonError::missing_field(TY, name))
+                        .ok_or_else(|| JsonError::missing_field(TY, "jobs"))
                 })
-                .transpose()
-        };
-        Ok(ExecutionHints {
-            sim_threads: count("sim_threads")?,
-            timing_threads: count("timing_threads")?,
-            jobs: count("jobs")?,
+                .transpose()?,
             deadline_ms: optional(value, "deadline_ms")
                 .map(|v| {
                     v.as_u64()
@@ -135,6 +104,22 @@ impl FromJson for ExecutionHints {
     }
 }
 
+/// `doc` with the removed intra-simulation thread knobs injected into its
+/// `hints` and `options` objects — the shape old clients still send. They
+/// are unknown fields now, which every `zatel-api-v1` parser ignores.
+#[cfg(test)]
+pub(crate) fn with_legacy_thread_knobs(doc: &Value) -> Value {
+    let text = doc
+        .to_string()
+        .replace(
+            r#""hints":{"#,
+            r#""hints":{"sim_threads":4,"timing_threads":2,"#,
+        )
+        .replace(r#""options":{"#, r#""options":{"sim_threads":4,"#);
+    assert_eq!(text.matches("_threads").count(), 3, "{doc}");
+    Value::parse(&text).expect("legacy doc")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,8 +127,6 @@ mod tests {
     #[test]
     fn hints_round_trip() {
         let hints = ExecutionHints {
-            sim_threads: Some(4),
-            timing_threads: Some(2),
             jobs: Some(8),
             deadline_ms: Some(5000),
             no_dedup: true,
@@ -169,9 +152,9 @@ mod tests {
     #[test]
     fn hints_reject_malformed_fields() {
         for (field, bad) in [
-            ("sim_threads", "\"four\""),
-            ("sim_threads", "-1"),
-            ("timing_threads", "2.5"),
+            ("jobs", "\"four\""),
+            ("jobs", "-1"),
+            ("jobs", "2.5"),
             ("jobs", "[]"),
             ("deadline_ms", "\"soon\""),
             ("no_dedup", "1"),
@@ -188,19 +171,11 @@ mod tests {
 
     #[test]
     fn hints_validate_rejects_zero_and_oversized_counts() {
-        for set in [
-            |h: &mut ExecutionHints| h.sim_threads = Some(0),
-            |h: &mut ExecutionHints| h.timing_threads = Some(0),
-            |h: &mut ExecutionHints| h.jobs = Some(0),
-        ] {
-            let mut hints = ExecutionHints::default();
-            set(&mut hints);
-            assert!(hints.validate().unwrap_err().contains("positive"));
-        }
-        let hints = ExecutionHints {
-            timing_threads: Some(usize::MAX),
+        let hints = |jobs| ExecutionHints {
+            jobs: Some(jobs),
             ..ExecutionHints::default()
         };
-        assert!(hints.validate().unwrap_err().contains("u32"));
+        assert!(hints(0).validate().unwrap_err().contains("positive"));
+        assert!(hints(usize::MAX).validate().unwrap_err().contains("u32"));
     }
 }

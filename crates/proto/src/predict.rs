@@ -32,12 +32,12 @@ pub struct PredictRequest {
     /// still queued when this budget elapses (execution is never
     /// preempted once started).
     ///
-    /// **Deprecated** in favour of [`ExecutionHints::deadline_ms`]
+    /// **Deprecated** in favour of [`crate::ExecutionHints::deadline_ms`]
     /// (`hints.deadline_ms`); still accepted so existing `zatel-api-v1`
     /// documents keep parsing. When both are set the hint wins — see
     /// [`PredictRequest::effective_deadline_ms`].
     pub deadline_ms: Option<u64>,
-    /// Execution-only knobs (thread budgets, deadline, dedup opt-out).
+    /// Execution-only knobs (job cap, deadline, dedup opt-out).
     /// Excluded from the affinity and dedup fingerprints: hints never
     /// change the computed result, so differently-hinted requests still
     /// share artifacts and coalesce.
@@ -253,7 +253,7 @@ impl FromJson for PredictRequest {
 ///     .spp(1)
 ///     .seed(7)
 ///     .hints(ExecutionHints {
-///         timing_threads: Some(4),
+///         jobs: Some(2),
 ///         ..ExecutionHints::default()
 ///     })
 ///     .build()
@@ -309,7 +309,7 @@ impl PredictRequestBuilder {
         self
     }
 
-    /// Execution hints (thread budgets, deadline, dedup opt-out).
+    /// Execution hints (job cap, deadline, dedup opt-out).
     #[must_use]
     pub fn hints(mut self, hints: crate::ExecutionHints) -> Self {
         self.request.hints = Some(hints);
@@ -856,8 +856,6 @@ mod tests {
         req.regression = Some([0.2, 0.3, 0.4]);
         req.options = Some(ZatelOptions::default());
         req.hints = Some(crate::ExecutionHints {
-            sim_threads: Some(4),
-            timing_threads: Some(2),
             jobs: Some(3),
             deadline_ms: Some(9000),
             no_dedup: true,
@@ -871,8 +869,6 @@ mod tests {
         let plain = PredictRequest::new("PARK", ConfigRef::preset("mobile"));
         let mut hinted = plain.clone();
         hinted.hints = Some(crate::ExecutionHints {
-            sim_threads: Some(8),
-            timing_threads: Some(4),
             jobs: Some(2),
             deadline_ms: Some(100),
             no_dedup: true,
@@ -889,6 +885,16 @@ mod tests {
             "hints must not defeat single-flight dedup"
         );
         assert_ne!(plain.to_json().to_string(), hinted.to_json().to_string());
+
+        // Documents written for the removed intra-simulation thread knobs
+        // still parse, to exactly the request without them.
+        let mut plain = plain;
+        plain.options = Some(ZatelOptions::default());
+        plain.hints = Some(crate::ExecutionHints::default());
+        let legacy = crate::hints::with_legacy_thread_knobs(&plain.to_json());
+        let legacy = PredictRequest::from_json(&legacy).expect("legacy knobs are ignored");
+        assert_eq!(legacy, plain);
+        assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
     }
 
     #[test]
@@ -913,7 +919,7 @@ mod tests {
             .reference(true)
             .regression([0.2, 0.3, 0.4])
             .hints(crate::ExecutionHints {
-                timing_threads: Some(4),
+                jobs: Some(4),
                 ..crate::ExecutionHints::default()
             })
             .deadline_ms(1234)
@@ -923,7 +929,7 @@ mod tests {
         assert_eq!(req.seed, 11);
         assert!(req.reference);
         let hints = req.hints.as_ref().expect("hints set");
-        assert_eq!(hints.timing_threads, Some(4));
+        assert_eq!(hints.jobs, Some(4));
         assert_eq!(hints.deadline_ms, Some(1234));
         assert_eq!(req.effective_deadline_ms(), Some(1234));
         assert!(
@@ -938,12 +944,12 @@ mod tests {
         assert!(err.contains("res"));
         let err = PredictRequest::builder("PARK", ConfigRef::preset("mobile"))
             .hints(crate::ExecutionHints {
-                timing_threads: Some(0),
+                jobs: Some(0),
                 ..crate::ExecutionHints::default()
             })
             .build()
             .unwrap_err();
-        assert!(err.contains("timing_threads"));
+        assert!(err.contains("hints.jobs"));
     }
 
     #[test]
@@ -987,7 +993,7 @@ mod tests {
             ("reference", "\"yes\""),
             ("deadline_ms", "-5"),
             ("options", "{\"division\": 3}"),
-            ("hints", "{\"sim_threads\": \"four\"}"),
+            ("hints", "{\"jobs\": \"four\"}"),
             ("hints", "{\"no_dedup\": 1}"),
             ("hints", "[]"),
         ] {

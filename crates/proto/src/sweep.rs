@@ -340,7 +340,7 @@ mod tests {
         req.deadline_ms = Some(30_000);
         req.options = Some(ZatelOptions::default());
         req.hints = Some(crate::ExecutionHints {
-            timing_threads: Some(2),
+            jobs: Some(2),
             no_dedup: true,
             ..crate::ExecutionHints::default()
         });
@@ -358,13 +358,22 @@ mod tests {
         );
         let mut hinted = plain.clone();
         hinted.hints = Some(crate::ExecutionHints {
-            sim_threads: Some(8),
+            jobs: Some(8),
             deadline_ms: Some(50),
             ..crate::ExecutionHints::default()
         });
         assert_eq!(plain.affinity_fingerprint(), hinted.affinity_fingerprint());
         assert_eq!(plain.dedup_fingerprint(), hinted.dedup_fingerprint());
         assert_eq!(hinted.effective_deadline_ms(), Some(50));
+        // Documents written for the removed intra-simulation thread knobs
+        // still parse, to exactly the request without them.
+        let mut plain = plain;
+        plain.options = Some(ZatelOptions::default());
+        plain.hints = Some(crate::ExecutionHints::default());
+        let legacy = crate::hints::with_legacy_thread_knobs(&plain.to_json());
+        let legacy = SweepRequest::from_json(&legacy).expect("legacy knobs are ignored");
+        assert_eq!(legacy, plain);
+        assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
         assert!(SweepRequest::from_json(
             &Value::parse(
                 r#"{"schema":"zatel-api-v1","scene":"PARK","config":"mobile",

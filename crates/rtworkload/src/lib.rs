@@ -707,17 +707,13 @@ mod tests {
         let (w, h) = (16u32, 16u32);
         let sel: Vec<bool> = (0..(w * h) as usize).map(|i| i % 4 == 0).collect();
         let workload = RtWorkload::full_frame(&scene, w, h, cfg()).with_selection(sel);
-        for sim_threads in [1, 2] {
-            let mut config = GpuConfig::mobile_soc();
-            config.sim_threads = sim_threads;
-            let stats = Simulator::new(config).run(&workload);
-            assert_eq!(stats.threads_launched, 256);
-            assert_eq!(stats.threads_filtered, 192, "75 % filtered");
-            assert_eq!(
-                stats.threads_launched - stats.threads_filtered,
-                workload.traced_count() as u64
-            );
-        }
+        let stats = Simulator::new(GpuConfig::mobile_soc()).run(&workload);
+        assert_eq!(stats.threads_launched, 256);
+        assert_eq!(stats.threads_filtered, 192, "75 % filtered");
+        assert_eq!(
+            stats.threads_launched - stats.threads_filtered,
+            workload.traced_count() as u64
+        );
         let unfiltered = RtWorkload::full_frame(&scene, w, h, cfg());
         let stats = Simulator::new(GpuConfig::mobile_soc()).run(&unfiltered);
         assert_eq!(stats.threads_filtered, 0);

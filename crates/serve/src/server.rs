@@ -72,23 +72,6 @@ pub struct ServeConfig {
     /// applied when the request itself does not set `options.jobs`.
     /// `None` lets each request size itself to the host.
     pub sim_jobs: Option<usize>,
-    /// Global intra-simulation thread budget, divided evenly across the
-    /// worker shards: each shard's requests default to
-    /// `max(1, sim_threads / workers)` engine threads per group simulation
-    /// (`ZatelOptions::sim_threads`) unless the request sets its own value.
-    /// Results are bit-identical for every setting — this only bounds how
-    /// many OS threads the box spends on simulation at full load
-    /// (`workers * jobs * per-shard sim_threads`). `None` leaves requests
-    /// on the serial engine unless they ask otherwise.
-    pub sim_threads: Option<usize>,
-    /// Global timing-thread budget, divided evenly across the worker
-    /// shards exactly like [`ServeConfig::sim_threads`]: each shard's
-    /// requests default to `max(1, timing_threads / workers)` memory
-    /// timing partitions workers (`ZatelOptions::timing_threads`) unless
-    /// the request sets its own value. Results are bit-identical for
-    /// every setting. `None` keeps the inline commit-loop timing model
-    /// unless requests ask otherwise.
-    pub timing_threads: Option<usize>,
     /// Default request deadline, applied when a request carries no
     /// `deadline_ms` of its own. `None` means queued requests never
     /// expire.
@@ -114,8 +97,6 @@ impl Default for ServeConfig {
             queue: 64,
             dedup: true,
             sim_jobs: None,
-            sim_threads: None,
-            timing_threads: None,
             default_deadline_ms: None,
             cache_dir: None,
             cache_budget_mb: None,
@@ -162,12 +143,6 @@ struct ServerState {
     draining: AtomicBool,
     dedup: bool,
     sim_jobs: Option<usize>,
-    /// The `--sim-threads` budget and its per-shard share, precomputed at
-    /// bind time.
-    sim_threads: Option<ThreadBudget>,
-    /// The `--timing-threads` budget and its per-shard share, precomputed
-    /// at bind time.
-    timing_threads: Option<ThreadBudget>,
     default_deadline_ms: Option<u64>,
     /// Recent request service times feeding `Retry-After` estimates.
     service_ring: ServiceRing,
@@ -176,29 +151,6 @@ struct ServerState {
     /// The `GET /v1/debug/slow` ring: the most recent completed requests,
     /// oldest first.
     slow: Mutex<VecDeque<SlowRequestEntry>>,
-}
-
-/// A global engine-thread budget (`--sim-threads` / `--timing-threads`)
-/// and its per-shard share. Both halves are exported as `/metrics`
-/// gauges: operators previously saw only the global value, which hid the
-/// effective `max(1, budget / workers)` split each request actually runs
-/// with.
-#[derive(Debug, Clone, Copy)]
-struct ThreadBudget {
-    /// The global budget the CLI knob configured.
-    global: usize,
-    /// Each shard's share, filled into requests that set no own value.
-    per_worker: usize,
-}
-
-impl ThreadBudget {
-    /// Splits `budget` evenly across `workers` shards.
-    fn split(budget: Option<usize>, workers: usize) -> Option<ThreadBudget> {
-        budget.map(|global| ThreadBudget {
-            global,
-            per_worker: (global / workers.max(1)).max(1),
-        })
-    }
 }
 
 impl ServerState {
@@ -235,16 +187,6 @@ impl ServerState {
             "queue_depth",
             self.queue_depth.load(Ordering::SeqCst) as f64,
         );
-        // Thread-budget gauges: the configured global value alongside the
-        // effective per-worker split requests actually run with.
-        if let Some(budget) = self.sim_threads {
-            snapshot.gauge_set("sim_threads_budget", budget.global as f64);
-            snapshot.gauge_set("sim_threads_per_worker", budget.per_worker as f64);
-        }
-        if let Some(budget) = self.timing_threads {
-            snapshot.gauge_set("timing_threads_budget", budget.global as f64);
-            snapshot.gauge_set("timing_threads_per_worker", budget.per_worker as f64);
-        }
         let (mut memory_hits, mut disk_hits, mut misses) = (0u64, 0u64, 0u64);
         for shard in &self.shards {
             let stats = shard.cache.stats();
@@ -443,8 +385,6 @@ impl Server {
             draining: AtomicBool::new(false),
             dedup: config.dedup,
             sim_jobs: config.sim_jobs,
-            sim_threads: ThreadBudget::split(config.sim_threads, config.workers),
-            timing_threads: ThreadBudget::split(config.timing_threads, config.workers),
             default_deadline_ms: config.default_deadline_ms,
             service_ring: ServiceRing::default(),
             logger,
@@ -996,16 +936,10 @@ fn execute_batch(
         mut payload,
         ..
     } = lead_job;
-    let hints = payload.hints().cloned();
+    let jobs = payload.hints().and_then(|h| h.jobs).or(state.sim_jobs);
     match &mut payload {
-        Payload::Predict(req) => {
-            apply_execution_hints(&mut req.options, hints.as_ref());
-            apply_sim_defaults(&mut req.options, state);
-        }
-        Payload::Sweep(req) => {
-            apply_execution_hints(&mut req.options, hints.as_ref());
-            apply_sim_defaults(&mut req.options, state);
-        }
+        Payload::Predict(req) => apply_default_jobs(&mut req.options, jobs),
+        Payload::Sweep(req) => apply_default_jobs(&mut req.options, jobs),
     }
     let started = Instant::now();
     let (routed, mut artifacts) = match &payload {
@@ -1101,50 +1035,19 @@ fn check_deadline(
     Ok(Some(slack))
 }
 
-/// Fills a request's [`zatel_proto::ExecutionHints`] thread knobs into
-/// its options. Precedence per knob: an explicit `options` value wins,
-/// then the hint, then (via [`apply_sim_defaults`], which runs after
-/// this) the server's per-shard default. Hints are execution-only, so
-/// applying them never changes what the request computes — which is why
-/// the dedup fingerprint may ignore them.
-fn apply_execution_hints(
-    options: &mut Option<zatel::ZatelOptions>,
-    hints: Option<&zatel_proto::ExecutionHints>,
-) {
-    let Some(hints) = hints else { return };
-    if hints.sim_threads.is_none() && hints.timing_threads.is_none() && hints.jobs.is_none() {
+/// Fills the job cap a request runs its group simulations with.
+/// Precedence: an explicit `options.jobs` wins, then `hints.jobs`, then
+/// the server's `--sim-jobs` default (`default_jobs` is the latter two,
+/// resolved). The cap is execution-only, so applying it never changes
+/// what the request computes — which is why the dedup fingerprint may
+/// ignore hints.
+fn apply_default_jobs(options: &mut Option<zatel::ZatelOptions>, default_jobs: Option<usize>) {
+    if default_jobs.is_none() {
         return;
     }
     let options = options.get_or_insert_with(zatel::ZatelOptions::default);
     if options.jobs.is_none() {
-        options.jobs = hints.jobs;
-    }
-    if options.sim_threads.is_none() {
-        options.sim_threads = hints.sim_threads;
-    }
-    if options.timing_threads.is_none() {
-        options.timing_threads = hints.timing_threads;
-    }
-}
-
-/// Fills the server's simulation defaults into a request's options:
-/// `--sim-jobs` caps the per-request worker pool, `--sim-threads` and
-/// `--timing-threads` supply the per-shard engine-thread shares. The
-/// request's own values always win; every knob is execution-only, so
-/// applying them never changes what the request computes.
-fn apply_sim_defaults(options: &mut Option<zatel::ZatelOptions>, state: &ServerState) {
-    if state.sim_jobs.is_none() && state.sim_threads.is_none() && state.timing_threads.is_none() {
-        return;
-    }
-    let options = options.get_or_insert_with(zatel::ZatelOptions::default);
-    if options.jobs.is_none() {
-        options.jobs = state.sim_jobs;
-    }
-    if options.sim_threads.is_none() {
-        options.sim_threads = state.sim_threads.map(|b| b.per_worker);
-    }
-    if options.timing_threads.is_none() {
-        options.timing_threads = state.timing_threads.map(|b| b.per_worker);
+        options.jobs = default_jobs;
     }
 }
 
@@ -1177,10 +1080,6 @@ fn run_predict(
             state.with_registry(|r| {
                 r.counter_add("predict_requests", 1);
                 r.observe("predict_latency_ms", elapsed_ms(started));
-                // Concurrency telemetry (sim_* decode/commit/stall
-                // metrics) accumulates alongside the HTTP counters and is
-                // exported on the same /metrics scrape.
-                r.merge(&out.concurrency);
             });
             artifacts.spans = out.response.spans.clone();
             artifacts.cache = out.response.cache.clone();

@@ -86,12 +86,6 @@ pub struct PredictOutput {
     /// Per-group Perfetto timelines (empty unless observing with
     /// timelines enabled).
     pub timelines: Vec<Timeline>,
-    /// Sharded-engine concurrency telemetry flattened to `sim_*` metrics
-    /// (empty when the run used the serial engine). Host wall-clock
-    /// derived, so it is kept apart from the deterministic [`Self::registry`]
-    /// snapshot — `zatel serve` folds it into `/metrics` and the CLI into
-    /// the run record's `concurrency` section.
-    pub concurrency: MetricsRegistry,
 }
 
 /// Names the valid scenes so the hint works from both the CLI and the
@@ -209,17 +203,12 @@ pub fn execute_predict_traced(
         cache: prediction.cache.iter().map(ToJson::to_json).collect(),
         metrics: observing.then(|| registry.clone()),
     };
-    let mut concurrency = MetricsRegistry::new();
-    if let Some(telemetry) = &prediction.concurrency {
-        obs::export_telemetry(telemetry, &mut concurrency);
-    }
     Ok(PredictOutput {
         response,
         prediction,
         reference,
         registry,
         timelines,
-        concurrency,
     })
 }
 
@@ -394,34 +383,6 @@ mod tests {
             plain.response.deterministic_json().to_string(),
             traced.response.deterministic_json().to_string(),
             "request tagging must never reach the deterministic subset"
-        );
-    }
-
-    #[test]
-    fn sharded_predict_exports_concurrency_metrics() {
-        let cache = ArtifactCache::in_memory();
-        let serial = execute_predict(&tiny_request(), &cache).expect("serial");
-        assert!(
-            serial.concurrency.get("sim_commit_wall_us").is_none(),
-            "serial runs carry no concurrency telemetry"
-        );
-
-        let mut req = tiny_request();
-        req.options = Some(
-            zatel::ZatelOptions::builder()
-                .sim_threads(4)
-                .build()
-                .expect("valid options"),
-        );
-        let sharded = execute_predict(&req, &cache).expect("sharded");
-        assert!(
-            sharded.concurrency.get("sim_commit_wall_us").is_some(),
-            "sharded runs must export sim_* concurrency metrics"
-        );
-        assert_eq!(
-            serial.response.deterministic_json().to_string(),
-            sharded.response.deterministic_json().to_string(),
-            "sim_threads is an execution knob, never a result knob"
         );
     }
 

@@ -46,6 +46,21 @@ fn in_process_response(req: &PredictRequest) -> PredictResponse {
         .response
 }
 
+/// `doc` with the removed intra-simulation thread knobs injected into its
+/// `hints` (and, when present, `options`) object — unknown fields now,
+/// which every `zatel-api-v1` parser ignores.
+fn with_legacy_thread_knobs(doc: &Value) -> Value {
+    let text = doc
+        .to_string()
+        .replace(
+            r#""hints":{"#,
+            r#""hints":{"sim_threads":4,"timing_threads":2,"#,
+        )
+        .replace(r#""options":{"#, r#""options":{"sim_threads":4,"#);
+    assert!(text.contains("timing_threads"), "no hints object in {doc}");
+    Value::parse(&text).expect("legacy doc")
+}
+
 #[test]
 fn service_round_trip_concurrent_and_cached() {
     let (client, handle, join) = boot(ServeConfig {
@@ -178,8 +193,10 @@ fn sweep_endpoint_serves_history_shaped_points() {
     req.res = 32;
     req.spp = 1;
     req.seed = 7;
+    // The document still carries the removed thread hints.
+    req.hints = Some(zatel_proto::ExecutionHints::default());
     let resp = client
-        .post_json("/v1/sweep", &req.to_json())
+        .post_json("/v1/sweep", &with_legacy_thread_knobs(&req.to_json()))
         .expect("sweep");
     assert_eq!(resp.status, 200, "body: {}", resp.body);
     let doc = resp.json().unwrap();
@@ -401,29 +418,30 @@ fn request_id_is_traceable_end_to_end() {
 }
 
 #[test]
-fn logging_and_threading_never_change_the_deterministic_subset() {
+fn logging_and_legacy_thread_knobs_never_change_the_deterministic_subset() {
     // Satellite of the determinism contract: a server with JSONL logging
-    // and a multi-threaded engine serves byte-identical deterministic
-    // subsets to the serial, unlogged in-process pipeline.
+    // serves byte-identical deterministic subsets to the unlogged
+    // in-process pipeline — also for a `zatel-api-v1` document that still
+    // carries the removed intra-simulation thread knobs (unknown fields
+    // now, ignored by the parsers).
     let log_path =
         std::env::temp_dir().join(format!("zatel-serve-det-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&log_path);
     let req = tiny_request();
     let expected = in_process_response(&req).deterministic_json().to_string();
+    let mut hinted = req.clone();
+    hinted.options = Some(zatel::ZatelOptions::default());
+    hinted.hints = Some(zatel_proto::ExecutionHints::default());
+    let legacy = with_legacy_thread_knobs(&hinted.to_json());
 
-    for sim_threads in [Some(1), Some(4)] {
-        let (client, handle, join) = boot(ServeConfig {
-            workers: 1,
-            sim_threads,
-            log_out: Some(log_path.to_str().expect("utf-8 temp path").to_owned()),
-            ..ServeConfig::default()
-        });
+    let (client, handle, join) = boot(ServeConfig {
+        workers: 1,
+        log_out: Some(log_path.to_str().expect("utf-8 temp path").to_owned()),
+        ..ServeConfig::default()
+    });
+    for body in [req.to_json(), legacy] {
         let resp = client
-            .post_json_with_headers(
-                "/v1/predict",
-                &req.to_json(),
-                &[("x-zatel-request-id", "det-check")],
-            )
+            .post_json_with_headers("/v1/predict", &body, &[("x-zatel-request-id", "det-check")])
             .expect("predict");
         assert_eq!(resp.status, 200, "body: {}", resp.body);
         let got = PredictResponse::from_json(&resp.json().unwrap())
@@ -432,23 +450,10 @@ fn logging_and_threading_never_change_the_deterministic_subset() {
             .to_string();
         assert_eq!(
             got, expected,
-            "sim_threads={sim_threads:?} with logging must not perturb results"
+            "{body} with logging must not perturb results"
         );
-
-        // The threaded engine's concurrency telemetry reaches /metrics;
-        // the serial engine exports none.
-        let metrics = client.get("/metrics").expect("metrics");
-        let has_commit = metrics
-            .body
-            .lines()
-            .any(|l| l.starts_with("zatel_serve_sim_commit_wall_us"));
-        match sim_threads {
-            Some(4) => assert!(has_commit, "threaded run must export sim_* metrics"),
-            _ => assert!(!has_commit, "serial run exports no sim_* metrics"),
-        }
-
-        handle.shutdown();
-        join.join().expect("server thread").expect("clean run");
     }
+    handle.shutdown();
+    join.join().expect("server thread").expect("clean run");
     let _ = std::fs::remove_file(&log_path);
 }

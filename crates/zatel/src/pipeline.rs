@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpusim::{GpuConfig, Metric, SimStats, SimTelemetry, Simulator, TraceHooks};
+use gpusim::{GpuConfig, Metric, SimStats, Simulator, TraceHooks};
 use minijson::{FromJson, JsonError, Map, ToJson, Value};
 use obs::span::SpanSheet;
 use obs::{ObsHooks, ObserveOptions, SpanRecord};
@@ -69,27 +69,6 @@ pub struct ZatelOptions {
     ///
     /// [`parallel`]: ZatelOptions::parallel
     pub jobs: Option<usize>,
-    /// OS threads the engine may use *inside* each individual group
-    /// simulation (sets [`gpusim::GpuConfig::sim_threads`] on the
-    /// downscaled and reference configs). `None` defers to the
-    /// `ZATEL_SIM_THREADS` environment variable, falling back to the
-    /// serial engine. Purely an execution knob: predictions, traces and
-    /// stage fingerprints are bit-identical for every value, so it is
-    /// excluded from cache keys. Composes multiplicatively with
-    /// [`jobs`] — `jobs` workers each run `sim_threads` threads.
-    ///
-    /// [`jobs`]: ZatelOptions::jobs
-    pub sim_threads: Option<usize>,
-    /// OS threads the engine may use for memory-partition timing *inside*
-    /// each individual simulation (sets
-    /// [`gpusim::GpuConfig::timing_threads`]). `None` defers to the
-    /// `ZATEL_TIMING_THREADS` environment variable, falling back to inline
-    /// timing. Purely an execution knob, excluded from cache keys like
-    /// [`sim_threads`]; composes with it — a run may shard decode and
-    /// timing at once.
-    ///
-    /// [`sim_threads`]: ZatelOptions::sim_threads
-    pub timing_threads: Option<usize>,
     /// When set, each group simulation runs with a
     /// [`TraceHooks`] observer sampling one CPI-stack slice every this
     /// many cycles, and the trace is attached to the group's
@@ -132,27 +111,6 @@ impl ZatelOptions {
         if self.jobs == Some(0) {
             return invalid("jobs must be positive (use None to size to the host)".into());
         }
-        if self.sim_threads == Some(0) {
-            return invalid(
-                "sim_threads must be positive (use None to defer to ZATEL_SIM_THREADS)".into(),
-            );
-        }
-        if let Some(n) = self.sim_threads {
-            if u32::try_from(n).is_err() {
-                return invalid(format!("sim_threads must fit in a u32, got {n}"));
-            }
-        }
-        if self.timing_threads == Some(0) {
-            return invalid(
-                "timing_threads must be positive (use None to defer to ZATEL_TIMING_THREADS)"
-                    .into(),
-            );
-        }
-        if let Some(n) = self.timing_threads {
-            if u32::try_from(n).is_err() {
-                return invalid(format!("timing_threads must fit in a u32, got {n}"));
-            }
-        }
         if self.quant_colors == 0 {
             return invalid("quant_colors must be at least 1".into());
         }
@@ -180,40 +138,6 @@ impl ZatelOptions {
             ));
         }
         Ok(())
-    }
-
-    /// The engine thread count each simulation actually runs with:
-    /// [`sim_threads`] when set, else the `ZATEL_SIM_THREADS` environment
-    /// variable (ignored unless it parses as a positive integer), else `1`
-    /// (the serial engine).
-    ///
-    /// [`sim_threads`]: ZatelOptions::sim_threads
-    pub fn effective_sim_threads(&self) -> u32 {
-        if let Some(n) = self.sim_threads {
-            return u32::try_from(n).unwrap_or(1).max(1);
-        }
-        std::env::var("ZATEL_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
-    }
-
-    /// The timing thread count each simulation actually runs with:
-    /// [`timing_threads`] when set, else the `ZATEL_TIMING_THREADS`
-    /// environment variable (ignored unless it parses as a positive
-    /// integer), else `1` (inline timing).
-    ///
-    /// [`timing_threads`]: ZatelOptions::timing_threads
-    pub fn effective_timing_threads(&self) -> u32 {
-        if let Some(n) = self.timing_threads {
-            return u32::try_from(n).unwrap_or(1).max(1);
-        }
-        std::env::var("ZATEL_TIMING_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
     }
 }
 
@@ -277,20 +201,6 @@ impl ZatelOptionsBuilder {
         self
     }
 
-    /// Sets the engine thread count for each individual group simulation
-    /// ([`ZatelOptions::sim_threads`]).
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.options.sim_threads = Some(threads);
-        self
-    }
-
-    /// Sets the timing thread count for each individual group simulation
-    /// ([`ZatelOptions::timing_threads`]).
-    pub fn timing_threads(mut self, threads: usize) -> Self {
-        self.options.timing_threads = Some(threads);
-        self
-    }
-
     /// Enables engine tracing with the given CPI-stack slice width.
     pub fn trace_slice_cycles(mut self, cycles: u64) -> Self {
         self.options.trace_slice_cycles = Some(cycles);
@@ -351,8 +261,6 @@ impl Default for ZatelOptions {
             downscale: DownscaleMode::Natural,
             parallel: true,
             jobs: None,
-            sim_threads: None,
-            timing_threads: None,
             trace_slice_cycles: None,
             observe: None,
         }
@@ -380,11 +288,6 @@ pub struct GroupOutcome {
     /// Observability recording (histograms, counters, timeline) collected
     /// when [`ZatelOptions::observe`] is set.
     pub obs: Option<ObsHooks>,
-    /// Concurrency telemetry of this group's simulation when it ran on
-    /// the sharded engine (`sim_threads > 1`); `None` for serial runs.
-    /// Host wall-clock, observational only — never part of fingerprints
-    /// or deterministic output.
-    pub telemetry: Option<SimTelemetry>,
 }
 
 /// A full-GPU, full-resolution reference simulation (what Vulkan-Sim alone
@@ -425,10 +328,6 @@ pub struct Prediction {
     /// The request ID this prediction was computed for
     /// ([`RunContext::with_request_id`]); `None` for untraced executions.
     pub request_id: Option<String>,
-    /// Aggregated engine concurrency telemetry across all group
-    /// simulations (sharded runs only). Observational host wall-clock —
-    /// excluded from every deterministic artifact.
-    pub concurrency: Option<SimTelemetry>,
 }
 
 impl Prediction {
@@ -876,7 +775,6 @@ impl<'s> Zatel<'s> {
         let (metric_vector, _) =
             staged(cache, sheet, &mut records, &ExtrapolateStage, &outcomes, 0);
 
-        let concurrency = aggregate_concurrency(&outcomes);
         Ok(Prediction {
             values: metric_vector.0,
             groups: outcomes,
@@ -887,7 +785,6 @@ impl<'s> Zatel<'s> {
             heatmap: None,
             cache: records,
             request_id: None,
-            concurrency,
         })
     }
 
@@ -900,13 +797,6 @@ impl<'s> Zatel<'s> {
         selections: &[Selection],
         sheet: &SpanSheet,
     ) -> Vec<GroupOutcome> {
-        // The intra-sim thread knob rides on the config clone each worker
-        // simulates; it never reaches fingerprints (GpuConfig::to_json
-        // omits it) so cached artifacts stay valid across thread counts.
-        let mut down = down.clone();
-        down.sim_threads = self.options.effective_sim_threads();
-        down.timing_threads = self.options.effective_timing_threads();
-        let down = &down;
         let run_one = |group: &Group, selection: &Selection| -> GroupOutcome {
             let workload = RtWorkload::new(
                 self.scene,
@@ -922,15 +812,14 @@ impl<'s> Zatel<'s> {
             let obs_hooks = self.options.observe.as_ref().map(|o| {
                 ObsHooks::for_gpu(group.index, &format!("group {}", group.index), down, o)
             });
-            let (stats, telemetry, trace, obs) = if trace_hooks.is_none() && obs_hooks.is_none() {
+            let (stats, trace, obs) = if trace_hooks.is_none() && obs_hooks.is_none() {
                 // The uninstrumented path keeps the NullHooks monomorphization.
-                let (stats, telemetry) =
-                    simulator.run_instrumented(&workload, &mut gpusim::NullHooks);
-                (stats, telemetry, None, None)
+                let stats = simulator.run_with_hooks(&workload, &mut gpusim::NullHooks);
+                (stats, None, None)
             } else {
                 let mut hooks = (trace_hooks, obs_hooks);
-                let (stats, telemetry) = simulator.run_instrumented(&workload, &mut hooks);
-                (stats, telemetry, hooks.0, hooks.1)
+                let stats = simulator.run_with_hooks(&workload, &mut hooks);
+                (stats, hooks.0, hooks.1)
             };
             GroupOutcome {
                 index: group.index,
@@ -941,7 +830,6 @@ impl<'s> Zatel<'s> {
                 wall: Duration::ZERO, // filled from the executor's timing
                 trace,
                 obs,
-                telemetry,
             }
         };
 
@@ -1045,7 +933,6 @@ impl<'s> Zatel<'s> {
             ZatelError::InvalidOptions("regression needs at least one traced fraction".into())
         })?;
         let k = self.resolve_factor()?;
-        let concurrency = aggregate_concurrency(&groups);
         Ok(Prediction {
             values,
             groups,
@@ -1058,7 +945,6 @@ impl<'s> Zatel<'s> {
             // directly; none of its work flows through the stage cache.
             cache: Vec::new(),
             request_id: None,
-            concurrency,
         })
     }
 
@@ -1068,30 +954,12 @@ impl<'s> Zatel<'s> {
     pub fn run_reference(&self) -> Reference {
         let start = Instant::now();
         let workload = RtWorkload::full_frame(self.scene, self.width, self.height, self.trace);
-        let mut target = self.target.clone();
-        target.sim_threads = self.options.effective_sim_threads();
-        target.timing_threads = self.options.effective_timing_threads();
-        let stats = Simulator::new(target).run(&workload);
+        let stats = Simulator::new(self.target.clone()).run(&workload);
         Reference {
             stats,
             wall: start.elapsed(),
         }
     }
-}
-
-/// Folds every group's concurrency telemetry into one record: counters
-/// add and equal shard ranks merge pairwise. `None` when no group ran on
-/// the sharded engine.
-fn aggregate_concurrency(groups: &[GroupOutcome]) -> Option<SimTelemetry> {
-    let mut total = SimTelemetry::default();
-    let mut any = false;
-    for group in groups {
-        if let Some(telemetry) = &group.telemetry {
-            total.merge(telemetry);
-            any = true;
-        }
-    }
-    any.then_some(total)
 }
 
 /// Executes `stage` through `cache`, recording a span named
@@ -1163,14 +1031,6 @@ impl ToJson for ZatelOptions {
         m.insert("parallel".into(), Value::from(self.parallel));
         m.insert("jobs".into(), self.jobs.map_or(Value::Null, Value::from));
         m.insert(
-            "sim_threads".into(),
-            self.sim_threads.map_or(Value::Null, Value::from),
-        );
-        m.insert(
-            "timing_threads".into(),
-            self.timing_threads.map_or(Value::Null, Value::from),
-        );
-        m.insert(
             "trace_slice_cycles".into(),
             self.trace_slice_cycles.map_or(Value::Null, Value::from),
         );
@@ -1212,20 +1072,6 @@ impl FromJson for ZatelOptions {
                         .ok_or_else(|| JsonError::missing_field(TY, "jobs"))
                 })
                 .transpose()?,
-            sim_threads: optional("sim_threads")
-                .map(|v| {
-                    v.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| JsonError::missing_field(TY, "sim_threads"))
-                })
-                .transpose()?,
-            timing_threads: optional("timing_threads")
-                .map(|v| {
-                    v.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| JsonError::missing_field(TY, "timing_threads"))
-                })
-                .transpose()?,
             trace_slice_cycles: optional("trace_slice_cycles")
                 .map(|v| {
                     v.as_u64()
@@ -1264,8 +1110,6 @@ mod tests {
             .percent_override(0.25)
             .clamp(0.1, 0.9)
             .jobs(2)
-            .sim_threads(4)
-            .timing_threads(2)
             .build()
             .expect("valid options");
         assert_eq!(options.downscale, DownscaleMode::Factor(2));
@@ -1273,14 +1117,10 @@ mod tests {
         assert_eq!(options.selection.percent_override, Some(0.25));
         assert_eq!(options.selection.clamp, (0.1, 0.9));
         assert_eq!(options.jobs, Some(2));
-        assert_eq!(options.sim_threads, Some(4));
-        assert_eq!(options.timing_threads, Some(2));
 
         for broken in [
             ZatelOptions::builder().trace_slice_cycles(0),
             ZatelOptions::builder().jobs(0),
-            ZatelOptions::builder().sim_threads(0),
-            ZatelOptions::builder().timing_threads(0),
             ZatelOptions::builder().quant_colors(0),
             ZatelOptions::builder().percent_override(0.0),
             ZatelOptions::builder().percent_override(1.5),
@@ -1291,43 +1131,6 @@ mod tests {
             let err = broken.build().expect_err("invalid options accepted");
             assert!(matches!(err, ZatelError::InvalidOptions(_)), "{err}");
         }
-    }
-
-    #[test]
-    fn sim_threads_resolution_prefers_the_option() {
-        let mut opts = ZatelOptions {
-            sim_threads: Some(3),
-            ..ZatelOptions::default()
-        };
-        assert_eq!(opts.effective_sim_threads(), 3);
-        // With the option unset the knob defers to the environment, so the
-        // expectation must too (CI runs the suite under ZATEL_SIM_THREADS).
-        opts.sim_threads = None;
-        let from_env = std::env::var("ZATEL_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
-        assert_eq!(opts.effective_sim_threads(), from_env);
-    }
-
-    #[test]
-    fn timing_threads_resolution_prefers_the_option() {
-        let mut opts = ZatelOptions {
-            timing_threads: Some(3),
-            ..ZatelOptions::default()
-        };
-        assert_eq!(opts.effective_timing_threads(), 3);
-        // With the option unset the knob defers to the environment, so the
-        // expectation must too (CI runs the suite under
-        // ZATEL_TIMING_THREADS).
-        opts.timing_threads = None;
-        let from_env = std::env::var("ZATEL_TIMING_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
-        assert_eq!(opts.effective_timing_threads(), from_env);
     }
 
     #[test]
@@ -1418,41 +1221,6 @@ mod tests {
                 tagged.value(m),
                 plain.value(m),
                 "{m} must ignore request tagging"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_runs_aggregate_concurrency_telemetry() {
-        let scene = SceneId::Sprng.build(1);
-        let mut z = quick_zatel(&scene);
-        z.options_mut().sim_threads = Some(4);
-        let sharded = z.run().expect("sharded run");
-        assert!(sharded.groups.iter().all(|g| g.telemetry.is_some()));
-        let conc = sharded
-            .concurrency
-            .as_ref()
-            .expect("sharded run aggregates telemetry");
-        assert_eq!(conc.runs, sharded.groups.len() as u64);
-        assert!(conc.decoded_phases() > 0);
-        assert!(conc.commit_wall_us > 0);
-        assert!(
-            (1..=3).contains(&conc.shard_count),
-            "sim_threads=4 -> at most 3 decode shards, clamped to the \
-             downscaled SM count; got {}",
-            conc.shard_count
-        );
-        assert_eq!(conc.shards.len(), conc.shard_count);
-
-        z.options_mut().sim_threads = Some(1);
-        let serial = z.run().expect("serial run");
-        assert!(serial.concurrency.is_none());
-        assert!(serial.groups.iter().all(|g| g.telemetry.is_none()));
-        for m in Metric::ALL {
-            assert_eq!(
-                sharded.value(m),
-                serial.value(m),
-                "{m} must not depend on sim_threads"
             );
         }
     }
