@@ -1,68 +1,37 @@
 //! Warp state: a bundle of up to `warp_size` thread programs advancing in
 //! SIMT phases.
 
-use crate::workload::{Op, ThreadProgram, Workload};
+use crate::workload::{Op, WarpProgram, Workload};
 
-/// A resident warp.
+/// A warp slot: the resident warp's program and its gather buffer, both
+/// kept and reused when the slot is backfilled.
 pub(crate) struct Warp<'w> {
-    /// Global warp id (launch order; used for greedy-then-oldest arbitration).
-    pub id: u64,
-    /// The SM this warp is resident on.
-    pub sm: usize,
-    lanes: Vec<Option<Box<dyn ThreadProgram + 'w>>>,
+    program: Box<dyn WarpProgram + 'w>,
     /// The current phase's gathered ops; reused from phase to phase.
     ops: Vec<Op>,
 }
 
 impl<'w> Warp<'w> {
-    /// Instantiates the warp covering threads
-    /// `[first_thread, first_thread + lane_count)`.
-    pub fn new(
-        workload: &'w (dyn Workload + 'w),
-        id: u64,
-        sm: usize,
-        first_thread: u64,
-        lane_count: u32,
-    ) -> Self {
-        let lanes = (0..lane_count as u64)
-            .map(|l| Some(workload.create_thread(first_thread + l)))
-            .collect();
+    /// A slot for `workload`'s warps, holding none yet.
+    pub fn new(workload: &'w (dyn Workload + 'w)) -> Self {
         Warp {
-            id,
-            sm,
-            lanes,
-            ops: Vec::with_capacity(lane_count as usize),
+            program: workload.warp_program(),
+            ops: Vec::new(),
         }
+    }
+
+    /// Instantiates the warp covering threads
+    /// `[first_thread, first_thread + lane_count)` in this slot.
+    pub fn launch(&mut self, first_thread: u64, lane_count: u32) {
+        self.program.launch(first_thread, lane_count);
     }
 
     /// Advances every live lane by one operation and returns the gathered
     /// ops. An empty result means every lane has exited: the warp retires.
     pub fn gather_phase(&mut self) -> &[Op] {
         self.ops.clear();
-        for lane in &mut self.lanes {
-            if let Some(program) = lane {
-                match program.next_op() {
-                    Some(op) => self.ops.push(op),
-                    None => *lane = None,
-                }
-            }
-        }
+        self.program.gather(&mut self.ops);
         &self.ops
-    }
-
-    /// Number of lanes still running.
-    pub fn live_lanes(&self) -> usize {
-        self.lanes.iter().filter(|l| l.is_some()).count()
-    }
-}
-
-impl std::fmt::Debug for Warp<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Warp")
-            .field("id", &self.id)
-            .field("sm", &self.sm)
-            .field("live_lanes", &self.live_lanes())
-            .finish()
     }
 }
 
@@ -81,16 +50,19 @@ mod tests {
                 })
                 .collect()
         });
-        let mut warp = Warp::new(&w, 0, 0, 0, 4);
-        assert_eq!(warp.live_lanes(), 4);
+        let mut warp = Warp::new(&w);
+        warp.launch(0, 4);
         // Phase 1: all four lanes have an op.
         assert_eq!(warp.gather_phase().len(), 4);
         // Phase 2: lane 0 (1 op) has exited.
         assert_eq!(warp.gather_phase().len(), 3);
-        assert_eq!(warp.live_lanes(), 3);
         assert_eq!(warp.gather_phase().len(), 2);
         assert_eq!(warp.gather_phase().len(), 1);
         assert!(warp.gather_phase().is_empty(), "all lanes done → retire");
+        // A backfill reuses the slot: threads 2 and 3 run 3 and 4 ops.
+        warp.launch(2, 2);
+        let phases: Vec<usize> = (0..5).map(|_| warp.gather_phase().len()).collect();
+        assert_eq!(phases, [2, 2, 2, 1, 0]);
     }
 
     #[test]
@@ -102,7 +74,8 @@ mod tests {
                 insts: 1,
             }],
         );
-        let warp = Warp::new(&w, 3, 1, 96, 4); // last warp: 4 threads of 100
-        assert_eq!(warp.live_lanes(), 4);
+        let mut warp = Warp::new(&w);
+        warp.launch(96, 4); // last warp: 4 threads of 100
+        assert_eq!(warp.gather_phase().len(), 4);
     }
 }

@@ -94,7 +94,7 @@ impl<'w, H: SimHooks> Engine<'w, H> {
         };
         let slot = self.sms[sm].slots_used;
         self.sms[sm].slots_used += 1;
-        self.decoder.on_launch(sm, slot, id, first, lanes);
+        self.decoder.on_launch(sm, slot, first, lanes);
         self.hooks.on_warp_launch(sm, id, t);
         self.events.push(Event {
             time: t + WARP_LAUNCH_LATENCY,
@@ -116,7 +116,7 @@ impl<'w, H: SimHooks> Engine<'w, H> {
                 self.max_time = self.max_time.max(ev.time);
                 self.hooks.on_warp_retire(ev.sm, ev.warp_id, ev.time);
                 if let Some((id, first, lanes)) = self.sms[ev.sm].pending.pop_front() {
-                    self.decoder.on_launch(ev.sm, ev.slot, id, first, lanes);
+                    self.decoder.on_launch(ev.sm, ev.slot, first, lanes);
                     self.hooks.on_warp_launch(ev.sm, id, ev.time);
                     self.events.push(Event {
                         time: ev.time + WARP_LAUNCH_LATENCY,
@@ -124,6 +124,8 @@ impl<'w, H: SimHooks> Engine<'w, H> {
                         sm: ev.sm,
                         slot: ev.slot,
                     });
+                } else {
+                    self.decoder.on_vacate(ev.sm, ev.slot);
                 }
                 return;
             }

@@ -5,8 +5,13 @@
 //! [`DecodedPhase`]s from its [`Decoder`]. Decoding a phase — advancing
 //! every live lane of a warp one op and categorizing the gather into a
 //! [`PhaseMix`] — is a pure function of the workload and the line size; it
-//! touches no timing state. Warps are instantiated at launch and decoded
-//! inline, at the moment the commit loop asks.
+//! touches no timing state. That is what lets a workload decode *ahead* of
+//! the commit loop: a lane may step its program a bounded burst of ops at
+//! once and hand them out one phase at a time (`rtworkload` does), and no
+//! timing decision can tell. Here, warps are instantiated at launch and
+//! their phases gathered inline, at the moment the commit loop asks; a warp
+//! slot's [`Warp`] — lane storage and gather buffer — outlives the warp and
+//! is reused by the slot's backfill, or freed at once if there is none.
 
 use crate::core::warp::Warp;
 use crate::workload::Workload;
@@ -32,8 +37,9 @@ pub(crate) enum DecodedPhase {
 pub(crate) struct Decoder<'w> {
     workload: &'w dyn Workload,
     line_bytes: u32,
-    /// Resident warps, indexed `[sm][slot]`. Slots are dense and stable:
-    /// a retired warp's slot is reused by its backfill.
+    /// Warp slots, indexed `[sm][slot]`. Slots are dense and stable: a
+    /// retired warp's slot, storage included, is reused by its backfill,
+    /// and emptied by [`Decoder::on_vacate`] when none comes.
     warps: Vec<Vec<Option<Warp<'w>>>>,
     /// The last recycled mix; its line buffers back the next phase.
     spare: PhaseMix,
@@ -49,37 +55,34 @@ impl<'w> Decoder<'w> {
         }
     }
 
-    /// Warp `warp_id`, covering threads `[first_thread, first_thread +
-    /// lanes)`, was launched into `slot` on `sm`.
-    pub fn on_launch(
-        &mut self,
-        sm: usize,
-        slot: usize,
-        warp_id: u64,
-        first_thread: u64,
-        lanes: u32,
-    ) {
-        let warp = Warp::new(self.workload, warp_id, sm, first_thread, lanes);
+    /// The warp covering threads `[first_thread, first_thread + lanes)`
+    /// was launched into `slot` on `sm`: a fresh slot, or one whose warp
+    /// has retired.
+    pub fn on_launch(&mut self, sm: usize, slot: usize, first_thread: u64, lanes: u32) {
         let slots = &mut self.warps[sm];
         if slot == slots.len() {
-            slots.push(Some(warp));
-        } else {
-            slots[slot] = Some(warp);
+            slots.push(None);
         }
+        slots[slot]
+            .get_or_insert_with(|| Warp::new(self.workload))
+            .launch(first_thread, lanes);
+    }
+
+    /// The warp in `(sm, slot)` has retired and no warp is left to backfill
+    /// it: its storage goes back to the allocator now rather than at the end
+    /// of the run, while the memory model's tables are still growing.
+    pub fn on_vacate(&mut self, sm: usize, slot: usize) {
+        self.warps[sm][slot] = None;
     }
 
     /// Returns the next decoded phase of the warp resident in `(sm, slot)`.
     /// Never called again for a warp after it returned
     /// [`DecodedPhase::Retire`].
     pub fn next_phase(&mut self, sm: usize, slot: usize) -> DecodedPhase {
-        let slot_ref = &mut self.warps[sm][slot];
+        let slot = self.warps[sm][slot].as_mut();
         // zatel-lint: allow(panic-hygiene, reason = "engine invariant: next_phase is only called for slots the engine launched into and never after Retire")
-        let warp = slot_ref.as_mut().expect("phase for a vacant warp slot");
-        let phase = decode_one(warp, self.line_bytes, std::mem::take(&mut self.spare));
-        if phase == DecodedPhase::Retire {
-            *slot_ref = None;
-        }
-        phase
+        let warp = slot.expect("phase for a vacant warp slot");
+        decode_one(warp, self.line_bytes, std::mem::take(&mut self.spare))
     }
 
     /// Takes back a mix the commit loop has finished with, so the next
@@ -90,8 +93,7 @@ impl<'w> Decoder<'w> {
 }
 
 /// Decodes one phase of `warp`: gathers ops from every live lane and
-/// categorizes them into `spare`'s buffers, or signals retirement (the
-/// caller drops the warp).
+/// categorizes them into `spare`'s buffers, or signals retirement.
 pub(crate) fn decode_one(
     warp: &mut Warp<'_>,
     line_bytes: u32,
@@ -155,7 +157,7 @@ mod tests {
             ],
         );
         let mut src = Decoder::new(&w, 1, 128);
-        src.on_launch(0, 0, 0, 0, 4);
+        src.on_launch(0, 0, 0, 4);
         match src.next_phase(0, 0) {
             DecodedPhase::Mix(mix) => {
                 assert_eq!(mix.compute_cycles, 2);
@@ -168,9 +170,15 @@ mod tests {
             other => panic!("expected a load phase, got {other:?}"),
         }
         assert_eq!(src.next_phase(0, 0), DecodedPhase::Retire);
-        // The slot is vacated and immediately reusable by a backfill.
-        src.on_launch(0, 0, 1, 0, 4);
-        assert!(matches!(src.next_phase(0, 0), DecodedPhase::Mix(_)));
+        // The slot is immediately reusable by a backfill, with its storage
+        // or — once vacated — without.
+        for _ in 0..2 {
+            src.on_launch(0, 0, 0, 4);
+            assert!(matches!(src.next_phase(0, 0), DecodedPhase::Mix(_)));
+            assert!(matches!(src.next_phase(0, 0), DecodedPhase::Mix(_)));
+            assert_eq!(src.next_phase(0, 0), DecodedPhase::Retire);
+            src.on_vacate(0, 0);
+        }
     }
 
     #[test]

@@ -58,4 +58,4 @@ pub use hooks::{
     CacheLevel, NullHooks, PhaseClass, SimHooks, TraceCounters, TraceHooks, TraceSlice,
 };
 pub use stats::{CombineRule, Metric, SimStats};
-pub use workload::{MemSpace, Op, ThreadProgram, Workload};
+pub use workload::{MemSpace, Op, ThreadProgram, WarpProgram, Workload};

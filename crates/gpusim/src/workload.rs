@@ -2,8 +2,9 @@
 //!
 //! A [`Workload`] is a grid of threads (one per pixel for ray tracing); each
 //! thread is a lazy [`ThreadProgram`] yielding abstract operations ([`Op`]).
-//! The simulator groups threads into warps, executes ops in SIMT phases and
-//! charges their latency/bandwidth to the modeled hardware.
+//! The simulator groups threads into warps — one [`WarpProgram`] per
+//! resident warp — executes ops in SIMT phases and charges their
+//! latency/bandwidth to the modeled hardware.
 
 /// Memory space an access belongs to; determines which units handle it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,12 +109,56 @@ pub trait Workload {
     /// source-compatible.
     fn create_thread(&self, index: u64) -> Box<dyn ThreadProgram + '_>;
 
+    /// An idle [`WarpProgram`] over this workload's threads: what the engine
+    /// keeps in each warp slot. The default steps boxed
+    /// [`Workload::create_thread`] programs; a workload whose thread state
+    /// is a plain value overrides it to keep a warp's lanes in one
+    /// allocation.
+    fn warp_program(&self) -> Box<dyn WarpProgram + '_> {
+        Box::new(ThreadLanes {
+            workload: self,
+            lanes: Vec::new(),
+        })
+    }
+
     /// How many of the grid's threads are launched only to exit at once
     /// (a pixel filter's deselected threads). Reported as
     /// [`SimStats::threads_filtered`](crate::SimStats); `0` unless the
     /// workload filters.
     fn filtered_threads(&self) -> u64 {
         0
+    }
+}
+
+/// The thread programs of one warp slot, advanced a SIMT phase at a time.
+pub trait WarpProgram {
+    /// Points the slot at threads `[first_thread, first_thread + lanes)`,
+    /// reusing the storage of whichever warp it held before.
+    fn launch(&mut self, first_thread: u64, lanes: u32);
+
+    /// Advances every live lane by one operation, appending the ops to
+    /// `ops` in lane order. Appends nothing once every lane has exited.
+    fn gather(&mut self, ops: &mut Vec<Op>);
+}
+
+/// [`Workload::warp_program`]'s default: one boxed program per live lane.
+struct ThreadLanes<'w, W: Workload + ?Sized> {
+    workload: &'w W,
+    lanes: Vec<Box<dyn ThreadProgram + 'w>>,
+}
+
+impl<W: Workload + ?Sized> WarpProgram for ThreadLanes<'_, W> {
+    fn launch(&mut self, first_thread: u64, lanes: u32) {
+        let threads = first_thread..first_thread + lanes as u64;
+        self.lanes.clear();
+        self.lanes
+            .extend(threads.map(|i| self.workload.create_thread(i)));
+    }
+
+    fn gather(&mut self, ops: &mut Vec<Op>) {
+        // Exited lanes leave the vector, live ones stay in lane order.
+        self.lanes
+            .retain_mut(|lane| lane.next_op().map(|op| ops.push(op)).is_some());
     }
 }
 

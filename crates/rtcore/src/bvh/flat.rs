@@ -1,10 +1,12 @@
 //! Flattened BVH storage and stepwise traversal.
 //!
 //! Traversal is exposed as an explicit state machine ([`Traversal`]) that
-//! yields one [`TraversalStep`] per node fetch or primitive test. The
-//! functional path tracer drains it in a loop, while the timing simulator
-//! (`zatel-rtworkload`) consumes the same steps lazily, turning each into
-//! memory transactions and ALU work — guaranteeing the functional and timing
+//! yields one [`TraversalStep`] per node fetch or primitive test. The timing
+//! simulator (`zatel-rtworkload`) steps it a bounded burst at a time, turning
+//! each step into memory transactions and ALU work; the functional path
+//! tracer only needs the result and the counters, which [`Bvh::intersect`]
+//! and [`Bvh::occluded`] compute in one fused loop that a differential test
+//! holds to the step machine ray for ray — so the functional and timing
 //! models agree on exactly which work a ray performs.
 
 use crate::geom::{Hit, Primitive, PrimitiveId};
@@ -324,23 +326,113 @@ impl Bvh {
         Traversal::new_any_hit(self, ray, prims)
     }
 
-    /// Finds the closest hit by draining a full traversal.
+    /// Finds the closest hit, with the counters of a fully drained
+    /// [`Bvh::traverse`].
     pub fn intersect(&self, ray: &Ray, prims: &[Primitive]) -> (Option<Hit>, TraversalStats) {
-        let mut tr = self.traverse(*ray, prims);
-        while tr.step().is_some() {}
-        (tr.hit(), *tr.stats())
+        let (found, stats) = self.query(ray, prims, false);
+        (
+            found.map(|(t, prim)| resolve_hit(ray, prims, t, prim)),
+            stats,
+        )
     }
 
     /// Returns `true` if anything occludes the ray segment (early-out
-    /// any-hit query used for shadow rays).
+    /// any-hit query used for shadow rays), with the counters of a
+    /// [`Bvh::traverse_any`] stepped up to its first hit.
     pub fn occluded(&self, ray: &Ray, prims: &[Primitive]) -> (bool, TraversalStats) {
-        let mut tr = Traversal::new_any_hit(self, *ray, prims);
-        while tr.step().is_some() {
-            if tr.hit_found() {
-                return (true, *tr.stats());
+        let (found, stats) = self.query(ray, prims, true);
+        (found.is_some(), stats)
+    }
+
+    /// The whole of a [`Traversal`] in one loop — same visit order, same
+    /// culling, same counters, no [`TraversalStep`]s — returning the
+    /// closest `(t, primitive)`, or with `any_hit` the first one found.
+    ///
+    /// Stack entries carry the distance at which the ray enters their box.
+    /// A deferred node passed `t_enter <= min(t_far, t_max)` when it was
+    /// pushed and only `t_max` has shrunk since, so whether it is still
+    /// worth visiting is the single comparison below rather than a second
+    /// slab test.
+    fn query(
+        &self,
+        ray: &Ray,
+        prims: &[Primitive],
+        any_hit: bool,
+    ) -> (Option<(f32, u32)>, TraversalStats) {
+        let inv_dir = ray.inv_dir();
+        let mut stats = TraversalStats {
+            box_tests: 1,
+            ..TraversalStats::default()
+        };
+        // `probe.t_max` is the closest hit distance so far.
+        let mut probe = *ray;
+        let mut best = None;
+        let mut stack = [(0u32, 0f32); MAX_DEPTH + 1];
+        let mut len = 0;
+        if let Some(t_enter) = self.nodes[0].bounds.hit(ray, inv_dir) {
+            stack[0] = (0, t_enter);
+            len = 1;
+        }
+        while len > 0 {
+            len -= 1;
+            let (index, t_enter) = stack[len];
+            if probe.t_max < t_enter {
+                continue;
+            }
+            stats.nodes_visited += 1;
+            let node = &self.nodes[index as usize];
+            if node.leaf {
+                stats.leaf_visits += 1;
+                let first = node.first_or_right as usize;
+                for &prim in &self.prim_order[first..first + node.count as usize] {
+                    stats.prim_tests += 1;
+                    if let Some(t) = prims[prim as usize].hit(&probe) {
+                        probe.t_max = t;
+                        best = Some((t, prim));
+                        if any_hit {
+                            return (best, stats);
+                        }
+                    }
+                }
+                continue;
+            }
+            // Interior: box-test both children, push hits far-then-near.
+            stats.box_tests += 2;
+            let (left, right) = (index + 1, node.first_or_right);
+            let t_left = self.nodes[left as usize].bounds.hit(&probe, inv_dir);
+            let t_right = self.nodes[right as usize].bounds.hit(&probe, inv_dir);
+            let mut push = |node: u32, t_enter: f32| {
+                stack[len] = (node, t_enter);
+                len += 1;
+            };
+            match (t_left, t_right) {
+                (Some(tl), Some(tr)) if tl <= tr => {
+                    push(right, tr);
+                    push(left, tl);
+                }
+                (Some(tl), Some(tr)) => {
+                    push(left, tl);
+                    push(right, tr);
+                }
+                (Some(tl), None) => push(left, tl),
+                (None, Some(tr)) => push(right, tr),
+                (None, None) => {}
             }
         }
-        (tr.hit_found(), *tr.stats())
+        (best, stats)
+    }
+}
+
+/// The shading record of `ray` hitting `prims[prim]` at distance `t`.
+fn resolve_hit(ray: &Ray, prims: &[Primitive], t: f32, prim: u32) -> Hit {
+    let primitive = &prims[prim as usize];
+    let point = ray.at(t);
+    Hit {
+        t,
+        point,
+        normal: primitive.shading_normal(point, ray.dir),
+        material: primitive.material(),
+        primitive: PrimitiveId(prim),
     }
 }
 
@@ -387,22 +479,33 @@ impl FromJson for Bvh {
 /// Call [`Traversal::step`] until it returns `None`, then read the result via
 /// [`Traversal::hit`]. Each step performs the actual intersection math, so
 /// consumers observe real traversal behaviour, not a replay.
+///
+/// The timing simulator keeps one of these per resident GPU thread and
+/// steps thousands of them in turn, so the layout is fixed: what every step
+/// reads or writes fills the first 64 bytes, and the node stack — whose deep
+/// end most rays never reach — comes last.
 #[derive(Debug)]
+#[repr(C)]
 pub struct Traversal<'a> {
-    bvh: &'a Bvh,
-    prims: &'a [Primitive],
     ray: Ray,
     inv_dir: Vec3,
-    /// Nodes still to visit; `stack[..stack_len]` is live.
-    stack: [u32; MAX_DEPTH + 1],
-    stack_len: usize,
-    /// Pending primitive tests from the current leaf: (order index, end).
-    pending: Option<(u32, u32)>,
     best_t: f32,
-    best_prim: Option<u32>,
+    /// The closest primitive hit so far, or [`NO_PRIM`].
+    best_prim: u32,
+    /// Primitive tests left in the current leaf: order indices
+    /// `[pending.0, pending.1)`.
+    pending: (u32, u32),
+    /// `stack[..stack_len]` is live.
+    stack_len: u8,
     any_hit: bool,
-    stats: TraversalStats,
+    bvh: &'a Bvh,
+    prims: &'a [Primitive],
+    /// Nodes still to visit.
+    stack: [u32; MAX_DEPTH + 1],
 }
+
+/// [`Traversal::best_prim`] before any hit.
+const NO_PRIM: u32 = u32::MAX;
 
 impl<'a> Traversal<'a> {
     fn new(bvh: &'a Bvh, ray: Ray, prims: &'a [Primitive]) -> Self {
@@ -415,50 +518,43 @@ impl<'a> Traversal<'a> {
 
     fn with_mode(bvh: &'a Bvh, ray: Ray, prims: &'a [Primitive], any_hit: bool) -> Self {
         let inv_dir = ray.inv_dir();
-        let mut stats = TraversalStats::default();
         // The root box is tested once up front ("does the ray enter the
         // scene at all"), mirroring how the ray-generation shader rejects
-        // rays that miss the scene bounds.
-        stats.box_tests += 1;
-        // The stack starts as `[root]`, or empty if the ray misses the scene.
-        let stack_len = bvh.nodes[0].bounds.hit(&ray, inv_dir).is_some() as usize;
+        // rays that miss the scene bounds. The stack starts as `[root]`, or
+        // empty if the ray misses the scene.
+        let stack_len = bvh.nodes[0].bounds.hit(&ray, inv_dir).is_some() as u8;
         Traversal {
-            bvh,
-            prims,
             ray,
             inv_dir,
-            stack: [0; MAX_DEPTH + 1],
-            stack_len,
-            pending: None,
             best_t: ray.t_max,
-            best_prim: None,
+            best_prim: NO_PRIM,
+            pending: (0, 0),
+            stack_len,
             any_hit,
-            stats,
+            bvh,
+            prims,
+            stack: [0; MAX_DEPTH + 1],
         }
     }
 
     /// Defers `node`. In bounds by the [`MAX_DEPTH`] invariant of [`Bvh`].
     fn push(&mut self, node: u32) {
-        self.stack[self.stack_len] = node;
+        self.stack[self.stack_len as usize] = node;
         self.stack_len += 1;
     }
 
     /// Executes one traversal step, or returns `None` when finished.
     pub fn step(&mut self) -> Option<TraversalStep> {
         // Finish pending primitive tests of the current leaf first.
-        if let Some((cursor, end)) = self.pending {
+        let (cursor, end) = self.pending;
+        if cursor < end {
             let prim_index = self.bvh.prim_order[cursor as usize];
-            self.pending = if cursor + 1 < end {
-                Some((cursor + 1, end))
-            } else {
-                None
-            };
-            self.stats.prim_tests += 1;
+            self.pending.0 = cursor + 1;
             let mut probe = self.ray;
             probe.t_max = self.best_t;
             let hit = if let Some(t) = self.prims[prim_index as usize].hit(&probe) {
                 self.best_t = t;
-                self.best_prim = Some(prim_index);
+                self.best_prim = prim_index;
                 true
             } else {
                 false
@@ -470,13 +566,13 @@ impl<'a> Traversal<'a> {
         }
 
         // In any-hit mode, stop as soon as something was hit.
-        if self.any_hit && self.best_prim.is_some() {
+        if self.any_hit && self.hit_found() {
             return None;
         }
 
         let node_index = loop {
             self.stack_len = self.stack_len.checked_sub(1)?;
-            let idx = self.stack[self.stack_len];
+            let idx = self.stack[self.stack_len as usize];
             // Cheap re-check against the (possibly shrunk) interval; this
             // models culling stale stack entries and costs no extra fetch.
             let mut probe = self.ray;
@@ -490,15 +586,11 @@ impl<'a> Traversal<'a> {
             }
         };
 
-        self.stats.nodes_visited += 1;
         let node = &self.bvh.nodes[node_index as usize];
         if node.is_leaf() {
-            self.stats.leaf_visits += 1;
             let first = node.first_prim();
             let count = node.prim_count();
-            if count > 0 {
-                self.pending = Some((first, first + count));
-            }
+            self.pending = (first, first + count);
             return Some(TraversalStep::LeafNode {
                 node: node_index,
                 count,
@@ -511,7 +603,6 @@ impl<'a> Traversal<'a> {
         let right = node.right_child();
         let mut probe = self.ray;
         probe.t_max = self.best_t;
-        self.stats.box_tests += 2;
         let t_left = self.bvh.nodes[left as usize]
             .bounds
             .hit(&probe, self.inv_dir);
@@ -542,27 +633,14 @@ impl<'a> Traversal<'a> {
 
     /// Whether any hit has been found so far.
     pub fn hit_found(&self) -> bool {
-        self.best_prim.is_some()
-    }
-
-    /// Traversal statistics accumulated so far.
-    pub fn stats(&self) -> &TraversalStats {
-        &self.stats
+        self.best_prim != NO_PRIM
     }
 
     /// Resolves the closest hit found, if any. Call after draining
     /// [`Traversal::step`]; calling earlier returns the best hit so far.
     pub fn hit(&self) -> Option<Hit> {
-        let prim_index = self.best_prim?;
-        let prim = &self.prims[prim_index as usize];
-        let point = self.ray.at(self.best_t);
-        Some(Hit {
-            t: self.best_t,
-            point,
-            normal: prim.shading_normal(point, self.ray.dir),
-            material: prim.material(),
-            primitive: PrimitiveId(prim_index),
-        })
+        self.hit_found()
+            .then(|| resolve_hit(&self.ray, self.prims, self.best_t, self.best_prim))
     }
 }
 
@@ -572,6 +650,42 @@ mod tests {
     use crate::geom::{Sphere, Triangle};
     use crate::material::MaterialId;
     use crate::math::{uniform_sphere, Pcg};
+    use proptest::prelude::*;
+
+    /// Drains `tr` step by step (`to_first_hit`: only until something is
+    /// hit, as a shadow query does) and derives the counters from the
+    /// steps alone: the reference the fused [`Bvh::query`] must equal.
+    fn step_drained(mut tr: Traversal<'_>, to_first_hit: bool) -> (Option<Hit>, TraversalStats) {
+        let mut stats = TraversalStats {
+            box_tests: 1,
+            ..TraversalStats::default()
+        };
+        while let Some(step) = tr.step() {
+            match step {
+                TraversalStep::InteriorNode { .. } => {
+                    stats.nodes_visited += 1;
+                    stats.box_tests += 2;
+                }
+                TraversalStep::LeafNode { .. } => {
+                    stats.nodes_visited += 1;
+                    stats.leaf_visits += 1;
+                }
+                TraversalStep::PrimitiveTest { .. } => stats.prim_tests += 1,
+            }
+            if to_first_hit && tr.hit_found() {
+                break;
+            }
+        }
+        (tr.hit(), stats)
+    }
+
+    /// Fused and stepped queries agree on `ray`: hit, any-hit and counters.
+    fn assert_fused_matches_stepped(bvh: &Bvh, prims: &[Primitive], ray: Ray) {
+        let (hit, stats) = step_drained(bvh.traverse(ray, prims), false);
+        assert_eq!(bvh.intersect(&ray, prims), (hit, stats), "closest hit");
+        let (hit, stats) = step_drained(bvh.traverse_any(ray, prims), true);
+        assert_eq!(bvh.occluded(&ray, prims), (hit.is_some(), stats), "any hit");
+    }
 
     fn two_spheres() -> Vec<Primitive> {
         vec![
@@ -774,12 +888,15 @@ mod tests {
             while tr.step().is_some() {
                 deepest_stack = deepest_stack.max(tr.stack_len);
             }
+            let (hit, stats) = step_drained(bvh.traverse(ray, &prims), false);
             let (want_hit, want_stats) = vec_stack_intersect(&bvh, &ray, &prims);
-            assert_eq!(tr.hit().map(|h| h.primitive.0), want_hit, "ray {i}");
-            assert_eq!(*tr.stats(), want_stats, "ray {i}");
+            assert_eq!(hit.map(|h| h.primitive.0), want_hit, "ray {i}");
+            assert_eq!(stats, want_stats, "ray {i}");
+            assert_fused_matches_stepped(&bvh, &prims, ray);
+            assert_fused_matches_stepped(&bvh, &prims, Ray::segment(origin, ray.dir, 1e-3));
         }
         assert_eq!(
-            deepest_stack,
+            deepest_stack as usize,
             MAX_DEPTH + 1,
             "the rays fill the whole stack"
         );
@@ -832,8 +949,60 @@ mod tests {
                 }
             }
         }
-        assert_eq!(prim_tests as u64, tr.stats().prim_tests);
-        assert_eq!(node_visits as u64, tr.stats().nodes_visited);
+        let (_, stats) = bvh.intersect(&ray, &prims);
+        assert_eq!(prim_tests as u64, stats.prim_tests);
+        assert_eq!(node_visits as u64, stats.nodes_visited);
         assert!(tr.hit().is_some());
+    }
+
+    #[test]
+    fn hot_traversal_fields_fill_one_cache_line() {
+        assert_eq!(std::mem::offset_of!(Traversal<'_>, bvh), 64);
+        assert_eq!(
+            std::mem::size_of::<Traversal<'_>>(),
+            64 + 24 + 4 * (MAX_DEPTH + 1)
+        );
+    }
+
+    fn vec3(range: f32) -> impl Strategy<Value = Vec3> {
+        (-range..range, -range..range, -range..range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+    }
+
+    fn primitive() -> impl Strategy<Value = Primitive> {
+        prop_oneof![
+            (vec3(10.0), 0.05f32..2.0).prop_map(|(c, r)| Primitive::Sphere(Sphere::new(
+                c,
+                r,
+                MaterialId(0)
+            ))),
+            (vec3(10.0), vec3(2.0), vec3(2.0)).prop_map(|(a, d1, d2)| {
+                Primitive::Triangle(Triangle::new(
+                    a,
+                    a + d1 + Vec3::splat(0.01),
+                    a + d2 - Vec3::splat(0.01),
+                    MaterialId(0),
+                ))
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The fused queries behind `intersect` / `occluded` return what
+        /// draining `step()` returns — hit and counters, ray for ray — for
+        /// unbounded rays and for segments that end inside the scene.
+        #[test]
+        fn fused_queries_match_the_step_machine(
+            prims in prop::collection::vec(primitive(), 1..120),
+            origin in vec3(15.0),
+            dir in vec3(1.0),
+            t_max in 0.5f32..60.0,
+        ) {
+            prop_assume!(dir.length() > 0.1);
+            let bvh = Bvh::build(&prims);
+            assert_fused_matches_stepped(&bvh, &prims, Ray::new(origin, dir.normalized()));
+            assert_fused_matches_stepped(&bvh, &prims, Ray::segment(origin, dir.normalized(), t_max));
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Bridges the functional ray tracer of `zatel-rtcore` and the cycle-level
 //! timing model of `zatel-gpusim`: every pixel becomes one GPU thread whose
-//! [`gpusim::ThreadProgram`] is a lazy state machine over the *same*
+//! [`gpusim::ThreadProgram`] is a state machine over the *same*
 //! [`rtcore::bvh::Traversal`] the functional tracer uses, emitting one
 //! abstract op per BVH node fetch, primitive test and shading step.
 //!
@@ -11,6 +11,16 @@
 //! the memory accesses and ALU work the functional render performs — there
 //! is no trace file and no replay skew.
 //!
+//! A thread decodes with *bounded run-ahead*: when its buffer is dry it
+//! steps the state machine for a burst of a couple of dozen ops, packed
+//! four bytes each, and hands them out one per call. The engine pulls one
+//! op per lane per phase across every resident warp, so a burst touches a
+//! lane's traversal state once where one-op-at-a-time decode touched it
+//! every phase (and missed the host's caches doing so); the ops and their
+//! order are those of one-at-a-time decode, since a lane reads nothing but
+//! the immutable scene and its own RNG. The lanes of a warp slot live in one
+//! allocation ([`gpusim::WarpProgram`]) that backfills reuse.
+//!
 //! Pixel filtering (the paper's injected `filter_shader`, Listing 1) is
 //! modeled by [`RtWorkload::with_selection`]: deselected threads run a
 //! two-instruction exit program, so they are launched but contribute
@@ -18,9 +28,10 @@
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
+#[cfg(test)]
+mod reference;
 
-use gpusim::{Op, ThreadProgram, Workload};
+use gpusim::{Op, ThreadProgram, WarpProgram, Workload};
 use rtcore::bvh::{Traversal, TraversalStep};
 use rtcore::geom::Hit;
 use rtcore::material::Surface;
@@ -179,6 +190,15 @@ impl<'s> RtWorkload<'s> {
             pixels.iter().all(|p| p.x < width && p.y < height),
             "pixel out of image bounds"
         );
+        let indexed = [
+            scene.bvh().node_count(),
+            scene.primitives().len(),
+            scene.materials().len(),
+        ];
+        assert!(
+            indexed.iter().all(|&n| n <= PackedOp::ARG_MAX as usize),
+            "scene too large for a lane's packed ops"
+        );
         RtWorkload {
             scene,
             width,
@@ -256,20 +276,14 @@ impl Workload for RtWorkload<'_> {
     }
 
     fn create_thread(&self, index: u64) -> Box<dyn ThreadProgram + '_> {
-        let pixel = self.pixels[index as usize];
-        if let Some(sel) = &self.selected {
-            if !sel[index as usize] {
-                return Box::new(FilterExit::new());
-            }
-        }
-        Box::new(PixelProgram::new(
-            self.scene,
-            pixel,
-            self.width,
-            self.height,
-            self.trace,
-            self.map,
-        ))
+        Box::new(PixelProgram::new(self, index))
+    }
+
+    fn warp_program(&self) -> Box<dyn WarpProgram + '_> {
+        Box::new(PixelWarp {
+            workload: self,
+            lanes: Vec::new(),
+        })
     }
 
     fn filtered_threads(&self) -> u64 {
@@ -277,32 +291,47 @@ impl Workload for RtWorkload<'_> {
     }
 }
 
-/// The two-instruction early-exit program run by filtered-out pixels
-/// (mirrors the injected PTX of the paper's Listing 1).
-#[derive(Debug)]
-struct FilterExit {
-    emitted: bool,
+/// A warp slot's lanes, side by side in one allocation.
+struct PixelWarp<'w> {
+    workload: &'w RtWorkload<'w>,
+    lanes: Vec<PixelProgram<'w>>,
 }
 
-impl FilterExit {
-    fn new() -> Self {
-        FilterExit { emitted: false }
+impl WarpProgram for PixelWarp<'_> {
+    fn launch(&mut self, first_thread: u64, lanes: u32) {
+        let threads = first_thread..first_thread + lanes as u64;
+        self.lanes.clear();
+        self.lanes
+            .extend(threads.map(|i| PixelProgram::new(self.workload, i)));
+    }
+
+    fn gather(&mut self, ops: &mut Vec<Op>) {
+        // Exited lanes leave the vector, live ones stay in lane order.
+        self.lanes
+            .retain_mut(|lane| lane.next_op().map(|op| ops.push(op)).is_some());
     }
 }
 
-impl ThreadProgram for FilterExit {
-    fn next_op(&mut self) -> Option<Op> {
-        if self.emitted {
-            None
-        } else {
-            self.emitted = true;
-            // filter_shader + exit.
-            Some(Op::Compute {
-                cycles: 2,
-                insts: 2,
-            })
-        }
-    }
+/// An [`Op`] as a lane buffers it: the kind in the top three bits and its
+/// argument — a node, primitive or material index, or an ALU cycle count —
+/// in the low 29. A quarter of an `Op`; [`PixelProgram::next_op`] widens it
+/// with the workload's [`AddressMap`].
+#[derive(Clone, Copy)]
+struct PackedOp(u32);
+
+impl PackedOp {
+    const ARG_BITS: u32 = 29;
+    const ARG_MAX: u32 = (1 << Self::ARG_BITS) - 1;
+    /// `Op::Compute` of `arg` cycles and instructions.
+    const COMPUTE: u32 = 0;
+    /// `Op::RtNode` of BVH node `arg`.
+    const NODE: u32 = 1;
+    /// `Op::RtPrim` of primitive `arg`.
+    const PRIM: u32 = 2;
+    /// `Op::Load` of material `arg`.
+    const MATERIAL: u32 = 3;
+    /// `Op::Store` of the lane's own framebuffer pixel.
+    const STORE: u32 = 4;
 }
 
 /// Continuation data for a diffuse bounce paused on its shadow ray.
@@ -314,6 +343,8 @@ struct DiffuseResume {
 }
 
 enum State<'s> {
+    /// A deselected pixel: the paper's `filter_shader` + exit (Listing 1).
+    FilterExit,
     StartSample,
     Path {
         tr: Traversal<'s>,
@@ -326,59 +357,71 @@ enum State<'s> {
     Finished,
 }
 
-/// Lazy per-pixel thread program: replays the exact path-tracing control
-/// flow of [`rtcore::tracer`] while emitting one [`Op`] per unit of work.
-struct PixelProgram<'s> {
-    scene: &'s Scene,
-    map: AddressMap,
+/// Ops a lane decodes per refill. Long enough that a lane's traversal state
+/// is touched once per couple of dozen phases, short enough that the buffer
+/// stays a cache line and a half; measured with `examples/decode_locality`.
+const BURST: usize = 24;
+
+/// Most ops one [`PixelProgram::step`] buffers (material fetch, shading,
+/// shadow-ray setup).
+const MAX_STEP_OPS: usize = 3;
+
+/// Per-pixel thread program: replays the exact path-tracing control flow of
+/// [`rtcore::tracer`], one [`Op`] per unit of work, decoded a burst at a
+/// time. What a buffered pop reads comes first.
+#[repr(C)]
+struct PixelProgram<'w> {
+    workload: &'w RtWorkload<'w>,
+    /// `burst[head..len]` is decoded and not yet handed out.
+    head: u8,
+    len: u8,
+    burst: [PackedOp; BURST],
     pixel: Pixel,
-    width: u32,
-    height: u32,
-    spp: u32,
-    max_bounces: u32,
-    rng: Pcg,
     sample: u32,
     throughput: Vec3,
-    queue: VecDeque<Op>,
-    state: State<'s>,
+    rng: Pcg,
+    state: State<'w>,
 }
 
-impl<'s> PixelProgram<'s> {
-    fn new(
-        scene: &'s Scene,
-        pixel: Pixel,
-        width: u32,
-        height: u32,
-        trace: TraceConfig,
-        map: AddressMap,
-    ) -> Self {
-        let rng = Pcg::for_index(trace.seed, pixel.y as u64 * width as u64 + pixel.x as u64);
+impl<'w> PixelProgram<'w> {
+    fn new(workload: &'w RtWorkload<'w>, index: u64) -> Self {
+        let pixel = workload.pixels[index as usize];
+        let selected = workload
+            .selected
+            .as_ref()
+            .is_none_or(|sel| sel[index as usize]);
         PixelProgram {
-            scene,
-            map,
+            workload,
+            head: 0,
+            len: 0,
+            burst: [PackedOp(0); BURST],
             pixel,
-            width,
-            height,
-            spp: trace.samples_per_pixel.max(1),
-            max_bounces: trace.max_bounces,
-            rng,
             sample: 0,
             throughput: Vec3::ONE,
-            queue: VecDeque::new(),
-            state: State::StartSample,
+            rng: Pcg::for_index(
+                workload.trace.seed,
+                pixel.y as u64 * workload.width as u64 + pixel.x as u64,
+            ),
+            state: if selected {
+                State::StartSample
+            } else {
+                State::FilterExit
+            },
         }
     }
 
-    fn op_of(map: &AddressMap, step: TraversalStep) -> Op {
+    fn push(&mut self, kind: u32, arg: u32) {
+        debug_assert!(arg <= PackedOp::ARG_MAX);
+        self.burst[self.len as usize] = PackedOp(kind << PackedOp::ARG_BITS | arg);
+        self.len += 1;
+    }
+
+    fn push_step(&mut self, step: TraversalStep) {
         match step {
             TraversalStep::InteriorNode { node } | TraversalStep::LeafNode { node, .. } => {
-                Op::RtNode {
-                    addr: map.node_addr(node),
-                }
+                self.push(PackedOp::NODE, node)
             }
-            TraversalStep::PrimitiveTest { prim, .. } => Op::RtPrim {
-                addr: map.prim_addr(prim.0),
-            },
+            TraversalStep::PrimitiveTest { prim, .. } => self.push(PackedOp::PRIM, prim.0),
         }
     }
 
@@ -392,36 +435,27 @@ impl<'s> PixelProgram<'s> {
     /// the `incoming` ray direction — mirroring `rtcore::tracer` decision
     /// for decision (and RNG draw for RNG draw).
     fn resolve_path_hit(&mut self, hit: Option<Hit>, incoming: Vec3, bounce: u32) {
+        let scene = self.workload.scene;
         let Some(hit) = hit else {
             // Sky: small shade cost, path ends.
-            self.queue.push_back(Op::Compute {
-                cycles: 4,
-                insts: 4,
-            });
+            self.push(PackedOp::COMPUTE, 4);
             self.end_path();
             return;
         };
 
-        let material = *self.scene.material(hit.material);
+        let material = *scene.material(hit.material);
         // Material fetch + shading ALU work.
-        self.queue.push_back(Op::Load {
-            addr: self.map.material_addr(hit.material.0),
-            bytes: 32,
-        });
-        let cost = material.shading_cost();
-        self.queue.push_back(Op::Compute {
-            cycles: cost,
-            insts: cost,
-        });
+        self.push(PackedOp::MATERIAL, hit.material.0);
+        self.push(PackedOp::COMPUTE, material.shading_cost());
 
         match material.surface {
             Surface::Emissive => {
                 self.end_path();
             }
             Surface::Diffuse => {
-                let mut shadow: Option<Traversal<'s>> = None;
-                if !self.scene.lights().is_empty() {
-                    let light = self.scene.lights()[self.rng.next_below(self.scene.lights().len())];
+                let mut shadow: Option<Traversal<'w>> = None;
+                if !scene.lights().is_empty() {
+                    let light = scene.lights()[self.rng.next_below(scene.lights().len())];
                     let to_light = light.position - hit.point;
                     let dist = to_light.length();
                     if dist > RAY_EPSILON {
@@ -434,12 +468,8 @@ impl<'s> PixelProgram<'s> {
                                 dist - 2.0 * RAY_EPSILON,
                             );
                             // Shadow-ray setup cost.
-                            self.queue.push_back(Op::Compute {
-                                cycles: 6,
-                                insts: 6,
-                            });
-                            shadow =
-                                Some(self.scene.bvh().traverse_any(ray, self.scene.primitives()));
+                            self.push(PackedOp::COMPUTE, 6);
+                            shadow = Some(scene.bvh().traverse_any(ray, scene.primitives()));
                         }
                     }
                 }
@@ -503,15 +533,78 @@ impl<'s> PixelProgram<'s> {
     /// Advances to the next path segment, honouring the bounce limit and
     /// the throughput termination rule of the functional tracer.
     fn continue_bounce(&mut self, ray: Ray, bounce: u32) {
-        if self.throughput.max_component() < 1e-4 || bounce >= self.max_bounces {
+        if self.throughput.max_component() < 1e-4 || bounce >= self.workload.trace.max_bounces {
             self.end_path();
             return;
         }
-        let tr = self.scene.bvh().traverse(ray, self.scene.primitives());
+        let scene = self.workload.scene;
+        let tr = scene.bvh().traverse(ray, scene.primitives());
         self.state = State::Path {
             tr,
             bounce: bounce + 1,
         };
+    }
+
+    /// Decodes the next burst into the dry buffer; `false` if the thread has
+    /// exited. Out of line, so that the pop in `next_op` stays a handful of
+    /// instructions that inline into a warp's gather loop.
+    #[inline(never)]
+    fn refill(&mut self) -> bool {
+        (self.head, self.len) = (0, 0);
+        while self.len as usize + MAX_STEP_OPS <= BURST && self.step() {}
+        self.len > 0
+    }
+
+    /// Advances the state machine once, buffering the at most
+    /// [`MAX_STEP_OPS`] ops that produces; `false` once the thread has
+    /// exited. Traversals are stepped where they live; the state is only
+    /// rewritten when a ray ends.
+    fn step(&mut self) -> bool {
+        let w = self.workload;
+        match &mut self.state {
+            State::FilterExit => {
+                self.push(PackedOp::COMPUTE, 2);
+                self.state = State::Finished;
+            }
+            State::StartSample => {
+                if self.sample >= w.trace.samples_per_pixel.max(1) {
+                    // Frame done for this pixel: write the framebuffer.
+                    self.push(PackedOp::STORE, 0);
+                    self.state = State::Finished;
+                    return true;
+                }
+                self.sample += 1;
+                let Pixel { x, y } = self.pixel;
+                let ray = w
+                    .scene
+                    .camera()
+                    .primary_ray(x, y, w.width, w.height, &mut self.rng);
+                self.push(PackedOp::COMPUTE, 16);
+                let tr = w.scene.bvh().traverse(ray, w.scene.primitives());
+                self.state = State::Path { tr, bounce: 0 };
+            }
+            State::Path { tr, bounce } => match tr.step() {
+                Some(step) => self.push_step(step),
+                None => {
+                    let (hit, incoming, bounce) = (tr.hit(), tr.ray().dir, *bounce);
+                    self.resolve_path_hit(hit, incoming, bounce);
+                }
+            },
+            State::Shadow { tr, resume } => {
+                let step = tr.step();
+                // Early-out once occlusion is proven; either way the
+                // bounce finishes when the shadow query does.
+                if step.is_none() || tr.hit_found() {
+                    let resume = *resume;
+                    self.continue_after_diffuse(resume);
+                }
+                if let Some(step) = step {
+                    self.push_step(step);
+                }
+            }
+            State::Finished => return false,
+        }
+        true
     }
 }
 
@@ -523,70 +616,43 @@ fn schlick(cos: f32, ior: f32) -> f32 {
 
 impl ThreadProgram for PixelProgram<'_> {
     fn next_op(&mut self) -> Option<Op> {
-        loop {
-            if let Some(op) = self.queue.pop_front() {
-                return Some(op);
-            }
-            // Traversals are stepped where they live; the state is only
-            // rewritten when a ray ends.
-            match &mut self.state {
-                State::StartSample => {
-                    if self.sample >= self.spp {
-                        // Frame done for this pixel: write the framebuffer.
-                        self.queue.push_back(Op::Store {
-                            addr: self.map.pixel_addr(self.pixel.x, self.pixel.y, self.width),
-                            bytes: self.map.pixel_stride as u32,
-                        });
-                        // The store drains, then None.
-                        self.state = State::Finished;
-                        continue;
-                    }
-                    self.sample += 1;
-                    let ray = self.scene.camera().primary_ray(
-                        self.pixel.x,
-                        self.pixel.y,
-                        self.width,
-                        self.height,
-                        &mut self.rng,
-                    );
-                    self.queue.push_back(Op::Compute {
-                        cycles: 16,
-                        insts: 16,
-                    });
-                    let tr = self.scene.bvh().traverse(ray, self.scene.primitives());
-                    self.state = State::Path { tr, bounce: 0 };
-                }
-                State::Path { tr, bounce } => match tr.step() {
-                    Some(step) => return Some(Self::op_of(&self.map, step)),
-                    None => {
-                        let (hit, incoming, bounce) = (tr.hit(), tr.ray().dir, *bounce);
-                        self.resolve_path_hit(hit, incoming, bounce);
-                    }
-                },
-                State::Shadow { tr, resume } => {
-                    let step = tr.step();
-                    // Early-out once occlusion is proven; either way the
-                    // bounce finishes when the shadow query does.
-                    if step.is_none() || tr.hit_found() {
-                        let resume = *resume;
-                        self.continue_after_diffuse(resume);
-                    }
-                    if let Some(step) = step {
-                        return Some(Self::op_of(&self.map, step));
-                    }
-                }
-                State::Finished => return None,
-            }
+        if self.head == self.len && !self.refill() {
+            return None;
         }
+        let PackedOp(packed) = self.burst[self.head as usize];
+        self.head += 1;
+        let (map, arg) = (&self.workload.map, packed & PackedOp::ARG_MAX);
+        Some(match packed >> PackedOp::ARG_BITS {
+            PackedOp::COMPUTE => Op::Compute {
+                cycles: arg,
+                insts: arg,
+            },
+            PackedOp::NODE => Op::RtNode {
+                addr: map.node_addr(arg),
+            },
+            PackedOp::PRIM => Op::RtPrim {
+                addr: map.prim_addr(arg),
+            },
+            PackedOp::MATERIAL => Op::Load {
+                addr: map.material_addr(arg),
+                bytes: 32,
+            },
+            _ => Op::Store {
+                addr: map.pixel_addr(self.pixel.x, self.pixel.y, self.workload.width),
+                bytes: map.pixel_stride as u32,
+            },
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::{GpuConfig, Simulator};
+    use gpusim::{GpuConfig, Simulator, TraceHooks};
+    use proptest::prelude::*;
     use rtcore::scenes::SceneId;
     use rtcore::tracer::{trace_pixel, TraceConfig};
+    use std::sync::OnceLock;
 
     fn cfg() -> TraceConfig {
         TraceConfig {
@@ -782,5 +848,150 @@ mod tests {
     fn out_of_bounds_pixel_panics() {
         let scene = SceneId::Sprng.build(1);
         let _ = RtWorkload::new(&scene, 8, 8, cfg(), vec![Pixel::new(8, 0)]);
+    }
+
+    /// The workload as it decoded before run-ahead lanes: boxed
+    /// [`reference`] programs behind the default per-thread warp program.
+    struct ReferenceWorkload<'a>(&'a RtWorkload<'a>);
+
+    impl Workload for ReferenceWorkload<'_> {
+        fn thread_count(&self) -> u64 {
+            self.0.thread_count()
+        }
+
+        fn create_thread(&self, index: u64) -> Box<dyn ThreadProgram + '_> {
+            reference::create_thread(self.0, index)
+        }
+
+        fn filtered_threads(&self) -> u64 {
+            self.0.filtered_threads()
+        }
+    }
+
+    fn drain(mut thread: Box<dyn ThreadProgram + '_>) -> Vec<Op> {
+        std::iter::from_fn(|| thread.next_op()).collect()
+    }
+
+    /// The eight registry scenes, built once for the whole proptest.
+    fn scenes() -> &'static [Scene] {
+        static SCENES: OnceLock<Vec<Scene>> = OnceLock::new();
+        SCENES.get_or_init(|| SceneId::ALL.iter().map(|id| id.build(1)).collect())
+    }
+
+    #[test]
+    fn a_lane_is_no_bigger_than_the_one_it_replaces() {
+        // The parent's lane: a 536-byte `PixelProgram` behind its own `Box`
+        // (16 bytes of allocator header) plus the 64-byte first buffer of
+        // its `VecDeque<Op>` (4 ops x 16 bytes).
+        let (parent, lane) = (536 + 16 + 64, std::mem::size_of::<PixelProgram<'_>>());
+        assert!(
+            lane <= parent,
+            "lane state + burst buffer = {lane} B > 536 + 16 + 64 = {parent} B per lane at the parent"
+        );
+        assert_eq!(
+            std::mem::size_of::<PackedOp>() * 4,
+            std::mem::size_of::<Op>()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The run-ahead lane yields the one-op-at-a-time reference stream
+        /// op for op — per thread, per warp phase, after a slot is reused,
+        /// and up to wherever a lane is dropped.
+        #[test]
+        fn lanes_yield_the_reference_op_stream(
+            scene in 0usize..8,
+            corner in (0u32..13, 0u32..13),
+            spp in 0u32..4,
+            max_bounces in 0u32..6,
+            seed in any::<u64>(),
+            mask in prop::collection::vec(any::<bool>(), 12..13),
+            filtered in any::<bool>(),
+            cut in 0usize..300,
+        ) {
+            let trace = TraceConfig { samples_per_pixel: spp, max_bounces, seed };
+            let pixels = (0..12).map(|i| Pixel::new(corner.0 + i % 4, corner.1 + i / 4)).collect();
+            let mut workload = RtWorkload::new(&scenes()[scene], 16, 16, trace, pixels);
+            if filtered {
+                workload = workload.with_selection(mask);
+            }
+            let want: Vec<Vec<Op>> = (0..12)
+                .map(|i| drain(reference::create_thread(&workload, i)))
+                .collect();
+            for (i, want) in want.iter().enumerate() {
+                prop_assert_eq!(&drain(workload.create_thread(i as u64)), want);
+                // Dropped mid-burst: the prefix is the reference's prefix.
+                let mut lane = workload.create_thread(i as u64);
+                let prefix: Vec<Op> = (0..cut).map_while(|_| lane.next_op()).collect();
+                prop_assert_eq!(&prefix[..], &want[..cut.min(want.len())]);
+            }
+            // One slot, launched twice over different lanes.
+            let mut warp = workload.warp_program();
+            for lanes in [0..12usize, 5..9] {
+                warp.launch(lanes.start as u64, lanes.len() as u32);
+                for phase in 0.. {
+                    let mut got = Vec::new();
+                    warp.gather(&mut got);
+                    let expect: Vec<Op> = want[lanes.clone()]
+                        .iter()
+                        .filter_map(|ops| ops.get(phase).copied())
+                        .collect();
+                    prop_assert_eq!(&got, &expect, "phase {}", phase);
+                    if got.is_empty() {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn engine_sees_the_reference_run_on_park_and_bath() {
+        // `tests/engine_refactor.rs` pins these fingerprints (32x32, 1 spp,
+        // 2 bounces, seed 7, Mobile SoC); the rows are copied, not edited.
+        let golden: [(SceneId, [u64; 8]); 2] = [
+            (
+                SceneId::Park,
+                [77355, 508818, 10966, 124463, 36491, 10705, 11685, 156474],
+            ),
+            (
+                SceneId::Bath,
+                [25414, 544003, 7908, 84694, 4333, 1614, 2600, 158333],
+            ),
+        ];
+        let trace = TraceConfig {
+            samples_per_pixel: 1,
+            max_bounces: 2,
+            seed: 7,
+        };
+        let sim = Simulator::new(GpuConfig::mobile_soc());
+        for (id, fingerprint) in golden {
+            let scene = id.build(1);
+            let workload = RtWorkload::full_frame(&scene, 32, 32, trace);
+            let (mut hooks, mut reference_hooks) = (TraceHooks::new(500), TraceHooks::new(500));
+            let stats = sim.run_with_hooks(&workload, &mut hooks);
+            let reference_stats =
+                sim.run_with_hooks(&ReferenceWorkload(&workload), &mut reference_hooks);
+            assert_eq!(stats, reference_stats, "{id}: SimStats");
+            assert_eq!(hooks.slices(), reference_hooks.slices(), "{id}: slices");
+            assert_eq!(hooks.counters(), reference_hooks.counters(), "{id}");
+            let s = stats;
+            assert_eq!(
+                [
+                    s.cycles,
+                    s.instructions,
+                    s.warp_issues,
+                    s.l1_accesses,
+                    s.l1_misses,
+                    s.l2_misses,
+                    s.dram_transactions,
+                    s.rt_active_rays,
+                ],
+                fingerprint,
+                "{id}: the golden row of tests/engine_refactor.rs"
+            );
+        }
     }
 }
