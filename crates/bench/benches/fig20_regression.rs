@@ -6,7 +6,7 @@
 
 use gpusim::Metric;
 use rtcore::scenes::SceneId;
-use zatel::{DownscaleMode, Zatel};
+use zatel::{DownscaleMode, RunContext, Zatel};
 use zatel_bench as bench;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         let mut z = Zatel::new(&scene, config.clone(), res, res, bench::trace_config());
         z.options_mut().downscale = DownscaleMode::NoDownscale;
         let reg_pred = z
-            .run_with_regression([0.2, 0.3, 0.4])
+            .execute(&RunContext::new().with_regression([0.2, 0.3, 0.4]))
             .expect("regression runs");
 
         z.options_mut().selection.percent_override = Some(0.4);

@@ -179,8 +179,6 @@ fn print_help() {
          lint options (workspace static analysis; see DESIGN.md):\n\
            --check             exit non-zero when any active finding remains\n\
            --json              emit zatel-lint-v1 JSON diagnostics on stdout\n\
-           --sarif             emit SARIF 2.1.0 diagnostics on stdout\n\
-           --concmap           emit the zatel-concmap-v1 concurrency map and exit\n\
            --root DIR          workspace root (default: discovered from cwd)\n\
            --baseline FILE     baseline file (default: <root>/lint-baseline.json)\n\
            --no-baseline       ignore the baseline; show all findings\n\
@@ -1091,12 +1089,6 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     };
     let config = zatel_lint::LintConfig::zatel_workspace(&root);
 
-    if args.flag("concmap") {
-        let doc = zatel_lint::concmap(&config).map_err(|e| e.to_string())?;
-        println!("{}", doc.pretty());
-        return Ok(());
-    }
-
     let baseline_path = args
         .get("baseline")
         .map_or_else(|| root.join("lint-baseline.json"), std::path::PathBuf::from);
@@ -1128,9 +1120,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    if args.flag("sarif") {
-        println!("{}", zatel_lint::sarif::to_sarif(&report).pretty());
-    } else if args.flag("json") {
+    if args.flag("json") {
         println!("{}", report.to_json().pretty());
     } else if !args.flag("quiet") {
         for finding in &report.findings {

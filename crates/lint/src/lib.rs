@@ -40,13 +40,8 @@
 
 #![warn(missing_docs)]
 
-pub mod atomics;
-pub mod graph;
 pub mod lexer;
-pub mod lockorder;
 pub mod rules;
-pub mod sarif;
-pub mod taint;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -89,21 +84,6 @@ pub struct ThreadAllowance {
     pub path: String,
     /// Why the file may create threads — shown in config review, never
     /// empty.
-    pub reason: String,
-}
-
-/// One audited exception to the `atomic-order` rule: an atomic reviewed
-/// to tolerate `Ordering::Relaxed` because no other memory depends on
-/// its value (a pure statistics counter), with the review reason on
-/// record.
-#[derive(Debug, Clone)]
-pub struct AtomicAllowance {
-    /// Workspace-relative file path the atomic lives in.
-    pub path: String,
-    /// The atomic's field name (matched as a suffix of the canonical
-    /// `Container::field` identity, so `hits` covers `StageCache::hits`).
-    pub name: String,
-    /// Why relaxed ordering is sound here — never empty.
     pub reason: String,
 }
 
@@ -180,9 +160,6 @@ pub struct LintConfig {
     /// Exact files exempt from `obs_ban` — the audited hook-seam bridge
     /// files themselves.
     pub obs_allow: Vec<String>,
-    /// Atomics audited to use `Ordering::Relaxed` (the `atomic-order`
-    /// rule), each with its review reason.
-    pub atomics_allow: Vec<AtomicAllowance>,
     /// The observability-seam contract to audit, if any.
     pub seam: Option<SeamSpec>,
 }
@@ -194,9 +171,11 @@ impl LintConfig {
     /// simulated statistics: all of `rtcore`, `gpusim` and `rtworkload`,
     /// plus the prediction-pipeline stages of `zatel` (heatmap →
     /// quantize → partition → select → stages → extrapolate and their
-    /// shared metrics). `pipeline.rs`/`sweep.rs` orchestrate and time
-    /// those stages — wall-clock use there is measurement, not results —
-    /// so they carry only the panic-hygiene and unsafe rules.
+    /// shared metrics) and `sim_executor.rs`, the one file where the
+    /// result path forks threads and reads a clock. `pipeline.rs`/`sweep.rs`
+    /// orchestrate and time those stages — wall-clock use there is
+    /// measurement, not results — so they carry only the panic-hygiene and
+    /// unsafe rules.
     pub fn zatel_workspace(root: impl Into<PathBuf>) -> Self {
         let affect = |s: &str| s.to_owned();
         LintConfig {
@@ -218,6 +197,7 @@ impl LintConfig {
                 "crates/zatel/src/stages.rs",
                 "crates/zatel/src/extrapolate.rs",
                 "crates/zatel/src/metrics.rs",
+                "crates/zatel/src/sim_executor.rs",
             ]
             .iter()
             .map(|s| affect(s))
@@ -256,52 +236,17 @@ impl LintConfig {
                              prediction state"
                         .to_owned(),
                 },
-            ],
-            // Cache statistics counters in the pipeline stage cache:
-            // pure observability tallies read only at scrape/report time,
-            // never used to gate publication of other data, so relaxed
-            // increments are sound. Everything else in the workspace must
-            // justify Relaxed with an inline waiver.
-            atomics_allow: [
-                ("hits", "memory-tier hit counter"),
-                ("misses", "cache miss counter"),
-                ("evictions", "memory-tier eviction counter"),
-                ("corrupt", "disk-tier corrupt-entry counter"),
-                ("memory_hits", "tiered-cache memory hit counter"),
-                ("disk_hits", "tiered-cache disk hit counter"),
-            ]
-            .iter()
-            .map(|(name, what)| AtomicAllowance {
-                path: "crates/zatel/src/stages.rs".to_owned(),
-                name: (*name).to_owned(),
-                reason: format!(
-                    "{what}: a monotonic statistics tally read only by \
-                     scrape/report paths; no other memory is published or \
-                     consumed through its value, so relaxed increments \
-                     cannot reorder anything result-visible"
-                ),
-            })
-            .chain([
-                AtomicAllowance {
+                ThreadAllowance {
                     path: "crates/zatel/src/sim_executor.rs".to_owned(),
-                    name: "cursor".to_owned(),
-                    reason: "work-claiming job cursor: fetch_add hands every \
-                             worker a disjoint index and results are placed \
-                             by index, so claim order is result-invisible; \
-                             the atomic RMW itself is the only guarantee the \
-                             loop needs"
+                    reason: "the `--jobs` pool: scoped workers claim disjoint \
+                             job indices from one cursor and every result lands \
+                             in its input slot before the scope joins, so worker \
+                             count and claim order never reach the output — \
+                             pinned by the serial/parallel and map/map_timed \
+                             identity tests"
                         .to_owned(),
                 },
-                AtomicAllowance {
-                    path: "crates/obs/src/log.rs".to_owned(),
-                    name: "COUNTER".to_owned(),
-                    reason: "fallback request-id sequence: only uniqueness \
-                             matters and the atomic RMW provides it at any \
-                             ordering; ids never reach result-affecting state"
-                        .to_owned(),
-                },
-            ])
-            .collect(),
+            ],
             seam: Some(SeamSpec {
                 trait_file: "crates/gpusim/src/hooks.rs".to_owned(),
                 trait_name: "SimHooks".to_owned(),
@@ -608,12 +553,6 @@ pub fn run(config: &LintConfig, baseline: &Baseline) -> Result<LintReport, LintE
         findings.extend(rules::check_seam(seam, |f| scanned.get(f)));
     }
 
-    // Cross-file rules over the reference graph.
-    let graph = graph::ConcGraph::build(config, &scanned);
-    findings.extend(lockorder::check(&graph));
-    findings.extend(atomics::check(&graph, config));
-    findings.extend(taint::check(&graph, config));
-
     // Inline waivers: a well-formed waiver covers its own line and the
     // next, for the rules it names.
     let mut waived = 0usize;
@@ -642,32 +581,6 @@ pub fn run(config: &LintConfig, baseline: &Baseline) -> Result<LintReport, LintE
         }
     }
     let mut findings = kept;
-
-    // A `wall-clock` waiver consumed by the taint analysis as an audited
-    // stop is used even when the per-line rule had nothing to suppress
-    // there (the clock lives outside the result-affecting prefixes, but
-    // the waiver is what keeps its callers untainted).
-    for f in &graph.functions {
-        for e in &f.events {
-            let graph::Event::Clock {
-                line, waived: true, ..
-            } = e
-            else {
-                continue;
-            };
-            let Some(file) = scanned.get(&f.file) else {
-                continue;
-            };
-            for w in &file.waivers {
-                if (*line == w.line || *line == w.line + 1)
-                    && w.reason.is_some()
-                    && w.rules.iter().any(|r| r == rules::WALL_CLOCK)
-                {
-                    used.insert((f.file.clone(), w.line), true);
-                }
-            }
-        }
-    }
 
     // Waiver hygiene: malformed waivers and stale waivers are findings.
     for (rel, file) in &scanned {
@@ -725,25 +638,6 @@ pub fn run(config: &LintConfig, baseline: &Baseline) -> Result<LintReport, LintE
     })
 }
 
-/// Builds the `zatel-concmap-v1` concurrency-map document for the
-/// configured tree: every spawn site, channel, lock class, atomic (with
-/// audit status) and wall-clock read in non-test code.
-pub fn concmap(config: &LintConfig) -> Result<Value, LintError> {
-    let mut files = Vec::new();
-    for dir in &config.scan_dirs {
-        collect_rs_files(&config.root, dir, &mut files)?;
-    }
-    files.dedup();
-    let mut scanned: BTreeMap<String, lexer::ScannedFile> = BTreeMap::new();
-    for rel in &files {
-        let path = config.root.join(rel);
-        let source = std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-        scanned.insert(rel.clone(), lexer::scan(&source));
-    }
-    let graph = graph::ConcGraph::build(config, &scanned);
-    Ok(graph.to_concmap_json(config))
-}
-
 /// Walks up from `start` to the directory whose `Cargo.toml` declares
 /// `[workspace]`. Lets the binary run from any subdirectory.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
@@ -798,7 +692,15 @@ mod tests {
         let c = LintConfig::zatel_workspace("/does-not-matter");
         assert!(c.kind_of("crates/gpusim/src/engine/sm.rs").result_affecting);
         assert!(c.kind_of("crates/zatel/src/select.rs").result_affecting);
-        assert!(!c.kind_of("crates/zatel/src/pipeline.rs").result_affecting);
+        let pool = c.kind_of("crates/zatel/src/sim_executor.rs");
+        assert!(
+            pool.result_affecting && pool.thread_allowed,
+            "the job pool carries the determinism rules and the one audited spawn"
+        );
+        for orchestration in ["crates/zatel/src/pipeline.rs", "crates/zatel/src/sweep.rs"] {
+            let kind = c.kind_of(orchestration);
+            assert!(!kind.result_affecting && !kind.thread_allowed);
+        }
         assert!(c.kind_of("crates/gpusim/tests/x.rs").test_context);
         assert!(c.kind_of("examples/quickstart.rs").test_context);
         assert!(!c.kind_of("crates/zatel/src/select.rs").test_context);
@@ -841,7 +743,17 @@ mod tests {
     fn thread_allowance_is_exact_and_needs_a_reason() {
         let mut c = LintConfig::zatel_workspace("/does-not-matter");
         let server = "crates/serve/src/server.rs";
-        assert_eq!(c.thread_allow[0].path, server);
+        // The allow-list is the inventory of files that may spawn.
+        let allowed: Vec<&str> = c.thread_allow.iter().map(|a| a.path.as_str()).collect();
+        assert_eq!(
+            allowed,
+            [
+                server,
+                "crates/serve/src/loadgen.rs",
+                "crates/zatel/src/sim_executor.rs"
+            ]
+        );
+        assert!(c.thread_allow.iter().all(|a| !a.reason.trim().is_empty()));
         assert!(c.kind_of(server).thread_allowed);
         assert!(!c.kind_of("crates/serve/src/shard.rs").thread_allowed);
         // The engine is single-threaded: nothing the simulator is built

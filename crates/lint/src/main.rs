@@ -3,18 +3,16 @@
 //! ```text
 //! cargo run -p zatel-lint -- --check            # CI gate: exit 1 on findings
 //! cargo run -p zatel-lint -- --json out.json    # machine-readable diagnostics
-//! cargo run -p zatel-lint -- --sarif out.sarif  # SARIF 2.1.0 for PR annotations
-//! cargo run -p zatel-lint -- --concmap -        # zatel-concmap-v1 concurrency map
 //! cargo run -p zatel-lint -- --write-baseline   # record current debt
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use zatel_lint::{concmap, find_workspace_root, run, sarif, Baseline, LintConfig};
+use zatel_lint::{find_workspace_root, run, Baseline, LintConfig};
 
 const USAGE: &str = "\
-zatel-lint: determinism / panic-hygiene / hook-seam / unsafe-audit gate
+zatel-lint: determinism / panic-hygiene / thread-seam / obs-seam / hook-seam / unsafe-audit gate
 
 USAGE:
     zatel-lint [OPTIONS]
@@ -23,8 +21,6 @@ OPTIONS:
     --root <DIR>        Workspace root (default: discovered from cwd)
     --check             Exit 1 when any active finding remains
     --json <PATH|->     Write zatel-lint-v1 JSON diagnostics (- for stdout)
-    --sarif <PATH|->    Write SARIF 2.1.0 diagnostics (- for stdout)
-    --concmap <PATH|->  Write the zatel-concmap-v1 concurrency map and exit
     --baseline <PATH>   Baseline file (default: <root>/lint-baseline.json)
     --no-baseline       Ignore the baseline; show all findings
     --write-baseline    Snapshot current findings into the baseline and exit
@@ -36,8 +32,6 @@ struct Opts {
     root: Option<PathBuf>,
     check: bool,
     json: Option<String>,
-    sarif: Option<String>,
-    concmap: Option<String>,
     baseline: Option<PathBuf>,
     no_baseline: bool,
     write_baseline: bool,
@@ -49,8 +43,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         root: None,
         check: false,
         json: None,
-        sarif: None,
-        concmap: None,
         baseline: None,
         no_baseline: false,
         write_baseline: false,
@@ -62,8 +54,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--root" => o.root = Some(PathBuf::from(need(&mut it, "--root")?)),
             "--check" => o.check = true,
             "--json" => o.json = Some(need(&mut it, "--json")?),
-            "--sarif" => o.sarif = Some(need(&mut it, "--sarif")?),
-            "--concmap" => o.concmap = Some(need(&mut it, "--concmap")?),
             "--baseline" => o.baseline = Some(PathBuf::from(need(&mut it, "--baseline")?)),
             "--no-baseline" => o.no_baseline = true,
             "--write-baseline" => o.write_baseline = true,
@@ -111,23 +101,6 @@ fn main() -> ExitCode {
     };
 
     let config = LintConfig::zatel_workspace(&root);
-
-    if let Some(out) = &opts.concmap {
-        let doc = match concmap(&config) {
-            Ok(v) => v.pretty() + "\n",
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if out == "-" {
-            print!("{doc}");
-        } else if let Err(e) = std::fs::write(out, doc) {
-            eprintln!("error: {out}: {e}");
-            return ExitCode::from(2);
-        }
-        return ExitCode::SUCCESS;
-    }
 
     let baseline_path = opts
         .baseline
@@ -178,16 +151,6 @@ fn main() -> ExitCode {
             print!("{doc}");
         } else if let Err(e) = std::fs::write(json, doc) {
             eprintln!("error: {json}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    if let Some(out) = &opts.sarif {
-        let doc = sarif::to_sarif(&report).pretty() + "\n";
-        if out == "-" {
-            print!("{doc}");
-        } else if let Err(e) = std::fs::write(out, doc) {
-            eprintln!("error: {out}: {e}");
             return ExitCode::from(2);
         }
     }

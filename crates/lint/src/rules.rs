@@ -31,23 +31,12 @@ pub const OBS_SEAM: &str = "obs-seam";
 pub const STALE_WAIVER: &str = "stale-waiver";
 /// Rule: a waiver missing its rule list or `reason = "..."`.
 pub const MALFORMED_WAIVER: &str = "malformed-waiver";
-/// Rule: two functions acquire the same pair of locks in opposite orders
-/// somewhere in their call graphs (potential deadlock).
-pub const LOCK_ORDER: &str = "lock-order";
-/// Rule: `Ordering::Relaxed` (or a release store with no acquire load) on
-/// an atomic in result-affecting or thread-watched code, outside the
-/// audited allowlist.
-pub const ATOMIC_ORDER: &str = "atomic-order";
-/// Rule: a result-affecting function calls (transitively) into code that
-/// reads a wall clock — call-graph taint, finer than the per-file
-/// `wall-clock` rule.
-pub const CLOCK_TAINT: &str = "clock-taint";
 /// Rule: `lint-baseline.json` carries an entry whose current finding
 /// count is zero — the debt was paid but the allowance was not ratcheted.
 pub const STALE_BASELINE: &str = "stale-baseline";
 
 /// Every rule the engine knows, in diagnostic order.
-pub const ALL_RULES: [&str; 13] = [
+pub const ALL_RULES: [&str; 10] = [
     HASH_COLLECTION,
     WALL_CLOCK,
     PANIC_HYGIENE,
@@ -55,9 +44,6 @@ pub const ALL_RULES: [&str; 13] = [
     HOOK_SEAM,
     THREAD_SEAM,
     OBS_SEAM,
-    LOCK_ORDER,
-    ATOMIC_ORDER,
-    CLOCK_TAINT,
     STALE_WAIVER,
     MALFORMED_WAIVER,
     STALE_BASELINE,
@@ -615,6 +601,25 @@ mod tests {
             thread_allowed: false,
             obs_banned: false,
         }
+    }
+
+    #[test]
+    fn all_rules_lists_exactly_the_rules_the_engine_emits() {
+        assert_eq!(
+            ALL_RULES,
+            [
+                "hash-collection",
+                "wall-clock",
+                "panic-hygiene",
+                "unsafe-code",
+                "hook-seam",
+                "thread-seam",
+                "obs-seam",
+                "stale-waiver",
+                "malformed-waiver",
+                "stale-baseline",
+            ]
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use zatel_lint::rules::{check_seam, SeamImpl, SeamKind, SeamSpec};
-use zatel_lint::{lexer, run, AtomicAllowance, Baseline, LintConfig};
+use zatel_lint::{lexer, run, Baseline, LintConfig};
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -28,7 +28,6 @@ fn ws1_config() -> LintConfig {
         thread_allow: vec![],
         obs_ban: vec!["src/obs_leak.rs".to_owned()],
         obs_allow: vec![],
-        atomics_allow: vec![],
         seam: None,
     }
 }
@@ -159,105 +158,6 @@ fn fixture_findings_vanish_under_their_own_baseline() {
     assert_eq!(second.baselined, first.findings.len());
 }
 
-/// The ws2 fixture config: `src/engine.rs` is result-affecting with one
-/// audited Relaxed atomic; `src/util.rs` is plain code holding the clock
-/// reads the `clock-taint` rule must chase cross-file.
-fn ws2_config() -> LintConfig {
-    LintConfig {
-        root: fixture_root("ws2"),
-        scan_dirs: vec!["src".to_owned()],
-        result_affecting: vec!["src/engine.rs".to_owned()],
-        thread_watch: vec![],
-        unsafe_allow: vec![],
-        thread_allow: vec![],
-        obs_ban: vec![],
-        obs_allow: vec![],
-        atomics_allow: vec![AtomicAllowance {
-            path: "src/engine.rs".to_owned(),
-            name: "sampled".to_owned(),
-            reason: "fixture: audited sampling counter — the count is a pure sum, order-free"
-                .to_owned(),
-        }],
-        seam: None,
-    }
-}
-
-#[test]
-fn ws2_concurrency_diagnostics_match_golden_json() {
-    let report = run(&ws2_config(), &Baseline::empty()).expect("ws2 lint run");
-    let got = report.to_json().pretty() + "\n";
-    let golden_path = fixture_root("ws2.expected.json");
-    if std::env::var_os("ZATEL_LINT_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &got).expect("update golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&golden_path).expect("golden file");
-    assert_eq!(
-        got,
-        want,
-        "ws2 diagnostics drifted; if intentional, update {}",
-        golden_path.display()
-    );
-}
-
-#[test]
-fn ws2_true_positives_fire_and_traps_stay_silent() {
-    let report = run(&ws2_config(), &Baseline::empty()).expect("ws2 lint run");
-    let spans: Vec<(String, String, u32)> = report
-        .findings
-        .iter()
-        .map(|f| (f.file.clone(), f.rule.clone(), f.line))
-        .collect();
-    let count = |rule: &str| spans.iter().filter(|(_, r, _)| r == rule).count();
-
-    // lock-order: exactly the drain/reconcile pair, reported
-    // once per direction. The drop trap, the block-scope trap and the
-    // inverted order inside `mod tests` must all stay silent, so no
-    // finding may mention the `meta` lock.
-    assert_eq!(count("lock-order"), 2, "{spans:?}");
-    assert!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "lock-order")
-            .all(|f| !f.message.contains("meta")),
-        "a trap fired: {spans:?}"
-    );
-
-    // atomic-order: the unaudited Relaxed counter and the acquire-less
-    // Release store. The allowlisted `sampled`, the SeqCst `seen` and
-    // the armed/is_armed pair are traps.
-    assert_eq!(count("atomic-order"), 2, "{spans:?}");
-    assert!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "atomic-order")
-            .all(|f| f.message.contains("hits") || f.message.contains("ready")),
-        "an atomic trap fired: {spans:?}"
-    );
-
-    // clock-taint: only the unwaived cross-file read; the audited callee
-    // is a taint stop.
-    assert_eq!(count("clock-taint"), 1, "{spans:?}");
-    assert!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "clock-taint")
-            .all(|f| f.message.contains("stamp_us") && !f.message.contains("audited_stamp_us")),
-        "the audited stop leaked taint: {spans:?}"
-    );
-
-    // No per-line wall-clock findings: the reads live outside
-    // result-affecting code — only the taint rule may chase them.
-    assert_eq!(count("wall-clock"), 0, "{spans:?}");
-
-    // The taint-stop waiver in util.rs counts as used; the fixture's
-    // panic-hygiene waivers all match. Nothing is stale.
-    assert_eq!(count("stale-waiver"), 0, "{spans:?}");
-}
-
 fn seam_spec_for(file: &str) -> SeamSpec {
     SeamSpec {
         trait_file: file.to_owned(),
@@ -312,8 +212,9 @@ fn seam_rule_catches_method_added_without_noop_and_missing_forward() {
 }
 
 /// End-to-end acceptance check: seed a `HashMap` iteration into a fake
-/// `select.rs` and a fresh `unwrap()` into a fake `pipeline.rs` under a
-/// throwaway root, and the real binary must exit non-zero with correct
+/// `select.rs`, a fresh `unwrap()` into a fake `pipeline.rs` and an
+/// unwaived clock read plus a `HashMap` into a fake `sim_executor.rs` under
+/// a throwaway root, and the real binary must exit non-zero with correct
 /// file:line diagnostics.
 #[test]
 fn seeded_violations_fail_the_check_with_correct_spans() {
@@ -330,6 +231,11 @@ fn seeded_violations_fail_the_check_with_correct_spans() {
         "pub fn g(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n",
     )
     .expect("seed pipeline.rs");
+    std::fs::write(
+        zsrc.join("sim_executor.rs"),
+        "use std::collections::HashMap;\n\npub fn h() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
+    )
+    .expect("seed sim_executor.rs");
 
     let out = Command::new(env!("CARGO_BIN_EXE_zatel-lint"))
         .args(["--root"])
@@ -368,6 +274,14 @@ fn seeded_violations_fail_the_check_with_correct_spans() {
     assert!(
         has("crates/zatel/src/pipeline.rs", "panic-hygiene", 2),
         "seeded unwrap: {stdout}"
+    );
+    assert!(
+        has("crates/zatel/src/sim_executor.rs", "hash-collection", 1),
+        "seeded HashMap in the job pool: {stdout}"
+    );
+    assert!(
+        has("crates/zatel/src/sim_executor.rs", "wall-clock", 4),
+        "seeded unwaived clock read in the job pool: {stdout}"
     );
 }
 

@@ -1,16 +1,11 @@
-//! Property tests for the lint lexer and the concurrency-graph walker on
-//! adversarial snippets: comment markers inside strings, raw strings,
-//! nested and unterminated block comments, char literals vs lifetimes,
-//! stray braces. The lexer must stay total, line-preserving and
-//! deterministic, and the graph walker must never place an event outside
-//! the file it walked — on *any* input, not just well-formed Rust.
-
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+//! Property tests for the lint lexer on adversarial snippets: comment
+//! markers inside strings, raw strings, nested and unterminated block
+//! comments, char literals vs lifetimes, stray braces. The lexer must stay
+//! total, line-preserving and deterministic — on *any* input, not just
+//! well-formed Rust.
 
 use proptest::prelude::*;
-use zatel_lint::graph::{ConcGraph, Event};
-use zatel_lint::{lexer, LintConfig};
+use zatel_lint::lexer;
 
 /// Each fragment is one adversarial line; snippets are random stacks of
 /// them. Several are deliberately malformed (unterminated string or
@@ -55,35 +50,6 @@ fn snippet() -> impl Strategy<Value = String> {
     })
 }
 
-fn graph_config() -> LintConfig {
-    LintConfig {
-        // A root that does not exist: crate-dep resolution must fall
-        // back to permissive instead of erroring.
-        root: PathBuf::from("/nonexistent/zatel-prop-root"),
-        scan_dirs: vec!["src".to_owned()],
-        result_affecting: vec!["src".to_owned()],
-        thread_watch: vec![],
-        unsafe_allow: vec![],
-        thread_allow: vec![],
-        obs_ban: vec![],
-        obs_allow: vec![],
-        atomics_allow: vec![],
-        seam: None,
-    }
-}
-
-fn event_line(e: &Event) -> Option<u32> {
-    match e {
-        Event::Lock { line, .. }
-        | Event::Call { line, .. }
-        | Event::Atomic { line, .. }
-        | Event::Clock { line, .. }
-        | Event::Spawn { line }
-        | Event::Channel { line, .. } => Some(*line),
-        Event::DropVar { .. } | Event::Close { .. } => None,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -113,30 +79,6 @@ proptest! {
                 line.code
             );
         }
-    }
-
-    #[test]
-    fn graph_walker_is_total_and_stays_in_bounds(src in snippet()) {
-        let scanned = lexer::scan(&src);
-        let line_count = scanned.lines.len() as u32;
-        let mut files = BTreeMap::new();
-        files.insert("src/prop.rs".to_owned(), scanned);
-        let graph = ConcGraph::build(&graph_config(), &files);
-        for f in &graph.functions {
-            prop_assert_eq!(f.file.as_str(), "src/prop.rs");
-            prop_assert!(f.line >= 1 && f.line <= line_count.max(1));
-            for e in &f.events {
-                if let Some(line) = event_line(e) {
-                    prop_assert!(
-                        line >= 1 && line <= line_count,
-                        "event outside the file: {:?}",
-                        e
-                    );
-                }
-            }
-        }
-        // Transitive closure must terminate and cover every function.
-        prop_assert_eq!(graph.transitive_acquires().len(), graph.functions.len());
     }
 
     #[test]

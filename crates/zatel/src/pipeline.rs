@@ -317,9 +317,7 @@ pub struct Prediction {
     /// select, simulate-groups with one `group N` span per job, and
     /// extrapolate), sorted by start offset.
     pub spans: Vec<SpanRecord>,
-    /// The execution-time heatmap profiled by [`Zatel::run`] /
-    /// [`Zatel::run_with_regression`]; `None` when the pipeline reused a
-    /// caller-supplied quantized heatmap.
+    /// The execution-time heatmap profiled by [`Zatel::execute`].
     pub heatmap: Option<Heatmap>,
     /// How each stage execution interacted with the artifact cache, in
     /// pipeline order. A cold [`Zatel::run`] reports all misses; sweep
@@ -400,7 +398,7 @@ impl Prediction {
 /// let trace = TraceConfig { samples_per_pixel: 2, max_bounces: 4, seed: 1 };
 /// let zatel = Zatel::new(&scene, GpuConfig::mobile_soc(), 128, 128, trace);
 /// let cache = ArtifactCache::in_memory();
-/// // Identical to zatel.run_cached(&cache):
+/// // Stage artifacts land in `cache` and are served to later executions:
 /// let prediction = zatel.execute(&RunContext::new().with_cache(&cache))?;
 /// # Ok(())
 /// # }
@@ -560,19 +558,8 @@ impl<'s> Zatel<'s> {
         self.execute(&RunContext::new())
     }
 
-    /// Runs the full prediction pipeline through `cache`. Thin wrapper
-    /// over [`Zatel::execute`] with [`RunContext::with_cache`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZatelError`] if the configured downscale factor is
-    /// invalid.
-    pub fn run_cached(&self, cache: &ArtifactCache) -> Result<Prediction, ZatelError> {
-        self.execute(&RunContext::new().with_cache(cache))
-    }
-
     /// Runs the pipeline as described by `ctx` — the single execution
-    /// entry point every `run*` convenience wrapper forwards to.
+    /// entry point; [`Zatel::run`] is its empty-context spelling.
     ///
     /// * [`RunContext::with_cache`] shares stage artifacts across runs:
     ///   cached stages are served instead of recomputed, their spans carry
@@ -582,8 +569,7 @@ impl<'s> Zatel<'s> {
     ///   exponential-regression variant. That path simulates three traced
     ///   fractions directly and never consults the stage cache, so a
     ///   configured cache is ignored (the response's `cache` record list
-    ///   is empty, exactly as [`Zatel::run_with_regression`] always
-    ///   reported).
+    ///   is empty).
     /// * [`RunContext::with_observe`] overrides
     ///   [`ZatelOptions::observe`] for this execution only.
     ///
@@ -655,34 +641,9 @@ impl<'s> Zatel<'s> {
         );
         let preprocess_wall = pre_start.elapsed();
         let mut prediction =
-            self.run_from_quantized(&quantized, preprocess_wall, None, cache, &sheet, records)?;
+            self.run_from_quantized(&quantized, preprocess_wall, cache, &sheet, records)?;
         prediction.heatmap = Some(heatmap.as_ref().clone());
         Ok(prediction)
-    }
-
-    /// Runs the pipeline reusing an existing quantized heatmap (lets sweeps
-    /// skip re-profiling) and optionally overriding the traced percentage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZatelError`] if the configured downscale factor is
-    /// invalid.
-    pub fn run_with_preprocessed(
-        &self,
-        quantized: &QuantizedHeatmap,
-        preprocess_wall: Duration,
-        percent_override: Option<f64>,
-    ) -> Result<Prediction, ZatelError> {
-        self.options.validate()?;
-        let sheet = SpanSheet::new();
-        self.run_from_quantized(
-            &Arc::new(quantized.clone()),
-            preprocess_wall,
-            percent_override,
-            &ArtifactCache::in_memory(),
-            &sheet,
-            Vec::new(),
-        )
     }
 
     /// The heatmap stage for this predictor's resolution and trace config.
@@ -709,7 +670,6 @@ impl<'s> Zatel<'s> {
         &self,
         quantized: &Arc<QuantizedHeatmap>,
         preprocess_wall: Duration,
-        percent_override: Option<f64>,
         cache: &ArtifactCache,
         sheet: &SpanSheet,
         mut records: Vec<StageCacheRecord>,
@@ -730,10 +690,6 @@ impl<'s> Zatel<'s> {
             0,
         );
 
-        let mut sel_opts = self.options.selection;
-        if let Some(p) = percent_override {
-            sel_opts.percent_override = Some(p);
-        }
         let mut input_h = Fnv64::new();
         input_h
             .write_u64(groups_fp)
@@ -742,7 +698,9 @@ impl<'s> Zatel<'s> {
             cache,
             sheet,
             &mut records,
-            &SelectStage { options: sel_opts },
+            &SelectStage {
+                options: self.options.selection,
+            },
             &SelectInput {
                 groups: Arc::clone(&groups),
                 quantized: Arc::clone(quantized),
@@ -814,8 +772,7 @@ impl<'s> Zatel<'s> {
             });
             let (stats, trace, obs) = if trace_hooks.is_none() && obs_hooks.is_none() {
                 // The uninstrumented path keeps the NullHooks monomorphization.
-                let stats = simulator.run_with_hooks(&workload, &mut gpusim::NullHooks);
-                (stats, None, None)
+                (simulator.run(&workload), None, None)
             } else {
                 let mut hooks = (trace_hooks, obs_hooks);
                 let stats = simulator.run_with_hooks(&workload, &mut hooks);
@@ -862,20 +819,9 @@ impl<'s> Zatel<'s> {
         SimExecutor::seeded(jobs, self.trace.seed)
     }
 
-    /// Runs the exponential-regression variant of Section IV-F: simulate at
-    /// the three given fractions, fit per metric and predict 100 %. Thin
-    /// wrapper over [`Zatel::execute`] with [`RunContext::with_regression`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZatelError`] if the downscale factor is invalid or the
-    /// fractions are not strictly increasing, equally spaced values in
-    /// `(0, 1]`.
-    pub fn run_with_regression(&self, fractions: [f64; 3]) -> Result<Prediction, ZatelError> {
-        self.execute(&RunContext::new().with_regression(fractions))
-    }
-
-    /// The regression pipeline (see [`Zatel::run_with_regression`]).
+    /// The exponential-regression variant of Section IV-F: simulate at the
+    /// three given fractions, fit per metric and predict 100 % (see
+    /// [`RunContext::with_regression`]).
     fn execute_regression(&self, fractions: [f64; 3]) -> Result<Prediction, ZatelError> {
         self.options.validate()?;
         let [f1, f2, f3] = fractions;
@@ -1183,18 +1129,20 @@ mod tests {
     }
 
     #[test]
-    fn execute_regression_ignores_cache_and_matches_wrapper() {
+    fn execute_regression_ignores_cache() {
         let scene = SceneId::Sprng.build(1);
         let z = quick_zatel(&scene);
         let fractions = [0.2, 0.3, 0.4];
-        let wrapper = z.run_with_regression(fractions).expect("wrapper");
+        let uncached = z
+            .execute(&RunContext::new().with_regression(fractions))
+            .expect("uncached execute");
         let cache = ArtifactCache::in_memory();
         let ctx = RunContext::new()
             .with_cache(&cache)
             .with_regression(fractions);
         let via_execute = z.execute(&ctx).expect("execute");
         assert_eq!(
-            wrapper.value(Metric::SimCycles),
+            uncached.value(Metric::SimCycles),
             via_execute.value(Metric::SimCycles)
         );
         assert!(
@@ -1362,12 +1310,7 @@ mod tests {
         z.options_mut().trace_slice_cycles = Some(0);
         for result in [
             z.run(),
-            z.run_with_regression([0.2, 0.3, 0.4]),
-            z.run_with_preprocessed(
-                &QuantizedHeatmap::quantize(&Heatmap::profile(&scene, 64, 64, &trace()), 8, 9),
-                Duration::ZERO,
-                None,
-            ),
+            z.execute(&RunContext::new().with_regression([0.2, 0.3, 0.4])),
         ] {
             match result {
                 Err(ZatelError::InvalidOptions(msg)) => {
@@ -1448,10 +1391,11 @@ mod tests {
         let scene = SceneId::Sprng.build(1);
         let mut z = quick_zatel(&scene);
         z.options_mut().downscale = DownscaleMode::NoDownscale;
-        let pred = z.run_with_regression([0.2, 0.3, 0.4]).unwrap();
+        let regress = |fractions| z.execute(&RunContext::new().with_regression(fractions));
+        let pred = regress([0.2, 0.3, 0.4]).unwrap();
         assert!(pred.value(Metric::SimCycles).is_finite());
-        assert!(z.run_with_regression([0.4, 0.3, 0.2]).is_err());
-        assert!(z.run_with_regression([0.2, 0.35, 0.4]).is_err());
+        assert!(regress([0.4, 0.3, 0.2]).is_err());
+        assert!(regress([0.2, 0.35, 0.4]).is_err());
     }
 
     #[test]

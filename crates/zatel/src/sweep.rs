@@ -31,7 +31,7 @@ use std::sync::Arc;
 use minijson::{FromJson, JsonError, Map, ToJson, Value};
 
 use crate::error::ZatelError;
-use crate::pipeline::{DownscaleMode, Prediction, Zatel};
+use crate::pipeline::{DownscaleMode, Prediction, RunContext, Zatel};
 use crate::sim_executor::SimExecutor;
 use crate::stages::ArtifactCache;
 
@@ -368,7 +368,8 @@ impl<'s> SweepDriver<'s> {
         match self.parallelism {
             SweepParallelism::Points => {
                 let results = self.executor.map(&spec.points, |_, point| {
-                    self.point_zatel(point, true).run_cached(&self.cache)
+                    self.point_zatel(point, true)
+                        .execute(&RunContext::new().with_cache(&self.cache))
                 });
                 spec.points
                     .iter()
@@ -386,7 +387,7 @@ impl<'s> SweepDriver<'s> {
                 .iter()
                 .map(|point| {
                     self.point_zatel(point, false)
-                        .run_cached(&self.cache)
+                        .execute(&RunContext::new().with_cache(&self.cache))
                         .map(|prediction| SweepOutcome {
                             point: point.clone(),
                             prediction,

@@ -39,6 +39,7 @@ pub mod prelude {
     pub use rtcore::tracer::TraceConfig;
     pub use rtworkload::RtWorkload;
     pub use zatel::{
-        Distribution, DivisionMethod, DownscaleMode, Prediction, SimExecutor, Zatel, ZatelOptions,
+        Distribution, DivisionMethod, DownscaleMode, Prediction, RunContext, SimExecutor, Zatel,
+        ZatelOptions,
     };
 }

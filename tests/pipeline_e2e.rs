@@ -103,7 +103,7 @@ fn regression_and_linear_both_predict_same_order_of_magnitude() {
     let mut z = Zatel::new(&scene, GpuConfig::mobile_soc(), 64, 64, trace());
     z.options_mut().downscale = DownscaleMode::NoDownscale;
     let reg = z
-        .run_with_regression([0.2, 0.3, 0.4])
+        .execute(&RunContext::new().with_regression([0.2, 0.3, 0.4]))
         .expect("regression runs");
     z.options_mut().selection.percent_override = Some(0.4);
     let lin = z.run().expect("linear runs");
