@@ -6,7 +6,7 @@
 
 use gpusim::Metric;
 use rtcore::scenes::SceneId;
-use zatel::{DownscaleMode, RunContext, Zatel};
+use zatel::{ArtifactCache, DownscaleMode, RunContext, Zatel};
 use zatel_bench as bench;
 
 fn main() {
@@ -30,12 +30,16 @@ fn main() {
 
         let mut z = Zatel::new(&scene, config.clone(), res, res, bench::trace_config());
         z.options_mut().downscale = DownscaleMode::NoDownscale;
+        // One cache for both runs: the direct 40 % run reuses the
+        // regression's heatmap, quantization, division and 40 % selection.
+        let cache = ArtifactCache::in_memory();
+        let ctx = RunContext::new().with_cache(&cache);
         let reg_pred = z
-            .execute(&RunContext::new().with_regression([0.2, 0.3, 0.4]))
+            .execute(&ctx.clone().with_regression([0.2, 0.3, 0.4]))
             .expect("regression runs");
 
         z.options_mut().selection.percent_override = Some(0.4);
-        let direct_pred = z.run().expect("direct run");
+        let direct_pred = z.execute(&ctx).expect("direct run");
 
         let reg_errs = bench::metric_errors(&reg_pred, &reference.stats);
         let dir_errs = bench::metric_errors(&direct_pred, &reference.stats);

@@ -15,18 +15,12 @@
 //! zatel serve [--addr 127.0.0.1:7878] [--workers 2] [--queue 64]
 //!             [--sim-jobs N] [--deadline-ms N] [--cache-dir DIR]
 //!             [--cache-budget-mb N] [--no-dedup] [--log-out FILE|-]
-//! zatel loadgen --record trace.jsonl [--requests 32] [--unique 4]
-//!               [--scenes SPRNG,PARK] [--res 32] [--spp 1] [--qps 50]
-//! zatel loadgen --replay trace.jsonl --url http://host:7878
-//!               [--concurrency 4] [--qps N] [--bench-out FILE]
 //! zatel predict --url http://host:7878 ...   # same output, computed remotely
 //! zatel sweep --url http://host:7878 ...
 //! zatel report --run run.json [--history runs.jsonl] [--pgm heatmap.pgm]
 //!              [--prom metrics.prom]
 //! zatel report [--history runs.jsonl]      # summarize recorded history
 //! zatel heatmap --scene WKND --res 256 --out target/heatmaps
-//! zatel lint [--check] [--json] [--root DIR] [--baseline FILE]
-//!            [--no-baseline] [--write-baseline] [--quiet]
 //! ```
 //!
 //! All progress and diagnostic output goes to **stderr**; stdout carries
@@ -71,10 +65,8 @@ fn run(argv: Vec<String>) -> Result<(), String> {
         "predict" => cmd_predict(&args),
         "sweep" => cmd_sweep(&args),
         "serve" => cmd_serve(&args),
-        "loadgen" => cmd_loadgen(&args),
         "report" => cmd_report(&args),
         "heatmap" => cmd_heatmap(&args),
-        "lint" => cmd_lint(&args),
         other => Err(format!("unknown subcommand '{other}'; try 'zatel help'")),
     }
 }
@@ -83,7 +75,7 @@ fn print_help() {
     println!(
         "zatel — sample complexity-aware scale-model simulation for ray tracing\n\
          \n\
-         USAGE:\n  zatel <scenes|configs|predict|sweep|serve|loadgen|report|heatmap|lint|help> [options]\n\
+         USAGE:\n  zatel <scenes|configs|predict|sweep|serve|report|heatmap|help> [options]\n\
          \n\
          predict options:\n\
            --scene NAME        benchmark scene (default PARK; see 'zatel scenes')\n\
@@ -148,24 +140,6 @@ fn print_help() {
                                line per request plus a drain summary (default\n\
                                stderr; '-'/'stderr' or a file path)\n\
          \n\
-         loadgen options (record/replay load against 'zatel serve'):\n\
-           --record FILE       write a deterministic zatel-loadtrace-v1 JSONL\n\
-                               trace (no server needed)\n\
-           --requests N        trace length (default 32)\n\
-           --unique N          distinct request shapes the trace cycles\n\
-                               through — duplicates exercise the cache and\n\
-                               single-flight paths (default 4)\n\
-           --scenes LIST       comma-separated scene rotation (default SPRNG)\n\
-           --res N / --spp N   recorded request size (defaults 32 / 1)\n\
-           --qps F             pacing: recorded offsets are spaced 1000/F ms;\n\
-                               with --replay it re-paces the trace (default 50)\n\
-           --replay FILE       fire a recorded trace at --url and report\n\
-                               throughput, latency percentiles and the\n\
-                               server's cache/coalesce deltas from /metrics\n\
-           --url URL           the 'zatel serve' instance to replay against\n\
-           --concurrency N     replay client threads (default 4)\n\
-           --bench-out FILE    write the zatel-bench-serve-fleet-v1 JSON report\n\
-         \n\
          report options:\n\
            --run FILE          run record written by 'zatel predict --run-out';\n\
                                without --run, summarizes the recorded history\n\
@@ -174,16 +148,7 @@ fn print_help() {
            --prom FILE         write the metrics snapshot in Prometheus text format\n\
          \n\
          heatmap options:\n\
-           --scene NAME --res N --out DIR   write heatmap/quantized PPM images\n\
-         \n\
-         lint options (workspace static analysis; see DESIGN.md):\n\
-           --check             exit non-zero when any active finding remains\n\
-           --json              emit zatel-lint-v1 JSON diagnostics on stdout\n\
-           --root DIR          workspace root (default: discovered from cwd)\n\
-           --baseline FILE     baseline file (default: <root>/lint-baseline.json)\n\
-           --no-baseline       ignore the baseline; show all findings\n\
-           --write-baseline    snapshot current findings into the baseline\n\
-           --quiet             suppress the per-finding text output"
+           --scene NAME --res N --out DIR   write heatmap/quantized PPM images"
     );
 }
 
@@ -804,72 +769,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `zatel loadgen`: record a deterministic `zatel-loadtrace-v1` trace
-/// and/or replay one against a running `zatel serve` instance.
-fn cmd_loadgen(args: &Args) -> Result<(), String> {
-    let mut config = zatel_serve::LoadgenConfig::default();
-    config.requests = args
-        .get_parsed("requests", config.requests)
-        .map_err(|e| e.to_string())?;
-    config.unique = args
-        .get_parsed("unique", config.unique)
-        .map_err(|e| e.to_string())?;
-    if let Some(scenes) = args.get("scenes") {
-        config.scenes = scenes
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_owned)
-            .collect();
-    }
-    config.res = args
-        .get_parsed("res", config.res)
-        .map_err(|e| e.to_string())?;
-    config.spp = args
-        .get_parsed("spp", config.spp)
-        .map_err(|e| e.to_string())?;
-    let qps_given = args.get("qps").is_some();
-    config.qps = args
-        .get_parsed("qps", config.qps)
-        .map_err(|e| e.to_string())?;
-    config.concurrency = args
-        .get_parsed("concurrency", config.concurrency)
-        .map_err(|e| e.to_string())?;
-
-    let record = args.get("record");
-    let replay = args.get("replay");
-    if record.is_none() && replay.is_none() {
-        return Err("loadgen needs --record FILE, --replay FILE or both".into());
-    }
-    if let Some(path) = record {
-        let entries = zatel_serve::loadgen::build_trace(&config)?;
-        zatel_serve::loadgen::write_trace(path, &entries)?;
-        eprintln!(
-            "zatel loadgen: recorded {} request(s) over {} scene(s) to {path}",
-            entries.len(),
-            config.scenes.len()
-        );
-    }
-    let Some(path) = replay else {
-        return Ok(());
-    };
-    let url = args
-        .get("url")
-        .ok_or("--replay needs --url http://host:port")?;
-    let entries = zatel_serve::loadgen::read_trace(path)?;
-    // Replaying what was just recorded honors the trace's own pacing
-    // unless --qps explicitly re-paces it.
-    let qps_override = qps_given.then_some(config.qps);
-    let report = zatel_serve::loadgen::replay_trace(url, &entries, &config, qps_override)?;
-    print!("{}", report.render_text());
-    if let Some(out) = args.get("bench-out") {
-        std::fs::write(out, format!("{}\n", report.to_json().pretty()))
-            .map_err(|e| format!("writing bench report '{out}': {e}"))?;
-        eprintln!("zatel loadgen: wrote bench report to {out}");
-    }
-    Ok(())
-}
-
 /// Builds the `zatel-run-v1` record persisted by `--run-out` and consumed
 /// by `zatel report`. Wall-clock times live only in span/wall fields so
 /// the `metrics` section stays byte-identical across repeat runs.
@@ -1072,74 +971,6 @@ fn cmd_report_history(args: &Args) -> Result<(), String> {
                 ""
             ),
         );
-    }
-    Ok(())
-}
-
-/// `zatel lint` — the workspace static-analysis gate, sharing its engine
-/// (and therefore its findings, waivers and baseline semantics) with the
-/// standalone `zatel-lint` binary and CI's `lint-gate` job.
-fn cmd_lint(args: &Args) -> Result<(), String> {
-    let root = match args.get("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::current_dir()
-            .ok()
-            .and_then(|d| zatel_lint::find_workspace_root(&d))
-            .ok_or("could not locate a workspace root; pass --root")?,
-    };
-    let config = zatel_lint::LintConfig::zatel_workspace(&root);
-
-    let baseline_path = args
-        .get("baseline")
-        .map_or_else(|| root.join("lint-baseline.json"), std::path::PathBuf::from);
-
-    let baseline = if args.flag("no-baseline") || args.flag("write-baseline") {
-        zatel_lint::Baseline::empty()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => zatel_lint::Baseline::parse(&text)
-                .map_err(|e| format!("{}: {e}", baseline_path.display()))?,
-            Err(_) => zatel_lint::Baseline::empty(),
-        }
-    };
-
-    let report = zatel_lint::run(&config, &baseline).map_err(|e| e.to_string())?;
-
-    if args.flag("write-baseline") {
-        let doc = zatel_lint::Baseline::from_findings(&report.findings)
-            .to_json()
-            .pretty()
-            + "\n";
-        std::fs::write(&baseline_path, doc)
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "wrote {} ({} finding(s) recorded)",
-            baseline_path.display(),
-            report.findings.len()
-        );
-        return Ok(());
-    }
-
-    if args.flag("json") {
-        println!("{}", report.to_json().pretty());
-    } else if !args.flag("quiet") {
-        for finding in &report.findings {
-            println!("{}", finding.render());
-        }
-    }
-    eprintln!(
-        "zatel-lint: {} finding(s), {} waived, {} baselined, {} files scanned",
-        report.findings.len(),
-        report.waived,
-        report.baselined,
-        report.files_scanned
-    );
-
-    if args.flag("check") && !report.findings.is_empty() {
-        return Err(format!(
-            "lint --check failed with {} finding(s)",
-            report.findings.len()
-        ));
     }
     Ok(())
 }

@@ -214,8 +214,8 @@ impl LintConfig {
             // The serve crate is thread-watched rather than
             // result-affecting: wall clocks and hash maps there are
             // measurement, but its thread topology (routers, shard
-            // workers, replay clients) is the fleet's correctness
-            // surface, so every seam must be on the audit list below.
+            // workers) is the fleet's correctness surface, so every seam
+            // must be on the audit list below.
             thread_watch: vec!["crates/serve/src".to_owned()],
             thread_allow: vec![
                 ThreadAllowance {
@@ -226,14 +226,6 @@ impl LintConfig {
                              and execute on exactly one shard, so thread count \
                              never reaches a response's deterministic subset — \
                              pinned by the shard-count and dedup identity tests"
-                        .to_owned(),
-                },
-                ThreadAllowance {
-                    path: "crates/serve/src/loadgen.rs".to_owned(),
-                    reason: "load-replay client threads: measurement-side only; \
-                             they post traced requests at recorded offsets and \
-                             aggregate latencies, and never touch simulation or \
-                             prediction state"
                         .to_owned(),
                 },
                 ThreadAllowance {
@@ -745,14 +737,7 @@ mod tests {
         let server = "crates/serve/src/server.rs";
         // The allow-list is the inventory of files that may spawn.
         let allowed: Vec<&str> = c.thread_allow.iter().map(|a| a.path.as_str()).collect();
-        assert_eq!(
-            allowed,
-            [
-                server,
-                "crates/serve/src/loadgen.rs",
-                "crates/zatel/src/sim_executor.rs"
-            ]
-        );
+        assert_eq!(allowed, [server, "crates/zatel/src/sim_executor.rs"]);
         assert!(c.thread_allow.iter().all(|a| !a.reason.trim().is_empty()));
         assert!(c.kind_of(server).thread_allowed);
         assert!(!c.kind_of("crates/serve/src/shard.rs").thread_allowed);

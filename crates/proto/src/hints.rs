@@ -8,11 +8,9 @@
 //! still produce byte-identical deterministic subsets, so they may share
 //! cached artifacts and even coalesce onto one execution.
 //!
-//! `ExecutionHints` supersedes the loose per-field plumbing of the same
-//! knobs (the top-level `deadline_ms` request field, `jobs` smuggled
-//! through `options`). The legacy `deadline_ms` field is still
-//! accepted for `zatel-api-v1` compatibility; when both are set the hint
-//! wins (see `PredictRequest::effective_deadline_ms`).
+//! `hints.deadline_ms` is the only deadline spelling: a top-level
+//! `deadline_ms` (the field it replaced) is an unknown field now, ignored
+//! like any other.
 
 use minijson::{FromJson, JsonError, Map, ToJson, Value};
 
@@ -27,7 +25,7 @@ pub struct ExecutionHints {
     pub jobs: Option<usize>,
     /// Client deadline budget: a server answers `504` if the request is
     /// still queued when this elapses (execution is never preempted once
-    /// started). Wins over the deprecated top-level `deadline_ms`.
+    /// started).
     pub deadline_ms: Option<u64>,
     /// Opt this request out of single-flight dedup: it never coalesces
     /// onto another request's execution and no other request coalesces
@@ -118,6 +116,18 @@ pub(crate) fn with_legacy_thread_knobs(doc: &Value) -> Value {
         .replace(r#""options":{"#, r#""options":{"sim_threads":4,"#);
     assert_eq!(text.matches("_threads").count(), 3, "{doc}");
     Value::parse(&text).expect("legacy doc")
+}
+
+/// `doc` with the removed top-level `deadline_ms` request field injected —
+/// an unknown field now.
+#[cfg(test)]
+pub(crate) fn with_legacy_deadline(doc: &Value) -> Value {
+    let mut doc = doc.clone();
+    let Value::Object(m) = &mut doc else {
+        panic!("request documents are objects");
+    };
+    m.insert("deadline_ms".into(), Value::from(0u64));
+    doc
 }
 
 #[cfg(test)]

@@ -38,7 +38,6 @@
 mod config;
 mod debug;
 mod hints;
-mod loadtrace;
 mod predict;
 mod sweep;
 mod wire;
@@ -46,11 +45,7 @@ mod wire;
 pub use config::ConfigRef;
 pub use debug::{DebugSlowResponse, SlowRequestEntry};
 pub use hints::ExecutionHints;
-pub use loadtrace::{LoadTraceEntry, LOADTRACE_SCHEMA};
-pub use predict::{
-    GroupReport, MetricValues, PredictRequest, PredictRequestBuilder, PredictResponse,
-    ReferenceReport, StageCacheOutcome,
-};
+pub use predict::{GroupReport, MetricValues, PredictRequest, PredictResponse, ReferenceReport};
 pub use sweep::{sweep_point_record, SweepRequest, SweepResponse};
 pub use wire::{ErrorKind, ErrorResponse, SceneInfo, ScenesResponse};
 

@@ -28,15 +28,6 @@ pub struct PredictRequest {
     pub regression: Option<[f64; 3]>,
     /// Also run the full reference simulation and report errors.
     pub reference: bool,
-    /// Client deadline. A server drops the request with `504` if it is
-    /// still queued when this budget elapses (execution is never
-    /// preempted once started).
-    ///
-    /// **Deprecated** in favour of [`crate::ExecutionHints::deadline_ms`]
-    /// (`hints.deadline_ms`); still accepted so existing `zatel-api-v1`
-    /// documents keep parsing. When both are set the hint wins — see
-    /// [`PredictRequest::effective_deadline_ms`].
-    pub deadline_ms: Option<u64>,
     /// Execution-only knobs (job cap, deadline, dedup opt-out).
     /// Excluded from the affinity and dedup fingerprints: hints never
     /// change the computed result, so differently-hinted requests still
@@ -57,17 +48,7 @@ impl PredictRequest {
             options: None,
             regression: None,
             reference: false,
-            deadline_ms: None,
             hints: None,
-        }
-    }
-
-    /// A validating builder mirroring `ZatelOptions::builder()`: chain
-    /// setters, then [`PredictRequestBuilder::build`] checks the same
-    /// invariants as [`PredictRequest::validate`].
-    pub fn builder(scene: impl Into<String>, config: crate::ConfigRef) -> PredictRequestBuilder {
-        PredictRequestBuilder {
-            request: PredictRequest::new(scene, config),
         }
     }
 
@@ -96,15 +77,6 @@ impl PredictRequest {
         Ok(())
     }
 
-    /// The deadline budget a server should enforce: the hint when set,
-    /// else the deprecated top-level `deadline_ms` field.
-    pub fn effective_deadline_ms(&self) -> Option<u64> {
-        self.hints
-            .as_ref()
-            .and_then(|h| h.deadline_ms)
-            .or(self.deadline_ms)
-    }
-
     /// The request's *affinity fingerprint*: a stable FNV-1a hash of the
     /// stage-graph prefix (scene, config, res, spp, seed) — exactly the
     /// inputs of the cacheable heatmap/quantize/divide stages. Requests
@@ -122,15 +94,14 @@ impl PredictRequest {
     }
 
     /// The request's *dedup fingerprint*: a stable FNV-1a hash over every
-    /// field except `deadline_ms` and `hints` (execution-only knobs that
-    /// never affect the computed result). Two in-flight requests with
+    /// field except `hints` (execution-only knobs that never affect the
+    /// computed result). Two in-flight requests with
     /// equal dedup fingerprints produce byte-identical deterministic
     /// subsets, so a server may coalesce them onto one pipeline
     /// execution.
     pub fn dedup_fingerprint(&self) -> u64 {
         let mut doc = self.to_json();
         if let Value::Object(m) = &mut doc {
-            m.insert("deadline_ms".into(), Value::Null);
             m.insert("hints".into(), Value::Null);
         }
         let mut h = rtcore::fingerprint::Fnv64::new();
@@ -160,10 +131,6 @@ impl ToJson for PredictRequest {
             }),
         );
         m.insert("reference".into(), Value::from(self.reference));
-        m.insert(
-            "deadline_ms".into(),
-            self.deadline_ms.map_or(Value::Null, Value::from),
-        );
         m.insert(
             "hints".into(),
             self.hints.as_ref().map_or(Value::Null, ToJson::to_json),
@@ -229,113 +196,10 @@ impl FromJson for PredictRequest {
                     .as_bool()
                     .ok_or_else(|| JsonError::missing_field(TY, "reference"))?,
             },
-            deadline_ms: optional(value, "deadline_ms")
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| JsonError::missing_field(TY, "deadline_ms"))
-                })
-                .transpose()?,
             hints: optional(value, "hints")
                 .map(crate::ExecutionHints::from_json)
                 .transpose()?,
         })
-    }
-}
-
-/// Builds a [`PredictRequest`] fluently and validates it on
-/// [`PredictRequestBuilder::build`], mirroring `ZatelOptions::builder()`.
-///
-/// ```
-/// use zatel_proto::{ConfigRef, ExecutionHints, PredictRequest};
-///
-/// let req = PredictRequest::builder("SPRNG", ConfigRef::preset("mobile"))
-///     .res(64)
-///     .spp(1)
-///     .seed(7)
-///     .hints(ExecutionHints {
-///         jobs: Some(2),
-///         ..ExecutionHints::default()
-///     })
-///     .build()
-///     .expect("valid request");
-/// assert_eq!(req.res, 64);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PredictRequestBuilder {
-    request: PredictRequest,
-}
-
-impl PredictRequestBuilder {
-    /// Square image resolution.
-    #[must_use]
-    pub fn res(mut self, res: u32) -> Self {
-        self.request.res = res;
-        self
-    }
-
-    /// Samples per pixel.
-    #[must_use]
-    pub fn spp(mut self, spp: u32) -> Self {
-        self.request.spp = spp;
-        self
-    }
-
-    /// Master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.request.seed = seed;
-        self
-    }
-
-    /// Pipeline options.
-    #[must_use]
-    pub fn options(mut self, options: ZatelOptions) -> Self {
-        self.request.options = Some(options);
-        self
-    }
-
-    /// Run the Section IV-F exponential-regression variant at these
-    /// traced fractions.
-    #[must_use]
-    pub fn regression(mut self, fractions: [f64; 3]) -> Self {
-        self.request.regression = Some(fractions);
-        self
-    }
-
-    /// Also run the full reference simulation.
-    #[must_use]
-    pub fn reference(mut self, reference: bool) -> Self {
-        self.request.reference = reference;
-        self
-    }
-
-    /// Execution hints (job cap, deadline, dedup opt-out).
-    #[must_use]
-    pub fn hints(mut self, hints: crate::ExecutionHints) -> Self {
-        self.request.hints = Some(hints);
-        self
-    }
-
-    /// Client deadline budget, set through the hints DTO (the preferred
-    /// surface; the deprecated top-level field is left untouched).
-    #[must_use]
-    pub fn deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.request
-            .hints
-            .get_or_insert_with(crate::ExecutionHints::default)
-            .deadline_ms = Some(deadline_ms);
-        self
-    }
-
-    /// Validates and returns the request.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message of [`PredictRequest::validate`] when an
-    /// invariant is violated.
-    pub fn build(self) -> Result<PredictRequest, String> {
-        self.request.validate()?;
-        Ok(self.request)
     }
 }
 
@@ -546,66 +410,6 @@ impl FromJson for ReferenceReport {
     }
 }
 
-/// One per-stage artifact-cache outcome from a response's `cache`
-/// array, in typed form: how a single pipeline stage's artifact request
-/// was served.
-///
-/// The wire shape is produced by
-/// [`zatel::StageCacheRecord`](zatel::StageCacheRecord); this DTO is the
-/// client-side view (the load-replay harness uses it to compute
-/// hit-rates without re-implementing the record layout).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageCacheOutcome {
-    /// The stage name (`"heatmap"`, `"quantize"`, ...).
-    pub stage: String,
-    /// The artifact's cache key, as 16 hex digits.
-    pub fingerprint: String,
-    /// How the request was served: `"miss"`, `"memory"`, `"disk"` or
-    /// `"uncacheable"`.
-    pub outcome: String,
-}
-
-impl StageCacheOutcome {
-    /// `true` when the artifact was reused instead of recomputed.
-    pub fn is_hit(&self) -> bool {
-        self.outcome == "memory" || self.outcome == "disk"
-    }
-
-    /// `true` for outcomes that count toward hit-rate denominators
-    /// (everything except `"uncacheable"`).
-    pub fn is_cacheable(&self) -> bool {
-        self.outcome != "uncacheable"
-    }
-}
-
-impl ToJson for StageCacheOutcome {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("stage".into(), Value::from(self.stage.as_str()));
-        m.insert("fingerprint".into(), Value::from(self.fingerprint.as_str()));
-        m.insert("outcome".into(), Value::from(self.outcome.as_str()));
-        Value::Object(m)
-    }
-}
-
-impl FromJson for StageCacheOutcome {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "StageCacheOutcome";
-        let field = |name: &'static str| {
-            value
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        Ok(StageCacheOutcome {
-            stage: field("stage")?,
-            fingerprint: field("fingerprint")?,
-            outcome: field("outcome")?,
-        })
-    }
-}
-
 /// A `zatel-api-v1` prediction response.
 ///
 /// The request-determined sections (`scene` through `groups`, plus
@@ -645,7 +449,9 @@ pub struct PredictResponse {
     /// Host wall-clock pipeline spans.
     pub spans: Vec<SpanRecord>,
     /// Per-stage artifact-cache outcomes (`stage`/`fingerprint`/`outcome`
-    /// objects), in pipeline order.
+    /// objects, the wire shape of `zatel::StageCacheRecord`), in pipeline
+    /// order: heatmap, quantize, divide, then one select per traced
+    /// fraction.
     pub cache: Vec<Value>,
     /// Folded observability registry, when the request enabled observing.
     pub metrics: Option<MetricsRegistry>,
@@ -681,16 +487,6 @@ impl PredictResponse {
             m.insert("mae".into(), Value::from(mae));
         }
         Value::Object(m)
-    }
-
-    /// The `cache` array in typed form, skipping records that do not
-    /// parse (a forward-compatibility guard, matching the unknown-field
-    /// policy of `zatel-api-v1`).
-    pub fn cache_outcomes(&self) -> Vec<StageCacheOutcome> {
-        self.cache
-            .iter()
-            .filter_map(|v| StageCacheOutcome::from_json(v).ok())
-            .collect()
     }
 }
 
@@ -852,7 +648,6 @@ mod tests {
     fn request_round_trips() {
         let mut req = PredictRequest::new("PARK", ConfigRef::preset("mobile"));
         req.reference = true;
-        req.deadline_ms = Some(5000);
         req.regression = Some([0.2, 0.3, 0.4]);
         req.options = Some(ZatelOptions::default());
         req.hints = Some(crate::ExecutionHints {
@@ -873,7 +668,6 @@ mod tests {
             deadline_ms: Some(100),
             no_dedup: true,
         });
-        hinted.deadline_ms = Some(77);
         assert_eq!(
             plain.affinity_fingerprint(),
             hinted.affinity_fingerprint(),
@@ -895,61 +689,12 @@ mod tests {
         let legacy = PredictRequest::from_json(&legacy).expect("legacy knobs are ignored");
         assert_eq!(legacy, plain);
         assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
-    }
 
-    #[test]
-    fn effective_deadline_prefers_the_hint() {
-        let mut req = PredictRequest::new("PARK", ConfigRef::preset("mobile"));
-        assert_eq!(req.effective_deadline_ms(), None);
-        req.deadline_ms = Some(5000);
-        assert_eq!(req.effective_deadline_ms(), Some(5000));
-        req.hints = Some(crate::ExecutionHints {
-            deadline_ms: Some(250),
-            ..crate::ExecutionHints::default()
-        });
-        assert_eq!(req.effective_deadline_ms(), Some(250));
-    }
-
-    #[test]
-    fn builder_mirrors_options_builder_and_validates() {
-        let req = PredictRequest::builder("PARK", ConfigRef::preset("mobile"))
-            .res(64)
-            .spp(2)
-            .seed(11)
-            .reference(true)
-            .regression([0.2, 0.3, 0.4])
-            .hints(crate::ExecutionHints {
-                jobs: Some(4),
-                ..crate::ExecutionHints::default()
-            })
-            .deadline_ms(1234)
-            .build()
-            .expect("valid request");
-        assert_eq!(req.res, 64);
-        assert_eq!(req.seed, 11);
-        assert!(req.reference);
-        let hints = req.hints.as_ref().expect("hints set");
-        assert_eq!(hints.jobs, Some(4));
-        assert_eq!(hints.deadline_ms, Some(1234));
-        assert_eq!(req.effective_deadline_ms(), Some(1234));
-        assert!(
-            req.deadline_ms.is_none(),
-            "builder never sets the legacy field"
-        );
-
-        let err = PredictRequest::builder("PARK", ConfigRef::preset("mobile"))
-            .res(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("res"));
-        let err = PredictRequest::builder("PARK", ConfigRef::preset("mobile"))
-            .hints(crate::ExecutionHints {
-                jobs: Some(0),
-                ..crate::ExecutionHints::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(err.contains("hints.jobs"));
+        // So does one carrying the removed top-level `deadline_ms`.
+        let legacy = crate::hints::with_legacy_deadline(&plain.to_json());
+        let legacy = PredictRequest::from_json(&legacy).expect("legacy deadline is ignored");
+        assert_eq!(legacy, plain);
+        assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
     }
 
     #[test]
@@ -991,7 +736,6 @@ mod tests {
             ("regression", "[0.2, 0.3]"),
             ("regression", "[0.2, 0.3, \"x\"]"),
             ("reference", "\"yes\""),
-            ("deadline_ms", "-5"),
             ("options", "{\"division\": 3}"),
             ("hints", "{\"jobs\": \"four\"}"),
             ("hints", "{\"no_dedup\": 1}"),
@@ -1021,6 +765,12 @@ mod tests {
         req.spp = 1;
         req.scene = String::new();
         assert!(req.validate().unwrap_err().contains("scene"));
+        req.scene = "PARK".into();
+        req.hints = Some(crate::ExecutionHints {
+            jobs: Some(0),
+            ..crate::ExecutionHints::default()
+        });
+        assert!(req.validate().unwrap_err().contains("hints.jobs"));
     }
 
     #[test]

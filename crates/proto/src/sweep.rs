@@ -26,11 +26,6 @@ pub struct SweepRequest {
     pub spec: SweepSpec,
     /// Also run the full reference simulation and report per-point errors.
     pub reference: bool,
-    /// Client deadline, as in [`crate::PredictRequest::deadline_ms`].
-    ///
-    /// **Deprecated** in favour of `hints.deadline_ms`; when both are
-    /// set the hint wins.
-    pub deadline_ms: Option<u64>,
     /// Execution-only knobs, as in [`crate::PredictRequest::hints`]:
     /// excluded from both fingerprints.
     pub hints: Option<crate::ExecutionHints>,
@@ -49,18 +44,8 @@ impl SweepRequest {
             options: None,
             spec,
             reference: false,
-            deadline_ms: None,
             hints: None,
         }
-    }
-
-    /// The deadline budget a server should enforce: the hint when set,
-    /// else the deprecated top-level `deadline_ms` field.
-    pub fn effective_deadline_ms(&self) -> Option<u64> {
-        self.hints
-            .as_ref()
-            .and_then(|h| h.deadline_ms)
-            .or(self.deadline_ms)
     }
 
     /// Checks semantic invariants, mirroring
@@ -113,11 +98,10 @@ impl SweepRequest {
 
     /// The sweep's *dedup fingerprint*, mirroring
     /// [`crate::PredictRequest::dedup_fingerprint`]: a stable hash over
-    /// every field except `deadline_ms` and `hints`.
+    /// every field except `hints`.
     pub fn dedup_fingerprint(&self) -> u64 {
         let mut doc = self.to_json();
         if let Value::Object(m) = &mut doc {
-            m.insert("deadline_ms".into(), Value::Null);
             m.insert("hints".into(), Value::Null);
         }
         let mut h = rtcore::fingerprint::Fnv64::new();
@@ -142,10 +126,6 @@ impl ToJson for SweepRequest {
         );
         m.insert("spec".into(), self.spec.to_json());
         m.insert("reference".into(), Value::from(self.reference));
-        m.insert(
-            "deadline_ms".into(),
-            self.deadline_ms.map_or(Value::Null, Value::from),
-        );
         m.insert(
             "hints".into(),
             self.hints.as_ref().map_or(Value::Null, ToJson::to_json),
@@ -196,12 +176,6 @@ impl FromJson for SweepRequest {
                     .as_bool()
                     .ok_or_else(|| JsonError::missing_field(TY, "reference"))?,
             },
-            deadline_ms: optional(value, "deadline_ms")
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| JsonError::missing_field(TY, "deadline_ms"))
-                })
-                .transpose()?,
             hints: optional(value, "hints")
                 .map(crate::ExecutionHints::from_json)
                 .transpose()?,
@@ -337,7 +311,6 @@ mod tests {
             SweepSpec::from_percents(&[0.1, 0.3]),
         );
         req.reference = true;
-        req.deadline_ms = Some(30_000);
         req.options = Some(ZatelOptions::default());
         req.hints = Some(crate::ExecutionHints {
             jobs: Some(2),
@@ -364,7 +337,6 @@ mod tests {
         });
         assert_eq!(plain.affinity_fingerprint(), hinted.affinity_fingerprint());
         assert_eq!(plain.dedup_fingerprint(), hinted.dedup_fingerprint());
-        assert_eq!(hinted.effective_deadline_ms(), Some(50));
         // Documents written for the removed intra-simulation thread knobs
         // still parse, to exactly the request without them.
         let mut plain = plain;
@@ -372,6 +344,11 @@ mod tests {
         plain.hints = Some(crate::ExecutionHints::default());
         let legacy = crate::hints::with_legacy_thread_knobs(&plain.to_json());
         let legacy = SweepRequest::from_json(&legacy).expect("legacy knobs are ignored");
+        assert_eq!(legacy, plain);
+        assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
+        // So does one carrying the removed top-level `deadline_ms`.
+        let legacy = crate::hints::with_legacy_deadline(&plain.to_json());
+        let legacy = SweepRequest::from_json(&legacy).expect("legacy deadline is ignored");
         assert_eq!(legacy, plain);
         assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
         assert!(SweepRequest::from_json(

@@ -18,9 +18,7 @@
 //!
 //! Each shard owns a private in-memory cache tier over one shared disk
 //! tier, so identical requests always warm the same shard while every
-//! shard (and every restart) shares the persisted artifacts. The
-//! [`loadgen`] module records and replays `zatel-loadtrace-v1` traces
-//! against a live server (`zatel loadgen`).
+//! shard (and every restart) shares the persisted artifacts.
 //!
 //! Endpoints (all speaking [`zatel_proto`]'s `zatel-api-v1` documents):
 //!
@@ -53,14 +51,12 @@
 
 pub mod client;
 pub mod http;
-pub mod loadgen;
 pub mod server;
 pub mod service;
 mod shard;
 pub mod signal;
 
 pub use client::HttpClient;
-pub use loadgen::{LoadgenConfig, MetricsDelta, ReplayReport};
 pub use server::{ServeConfig, ServeReport, Server};
 pub use service::{
     execute_predict, execute_predict_traced, execute_sweep, PredictOutput, ServiceError,

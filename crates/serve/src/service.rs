@@ -360,12 +360,9 @@ mod tests {
         ));
 
         let mut bad_factor = tiny_request();
-        bad_factor.options = Some(
-            zatel::ZatelOptions::builder()
-                .downscale(zatel::DownscaleMode::Factor(3))
-                .build()
-                .expect("options"),
-        );
+        let mut options = zatel::ZatelOptions::default();
+        options.downscale = zatel::DownscaleMode::Factor(3);
+        bad_factor.options = Some(options);
         let err = execute_predict(&bad_factor, &cache).expect_err("factor 3 must fail");
         assert!(matches!(err, ServiceError::Unprocessable(_)), "{err}");
     }

@@ -42,24 +42,17 @@ pub(crate) enum Payload {
 }
 
 impl Payload {
-    /// The request's client deadline budget, if any: the execution hint
-    /// when set, else the deprecated top-level `deadline_ms` field.
+    /// The request's client deadline budget (`hints.deadline_ms`), if
+    /// any.
     pub(crate) fn deadline_ms(&self) -> Option<u64> {
-        match self {
-            Payload::Predict(req) => req.effective_deadline_ms(),
-            Payload::Sweep(req) => req.effective_deadline_ms(),
-        }
+        self.hints().and_then(|h| h.deadline_ms)
     }
 
     /// Whether the request opted out of single-flight dedup
     /// (`hints.no_dedup`). An opted-out request never coalesces onto
     /// another execution and no other request coalesces onto it.
     pub(crate) fn no_dedup(&self) -> bool {
-        let hints = match self {
-            Payload::Predict(req) => req.hints.as_ref(),
-            Payload::Sweep(req) => req.hints.as_ref(),
-        };
-        hints.is_some_and(|h| h.no_dedup)
+        self.hints().is_some_and(|h| h.no_dedup)
     }
 
     /// The request's execution hints, if any.

@@ -266,7 +266,10 @@ fn deadline_expired_requests_get_504() {
         ..ServeConfig::default()
     });
     let mut req = tiny_request();
-    req.deadline_ms = Some(0);
+    req.hints = Some(zatel_proto::ExecutionHints {
+        deadline_ms: Some(0),
+        ..zatel_proto::ExecutionHints::default()
+    });
     // Any queue wait exceeds a 0 ms budget; the worker must refuse
     // rather than burn simulation time on a caller that gave up.
     std::thread::sleep(std::time::Duration::from_millis(10));
@@ -290,23 +293,16 @@ fn deadline_expired_requests_get_504() {
         "an expired budget reports negative slack: {slack}"
     );
 
-    // The execution-hint spelling of the same budget behaves identically
-    // (hints.deadline_ms supersedes the deprecated top-level field).
-    let hinted = PredictRequest::builder("SPRNG", ConfigRef::preset("mobile"))
-        .res(32)
-        .spp(1)
-        .seed(7)
-        .deadline_ms(0)
-        .build()
-        .expect("valid request");
-    assert!(hinted.deadline_ms.is_none(), "builder sets only the hint");
+    // The removed top-level spelling of the same budget is an unknown
+    // field: the request is served as if it carried no deadline.
+    let mut legacy = tiny_request().to_json();
+    if let Value::Object(m) = &mut legacy {
+        m.insert("deadline_ms".into(), Value::from(0u64));
+    }
     let resp = client
-        .post_json("/v1/predict", &hinted.to_json())
-        .expect("hinted deadline predict");
-    assert_eq!(resp.status, 504, "body: {}", resp.body);
-    let envelope =
-        zatel_proto::ErrorResponse::from_json(&resp.json().unwrap()).expect("504 parses");
-    assert!(envelope.deadline_slack_ms.is_some_and(|s| s < 0));
+        .post_json("/v1/predict", &legacy)
+        .expect("legacy deadline predict");
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
     handle.shutdown();
     join.join().expect("server thread").expect("clean run");
 }

@@ -1,15 +1,14 @@
 //! Fleet-shape end-to-end tests: single-flight dedup, affinity-shard
-//! identity, computed backpressure and the loadgen record/replay
-//! harness — all over real sockets against a booted server.
+//! identity and computed backpressure — all over real sockets against a
+//! booted server.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use minijson::{FromJson, ToJson, Value};
 use zatel_proto::{ConfigRef, PredictRequest, PredictResponse};
-use zatel_serve::loadgen;
 use zatel_serve::server::{ServeConfig, ServeReport, Server};
-use zatel_serve::{HttpClient, LoadgenConfig};
+use zatel_serve::HttpClient;
 
 /// Boots a server with `config` (addr forced to an ephemeral port),
 /// returning a client for it, a drain handle and the join handle that
@@ -320,66 +319,4 @@ fn no_dedup_hint_opts_requests_out_of_single_flight() {
     handle.shutdown();
     let report = join.join().expect("server thread").expect("clean run");
     assert_eq!(report.coalesced, 0, "{report:?}");
-}
-
-#[test]
-fn loadgen_replay_reports_throughput_and_warming_hit_rate() {
-    let dir = std::env::temp_dir().join(format!("zatel-fleet-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let trace_path = dir.join("trace.jsonl");
-    let trace_path = trace_path.to_str().expect("utf-8 path");
-
-    let config = LoadgenConfig {
-        requests: 8,
-        unique: 2,
-        qps: 500.0,
-        concurrency: 4,
-        ..LoadgenConfig::default()
-    };
-    let entries = loadgen::build_trace(&config).expect("builds");
-    loadgen::write_trace(trace_path, &entries).expect("writes");
-    let entries = loadgen::read_trace(trace_path).expect("round trips");
-    assert_eq!(entries.len(), 8);
-
-    let cache_dir = dir.join("cache");
-    let (client, url, handle, join) = boot(ServeConfig {
-        workers: 2,
-        queue: 32,
-        cache_dir: Some(cache_dir.to_str().expect("utf-8 path").to_owned()),
-        cache_budget_mb: Some(64),
-        ..ServeConfig::default()
-    });
-    let health = client.get("/healthz").expect("healthz");
-    assert_eq!(health.status, 200);
-    let cold = loadgen::replay_trace(&url, &entries, &config, None).expect("cold replay");
-    assert_eq!(cold.sent, 8, "{cold:?}");
-    assert_eq!(cold.ok, 8, "{cold:?}");
-    assert!(cold.throughput_rps > 0.0, "{cold:?}");
-    assert!(cold.latency_ms_p50 > 0.0, "{cold:?}");
-    assert!(cold.latency_ms_max >= cold.latency_ms_p99, "{cold:?}");
-
-    let warm = loadgen::replay_trace(&url, &entries, &config, None).expect("warm replay");
-    assert_eq!(warm.ok, 8, "{warm:?}");
-    let cold_rate = cold.metrics.hit_rate().expect("cold replay touched stages");
-    let warm_rate = warm.metrics.hit_rate().expect("warm replay touched stages");
-    assert!(
-        warm_rate > cold_rate,
-        "warm hit rate {warm_rate} must beat cold {cold_rate}"
-    );
-
-    // The bench JSON is self-describing.
-    let json = warm.to_json();
-    assert_eq!(
-        json.get("schema").and_then(Value::as_str),
-        Some(loadgen::BENCH_SCHEMA)
-    );
-    assert!(json
-        .get("cache")
-        .and_then(|c| c.get("hit_rate"))
-        .and_then(Value::as_f64)
-        .is_some());
-
-    handle.shutdown();
-    join.join().expect("server thread").expect("clean run");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,6 +29,16 @@ pub fn linear(metric: Metric, value: f64, fraction: f64) -> f64 {
     metric.extrapolate(value, fraction)
 }
 
+/// Extrapolates a metric to 100 % from each group's measured
+/// `(value, traced fraction)`: per-group [`linear`] scaling, then the
+/// Section III-H combine rule.
+pub fn linear_to_full(metric: Metric, per_group: impl Iterator<Item = (f64, f64)>) -> f64 {
+    let full: Vec<f64> = per_group
+        .map(|(value, fraction)| linear(metric, value, fraction))
+        .collect();
+    metric.combine(&full)
+}
+
 /// The exponential regression model of Section IV-F:
 /// `y(f) = a + b·exp(c·f)`, fitted to three samples at equally spaced
 /// traced fractions (the paper uses 20 %, 30 % and 40 %), then evaluated

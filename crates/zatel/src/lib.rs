@@ -68,12 +68,10 @@ pub use error::ZatelError;
 pub use partition::{DivisionMethod, Group};
 pub use pipeline::{
     DownscaleMode, GroupOutcome, Prediction, Reference, RunContext, Zatel, ZatelOptions,
-    ZatelOptionsBuilder,
 };
 pub use select::{Distribution, Selection, SelectionOptions};
 pub use sim_executor::{JobTiming, SimExecutor};
 pub use stages::{
-    ArtifactCache, CacheOutcome, CacheStats, CacheTier, DiskTier, DiskTierStats, MemoryTier,
-    StageCacheRecord, TierEntry, TieredCache,
+    ArtifactCache, CacheOutcome, CacheStats, DiskTier, DiskTierStats, StageCacheRecord, TieredCache,
 };
 pub use sweep::{SweepDriver, SweepOutcome, SweepParallelism, SweepPointSpec, SweepSpec};

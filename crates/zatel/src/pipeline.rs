@@ -1,10 +1,13 @@
 //! The end-to-end Zatel pipeline (paper Fig. 3): heatmap → quantize →
 //! downscale → divide → select → simulate per group → combine.
 //!
-//! [`Zatel::run`] is a thin composition over the stage graph of
-//! [`crate::stages`]: each phase executes through an [`ArtifactCache`], so
-//! callers that share a cache across runs (the [`crate::sweep`] driver)
-//! reuse heatmap/quantize/divide artifacts instead of recomputing them.
+//! [`Zatel::execute`] is the one path: heatmap, quantize, divide and
+//! select run as [`crate::stages`] through an [`ArtifactCache`], so callers
+//! that share a cache across runs (the [`crate::sweep`] driver, a serve
+//! shard) reuse those artifacts instead of recomputing them; group
+//! simulation and extrapolation are plain calls. The Section IV-F
+//! regression variant differs only in selecting and simulating three
+//! traced fractions and fitting through them.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,16 +22,15 @@ use rtcore::tracer::TraceConfig;
 use rtworkload::RtWorkload;
 
 use crate::error::ZatelError;
-use crate::extrapolate::regression_to_full;
+use crate::extrapolate::{linear_to_full, regression_to_full};
 use crate::heatmap::Heatmap;
 use crate::metrics::abs_error;
-use crate::partition::{divide, DivisionMethod, Group};
-use crate::quantize::QuantizedHeatmap;
-use crate::select::{select_pixels, Selection, SelectionOptions};
+use crate::partition::{DivisionMethod, Group};
+use crate::select::{Selection, SelectionOptions};
 use crate::sim_executor::{available_jobs, SimExecutor};
 use crate::stages::{
-    ArtifactCache, DivideStage, ExtrapolateStage, Fingerprint, GroupSimStage, HeatmapStage,
-    QuantizeStage, SelectInput, SelectStage, SimInput, Stage, StageCacheRecord,
+    ArtifactCache, DivideStage, Fingerprint, HeatmapStage, QuantizeStage, SelectInput, SelectStage,
+    Stage, StageCacheRecord,
 };
 
 /// How the target GPU is downscaled before group simulation.
@@ -45,10 +47,10 @@ pub enum DownscaleMode {
 
 /// All tunable parameters of the pipeline.
 ///
-/// The struct is `#[non_exhaustive]`: downstream crates construct it via
-/// [`ZatelOptions::builder`] (validated) or start from
-/// [`ZatelOptions::default`] and assign fields, so adding a pipeline knob
-/// is never a breaking change.
+/// The struct is `#[non_exhaustive]`: downstream crates start from
+/// [`ZatelOptions::default`] and assign fields (checked by
+/// [`ZatelOptions::validate`] when a run starts), so adding a pipeline
+/// knob is never a breaking change.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ZatelOptions {
@@ -84,11 +86,6 @@ pub struct ZatelOptions {
 }
 
 impl ZatelOptions {
-    /// Starts a validated builder from the defaults.
-    pub fn builder() -> ZatelOptionsBuilder {
-        ZatelOptionsBuilder::default()
-    }
-
     /// Checks option invariants that would otherwise panic (or silently
     /// misbehave) deep inside the engine: a zero
     /// [`trace_slice_cycles`], an empty worker pool, a degenerate
@@ -138,117 +135,6 @@ impl ZatelOptions {
             ));
         }
         Ok(())
-    }
-}
-
-/// A validated, forward-compatible way to assemble [`ZatelOptions`]:
-/// start from the defaults, override what the run needs, and have
-/// [`build`](ZatelOptionsBuilder::build) run
-/// [`ZatelOptions::validate`] before the options reach the pipeline.
-///
-/// # Examples
-///
-/// ```
-/// use zatel::{DownscaleMode, ZatelOptions};
-///
-/// let options = ZatelOptions::builder()
-///     .downscale(DownscaleMode::Factor(4))
-///     .percent_override(0.3)
-///     .build()
-///     .expect("valid options");
-/// assert_eq!(options.selection.percent_override, Some(0.3));
-/// assert!(ZatelOptions::builder().percent_override(1.5).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ZatelOptionsBuilder {
-    options: ZatelOptions,
-}
-
-impl ZatelOptionsBuilder {
-    /// Sets the image-plane division method.
-    pub fn division(mut self, division: DivisionMethod) -> Self {
-        self.options.division = division;
-        self
-    }
-
-    /// Replaces the whole selection-parameter block.
-    pub fn selection(mut self, selection: SelectionOptions) -> Self {
-        self.options.selection = selection;
-        self
-    }
-
-    /// Sets the number of K-means colours for heatmap quantization.
-    pub fn quant_colors(mut self, colors: usize) -> Self {
-        self.options.quant_colors = colors;
-        self
-    }
-
-    /// Sets the GPU downscaling mode.
-    pub fn downscale(mut self, mode: DownscaleMode) -> Self {
-        self.options.downscale = mode;
-        self
-    }
-
-    /// Enables or disables parallel group simulation.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.options.parallel = parallel;
-        self
-    }
-
-    /// Caps the group-simulation worker pool.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.options.jobs = Some(jobs);
-        self
-    }
-
-    /// Enables engine tracing with the given CPI-stack slice width.
-    pub fn trace_slice_cycles(mut self, cycles: u64) -> Self {
-        self.options.trace_slice_cycles = Some(cycles);
-        self
-    }
-
-    /// Enables observability recording.
-    pub fn observe(mut self, observe: ObserveOptions) -> Self {
-        self.options.observe = Some(observe);
-        self
-    }
-
-    /// Sets the fixed traced percentage
-    /// ([`SelectionOptions::percent_override`]).
-    pub fn percent_override(mut self, percent: f64) -> Self {
-        self.options.selection.percent_override = Some(percent);
-        self
-    }
-
-    /// Sets the hard traced-percentage cap
-    /// ([`SelectionOptions::percent_cap`]).
-    pub fn percent_cap(mut self, percent: f64) -> Self {
-        self.options.selection.percent_cap = Some(percent);
-        self
-    }
-
-    /// Sets the Eq. (1) clamp bounds ([`SelectionOptions::clamp`]).
-    pub fn clamp(mut self, lo: f64, hi: f64) -> Self {
-        self.options.selection.clamp = (lo, hi);
-        self
-    }
-
-    /// Sets the colour distribution method
-    /// ([`SelectionOptions::distribution`]).
-    pub fn distribution(mut self, distribution: crate::Distribution) -> Self {
-        self.options.selection.distribution = distribution;
-        self
-    }
-
-    /// Validates and returns the assembled options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZatelError::InvalidOptions`] from
-    /// [`ZatelOptions::validate`].
-    pub fn build(self) -> Result<ZatelOptions, ZatelError> {
-        self.options.validate()?;
-        Ok(self.options)
     }
 }
 
@@ -320,7 +206,8 @@ pub struct Prediction {
     /// The execution-time heatmap profiled by [`Zatel::execute`].
     pub heatmap: Option<Heatmap>,
     /// How each stage execution interacted with the artifact cache, in
-    /// pipeline order. A cold [`Zatel::run`] reports all misses; sweep
+    /// pipeline order (heatmap, quantize, divide, then one select per
+    /// traced fraction). A cold [`Zatel::run`] reports all misses; sweep
     /// points sharing a cache report hits for the reused artifacts.
     pub cache: Vec<StageCacheRecord>,
     /// The request ID this prediction was computed for
@@ -382,8 +269,8 @@ impl Prediction {
 }
 
 /// How one [`Zatel::execute`] call should run: which artifact cache to
-/// share, whether to use the Section IV-F regression variant, and an
-/// optional per-execution observability override.
+/// share, whether to use the Section IV-F regression variant, and which
+/// request it serves.
 ///
 /// # Examples
 ///
@@ -407,13 +294,11 @@ impl Prediction {
 pub struct RunContext<'a> {
     pub(crate) cache: Option<&'a ArtifactCache>,
     pub(crate) regression: Option<[f64; 3]>,
-    pub(crate) observe: Option<ObserveOptions>,
     pub(crate) request_id: Option<String>,
 }
 
 impl<'a> RunContext<'a> {
-    /// An empty context: private in-memory cache, linear extrapolation,
-    /// options' own observability setting.
+    /// An empty context: private in-memory cache, linear extrapolation.
     pub fn new() -> Self {
         RunContext::default()
     }
@@ -425,16 +310,9 @@ impl<'a> RunContext<'a> {
     }
 
     /// Switches to the Section IV-F exponential-regression variant at the
-    /// given traced fractions (the stage cache is not consulted on this
-    /// path; see [`Zatel::execute`]).
+    /// given traced fractions (see [`Zatel::execute`]).
     pub fn with_regression(mut self, fractions: [f64; 3]) -> Self {
         self.regression = Some(fractions);
-        self
-    }
-
-    /// Overrides [`ZatelOptions::observe`] for this execution only.
-    pub fn with_observe(mut self, observe: ObserveOptions) -> Self {
-        self.observe = Some(observe);
         self
     }
 
@@ -566,12 +444,11 @@ impl<'s> Zatel<'s> {
     ///   a `" (cached)"` suffix, and statistics stay bit-identical to a
     ///   cold run — the cache only removes redundant work.
     /// * [`RunContext::with_regression`] switches to the Section IV-F
-    ///   exponential-regression variant. That path simulates three traced
-    ///   fractions directly and never consults the stage cache, so a
-    ///   configured cache is ignored (the response's `cache` record list
-    ///   is empty).
-    /// * [`RunContext::with_observe`] overrides
-    ///   [`ZatelOptions::observe`] for this execution only.
+    ///   exponential-regression variant: the same heatmap, quantization
+    ///   and division, then one selection and one group simulation per
+    ///   traced fraction, and an exponential fit per metric in place of
+    ///   linear extrapolation. [`Prediction::groups`] are the last
+    ///   fraction's.
     ///
     /// # Errors
     ///
@@ -579,49 +456,20 @@ impl<'s> Zatel<'s> {
     /// configured downscale factor is invalid, or the regression fractions
     /// are not equally spaced ascending values in `(0, 1]`.
     pub fn execute(&self, ctx: &RunContext<'_>) -> Result<Prediction, ZatelError> {
-        let observed;
-        let zatel = match &ctx.observe {
-            Some(observe) => {
-                let mut options = self.options.clone();
-                options.observe = Some(observe.clone());
-                observed = Zatel {
-                    scene: self.scene,
-                    target: self.target.clone(),
-                    width: self.width,
-                    height: self.height,
-                    trace: self.trace,
-                    options,
-                };
-                &observed
-            }
-            None => self,
-        };
-        let mut prediction = match (ctx.regression, ctx.cache) {
-            (Some(fractions), _) => zatel.execute_regression(fractions),
-            (None, Some(cache)) => zatel.execute_cached(cache),
-            (None, None) => zatel.execute_cached(&ArtifactCache::in_memory()),
-        }?;
-        if let Some(id) = &ctx.request_id {
-            prediction.request_id = Some(id.clone());
-            prediction.spans.insert(
-                0,
-                SpanRecord {
-                    name: format!("request {id}"),
-                    track: 0,
-                    start_us: 0,
-                    dur_us: 0,
-                },
-            );
-        }
-        Ok(prediction)
-    }
-
-    /// The cached pipeline: heatmap → quantize → divide → select →
-    /// simulate → extrapolate, every stage through `cache`.
-    fn execute_cached(&self, cache: &ArtifactCache) -> Result<Prediction, ZatelError> {
         self.options.validate()?;
+        if let Some(fractions @ [f1, f2, f3]) = ctx.regression {
+            let spaced = (f2 - f1) > 0.0 && ((f3 - f2) - (f2 - f1)).abs() < 1e-9;
+            if !(spaced && f1 > 0.0 && f3 <= 1.0) {
+                return Err(ZatelError::InvalidOptions(format!(
+                    "regression fractions must be equally spaced ascending in (0,1]: {fractions:?}"
+                )));
+            }
+        }
+        let private = ArtifactCache::in_memory();
+        let cache = ctx.cache.unwrap_or(&private);
         let sheet = SpanSheet::new();
         let mut records = Vec::new();
+
         let pre_start = Instant::now();
         let (heatmap, _) = staged(
             cache,
@@ -640,10 +488,110 @@ impl<'s> Zatel<'s> {
             heatmap.fingerprint(),
         );
         let preprocess_wall = pre_start.elapsed();
-        let mut prediction =
-            self.run_from_quantized(&quantized, preprocess_wall, cache, &sheet, records)?;
-        prediction.heatmap = Some(heatmap.as_ref().clone());
-        Ok(prediction)
+
+        let k = self.resolve_factor()?;
+        let down = self.target.downscaled(k)?;
+        let (groups, groups_fp) = staged(
+            cache,
+            &sheet,
+            &mut records,
+            &DivideStage {
+                width: self.width,
+                height: self.height,
+                k,
+                division: self.options.division,
+            },
+            &(),
+            0,
+        );
+        let select_input = SelectInput {
+            groups: Arc::clone(&groups),
+            quantized: Arc::clone(&quantized),
+        };
+        let mut input_h = Fnv64::new();
+        input_h
+            .write_u64(groups_fp)
+            .write_u64(quantized.fingerprint());
+        let select_input_fp = input_h.finish();
+
+        // Selects (through the cache) and simulates the groups under one
+        // selection; the regression variant calls it once per fraction.
+        let mut sim_wall = Duration::ZERO;
+        let mut simulate = |options: SelectionOptions, span: &str| {
+            let (selections, _) = staged(
+                cache,
+                &sheet,
+                &mut records,
+                &SelectStage { options },
+                &select_input,
+                select_input_fp,
+            );
+            let sim_start = Instant::now();
+            let _span = sheet.span(span);
+            let outcomes = self.simulate_groups(&down, &groups, &selections, &sheet);
+            sim_wall += sim_start.elapsed();
+            outcomes
+        };
+
+        let (values, outcomes) = match ctx.regression {
+            None => {
+                let outcomes = simulate(self.options.selection, "simulate-groups");
+                let _span = sheet.span("extrapolate");
+                let values = Metric::ALL.map(|m| {
+                    let measured = outcomes
+                        .iter()
+                        .map(|o| (m.value(&o.stats), o.traced_fraction));
+                    linear_to_full(m, measured)
+                });
+                (values, outcomes)
+            }
+            Some(fractions) => {
+                let runs = fractions.map(|f| {
+                    let options = SelectionOptions {
+                        percent_override: Some(f),
+                        ..self.options.selection
+                    };
+                    let span = format!("simulate-groups {:.0}%", f * 100.0);
+                    (f, simulate(options, &span))
+                });
+                // Raw (non-extrapolated) combined values per fraction feed
+                // the fit; regression replaces linear extrapolation.
+                let _span = sheet.span("extrapolate");
+                let values = Metric::ALL.map(|m| {
+                    regression_to_full(&runs.each_ref().map(|(f, outcomes)| {
+                        let per_group: Vec<f64> =
+                            outcomes.iter().map(|o| m.value(&o.stats)).collect();
+                        (*f, m.combine(&per_group))
+                    }))
+                });
+                let [_, _, (_, outcomes)] = runs;
+                (values, outcomes)
+            }
+        };
+
+        let mut spans = sheet.snapshot();
+        if let Some(id) = &ctx.request_id {
+            spans.insert(
+                0,
+                SpanRecord {
+                    name: format!("request {id}"),
+                    track: 0,
+                    start_us: 0,
+                    dur_us: 0,
+                },
+            );
+        }
+        Ok(Prediction {
+            values,
+            groups: outcomes,
+            k,
+            preprocess_wall,
+            sim_wall,
+            spans,
+            heatmap: Some(heatmap.as_ref().clone()),
+            cache: records,
+            request_id: ctx.request_id.clone(),
+        })
     }
 
     /// The heatmap stage for this predictor's resolution and trace config.
@@ -663,92 +611,9 @@ impl<'s> Zatel<'s> {
         }
     }
 
-    /// The post-preprocessing pipeline: the divide → select →
-    /// simulate-groups → extrapolate stages, composed through `cache` with
-    /// phase spans on `sheet`.
-    fn run_from_quantized(
-        &self,
-        quantized: &Arc<QuantizedHeatmap>,
-        preprocess_wall: Duration,
-        cache: &ArtifactCache,
-        sheet: &SpanSheet,
-        mut records: Vec<StageCacheRecord>,
-    ) -> Result<Prediction, ZatelError> {
-        let k = self.resolve_factor()?;
-        let down = self.target.downscaled(k)?;
-        let (groups, groups_fp) = staged(
-            cache,
-            sheet,
-            &mut records,
-            &DivideStage {
-                width: self.width,
-                height: self.height,
-                k,
-                division: self.options.division,
-            },
-            &(),
-            0,
-        );
-
-        let mut input_h = Fnv64::new();
-        input_h
-            .write_u64(groups_fp)
-            .write_u64(quantized.fingerprint());
-        let (selections, _) = staged(
-            cache,
-            sheet,
-            &mut records,
-            &SelectStage {
-                options: self.options.selection,
-            },
-            &SelectInput {
-                groups: Arc::clone(&groups),
-                quantized: Arc::clone(quantized),
-            },
-            input_h.finish(),
-        );
-
-        let sim_start = Instant::now();
-        let (outcomes, _) = staged(
-            cache,
-            sheet,
-            &mut records,
-            &GroupSimStage {
-                zatel: self,
-                down: &down,
-                sheet,
-            },
-            &SimInput {
-                groups: Arc::clone(&groups),
-                selections: Arc::clone(&selections),
-            },
-            0,
-        );
-        let sim_wall = sim_start.elapsed();
-        // Uncacheable outputs are never retained by the cache, so this is
-        // the only reference and unwraps without cloning.
-        let outcomes = Arc::try_unwrap(outcomes).unwrap_or_else(|a| a.as_ref().clone());
-
-        // Combine: per-metric linear extrapolation then the Section III-H rule.
-        let (metric_vector, _) =
-            staged(cache, sheet, &mut records, &ExtrapolateStage, &outcomes, 0);
-
-        Ok(Prediction {
-            values: metric_vector.0,
-            groups: outcomes,
-            k,
-            preprocess_wall,
-            sim_wall,
-            spans: sheet.snapshot(),
-            heatmap: None,
-            cache: records,
-            request_id: None,
-        })
-    }
-
     /// Runs every group's simulation (in parallel when configured),
     /// recording one `group N` span per job on `sheet`.
-    pub(crate) fn simulate_groups(
+    fn simulate_groups(
         &self,
         down: &GpuConfig,
         groups: &[Group],
@@ -817,81 +682,6 @@ impl<'s> Zatel<'s> {
             (true, None) => available_jobs(),
         };
         SimExecutor::seeded(jobs, self.trace.seed)
-    }
-
-    /// The exponential-regression variant of Section IV-F: simulate at the
-    /// three given fractions, fit per metric and predict 100 % (see
-    /// [`RunContext::with_regression`]).
-    fn execute_regression(&self, fractions: [f64; 3]) -> Result<Prediction, ZatelError> {
-        self.options.validate()?;
-        let [f1, f2, f3] = fractions;
-        let spaced = (f2 - f1) > 0.0 && ((f3 - f2) - (f2 - f1)).abs() < 1e-9;
-        if !(spaced && f1 > 0.0 && f3 <= 1.0) {
-            return Err(ZatelError::InvalidOptions(format!(
-                "regression fractions must be equally spaced ascending in (0,1]: {fractions:?}"
-            )));
-        }
-        let sheet = SpanSheet::new();
-        let pre_start = Instant::now();
-        let heatmap = {
-            let _span = sheet.span("heatmap");
-            Heatmap::profile(self.scene, self.width, self.height, &self.trace)
-        };
-        let quantized = {
-            let _span = sheet.span("quantize");
-            QuantizedHeatmap::quantize(&heatmap, self.options.quant_colors, self.trace.seed)
-        };
-        let preprocess_wall = pre_start.elapsed();
-
-        let sim_start = Instant::now();
-        let mut runs = Vec::with_capacity(3);
-        for f in fractions {
-            // Raw (non-extrapolated) combined values per fraction feed the
-            // regression; regression replaces linear extrapolation.
-            let k = self.resolve_factor()?;
-            let down = self.target.downscaled(k)?;
-            let groups = divide(self.width, self.height, k, self.options.division);
-            let mut sel_opts = self.options.selection;
-            sel_opts.percent_override = Some(f);
-            let selections: Vec<Selection> = groups
-                .iter()
-                .map(|g| select_pixels(g, &quantized, &sel_opts))
-                .collect();
-            let _span = sheet.span(&format!("simulate-groups {:.0}%", f * 100.0));
-            let outcomes = self.simulate_groups(&down, &groups, &selections, &sheet);
-            runs.push((f, outcomes));
-        }
-        let sim_wall = sim_start.elapsed();
-
-        let _span = sheet.span("extrapolate");
-        let mut values = [0.0f64; 7];
-        for (i, metric) in Metric::ALL.iter().enumerate() {
-            let mut pts = [(0.0, 0.0); 3];
-            for (j, (f, outcomes)) in runs.iter().enumerate() {
-                let per_group: Vec<f64> = outcomes.iter().map(|o| metric.value(&o.stats)).collect();
-                pts[j] = (*f, metric.combine(&per_group));
-            }
-            values[i] = regression_to_full(&pts);
-        }
-        drop(_span);
-
-        let (_, groups) = runs.pop().ok_or_else(|| {
-            ZatelError::InvalidOptions("regression needs at least one traced fraction".into())
-        })?;
-        let k = self.resolve_factor()?;
-        Ok(Prediction {
-            values,
-            groups,
-            k,
-            preprocess_wall,
-            sim_wall,
-            spans: sheet.snapshot(),
-            heatmap: Some(heatmap),
-            // The regression variant simulates three traced fractions
-            // directly; none of its work flows through the stage cache.
-            cache: Vec::new(),
-            request_id: None,
-        })
     }
 
     /// Simulates the full workload on the full-size GPU — the ground truth
@@ -1050,31 +840,30 @@ mod tests {
 
     #[test]
     fn builder_validates_on_build() {
-        let options = ZatelOptions::builder()
-            .downscale(DownscaleMode::Factor(2))
-            .quant_colors(4)
-            .percent_override(0.25)
-            .clamp(0.1, 0.9)
-            .jobs(2)
-            .build()
-            .expect("valid options");
-        assert_eq!(options.downscale, DownscaleMode::Factor(2));
-        assert_eq!(options.quant_colors, 4);
-        assert_eq!(options.selection.percent_override, Some(0.25));
-        assert_eq!(options.selection.clamp, (0.1, 0.9));
-        assert_eq!(options.jobs, Some(2));
+        let mut options = ZatelOptions {
+            downscale: DownscaleMode::Factor(2),
+            quant_colors: 4,
+            jobs: Some(2),
+            ..ZatelOptions::default()
+        };
+        options.selection.percent_override = Some(0.25);
+        options.selection.clamp = (0.1, 0.9);
+        options.validate().expect("valid options");
 
-        for broken in [
-            ZatelOptions::builder().trace_slice_cycles(0),
-            ZatelOptions::builder().jobs(0),
-            ZatelOptions::builder().quant_colors(0),
-            ZatelOptions::builder().percent_override(0.0),
-            ZatelOptions::builder().percent_override(1.5),
-            ZatelOptions::builder().percent_cap(-0.1),
-            ZatelOptions::builder().clamp(0.6, 0.3),
-            ZatelOptions::builder().clamp(-0.2, 0.5),
-        ] {
-            let err = broken.build().expect_err("invalid options accepted");
+        let broken: [fn(&mut ZatelOptions); 8] = [
+            |o| o.trace_slice_cycles = Some(0),
+            |o| o.jobs = Some(0),
+            |o| o.quant_colors = 0,
+            |o| o.selection.percent_override = Some(0.0),
+            |o| o.selection.percent_override = Some(1.5),
+            |o| o.selection.percent_cap = Some(-0.1),
+            |o| o.selection.clamp = (0.6, 0.3),
+            |o| o.selection.clamp = (-0.2, 0.5),
+        ];
+        for set in broken {
+            let mut options = ZatelOptions::default();
+            set(&mut options);
+            let err = options.validate().expect_err("invalid options accepted");
             assert!(matches!(err, ZatelError::InvalidOptions(_)), "{err}");
         }
     }
@@ -1109,46 +898,30 @@ mod tests {
     }
 
     #[test]
-    fn execute_observe_override_is_per_execution() {
-        let scene = SceneId::Sprng.build(1);
-        let z = quick_zatel(&scene);
-        let observed = z
-            .execute(&RunContext::new().with_observe(ObserveOptions {
-                timeline: false,
-                ..ObserveOptions::default()
-            }))
-            .expect("observed execute");
-        assert!(
-            observed.groups.iter().all(|g| g.obs.is_some()),
-            "observe override must reach every group"
-        );
-        // The override does not stick to the predictor itself.
-        assert!(z.options().observe.is_none());
-        let plain = z.run().expect("plain run");
-        assert!(plain.groups.iter().all(|g| g.obs.is_none()));
-    }
-
-    #[test]
-    fn execute_regression_ignores_cache() {
+    fn execute_regression_shares_the_stage_cache() {
         let scene = SceneId::Sprng.build(1);
         let z = quick_zatel(&scene);
         let fractions = [0.2, 0.3, 0.4];
-        let uncached = z
+        let cold = z
             .execute(&RunContext::new().with_regression(fractions))
-            .expect("uncached execute");
+            .expect("cold execute");
         let cache = ArtifactCache::in_memory();
         let ctx = RunContext::new()
             .with_cache(&cache)
             .with_regression(fractions);
-        let via_execute = z.execute(&ctx).expect("execute");
+        let first = z.execute(&ctx).expect("first shared execute");
+        let second = z.execute(&ctx).expect("second shared execute");
+        for m in Metric::ALL {
+            assert_eq!(cold.value(m), first.value(m), "{m} cold vs shared cache");
+            assert_eq!(cold.value(m), second.value(m), "{m} cold vs warm cache");
+        }
+        let stages: Vec<&str> = second.cache.iter().map(|r| r.stage).collect();
         assert_eq!(
-            uncached.value(Metric::SimCycles),
-            via_execute.value(Metric::SimCycles)
+            stages,
+            ["heatmap", "quantize", "divide", "select", "select", "select"]
         );
-        assert!(
-            via_execute.cache.is_empty(),
-            "regression path never consults the stage cache"
-        );
+        assert!(first.cache.iter().all(|r| !r.outcome.is_hit()));
+        assert!(second.cache.iter().all(|r| r.outcome.is_hit()));
     }
 
     #[test]

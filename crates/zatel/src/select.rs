@@ -25,10 +25,8 @@ pub enum Distribution {
 /// Parameters of the selection step.
 ///
 /// The struct is `#[non_exhaustive]`: downstream crates start from
-/// [`SelectionOptions::default`] (or
-/// [`ZatelOptions::builder`](crate::ZatelOptions::builder)) and assign the
-/// fields they need, so adding a selection knob is never a breaking
-/// change.
+/// [`SelectionOptions::default`] and assign the fields they need, so
+/// adding a selection knob is never a breaking change.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct SelectionOptions {

@@ -1,16 +1,19 @@
 //! The pipeline as a stage graph with a content-addressed artifact cache.
 //!
-//! Each phase of the Zatel pipeline (heatmap → quantize → divide → select
-//! → group-simulate → extrapolate) is a [`Stage`]: a pure function from a
-//! typed input to a typed output [`Artifact`], plus a deterministic
-//! *parameter fingerprint* covering exactly the options that feed that
-//! stage — not the whole [`ZatelOptions`](crate::ZatelOptions). Combining
-//! the stage name, its parameter fingerprint and the input's content
-//! fingerprint yields the artifact's cache key, so the [`ArtifactCache`]
-//! can recognize repeated work across pipeline runs.
+//! Each deterministic phase of the Zatel pipeline (heatmap → quantize →
+//! divide → select) is a [`Stage`]: a pure function from a typed input to
+//! a typed output [`Artifact`], plus a deterministic *parameter
+//! fingerprint* covering exactly the options that feed that stage — not
+//! the whole [`ZatelOptions`](crate::ZatelOptions). Combining the stage
+//! name, its parameter fingerprint and the input's content fingerprint
+//! yields the artifact's cache key, so the [`ArtifactCache`] can recognize
+//! repeated work across pipeline runs. Group simulation and extrapolation
+//! are not stages: their results embed per-run wall-clock observations and
+//! the simulation *is* the measurement being taken, so
+//! [`crate::pipeline`] calls them directly.
 //!
 //! This is what makes sweeps cheap: a sweep over traced-percentages or
-//! downscale factors varies only the select/simulate stages, so the
+//! downscale factors varies only selection and simulation, so the
 //! heatmap, quantization and division artifacts are computed once and
 //! served from cache for every subsequent sweep point. An opt-in on-disk
 //! layer ([`ArtifactCache::with_disk`]) extends reuse across processes for
@@ -37,7 +40,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gpusim::Metric;
 use minijson::{Map, ToJson, Value};
 use rtcore::fingerprint::Fnv64;
 use rtcore::math::Vec3;
@@ -46,7 +48,6 @@ use rtcore::tracer::TraceConfig;
 
 use crate::heatmap::Heatmap;
 use crate::partition::{divide, DivisionMethod, Group};
-use crate::pipeline::GroupOutcome;
 use crate::quantize::QuantizedHeatmap;
 use crate::select::{select_pixels, Selection, SelectionOptions};
 
@@ -93,26 +94,17 @@ pub trait Stage {
 
     /// Computes the output. Must be deterministic in `(self, input)`.
     fn run(&self, input: &Self::Input) -> Self::Output;
-
-    /// Whether the output may be cached. Stages whose outputs embed
-    /// per-run observations (wall-clock times, hook recordings) return
-    /// `false`.
-    fn cacheable(&self) -> bool {
-        true
-    }
 }
 
 /// How a [`ArtifactCache::get_or_run`] request was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Computed now (and stored, if cacheable).
+    /// Computed now (and stored).
     Miss,
     /// Served from the in-memory map.
     MemoryHit,
     /// Served from the on-disk layer (and promoted to memory).
     DiskHit,
-    /// The stage is not cacheable; always computed.
-    Uncacheable,
 }
 
 impl CacheOutcome {
@@ -121,14 +113,12 @@ impl CacheOutcome {
         matches!(self, CacheOutcome::MemoryHit | CacheOutcome::DiskHit)
     }
 
-    /// Stable lowercase label (`"miss"`, `"memory"`, `"disk"`,
-    /// `"uncacheable"`).
+    /// Stable lowercase label (`"miss"`, `"memory"`, `"disk"`).
     pub fn label(self) -> &'static str {
         match self {
             CacheOutcome::Miss => "miss",
             CacheOutcome::MemoryHit => "memory",
             CacheOutcome::DiskHit => "disk",
-            CacheOutcome::Uncacheable => "uncacheable",
         }
     }
 }
@@ -200,104 +190,60 @@ impl ToJson for CacheStats {
     }
 }
 
-// A BTreeMap so that any future iteration over live artifacts (eviction,
-// diagnostics dumps) is ordered by key, never by hash seed.
-type MemMap = BTreeMap<(&'static str, Fingerprint), Arc<dyn Any + Send + Sync>>;
+/// How many artifacts the memory level holds before an insert evicts the
+/// least recently used one. A prediction inserts four; a long-lived
+/// server meeting never-seen `(scene, seed)` pairs would otherwise grow
+/// without limit. An evicted artifact is simply the disk hit or miss it
+/// would have been in a fresh process.
+const MEMORY_ENTRY_BOUND: usize = 4096;
 
-/// A stored artifact in the form a tier holds it: fast tiers keep the
-/// live typed value, persistent tiers keep its serialized document.
-#[derive(Clone)]
-pub enum TierEntry {
-    /// The live artifact, shared by `Arc` (memory tier).
-    Typed(Arc<dyn Any + Send + Sync>),
-    /// The artifact's [`Artifact::to_disk`] document (persistent tiers).
-    Serialized(Arc<Value>),
+#[derive(Debug)]
+struct MemEntry {
+    artifact: Arc<dyn Any + Send + Sync>,
+    generation: u64,
 }
 
-impl std::fmt::Debug for TierEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TierEntry::Typed(_) => f.write_str("TierEntry::Typed(..)"),
-            TierEntry::Serialized(_) => f.write_str("TierEntry::Serialized(..)"),
-        }
-    }
-}
-
-/// One storage layer of a [`TieredCache`], keyed like the cache itself
-/// by `(stage name, fingerprint)`.
-///
-/// Implementations are internally synchronized and shareable across
-/// threads (and across caches, behind an `Arc`). Every failure mode —
-/// I/O errors, corrupt documents, representation mismatches — degrades
-/// to a miss, never an error.
-pub trait CacheTier: Send + Sync + std::fmt::Debug {
-    /// Stable tier name (`"memory"`, `"disk"`).
-    fn label(&self) -> &'static str;
-
-    /// Looks up an entry; `None` is a miss.
-    fn get(&self, stage: &'static str, fp: Fingerprint) -> Option<TierEntry>;
-
-    /// Stores an entry. Tiers silently ignore representations they cannot
-    /// hold: the memory tier drops serialized entries, persistent tiers
-    /// drop typed ones.
-    fn put(&self, stage: &'static str, fp: Fingerprint, entry: TierEntry);
-
-    /// Drops an entry that failed to decode (corrupt or type-confused) so
-    /// it is never served again.
-    fn discard(&self, stage: &'static str, fp: Fingerprint);
-
-    /// Number of entries currently held.
-    fn len(&self) -> usize;
-
-    /// `true` when the tier holds no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The in-process tier: a typed map of live artifacts shared by `Arc`.
+/// The in-process level: live typed artifacts shared by `Arc`, with
+/// recency kept as a generation counter like the disk index's.
+// A BTreeMap so that eviction ties and any diagnostics dump are ordered
+// by key, never by hash seed.
 #[derive(Debug, Default)]
-pub struct MemoryTier {
-    map: Mutex<MemMap>,
+struct MemMap {
+    next_generation: u64,
+    entries: BTreeMap<(&'static str, Fingerprint), MemEntry>,
 }
 
-impl MemoryTier {
-    /// An empty memory tier.
-    pub fn new() -> Self {
-        MemoryTier::default()
+impl MemMap {
+    /// Looks up an artifact, making it the most recently used.
+    fn get(&mut self, key: (&'static str, Fingerprint)) -> Option<Arc<dyn Any + Send + Sync>> {
+        let entry = self.entries.get_mut(&key)?;
+        entry.generation = self.next_generation;
+        self.next_generation += 1;
+        Some(Arc::clone(&entry.artifact))
     }
 
-    /// The artifact map, recovering from a poisoned lock: a worker that
-    /// panicked mid-insert leaves the map with whole entries only (values
-    /// are `Arc`s swapped in atomically), so the cached data stays valid.
-    fn map(&self) -> std::sync::MutexGuard<'_, MemMap> {
-        self.map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl CacheTier for MemoryTier {
-    fn label(&self) -> &'static str {
-        "memory"
-    }
-
-    fn get(&self, stage: &'static str, fp: Fingerprint) -> Option<TierEntry> {
-        self.map().get(&(stage, fp)).cloned().map(TierEntry::Typed)
-    }
-
-    fn put(&self, stage: &'static str, fp: Fingerprint, entry: TierEntry) {
-        if let TierEntry::Typed(artifact) = entry {
-            self.map().insert((stage, fp), artifact);
+    /// Stores an artifact as the most recently used, evicting the least
+    /// recently used one beyond [`MEMORY_ENTRY_BOUND`].
+    fn insert(&mut self, key: (&'static str, Fingerprint), artifact: Arc<dyn Any + Send + Sync>) {
+        let generation = self.next_generation;
+        self.next_generation += 1;
+        self.entries.insert(
+            key,
+            MemEntry {
+                artifact,
+                generation,
+            },
+        );
+        if self.entries.len() > MEMORY_ENTRY_BOUND {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.generation)
+                .map(|(&key, _)| key);
+            if let Some(oldest) = oldest {
+                self.entries.remove(&oldest);
+            }
         }
-    }
-
-    fn discard(&self, stage: &'static str, fp: Fingerprint) {
-        self.map().remove(&(stage, fp));
-    }
-
-    fn len(&self) -> usize {
-        self.map().len()
     }
 }
 
@@ -370,7 +316,8 @@ fn is_artifact_file(name: &str) -> bool {
 /// lowest-generation entries until the tier fits. Several
 /// [`TieredCache`]s may share one `DiskTier` behind an `Arc`; this is
 /// how serve's worker shards share their persistent layer under
-/// shard-private memory tiers.
+/// shard-private memory maps. Every failure mode — I/O errors, corrupt
+/// documents — degrades to a miss, never an error.
 #[derive(Debug)]
 pub struct DiskTier {
     dir: PathBuf,
@@ -404,16 +351,6 @@ impl DiskTier {
             evictions: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
         }
-    }
-
-    /// The tier's directory.
-    pub fn dir(&self) -> &PathBuf {
-        &self.dir
-    }
-
-    /// The configured size budget in bytes, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
     }
 
     /// Tier-level counters and current occupancy.
@@ -537,14 +474,11 @@ impl DiskTier {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
 
-impl CacheTier for DiskTier {
-    fn label(&self) -> &'static str {
-        "disk"
-    }
-
-    fn get(&self, stage: &'static str, fp: Fingerprint) -> Option<TierEntry> {
+    /// Looks up an entry's document, making it the most recently used;
+    /// `None` is a miss. An unreadable or unparsable file is dropped and
+    /// counted corrupt.
+    fn get(&self, stage: &str, fp: Fingerprint) -> Option<Value> {
         let name = Self::file_name(stage, fp);
         let mut idx = self.index();
         if !idx.entries.contains_key(&name) {
@@ -556,14 +490,13 @@ impl CacheTier for DiskTier {
             .and_then(|text| Value::parse(&text).ok());
         match parsed {
             Some(value) => {
-                // Touch: the entry becomes the most recently used.
                 let generation = idx.bump();
                 if let Some(e) = idx.entries.get_mut(&name) {
                     e.generation = generation;
                 }
                 self.persist(&idx);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(TierEntry::Serialized(Arc::new(value)))
+                Some(value)
             }
             None => {
                 // Truncated, corrupt or unreadable: drop it, serve a miss.
@@ -576,10 +509,9 @@ impl CacheTier for DiskTier {
         }
     }
 
-    fn put(&self, stage: &'static str, fp: Fingerprint, entry: TierEntry) {
-        let TierEntry::Serialized(value) = entry else {
-            return;
-        };
+    /// Stores an entry's document as the most recently used, evicting
+    /// over-budget entries.
+    fn put(&self, stage: &str, fp: Fingerprint, value: &Value) {
         let name = Self::file_name(stage, fp);
         let text = value.pretty();
         let mut idx = self.index();
@@ -601,7 +533,9 @@ impl CacheTier for DiskTier {
         self.persist(&idx);
     }
 
-    fn discard(&self, stage: &'static str, fp: Fingerprint) {
+    /// Drops an entry whose document failed the typed decode (counted
+    /// corrupt) so it is never served again.
+    fn discard(&self, stage: &str, fp: Fingerprint) {
         let name = Self::file_name(stage, fp);
         let mut idx = self.index();
         if idx.entries.contains_key(&name) {
@@ -610,32 +544,26 @@ impl CacheTier for DiskTier {
             self.corrupt.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    fn len(&self) -> usize {
-        self.index().entries.len()
-    }
 }
 
-/// A content-addressed store of stage outputs, composed from an ordered
-/// stack of [`CacheTier`]s (fastest first).
+/// A content-addressed store of stage outputs on two levels: a private
+/// in-memory map over an optional, shareable [`DiskTier`].
 ///
 /// Keys are `(stage name, fingerprint)` where the fingerprint mixes the
 /// stage's parameter fingerprint with the input's content fingerprint —
 /// any change to either produces a new key, which is the entire cache
 /// invalidation story: stale entries are never *wrong*, only unreachable.
 ///
-/// Lookups walk the tiers in order and promote hits into every faster
-/// tier; misses compute the artifact and offer it to every tier (each
-/// stores the representation it can hold). The cache is internally
-/// synchronized and is shared across sweep worker threads behind an
-/// `Arc`; independent caches may share a [`DiskTier`] (see
-/// [`TieredCache::with_disk_tier`]) to combine shard-private memory with
-/// a fleet-wide persistent layer.
+/// A lookup reads memory, then disk (a disk hit is decoded and promoted
+/// into memory); a miss computes the artifact, keeps it in memory and
+/// writes its [`Artifact::to_disk`] document, if it has one, to disk. The
+/// cache is internally synchronized and is shared across sweep worker
+/// threads behind an `Arc`; independent caches may share a [`DiskTier`]
+/// (see [`TieredCache::with_disk_tier`]) to combine shard-private memory
+/// with a fleet-wide persistent layer.
 #[derive(Debug)]
 pub struct TieredCache {
-    /// Ordered fastest → slowest; index 0 is always the memory tier.
-    tiers: Vec<Arc<dyn CacheTier>>,
-    /// Concrete handle on the disk tier for stats and sharing.
+    memory: Mutex<MemMap>,
     disk: Option<Arc<DiskTier>>,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -646,20 +574,10 @@ pub struct TieredCache {
 /// predates the tier split.
 pub type ArtifactCache = TieredCache;
 
-impl Default for TieredCache {
-    fn default() -> Self {
-        TieredCache::in_memory()
-    }
-}
-
 impl TieredCache {
     fn compose(disk: Option<Arc<DiskTier>>) -> Self {
-        let mut tiers: Vec<Arc<dyn CacheTier>> = vec![Arc::new(MemoryTier::new())];
-        if let Some(disk) = &disk {
-            tiers.push(Arc::clone(disk) as Arc<dyn CacheTier>);
-        }
         TieredCache {
-            tiers,
+            memory: Mutex::new(MemMap::default()),
             disk,
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -680,28 +598,10 @@ impl TieredCache {
         Self::compose(Some(Arc::new(DiskTier::new(dir))))
     }
 
-    /// Like [`TieredCache::with_disk`] with an eviction budget: the disk
-    /// tier holds at most `budget_bytes` of artifacts, evicting
-    /// least-recently-used entries.
-    pub fn with_disk_budget(dir: impl Into<PathBuf>, budget_bytes: u64) -> Self {
-        Self::compose(Some(Arc::new(DiskTier::with_budget(dir, budget_bytes))))
-    }
-
-    /// A cache with a private memory tier over an existing — possibly
+    /// A cache with a private memory map over an existing — possibly
     /// shared — disk tier.
     pub fn with_disk_tier(disk: Arc<DiskTier>) -> Self {
         Self::compose(Some(disk))
-    }
-
-    /// The on-disk directory, when the disk tier is enabled.
-    pub fn disk_dir(&self) -> Option<&PathBuf> {
-        self.disk.as_ref().map(|d| d.dir())
-    }
-
-    /// The disk tier, when enabled — shareable with further caches via
-    /// [`TieredCache::with_disk_tier`].
-    pub fn disk_tier(&self) -> Option<&Arc<DiskTier>> {
-        self.disk.as_ref()
     }
 
     /// Cumulative hit/miss counters (see [`CacheStats`] for which fields
@@ -719,9 +619,18 @@ impl TieredCache {
         }
     }
 
+    /// The memory map, recovering from a poisoned lock: a worker that
+    /// panicked mid-insert leaves the map with whole entries only (values
+    /// are `Arc`s swapped in atomically), so the cached data stays valid.
+    fn memory(&self) -> std::sync::MutexGuard<'_, MemMap> {
+        self.memory
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Number of artifacts currently held in memory.
     pub fn len(&self) -> usize {
-        self.tiers[0].len()
+        self.memory().entries.len()
     }
 
     /// `true` when no artifacts are held in memory.
@@ -740,17 +649,6 @@ impl TieredCache {
         h.finish()
     }
 
-    /// Decodes a tier entry back into the typed artifact. A failure can
-    /// only mean corruption (serialized) or two stages sharing a NAME
-    /// with different output types (typed); both degrade to a recompute
-    /// rather than panicking mid-sweep.
-    fn decode<A: Artifact>(entry: &TierEntry) -> Option<Arc<A>> {
-        match entry {
-            TierEntry::Typed(any) => Arc::clone(any).downcast::<A>().ok(),
-            TierEntry::Serialized(value) => A::from_disk(value).map(Arc::new),
-        }
-    }
-
     /// Returns the stage's output for `input`, computing it only when no
     /// cached copy exists. Returns the artifact, its cache key and how the
     /// request was served.
@@ -761,40 +659,33 @@ impl TieredCache {
         input_fp: Fingerprint,
     ) -> (Arc<S::Output>, Fingerprint, CacheOutcome) {
         let fp = Self::key_of(stage, input_fp);
-        if !stage.cacheable() {
-            return (Arc::new(stage.run(input)), fp, CacheOutcome::Uncacheable);
+        let key = (S::NAME, fp);
+        // A failed downcast can only mean two stages sharing a NAME with
+        // different output types; it degrades to a recompute (which
+        // overwrites the entry) rather than panicking mid-sweep.
+        let held = self.memory().get(key);
+        if let Some(artifact) = held.and_then(|any| any.downcast::<S::Output>().ok()) {
+            self.memory_hits.fetch_add(1, Ordering::Relaxed);
+            return (artifact, fp, CacheOutcome::MemoryHit);
         }
-        for (depth, tier) in self.tiers.iter().enumerate() {
-            let Some(entry) = tier.get(S::NAME, fp) else {
-                continue;
-            };
-            let Some(artifact) = Self::decode::<S::Output>(&entry) else {
-                tier.discard(S::NAME, fp);
-                continue;
-            };
-            for faster in &self.tiers[..depth] {
-                faster.put(
-                    S::NAME,
-                    fp,
-                    TierEntry::Typed(Arc::clone(&artifact) as Arc<dyn Any + Send + Sync>),
-                );
+        if let Some(disk) = &self.disk {
+            if let Some(value) = disk.get(S::NAME, fp) {
+                match S::Output::from_disk(&value) {
+                    Some(artifact) => {
+                        let artifact = Arc::new(artifact);
+                        self.memory().insert(key, Arc::clone(&artifact) as _);
+                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        return (artifact, fp, CacheOutcome::DiskHit);
+                    }
+                    None => disk.discard(S::NAME, fp),
+                }
             }
-            let outcome = if depth == 0 {
-                self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                CacheOutcome::MemoryHit
-            } else {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                CacheOutcome::DiskHit
-            };
-            return (artifact, fp, outcome);
         }
         let artifact = Arc::new(stage.run(input));
-        let typed: Arc<dyn Any + Send + Sync> = Arc::clone(&artifact) as Arc<dyn Any + Send + Sync>;
-        let serialized = artifact.to_disk().map(Arc::new);
-        for tier in &self.tiers {
-            tier.put(S::NAME, fp, TierEntry::Typed(Arc::clone(&typed)));
-            if let Some(value) = &serialized {
-                tier.put(S::NAME, fp, TierEntry::Serialized(Arc::clone(value)));
+        self.memory().insert(key, Arc::clone(&artifact) as _);
+        if let Some(disk) = &self.disk {
+            if let Some(value) = artifact.to_disk() {
+                disk.put(S::NAME, fp, &value);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -1053,92 +944,6 @@ impl Stage for SelectStage {
 
 impl Artifact for Vec<Selection> {}
 
-/// Input of [`GroupSimStage`]: the groups and their selections, shared by
-/// `Arc` from the cached divide/select artifacts.
-#[derive(Debug, Clone)]
-pub struct SimInput {
-    /// Image-plane groups (output of [`DivideStage`]).
-    pub groups: Arc<Vec<Group>>,
-    /// Per-group selections (output of [`SelectStage`]), parallel to
-    /// `groups`.
-    pub selections: Arc<Vec<Selection>>,
-}
-
-/// Stage ⑥: simulate every group on the downscaled GPU. Uncacheable —
-/// outcomes embed wall-clock timings and optional hook recordings, and
-/// the simulation *is* the measurement being taken.
-#[derive(Debug)]
-pub struct GroupSimStage<'a, 's> {
-    /// The predictor owning scene, trace config and options.
-    pub zatel: &'a crate::pipeline::Zatel<'s>,
-    /// The downscaled GPU configuration groups run on.
-    pub down: &'a gpusim::GpuConfig,
-    /// Span sheet receiving one `group N` span per job.
-    pub sheet: &'a obs::span::SpanSheet,
-}
-
-impl Stage for GroupSimStage<'_, '_> {
-    type Input = SimInput;
-    type Output = Vec<GroupOutcome>;
-    const NAME: &'static str = "simulate-groups";
-
-    fn params_fingerprint(&self) -> Fingerprint {
-        Fnv64::new().finish()
-    }
-
-    fn run(&self, input: &SimInput) -> Vec<GroupOutcome> {
-        self.zatel
-            .simulate_groups(self.down, &input.groups, &input.selections, self.sheet)
-    }
-
-    fn cacheable(&self) -> bool {
-        false
-    }
-}
-
-impl Artifact for Vec<GroupOutcome> {}
-
-/// Stage ⑦: per-metric linear extrapolation and the Section III-H combine
-/// rule. Uncacheable — its input embeds per-run wall-clock observations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExtrapolateStage;
-
-/// Output of [`ExtrapolateStage`]: one combined, extrapolated value per
-/// metric, in [`Metric::ALL`] order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricVector(
-    /// Values in [`Metric::ALL`] order.
-    pub [f64; 7],
-);
-
-impl Artifact for MetricVector {}
-
-impl Stage for ExtrapolateStage {
-    type Input = Vec<GroupOutcome>;
-    type Output = MetricVector;
-    const NAME: &'static str = "extrapolate";
-
-    fn params_fingerprint(&self) -> Fingerprint {
-        Fnv64::new().finish()
-    }
-
-    fn run(&self, outcomes: &Vec<GroupOutcome>) -> MetricVector {
-        let mut values = [0.0f64; 7];
-        for (i, metric) in Metric::ALL.iter().enumerate() {
-            let per_group: Vec<f64> = outcomes
-                .iter()
-                .map(|o| metric.extrapolate(metric.value(&o.stats), o.traced_fraction))
-                .collect();
-            values[i] = metric.combine(&per_group);
-        }
-        MetricVector(values)
-    }
-
-    fn cacheable(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1288,35 +1093,6 @@ mod tests {
         assert_eq!(o3, CacheOutcome::Miss, "percent override changes the key");
     }
 
-    struct SquareStage;
-    impl Artifact for u64 {}
-    impl Stage for SquareStage {
-        type Input = u64;
-        type Output = u64;
-        const NAME: &'static str = "square";
-        fn params_fingerprint(&self) -> Fingerprint {
-            Fnv64::new().finish()
-        }
-        fn run(&self, input: &u64) -> u64 {
-            input * input
-        }
-        fn cacheable(&self) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn uncacheable_stage_is_always_computed() {
-        let cache = ArtifactCache::in_memory();
-        let (v1, _, o1) = cache.get_or_run(&SquareStage, &7, 1);
-        let (v2, _, o2) = cache.get_or_run(&SquareStage, &7, 1);
-        assert_eq!((*v1, *v2), (49, 49));
-        assert_eq!(o1, CacheOutcome::Uncacheable);
-        assert_eq!(o2, CacheOutcome::Uncacheable);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("zatel-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1408,9 +1184,7 @@ mod tests {
         probe.put(
             "payload",
             0,
-            TierEntry::Serialized(Arc::new(
-                Payload(vec![0; 64]).to_disk().expect("payload serializes"),
-            )),
+            &Payload(vec![0; 64]).to_disk().expect("payload serializes"),
         );
         let entry_bytes = probe.stats().bytes;
         assert!(entry_bytes > 0);
@@ -1488,6 +1262,39 @@ mod tests {
         assert_eq!(tier.stats().entries, 1);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_level_evicts_lru_beyond_its_entry_bound() {
+        let scene = SceneId::Sprng.build(1);
+        let cache = ArtifactCache::in_memory();
+        let outcome = |seed: usize| {
+            let stage = HeatmapStage {
+                width: 1,
+                height: 1,
+                trace: TraceConfig {
+                    seed: seed as u64,
+                    ..trace()
+                },
+            };
+            cache.get_or_run(&stage, &scene, scene.fingerprint()).2
+        };
+        let k = 3;
+        for seed in 0..MEMORY_ENTRY_BOUND {
+            assert_eq!(outcome(seed), CacheOutcome::Miss);
+        }
+        // Touch the oldest key just before the overflow: it becomes the
+        // most recently used, so the k inserts evict keys 1..=k instead.
+        assert_eq!(outcome(0), CacheOutcome::MemoryHit);
+        for seed in MEMORY_ENTRY_BOUND..MEMORY_ENTRY_BOUND + k {
+            assert_eq!(outcome(seed), CacheOutcome::Miss);
+        }
+        assert_eq!(cache.len(), MEMORY_ENTRY_BOUND);
+        assert_eq!(outcome(0), CacheOutcome::MemoryHit, "touched key survives");
+        for seed in 1..=k {
+            assert_eq!(outcome(seed), CacheOutcome::Miss, "key {seed} was evicted");
+            assert_eq!(cache.len(), MEMORY_ENTRY_BOUND);
+        }
     }
 
     #[test]
