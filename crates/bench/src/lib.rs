@@ -19,6 +19,10 @@
 //! quantities are ratios). Set `ZATEL_RES=512` to run at paper scale.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

@@ -14,7 +14,7 @@
 //!             [--reference] [--json]
 //! zatel serve [--addr 127.0.0.1:7878] [--workers 2] [--queue 64]
 //!             [--sim-jobs N] [--deadline-ms N] [--cache-dir DIR]
-//!             [--cache-budget-mb N] [--no-dedup] [--log-out FILE|-]
+//!             [--cache-budget-mb N] [--log-out FILE|-]
 //! zatel predict --url http://host:7878 ...   # same output, computed remotely
 //! zatel sweep --url http://host:7878 ...
 //! zatel report --run run.json [--history runs.jsonl] [--pgm heatmap.pgm]
@@ -26,6 +26,11 @@
 //! All progress and diagnostic output goes to **stderr**; stdout carries
 //! only the result (tables, or JSON with `--json`), so piping into tools
 //! is always safe.
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod args;
 
@@ -125,9 +130,6 @@ fn print_help() {
            --queue N           admission queue depth; beyond it requests are\n\
                                refused with 429 + a computed Retry-After\n\
                                (default 64)\n\
-           --no-dedup          disable single-flight dedup of identical\n\
-                               concurrent requests (responses are identical\n\
-                               either way; useful for A/B load tests)\n\
            --sim-jobs N        per-request simulation thread cap, when the\n\
                                request does not set options.jobs itself\n\
            --deadline-ms N     default deadline for requests that carry none;\n\
@@ -741,7 +743,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
         config.cache_budget_mb = Some(budget);
     }
-    config.dedup = !args.flag("no-dedup");
     if let Some(dest) = args.get("log-out") {
         config.log_out = Some(dest.to_owned());
     }
@@ -772,7 +773,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// Builds the `zatel-run-v1` record persisted by `--run-out` and consumed
 /// by `zatel report`. Wall-clock times live only in span/wall fields so
 /// the `metrics` section stays byte-identical across repeat runs.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one flat record of the run; every argument is a field of it"
+)]
 fn run_record(
     args: &Args,
     scene: &str,
@@ -835,9 +839,7 @@ fn run_record(
     if let Some(id) = &prediction.request_id {
         rec.insert("request_id".into(), minijson::json!(id.as_str()));
     }
-    if let Some(heatmap) = &prediction.heatmap {
-        rec.insert("heatmap".into(), heatmap_to_json(heatmap));
-    }
+    rec.insert("heatmap".into(), heatmap_to_json(&prediction.heatmap));
     if let Some(reference) = reference {
         let mut refs = minijson::Map::new();
         for m in Metric::ALL {

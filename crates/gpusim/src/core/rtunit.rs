@@ -38,12 +38,15 @@ impl RtUnit {
     /// Requests a warp slot at time `now`; returns `(slot, start)` where
     /// `start >= now` is when the warp may begin its RT phase.
     pub fn acquire(&mut self, now: u64) -> (usize, u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "GpuConfig::validate rejects zero RT tester slots before a unit is built"
+        )]
         let (slot, &free_at) = self
             .slots
             .iter()
             .enumerate()
             .min_by_key(|(_, &t)| t)
-            // zatel-lint: allow(panic-hygiene, reason = "GpuConfig::validate rejects zero RT tester slots before a unit is built")
             .expect("unit has at least one slot");
         (slot, now.max(free_at))
     }

@@ -80,7 +80,10 @@ impl<'w> Decoder<'w> {
     /// [`DecodedPhase::Retire`].
     pub fn next_phase(&mut self, sm: usize, slot: usize) -> DecodedPhase {
         let slot = self.warps[sm][slot].as_mut();
-        // zatel-lint: allow(panic-hygiene, reason = "engine invariant: next_phase is only called for slots the engine launched into and never after Retire")
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: next_phase is only called for slots the engine launched into and never after Retire"
+        )]
         let warp = slot.expect("phase for a vacant warp slot");
         decode_one(warp, self.line_bytes, std::mem::take(&mut self.spare))
     }

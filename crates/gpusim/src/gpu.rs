@@ -39,7 +39,10 @@ impl Simulator {
     ///
     /// Panics if the configuration fails [`GpuConfig::validate`].
     pub fn new(config: GpuConfig) -> Self {
-        // zatel-lint: allow(panic-hygiene, reason = "documented `# Panics` constructor contract; callers validate via GpuConfig::validate for a Result")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` constructor contract; callers validate via GpuConfig::validate for a Result"
+        )]
         config.validate().expect("invalid GPU configuration");
         Simulator { config }
     }

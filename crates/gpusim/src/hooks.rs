@@ -71,26 +71,20 @@ impl PhaseClass {
 
 /// Observer interface threaded through the engine's cycle path.
 ///
-/// Every method has an empty default body, so implementations override only
-/// the events they care about. Implementations must be pure observers: the
-/// engine's timing decisions never depend on hook state.
+/// No method has a default body: an implementation that misses an event —
+/// in particular a forwarding one — fails to compile instead of silently
+/// dropping it. Implementations must be pure observers: the engine's timing
+/// decisions never depend on hook state.
 pub trait SimHooks {
     /// A warp became resident on `sm` and will first issue shortly after
     /// `time` (the launch latency is accounted by the engine).
-    #[inline]
-    fn on_warp_launch(&mut self, sm: usize, warp_id: u64, time: u64) {
-        let _ = (sm, warp_id, time);
-    }
+    fn on_warp_launch(&mut self, sm: usize, warp_id: u64, time: u64);
 
     /// A warp ran out of work and released its slot at `time`.
-    #[inline]
-    fn on_warp_retire(&mut self, sm: usize, warp_id: u64, time: u64) {
-        let _ = (sm, warp_id, time);
-    }
+    fn on_warp_retire(&mut self, sm: usize, warp_id: u64, time: u64);
 
     /// A warp phase was issued on `sm` at `start` and its results are ready
     /// at `ready`; `class` names the critical-path component.
-    #[inline]
     fn on_phase_issue(
         &mut self,
         sm: usize,
@@ -98,37 +92,23 @@ pub trait SimHooks {
         class: PhaseClass,
         start: u64,
         ready: u64,
-    ) {
-        let _ = (sm, warp_id, class, start, ready);
-    }
+    );
 
     /// A cache probe at `level` resolved as a hit or a miss.
-    #[inline]
-    fn on_cache_access(&mut self, level: CacheLevel, hit: bool) {
-        let _ = (level, hit);
-    }
+    fn on_cache_access(&mut self, level: CacheLevel, hit: bool);
 
     /// `bytes` of data were scheduled on DRAM `channel` (reads and
     /// write-back drain both count); the transfer completes at `time`.
-    #[inline]
-    fn on_dram_transfer(&mut self, channel: usize, bytes: u32, time: u64) {
-        let _ = (channel, bytes, time);
-    }
+    fn on_dram_transfer(&mut self, channel: usize, bytes: u32, time: u64);
 
     /// A read issued at some earlier cycle on `sm` completed with an
     /// end-to-end `latency` (issue to data-in-registers), whichever level
     /// of the hierarchy served it.
-    #[inline]
-    fn on_mem_read(&mut self, sm: usize, latency: u64) {
-        let _ = (sm, latency);
-    }
+    fn on_mem_read(&mut self, sm: usize, latency: u64);
 
     /// An RT phase with `rays` active rays traversing `nodes` BVH lines
     /// occupied a tester slot on `sm` from `start` for `occupancy_cycles`.
-    #[inline]
-    fn on_rt_phase(&mut self, sm: usize, rays: u32, nodes: u32, start: u64, occupancy_cycles: u64) {
-        let _ = (sm, rays, nodes, start, occupancy_cycles);
-    }
+    fn on_rt_phase(&mut self, sm: usize, rays: u32, nodes: u32, start: u64, occupancy_cycles: u64);
 }
 
 /// Forwarding observer: `Some(hooks)` forwards every event, `None` behaves
@@ -249,7 +229,22 @@ impl<A: SimHooks, B: SimHooks> SimHooks for (A, B) {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullHooks;
 
-impl SimHooks for NullHooks {}
+impl SimHooks for NullHooks {
+    #[inline]
+    fn on_warp_launch(&mut self, _: usize, _: u64, _: u64) {}
+    #[inline]
+    fn on_warp_retire(&mut self, _: usize, _: u64, _: u64) {}
+    #[inline]
+    fn on_phase_issue(&mut self, _: usize, _: u64, _: PhaseClass, _: u64, _: u64) {}
+    #[inline]
+    fn on_cache_access(&mut self, _: CacheLevel, _: bool) {}
+    #[inline]
+    fn on_dram_transfer(&mut self, _: usize, _: u32, _: u64) {}
+    #[inline]
+    fn on_mem_read(&mut self, _: usize, _: u64) {}
+    #[inline]
+    fn on_rt_phase(&mut self, _: usize, _: u32, _: u32, _: u64, _: u64) {}
+}
 
 /// Monotonic per-component event counters collected by [`TraceHooks`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -461,6 +456,8 @@ impl SimHooks for TraceHooks {
         self.counters.dram_bytes += bytes as u64;
     }
 
+    fn on_mem_read(&mut self, _sm: usize, _latency: u64) {}
+
     fn on_rt_phase(
         &mut self,
         _sm: usize,
@@ -576,30 +573,59 @@ mod tests {
         assert_eq!(t.slices()[0].phases, 1);
     }
 
+    /// Counts calls per callback, in trait order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Counting([u32; 7]);
+
+    impl SimHooks for Counting {
+        fn on_warp_launch(&mut self, _: usize, _: u64, _: u64) {
+            self.0[0] += 1;
+        }
+        fn on_warp_retire(&mut self, _: usize, _: u64, _: u64) {
+            self.0[1] += 1;
+        }
+        fn on_phase_issue(&mut self, _: usize, _: u64, _: PhaseClass, _: u64, _: u64) {
+            self.0[2] += 1;
+        }
+        fn on_cache_access(&mut self, _: CacheLevel, _: bool) {
+            self.0[3] += 1;
+        }
+        fn on_dram_transfer(&mut self, _: usize, _: u32, _: u64) {
+            self.0[4] += 1;
+        }
+        fn on_mem_read(&mut self, _: usize, _: u64) {
+            self.0[5] += 1;
+        }
+        fn on_rt_phase(&mut self, _: usize, _: u32, _: u32, _: u64, _: u64) {
+            self.0[6] += 1;
+        }
+    }
+
+    /// Fires each of the seven callbacks exactly once.
+    fn fire_all(h: &mut impl SimHooks) {
+        h.on_warp_launch(0, 7, 0);
+        h.on_warp_retire(0, 7, 90);
+        h.on_phase_issue(0, 7, PhaseClass::Memory, 10, 30);
+        h.on_cache_access(CacheLevel::L1, true);
+        h.on_dram_transfer(2, 64, 300);
+        h.on_mem_read(0, 42);
+        h.on_rt_phase(1, 8, 3, 5, 12);
+    }
+
     #[test]
     fn option_hooks_forward_only_when_some() {
-        let mut none: Option<TraceHooks> = None;
-        none.on_warp_launch(0, 0, 0); // must not panic
-        let mut some = Some(TraceHooks::new(10));
-        some.on_warp_launch(0, 0, 0);
-        some.on_cache_access(CacheLevel::L1, true);
-        some.on_mem_read(0, 42);
-        let t = some.unwrap();
-        assert_eq!(t.counters().warps_launched, 1);
-        assert_eq!(t.counters().l1_hits, 1);
+        let mut none: Option<Counting> = None;
+        fire_all(&mut none); // must not panic
+        let mut some = Some(Counting::default());
+        fire_all(&mut some);
+        assert_eq!(some, Some(Counting([1; 7])));
     }
 
     #[test]
     fn pair_hooks_fan_out_to_both() {
-        let mut pair = (TraceHooks::new(10), TraceHooks::new(20));
-        pair.on_warp_launch(0, 7, 0);
-        pair.on_dram_transfer(2, 64, 300);
-        pair.on_rt_phase(1, 8, 3, 5, 12);
-        for t in [&pair.0, &pair.1] {
-            assert_eq!(t.counters().warps_launched, 1);
-            assert_eq!(t.counters().dram_bytes, 64);
-            assert_eq!(t.counters().rt_active_rays, 8);
-        }
+        let mut pair = (Counting::default(), Counting::default());
+        fire_all(&mut pair);
+        assert_eq!(pair, (Counting([1; 7]), Counting([1; 7])));
     }
 
     #[test]

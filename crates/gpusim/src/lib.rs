@@ -42,6 +42,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod config;
 mod core;
@@ -59,3 +64,13 @@ pub use hooks::{
 };
 pub use stats::{CombineRule, Metric, SimStats};
 pub use workload::{MemSpace, Op, ThreadProgram, WarpProgram, Workload};
+
+/// Pins the `disallowed-types` list: no live site uses a hash collection, so
+/// without this a deleted `clippy.toml` entry would go unnoticed. With it the
+/// expectation below is unfulfilled and the clippy step fails.
+#[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "canary: the one deliberate `HashMap` in result-affecting code"
+)]
+type _HashCollectionCanary = std::collections::HashMap<u8, u8>;

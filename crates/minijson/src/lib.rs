@@ -25,6 +25,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::fmt;
 
@@ -730,7 +734,7 @@ impl<T: Clone + Into<Value>> From<&Vec<T>> for Value {
 macro_rules! json {
     (null) => { $crate::Value::Null };
     ({ $($key:literal : $val:expr),* $(,)? }) => {{
-        #[allow(unused_mut)]
+        #[allow(unused_mut, reason = "an empty object literal never inserts")]
         let mut map = $crate::Map::new();
         $( map.insert($key.to_string(), $crate::Value::from($val)); )*
         $crate::Value::Object(map)

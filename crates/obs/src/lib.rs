@@ -22,6 +22,10 @@
 //! snapshot.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod hooks;
 pub mod log;

@@ -15,8 +15,8 @@
 //!
 //! Log timestamps are host wall-clock and therefore live only here: a
 //! logger is never threaded into result-affecting code, which is part of
-//! the "what is allowed to see a wall clock" rule that `zatel-lint`
-//! enforces (`wall-clock`, `obs-seam`).
+//! the "what is allowed to see a wall clock" rule (DESIGN.md) that
+//! `clippy::disallowed_methods` and the crate graph enforce.
 
 use std::fmt;
 use std::io::{self, Write};

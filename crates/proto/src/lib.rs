@@ -34,6 +34,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod config;
 mod debug;

@@ -211,10 +211,13 @@ pub struct MetricValues(pub [f64; 7]);
 impl MetricValues {
     /// The value of `metric`.
     pub fn value(&self, metric: Metric) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "Metric::ALL enumerates every variant by construction; mirrors Prediction::value"
+        )]
         let idx = Metric::ALL
             .iter()
             .position(|m| *m == metric)
-            // zatel-lint: allow(panic-hygiene, reason = "Metric::ALL enumerates every variant by construction; mirrors Prediction::value")
             .expect("metric in ALL");
         self.0[idx]
     }

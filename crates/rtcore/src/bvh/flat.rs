@@ -281,7 +281,10 @@ impl Bvh {
 
     /// Assembles a BVH from the builder's output.
     pub(crate) fn new(nodes: Vec<FlatNode>, prim_order: Vec<u32>) -> Self {
-        // zatel-lint: allow(panic-hygiene, reason = "audited stack invariant: the builder lays nodes out depth-first and ends branches at MAX_DEPTH, so a failure is a builder bug")
+        #[expect(
+            clippy::expect_used,
+            reason = "audited stack invariant: the builder lays nodes out depth-first and ends branches at MAX_DEPTH, so a failure is a builder bug"
+        )]
         Self::checked(nodes, prim_order).expect("builder output fits the traversal stack")
     }
 

@@ -36,14 +36,20 @@ impl Camera {
             vfov_degrees > 0.0 && vfov_degrees < 180.0,
             "field of view must be in (0, 180), got {vfov_degrees}"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: degenerate camera geometry is a caller bug"
+        )]
         let w = (eye - target)
             .try_normalized()
-            // zatel-lint: allow(panic-hygiene, reason = "documented constructor contract: degenerate camera geometry is a caller bug")
             .expect("camera eye and target must differ");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: degenerate camera geometry is a caller bug"
+        )]
         let u = up
             .cross(w)
             .try_normalized()
-            // zatel-lint: allow(panic-hygiene, reason = "documented constructor contract: degenerate camera geometry is a caller bug")
             .expect("up must not align with view direction");
         let v = w.cross(u);
         let half_height = (vfov_degrees.to_radians() / 2.0).tan();

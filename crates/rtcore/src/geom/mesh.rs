@@ -19,7 +19,10 @@ pub fn push_quad(out: &mut Vec<Triangle>, a: Vec3, b: Vec3, c: Vec3, d: Vec3, ma
 /// Builds a rectangular grid on the XZ plane centred at `center`, subdivided
 /// into `nx × nz` cells (two triangles each), with per-vertex height noise of
 /// amplitude `bump` driven by `rng`. With `bump == 0` this is a flat floor.
-#[allow(clippy::too_many_arguments)] // A plain geometric parameter list; a builder would obscure it.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a plain geometric parameter list; a builder would obscure it"
+)]
 pub fn heightfield(
     center: Vec3,
     size_x: f32,
@@ -160,7 +163,10 @@ pub fn uv_sphere(
 /// `children` smaller spheres on its surface, recursing `depth` levels.
 /// High depth complexity makes these expensive to trace — the procedural
 /// stand-in for dense foliage or statues.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a plain geometric parameter list; a builder would obscure it"
+)]
 pub fn sphere_flake(
     center: Vec3,
     radius: f32,

@@ -25,6 +25,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod bvh;
 pub mod camera;

@@ -335,7 +335,10 @@ impl Index<usize> for Vec3 {
             0 => &self.x,
             1 => &self.y,
             2 => &self.z,
-            // zatel-lint: allow(panic-hygiene, reason = "std Index contract: out-of-bounds indexing panics exactly like slice indexing")
+            #[expect(
+                clippy::panic,
+                reason = "std Index contract: out-of-bounds indexing panics exactly like slice indexing"
+            )]
             _ => panic!("Vec3 index out of range: {index}"),
         }
     }

@@ -27,6 +27,11 @@
 //! negligible work, matching the paper's observation.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 
 #[cfg(test)]
 mod reference;

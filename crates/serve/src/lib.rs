@@ -49,6 +49,12 @@
 //! which is what keeps `zatel predict` and `zatel predict --url` output
 //! identical.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
+
 pub mod client;
 pub mod http;
 pub mod server;

@@ -146,9 +146,11 @@ impl Shard {
 
     /// Enqueues a job, or returns it when the shard is saturated (the
     /// router answers 429 with a computed `Retry-After`) or closed.
-    // The Err variant hands the whole job back so the refusal path keeps
-    // the stream and request id; it is a move either way, never a copy.
-    #[allow(clippy::result_large_err)]
+    #[expect(
+        clippy::result_large_err,
+        reason = "the Err variant hands the whole job back so the refusal path keeps the stream \
+                  and request id; it is a move either way, never a copy"
+    )]
     pub(crate) fn try_push(&self, job: ShardJob) -> Result<(), ShardJob> {
         let mut queue = self.lock();
         if queue.closed || queue.jobs.len() >= self.capacity {
@@ -161,16 +163,15 @@ impl Shard {
     }
 
     /// Blocks for the next job, collapsing every queued job that shares
-    /// its dedup fingerprint when `dedup` is on. A job whose request
-    /// hinted `no_dedup` neither leads a batch of followers nor rides
-    /// another job's execution. Returns `None` once the shard is closed
-    /// and drained.
-    pub(crate) fn next_batch(&self, dedup: bool) -> Option<(ShardJob, Vec<ShardJob>)> {
+    /// its dedup fingerprint. A job whose request hinted `no_dedup`
+    /// neither leads a batch of followers nor rides another job's
+    /// execution. Returns `None` once the shard is closed and drained.
+    pub(crate) fn next_batch(&self) -> Option<(ShardJob, Vec<ShardJob>)> {
         let mut queue = self.lock();
         loop {
             if let Some(leader) = queue.jobs.pop_front() {
                 let mut followers = Vec::new();
-                if dedup && !leader.payload.no_dedup() {
+                if !leader.payload.no_dedup() {
                     let mut rest = VecDeque::with_capacity(queue.jobs.len());
                     for job in queue.jobs.drain(..) {
                         if job.dedup_fp == leader.dedup_fp && !job.payload.no_dedup() {

@@ -148,27 +148,23 @@ fn identical_concurrent_requests_coalesce_onto_one_execution() {
 
 #[test]
 fn shard_count_and_dedup_never_change_the_deterministic_subset() {
-    // The same request served by 1-shard, 4-shard and dedup-disabled
-    // fleets must produce byte-identical deterministic subsets — shard
-    // routing and single-flight are pure execution topology.
-    let req = tiny_request(7);
+    // The same request served by a 1-shard fleet, a 4-shard fleet and a
+    // 4-shard fleet it opts out of single-flight on must produce
+    // byte-identical deterministic subsets — shard routing and
+    // single-flight are pure execution topology.
     let mut subsets = Vec::new();
-    for config in [
-        ServeConfig {
-            workers: 1,
+    for (workers, no_dedup) in [(1, false), (4, false), (4, true)] {
+        let mut req = tiny_request(7);
+        if no_dedup {
+            req.hints = Some(zatel_proto::ExecutionHints {
+                no_dedup: true,
+                ..Default::default()
+            });
+        }
+        let (client, _url, handle, join) = boot(ServeConfig {
+            workers,
             ..ServeConfig::default()
-        },
-        ServeConfig {
-            workers: 4,
-            ..ServeConfig::default()
-        },
-        ServeConfig {
-            workers: 4,
-            dedup: false,
-            ..ServeConfig::default()
-        },
-    ] {
-        let (client, _url, handle, join) = boot(config);
+        });
         let resp = client
             .post_json("/v1/predict", &req.to_json())
             .expect("predict");
@@ -176,7 +172,10 @@ fn shard_count_and_dedup_never_change_the_deterministic_subset() {
         let parsed = PredictResponse::from_json(&resp.json().unwrap()).expect("parses");
         subsets.push(parsed.deterministic_json().to_string());
         handle.shutdown();
-        join.join().expect("server thread").expect("clean run");
+        let report = join.join().expect("server thread").expect("clean run");
+        if no_dedup {
+            assert_eq!(report.coalesced, 0, "{report:?}");
+        }
     }
     assert_eq!(subsets[0], subsets[1], "1 vs 4 shards");
     assert_eq!(subsets[0], subsets[2], "dedup on vs off");

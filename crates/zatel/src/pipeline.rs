@@ -204,7 +204,7 @@ pub struct Prediction {
     /// extrapolate), sorted by start offset.
     pub spans: Vec<SpanRecord>,
     /// The execution-time heatmap profiled by [`Zatel::execute`].
-    pub heatmap: Option<Heatmap>,
+    pub heatmap: Heatmap,
     /// How each stage execution interacted with the artifact cache, in
     /// pipeline order (heatmap, quantize, divide, then one select per
     /// traced fraction). A cold [`Zatel::run`] reports all misses; sweep
@@ -218,10 +218,13 @@ pub struct Prediction {
 impl Prediction {
     /// Predicted value of `metric`.
     pub fn value(&self, metric: Metric) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "Metric::ALL enumerates every variant by construction; a Result here would make an infallible accessor fallible"
+        )]
         let idx = Metric::ALL
             .iter()
             .position(|m| *m == metric)
-            // zatel-lint: allow(panic-hygiene, reason = "Metric::ALL enumerates every variant by construction; a Result here would make an infallible accessor fallible")
             .expect("metric in ALL");
         self.values[idx]
     }
@@ -374,7 +377,10 @@ impl<'s> Zatel<'s> {
         trace: TraceConfig,
     ) -> Self {
         assert!(width > 0 && height > 0, "image must be non-empty");
-        // zatel-lint: allow(panic-hygiene, reason = "documented `# Panics` constructor contract; fallible construction goes through ZatelOptions validation instead")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` constructor contract; fallible construction goes through ZatelOptions validation instead"
+        )]
         target.validate().expect("invalid target GPU configuration");
         Zatel {
             scene,
@@ -470,6 +476,11 @@ impl<'s> Zatel<'s> {
         let sheet = SpanSheet::new();
         let mut records = Vec::new();
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measurement around the stages, not inside them: feeds only \
+                      Prediction::preprocess_wall, which no metric value or fingerprint reads"
+        )]
         let pre_start = Instant::now();
         let (heatmap, _) = staged(
             cache,
@@ -526,6 +537,11 @@ impl<'s> Zatel<'s> {
                 &select_input,
                 select_input_fp,
             );
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "measurement around the group simulations, not inside them: feeds only \
+                          Prediction::sim_wall (the speedup denominator), never a predicted value"
+            )]
             let sim_start = Instant::now();
             let _span = sheet.span(span);
             let outcomes = self.simulate_groups(&down, &groups, &selections, &sheet);
@@ -588,7 +604,7 @@ impl<'s> Zatel<'s> {
             preprocess_wall,
             sim_wall,
             spans,
-            heatmap: Some(heatmap.as_ref().clone()),
+            heatmap: heatmap.as_ref().clone(),
             cache: records,
             request_id: ctx.request_id.clone(),
         })
@@ -688,6 +704,11 @@ impl<'s> Zatel<'s> {
     /// every prediction is evaluated against (and the denominator of the
     /// speedup).
     pub fn run_reference(&self) -> Reference {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measurement around the reference simulation: feeds only Reference::wall \
+                      (the speedup numerator), never its SimStats"
+        )]
         let start = Instant::now();
         let workload = RtWorkload::full_frame(self.scene, self.width, self.height, self.trace);
         let stats = Simulator::new(self.target.clone()).run(&workload);
@@ -839,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_on_build() {
+    fn options_validate_rejects_each_bad_field() {
         let mut options = ZatelOptions {
             downscale: DownscaleMode::Factor(2),
             quant_colors: 4,
@@ -1123,7 +1144,6 @@ mod tests {
                 .all(|s| s.name.starts_with("group ") || s.track == 0),
             "phase spans live on track 0"
         );
-        assert!(pred.heatmap.is_some(), "run() keeps the profiled heatmap");
         // Spans arrive sorted; group spans start inside simulate-groups.
         let sim = pred
             .spans

@@ -189,6 +189,10 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
     let mut centroids = Vec::with_capacity(k);
     centroids.push(points[rng.next_below(points.len())]);
     while centroids.len() < k {
+        #[expect(
+            clippy::expect_used,
+            reason = "one point per heatmap pixel and the heatmap is non-empty by construction"
+        )]
         let (best, _) = points
             .iter()
             .enumerate()
@@ -200,7 +204,6 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
                 (i, d)
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            // zatel-lint: allow(panic-hygiene, reason = "one point per heatmap pixel and the heatmap is non-empty by construction")
             .expect("non-empty points");
         centroids.push(points[best]);
     }
@@ -209,12 +212,15 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
     for _ in 0..MAX_ITERS {
         let mut changed = false;
         for (i, p) in points.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "kmeans asserts k > 0 on entry, so centroids is never empty"
+            )]
             let (best, _) = centroids
                 .iter()
                 .enumerate()
                 .map(|(j, c)| (j, (*p - *c).length_squared()))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
-                // zatel-lint: allow(panic-hygiene, reason = "kmeans asserts k > 0 on entry, so centroids is never empty")
                 .expect("k >= 1");
             if assignment[i] != best as u16 {
                 assignment[i] = best as u16;

@@ -234,11 +234,14 @@ pub fn select_pixels(
                 let p = group.pixels[i];
                 *counts.entry(quantized.cluster(p.x, p.y)).or_insert(0) += 1;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "every tile entry is created with at least one pixel index"
+            )]
             counts
                 .into_iter()
                 .max_by_key(|&(id, n)| (n, std::cmp::Reverse(id)))
                 .map(|(id, _)| id)
-                // zatel-lint: allow(panic-hygiene, reason = "every tile entry is created with at least one pixel index")
                 .expect("blocks are non-empty")
         })
         .collect();

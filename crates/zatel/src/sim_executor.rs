@@ -122,6 +122,13 @@ impl SimExecutor {
         let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<R>> = Vec::new();
         slots.resize_with(items.len(), || None);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the `--jobs` pool: scoped workers claim disjoint job indices from one cursor \
+                      and every result lands in its input slot before the scope joins, so worker \
+                      count and claim order never reach the output — pinned by the serial/parallel \
+                      and map/map_timed identity tests"
+        )]
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
@@ -138,15 +145,21 @@ impl SimExecutor {
                 }));
             }
             for handle in handles {
-                // zatel-lint: allow(panic-hygiene, reason = "re-raises a worker panic on the caller; swallowing it would hand back partial results")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "re-raises a worker panic on the caller; swallowing it would hand back partial results"
+                )]
                 for (i, r) in handle.join().expect("simulation job panicked") {
                     slots[i] = Some(r);
                 }
             }
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "the strided job loop assigns every index exactly once before join returns"
+        )]
         slots
             .into_iter()
-            // zatel-lint: allow(panic-hygiene, reason = "the strided job loop assigns every index exactly once before join returns")
             .map(|r| r.expect("every job index was executed"))
             .collect()
     }
@@ -168,7 +181,10 @@ impl SimExecutor {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        // zatel-lint: allow(wall-clock, reason = "observation-only job spans: the result vector is bit-identical with or without timing; offsets feed span sheets and never flow into predictions, pinned by the map/map_timed identity test")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observation-only job spans: the result vector is bit-identical with or without timing; offsets feed span sheets and never flow into predictions, pinned by the map/map_timed identity test"
+        )]
         let epoch = Instant::now();
         let workers = self.jobs.min(items.len());
         if workers <= 1 {
@@ -189,6 +205,13 @@ impl SimExecutor {
         let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<(R, JobTiming)>> = Vec::new();
         slots.resize_with(items.len(), || None);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the `--jobs` pool: scoped workers claim disjoint job indices from one cursor \
+                      and every result lands in its input slot before the scope joins, so worker \
+                      count and claim order never reach the output — pinned by the serial/parallel \
+                      and map/map_timed identity tests"
+        )]
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for worker in 0..workers {
@@ -215,15 +238,21 @@ impl SimExecutor {
                 }));
             }
             for handle in handles {
-                // zatel-lint: allow(panic-hygiene, reason = "re-raises a worker panic on the caller; swallowing it would hand back partial results")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "re-raises a worker panic on the caller; swallowing it would hand back partial results"
+                )]
                 for (i, r, t) in handle.join().expect("simulation job panicked") {
                     slots[i] = Some((r, t));
                 }
             }
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "the strided job loop assigns every index exactly once before join returns"
+        )]
         slots
             .into_iter()
-            // zatel-lint: allow(panic-hygiene, reason = "the strided job loop assigns every index exactly once before join returns")
             .map(|s| s.expect("every job index was executed"))
             .unzip()
     }
