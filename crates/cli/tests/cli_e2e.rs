@@ -277,6 +277,43 @@ fn bad_config_file_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("reading config file"));
 }
 
+/// Runs `predict` with `mobile_soc()` edited by `edit` as its config file
+/// and asserts the one-line error the engine would otherwise panic on.
+fn assert_config_refused(file: &str, edit: impl FnOnce(&mut gpusim::GpuConfig), message: &str) {
+    let dir = std::env::temp_dir().join("zatel-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(file);
+    let mut config = gpusim::GpuConfig::mobile_soc();
+    edit(&mut config);
+    std::fs::write(&path, minijson::ToJson::to_json(&config).to_string()).unwrap();
+    let out = zatel(&[
+        "predict",
+        "--scene",
+        "SPRNG",
+        "--res",
+        "32",
+        "--spp",
+        "1",
+        "--config",
+        path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{file} accepted");
+    assert_ne!(out.status.code(), Some(101), "{file} panicked: {stderr}");
+    assert!(stderr.contains(message), "{file}: {stderr}");
+    assert_eq!(stderr.trim().lines().count(), 1, "{file}: {stderr}");
+}
+
+#[test]
+fn config_the_engine_cannot_build_fails_cleanly() {
+    assert_config_refused(
+        "zero-line.json",
+        |c| (c.l1d.line_bytes, c.l2.line_bytes) = (0, 0),
+        "line_bytes must be positive",
+    );
+    assert_config_refused("zero-rt.json", |c| c.rt_max_warps = 0, "rt_max_warps");
+}
+
 #[test]
 fn predict_json_includes_pipeline_spans() {
     let text = stdout(&[

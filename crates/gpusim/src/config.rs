@@ -3,6 +3,11 @@
 
 use minijson::{FromJson, JsonError, Map, ToJson, Value};
 
+/// Most lines (and ways) a validated cache level may have: the cache's tag
+/// index holds `2 × sets × ways ≤ 2 × max(lines, ways)` buckets addressed
+/// by `u32` slots, which `Cache::new` asserts fits in `1 << 31`.
+const MAX_CACHE_TAGS: u64 = 1 << 30;
+
 /// Configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -206,7 +211,8 @@ impl GpuConfig {
     /// # Errors
     ///
     /// Returns [`DownscaleError`] if `factor` is zero or does not evenly
-    /// divide both component counts.
+    /// divide both component counts, or if the result fails
+    /// [`GpuConfig::validate`].
     pub fn downscaled(&self, factor: u32) -> Result<GpuConfig, DownscaleError> {
         if factor == 0 {
             return Err(DownscaleError {
@@ -230,6 +236,8 @@ impl GpuConfig {
         // L2 is physically per-partition: total capacity shrinks with the
         // partition count.
         down.l2.bytes = self.l2.bytes / factor as u64;
+        down.validate()
+            .map_err(|reason| DownscaleError { factor, reason })?;
         Ok(down)
     }
 
@@ -259,8 +267,24 @@ impl GpuConfig {
         if self.l1d.line_bytes != self.l2.line_bytes {
             return Err("L1 and L2 line sizes must match".into());
         }
+        if self.l1d.line_bytes == 0 {
+            return Err("line_bytes must be positive".into());
+        }
         if !self.l2.bytes.is_multiple_of(self.num_mem_partitions as u64) {
             return Err("L2 must divide evenly across memory partitions".into());
+        }
+        for (name, cache) in [("L1", self.l1d), ("L2 slice", self.l2_slice())] {
+            if cache.lines() == 0 {
+                return Err(format!("{name} must hold at least one line"));
+            }
+            if cache.lines().max(cache.effective_ways()) > MAX_CACHE_TAGS {
+                return Err(format!(
+                    "{name} lines and ways must not exceed {MAX_CACHE_TAGS} (the tag index)"
+                ));
+            }
+        }
+        if self.rt_max_warps == 0 || self.rt_lanes_per_cycle == 0 {
+            return Err("rt_max_warps and rt_lanes_per_cycle must be positive".into());
         }
         if self.issue_width == 0 {
             return Err("issue_width must be positive".into());
@@ -516,5 +540,66 @@ mod tests {
         let mut c = GpuConfig::mobile_soc();
         c.l1d.line_bytes = 64;
         assert!(c.validate().is_err());
+    }
+
+    /// `validate`'s message for `mobile_soc()` after `edit`.
+    fn rejected(edit: impl FnOnce(&mut GpuConfig)) -> String {
+        let mut c = GpuConfig::mobile_soc();
+        edit(&mut c);
+        c.validate().expect_err("config accepted")
+    }
+
+    #[test]
+    fn validate_rejects_zero_line_bytes() {
+        let err = rejected(|c| (c.l1d.line_bytes, c.l2.line_bytes) = (0, 0));
+        assert!(err.contains("line_bytes"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_an_l1_smaller_than_a_line() {
+        let err = rejected(|c| c.l1d.bytes = 127);
+        assert!(err.contains("L1 must hold at least one line"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_an_l2_slice_smaller_than_a_line() {
+        // 4 partitions of 64 bytes each: the total is divisible, a slice
+        // still holds no 128-byte line.
+        let err = rejected(|c| c.l2.bytes = 256);
+        assert!(
+            err.contains("L2 slice must hold at least one line"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_rt_warps_or_lanes() {
+        let err = rejected(|c| c.rt_max_warps = 0);
+        assert!(err.contains("rt_max_warps"), "{err}");
+        let err = rejected(|c| c.rt_lanes_per_cycle = 0);
+        assert!(err.contains("rt_lanes_per_cycle"), "{err}");
+    }
+
+    #[test]
+    fn validate_bounds_the_tag_index() {
+        // Exactly at the bound is accepted: the biggest tag index a
+        // validated config can ask `Cache::new` for.
+        let mut c = GpuConfig::mobile_soc();
+        c.l1d.bytes = MAX_CACHE_TAGS * 128;
+        c.validate().expect("at the bound");
+        let err = rejected(|c| c.l1d.bytes = (MAX_CACHE_TAGS + 1) * 128);
+        assert!(err.contains("tag index"), "{err}");
+        let err = rejected(|c| c.l2.ways = u32::MAX);
+        assert!(err.contains("L2 slice lines and ways"), "{err}");
+    }
+
+    #[test]
+    fn downscaled_output_is_validated() {
+        // Invalid before downscaling, so invalid after: an error, not a
+        // config that panics the engine.
+        let mut c = GpuConfig::mobile_soc();
+        c.rt_max_warps = 0;
+        let err = c.downscaled(4).expect_err("invalid output accepted");
+        assert!(err.to_string().contains("rt_max_warps"), "{err}");
     }
 }

@@ -8,6 +8,16 @@
 //! and [`Bvh::occluded`] compute in one fused loop that a differential test
 //! holds to the step machine ray for ray — so the functional and timing
 //! models agree on exactly which work a ray performs.
+//!
+//! Both loops take two exact shortcuts, neither visible in the steps or the
+//! counters. A ray in the class of [`Ray::slab_finite`] — every ray the
+//! tracer casts, short of one with a zero direction component — runs the
+//! NaN-free [`Aabb::hit_finite`]; any other ray runs the reference
+//! [`Aabb::hit`]. Each loop is written once, generic over that choice, and
+//! picks it once per ray. And a popped node is re-tested only if a hit has
+//! shrunk the interval since it was pushed: the fused loop compares the
+//! entry distance it stacked, the step machine skips the entries above the
+//! stack height of its last hit.
 
 use crate::geom::{Hit, Primitive, PrimitiveId};
 use crate::math::{Aabb, Ray, Vec3};
@@ -363,6 +373,21 @@ impl Bvh {
         any_hit: bool,
     ) -> (Option<(f32, u32)>, TraversalStats) {
         let inv_dir = ray.inv_dir();
+        if ray.slab_finite(inv_dir) {
+            self.query_with::<true>(ray, inv_dir, prims, any_hit)
+        } else {
+            self.query_with::<false>(ray, inv_dir, prims, any_hit)
+        }
+    }
+
+    /// [`Bvh::query`] with the slab test chosen by [`slab`].
+    fn query_with<const FINITE: bool>(
+        &self,
+        ray: &Ray,
+        inv_dir: Vec3,
+        prims: &[Primitive],
+        any_hit: bool,
+    ) -> (Option<(f32, u32)>, TraversalStats) {
         let mut stats = TraversalStats {
             box_tests: 1,
             ..TraversalStats::default()
@@ -372,7 +397,7 @@ impl Bvh {
         let mut best = None;
         let mut stack = [(0u32, 0f32); MAX_DEPTH + 1];
         let mut len = 0;
-        if let Some(t_enter) = self.nodes[0].bounds.hit(ray, inv_dir) {
+        if let Some(t_enter) = slab::<FINITE>(&self.nodes[0].bounds, ray, inv_dir) {
             stack[0] = (0, t_enter);
             len = 1;
         }
@@ -402,8 +427,8 @@ impl Bvh {
             // Interior: box-test both children, push hits far-then-near.
             stats.box_tests += 2;
             let (left, right) = (index + 1, node.first_or_right);
-            let t_left = self.nodes[left as usize].bounds.hit(&probe, inv_dir);
-            let t_right = self.nodes[right as usize].bounds.hit(&probe, inv_dir);
+            let t_left = slab::<FINITE>(&self.nodes[left as usize].bounds, &probe, inv_dir);
+            let t_right = slab::<FINITE>(&self.nodes[right as usize].bounds, &probe, inv_dir);
             let mut push = |node: u32, t_enter: f32| {
                 stack[len] = (node, t_enter);
                 len += 1;
@@ -423,6 +448,18 @@ impl Bvh {
             }
         }
         (best, stats)
+    }
+}
+
+/// The slab test of a traversal loop: [`Aabb::hit_finite`] if `FINITE` (the
+/// ray is in the class of [`Ray::slab_finite`]), else the reference
+/// [`Aabb::hit`].
+#[inline(always)]
+fn slab<const FINITE: bool>(bounds: &Aabb, ray: &Ray, inv_dir: Vec3) -> Option<f32> {
+    if FINITE {
+        bounds.hit_finite(ray, inv_dir)
+    } else {
+        bounds.hit(ray, inv_dir)
     }
 }
 
@@ -501,6 +538,12 @@ pub struct Traversal<'a> {
     /// `stack[..stack_len]` is live.
     stack_len: u8,
     any_hit: bool,
+    /// `stack[watermark..stack_len]` was pushed since the last closest hit
+    /// (or the start), so it passed the slab test against the current
+    /// `best_t`. Lowered to the stack height by a pop that goes below it.
+    watermark: u8,
+    /// The ray is in the class of [`Ray::slab_finite`].
+    finite: bool,
     bvh: &'a Bvh,
     prims: &'a [Primitive],
     /// Nodes still to visit.
@@ -534,6 +577,8 @@ impl<'a> Traversal<'a> {
             pending: (0, 0),
             stack_len,
             any_hit,
+            watermark: 0,
+            finite: ray.slab_finite(inv_dir),
             bvh,
             prims,
             stack: [0; MAX_DEPTH + 1],
@@ -548,6 +593,16 @@ impl<'a> Traversal<'a> {
 
     /// Executes one traversal step, or returns `None` when finished.
     pub fn step(&mut self) -> Option<TraversalStep> {
+        if self.finite {
+            self.step_with::<true>()
+        } else {
+            self.step_with::<false>()
+        }
+    }
+
+    /// [`Traversal::step`] with the slab test chosen by [`slab`].
+    #[inline(always)]
+    fn step_with<const FINITE: bool>(&mut self) -> Option<TraversalStep> {
         // Finish pending primitive tests of the current leaf first.
         let (cursor, end) = self.pending;
         if cursor < end {
@@ -558,6 +613,7 @@ impl<'a> Traversal<'a> {
             let hit = if let Some(t) = self.prims[prim_index as usize].hit(&probe) {
                 self.best_t = t;
                 self.best_prim = prim_index;
+                self.watermark = self.stack_len;
                 true
             } else {
                 false
@@ -576,16 +632,20 @@ impl<'a> Traversal<'a> {
         let node_index = loop {
             self.stack_len = self.stack_len.checked_sub(1)?;
             let idx = self.stack[self.stack_len as usize];
-            // Cheap re-check against the (possibly shrunk) interval; this
-            // models culling stale stack entries and costs no extra fetch.
+            // Cull entries a hit has made stale: re-test against the shrunk
+            // interval, which models no extra fetch. An entry pushed since
+            // the last hit passed this same pure test against this same
+            // `best_t`, so it is kept untested; below the watermark, every
+            // entry pushed from here on is fresh.
+            if self.stack_len >= self.watermark {
+                break idx;
+            }
+            self.watermark = self.stack_len;
             let mut probe = self.ray;
             probe.t_max = self.best_t;
-            match self.bvh.nodes[idx as usize]
-                .bounds
-                .hit(&probe, self.inv_dir)
+            if slab::<FINITE>(&self.bvh.nodes[idx as usize].bounds, &probe, self.inv_dir).is_some()
             {
-                Some(_) => break idx,
-                None => continue,
+                break idx;
             }
         };
 
@@ -606,12 +666,8 @@ impl<'a> Traversal<'a> {
         let right = node.right_child();
         let mut probe = self.ray;
         probe.t_max = self.best_t;
-        let t_left = self.bvh.nodes[left as usize]
-            .bounds
-            .hit(&probe, self.inv_dir);
-        let t_right = self.bvh.nodes[right as usize]
-            .bounds
-            .hit(&probe, self.inv_dir);
+        let t_left = slab::<FINITE>(&self.bvh.nodes[left as usize].bounds, &probe, self.inv_dir);
+        let t_right = slab::<FINITE>(&self.bvh.nodes[right as usize].bounds, &probe, self.inv_dir);
         match (t_left, t_right) {
             (Some(tl), Some(tr)) => {
                 if tl <= tr {
@@ -750,6 +806,111 @@ mod tests {
         assert_eq!(stats.prim_tests, 0);
     }
 
+    /// The closest `(t, primitive)` by testing every primitive: the
+    /// reference any traversal must find.
+    fn brute_force(prims: &[Primitive], ray: &Ray) -> Option<(f32, u32)> {
+        let mut best: Option<(f32, u32)> = None;
+        for (pi, p) in prims.iter().enumerate() {
+            if let Some(t) = p.hit(ray) {
+                if best.is_none_or(|(bt, _)| t < bt) {
+                    best = Some((t, pi as u32));
+                }
+            }
+        }
+        best
+    }
+
+    /// Rays outside the class of [`Ray::slab_finite`] take the reference
+    /// slab test. Fused and stepped traversal agree on every one; where the
+    /// ray touches a primitive properly they find what testing every
+    /// primitive finds. Rows marked `grazes` pin the reference's behaviour
+    /// on contacts it does not see, unchanged from before the fast class
+    /// existed: a ray running in a box's face plane makes that slab
+    /// `0 · ∞ = NaN` and the other bound `±∞`, so the box is missed and
+    /// with it a sphere touching the face at a tangent; and a sphere test
+    /// with an infinite direction reports a NaN distance.
+    #[test]
+    fn rays_outside_the_fast_class_match_the_brute_force_reference() {
+        // Spheres of radius 0.5 on an integer grid in the z = 5 plane and a
+        // floor triangle in y = -2: every box face lies on a known plane.
+        let mut prims: Vec<Primitive> = Vec::new();
+        for i in -2..=2 {
+            for j in -2..=2 {
+                let c = Vec3::new(i as f32, j as f32, 5.0);
+                prims.push(Primitive::Sphere(Sphere::new(c, 0.5, MaterialId(0))));
+            }
+        }
+        prims.push(Primitive::Triangle(Triangle::new(
+            Vec3::new(-4.0, -2.0, 0.0),
+            Vec3::new(4.0, -2.0, 0.0),
+            Vec3::new(0.0, -2.0, 9.0),
+            MaterialId(1),
+        )));
+        let bvh = Bvh::build(&prims);
+        let (grazes, proper) = (true, false);
+        let cases = [
+            // Axis-parallel with the origin on face planes of sphere boxes:
+            // between spheres, on the root box's edge, and past the spheres.
+            (Vec3::new(0.5, 1.5, -1.0), Vec3::Z, proper),
+            (Vec3::new(2.5, 2.5, -1.0), Vec3::Z, proper),
+            (Vec3::new(0.5, 3.0, 4.9), -Vec3::Y, proper),
+            // ... and meeting a sphere at its tangent point on that face.
+            (Vec3::new(0.5, 0.0, -1.0), Vec3::Z, grazes),
+            (Vec3::new(-2.5, 0.0, -1.0), Vec3::Z, grazes),
+            (Vec3::new(0.0, 0.0, 4.5), Vec3::X, grazes),
+            (Vec3::new(-3.0, 1.0, 5.5), Vec3::X, grazes),
+            // Inside the floor's flat box (both of its y slabs NaN): along
+            // the floor into a sphere, and beside the spheres.
+            (Vec3::new(0.0, -2.0, -1.0), Vec3::Z, proper),
+            (Vec3::new(-5.0, -2.0, 4.0), Vec3::X, proper),
+            // Off every plane, two zero components.
+            (Vec3::new(0.1, 0.2, -1.0), Vec3::Z, proper),
+            // Subnormal components whose reciprocal overflows: off a plane,
+            // and on one (the sphere's tangent again).
+            (
+                Vec3::new(0.2, 0.1, -1.0),
+                Vec3::new(-1e-45, 1e-44, 1.0),
+                proper,
+            ),
+            (
+                Vec3::new(0.5, 0.0, -1.0),
+                Vec3::new(1e-40, 0.0, 1.0),
+                grazes,
+            ),
+            // An infinite component.
+            (
+                Vec3::new(0.0, 0.0, -1.0),
+                Vec3::new(f32::INFINITY, 0.0, 1.0),
+                grazes,
+            ),
+            (
+                Vec3::new(0.0, 0.0, -1.0),
+                Vec3::new(0.0, f32::NEG_INFINITY, 1.0),
+                grazes,
+            ),
+        ];
+        for (i, (origin, dir, grazing)) in cases.into_iter().enumerate() {
+            let unbounded = Ray::new(origin, dir);
+            assert!(!unbounded.slab_finite(unbounded.inv_dir()), "case {i}");
+            if grazing {
+                assert!(brute_force(&prims, &unbounded).is_some(), "case {i}");
+            }
+            for ray in [unbounded, Ray::segment(origin, dir, 5.2)] {
+                let want = if grazing {
+                    None
+                } else {
+                    brute_force(&prims, &ray)
+                };
+                let (hit, _) = bvh.intersect(&ray, &prims);
+                assert_eq!(hit.map(|h| (h.t, h.primitive.0)), want, "case {i}");
+                assert_eq!(bvh.occluded(&ray, &prims).0, want.is_some(), "case {i}");
+                let (stepped, _) = step_drained(bvh.traverse(ray, &prims), false);
+                assert_eq!(stepped.map(|h| (h.t, h.primitive.0)), want, "case {i}");
+                assert_fused_matches_stepped(&bvh, &prims, ray);
+            }
+        }
+    }
+
     #[test]
     fn stepwise_matches_brute_force() {
         let mut rng = Pcg::new(99);
@@ -774,16 +935,7 @@ mod tests {
             let dir = Vec3::new(r.range_f32(-0.3, 0.3), r.range_f32(-0.3, 0.3), 1.0).normalized();
             let ray = Ray::new(origin, dir);
             let (bvh_hit, _) = bvh.intersect(&ray, &prims);
-            // Brute force reference.
-            let mut best: Option<(f32, u32)> = None;
-            for (pi, p) in prims.iter().enumerate() {
-                if let Some(t) = p.hit(&ray) {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, pi as u32));
-                    }
-                }
-            }
-            match (bvh_hit, best) {
+            match (bvh_hit, brute_force(&prims, &ray)) {
                 (Some(h), Some((t, pi))) => {
                     assert!((h.t - t).abs() < 1e-3, "ray {i}: t {} vs {}", h.t, t);
                     assert_eq!(h.primitive, PrimitiveId(pi), "ray {i}");
@@ -994,14 +1146,20 @@ mod tests {
 
         /// The fused queries behind `intersect` / `occluded` return what
         /// draining `step()` returns — hit and counters, ray for ray — for
-        /// unbounded rays and for segments that end inside the scene.
+        /// unbounded rays and for segments that end inside the scene. One
+        /// ray in three has one or two exactly-zero direction components,
+        /// so both slab-test classes are covered.
         #[test]
         fn fused_queries_match_the_step_machine(
             prims in prop::collection::vec(primitive(), 1..120),
             origin in vec3(15.0),
             dir in vec3(1.0),
+            zero_axes in 0u8..18,
             t_max in 0.5f32..60.0,
         ) {
+            // Bit `a` of `zero_axes` (when below 7) zeroes component `a`.
+            let keep = |axis: u8| if zero_axes < 7 && zero_axes & (1 << axis) != 0 { 0.0 } else { 1.0 };
+            let dir = dir.hadamard(Vec3::new(keep(0), keep(1), keep(2)));
             prop_assume!(dir.length() > 0.1);
             let bvh = Bvh::build(&prims);
             assert_fused_matches_stepped(&bvh, &prims, Ray::new(origin, dir.normalized()));

@@ -1,6 +1,10 @@
 //! Colour quantization of the heatmap with K-means clustering
 //! (paper step 2, Fig. 4): merges similar colours into distinct groups to
 //! eliminate noise.
+//!
+//! [`kmeans`] works per distinct colour rather than per pixel, which gives
+//! bit-identical clusters (and so unchanged fingerprints and on-disk
+//! artifacts) at a fraction of the cost.
 
 use rtcore::image::Image;
 use rtcore::math::{Pcg, Vec3};
@@ -177,6 +181,15 @@ impl QuantizedHeatmap {
 /// Plain K-means over RGB colours with deterministic spread-out
 /// initialization (greedy farthest-point, a deterministic k-means++).
 /// Returns per-point cluster assignments and the surviving centroids.
+///
+/// A heatmap of `n` pixels holds far fewer distinct colours `d` (tens to a
+/// few thousand against 4–16 k pixels), and two points with the same bit
+/// pattern get the same distances, the same farthest-point score and the
+/// same assignment. So the points are grouped by bit pattern once, and each
+/// iteration computes `d × k` distances plus one pass over the points that
+/// accumulates the centroid sums in the points' own order. The result is
+/// bit-identical to assigning every point, which the tests keep as the
+/// oracle.
 pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
     assert!(k > 0, "need at least one cluster");
     if points.is_empty() {
@@ -185,33 +198,58 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
     let k = k.min(points.len());
     let mut rng = Pcg::new(seed);
 
-    // Farthest-point initialization from a random start.
+    // Distinct colours, the colour of each point, the last point of each
+    // colour. Sorting `(bits, index)` lists a colour's points in index
+    // order, and bit-pattern order measured faster in the loops below than
+    // order of first appearance: neighbouring colours mostly share a
+    // nearest centroid.
+    let key = |p: &Vec3| {
+        (u128::from(p.x.to_bits()) << 64)
+            | (u128::from(p.y.to_bits()) << 32)
+            | u128::from(p.z.to_bits())
+    };
+    let mut order: Vec<(u128, usize)> = points.iter().map(key).zip(0..).collect();
+    order.sort_unstable();
+    let (mut colors, mut last, mut color_of) = (Vec::new(), Vec::new(), vec![0; points.len()]);
+    for (r, &(bits, i)) in order.iter().enumerate() {
+        if r == 0 || order[r - 1].0 != bits {
+            colors.push(points[i]);
+            last.push(i);
+        }
+        color_of[i] = colors.len() - 1;
+        last[colors.len() - 1] = i;
+    }
+
+    // Farthest-point initialization from a random start. The distance to
+    // the nearest centroid is kept as a running minimum per colour, and
+    // ties go to the colour whose last point comes last, as `max_by` over
+    // the points would pick it.
     let mut centroids = Vec::with_capacity(k);
     centroids.push(points[rng.next_below(points.len())]);
+    let mut nearest = vec![f32::INFINITY; colors.len()];
     while centroids.len() < k {
+        let newest = centroids[centroids.len() - 1];
+        for (d, c) in nearest.iter_mut().zip(&colors) {
+            *d = d.min((*c - newest).length_squared());
+        }
         #[expect(
             clippy::expect_used,
             reason = "one point per heatmap pixel and the heatmap is non-empty by construction"
         )]
-        let (best, _) = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let d = centroids
-                    .iter()
-                    .map(|c| (*p - *c).length_squared())
-                    .fold(f32::INFINITY, f32::min);
-                (i, d)
+        let best = (0..colors.len())
+            .max_by(|&a, &b| {
+                nearest[a]
+                    .total_cmp(&nearest[b])
+                    .then(last[a].cmp(&last[b]))
             })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("non-empty points");
-        centroids.push(points[best]);
+        centroids.push(colors[best]);
     }
 
-    let mut assignment = vec![0u16; points.len()];
+    let mut color_assignment = vec![0u16; colors.len()];
     for _ in 0..MAX_ITERS {
         let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
+        for (a, p) in color_assignment.iter_mut().zip(&colors) {
             #[expect(
                 clippy::expect_used,
                 reason = "kmeans asserts k > 0 on entry, so centroids is never empty"
@@ -222,8 +260,8 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
                 .map(|(j, c)| (j, (*p - *c).length_squared()))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("k >= 1");
-            if assignment[i] != best as u16 {
-                assignment[i] = best as u16;
+            if *a != best as u16 {
+                *a = best as u16;
                 changed = true;
             }
         }
@@ -232,9 +270,10 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
         }
         let mut sums = vec![Vec3::ZERO; centroids.len()];
         let mut counts = vec![0u32; centroids.len()];
-        for (i, p) in points.iter().enumerate() {
-            sums[assignment[i] as usize] += *p;
-            counts[assignment[i] as usize] += 1;
+        for (p, &c) in points.iter().zip(&color_of) {
+            let j = color_assignment[c] as usize;
+            sums[j] += *p;
+            counts[j] += 1;
         }
         for (j, c) in centroids.iter_mut().enumerate() {
             if counts[j] > 0 {
@@ -244,6 +283,7 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
     }
 
     // Drop empty clusters and compact ids.
+    let mut assignment: Vec<u16> = color_of.iter().map(|&c| color_assignment[c]).collect();
     let mut used: Vec<bool> = vec![false; centroids.len()];
     for &a in &assignment {
         used[a as usize] = true;
@@ -265,8 +305,141 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rtcore::scenes::SceneId;
     use rtcore::tracer::TraceConfig;
+
+    /// K-means as it was before it grouped points by colour, kept verbatim
+    /// as the oracle: every point assigned in every iteration.
+    fn kmeans_reference(points: &[Vec3], k: usize, seed: u64) -> (Vec<u16>, Vec<Vec3>) {
+        assert!(k > 0, "need at least one cluster");
+        if points.is_empty() {
+            return (Vec::new(), vec![Vec3::ZERO]);
+        }
+        let k = k.min(points.len());
+        let mut rng = Pcg::new(seed);
+
+        // Farthest-point initialization from a random start.
+        let mut centroids = Vec::with_capacity(k);
+        centroids.push(points[rng.next_below(points.len())]);
+        while centroids.len() < k {
+            let (best, _) = points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let d = centroids
+                        .iter()
+                        .map(|c| (*p - *c).length_squared())
+                        .fold(f32::INFINITY, f32::min);
+                    (i, d)
+                })
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("non-empty points");
+            centroids.push(points[best]);
+        }
+
+        let mut assignment = vec![0u16; points.len()];
+        for _ in 0..MAX_ITERS {
+            let mut changed = false;
+            for (i, p) in points.iter().enumerate() {
+                let (best, _) = centroids
+                    .iter()
+                    .enumerate()
+                    .map(|(j, c)| (j, (*p - *c).length_squared()))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("k >= 1");
+                if assignment[i] != best as u16 {
+                    assignment[i] = best as u16;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            let mut sums = vec![Vec3::ZERO; centroids.len()];
+            let mut counts = vec![0u32; centroids.len()];
+            for (i, p) in points.iter().enumerate() {
+                sums[assignment[i] as usize] += *p;
+                counts[assignment[i] as usize] += 1;
+            }
+            for (j, c) in centroids.iter_mut().enumerate() {
+                if counts[j] > 0 {
+                    *c = sums[j] / counts[j] as f32;
+                }
+            }
+        }
+
+        // Drop empty clusters and compact ids.
+        let mut used: Vec<bool> = vec![false; centroids.len()];
+        for &a in &assignment {
+            used[a as usize] = true;
+        }
+        let mut remap = vec![0u16; centroids.len()];
+        let mut kept = Vec::new();
+        for (j, &u) in used.iter().enumerate() {
+            if u {
+                remap[j] = kept.len() as u16;
+                kept.push(centroids[j]);
+            }
+        }
+        for a in &mut assignment {
+            *a = remap[*a as usize];
+        }
+        (assignment, kept)
+    }
+
+    /// Centroids as bit patterns, so `-0.0` and `0.0` count as different.
+    fn bits(centroids: &[Vec3]) -> Vec<[u32; 3]> {
+        centroids
+            .iter()
+            .map(|c| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()])
+            .collect()
+    }
+
+    /// A colour on a coarse grid that includes both zeros: drawn into a
+    /// small palette it gives heavy duplication and exact distance ties.
+    fn grid_color() -> impl Strategy<Value = Vec3> {
+        let axis = || (0usize..5).prop_map(|i| [-0.0f32, 0.0, 0.25, 0.5, 1.0][i]);
+        (axis(), axis(), axis()).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Grouping points by colour changes neither the assignments nor
+        /// a single centroid bit: over small palettes (most points share a
+        /// colour), exact distance ties, `k` at or above the number of
+        /// distinct colours (duplicate centroids whose clusters empty out)
+        /// and heat-gradient palettes like the heatmap's own.
+        #[test]
+        fn kmeans_matches_the_per_point_reference(
+            palette in prop::collection::vec(
+                prop_oneof![grid_color(), (0.0f32..1.0).prop_map(heat_color)],
+                1..12,
+            ),
+            picks in prop::collection::vec(0usize..1000, 1..300),
+            k in 1usize..16,
+            seed in any::<u64>(),
+        ) {
+            let points: Vec<Vec3> = picks.iter().map(|&i| palette[i % palette.len()]).collect();
+            let (assign, cents) = kmeans(&points, k, seed);
+            let (want_assign, want_cents) = kmeans_reference(&points, k, seed);
+            prop_assert_eq!(assign, want_assign);
+            prop_assert_eq!(bits(&cents), bits(&want_cents));
+        }
+    }
+
+    #[test]
+    fn kmeans_with_more_clusters_than_colours_keeps_one_per_colour() {
+        let pts: Vec<Vec3> = (0..40).map(|i| Vec3::splat((i % 3) as f32)).collect();
+        let (assign, cents) = kmeans(&pts, 8, 11);
+        assert_eq!(cents.len(), 3, "duplicate centroids empty out");
+        assert_eq!((assign.clone(), cents), kmeans_reference(&pts, 8, 11));
+        assert!(pts
+            .iter()
+            .zip(&assign)
+            .all(|(p, &a)| a == assign[p.x as usize]));
+    }
 
     #[test]
     fn kmeans_separates_obvious_clusters() {
