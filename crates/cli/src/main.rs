@@ -124,9 +124,9 @@ fn print_help() {
          serve options (long-running prediction service; see DESIGN.md):\n\
            --addr HOST:PORT    listen address (default 127.0.0.1:7878; port 0\n\
                                picks an ephemeral port, logged on stderr)\n\
-           --workers N         worker shards; requests route to shards by a\n\
-                               scene+config affinity hash, each shard owns a\n\
-                               private memory cache tier (default 2)\n\
+           --workers N         worker threads pulling predictions and sweeps\n\
+                               off one queue through one shared cache\n\
+                               (default 2)\n\
            --queue N           admission queue depth; beyond it requests are\n\
                                refused with 429 + a computed Retry-After\n\
                                (default 64)\n\
@@ -135,7 +135,7 @@ fn print_help() {
            --deadline-ms N     default deadline for requests that carry none;\n\
                                requests queued past it answer 504\n\
            --cache-dir DIR     persist stage artifacts on disk across restarts\n\
-                               (the disk tier is shared by every shard)\n\
+                               (the disk tier under the shared memory tier)\n\
            --cache-budget-mb N evict least-recently-used disk-tier entries\n\
                                once the cache dir outgrows N MiB\n\
            --log-out DEST      zatel-log-v1 JSONL event log destination: one\n\
@@ -756,12 +756,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let report = server.run()?;
     eprintln!(
         "zatel serve: drained; {} request(s) admitted, {} refused at the queue, \
-         {} still in flight when the drain began, {} coalesced; \
+         {} still in flight when the drain began; \
          responses {} 2xx / {} 4xx / {} 5xx, peak queue depth {}",
         report.admitted,
         report.refused,
         report.drained_in_flight,
-        report.coalesced,
         report.responses_2xx,
         report.responses_4xx,
         report.responses_5xx,

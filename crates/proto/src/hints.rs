@@ -1,16 +1,16 @@
 //! Execution hints: the execution-only knobs of a request, grouped into
 //! one DTO.
 //!
-//! Every field here changes *how* a request executes — the worker pool,
-//! deadlines, dedup opt-out — and never *what* it computes. That
-//! invariant is what lets servers exclude the whole object from affinity
-//! and dedup fingerprints: two requests that differ only in their hints
-//! still produce byte-identical deterministic subsets, so they may share
-//! cached artifacts and even coalesce onto one execution.
+//! Every field here changes *how* a request executes — the group job
+//! cap, the queue deadline — and never *what* it computes. That invariant
+//! is what lets the request fingerprints exclude the whole object: two
+//! requests that differ only in their hints still produce byte-identical
+//! deterministic subsets, so they share cached artifacts.
 //!
 //! `hints.deadline_ms` is the only deadline spelling: a top-level
 //! `deadline_ms` (the field it replaced) is an unknown field now, ignored
-//! like any other.
+//! like any other. So are the removed hints: the intra-simulation thread
+//! knobs and the opt-out of request merging the server no longer does.
 
 use minijson::{FromJson, JsonError, Map, ToJson, Value};
 
@@ -27,10 +27,6 @@ pub struct ExecutionHints {
     /// still queued when this elapses (execution is never preempted once
     /// started).
     pub deadline_ms: Option<u64>,
-    /// Opt this request out of single-flight dedup: it never coalesces
-    /// onto another request's execution and no other request coalesces
-    /// onto it. Responses are byte-identical either way.
-    pub no_dedup: bool,
 }
 
 impl ExecutionHints {
@@ -67,7 +63,6 @@ impl ToJson for ExecutionHints {
             "deadline_ms".into(),
             self.deadline_ms.map_or(Value::Null, Value::from),
         );
-        m.insert("no_dedup".into(), Value::from(self.no_dedup));
         Value::Object(m)
     }
 }
@@ -92,26 +87,21 @@ impl FromJson for ExecutionHints {
                         .ok_or_else(|| JsonError::missing_field(TY, "deadline_ms"))
                 })
                 .transpose()?,
-            no_dedup: match optional(value, "no_dedup") {
-                None => false,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| JsonError::missing_field(TY, "no_dedup"))?,
-            },
         })
     }
 }
 
-/// `doc` with the removed intra-simulation thread knobs injected into its
-/// `hints` and `options` objects — the shape old clients still send. They
-/// are unknown fields now, which every `zatel-api-v1` parser ignores.
+/// `doc` with the removed hints (the intra-simulation thread knobs and
+/// the dedup opt-out) injected into its `hints` and `options` objects —
+/// the shape old clients still send. They are unknown fields now, which
+/// every `zatel-api-v1` parser ignores.
 #[cfg(test)]
-pub(crate) fn with_legacy_thread_knobs(doc: &Value) -> Value {
+pub(crate) fn with_legacy_hints(doc: &Value) -> Value {
     let text = doc
         .to_string()
         .replace(
             r#""hints":{"#,
-            r#""hints":{"sim_threads":4,"timing_threads":2,"#,
+            r#""hints":{"sim_threads":4,"timing_threads":2,"no_dedup":true,"#,
         )
         .replace(r#""options":{"#, r#""options":{"sim_threads":4,"#);
     assert_eq!(text.matches("_threads").count(), 3, "{doc}");
@@ -139,7 +129,6 @@ mod tests {
         let hints = ExecutionHints {
             jobs: Some(8),
             deadline_ms: Some(5000),
-            no_dedup: true,
         };
         let back = ExecutionHints::from_json(&hints.to_json()).expect("round trip");
         assert_eq!(hints, back);
@@ -153,7 +142,7 @@ mod tests {
         let back = ExecutionHints::from_json(&hints.to_json()).expect("round trip");
         assert_eq!(hints, back);
         assert!(!ExecutionHints {
-            no_dedup: true,
+            deadline_ms: Some(0),
             ..ExecutionHints::default()
         }
         .is_empty());
@@ -167,7 +156,6 @@ mod tests {
             ("jobs", "2.5"),
             ("jobs", "[]"),
             ("deadline_ms", "\"soon\""),
-            ("no_dedup", "1"),
         ] {
             let doc = format!(r#"{{"{field}":{bad}}}"#);
             let v = Value::parse(&doc).unwrap();

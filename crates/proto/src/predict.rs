@@ -28,10 +28,9 @@ pub struct PredictRequest {
     pub regression: Option<[f64; 3]>,
     /// Also run the full reference simulation and report errors.
     pub reference: bool,
-    /// Execution-only knobs (job cap, deadline, dedup opt-out).
-    /// Excluded from the affinity and dedup fingerprints: hints never
-    /// change the computed result, so differently-hinted requests still
-    /// share artifacts and coalesce.
+    /// Execution-only knobs (job cap, deadline). Excluded from the
+    /// affinity and dedup fingerprints: hints never change the computed
+    /// result, so differently-hinted requests still share artifacts.
     pub hints: Option<crate::ExecutionHints>,
 }
 
@@ -81,8 +80,9 @@ impl PredictRequest {
     /// stage-graph prefix (scene, config, res, spp, seed) — exactly the
     /// inputs of the cacheable heatmap/quantize/divide stages. Requests
     /// with equal affinity fingerprints reuse each other's upstream
-    /// artifacts, so a serving fleet routes them to the same worker
-    /// shard. Never admission-order- or wall-clock-dependent.
+    /// artifacts. Never admission-order- or wall-clock-dependent. The
+    /// server no longer reads it; the benchmark's `proto.fingerprint_us`
+    /// probe still times it.
     pub fn affinity_fingerprint(&self) -> u64 {
         let mut h = rtcore::fingerprint::Fnv64::new();
         h.write_str("zatel-affinity-v1");
@@ -95,10 +95,10 @@ impl PredictRequest {
 
     /// The request's *dedup fingerprint*: a stable FNV-1a hash over every
     /// field except `hints` (execution-only knobs that never affect the
-    /// computed result). Two in-flight requests with
-    /// equal dedup fingerprints produce byte-identical deterministic
-    /// subsets, so a server may coalesce them onto one pipeline
-    /// execution.
+    /// computed result). Two requests with equal dedup fingerprints
+    /// produce byte-identical deterministic subsets. Like
+    /// [`PredictRequest::affinity_fingerprint`], only the benchmark still
+    /// calls it.
     pub fn dedup_fingerprint(&self) -> u64 {
         let mut doc = self.to_json();
         if let Value::Object(m) = &mut doc {
@@ -656,7 +656,6 @@ mod tests {
         req.hints = Some(crate::ExecutionHints {
             jobs: Some(3),
             deadline_ms: Some(9000),
-            no_dedup: true,
         });
         let back = PredictRequest::from_json(&req.to_json()).expect("round trip");
         assert_eq!(req, back);
@@ -669,26 +668,18 @@ mod tests {
         hinted.hints = Some(crate::ExecutionHints {
             jobs: Some(2),
             deadline_ms: Some(100),
-            no_dedup: true,
         });
-        assert_eq!(
-            plain.affinity_fingerprint(),
-            hinted.affinity_fingerprint(),
-            "hints must not move a request between shards"
-        );
-        assert_eq!(
-            plain.dedup_fingerprint(),
-            hinted.dedup_fingerprint(),
-            "hints must not defeat single-flight dedup"
-        );
+        assert_eq!(plain.affinity_fingerprint(), hinted.affinity_fingerprint());
+        assert_eq!(plain.dedup_fingerprint(), hinted.dedup_fingerprint());
         assert_ne!(plain.to_json().to_string(), hinted.to_json().to_string());
 
-        // Documents written for the removed intra-simulation thread knobs
-        // still parse, to exactly the request without them.
+        // Documents written for the removed hints (the intra-simulation
+        // thread knobs, the dedup opt-out) still parse, to exactly the
+        // request without them.
         let mut plain = plain;
         plain.options = Some(ZatelOptions::default());
         plain.hints = Some(crate::ExecutionHints::default());
-        let legacy = crate::hints::with_legacy_thread_knobs(&plain.to_json());
+        let legacy = crate::hints::with_legacy_hints(&plain.to_json());
         let legacy = PredictRequest::from_json(&legacy).expect("legacy knobs are ignored");
         assert_eq!(legacy, plain);
         assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
@@ -741,7 +732,6 @@ mod tests {
             ("reference", "\"yes\""),
             ("options", "{\"division\": 3}"),
             ("hints", "{\"jobs\": \"four\"}"),
-            ("hints", "{\"no_dedup\": 1}"),
             ("hints", "[]"),
         ] {
             let doc = format!(

@@ -26,8 +26,7 @@ pub struct SweepRequest {
     pub spec: SweepSpec,
     /// Also run the full reference simulation and report per-point errors.
     pub reference: bool,
-    /// Execution-only knobs, as in [`crate::PredictRequest::hints`]:
-    /// excluded from both fingerprints.
+    /// Execution-only knobs, as in [`crate::PredictRequest::hints`].
     pub hints: Option<crate::ExecutionHints>,
 }
 
@@ -80,34 +79,6 @@ impl SweepRequest {
             hints.validate()?;
         }
         Ok(())
-    }
-
-    /// The sweep's *affinity fingerprint*, mirroring
-    /// [`crate::PredictRequest::affinity_fingerprint`]: a stable hash of
-    /// the stage-graph prefix (scene, config, res, spp, seed) shared by
-    /// every point of the sweep.
-    pub fn affinity_fingerprint(&self) -> u64 {
-        let mut h = rtcore::fingerprint::Fnv64::new();
-        h.write_str("zatel-affinity-v1");
-        h.write_str(&self.scene);
-        h.write_str(&self.config.to_json().to_string());
-        h.write_u32(self.res).write_u32(self.spp);
-        h.write_u64(self.seed);
-        h.finish()
-    }
-
-    /// The sweep's *dedup fingerprint*, mirroring
-    /// [`crate::PredictRequest::dedup_fingerprint`]: a stable hash over
-    /// every field except `hints`.
-    pub fn dedup_fingerprint(&self) -> u64 {
-        let mut doc = self.to_json();
-        if let Value::Object(m) = &mut doc {
-            m.insert("hints".into(), Value::Null);
-        }
-        let mut h = rtcore::fingerprint::Fnv64::new();
-        h.write_str("zatel-dedup-v1");
-        h.write_str(&doc.to_string());
-        h.finish()
     }
 }
 
@@ -314,7 +285,6 @@ mod tests {
         req.options = Some(ZatelOptions::default());
         req.hints = Some(crate::ExecutionHints {
             jobs: Some(2),
-            no_dedup: true,
             ..crate::ExecutionHints::default()
         });
         let back = SweepRequest::from_json(&req.to_json()).expect("round trip");
@@ -323,34 +293,24 @@ mod tests {
     }
 
     #[test]
-    fn hints_never_reach_the_fingerprints() {
-        let plain = SweepRequest::new(
+    fn removed_hints_parse_to_the_request_without_them() {
+        // Documents written for the removed hints (the intra-simulation
+        // thread knobs, the dedup opt-out) still parse, to exactly the
+        // request without them.
+        let mut plain = SweepRequest::new(
             "PARK",
             ConfigRef::preset("mobile"),
             SweepSpec::from_percents(&[0.1]),
         );
-        let mut hinted = plain.clone();
-        hinted.hints = Some(crate::ExecutionHints {
-            jobs: Some(8),
-            deadline_ms: Some(50),
-            ..crate::ExecutionHints::default()
-        });
-        assert_eq!(plain.affinity_fingerprint(), hinted.affinity_fingerprint());
-        assert_eq!(plain.dedup_fingerprint(), hinted.dedup_fingerprint());
-        // Documents written for the removed intra-simulation thread knobs
-        // still parse, to exactly the request without them.
-        let mut plain = plain;
         plain.options = Some(ZatelOptions::default());
         plain.hints = Some(crate::ExecutionHints::default());
-        let legacy = crate::hints::with_legacy_thread_knobs(&plain.to_json());
-        let legacy = SweepRequest::from_json(&legacy).expect("legacy knobs are ignored");
+        let legacy = crate::hints::with_legacy_hints(&plain.to_json());
+        let legacy = SweepRequest::from_json(&legacy).expect("legacy hints are ignored");
         assert_eq!(legacy, plain);
-        assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
         // So does one carrying the removed top-level `deadline_ms`.
         let legacy = crate::hints::with_legacy_deadline(&plain.to_json());
         let legacy = SweepRequest::from_json(&legacy).expect("legacy deadline is ignored");
         assert_eq!(legacy, plain);
-        assert_eq!(legacy.dedup_fingerprint(), plain.dedup_fingerprint());
         assert!(SweepRequest::from_json(
             &Value::parse(
                 r#"{"schema":"zatel-api-v1","scene":"PARK","config":"mobile",

@@ -11,14 +11,15 @@
 //! ```text
 //! accept → admission gauge (429 + computed Retry-After when full)
 //!        → router: parse → admin answered inline
-//!        → affinity fingerprint % workers → shard queue
-//!        → shard worker: coalesce identical jobs (single-flight)
-//!          → deadline check (504) → execute once → fan out the bytes
+//!        → predict/sweep → one job channel
+//!        → worker pool: deadline check (504) → execute → respond
 //! ```
 //!
-//! Each shard owns a private in-memory cache tier over one shared disk
-//! tier, so identical requests always warm the same shard while every
-//! shard (and every restart) shares the persisted artifacts.
+//! Every worker executes through the same cache: one memory tier over
+//! an optional disk tier, so a warm artifact serves whichever worker
+//! picks the next request, and the disk tier survives restarts. A
+//! request whose execution panics answers `500 internal`; its worker
+//! keeps serving.
 //!
 //! Endpoints (all speaking [`zatel_proto`]'s `zatel-api-v1` documents):
 //!
@@ -59,7 +60,6 @@ pub mod client;
 pub mod http;
 pub mod server;
 pub mod service;
-mod shard;
 pub mod signal;
 
 pub use client::HttpClient;

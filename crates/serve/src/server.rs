@@ -1,24 +1,24 @@
-//! The fleet-shaped HTTP server: bounded admission, router threads,
-//! affinity-sharded workers with single-flight dedup, a tiered
-//! process-lifetime artifact cache (shard-private memory tiers over one
-//! shared disk tier), Prometheus metrics, request tracing
-//! (`x-zatel-request-id` + `zatel-log-v1` JSONL lines + the
-//! `/v1/debug/slow` ring) and graceful drain.
+//! The HTTP server: bounded admission, router threads, one job queue
+//! drained by a worker pool through one process-lifetime artifact cache
+//! (a memory tier over an optional, size-budgeted disk tier), Prometheus
+//! metrics, request tracing (`x-zatel-request-id` + `zatel-log-v1` JSONL
+//! lines + the `/v1/debug/slow` ring) and graceful drain.
 //!
 //! ## Topology
 //!
 //! ```text
 //! accept → admission gauge (429 + computed Retry-After when full)
 //!        → router threads: parse → admin routes answered inline
-//!        → predict/sweep: affinity fingerprint % shards → shard queue
-//!        → shard worker: coalesce same-fingerprint jobs (single-flight)
-//!          → deadline check (504) → execute once → fan out the body
+//!        → predict/sweep: one job channel
+//!        → worker pool: deadline check (504) → execute through the
+//!          shared cache (a panic answers 500) → respond
 //! ```
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -26,13 +26,12 @@ use minijson::{FromJson, Map, ToJson, Value};
 use obs::{LogLevel, Logger, MetricKind, MetricsRegistry, SpanRecord};
 use zatel::{ArtifactCache, DiskTier};
 use zatel_proto::{
-    DebugSlowResponse, ErrorKind, ErrorResponse, PredictRequest, ScenesResponse, SlowRequestEntry,
-    SweepRequest, API_SCHEMA,
+    DebugSlowResponse, ErrorKind, ErrorResponse, ExecutionHints, PredictRequest, ScenesResponse,
+    SlowRequestEntry, SweepRequest, API_SCHEMA,
 };
 
 use crate::http::{self, HttpError, Request};
 use crate::service;
-use crate::shard::{retry_after_secs, shard_of, Payload, ServiceRing, Shard, ShardJob};
 use crate::signal;
 
 /// How long the accept loop sleeps between polls of the (non-blocking)
@@ -44,8 +43,10 @@ const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// Completed requests retained for `GET /v1/debug/slow` (newest win;
 /// older entries are evicted from the front of the ring).
 const SLOW_RING_CAPACITY: usize = 32;
-/// Threads that read sockets, answer admin routes inline and dispatch
-/// predictions/sweeps onto shards. Two is enough because routing is
+/// How many recent service wall times feed the `Retry-After` estimate.
+const SERVICE_RING_CAPACITY: usize = 64;
+/// Threads that read sockets, answer admin routes inline and queue
+/// predictions/sweeps for the workers. Two is enough because routing is
 /// parse-only; a stalled client can pin a router for at most
 /// [`READ_TIMEOUT`].
 const ROUTER_THREADS: usize = 2;
@@ -56,13 +57,12 @@ pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7878`. Port 0 picks an ephemeral
     /// port (see [`Server::local_addr`]).
     pub addr: String,
-    /// Worker shards executing requests. Each shard owns a private
-    /// in-memory cache tier and a bounded queue slice; requests route to
-    /// shards by affinity fingerprint, so the shard count never changes
-    /// any response's deterministic subset.
+    /// Worker threads executing predictions and sweeps. They pull from
+    /// one job queue and share one artifact cache, so the worker count
+    /// never changes any response's deterministic subset.
     pub workers: usize,
-    /// Bounded admission depth across all shards; requests beyond it are
-    /// refused with 429 and a computed `Retry-After`.
+    /// Bounded admission depth; requests beyond it are refused with 429
+    /// and a computed `Retry-After`.
     pub queue: usize,
     /// Default worker-thread cap for each request's group simulation,
     /// applied when the request itself does not set `options.jobs`.
@@ -72,12 +72,12 @@ pub struct ServeConfig {
     /// `deadline_ms` of its own. `None` means queued requests never
     /// expire.
     pub default_deadline_ms: Option<u64>,
-    /// Persist stage artifacts on disk, surviving restarts. The disk
-    /// tier is shared by every shard's cache.
+    /// Persist stage artifacts on disk, surviving restarts, as the disk
+    /// tier under the shared cache's memory tier.
     pub cache_dir: Option<String>,
-    /// Size budget for the shared disk tier in MiB; least-recently-used
-    /// entries are evicted once the tier outgrows it. `None` means
-    /// unbounded. Ignored without [`ServeConfig::cache_dir`].
+    /// Size budget for the disk tier in MiB; least-recently-used entries
+    /// are evicted once the tier outgrows it. `None` means unbounded.
+    /// Ignored without [`ServeConfig::cache_dir`].
     pub cache_budget_mb: Option<u64>,
     /// Where the `zatel-log-v1` JSONL event log goes: `None`, `"-"` or
     /// `"stderr"` mean standard error, anything else is a file path
@@ -105,13 +105,13 @@ impl Default for ServeConfig {
 pub struct ServeReport {
     /// Connections admitted into the queue.
     pub admitted: u64,
-    /// Connections refused with 429 (admission full or target shard
-    /// saturated).
+    /// Connections refused with 429 (admission full).
     pub refused: u64,
     /// Requests still queued when the drain began — all of them were
     /// served before shutdown completed.
     pub drained_in_flight: u64,
-    /// Requests answered from another identical request's execution.
+    /// Always 0: every request runs its own execution, none is answered
+    /// from another's. Kept only so existing readers of the field compile.
     pub coalesced: u64,
     /// Responses answered with a 2xx status.
     pub responses_2xx: u64,
@@ -125,13 +125,11 @@ pub struct ServeReport {
 
 /// Shared mutable server state (behind one `Arc`).
 struct ServerState {
-    /// The worker shards, indexed by `affinity_fingerprint % len`.
-    shards: Vec<Arc<Shard>>,
-    /// The disk tier every shard cache shares, when `--cache-dir` is set.
-    disk: Option<Arc<DiskTier>>,
+    /// The process-lifetime cache every worker executes through.
+    cache: Arc<ArtifactCache>,
     registry: Mutex<MetricsRegistry>,
     /// Admitted requests not yet picked up for execution (spans the
-    /// router channel and every shard queue).
+    /// router channel and the job channel).
     queue_depth: AtomicUsize,
     peak_queue_depth: AtomicUsize,
     refused: AtomicU64,
@@ -158,19 +156,9 @@ impl ServerState {
         f(&mut registry);
     }
 
-    /// Sums the coalesced-request counters across shards.
-    fn coalesced_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.coalesced.load(Ordering::SeqCst))
-            .sum()
-    }
-
     /// A point-in-time snapshot for `/metrics`: the accumulated request
-    /// metrics plus scrape-time gauges, per-shard queue/coalesce
-    /// telemetry and the tiered cache counters (per-cache hit counters
-    /// summed across shards, disk-tier counters taken once from the
-    /// shared tier).
+    /// metrics plus the scrape-time queue gauge and the shared cache's
+    /// counters (its disk-tier counters read zero without a disk tier).
     fn prometheus_snapshot(&self) -> String {
         let mut snapshot = self
             .registry
@@ -181,36 +169,14 @@ impl ServerState {
             "queue_depth",
             self.queue_depth.load(Ordering::SeqCst) as f64,
         );
-        let (mut memory_hits, mut disk_hits, mut misses) = (0u64, 0u64, 0u64);
-        for shard in &self.shards {
-            let stats = shard.cache.stats();
-            memory_hits += stats.memory_hits;
-            disk_hits += stats.disk_hits;
-            misses += stats.misses;
-            snapshot.gauge_set(
-                &format!("shard{}_queue_depth", shard.id),
-                shard.depth.load(Ordering::SeqCst) as f64,
-            );
-            snapshot.counter_add(
-                &format!("shard{}_coalesced", shard.id),
-                shard.coalesced.load(Ordering::SeqCst),
-            );
-            snapshot.counter_add(
-                &format!("shard{}_executed", shard.id),
-                shard.executed.load(Ordering::SeqCst),
-            );
-        }
-        snapshot.counter_add("coalesced_requests", self.coalesced_total());
-        snapshot.counter_add("cache_memory_hits", memory_hits);
-        snapshot.counter_add("cache_disk_hits", disk_hits);
-        snapshot.counter_add("cache_misses", misses);
-        if let Some(disk) = &self.disk {
-            let stats = disk.stats();
-            snapshot.counter_add("cache_disk_evictions", stats.evictions);
-            snapshot.counter_add("cache_disk_corrupt", stats.corrupt);
-            snapshot.gauge_set("cache_disk_bytes", stats.bytes as f64);
-            snapshot.gauge_set("cache_disk_entries", stats.entries as f64);
-        }
+        let stats = self.cache.stats();
+        snapshot.counter_add("cache_memory_hits", stats.memory_hits);
+        snapshot.counter_add("cache_disk_hits", stats.disk_hits);
+        snapshot.counter_add("cache_misses", stats.misses);
+        snapshot.counter_add("cache_disk_evictions", stats.disk_evictions);
+        snapshot.counter_add("cache_disk_corrupt", stats.disk_corrupt);
+        snapshot.gauge_set("cache_disk_bytes", stats.disk_bytes as f64);
+        snapshot.gauge_set("cache_disk_entries", stats.disk_entries as f64);
         snapshot.to_prometheus("zatel_serve")
     }
 
@@ -263,9 +229,6 @@ impl ServerState {
         if let Some(slack) = artifacts.deadline_slack_ms {
             fields.insert("deadline_slack_ms".into(), Value::from(slack));
         }
-        if artifacts.coalesced {
-            fields.insert("coalesced".into(), Value::from(true));
-        }
         if !artifacts.cache.is_empty() {
             fields.insert("cache_hits".into(), Value::from(artifacts.cache_hits));
             fields.insert(
@@ -307,15 +270,44 @@ struct RouteArtifacts {
     cache_hits: u64,
     /// Deadline budget left when execution started, when one applied.
     deadline_slack_ms: Option<i64>,
-    /// Whether this request rode another request's execution.
-    coalesced: bool,
 }
 
-/// One queued connection: the socket plus its admission instant (the
+/// One admitted connection: the socket plus its admission instant (the
 /// deadline clock starts at admission, not at parse).
-struct Job {
+struct Admitted {
     stream: TcpStream,
     admitted: Instant,
+}
+
+/// A parsed request body awaiting execution on a worker.
+enum Payload {
+    /// `POST /v1/predict`.
+    Predict(PredictRequest),
+    /// `POST /v1/sweep`.
+    Sweep(SweepRequest),
+}
+
+impl Payload {
+    /// The request's execution hints, if any.
+    fn hints(&self) -> Option<&ExecutionHints> {
+        match self {
+            Payload::Predict(req) => req.hints.as_ref(),
+            Payload::Sweep(req) => req.hints.as_ref(),
+        }
+    }
+}
+
+/// One parsed request on the job channel.
+struct Job {
+    /// The connection awaiting the response.
+    stream: TcpStream,
+    /// Admission instant — the deadline clock starts here.
+    admitted: Instant,
+    /// The request's trace ID.
+    request_id: String,
+    /// `"METHOD /path"` for the request log line.
+    route_label: String,
+    payload: Payload,
 }
 
 /// A bound, not-yet-running server. Binding and running are split so
@@ -328,8 +320,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen socket and builds the shard fleet over the
-    /// process-lifetime tiered cache.
+    /// Binds the listen socket and builds the process-lifetime cache.
     ///
     /// # Errors
     ///
@@ -344,34 +335,21 @@ impl Server {
         }
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
-        let disk = match &config.cache_dir {
+        let cache = match &config.cache_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| format!("creating cache dir '{dir}': {e}"))?;
-                Some(Arc::new(match config.cache_budget_mb {
+                ArtifactCache::with_disk_tier(Arc::new(match config.cache_budget_mb {
                     Some(mb) => DiskTier::with_budget(dir, mb.saturating_mul(1024 * 1024)),
                     None => DiskTier::new(dir),
                 }))
             }
-            None => None,
+            None => ArtifactCache::in_memory(),
         };
-        // Each shard's queue slice; the global admission bound is
-        // enforced separately at accept time.
-        let shard_capacity = (config.queue / config.workers).max(1);
-        let shards = (0..config.workers)
-            .map(|id| {
-                let cache = match &disk {
-                    Some(tier) => ArtifactCache::with_disk_tier(Arc::clone(tier)),
-                    None => ArtifactCache::in_memory(),
-                };
-                Arc::new(Shard::new(id, Arc::new(cache), shard_capacity))
-            })
-            .collect();
         let logger = Logger::for_destination(config.log_out.as_deref(), LogLevel::Info)
             .map_err(|e| format!("opening log destination: {e}"))?;
         let state = Arc::new(ServerState {
-            shards,
-            disk,
+            cache: Arc::new(cache),
             registry: Mutex::new(MetricsRegistry::new()),
             queue_depth: AtomicUsize::new(0),
             peak_queue_depth: AtomicUsize::new(0),
@@ -403,7 +381,7 @@ impl Server {
 
     /// Runs the accept loop until SIGINT/SIGTERM or `POST /v1/shutdown`,
     /// then drains: stops accepting, serves every queued request, joins
-    /// the routers and shard workers.
+    /// the routers and workers.
     ///
     /// # Errors
     ///
@@ -417,39 +395,56 @@ impl Server {
         // admission bound is the queue_depth gauge, checked at accept.
         #[expect(
             clippy::disallowed_methods,
-            reason = "the fleet topology seam: the accept loop, router threads, admission-refusal \
-                      writers and shard workers all live here; requests route by affinity fingerprint \
-                      and execute on exactly one shard, so thread count never reaches a response's \
-                      deterministic subset — pinned by the shard-count and dedup identity tests"
+            reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
+                      writers and the worker pool all live here; each request executes once on one \
+                      worker through the shared cache, so thread count never reaches a response's \
+                      deterministic subset — pinned by the 1-vs-4-worker identity test"
         )]
-        let (tx, rx) = std::sync::mpsc::channel::<Job>();
+        let (tx, rx) = std::sync::mpsc::channel::<Admitted>();
         let rx = Arc::new(Mutex::new(rx));
+        // The one job channel. Only the routers hold its senders, so once
+        // they have joined the workers drain it and exit.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
+                      writers and the worker pool all live here; each request executes once on one \
+                      worker through the shared cache, so thread count never reaches a response's \
+                      deterministic subset — pinned by the 1-vs-4-worker identity test"
+        )]
+        let (jobs, job_rx) = std::sync::mpsc::channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let mut workers = Vec::with_capacity(self.config.workers);
+        for _ in 0..self.config.workers {
+            let job_rx = Arc::clone(&job_rx);
+            let state = Arc::clone(&self.state);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
+                          writers and the worker pool all live here; each request executes once on one \
+                          worker through the shared cache, so thread count never reaches a response's \
+                          deterministic subset — pinned by the 1-vs-4-worker identity test"
+            )]
+            workers.push(std::thread::spawn(move || {
+                for_each_received(&job_rx, |job| execute(job, &state));
+            }));
+        }
         let mut routers = Vec::with_capacity(ROUTER_THREADS);
         for _ in 0..ROUTER_THREADS {
             let rx = Arc::clone(&rx);
+            let jobs = jobs.clone();
             let state = Arc::clone(&self.state);
             #[expect(
                 clippy::disallowed_methods,
-                reason = "the fleet topology seam: the accept loop, router threads, admission-refusal \
-                          writers and shard workers all live here; requests route by affinity fingerprint \
-                          and execute on exactly one shard, so thread count never reaches a response's \
-                          deterministic subset — pinned by the shard-count and dedup identity tests"
+                reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
+                          writers and the worker pool all live here; each request executes once on one \
+                          worker through the shared cache, so thread count never reaches a response's \
+                          deterministic subset — pinned by the 1-vs-4-worker identity test"
             )]
-            routers.push(std::thread::spawn(move || router_loop(&rx, &state)));
+            routers.push(std::thread::spawn(move || {
+                for_each_received(&rx, |conn| route_connection(conn, &jobs, &state));
+            }));
         }
-        let mut shard_workers = Vec::with_capacity(self.state.shards.len());
-        for shard in &self.state.shards {
-            let shard = Arc::clone(shard);
-            let state = Arc::clone(&self.state);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the fleet topology seam: the accept loop, router threads, admission-refusal \
-                          writers and shard workers all live here; requests route by affinity fingerprint \
-                          and execute on exactly one shard, so thread count never reaches a response's \
-                          deterministic subset — pinned by the shard-count and dedup identity tests"
-            )]
-            shard_workers.push(std::thread::spawn(move || shard_loop(&shard, &state)));
-        }
+        drop(jobs);
 
         let mut admitted = 0u64;
         loop {
@@ -459,7 +454,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     // The gauge rises before the handoff publishes the
-                    // job: otherwise an idle router can pull it and
+                    // connection: otherwise an idle router can pull it and
                     // decrement first, wrapping the unsigned depth below
                     // zero.
                     let depth = self.state.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
@@ -474,24 +469,22 @@ impl Server {
                         let avg_ms = self.state.service_ring.average_ms();
                         #[expect(
                             clippy::disallowed_methods,
-                            reason = "the fleet topology seam: the accept loop, router threads, admission-refusal \
-                                      writers and shard workers all live here; requests route by affinity fingerprint \
-                                      and execute on exactly one shard, so thread count never reaches a response's \
-                                      deterministic subset — pinned by the shard-count and dedup identity tests"
+                            reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
+                                      writers and the worker pool all live here; each request executes once on one \
+                                      worker through the shared cache, so thread count never reaches a response's \
+                                      deterministic subset — pinned by the 1-vs-4-worker identity test"
                         )]
-                        std::thread::spawn(move || {
-                            refuse_overloaded(stream, depth - 1, avg_ms, None, true);
-                        });
+                        std::thread::spawn(move || refuse_overloaded(stream, depth - 1, avg_ms));
                         continue;
                     }
                     self.state
                         .peak_queue_depth
                         .fetch_max(depth, Ordering::SeqCst);
-                    let job = Job {
+                    let conn = Admitted {
                         stream,
                         admitted: Instant::now(),
                     };
-                    if tx.send(job).is_err() {
+                    if tx.send(conn).is_err() {
                         self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
                         break;
                     }
@@ -506,10 +499,9 @@ impl Server {
         }
 
         // Graceful drain, in dependency order: dropping the sender lets
-        // the routers finish parsing and dispatching every admitted
-        // connection, then closing the shard queues lets each worker
-        // serve its remaining jobs and exit. Shards close only after the
-        // routers have joined, so no dispatch can race a closed queue.
+        // the routers finish parsing and queueing every admitted
+        // connection; the routers held the only job senders, so once they
+        // have joined the workers serve the remaining jobs and exit.
         let drained_in_flight = self.state.queue_depth.load(Ordering::SeqCst) as u64;
         drop(tx);
         for router in routers {
@@ -517,10 +509,7 @@ impl Server {
             // is nothing useful to add by propagating.
             let _ = router.join();
         }
-        for shard in &self.state.shards {
-            shard.close();
-        }
-        for worker in shard_workers {
+        for worker in workers {
             let _ = worker.join();
         }
         let (responses_2xx, responses_4xx, responses_5xx) = self.state.status_classes();
@@ -528,7 +517,7 @@ impl Server {
             admitted,
             refused: self.state.refused.load(Ordering::SeqCst),
             drained_in_flight,
-            coalesced: self.state.coalesced_total(),
+            coalesced: 0,
             responses_2xx,
             responses_4xx,
             responses_5xx,
@@ -541,7 +530,6 @@ impl Server {
             "drained_in_flight".into(),
             Value::from(report.drained_in_flight),
         );
-        fields.insert("coalesced".into(), Value::from(report.coalesced));
         fields.insert("responses_2xx".into(), Value::from(report.responses_2xx));
         fields.insert("responses_4xx".into(), Value::from(report.responses_4xx));
         fields.insert("responses_5xx".into(), Value::from(report.responses_5xx));
@@ -576,27 +564,27 @@ impl ServeHandle {
     }
 }
 
-/// Answers a connection the server could not admit (global queue or a
-/// shard slice full). `Retry-After` is computed from the refused queue's
-/// depth and the recent average service time; `shard` is echoed as
-/// `x-zatel-shard` when the refusal came from a saturated shard.
-/// `drain` must be true when the request has not been read off the
-/// socket yet (admission-level refusals).
-fn refuse_overloaded(
-    mut stream: TcpStream,
-    queued: usize,
-    avg_service_ms: Option<u64>,
-    shard: Option<usize>,
-    drain: bool,
-) {
-    if drain {
-        // Drain the request first (best effort, bounded by a short
-        // timeout): closing a socket with unread bytes in its receive
-        // buffer resets the connection, which can destroy the 429
-        // before the client reads it.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = Request::read_from(&mut stream);
+/// Handles items off a shared channel until every sender is gone and the
+/// channel is empty. The lock is held only while waiting for the next
+/// item, never while handling one.
+fn for_each_received<T>(rx: &Mutex<Receiver<T>>, mut handle: impl FnMut(T)) {
+    loop {
+        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        match next {
+            Ok(item) => handle(item),
+            Err(_) => return,
+        }
     }
+}
+
+/// Answers a connection the server could not admit. `Retry-After` is
+/// computed from the queue's depth and the recent average service time.
+fn refuse_overloaded(mut stream: TcpStream, queued: usize, avg_service_ms: Option<u64>) {
+    // Drain the request first (best effort, bounded by a short timeout):
+    // closing a socket with unread bytes in its receive buffer resets the
+    // connection, which can destroy the 429 before the client reads it.
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let _ = Request::read_from(&mut stream);
     let retry_after = retry_after_secs(queued, avg_service_ms);
     // The refusal is machine-readable end to end: the same estimate
     // rides the Retry-After header (seconds, for generic HTTP clients)
@@ -608,33 +596,13 @@ fn refuse_overloaded(
     .with_retry_after_ms(retry_after.saturating_mul(1000))
     .to_json()
     .to_string();
-    let mut headers = vec![("Retry-After", retry_after.to_string())];
-    if let Some(id) = shard {
-        headers.push(("x-zatel-shard", id.to_string()));
-    }
     let _ = http::write_response(
         &mut stream,
         429,
         "application/json",
-        &headers,
+        &[("Retry-After", retry_after.to_string())],
         body.as_bytes(),
     );
-}
-
-/// One router: pull an admitted connection, parse it, answer admin
-/// routes inline and dispatch predictions/sweeps to their affinity
-/// shard — until the admission channel closes.
-fn router_loop(rx: &Arc<Mutex<Receiver<Job>>>, state: &Arc<ServerState>) {
-    loop {
-        let job = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.recv()
-        };
-        let Ok(job) = job else {
-            return; // Sender dropped and channel drained: shutdown.
-        };
-        route_connection(job, state);
-    }
 }
 
 /// The routed outcome of one request: status + JSON (or Prometheus text).
@@ -663,7 +631,6 @@ fn write_and_finish(
     state: &ServerState,
     mut stream: TcpStream,
     routed: Routed,
-    shard: Option<usize>,
     request_id: String,
     route_label: String,
     queue_wait_ms: u64,
@@ -672,10 +639,7 @@ fn write_and_finish(
 ) {
     let (status, content_type, body) = routed.render();
     state.with_registry(|r| r.counter_add(&format!("http_responses_{status}"), 1));
-    let mut headers = vec![("x-zatel-request-id", request_id.clone())];
-    if let Some(id) = shard {
-        headers.push(("x-zatel-shard", id.to_string()));
-    }
+    let headers = [("x-zatel-request-id", request_id.clone())];
     let _ = http::write_response(&mut stream, status, content_type, &headers, body.as_bytes());
     state.finish_request(
         request_id,
@@ -687,11 +651,13 @@ fn write_and_finish(
     );
 }
 
-fn route_connection(job: Job, state: &Arc<ServerState>) {
-    let Job {
+/// One router step: parse an admitted connection, answer admin routes
+/// and unparseable bodies inline, and queue predictions/sweeps as jobs.
+fn route_connection(conn: Admitted, jobs: &Sender<Job>, state: &ServerState) {
+    let Admitted {
         mut stream,
         admitted,
-    } = job;
+    } = conn;
     let queue_wait_ms = elapsed_ms(admitted);
     let handled = Instant::now();
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
@@ -712,7 +678,6 @@ fn route_connection(job: Job, state: &Arc<ServerState>) {
                 state,
                 stream,
                 routed,
-                None,
                 request_id,
                 "-".into(),
                 queue_wait_ms,
@@ -734,38 +699,44 @@ fn route_connection(job: Job, state: &Arc<ServerState>) {
     let route_label = format!("{} {}", request.method, request.path);
     state.with_registry(|r| r.counter_add("http_requests_total", 1));
 
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/predict" | "/v1/sweep") => dispatch_to_shard(
-            stream,
-            admitted,
-            &request,
-            request_id,
-            route_label,
-            queue_wait_ms,
-            handled,
-            state,
-        ),
-        _ => {
-            state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            let routed = route_admin(&request, state);
-            write_and_finish(
-                state,
-                stream,
-                routed,
-                None,
-                request_id,
-                route_label,
-                queue_wait_ms,
-                handled,
-                RouteArtifacts::default(),
-            );
-        }
-    }
+    let routed = match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/v1/predict" | "/v1/sweep") => match parse_payload(&request) {
+            Ok(payload) => {
+                let job = Job {
+                    stream,
+                    admitted,
+                    request_id,
+                    route_label,
+                    payload,
+                };
+                // Workers hold the receiver until every router's sender
+                // is gone, so this fails only if every worker died outside
+                // its unwind guard; the connection then closes unanswered.
+                if jobs.send(job).is_err() {
+                    state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                }
+                return;
+            }
+            Err(routed) => routed,
+        },
+        _ => route_admin(&request, state),
+    };
+    state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+    write_and_finish(
+        state,
+        stream,
+        routed,
+        request_id,
+        route_label,
+        queue_wait_ms,
+        handled,
+        RouteArtifacts::default(),
+    );
 }
 
 /// Answers every route the routers serve inline (no execution, no
 /// deadline handling).
-fn route_admin(request: &Request, state: &Arc<ServerState>) -> Routed {
+fn route_admin(request: &Request, state: &ServerState) -> Routed {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             let mut m = Map::new();
@@ -808,75 +779,6 @@ fn route_admin(request: &Request, state: &Arc<ServerState>) -> Routed {
     }
 }
 
-/// Parses a predict/sweep body into a typed payload, routes it to its
-/// affinity shard and enqueues it; parse errors and saturated shards are
-/// answered here.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "carries the per-request context the router already holds on to the shard job"
-)]
-fn dispatch_to_shard(
-    stream: TcpStream,
-    admitted: Instant,
-    request: &Request,
-    request_id: String,
-    route_label: String,
-    queue_wait_ms: u64,
-    handled: Instant,
-    state: &Arc<ServerState>,
-) {
-    let payload = match parse_payload(request) {
-        Ok(payload) => payload,
-        Err(routed) => {
-            state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            write_and_finish(
-                state,
-                stream,
-                routed,
-                None,
-                request_id,
-                route_label,
-                queue_wait_ms,
-                handled,
-                RouteArtifacts::default(),
-            );
-            return;
-        }
-    };
-    let shard = &state.shards[shard_of(payload.affinity_fingerprint(), state.shards.len())];
-    let job = ShardJob {
-        stream,
-        admitted,
-        request_id,
-        route_label,
-        dedup_fp: payload.dedup_fingerprint(),
-        payload,
-    };
-    if let Err(job) = shard.try_push(job) {
-        // The shard's queue slice is saturated (or closing): refuse with
-        // a Retry-After sized to that shard's backlog.
-        state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        state.refused.fetch_add(1, Ordering::SeqCst);
-        state.with_registry(|r| r.counter_add("http_responses_429", 1));
-        let queued = shard.depth.load(Ordering::SeqCst);
-        refuse_overloaded(
-            job.stream,
-            queued,
-            state.service_ring.average_ms(),
-            Some(shard.id),
-            false,
-        );
-        state.finish_request(
-            job.request_id,
-            job.route_label,
-            429,
-            queue_wait_ms,
-            handled.elapsed().as_secs_f64() * 1000.0,
-            RouteArtifacts::default(),
-        );
-    }
-}
-
 /// Parses the body as a JSON document.
 fn parse_body(request: &Request) -> Result<Value, Routed> {
     let text = std::str::from_utf8(&request.body)
@@ -897,126 +799,67 @@ fn parse_payload(request: &Request) -> Result<Payload, Routed> {
     }
 }
 
-/// One shard worker: pull the next batch (a leader plus every queued job
-/// with the same dedup fingerprint), execute once and fan the response
-/// out — until the shard closes.
-fn shard_loop(shard: &Arc<Shard>, state: &Arc<ServerState>) {
-    while let Some((leader, followers)) = shard.next_batch() {
-        state
-            .queue_depth
-            .fetch_sub(1 + followers.len(), Ordering::SeqCst);
-        if !followers.is_empty() {
-            shard
-                .coalesced
-                .fetch_add(followers.len() as u64, Ordering::SeqCst);
-        }
-        execute_batch(shard, state, leader, followers);
-    }
-}
-
 /// Saturating milliseconds since `since`.
 fn elapsed_ms(since: Instant) -> u64 {
     since.elapsed().as_millis().min(u128::from(u64::MAX)) as u64
 }
 
-/// Executes one dedup batch: expired jobs are answered 504 individually,
-/// the first surviving job's request runs once through the shard's
-/// cache, and the rendered body fans out to every survivor (each under
-/// its own request ID). Coalescing never changes response bytes: the
-/// dedup fingerprint covers every result-affecting field, so the shared
-/// body is exactly what each follower's own execution would have
-/// produced.
-fn execute_batch(
-    shard: &Arc<Shard>,
-    state: &Arc<ServerState>,
-    leader: ShardJob,
-    followers: Vec<ShardJob>,
-) {
+/// One worker step: answer 504 if the job out-waited its deadline,
+/// otherwise execute it through the shared cache. A panic inside the
+/// execution answers `500 internal` under the request's ID, is counted in
+/// `predict_errors`/`sweep_errors`, and leaves the worker serving.
+fn execute(job: Job, state: &ServerState) {
+    state.queue_depth.fetch_sub(1, Ordering::SeqCst);
     let picked = Instant::now();
-    // (job, deadline slack, queue wait) for every job still worth serving.
-    let mut live = Vec::with_capacity(1 + followers.len());
-    for job in std::iter::once(leader).chain(followers) {
-        let queue_wait_ms = elapsed_ms(job.admitted);
-        match check_deadline(job.payload.deadline_ms(), job.admitted, state) {
-            Ok(slack) => live.push((job, slack, queue_wait_ms)),
-            Err(routed) => write_and_finish(
-                state,
-                job.stream,
-                routed,
-                Some(shard.id),
-                job.request_id,
-                job.route_label,
-                queue_wait_ms,
-                picked,
-                RouteArtifacts::default(),
-            ),
-        }
-    }
-    let mut live = live.into_iter();
-    let Some((lead_job, lead_slack, lead_wait)) = live.next() else {
-        return;
-    };
-    let ShardJob {
+    let Job {
         stream,
+        admitted,
         request_id,
         route_label,
         mut payload,
-        ..
-    } = lead_job;
-    let jobs = payload.hints().and_then(|h| h.jobs).or(state.sim_jobs);
-    match &mut payload {
-        Payload::Predict(req) => apply_default_jobs(&mut req.options, jobs),
-        Payload::Sweep(req) => apply_default_jobs(&mut req.options, jobs),
-    }
-    let started = Instant::now();
-    let (routed, mut artifacts) = match &payload {
-        Payload::Predict(req) => run_predict(shard, state, req, &request_id),
-        Payload::Sweep(req) => run_sweep(shard, state, req),
-    };
-    shard.executed.fetch_add(1, Ordering::SeqCst);
-    state.service_ring.record(elapsed_ms(started));
-    artifacts.deadline_slack_ms = lead_slack;
-
-    let (status, content_type, body) = routed.render();
-    // Followers share the leader's rendered bytes but keep their own
-    // request IDs, log lines and deadline slack.
-    let fan_out: Vec<_> = live.collect();
-    let shared_cache = if fan_out.is_empty() {
-        Vec::new()
-    } else {
-        artifacts.cache.clone()
+    } = job;
+    let queue_wait_ms = elapsed_ms(admitted);
+    let deadline_ms = payload.hints().and_then(|h| h.deadline_ms);
+    let (routed, artifacts) = match check_deadline(deadline_ms, admitted, state) {
+        Err(routed) => (routed, RouteArtifacts::default()),
+        Ok(slack) => {
+            let jobs = payload.hints().and_then(|h| h.jobs).or(state.sim_jobs);
+            match &mut payload {
+                Payload::Predict(req) => apply_default_jobs(&mut req.options, jobs),
+                Payload::Sweep(req) => apply_default_jobs(&mut req.options, jobs),
+            }
+            let started = Instant::now();
+            let run = catch_unwind(AssertUnwindSafe(|| match &payload {
+                Payload::Predict(req) => run_predict(state, req, &request_id),
+                Payload::Sweep(req) => run_sweep(state, req),
+            }));
+            state.service_ring.record(elapsed_ms(started));
+            let (routed, mut artifacts) = run.unwrap_or_else(|_| {
+                let counter = match payload {
+                    Payload::Predict(_) => "predict_errors",
+                    Payload::Sweep(_) => "sweep_errors",
+                };
+                state.with_registry(|r| r.counter_add(counter, 1));
+                let message = format!("request {request_id} panicked during execution");
+                (
+                    error_json(ErrorKind::Internal, message),
+                    RouteArtifacts::default(),
+                )
+            });
+            artifacts.deadline_slack_ms = slack;
+            (routed, artifacts)
+        }
     };
     write_and_finish(
         state,
         stream,
-        Routed::Text(status, content_type, body.clone()),
-        Some(shard.id),
+        routed,
         request_id,
         route_label,
-        lead_wait,
+        queue_wait_ms,
         picked,
         artifacts,
     );
-    for (job, slack, queue_wait_ms) in fan_out {
-        let artifacts = RouteArtifacts {
-            spans: Vec::new(),
-            cache: shared_cache.clone(),
-            cache_hits: count_cache_hits(&shared_cache),
-            deadline_slack_ms: slack,
-            coalesced: true,
-        };
-        write_and_finish(
-            state,
-            job.stream,
-            Routed::Text(status, content_type, body.clone()),
-            Some(shard.id),
-            job.request_id,
-            job.route_label,
-            queue_wait_ms,
-            picked,
-            artifacts,
-        );
-    }
 }
 
 /// Maps a [`ServiceError`] (or a deadline expiry) onto the wire.
@@ -1066,8 +909,7 @@ fn check_deadline(
 /// Precedence: an explicit `options.jobs` wins, then `hints.jobs`, then
 /// the server's `--sim-jobs` default (`default_jobs` is the latter two,
 /// resolved). The cap is execution-only, so applying it never changes
-/// what the request computes — which is why the dedup fingerprint may
-/// ignore hints.
+/// what the request computes.
 fn apply_default_jobs(options: &mut Option<zatel::ZatelOptions>, default_jobs: Option<usize>) {
     if default_jobs.is_none() {
         return;
@@ -1092,17 +934,16 @@ fn count_cache_hits(cache: &[Value]) -> u64 {
         .count() as u64
 }
 
-/// Runs one prediction through the shard's cache and accumulates its
+/// Runs one prediction through the shared cache and accumulates its
 /// request metrics.
 fn run_predict(
-    shard: &Arc<Shard>,
-    state: &Arc<ServerState>,
+    state: &ServerState,
     req: &PredictRequest,
     request_id: &str,
 ) -> (Routed, RouteArtifacts) {
     let mut artifacts = RouteArtifacts::default();
     let started = Instant::now();
-    match service::execute_predict_traced(req, &shard.cache, Some(request_id)) {
+    match service::execute_predict_traced(req, &state.cache, Some(request_id)) {
         Ok(out) => {
             state.with_registry(|r| {
                 r.counter_add("predict_requests", 1);
@@ -1120,16 +961,12 @@ fn run_predict(
     }
 }
 
-/// Runs one sweep through the shard's cache and accumulates its request
+/// Runs one sweep through the shared cache and accumulates its request
 /// metrics.
-fn run_sweep(
-    shard: &Arc<Shard>,
-    state: &Arc<ServerState>,
-    req: &SweepRequest,
-) -> (Routed, RouteArtifacts) {
+fn run_sweep(state: &ServerState, req: &SweepRequest) -> (Routed, RouteArtifacts) {
     let artifacts = RouteArtifacts::default();
     let started = Instant::now();
-    match service::execute_sweep(req, &shard.cache) {
+    match service::execute_sweep(req, &state.cache) {
         Ok(out) => {
             state.with_registry(|r| {
                 r.counter_add("sweep_requests", 1);
@@ -1141,5 +978,80 @@ fn run_sweep(
             state.with_registry(|r| r.counter_add("sweep_errors", 1));
             (error_json(err.kind(), err.to_string()), artifacts)
         }
+    }
+}
+
+/// Estimates a `Retry-After` (seconds) for a 429 from the queue's depth
+/// and the recent average service time: roughly how long until the
+/// backlog ahead of a retry has been served, clamped to `1..=60`.
+fn retry_after_secs(queued: usize, avg_service_ms: Option<u64>) -> u64 {
+    let per_request_ms = avg_service_ms.unwrap_or(1000).max(1);
+    let backlog_ms = (queued as u64)
+        .saturating_add(1)
+        .saturating_mul(per_request_ms);
+    backlog_ms.div_ceil(1000).clamp(1, 60)
+}
+
+/// A fixed-size ring of recent request service wall times, feeding the
+/// [`retry_after_secs`] estimate.
+#[derive(Debug, Default)]
+struct ServiceRing {
+    recent_ms: Mutex<VecDeque<u64>>,
+}
+
+impl ServiceRing {
+    /// Records one completed request's service time.
+    fn record(&self, service_ms: u64) {
+        let mut ring = self
+            .recent_ms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if ring.len() == SERVICE_RING_CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(service_ms);
+    }
+
+    /// The average of the recorded service times, `None` before the
+    /// first completion.
+    fn average_ms(&self) -> Option<u64> {
+        let ring = self
+            .recent_ms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if ring.is_empty() {
+            return None;
+        }
+        Some(ring.iter().sum::<u64>() / ring.len() as u64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_after_scales_with_backlog_and_service_rate() {
+        // No history: assume ~1s per queued request.
+        assert_eq!(retry_after_secs(0, None), 1);
+        assert_eq!(retry_after_secs(4, None), 5);
+        // Fast service rates shrink the estimate to the 1s floor.
+        assert_eq!(retry_after_secs(4, Some(50)), 1);
+        // Slow rates grow it, clamped to a minute.
+        assert_eq!(retry_after_secs(9, Some(2000)), 20);
+        assert_eq!(retry_after_secs(1000, Some(60_000)), 60);
+    }
+
+    #[test]
+    fn service_ring_averages_recent_times() {
+        let ring = ServiceRing::default();
+        assert_eq!(ring.average_ms(), None);
+        ring.record(100);
+        ring.record(300);
+        assert_eq!(ring.average_ms(), Some(200));
+        for _ in 0..SERVICE_RING_CAPACITY {
+            ring.record(500);
+        }
+        assert_eq!(ring.average_ms(), Some(500));
     }
 }

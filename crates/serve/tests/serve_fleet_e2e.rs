@@ -1,5 +1,5 @@
-//! Fleet-shape end-to-end tests: single-flight dedup, affinity-shard
-//! identity and computed backpressure — all over real sockets against a
+//! Worker-pool end-to-end tests: worker-count identity, computed
+//! backpressure and panic containment — all over real sockets against a
 //! booted server.
 
 use std::sync::Arc;
@@ -40,7 +40,7 @@ fn tiny_request(seed: u64) -> PredictRequest {
 }
 
 /// A request slow enough (~0.7 s optimized, several seconds unoptimized) to
-/// pin the single shard worker while the test stacks jobs up behind it.
+/// pin the single worker while the test stacks jobs up behind it.
 fn plug_request() -> PredictRequest {
     let mut req = PredictRequest::new("WKND", ConfigRef::preset("mobile"));
     req.res = 128;
@@ -62,123 +62,26 @@ fn scrape(client: &HttpClient, name: &str) -> u64 {
 }
 
 #[test]
-fn identical_concurrent_requests_coalesce_onto_one_execution() {
-    // One shard: a slow plug pins the worker, then four identical
-    // requests and two distinct ones stack up in its queue. The worker
-    // must serve the identical four with a single execution and the
-    // distinct two with one each.
-    let (client, _url, handle, join) = boot(ServeConfig {
-        workers: 1,
-        queue: 16,
-        ..ServeConfig::default()
-    });
-    let client = Arc::new(client);
-
-    let plug = {
-        let client = Arc::clone(&client);
-        std::thread::spawn(move || {
-            let resp = client
-                .post_json("/v1/predict", &plug_request().to_json())
-                .expect("plug");
-            assert_eq!(resp.status, 200, "body: {}", resp.body);
-        })
-    };
-    // Let the worker collect the plug before the batch arrives.
-    std::thread::sleep(std::time::Duration::from_millis(200));
-
-    let mut identical = Vec::new();
-    for _ in 0..4 {
-        let client = Arc::clone(&client);
-        identical.push(std::thread::spawn(move || {
-            let resp = client
-                .post_json("/v1/predict", &tiny_request(9).to_json())
-                .expect("identical predict");
-            assert_eq!(resp.status, 200, "body: {}", resp.body);
-            (
-                resp.body.clone(),
-                resp.header("x-zatel-shard").map(str::to_owned),
-            )
-        }));
-    }
-    let mut distinct = Vec::new();
-    for seed in [21, 22] {
-        let client = Arc::clone(&client);
-        distinct.push(std::thread::spawn(move || {
-            let resp = client
-                .post_json("/v1/predict", &tiny_request(seed).to_json())
-                .expect("distinct predict");
-            assert_eq!(resp.status, 200, "body: {}", resp.body);
-            resp.body.clone()
-        }));
-    }
-
-    let bodies: Vec<(String, Option<String>)> = identical
-        .into_iter()
-        .map(|t| t.join().expect("identical thread"))
-        .collect();
-    let distinct_bodies: Vec<String> = distinct
-        .into_iter()
-        .map(|t| t.join().expect("distinct thread"))
-        .collect();
-    plug.join().expect("plug thread");
-
-    // Coalesced responses are byte-identical — they ARE the leader's
-    // bytes — and every one names the shard that answered it.
-    for (body, shard) in &bodies {
-        assert_eq!(body, &bodies[0].0, "coalesced bodies must be identical");
-        assert_eq!(shard.as_deref(), Some("0"), "single-shard fleet");
-    }
-    assert_ne!(distinct_bodies[0], distinct_bodies[1]);
-
-    // Execution accounting pins single-flight: 7 requests (plug + 4
-    // identical + 2 distinct) but only 4 pipeline executions; the other
-    // 3 rode the identical leader.
-    assert_eq!(scrape(&client, "zatel_serve_predict_requests"), 4);
-    assert_eq!(scrape(&client, "zatel_serve_coalesced_requests"), 3);
-    assert_eq!(scrape(&client, "zatel_serve_shard0_coalesced"), 3);
-    assert_eq!(scrape(&client, "zatel_serve_shard0_executed"), 4);
-
-    handle.shutdown();
-    let report = join.join().expect("server thread").expect("clean run");
-    assert_eq!(report.coalesced, 3, "{report:?}");
-    assert_eq!(report.refused, 0, "{report:?}");
-    // 7 predicts + the 4 /metrics scrapes this test just made.
-    assert_eq!(report.responses_2xx, 11, "{report:?}");
-}
-
-#[test]
-fn shard_count_and_dedup_never_change_the_deterministic_subset() {
-    // The same request served by a 1-shard fleet, a 4-shard fleet and a
-    // 4-shard fleet it opts out of single-flight on must produce
-    // byte-identical deterministic subsets — shard routing and
-    // single-flight are pure execution topology.
+fn worker_count_never_changes_the_deterministic_subset() {
+    // The same request served by a 1-worker and a 4-worker server must
+    // produce byte-identical deterministic subsets — the pool is pure
+    // execution topology.
     let mut subsets = Vec::new();
-    for (workers, no_dedup) in [(1, false), (4, false), (4, true)] {
-        let mut req = tiny_request(7);
-        if no_dedup {
-            req.hints = Some(zatel_proto::ExecutionHints {
-                no_dedup: true,
-                ..Default::default()
-            });
-        }
+    for workers in [1, 4] {
         let (client, _url, handle, join) = boot(ServeConfig {
             workers,
             ..ServeConfig::default()
         });
         let resp = client
-            .post_json("/v1/predict", &req.to_json())
+            .post_json("/v1/predict", &tiny_request(7).to_json())
             .expect("predict");
         assert_eq!(resp.status, 200, "body: {}", resp.body);
         let parsed = PredictResponse::from_json(&resp.json().unwrap()).expect("parses");
         subsets.push(parsed.deterministic_json().to_string());
         handle.shutdown();
-        let report = join.join().expect("server thread").expect("clean run");
-        if no_dedup {
-            assert_eq!(report.coalesced, 0, "{report:?}");
-        }
+        join.join().expect("server thread").expect("clean run");
     }
-    assert_eq!(subsets[0], subsets[1], "1 vs 4 shards");
-    assert_eq!(subsets[0], subsets[2], "dedup on vs off");
+    assert_eq!(subsets[0], subsets[1], "1 vs 4 workers");
 }
 
 #[test]
@@ -256,66 +159,37 @@ fn saturated_queue_answers_429_with_computed_retry_after() {
 }
 
 #[test]
-fn no_dedup_hint_opts_requests_out_of_single_flight() {
-    // Same shape as the coalescing test, but every identical request
-    // hints `no_dedup`: the worker must execute each one itself — zero
-    // coalescing — while the responses stay byte-identical anyway on the
-    // deterministic subset (the hint is execution-only).
+fn panicking_request_answers_500_and_its_worker_survives() {
+    // `res: 2` passes `validate()` but panics inside group selection. On a
+    // 1-worker server the panic must come back as a 500 under the
+    // request's id, and the same worker must then serve a valid request.
     let (client, _url, handle, join) = boot(ServeConfig {
         workers: 1,
-        queue: 16,
         ..ServeConfig::default()
     });
-    let client = Arc::new(client);
+    let mut panics = tiny_request(7);
+    panics.res = 2;
+    let resp = client
+        .post_json_with_headers(
+            "/v1/predict",
+            &panics.to_json(),
+            &[("x-zatel-request-id", "panics-1")],
+        )
+        .expect("panicking predict is answered");
+    assert_eq!(resp.status, 500, "body: {}", resp.body);
+    assert_eq!(resp.header("x-zatel-request-id"), Some("panics-1"));
+    let envelope = zatel_proto::ErrorResponse::from_json(&resp.json().unwrap())
+        .expect("500 body parses as ErrorResponse");
+    assert_eq!(envelope.kind.tag(), "internal");
 
-    let plug = {
-        let client = Arc::clone(&client);
-        std::thread::spawn(move || {
-            let resp = client
-                .post_json("/v1/predict", &plug_request().to_json())
-                .expect("plug");
-            assert_eq!(resp.status, 200, "body: {}", resp.body);
-        })
-    };
-    std::thread::sleep(std::time::Duration::from_millis(200));
-
-    let mut opted_out = Vec::new();
-    for _ in 0..3 {
-        let client = Arc::clone(&client);
-        opted_out.push(std::thread::spawn(move || {
-            let mut req = tiny_request(9);
-            req.hints = Some(zatel_proto::ExecutionHints {
-                no_dedup: true,
-                ..Default::default()
-            });
-            let resp = client
-                .post_json("/v1/predict", &req.to_json())
-                .expect("no_dedup predict");
-            assert_eq!(resp.status, 200, "body: {}", resp.body);
-            PredictResponse::from_json(&resp.json().unwrap())
-                .expect("parses")
-                .deterministic_json()
-                .to_string()
-        }));
-    }
-    let subsets: Vec<String> = opted_out
-        .into_iter()
-        .map(|t| t.join().expect("no_dedup thread"))
-        .collect();
-    plug.join().expect("plug thread");
-
-    for subset in &subsets {
-        assert_eq!(
-            subset, &subsets[0],
-            "no_dedup runs still agree on the deterministic subset"
-        );
-    }
-    // 4 requests (plug + 3 opted out), 4 executions, nothing coalesced.
-    assert_eq!(scrape(&client, "zatel_serve_predict_requests"), 4);
-    assert_eq!(scrape(&client, "zatel_serve_coalesced_requests"), 0);
-    assert_eq!(scrape(&client, "zatel_serve_shard0_executed"), 4);
+    let resp = client
+        .post_json("/v1/predict", &tiny_request(7).to_json())
+        .expect("predict after the panic");
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(scrape(&client, "zatel_serve_predict_errors"), 1);
+    assert_eq!(scrape(&client, "zatel_serve_http_responses_500"), 1);
 
     handle.shutdown();
     let report = join.join().expect("server thread").expect("clean run");
-    assert_eq!(report.coalesced, 0, "{report:?}");
+    assert_eq!(report.responses_5xx, 1, "{report:?}");
 }

@@ -3,8 +3,8 @@
 //!
 //! [`Zatel::execute`] is the one path: heatmap, quantize, divide and
 //! select run as [`crate::stages`] through an [`ArtifactCache`], so callers
-//! that share a cache across runs (the [`crate::sweep`] driver, a serve
-//! shard) reuse those artifacts instead of recomputing them; group
+//! that share a cache across runs (the [`crate::sweep`] driver, the
+//! serve workers) reuse those artifacts instead of recomputing them; group
 //! simulation and extrapolation are plain calls. The Section IV-F
 //! regression variant differs only in selecting and simulating three
 //! traced fractions and fitting through them.

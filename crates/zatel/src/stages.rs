@@ -151,12 +151,10 @@ impl ToJson for StageCacheRecord {
 
 /// Cumulative hit/miss counters of an [`ArtifactCache`].
 ///
-/// The first three fields are per-cache: when the serving layer builds
-/// one cache per worker shard, each shard reports its own hits and
-/// misses. The `disk_*` fields mirror the counters of the cache's
-/// [`DiskTier`], which may be shared by several caches — they are global
-/// to every cache composed over the same tier, and zero for purely
-/// in-memory caches.
+/// The first three fields are per-cache. The `disk_*` fields mirror the
+/// counters of the cache's [`DiskTier`], which may be shared by several
+/// caches — they are global to every cache composed over the same tier,
+/// and zero for purely in-memory caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Requests served from the in-memory tier.
@@ -314,10 +312,9 @@ fn is_artifact_file(name: &str) -> bool {
 /// in a `cache-index.json` sidecar so recency survives across processes.
 /// When a size budget is configured, inserts evict the
 /// lowest-generation entries until the tier fits. Several
-/// [`TieredCache`]s may share one `DiskTier` behind an `Arc`; this is
-/// how serve's worker shards share their persistent layer under
-/// shard-private memory maps. Every failure mode — I/O errors, corrupt
-/// documents — degrades to a miss, never an error.
+/// [`TieredCache`]s may share one `DiskTier` behind an `Arc`. Every
+/// failure mode — I/O errors, corrupt documents — degrades to a miss,
+/// never an error.
 #[derive(Debug)]
 pub struct DiskTier {
     dir: PathBuf,
@@ -558,9 +555,9 @@ impl DiskTier {
 /// into memory); a miss computes the artifact, keeps it in memory and
 /// writes its [`Artifact::to_disk`] document, if it has one, to disk. The
 /// cache is internally synchronized and is shared across sweep worker
-/// threads behind an `Arc`; independent caches may share a [`DiskTier`]
-/// (see [`TieredCache::with_disk_tier`]) to combine shard-private memory
-/// with a fleet-wide persistent layer.
+/// threads and serve's workers behind an `Arc`; independent caches may
+/// share a [`DiskTier`] (see [`TieredCache::with_disk_tier`]), each with
+/// its own memory map.
 #[derive(Debug)]
 pub struct TieredCache {
     memory: Mutex<MemMap>,
