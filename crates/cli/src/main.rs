@@ -43,7 +43,10 @@ use obs::ObserveOptions;
 use rtcore::scenes::SceneId;
 use rtcore::tracer::TraceConfig;
 use zatel::{Distribution, DivisionMethod, DownscaleMode, Prediction, Reference};
-use zatel_proto::{ConfigRef, PredictRequest, PredictResponse, SweepRequest, SweepResponse};
+use zatel_proto::{
+    ConfigRef, GroupReport, MetricValues, PredictRequest, PredictResponse, SweepRequest,
+    SweepResponse,
+};
 use zatel_serve::server::{ServeConfig, Server};
 use zatel_serve::HttpClient;
 
@@ -805,29 +808,16 @@ fn run_record(
         "dist".into(),
         minijson::json!(args.get("dist").unwrap_or("uniform")),
     );
-    let mut metrics = minijson::Map::new();
-    for m in Metric::ALL {
-        metrics.insert(m.name().into(), minijson::json!(prediction.value(m)));
-    }
-    rec.insert("prediction".into(), minijson::Value::Object(metrics));
-    let groups: Vec<minijson::Value> = prediction
-        .groups
-        .iter()
-        .map(|g| {
-            let mut gm = minijson::Map::new();
-            gm.insert("index".into(), minijson::json!(g.index));
-            gm.insert("pixels".into(), minijson::json!(g.pixels as u64));
-            gm.insert("traced_fraction".into(), minijson::json!(g.traced_fraction));
-            gm.insert("target_percent".into(), minijson::json!(g.target_percent));
-            gm.insert("cycles".into(), minijson::json!(g.stats.cycles));
-            gm.insert(
-                "wall_ms".into(),
-                minijson::json!(g.wall.as_secs_f64() * 1000.0),
-            );
-            minijson::Value::Object(gm)
-        })
-        .collect();
-    rec.insert("groups".into(), minijson::Value::Array(groups));
+    rec.insert(
+        "prediction".into(),
+        MetricValues::from_prediction(prediction).to_json(),
+    );
+    // The served group shape, without the engine traces.
+    let groups = prediction.groups.iter().map(|g| GroupReport {
+        trace: None,
+        ..GroupReport::from_outcome(g)
+    });
+    rec.insert("groups".into(), groups.collect::<Vec<_>>().to_json());
     rec.insert(
         "spans".into(),
         minijson::Value::Array(prediction.spans.iter().map(ToJson::to_json).collect()),
@@ -840,11 +830,10 @@ fn run_record(
     }
     rec.insert("heatmap".into(), heatmap_to_json(&prediction.heatmap));
     if let Some(reference) = reference {
-        let mut refs = minijson::Map::new();
-        for m in Metric::ALL {
-            refs.insert(m.name().into(), minijson::json!(m.value(&reference.stats)));
-        }
-        rec.insert("reference".into(), minijson::Value::Object(refs));
+        rec.insert(
+            "reference".into(),
+            MetricValues::from_stats(&reference.stats).to_json(),
+        );
         rec.insert(
             "mae".into(),
             minijson::json!(prediction.mae_vs(&reference.stats)),

@@ -1,8 +1,6 @@
 //! GPU configuration, including the two evaluation presets of Table II and
 //! the proportional downscaling used by Zatel (paper Section III-C).
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
-
 /// Most lines (and ways) a validated cache level may have: the cache's tag
 /// index holds `2 × sets × ways ≤ 2 × max(lines, ways)` buckets addressed
 /// by `u32` slots, which `Cache::new` asserts fits in `1 << 31`.
@@ -299,132 +297,36 @@ impl GpuConfig {
     }
 }
 
-fn field_u64(value: &Value, ty: &str, field: &str) -> Result<u64, JsonError> {
-    value
-        .get(field)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| JsonError::missing_field(ty, field))
-}
-
-fn field_u32(value: &Value, ty: &str, field: &str) -> Result<u32, JsonError> {
-    field_u64(value, ty, field)
-        .and_then(|v| u32::try_from(v).map_err(|_| JsonError::missing_field(ty, field)))
-}
-
-fn field_f32(value: &Value, ty: &str, field: &str) -> Result<f32, JsonError> {
-    value
-        .get(field)
-        .and_then(Value::as_f64)
-        .map(|v| v as f32)
-        .ok_or_else(|| JsonError::missing_field(ty, field))
-}
-
-impl ToJson for CacheConfig {
-    fn to_json(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("bytes".to_string(), Value::from(self.bytes));
-        map.insert("ways".to_string(), Value::from(self.ways));
-        map.insert("line_bytes".to_string(), Value::from(self.line_bytes));
-        map.insert("latency".to_string(), Value::from(self.latency));
-        Value::Object(map)
+minijson::record! {
+    CacheConfig {
+        "bytes" => bytes,
+        "ways" => ways,
+        "line_bytes" => line_bytes,
+        "latency" => latency,
     }
 }
 
-impl FromJson for CacheConfig {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(CacheConfig {
-            bytes: field_u64(value, "CacheConfig", "bytes")?,
-            ways: field_u32(value, "CacheConfig", "ways")?,
-            line_bytes: field_u32(value, "CacheConfig", "line_bytes")?,
-            latency: field_u32(value, "CacheConfig", "latency")?,
-        })
-    }
-}
-
-impl ToJson for GpuConfig {
-    fn to_json(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("name".to_string(), Value::from(self.name.clone()));
-        macro_rules! put_u32 {
-            ($($field:ident),*) => {
-                $( map.insert(stringify!($field).to_string(), Value::from(self.$field)); )*
-            };
-        }
-        put_u32!(
-            num_sms,
-            num_mem_partitions,
-            max_warps_per_sm,
-            warp_size,
-            registers_per_sm,
-            rt_units_per_sm,
-            rt_max_warps,
-            rt_mshr_size,
-            rt_lanes_per_cycle
-        );
-        map.insert("l1d".to_string(), self.l1d.to_json());
-        map.insert("l2".to_string(), self.l2.to_json());
-        map.insert(
-            "interconnect_latency".to_string(),
-            Value::from(self.interconnect_latency),
-        );
-        map.insert(
-            "interconnect_bytes_per_cycle".to_string(),
-            Value::from(self.interconnect_bytes_per_cycle),
-        );
-        map.insert("dram_latency".to_string(), Value::from(self.dram_latency));
-        map.insert(
-            "dram_bytes_per_cycle".to_string(),
-            Value::from(self.dram_bytes_per_cycle),
-        );
-        map.insert("issue_width".to_string(), Value::from(self.issue_width));
-        map.insert(
-            "core_clock_mhz".to_string(),
-            Value::from(self.core_clock_mhz),
-        );
-        map.insert(
-            "memory_clock_mhz".to_string(),
-            Value::from(self.memory_clock_mhz),
-        );
-        Value::Object(map)
-    }
-}
-
-impl FromJson for GpuConfig {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "GpuConfig";
-        Ok(GpuConfig {
-            name: value
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| JsonError::missing_field(TY, "name"))?
-                .to_string(),
-            num_sms: field_u32(value, TY, "num_sms")?,
-            num_mem_partitions: field_u32(value, TY, "num_mem_partitions")?,
-            max_warps_per_sm: field_u32(value, TY, "max_warps_per_sm")?,
-            warp_size: field_u32(value, TY, "warp_size")?,
-            registers_per_sm: field_u32(value, TY, "registers_per_sm")?,
-            rt_units_per_sm: field_u32(value, TY, "rt_units_per_sm")?,
-            rt_max_warps: field_u32(value, TY, "rt_max_warps")?,
-            rt_mshr_size: field_u32(value, TY, "rt_mshr_size")?,
-            rt_lanes_per_cycle: field_u32(value, TY, "rt_lanes_per_cycle")?,
-            l1d: CacheConfig::from_json(
-                value
-                    .get("l1d")
-                    .ok_or_else(|| JsonError::missing_field(TY, "l1d"))?,
-            )?,
-            l2: CacheConfig::from_json(
-                value
-                    .get("l2")
-                    .ok_or_else(|| JsonError::missing_field(TY, "l2"))?,
-            )?,
-            interconnect_latency: field_u32(value, TY, "interconnect_latency")?,
-            interconnect_bytes_per_cycle: field_f32(value, TY, "interconnect_bytes_per_cycle")?,
-            dram_latency: field_u32(value, TY, "dram_latency")?,
-            dram_bytes_per_cycle: field_f32(value, TY, "dram_bytes_per_cycle")?,
-            issue_width: field_u32(value, TY, "issue_width")?,
-            core_clock_mhz: field_u32(value, TY, "core_clock_mhz")?,
-            memory_clock_mhz: field_u32(value, TY, "memory_clock_mhz")?,
-        })
+minijson::record! {
+    GpuConfig {
+        "name" => name,
+        "num_sms" => num_sms,
+        "num_mem_partitions" => num_mem_partitions,
+        "max_warps_per_sm" => max_warps_per_sm,
+        "warp_size" => warp_size,
+        "registers_per_sm" => registers_per_sm,
+        "rt_units_per_sm" => rt_units_per_sm,
+        "rt_max_warps" => rt_max_warps,
+        "rt_mshr_size" => rt_mshr_size,
+        "rt_lanes_per_cycle" => rt_lanes_per_cycle,
+        "l1d" => l1d,
+        "l2" => l2,
+        "interconnect_latency" => interconnect_latency,
+        "interconnect_bytes_per_cycle" => interconnect_bytes_per_cycle,
+        "dram_latency" => dram_latency,
+        "dram_bytes_per_cycle" => dram_bytes_per_cycle,
+        "issue_width" => issue_width,
+        "core_clock_mhz" => core_clock_mhz,
+        "memory_clock_mhz" => memory_clock_mhz,
     }
 }
 

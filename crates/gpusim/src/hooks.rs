@@ -35,8 +35,6 @@
 //! assert!(json.get("counters").is_some());
 //! ```
 
-use minijson::{Map, ToJson, Value};
-
 /// Which cache level a probe hit or missed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheLevel {
@@ -284,30 +282,21 @@ impl TraceCounters {
     }
 }
 
-impl ToJson for TraceCounters {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        macro_rules! put {
-            ($($field:ident),* $(,)?) => {
-                $( m.insert(stringify!($field).to_string(), Value::from(self.$field)); )*
-            };
-        }
-        put!(
-            warps_launched,
-            warps_retired,
-            compute_phases,
-            memory_phases,
-            rt_phases,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            dram_transfers,
-            dram_bytes,
-            rt_active_rays,
-            rt_occupancy_cycles,
-        );
-        Value::Object(m)
+minijson::record! {
+    to_json TraceCounters {
+        "warps_launched" => warps_launched,
+        "warps_retired" => warps_retired,
+        "compute_phases" => compute_phases,
+        "memory_phases" => memory_phases,
+        "rt_phases" => rt_phases,
+        "l1_hits" => l1_hits,
+        "l1_misses" => l1_misses,
+        "l2_hits" => l2_hits,
+        "l2_misses" => l2_misses,
+        "dram_transfers" => dram_transfers,
+        "dram_bytes" => dram_bytes,
+        "rt_active_rays" => rt_active_rays,
+        "rt_occupancy_cycles" => rt_occupancy_cycles,
     }
 }
 
@@ -325,14 +314,12 @@ pub struct TraceSlice {
     pub rt_cycles: u64,
 }
 
-impl ToJson for TraceSlice {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("phases".to_string(), Value::from(self.phases));
-        m.insert("compute".to_string(), Value::from(self.compute_cycles));
-        m.insert("memory".to_string(), Value::from(self.memory_cycles));
-        m.insert("rt".to_string(), Value::from(self.rt_cycles));
-        Value::Object(m)
+minijson::record! {
+    to_json TraceSlice {
+        "phases" => phases,
+        "compute" => compute_cycles,
+        "memory" => memory_cycles,
+        "rt" => rt_cycles,
     }
 }
 
@@ -341,7 +328,7 @@ impl ToJson for TraceSlice {
 ///
 /// The slice series doubles as a progress trace — the highest slice index
 /// tells how far simulated time has advanced — and serializes to JSON via
-/// [`ToJson`] for the CLI's `--progress`/`--json` plumbing.
+/// [`ToJson`](minijson::ToJson) for the CLI's `--progress`/`--json` plumbing.
 #[derive(Debug, Clone)]
 pub struct TraceHooks {
     slice_cycles: u64,
@@ -396,16 +383,11 @@ impl TraceHooks {
     }
 }
 
-impl ToJson for TraceHooks {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("slice_cycles".to_string(), Value::from(self.slice_cycles));
-        m.insert("counters".to_string(), self.counters.to_json());
-        m.insert(
-            "slices".to_string(),
-            Value::Array(self.slices.iter().map(ToJson::to_json).collect()),
-        );
-        Value::Object(m)
+minijson::record! {
+    to_json TraceHooks {
+        "slice_cycles" => slice_cycles,
+        "counters" => counters,
+        "slices" => slices,
     }
 }
 
@@ -490,22 +472,6 @@ mod tests {
         assert_eq!(t.slices()[1], TraceSlice::default());
         assert_eq!(t.slices()[2].memory_cycles, 150);
         assert_eq!(t.counters().phases(), 2);
-    }
-
-    #[test]
-    fn counters_serialize_to_json() {
-        let mut t = TraceHooks::new(50);
-        t.on_warp_launch(0, 0, 0);
-        t.on_cache_access(CacheLevel::L1, false);
-        t.on_cache_access(CacheLevel::L2, true);
-        t.on_dram_transfer(1, 64, 500);
-        let v = t.to_json();
-        let c = v.get("counters").expect("counters object");
-        assert_eq!(c.get("warps_launched").and_then(Value::as_u64), Some(1));
-        assert_eq!(c.get("l1_misses").and_then(Value::as_u64), Some(1));
-        assert_eq!(c.get("l2_hits").and_then(Value::as_u64), Some(1));
-        assert_eq!(c.get("dram_bytes").and_then(Value::as_u64), Some(64));
-        assert_eq!(v.get("slice_cycles").and_then(Value::as_u64), Some(50));
     }
 
     #[test]

@@ -1,42 +1,6 @@
 //! Simulation statistics: the raw counters and the seven derived metrics of
 //! the paper's Table I.
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
-
-/// Every `u64` counter of [`SimStats`], in declaration order. Keeping the
-/// list in one place guarantees the JSON impls stay in sync with the
-/// struct.
-macro_rules! for_each_simstats_u64 {
-    ($apply:ident!($($extra:tt)*)) => {
-        $apply!(
-            $($extra)*
-            cycles,
-            instructions,
-            warp_issues,
-            l1_accesses,
-            l1_misses,
-            l2_accesses,
-            l2_misses,
-            rt_warp_phases,
-            rt_active_rays,
-            dram_busy_cycles,
-            dram_active_cycles,
-            dram_transactions,
-            dram_row_hits,
-            icnt_transfers,
-            icnt_busy_cycles,
-            threads_launched,
-            threads_filtered,
-            bound_issue_cycles,
-            bound_compute_cycles,
-            bound_memory_cycles,
-            bound_rt_cycles,
-            read_latency_sum,
-            reads
-        )
-    };
-}
-
 /// Raw counters accumulated during a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimStats {
@@ -172,40 +136,33 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-impl ToJson for SimStats {
-    fn to_json(&self) -> Value {
-        let mut map = Map::new();
-        macro_rules! put {
-            ($this:expr, $map:expr, $($field:ident),*) => {
-                $( $map.insert(stringify!($field).to_string(), Value::from($this.$field)); )*
-            };
-        }
-        for_each_simstats_u64!(put!(self, map,));
-        map.insert("dram_channels".to_string(), Value::from(self.dram_channels));
-        Value::Object(map)
-    }
-}
-
-impl FromJson for SimStats {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let mut stats = SimStats::default();
-        macro_rules! take {
-            ($this:expr, $value:expr, $($field:ident),*) => {
-                $(
-                    $this.$field = $value
-                        .get(stringify!($field))
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| JsonError::missing_field("SimStats", stringify!($field)))?;
-                )*
-            };
-        }
-        for_each_simstats_u64!(take!(stats, value,));
-        stats.dram_channels = value
-            .get("dram_channels")
-            .and_then(Value::as_u64)
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| JsonError::missing_field("SimStats", "dram_channels"))?;
-        Ok(stats)
+// `dram_channels` renders last, after every `u64` counter.
+minijson::record! {
+    SimStats {
+        "cycles" => cycles,
+        "instructions" => instructions,
+        "warp_issues" => warp_issues,
+        "l1_accesses" => l1_accesses,
+        "l1_misses" => l1_misses,
+        "l2_accesses" => l2_accesses,
+        "l2_misses" => l2_misses,
+        "rt_warp_phases" => rt_warp_phases,
+        "rt_active_rays" => rt_active_rays,
+        "dram_busy_cycles" => dram_busy_cycles,
+        "dram_active_cycles" => dram_active_cycles,
+        "dram_transactions" => dram_transactions,
+        "dram_row_hits" => dram_row_hits,
+        "icnt_transfers" => icnt_transfers,
+        "icnt_busy_cycles" => icnt_busy_cycles,
+        "threads_launched" => threads_launched,
+        "threads_filtered" => threads_filtered,
+        "bound_issue_cycles" => bound_issue_cycles,
+        "bound_compute_cycles" => bound_compute_cycles,
+        "bound_memory_cycles" => bound_memory_cycles,
+        "bound_rt_cycles" => bound_rt_cycles,
+        "read_latency_sum" => read_latency_sum,
+        "reads" => reads,
+        "dram_channels" => dram_channels,
     }
 }
 
@@ -335,37 +292,17 @@ impl std::fmt::Display for Metric {
     }
 }
 
-impl Metric {
-    /// Stable identifier used for JSON (the variant name, matching the
-    /// previous externally-derived encoding).
-    fn json_tag(self) -> &'static str {
-        match self {
-            Metric::Ipc => "Ipc",
-            Metric::SimCycles => "SimCycles",
-            Metric::L1MissRate => "L1MissRate",
-            Metric::L2MissRate => "L2MissRate",
-            Metric::RtEfficiency => "RtEfficiency",
-            Metric::DramEfficiency => "DramEfficiency",
-            Metric::BandwidthUtilization => "BandwidthUtilization",
-        }
-    }
-}
-
-impl ToJson for Metric {
-    fn to_json(&self) -> Value {
-        Value::String(self.json_tag().to_string())
-    }
-}
-
-impl FromJson for Metric {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let tag = value
-            .as_str()
-            .ok_or_else(|| JsonError::conversion("Metric: expected a string"))?;
-        Metric::ALL
-            .into_iter()
-            .find(|m| m.json_tag() == tag)
-            .ok_or_else(|| JsonError::conversion(format!("Metric: unknown variant '{tag}'")))
+// JSON tags are the variant names, matching the previous
+// externally-derived encoding.
+minijson::record! {
+    enum Metric {
+        Ipc => "Ipc",
+        SimCycles => "SimCycles",
+        L1MissRate => "L1MissRate",
+        L2MissRate => "L2MissRate",
+        RtEfficiency => "RtEfficiency",
+        DramEfficiency => "DramEfficiency",
+        BandwidthUtilization => "BandwidthUtilization",
     }
 }
 

@@ -1,12 +1,19 @@
 //! # zatel-minijson — dependency-free JSON for the Zatel suite
 //!
 //! A small, exact JSON value model with a parser, compact and pretty
-//! printers, and `ToJson`/`FromJson` traits the suite's data types
-//! implement by hand. It exists because the build environment is fully
-//! offline: no crates-io registry is reachable, so `serde`/`serde_json`
-//! cannot be used. The surface deliberately mirrors the parts of
-//! `serde_json` the suite relied on (`Value`, `Map`, the `json!` macro),
-//! keeping call sites nearly identical.
+//! printers, and the `ToJson`/`FromJson` traits. It exists because the
+//! build environment is fully offline: no crates-io registry is reachable,
+//! so `serde`/`serde_json` cannot be used. The surface deliberately mirrors
+//! the parts of `serde_json` the suite relied on (`Value`, `Map`, the
+//! `json!` macro), keeping call sites nearly identical.
+//!
+//! A record type declares its JSON once with [`record!`]: one `key =>
+//! field` entry per key, in document order. The traits are implemented for
+//! the field types (integers range-checked, floats, strings, `Vec`,
+//! `Option`, arrays, pairs), and [`field`] reads one key with the one
+//! policy every record follows: absent or `null` is `None` or the
+//! default, a present value of the wrong type is an error, unknown keys
+//! are ignored, and a non-object is rejected.
 //!
 //! Integers are kept exact: [`Number`] stores `u64`/`i64` losslessly and
 //! only uses `f64` for genuine floating-point values, so round-tripping
@@ -22,6 +29,29 @@
 //! let back = Value::parse(&text).unwrap();
 //! assert_eq!(v, back);
 //! assert_eq!(back.get("hits").and_then(Value::as_u64), Some(3));
+//! ```
+//!
+//! ```
+//! use minijson::{FromJson, ToJson, Value};
+//!
+//! #[derive(Debug, PartialEq)]
+//! struct Cache {
+//!     bytes: u64,
+//!     ways: Option<u32>,
+//! }
+//!
+//! minijson::record! {
+//!     Cache {
+//!         "bytes" => bytes,
+//!         "ways" => ways,
+//!     }
+//! }
+//!
+//! let cache = Cache { bytes: 4096, ways: None };
+//! assert_eq!(cache.to_json().to_string(), r#"{"bytes":4096,"ways":null}"#);
+//! assert_eq!(Cache::from_json(&Value::parse(r#"{"bytes":4096}"#).unwrap()).unwrap(), cache);
+//! let err = Cache::from_json(&Value::parse(r#"{"bytes":-1}"#).unwrap()).unwrap_err();
+//! assert_eq!(err.message, "Cache: missing or invalid field 'bytes'");
 //! ```
 
 #![warn(missing_docs)]
@@ -176,10 +206,11 @@ impl FromIterator<(String, Value)> for Map {
     }
 }
 
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
+/// A JSON value. The default is `null`.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     /// `null`.
+    #[default]
     Null,
     /// `true` / `false`.
     Bool(bool),
@@ -391,6 +422,9 @@ pub struct JsonError {
     pub message: String,
     /// Byte offset of the problem (0 for conversion errors).
     pub offset: usize,
+    /// Set by [`JsonError::mistyped`]: [`field`] replaces the error by
+    /// its own, which names the record and the key.
+    mistyped: bool,
 }
 
 impl JsonError {
@@ -399,12 +433,23 @@ impl JsonError {
         JsonError {
             message: message.into(),
             offset: 0,
+            mistyped: false,
         }
     }
 
     /// Convenience for "missing or mistyped field" errors.
     pub fn missing_field(ty: &str, field: &str) -> Self {
         JsonError::conversion(format!("{ty}: missing or invalid field '{field}'"))
+    }
+
+    /// A value that is absent, `null` or of the wrong JSON type. Read
+    /// through [`field`], it becomes that key's "missing or invalid field"
+    /// error, however deep in the field's value it was found.
+    pub fn mistyped(message: impl Into<String>) -> Self {
+        JsonError {
+            mistyped: true,
+            ..JsonError::conversion(message)
+        }
     }
 }
 
@@ -428,8 +473,8 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> JsonError {
         JsonError {
-            message: message.to_owned(),
             offset: self.pos.max(1),
+            ..JsonError::conversion(message)
         }
     }
 
@@ -635,8 +680,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Conversion into a JSON [`Value`]; the suite's data types implement this
-/// by hand (no derive machinery in the offline environment).
+/// Conversion into a JSON [`Value`]. Records implement it with
+/// [`record!`] (no derive machinery in the offline environment).
 pub trait ToJson {
     /// Converts `self` into a JSON value.
     fn to_json(&self) -> Value;
@@ -656,6 +701,311 @@ impl ToJson for Value {
     fn to_json(&self) -> Value {
         self.clone()
     }
+}
+
+/// Any value but `null`, which is absence (see [`field`]).
+impl FromJson for Value {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        match value {
+            Value::Null => Err(JsonError::mistyped("expected a value")),
+            v => Ok(v.clone()),
+        }
+    }
+}
+
+impl ToJson for Map {
+    fn to_json(&self) -> Value {
+        Value::Object(self.clone())
+    }
+}
+
+/// Reads the key `key` of the object `object`, a record of type `ty`:
+/// an absent key reads as `null`. Every error that the value's own
+/// codecs raise with [`JsonError::mistyped`] becomes `ty`'s "missing or
+/// invalid field 'key'"; the errors of a nested record pass through.
+///
+/// # Errors
+///
+/// Returns [`JsonError`] when the value does not decode as a `T`.
+pub fn field<T: FromJson>(object: &Value, ty: &str, key: &str) -> Result<T, JsonError> {
+    T::from_json(object.get(key).unwrap_or(&Value::Null)).map_err(|e| {
+        if e.mistyped {
+            JsonError::missing_field(ty, key)
+        } else {
+            e
+        }
+    })
+}
+
+/// The object a record of type `ty` is read from.
+///
+/// # Errors
+///
+/// Anything else is [`JsonError::mistyped`]: read through [`field`], an
+/// absent record is its key's missing field.
+pub fn object<'v>(value: &'v Value, ty: &str) -> Result<&'v Map, JsonError> {
+    value
+        .as_object()
+        .ok_or_else(|| JsonError::mistyped(format!("{ty} must be an object")))
+}
+
+macro_rules! to_json_by_value {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Value {
+                Value::from(*self)
+            }
+        }
+    )*};
+}
+to_json_by_value!(u8, u16, u32, u64, usize, i64, f64, f32, bool, &str);
+
+impl ToJson for String {
+    fn to_json(&self) -> Value {
+        Value::from(self.as_str())
+    }
+}
+
+macro_rules! from_json {
+    ($($t:ty => |$v:ident| $read:expr;)*) => {$(
+        impl FromJson for $t {
+            fn from_json($v: &Value) -> Result<Self, JsonError> {
+                $read.ok_or_else(|| JsonError::mistyped(concat!("expected a ", stringify!($t))))
+            }
+        }
+    )*};
+}
+// Integers are range-checked: a number that does not fit is mistyped.
+from_json! {
+    u8 => |v| v.as_u64().and_then(|n| n.try_into().ok());
+    u16 => |v| v.as_u64().and_then(|n| n.try_into().ok());
+    u32 => |v| v.as_u64().and_then(|n| n.try_into().ok());
+    u64 => |v| v.as_u64();
+    usize => |v| v.as_u64().and_then(|n| n.try_into().ok());
+    i64 => |v| v.as_i64();
+    f64 => |v| v.as_f64();
+    f32 => |v| v.as_f64().map(|f| f as f32);
+    bool => |v| v.as_bool();
+    String => |v| v.as_str().map(str::to_owned);
+}
+
+impl ToJson for char {
+    fn to_json(&self) -> Value {
+        Value::String(self.to_string())
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Value {
+        self.as_ref().map_or(Value::Null, ToJson::to_json)
+    }
+}
+
+/// `null` (or an absent key) is `None`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        match value {
+            Value::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        value
+            .as_array()
+            .ok_or_else(|| JsonError::mistyped("expected an array"))?
+            .iter()
+            .map(T::from_json)
+            .collect()
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+/// An array of exactly `N` elements.
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        Vec::<T>::from_json(value)?
+            .try_into()
+            .map_err(|_| JsonError::mistyped(format!("expected an array of {N}")))
+    }
+}
+
+/// A pair is the array `[a, b]`.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Value {
+        Value::Array(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        match value.as_array() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err(JsonError::mistyped("expected an array of 2")),
+        }
+    }
+}
+
+/// Declares the JSON of a record once and implements [`ToJson`] and
+/// [`FromJson`] from it, or the JSON of a string-tag enum.
+///
+/// A record lists its entries in document order, which is the key order
+/// it renders, and decodes by the policy of the crate docs. Each entry is
+/// one of:
+///
+/// - `"key" => field`: required. An `Option` field renders `None` as
+///   `null` and reads an absent key or `null` as `None`.
+/// - `"key" => field: skip_none`: an `Option` field whose key is left
+///   out when `None`.
+/// - `"key" => field: default`: an absent key or `null` reads as the
+///   field type's `Default`.
+/// - `field: with(write, read)`: a codec hook for a field with an odd
+///   shape. `write(&field, &mut Map)` inserts its keys and `read(&Value,
+///   ty)` decodes them from the whole object, usually with [`field`].
+///
+/// Before the entries, `schema(S)` renders `"schema": S` first and
+/// rejects a document whose `schema` is another string, and `check(f)`
+/// runs `f(&record) -> Result<(), JsonError>` on every decoded record.
+/// `to_json Type { .. }` implements [`ToJson`] alone.
+///
+/// `record! { enum Type { Variant => "tag", .. } }` renders each variant
+/// as its string tag, rejects any other string, and adds
+/// `Type::tag(self) -> &'static str`.
+#[macro_export]
+macro_rules! record {
+    (enum $ty:ident { $($variant:ident => $tag:literal),+ $(,)? }) => {
+        impl $ty {
+            /// The value's wire tag.
+            pub fn tag(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $tag,)+
+                }
+            }
+        }
+
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Value {
+                $crate::Value::from(self.tag())
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(value: &$crate::Value) -> ::core::result::Result<Self, $crate::JsonError> {
+                match value.as_str() {
+                    $(Some($tag) => Ok($ty::$variant),)+
+                    Some(other) => Err($crate::JsonError::conversion(format!(
+                        "{}: unknown variant '{other}' (expected one of: {})",
+                        stringify!($ty),
+                        [$($tag),+].join(", "),
+                    ))),
+                    None => Err($crate::JsonError::mistyped(concat!(
+                        stringify!($ty),
+                        ": expected a string"
+                    ))),
+                }
+            }
+        }
+    };
+
+    (@put $this:ident $map:ident) => {};
+    (@put $this:ident $map:ident , $($rest:tt)*) => {
+        $crate::record!(@put $this $map $($rest)*);
+    };
+    (@put $this:ident $map:ident $key:literal => $field:ident : skip_none $($rest:tt)*) => {
+        if let Some(value) = &$this.$field {
+            $map.insert($key.into(), $crate::ToJson::to_json(value));
+        }
+        $crate::record!(@put $this $map $($rest)*);
+    };
+    (@put $this:ident $map:ident $key:literal => $field:ident : default $($rest:tt)*) => {
+        $crate::record!(@put $this $map $key => $field $($rest)*);
+    };
+    (@put $this:ident $map:ident $key:literal => $field:ident $($rest:tt)*) => {
+        $map.insert($key.into(), $crate::ToJson::to_json(&$this.$field));
+        $crate::record!(@put $this $map $($rest)*);
+    };
+    (@put $this:ident $map:ident $field:ident : with($write:expr, $read:expr) $($rest:tt)*) => {
+        $write(&$this.$field, &mut $map);
+        $crate::record!(@put $this $map $($rest)*);
+    };
+
+    (@get $value:ident $ty_name:ident $ty:ident { $($fields:tt)* }) => {
+        $ty { $($fields)* }
+    };
+    (@get $value:ident $ty_name:ident $ty:ident { $($fields:tt)* } , $($rest:tt)*) => {
+        $crate::record!(@get $value $ty_name $ty { $($fields)* } $($rest)*)
+    };
+    (@get $value:ident $ty_name:ident $ty:ident { $($fields:tt)* }
+        $key:literal => $field:ident : skip_none $($rest:tt)*) => {
+        $crate::record!(@get $value $ty_name $ty { $($fields)* } $key => $field $($rest)*)
+    };
+    (@get $value:ident $ty_name:ident $ty:ident { $($fields:tt)* }
+        $key:literal => $field:ident : default $($rest:tt)*) => {
+        $crate::record!(@get $value $ty_name $ty {
+            $($fields)*
+            $field: $crate::field::<::core::option::Option<_>>($value, $ty_name, $key)?
+                .unwrap_or_default(),
+        } $($rest)*)
+    };
+    (@get $value:ident $ty_name:ident $ty:ident { $($fields:tt)* }
+        $key:literal => $field:ident $($rest:tt)*) => {
+        $crate::record!(@get $value $ty_name $ty {
+            $($fields)* $field: $crate::field($value, $ty_name, $key)?,
+        } $($rest)*)
+    };
+    (@get $value:ident $ty_name:ident $ty:ident { $($fields:tt)* }
+        $field:ident : with($write:expr, $read:expr) $($rest:tt)*) => {
+        $crate::record!(@get $value $ty_name $ty {
+            $($fields)* $field: $read($value, $ty_name)?,
+        } $($rest)*)
+    };
+
+    (to_json $ty:ident $(schema($schema:expr))? { $($entries:tt)* }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Value {
+                let mut map = $crate::Map::new();
+                $(map.insert("schema".into(), $crate::Value::from($schema));)?
+                $crate::record!(@put self map $($entries)*);
+                $crate::Value::Object(map)
+            }
+        }
+    };
+
+    ($ty:ident $(schema($schema:expr))? $(check($check:expr))? { $($entries:tt)* }) => {
+        $crate::record!(to_json $ty $(schema($schema))? { $($entries)* });
+
+        impl $crate::FromJson for $ty {
+            fn from_json(value: &$crate::Value) -> ::core::result::Result<Self, $crate::JsonError> {
+                const TY: &str = stringify!($ty);
+                $crate::object(value, TY)?;
+                $(
+                    let schema: String = $crate::field(value, TY, "schema")?;
+                    if schema != $schema {
+                        return Err($crate::JsonError::conversion(format!(
+                            "{TY}: unsupported schema '{schema}' (this build speaks {})",
+                            $schema
+                        )));
+                    }
+                )?
+                let record = $crate::record!(@get value TY $ty {} $($entries)*);
+                $($check(&record)?;)?
+                Ok(record)
+            }
+        }
+    };
 }
 
 macro_rules! from_unsigned {
@@ -714,16 +1064,6 @@ impl From<Map> for Value {
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(v: Vec<T>) -> Value {
         Value::Array(v.into_iter().map(Into::into).collect())
-    }
-}
-impl<T: Clone + Into<Value>> From<&[T]> for Value {
-    fn from(v: &[T]) -> Value {
-        Value::Array(v.iter().cloned().map(Into::into).collect())
-    }
-}
-impl<T: Clone + Into<Value>> From<&Vec<T>> for Value {
-    fn from(v: &Vec<T>) -> Value {
-        Value::Array(v.iter().cloned().map(Into::into).collect())
     }
 }
 
@@ -887,5 +1227,157 @@ mod tests {
     fn non_finite_floats_become_null() {
         assert_eq!(Value::from(f64::NAN).to_string(), "null");
         assert_eq!(Value::from(f64::INFINITY).to_string(), "null");
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Plain,
+        Fancy,
+    }
+
+    record! {
+        enum Kind {
+            Plain => "plain",
+            Fancy => "fancy",
+        }
+    }
+
+    #[derive(Debug, Clone, PartialEq, Default)]
+    struct Inner {
+        x: u8,
+    }
+
+    record! { Inner { "x" => x } }
+
+    /// One field of every shape the policy covers.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Sample {
+        id: u32,
+        kind: Kind,
+        span: (f64, f64),
+        note: Option<String>,
+        limit: Option<i64>,
+        on: bool,
+        tags: Vec<Inner>,
+        inner: Inner,
+    }
+
+    fn write_span(span: &(f64, f64), map: &mut Map) {
+        map.insert("lo".into(), span.0.to_json());
+        map.insert("hi".into(), span.1.to_json());
+    }
+
+    fn read_span(value: &Value, ty: &str) -> Result<(f64, f64), JsonError> {
+        Ok((field(value, ty, "lo")?, field(value, ty, "hi")?))
+    }
+
+    record! {
+        Sample schema("sample-v1") check(ordered) {
+            "id" => id,
+            "kind" => kind,
+            span: with(write_span, read_span),
+            "note" => note,
+            "limit" => limit: skip_none,
+            "on" => on: default,
+            "tags" => tags: default,
+            "inner" => inner,
+        }
+    }
+
+    fn ordered(s: &Sample) -> Result<(), JsonError> {
+        let ordered = s.span.0 <= s.span.1;
+        ordered
+            .then_some(())
+            .ok_or_else(|| JsonError::conversion("Sample: lo > hi"))
+    }
+
+    const FULL: &str = r#"{"schema":"sample-v1","id":7,"kind":"fancy","lo":0.25,"hi":0.5,"note":"n","limit":-3,"on":true,"tags":[{"x":1}],"inner":{"x":2}}"#;
+    const MINIMAL: &str =
+        r#"{"schema":"sample-v1","id":7,"kind":"plain","lo":0,"hi":1,"inner":{"x":0}}"#;
+
+    fn parse_sample(text: &str) -> Result<Sample, String> {
+        Sample::from_json(&Value::parse(text).unwrap()).map_err(|e| e.message)
+    }
+
+    /// Rendering follows the declaration order; decoding follows the one
+    /// policy, row by row: an edit of the minimal document and what it
+    /// decodes to.
+    #[test]
+    fn record_renders_in_order_and_decodes_by_policy() {
+        assert_eq!(parse_sample(FULL).unwrap().to_json().to_string(), FULL);
+        let minimal = parse_sample(MINIMAL).unwrap();
+        assert_eq!(
+            minimal.to_json().to_string(),
+            r#"{"schema":"sample-v1","id":7,"kind":"plain","lo":0.0,"hi":1.0,"note":null,"on":false,"tags":[],"inner":{"x":0}}"#,
+            "`None` renders as null unless skip_none, defaults render"
+        );
+        assert_eq!(Kind::Fancy.tag(), "fancy");
+
+        let with = |edit: fn(&mut Sample)| {
+            let mut s = minimal.clone();
+            edit(&mut s);
+            Ok(s)
+        };
+        let field_err = |key: &str| Err(format!("Sample: missing or invalid field '{key}'"));
+        let rows: [(&str, Result<Sample, String>); 21] = [
+            // Absent or null: None or the default.
+            ("", Ok(minimal.clone())),
+            (
+                r#","note":null,"limit":null,"on":null,"tags":null"#,
+                Ok(minimal.clone()),
+            ),
+            (
+                r#","note":"n","limit":5,"on":true"#,
+                with(|s| {
+                    s.note = Some("n".into());
+                    s.limit = Some(5);
+                    s.on = true;
+                }),
+            ),
+            // Unknown keys are ignored.
+            (r#","extra":[1,2]"#, Ok(minimal.clone())),
+            // Present with the wrong type: an error naming the key.
+            (r#","note":5"#, field_err("note")),
+            (r#","limit":"soon""#, field_err("limit")),
+            (r#","on":"yes""#, field_err("on")),
+            (r#","tags":{}"#, field_err("tags")),
+            (r#","tags":[{"x":1},3]"#, field_err("tags")),
+            (r#","lo":"a""#, field_err("lo")),
+            (r#","kind":1"#, field_err("kind")),
+            (
+                r#","kind":"odd""#,
+                Err("Kind: unknown variant 'odd' (expected one of: plain, fancy)".into()),
+            ),
+            // Integers are range-checked.
+            (r#","id":4294967297"#, field_err("id")),
+            (r#","id":-1"#, field_err("id")),
+            (r#","id":1.5"#, field_err("id")),
+            (r#","id":3.0"#, with(|s| s.id = 3)),
+            // Required fields reject null; nested records report their own key.
+            (r#","id":null"#, field_err("id")),
+            (
+                r#","inner":{"x":256}"#,
+                Err("Inner: missing or invalid field 'x'".into()),
+            ),
+            (r#","inner":[]"#, field_err("inner")),
+            // The check runs last.
+            (r#","lo":2"#, Err("Sample: lo > hi".into())),
+            (
+                r#","schema":"sample-v2""#,
+                Err("Sample: unsupported schema 'sample-v2' (this build speaks sample-v1)".into()),
+            ),
+        ];
+        for (edit, expected) in rows {
+            // A later duplicate key replaces the earlier value in place.
+            let doc = format!("{}{edit}}}", &MINIMAL[..MINIMAL.len() - 1]);
+            assert_eq!(parse_sample(&doc), expected, "{doc}");
+        }
+        assert_eq!(parse_sample(r#"{"id":7}"#), field_err("schema"));
+        for non_object in ["[]", "3", "null", r#""sample""#] {
+            assert_eq!(
+                parse_sample(non_object),
+                Err("Sample must be an object".into())
+            );
+        }
     }
 }

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use gpusim::{CacheLevel, GpuConfig, PhaseClass, SimHooks};
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::{Map, Value};
 
 use crate::perfetto::{lanes, Timeline, DEFAULT_MAX_EVENTS};
 use crate::registry::{Histogram, MetricsRegistry};
@@ -38,32 +38,10 @@ impl Default for ObserveOptions {
     }
 }
 
-impl ToJson for ObserveOptions {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("timeline".into(), Value::from(self.timeline));
-        m.insert(
-            "max_timeline_events".into(),
-            Value::from(self.max_timeline_events as u64),
-        );
-        Value::Object(m)
-    }
-}
-
-impl FromJson for ObserveOptions {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "ObserveOptions";
-        Ok(ObserveOptions {
-            timeline: value
-                .get("timeline")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| JsonError::missing_field(TY, "timeline"))?,
-            max_timeline_events: value
-                .get("max_timeline_events")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::missing_field(TY, "max_timeline_events"))?
-                as usize,
-        })
+minijson::record! {
+    ObserveOptions {
+        "timeline" => timeline,
+        "max_timeline_events" => max_timeline_events,
     }
 }
 

@@ -38,22 +38,16 @@ pub struct TraceEvent {
     pub args: Option<Map>,
 }
 
-impl ToJson for TraceEvent {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("name".into(), Value::from(self.name.as_str()));
-        m.insert("cat".into(), Value::from(self.cat));
-        m.insert("ph".into(), Value::from(self.ph.to_string()));
-        m.insert("ts".into(), Value::from(self.ts));
-        if let Some(dur) = self.dur {
-            m.insert("dur".into(), Value::from(dur));
-        }
-        m.insert("pid".into(), Value::from(self.pid));
-        m.insert("tid".into(), Value::from(self.tid));
-        if let Some(args) = &self.args {
-            m.insert("args".into(), Value::Object(args.clone()));
-        }
-        Value::Object(m)
+minijson::record! {
+    to_json TraceEvent {
+        "name" => name,
+        "cat" => cat,
+        "ph" => ph,
+        "ts" => ts,
+        "dur" => dur: skip_none,
+        "pid" => pid,
+        "tid" => tid,
+        "args" => args: skip_none,
     }
 }
 

@@ -18,7 +18,7 @@
 //! assert!(prom.contains("zatel_mem_read_latency_cycles_bucket"));
 //! ```
 
-use minijson::{Map, ToJson, Value};
+use minijson::{field, json, Map, ToJson, Value};
 
 /// A log2-bucket histogram of `u64` samples.
 ///
@@ -143,27 +143,21 @@ impl Histogram {
     }
 }
 
+/// Hand-written: only the non-empty buckets render, as `le`/`count`
+/// pairs.
 impl ToJson for Histogram {
     fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("count".into(), Value::from(self.count));
-        m.insert("sum".into(), Value::from(self.sum));
-        m.insert("min".into(), Value::from(self.min()));
-        m.insert("max".into(), Value::from(self.max));
-        let buckets: Vec<Value> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| {
-                let mut b = Map::new();
-                b.insert("le".into(), Value::from(bucket_upper(i)));
-                b.insert("count".into(), Value::from(*c));
-                Value::Object(b)
-            })
+        let buckets = self.buckets.iter().enumerate().filter(|(_, c)| **c > 0);
+        let buckets: Vec<Value> = buckets
+            .map(|(i, c)| json!({ "le": bucket_upper(i), "count": *c }))
             .collect();
-        m.insert("buckets".into(), Value::Array(buckets));
-        Value::Object(m)
+        json!({
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min(),
+            "max": self.max,
+            "buckets": buckets,
+        })
     }
 }
 
@@ -318,23 +312,15 @@ impl MetricsRegistry {
     }
 }
 
+/// Hand-written: the keys are the metric names, and each entry's shape
+/// follows its `type`.
 impl ToJson for MetricsRegistry {
     fn to_json(&self) -> Value {
         let mut m = Map::new();
         for (name, kind) in &self.entries {
             let entry = match kind {
-                MetricKind::Counter(v) => {
-                    let mut e = Map::new();
-                    e.insert("type".into(), Value::from("counter"));
-                    e.insert("value".into(), Value::from(*v));
-                    Value::Object(e)
-                }
-                MetricKind::Gauge(v) => {
-                    let mut e = Map::new();
-                    e.insert("type".into(), Value::from("gauge"));
-                    e.insert("value".into(), Value::from(*v));
-                    Value::Object(e)
-                }
+                MetricKind::Counter(v) => json!({ "type": "counter", "value": *v }),
+                MetricKind::Gauge(v) => json!({ "type": "gauge", "value": *v }),
                 MetricKind::Histogram(h) => {
                     let mut e = Map::new();
                     e.insert("type".into(), Value::from("histogram"));
@@ -359,50 +345,24 @@ impl minijson::FromJson for MetricsRegistry {
             .ok_or_else(|| minijson::JsonError::conversion("MetricsRegistry: expected object"))?;
         let mut reg = MetricsRegistry::new();
         for (name, entry) in obj.iter() {
-            let ty = entry
-                .get("type")
-                .and_then(Value::as_str)
-                .ok_or_else(|| minijson::JsonError::missing_field("MetricsRegistry", "type"))?;
-            match ty {
-                "counter" => {
-                    let v = entry
-                        .get("value")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| minijson::JsonError::missing_field(name, "value"))?;
-                    reg.counter_add(name, v);
-                }
-                "gauge" => {
-                    let v = entry
-                        .get("value")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| minijson::JsonError::missing_field(name, "value"))?;
-                    reg.gauge_set(name, v);
-                }
+            match field::<String>(entry, "MetricsRegistry", "type")?.as_str() {
+                "counter" => reg.counter_add(name, field(entry, name, "value")?),
+                "gauge" => reg.gauge_set(name, field(entry, name, "value")?),
                 "histogram" => {
                     let mut h = Histogram::new();
-                    let buckets = entry
-                        .get("buckets")
-                        .and_then(Value::as_array)
-                        .ok_or_else(|| minijson::JsonError::missing_field(name, "buckets"))?;
-                    for b in buckets {
-                        let le = b
-                            .get("le")
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| minijson::JsonError::missing_field(name, "le"))?;
-                        let count = b
-                            .get("count")
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| minijson::JsonError::missing_field(name, "count"))?;
-                        let idx = bucket_of(le);
+                    for b in field::<Vec<Value>>(entry, name, "buckets")? {
+                        let idx = bucket_of(field(&b, name, "le")?);
+                        let count: u64 = field(&b, name, "count")?;
                         if idx >= h.buckets.len() {
                             h.buckets.resize(idx + 1, 0);
                         }
                         h.buckets[idx] += count;
                         h.count += count;
                     }
-                    h.sum = entry.get("sum").and_then(Value::as_u64).unwrap_or(0);
-                    h.min = entry.get("min").and_then(Value::as_u64).unwrap_or(0);
-                    h.max = entry.get("max").and_then(Value::as_u64).unwrap_or(0);
+                    let stat = |key| field::<Option<u64>>(entry, name, key);
+                    h.sum = stat("sum")?.unwrap_or(0);
+                    h.min = stat("min")?.unwrap_or(0);
+                    h.max = stat("max")?.unwrap_or(0);
                     reg.histogram_merge(name, &h);
                 }
                 other => {

@@ -27,8 +27,6 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use minijson::{Map, ToJson, Value};
-
 /// One closed span: a named stretch of wall-clock time on a track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -43,37 +41,12 @@ pub struct SpanRecord {
     pub dur_us: u64,
 }
 
-impl ToJson for SpanRecord {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("name".into(), Value::from(self.name.as_str()));
-        m.insert("track".into(), Value::from(self.track));
-        m.insert("start_us".into(), Value::from(self.start_us));
-        m.insert("dur_us".into(), Value::from(self.dur_us));
-        Value::Object(m)
-    }
-}
-
-impl minijson::FromJson for SpanRecord {
-    fn from_json(value: &Value) -> Result<Self, minijson::JsonError> {
-        const TY: &str = "SpanRecord";
-        let int = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| minijson::JsonError::missing_field(TY, name))
-        };
-        Ok(SpanRecord {
-            name: value
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| minijson::JsonError::missing_field(TY, "name"))?
-                .to_owned(),
-            track: u32::try_from(int("track")?)
-                .map_err(|_| minijson::JsonError::conversion("span track out of range"))?,
-            start_us: int("start_us")?,
-            dur_us: int("dur_us")?,
-        })
+minijson::record! {
+    SpanRecord {
+        "name" => name,
+        "track" => track,
+        "start_us" => start_us,
+        "dur_us" => dur_us,
     }
 }
 
@@ -233,21 +206,5 @@ mod tests {
             }
         });
         assert_eq!(sheet.snapshot().len(), 4);
-    }
-
-    #[test]
-    fn span_record_serializes() {
-        let r = SpanRecord {
-            name: "simulate-groups".into(),
-            track: 0,
-            start_us: 10,
-            dur_us: 90,
-        };
-        let v = r.to_json();
-        assert_eq!(
-            v.get("name").and_then(Value::as_str),
-            Some("simulate-groups")
-        );
-        assert_eq!(v.get("dur_us").and_then(Value::as_u64), Some(90));
     }
 }

@@ -64,6 +64,7 @@ impl ConfigRef {
     }
 }
 
+/// Hand-written: a preset renders as its bare name.
 impl ToJson for ConfigRef {
     fn to_json(&self) -> Value {
         match self {
@@ -78,7 +79,7 @@ impl FromJson for ConfigRef {
         match value {
             Value::String(name) => Ok(ConfigRef::Preset(name.clone())),
             Value::Object(_) => Ok(ConfigRef::inline(GpuConfig::from_json(value)?)),
-            _ => Err(JsonError::conversion(
+            _ => Err(JsonError::mistyped(
                 "config must be a preset name or an inline GpuConfig object",
             )),
         }

@@ -9,10 +9,10 @@
 //! Everything here is observational (wall-clock timings, queue waits):
 //! none of it feeds the deterministic response subset.
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::Value;
 use obs::SpanRecord;
 
-use crate::{expect_schema, optional, API_SCHEMA};
+use crate::API_SCHEMA;
 
 /// One retained request in the serve debug ring, newest last.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,66 +41,17 @@ pub struct SlowRequestEntry {
     pub log: Value,
 }
 
-impl ToJson for SlowRequestEntry {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("request_id".into(), Value::from(self.request_id.as_str()));
-        m.insert("route".into(), Value::from(self.route.as_str()));
-        m.insert("status".into(), Value::from(u64::from(self.status)));
-        m.insert("queue_wait_ms".into(), Value::from(self.queue_wait_ms));
-        m.insert("wall_ms".into(), Value::from(self.wall_ms));
-        m.insert(
-            "deadline_slack_ms".into(),
-            self.deadline_slack_ms.map_or(Value::Null, Value::from),
-        );
-        m.insert(
-            "spans".into(),
-            Value::Array(self.spans.iter().map(ToJson::to_json).collect()),
-        );
-        m.insert("cache".into(), Value::Array(self.cache.clone()));
-        m.insert("log".into(), self.log.clone());
-        Value::Object(m)
-    }
-}
-
-impl FromJson for SlowRequestEntry {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "SlowRequestEntry";
-        let text = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        Ok(SlowRequestEntry {
-            request_id: text("request_id")?,
-            route: text("route")?,
-            status: value
-                .get("status")
-                .and_then(Value::as_u64)
-                .and_then(|n| u16::try_from(n).ok())
-                .ok_or_else(|| JsonError::missing_field(TY, "status"))?,
-            queue_wait_ms: value
-                .get("queue_wait_ms")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::missing_field(TY, "queue_wait_ms"))?,
-            wall_ms: value
-                .get("wall_ms")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| JsonError::missing_field(TY, "wall_ms"))?,
-            deadline_slack_ms: optional(value, "deadline_slack_ms").and_then(Value::as_i64),
-            spans: optional(value, "spans")
-                .and_then(Value::as_array)
-                .map(|a| a.iter().map(SpanRecord::from_json).collect())
-                .transpose()?
-                .unwrap_or_default(),
-            cache: optional(value, "cache")
-                .and_then(Value::as_array)
-                .map(<[Value]>::to_vec)
-                .unwrap_or_default(),
-            log: value.get("log").cloned().unwrap_or(Value::Null),
-        })
+minijson::record! {
+    SlowRequestEntry {
+        "request_id" => request_id,
+        "route" => route,
+        "status" => status,
+        "queue_wait_ms" => queue_wait_ms,
+        "wall_ms" => wall_ms,
+        "deadline_slack_ms" => deadline_slack_ms,
+        "spans" => spans: default,
+        "cache" => cache: default,
+        "log" => log: default,
     }
 }
 
@@ -111,37 +62,16 @@ pub struct DebugSlowResponse {
     pub entries: Vec<SlowRequestEntry>,
 }
 
-impl ToJson for DebugSlowResponse {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(API_SCHEMA));
-        m.insert(
-            "entries".into(),
-            Value::Array(self.entries.iter().map(ToJson::to_json).collect()),
-        );
-        Value::Object(m)
-    }
-}
-
-impl FromJson for DebugSlowResponse {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "DebugSlowResponse";
-        expect_schema(value, TY)?;
-        Ok(DebugSlowResponse {
-            entries: value
-                .get("entries")
-                .and_then(Value::as_array)
-                .ok_or_else(|| JsonError::missing_field(TY, "entries"))?
-                .iter()
-                .map(SlowRequestEntry::from_json)
-                .collect::<Result<_, _>>()?,
-        })
+minijson::record! {
+    DebugSlowResponse schema(API_SCHEMA) {
+        "entries" => entries,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minijson::{FromJson, ToJson};
 
     fn sample() -> DebugSlowResponse {
         DebugSlowResponse {
@@ -189,5 +119,21 @@ mod tests {
         assert!(resp.entries[0].deadline_slack_ms.is_none());
         assert!(resp.entries[0].spans.is_empty());
         assert_eq!(resp.entries[0].log, Value::Null);
+
+        // Optional fields present with the wrong type are rejected, not
+        // dropped.
+        let text = minimal.to_string();
+        for bad in [
+            r#""deadline_slack_ms":"soon""#,
+            r#""spans":{}"#,
+            r#""cache":"none""#,
+        ] {
+            let doc =
+                Value::parse(&text.replace(r#""wall_ms":0.5"#, &format!(r#""wall_ms":0.5,{bad}"#)));
+            assert!(
+                DebugSlowResponse::from_json(&doc.unwrap()).is_err(),
+                "{bad} accepted"
+            );
+        }
     }
 }

@@ -12,9 +12,8 @@
 //! like any other. So are the removed hints: the intra-simulation thread
 //! knobs and the opt-out of request merging the server no longer does.
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
-
-use crate::optional;
+#[cfg(test)]
+use minijson::Value;
 
 /// Execution-only knobs a `predict`/`sweep` request may carry. All
 /// fields are optional; [`ExecutionHints::default`] hints nothing.
@@ -52,42 +51,10 @@ impl ExecutionHints {
     }
 }
 
-impl ToJson for ExecutionHints {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert(
-            "jobs".into(),
-            self.jobs.map_or(Value::Null, |n| Value::from(n as u64)),
-        );
-        m.insert(
-            "deadline_ms".into(),
-            self.deadline_ms.map_or(Value::Null, Value::from),
-        );
-        Value::Object(m)
-    }
-}
-
-impl FromJson for ExecutionHints {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "ExecutionHints";
-        if value.as_object().is_none() {
-            return Err(JsonError::conversion(format!("{TY} must be an object")));
-        }
-        Ok(ExecutionHints {
-            jobs: optional(value, "jobs")
-                .map(|v| {
-                    v.as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| JsonError::missing_field(TY, "jobs"))
-                })
-                .transpose()?,
-            deadline_ms: optional(value, "deadline_ms")
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| JsonError::missing_field(TY, "deadline_ms"))
-                })
-                .transpose()?,
-        })
+minijson::record! {
+    ExecutionHints {
+        "jobs" => jobs,
+        "deadline_ms" => deadline_ms,
     }
 }
 
@@ -123,24 +90,20 @@ pub(crate) fn with_legacy_deadline(doc: &Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minijson::{FromJson, ToJson};
 
     #[test]
-    fn hints_round_trip() {
-        let hints = ExecutionHints {
+    fn hints_round_trip_and_report_empty() {
+        let set = ExecutionHints {
             jobs: Some(8),
             deadline_ms: Some(5000),
         };
-        let back = ExecutionHints::from_json(&hints.to_json()).expect("round trip");
-        assert_eq!(hints, back);
-        assert!(back.validate().is_ok());
-    }
-
-    #[test]
-    fn empty_hints_round_trip_and_report_empty() {
-        let hints = ExecutionHints::default();
-        assert!(hints.is_empty());
-        let back = ExecutionHints::from_json(&hints.to_json()).expect("round trip");
-        assert_eq!(hints, back);
+        for hints in [set, ExecutionHints::default()] {
+            let back = ExecutionHints::from_json(&hints.to_json()).expect("round trip");
+            assert_eq!(hints, back);
+            assert!(back.validate().is_ok());
+        }
+        assert!(ExecutionHints::default().is_empty());
         assert!(!ExecutionHints {
             deadline_ms: Some(0),
             ..ExecutionHints::default()

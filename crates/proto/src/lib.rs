@@ -14,7 +14,8 @@
 //!
 //! * existing fields are never removed or change meaning/type;
 //! * new **optional** fields may be added at any time — parsers must
-//!   ignore unknown fields (all parsers in this crate do);
+//!   ignore unknown fields (every DTO here is a `minijson::record!`
+//!   declaration, and those do);
 //! * documents with a different `schema` value are rejected, never
 //!   half-parsed.
 //!
@@ -53,8 +54,6 @@ pub use predict::{GroupReport, MetricValues, PredictRequest, PredictResponse, Re
 pub use sweep::{sweep_point_record, SweepRequest, SweepResponse};
 pub use wire::{ErrorKind, ErrorResponse, SceneInfo, ScenesResponse};
 
-use minijson::{JsonError, Value};
-
 /// The protocol schema identifier every `zatel-api-v1` document carries.
 pub const API_SCHEMA: &str = "zatel-api-v1";
 
@@ -63,26 +62,29 @@ pub const API_SCHEMA: &str = "zatel-api-v1";
 /// [`SweepResponse`] points).
 pub const SWEEP_RECORD_SCHEMA: &str = "zatel-sweep-v1";
 
-/// Checks a parsed document's `schema` field against [`API_SCHEMA`].
-///
-/// # Errors
-///
-/// Returns [`JsonError`] when the field is missing, not a string, or
-/// names a different schema.
-pub(crate) fn expect_schema(value: &Value, ty: &'static str) -> Result<(), JsonError> {
-    match value.get("schema").and_then(Value::as_str) {
-        Some(s) if s == API_SCHEMA => Ok(()),
-        Some(other) => Err(JsonError::conversion(format!(
-            "{ty}: unsupported schema '{other}' (this build speaks {API_SCHEMA})"
-        ))),
-        None => Err(JsonError::missing_field(ty, "schema")),
+/// The bounds a predict and a sweep request share: a named scene, `res`
+/// and `spp` in range, and valid options and hints.
+fn validate_run(
+    scene: &str,
+    res: u32,
+    spp: u32,
+    options: Option<&zatel::ZatelOptions>,
+    hints: Option<&ExecutionHints>,
+) -> Result<(), String> {
+    if scene.is_empty() {
+        return Err("scene must not be empty".into());
     }
-}
-
-/// `value.get(name)` treating JSON `null` as absent.
-pub(crate) fn optional<'v>(value: &'v Value, name: &str) -> Option<&'v Value> {
-    match value.get(name) {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(v),
+    if res == 0 || res > 4096 {
+        return Err(format!("res must be in 1..=4096, got {res}"));
     }
+    if spp == 0 || spp > 64 {
+        return Err(format!("spp must be in 1..=64, got {spp}"));
+    }
+    if let Some(options) = options {
+        options.validate().map_err(|e| e.to_string())?;
+    }
+    if let Some(hints) = hints {
+        hints.validate()?;
+    }
+    Ok(())
 }

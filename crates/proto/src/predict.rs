@@ -1,11 +1,11 @@
 //! `POST /v1/predict` request and response DTOs.
 
 use gpusim::Metric;
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::{field, json, FromJson, JsonError, ToJson, Value};
 use obs::{MetricsRegistry, SpanRecord};
 use zatel::ZatelOptions;
 
-use crate::{expect_schema, optional, API_SCHEMA};
+use crate::API_SCHEMA;
 
 /// A `zatel-api-v1` prediction request: everything needed to reproduce
 /// one [`zatel::Zatel`] run, with no reference to client-local files.
@@ -58,22 +58,13 @@ impl PredictRequest {
     ///
     /// Returns a message describing the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.scene.is_empty() {
-            return Err("scene must not be empty".into());
-        }
-        if self.res == 0 || self.res > 4096 {
-            return Err(format!("res must be in 1..=4096, got {}", self.res));
-        }
-        if self.spp == 0 || self.spp > 64 {
-            return Err(format!("spp must be in 1..=64, got {}", self.spp));
-        }
-        if let Some(options) = &self.options {
-            options.validate().map_err(|e| e.to_string())?;
-        }
-        if let Some(hints) = &self.hints {
-            hints.validate()?;
-        }
-        Ok(())
+        crate::validate_run(
+            &self.scene,
+            self.res,
+            self.spp,
+            self.options.as_ref(),
+            self.hints.as_ref(),
+        )
     }
 
     /// The request's *affinity fingerprint*: a stable FNV-1a hash of the
@@ -111,95 +102,17 @@ impl PredictRequest {
     }
 }
 
-impl ToJson for PredictRequest {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(API_SCHEMA));
-        m.insert("scene".into(), Value::from(self.scene.as_str()));
-        m.insert("config".into(), self.config.to_json());
-        m.insert("res".into(), Value::from(self.res));
-        m.insert("spp".into(), Value::from(self.spp));
-        m.insert("seed".into(), Value::from(self.seed));
-        m.insert(
-            "options".into(),
-            self.options.as_ref().map_or(Value::Null, ToJson::to_json),
-        );
-        m.insert(
-            "regression".into(),
-            self.regression.map_or(Value::Null, |f| {
-                Value::Array(f.iter().map(|&v| Value::from(v)).collect())
-            }),
-        );
-        m.insert("reference".into(), Value::from(self.reference));
-        m.insert(
-            "hints".into(),
-            self.hints.as_ref().map_or(Value::Null, ToJson::to_json),
-        );
-        Value::Object(m)
-    }
-}
-
-impl FromJson for PredictRequest {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "PredictRequest";
-        expect_schema(value, TY)?;
-        let dim = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        let regression = match optional(value, "regression") {
-            None => None,
-            Some(v) => {
-                let arr = v
-                    .as_array()
-                    .filter(|a| a.len() == 3)
-                    .ok_or_else(|| {
-                        JsonError::conversion("regression must be an array of three fractions")
-                    })?
-                    .iter()
-                    .map(|f| {
-                        f.as_f64().ok_or_else(|| {
-                            JsonError::conversion("regression fractions must be numbers")
-                        })
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?;
-                Some([arr[0], arr[1], arr[2]])
-            }
-        };
-        Ok(PredictRequest {
-            scene: value
-                .get("scene")
-                .and_then(Value::as_str)
-                .ok_or_else(|| JsonError::missing_field(TY, "scene"))?
-                .to_owned(),
-            config: crate::ConfigRef::from_json(
-                value
-                    .get("config")
-                    .ok_or_else(|| JsonError::missing_field(TY, "config"))?,
-            )?,
-            res: dim("res")?,
-            spp: dim("spp")?,
-            seed: value
-                .get("seed")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::missing_field(TY, "seed"))?,
-            options: optional(value, "options")
-                .map(ZatelOptions::from_json)
-                .transpose()?,
-            regression,
-            reference: match optional(value, "reference") {
-                None => false,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| JsonError::missing_field(TY, "reference"))?,
-            },
-            hints: optional(value, "hints")
-                .map(crate::ExecutionHints::from_json)
-                .transpose()?,
-        })
+minijson::record! {
+    PredictRequest schema(API_SCHEMA) {
+        "scene" => scene,
+        "config" => config,
+        "res" => res,
+        "spp" => spp,
+        "seed" => seed,
+        "options" => options,
+        "regression" => regression,
+        "reference" => reference: default,
+        "hints" => hints,
     }
 }
 
@@ -241,24 +154,24 @@ impl MetricValues {
     }
 }
 
+/// Hand-written: the keys are the [`Metric::name`]s.
 impl ToJson for MetricValues {
     fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        for (&metric, &v) in Metric::ALL.iter().zip(self.0.iter()) {
-            m.insert(metric.name().into(), Value::from(v));
-        }
-        Value::Object(m)
+        let values = Metric::ALL.iter().zip(self.0);
+        Value::Object(
+            values
+                .map(|(m, v)| (m.name().to_owned(), Value::from(v)))
+                .collect(),
+        )
     }
 }
 
 impl FromJson for MetricValues {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
+        minijson::object(value, "MetricValues")?;
         let mut values = [0.0; 7];
         for (slot, &metric) in values.iter_mut().zip(Metric::ALL.iter()) {
-            *slot = value
-                .get(metric.name())
-                .and_then(Value::as_f64)
-                .ok_or_else(|| JsonError::missing_field("MetricValues", metric.name()))?;
+            *slot = field(value, "MetricValues", metric.name())?;
         }
         Ok(MetricValues(values))
     }
@@ -298,47 +211,15 @@ impl GroupReport {
     }
 }
 
-impl ToJson for GroupReport {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("index".into(), Value::from(self.index));
-        m.insert("pixels".into(), Value::from(self.pixels));
-        m.insert("traced_fraction".into(), Value::from(self.traced_fraction));
-        m.insert("target_percent".into(), Value::from(self.target_percent));
-        m.insert("cycles".into(), Value::from(self.cycles));
-        m.insert("wall_ms".into(), Value::from(self.wall_ms));
-        if let Some(trace) = &self.trace {
-            m.insert("trace".into(), trace.clone());
-        }
-        Value::Object(m)
-    }
-}
-
-impl FromJson for GroupReport {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "GroupReport";
-        let int = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        let num = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        Ok(GroupReport {
-            index: u32::try_from(int("index")?)
-                .map_err(|_| JsonError::conversion("group index out of range"))?,
-            pixels: int("pixels")?,
-            traced_fraction: num("traced_fraction")?,
-            target_percent: num("target_percent")?,
-            cycles: int("cycles")?,
-            wall_ms: num("wall_ms")?,
-            trace: optional(value, "trace").cloned(),
-        })
+minijson::record! {
+    GroupReport {
+        "index" => index,
+        "pixels" => pixels,
+        "traced_fraction" => traced_fraction,
+        "target_percent" => target_percent,
+        "cycles" => cycles,
+        "wall_ms" => wall_ms,
+        "trace" => trace: skip_none,
     }
 }
 
@@ -365,50 +246,32 @@ impl ReferenceReport {
     }
 }
 
+/// Hand-written: the metric values render flat beside `cpi_stack`.
 impl ToJson for ReferenceReport {
     fn to_json(&self) -> Value {
-        let mut m = match self.metrics.to_json() {
-            Value::Object(m) => m,
-            // MetricValues::to_json always builds an object.
-            _ => Map::new(),
-        };
-        let stack: Vec<Value> = self
-            .cpi_stack
-            .iter()
-            .map(|(n, v)| {
-                let mut e = Map::new();
-                e.insert("component".into(), Value::from(n.as_str()));
-                e.insert("share".into(), Value::from(*v));
-                Value::Object(e)
-            })
-            .collect();
-        m.insert("cpi_stack".into(), Value::Array(stack));
-        Value::Object(m)
+        let mut doc = self.metrics.to_json();
+        let stack = self.cpi_stack.iter();
+        let stack = stack.map(|(n, v)| json!({ "component": n.as_str(), "share": *v }));
+        if let Value::Object(m) = &mut doc {
+            m.insert("cpi_stack".into(), Value::Array(stack.collect()));
+        }
+        doc
     }
 }
 
 impl FromJson for ReferenceReport {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         let metrics = MetricValues::from_json(value)?;
-        let cpi_stack = match optional(value, "cpi_stack") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| JsonError::conversion("cpi_stack must be an array"))?
-                .iter()
-                .map(|e| {
-                    let component = e
-                        .get("component")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| JsonError::missing_field("cpi_stack", "component"))?;
-                    let share = e
-                        .get("share")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| JsonError::missing_field("cpi_stack", "share"))?;
-                    Ok((component.to_owned(), share))
-                })
-                .collect::<Result<_, JsonError>>()?,
-        };
+        let cpi_stack = field::<Option<Vec<Value>>>(value, "ReferenceReport", "cpi_stack")?
+            .unwrap_or_default()
+            .iter()
+            .map(|e| {
+                Ok((
+                    field(e, "cpi_stack", "component")?,
+                    field(e, "cpi_stack", "share")?,
+                ))
+            })
+            .collect::<Result<_, JsonError>>()?;
         Ok(ReferenceReport { metrics, cpi_stack })
     }
 }
@@ -464,144 +327,47 @@ impl PredictResponse {
     /// The wall-clock-free subset of the response: byte-identical across
     /// transports, hosts and cache temperatures for the same request.
     pub fn deterministic_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(API_SCHEMA));
-        m.insert("scene".into(), Value::from(self.scene.as_str()));
-        m.insert("config".into(), Value::from(self.config.as_str()));
-        m.insert("res".into(), Value::from(self.res));
-        m.insert("spp".into(), Value::from(self.spp));
-        m.insert("seed".into(), Value::from(self.seed));
-        m.insert("k".into(), Value::from(self.k));
-        m.insert("prediction".into(), self.prediction.to_json());
-        let groups: Vec<Value> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let mut stripped = g.clone();
-                stripped.wall_ms = 0.0;
-                stripped.to_json()
-            })
-            .collect();
-        m.insert("groups".into(), Value::Array(groups));
-        if let Some(reference) = &self.reference {
-            m.insert("reference".into(), reference.to_json());
+        let mut stripped = self.clone();
+        for group in &mut stripped.groups {
+            group.wall_ms = 0.0;
         }
-        if let Some(mae) = self.mae {
-            m.insert("mae".into(), Value::from(mae));
-        }
-        Value::Object(m)
+        let full = stripped.to_json();
+        let keys = [
+            "schema",
+            "scene",
+            "config",
+            "res",
+            "spp",
+            "seed",
+            "k",
+            "prediction",
+            "groups",
+            "reference",
+            "mae",
+        ];
+        let subset = keys.map(|k| Some((k.to_owned(), full.get(k)?.clone())));
+        Value::Object(subset.into_iter().flatten().collect())
     }
 }
 
-impl ToJson for PredictResponse {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(API_SCHEMA));
-        m.insert("scene".into(), Value::from(self.scene.as_str()));
-        m.insert("config".into(), Value::from(self.config.as_str()));
-        m.insert("res".into(), Value::from(self.res));
-        m.insert("spp".into(), Value::from(self.spp));
-        m.insert("seed".into(), Value::from(self.seed));
-        m.insert("k".into(), Value::from(self.k));
-        m.insert("prediction".into(), self.prediction.to_json());
-        m.insert("sim_wall_ms".into(), Value::from(self.sim_wall_ms));
-        m.insert(
-            "preprocess_wall_ms".into(),
-            Value::from(self.preprocess_wall_ms),
-        );
-        m.insert(
-            "groups".into(),
-            Value::Array(self.groups.iter().map(ToJson::to_json).collect()),
-        );
-        m.insert(
-            "spans".into(),
-            Value::Array(self.spans.iter().map(ToJson::to_json).collect()),
-        );
-        m.insert("cache".into(), Value::Array(self.cache.clone()));
-        if let Some(metrics) = &self.metrics {
-            m.insert("metrics".into(), metrics.to_json());
-        }
-        if let Some(reference) = &self.reference {
-            m.insert("reference".into(), reference.to_json());
-        }
-        if let Some(mae) = self.mae {
-            m.insert("mae".into(), Value::from(mae));
-        }
-        if let Some(speedup) = self.speedup_concurrent {
-            m.insert("speedup_concurrent".into(), Value::from(speedup));
-        }
-        Value::Object(m)
-    }
-}
-
-impl FromJson for PredictResponse {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "PredictResponse";
-        expect_schema(value, TY)?;
-        let text = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        let num = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        let dim = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        let list = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_array)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        Ok(PredictResponse {
-            scene: text("scene")?,
-            config: text("config")?,
-            res: dim("res")?,
-            spp: dim("spp")?,
-            seed: value
-                .get("seed")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::missing_field(TY, "seed"))?,
-            k: dim("k")?,
-            prediction: MetricValues::from_json(
-                value
-                    .get("prediction")
-                    .ok_or_else(|| JsonError::missing_field(TY, "prediction"))?,
-            )?,
-            groups: list("groups")?
-                .iter()
-                .map(GroupReport::from_json)
-                .collect::<Result<_, _>>()?,
-            reference: optional(value, "reference")
-                .map(ReferenceReport::from_json)
-                .transpose()?,
-            mae: optional(value, "mae").and_then(Value::as_f64),
-            speedup_concurrent: optional(value, "speedup_concurrent").and_then(Value::as_f64),
-            sim_wall_ms: num("sim_wall_ms")?,
-            preprocess_wall_ms: num("preprocess_wall_ms")?,
-            spans: list("spans")?
-                .iter()
-                .map(SpanRecord::from_json)
-                .collect::<Result<_, _>>()?,
-            cache: optional(value, "cache")
-                .and_then(Value::as_array)
-                .map(<[Value]>::to_vec)
-                .unwrap_or_default(),
-            metrics: optional(value, "metrics")
-                .map(MetricsRegistry::from_json)
-                .transpose()?,
-        })
+minijson::record! {
+    PredictResponse schema(API_SCHEMA) {
+        "scene" => scene,
+        "config" => config,
+        "res" => res,
+        "spp" => spp,
+        "seed" => seed,
+        "k" => k,
+        "prediction" => prediction,
+        "sim_wall_ms" => sim_wall_ms,
+        "preprocess_wall_ms" => preprocess_wall_ms,
+        "groups" => groups,
+        "spans" => spans,
+        "cache" => cache: default,
+        "metrics" => metrics: skip_none,
+        "reference" => reference: skip_none,
+        "mae" => mae: skip_none,
+        "speedup_concurrent" => speedup_concurrent: skip_none,
     }
 }
 
@@ -786,12 +552,24 @@ mod tests {
         let v = Value::parse(r#"{"schema":"zatel-api-v1","scene":"X"}"#).unwrap();
         assert!(PredictResponse::from_json(&v).is_err());
 
-        // Prediction section missing a metric.
-        let mut doc = sample_response().to_json();
-        if let Value::Object(m) = &mut doc {
-            m.insert("prediction".into(), Value::parse("{}").unwrap());
+        // Prediction section missing a metric, and optional sections
+        // present with the wrong type.
+        for (key, bad) in [
+            ("prediction", "{}"),
+            ("mae", "\"low\""),
+            ("speedup_concurrent", "[]"),
+            ("cache", "{}"),
+            ("metrics", "3"),
+        ] {
+            let mut doc = sample_response().to_json();
+            if let Value::Object(m) = &mut doc {
+                m.insert(key.into(), Value::parse(bad).unwrap());
+            }
+            assert!(
+                PredictResponse::from_json(&doc).is_err(),
+                "bad {key}={bad} accepted"
+            );
         }
-        assert!(PredictResponse::from_json(&doc).is_err());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! `POST /v1/sweep` request and response DTOs.
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::{field, JsonError, ToJson, Value};
 use zatel::{SweepOutcome, SweepSpec, ZatelOptions};
 
-use crate::{expect_schema, optional, API_SCHEMA, SWEEP_RECORD_SCHEMA};
+use crate::{MetricValues, API_SCHEMA, SWEEP_RECORD_SCHEMA};
 
 /// A `zatel-api-v1` sweep request: one base pipeline plus a
 /// [`SweepSpec`] of per-point overrides, all served through a shared
@@ -54,15 +54,13 @@ impl SweepRequest {
     ///
     /// Returns a message describing the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.scene.is_empty() {
-            return Err("scene must not be empty".into());
-        }
-        if self.res == 0 || self.res > 4096 {
-            return Err(format!("res must be in 1..=4096, got {}", self.res));
-        }
-        if self.spp == 0 || self.spp > 64 {
-            return Err(format!("spp must be in 1..=64, got {}", self.spp));
-        }
+        crate::validate_run(
+            &self.scene,
+            self.res,
+            self.spp,
+            self.options.as_ref(),
+            self.hints.as_ref(),
+        )?;
         if self.spec.points.is_empty() {
             return Err("sweep spec must contain at least one point".into());
         }
@@ -72,85 +70,21 @@ impl SweepRequest {
                 self.spec.points.len()
             ));
         }
-        if let Some(options) = &self.options {
-            options.validate().map_err(|e| e.to_string())?;
-        }
-        if let Some(hints) = &self.hints {
-            hints.validate()?;
-        }
         Ok(())
     }
 }
 
-impl ToJson for SweepRequest {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(API_SCHEMA));
-        m.insert("scene".into(), Value::from(self.scene.as_str()));
-        m.insert("config".into(), self.config.to_json());
-        m.insert("res".into(), Value::from(self.res));
-        m.insert("spp".into(), Value::from(self.spp));
-        m.insert("seed".into(), Value::from(self.seed));
-        m.insert(
-            "options".into(),
-            self.options.as_ref().map_or(Value::Null, ToJson::to_json),
-        );
-        m.insert("spec".into(), self.spec.to_json());
-        m.insert("reference".into(), Value::from(self.reference));
-        m.insert(
-            "hints".into(),
-            self.hints.as_ref().map_or(Value::Null, ToJson::to_json),
-        );
-        Value::Object(m)
-    }
-}
-
-impl FromJson for SweepRequest {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "SweepRequest";
-        expect_schema(value, TY)?;
-        let dim = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        Ok(SweepRequest {
-            scene: value
-                .get("scene")
-                .and_then(Value::as_str)
-                .ok_or_else(|| JsonError::missing_field(TY, "scene"))?
-                .to_owned(),
-            config: crate::ConfigRef::from_json(
-                value
-                    .get("config")
-                    .ok_or_else(|| JsonError::missing_field(TY, "config"))?,
-            )?,
-            res: dim("res")?,
-            spp: dim("spp")?,
-            seed: value
-                .get("seed")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::missing_field(TY, "seed"))?,
-            options: optional(value, "options")
-                .map(ZatelOptions::from_json)
-                .transpose()?,
-            spec: SweepSpec::from_json(
-                value
-                    .get("spec")
-                    .ok_or_else(|| JsonError::missing_field(TY, "spec"))?,
-            )?,
-            reference: match optional(value, "reference") {
-                None => false,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| JsonError::missing_field(TY, "reference"))?,
-            },
-            hints: optional(value, "hints")
-                .map(crate::ExecutionHints::from_json)
-                .transpose()?,
-        })
+minijson::record! {
+    SweepRequest schema(API_SCHEMA) {
+        "scene" => scene,
+        "config" => config,
+        "res" => res,
+        "spp" => spp,
+        "seed" => seed,
+        "options" => options,
+        "spec" => spec,
+        "reference" => reference: default,
+        "hints" => hints,
     }
 }
 
@@ -167,40 +101,34 @@ pub fn sweep_point_record(
     reference: Option<&zatel::Reference>,
 ) -> Value {
     let pred = &outcome.prediction;
-    let mut rec = Map::new();
-    rec.insert("schema".into(), Value::from(SWEEP_RECORD_SCHEMA));
-    rec.insert("scene".into(), Value::from(scene_name));
-    rec.insert("config".into(), Value::from(config_label));
-    rec.insert("res".into(), Value::from(res));
-    rec.insert("spp".into(), Value::from(spp));
-    rec.insert("seed".into(), Value::from(seed));
-    rec.insert("label".into(), Value::from(outcome.point.label.as_str()));
-    rec.insert("point".into(), outcome.point.to_json());
-    rec.insert("k".into(), Value::from(pred.k));
-    rec.insert(
-        "prediction".into(),
-        crate::MetricValues::from_prediction(pred).to_json(),
-    );
-    if let Some(reference) = reference {
-        rec.insert("mae".into(), Value::from(pred.mae_vs(&reference.stats)));
-        rec.insert(
-            "speedup_concurrent".into(),
-            Value::from(pred.speedup_concurrent(reference)),
-        );
-    }
-    rec.insert(
-        "sim_wall_ms".into(),
-        Value::from(pred.sim_wall.as_secs_f64() * 1000.0),
-    );
-    rec.insert(
-        "preprocess_wall_ms".into(),
-        Value::from(pred.preprocess_wall.as_secs_f64() * 1000.0),
-    );
-    rec.insert(
-        "cache".into(),
-        Value::Array(pred.cache.iter().map(ToJson::to_json).collect()),
-    );
-    Value::Object(rec)
+    let ms = |wall: std::time::Duration| Some((wall.as_secs_f64() * 1000.0).to_json());
+    let entries = [
+        ("schema", Some(SWEEP_RECORD_SCHEMA.to_json())),
+        ("scene", Some(scene_name.to_json())),
+        ("config", Some(config_label.to_json())),
+        ("res", Some(res.to_json())),
+        ("spp", Some(spp.to_json())),
+        ("seed", Some(seed.to_json())),
+        ("label", Some(outcome.point.label.to_json())),
+        ("point", Some(outcome.point.to_json())),
+        ("k", Some(pred.k.to_json())),
+        (
+            "prediction",
+            Some(MetricValues::from_prediction(pred).to_json()),
+        ),
+        ("mae", reference.map(|r| pred.mae_vs(&r.stats).to_json())),
+        (
+            "speedup_concurrent",
+            reference.map(|r| pred.speedup_concurrent(r).to_json()),
+        ),
+        ("sim_wall_ms", ms(pred.sim_wall)),
+        ("preprocess_wall_ms", ms(pred.preprocess_wall)),
+        ("cache", Some(pred.cache.to_json())),
+    ];
+    let present = entries
+        .into_iter()
+        .filter_map(|(k, v)| Some((k.to_owned(), v?)));
+    Value::Object(present.collect())
 }
 
 /// A `zatel-api-v1` sweep response: per-point `zatel-sweep-v1` records
@@ -218,61 +146,33 @@ pub struct SweepResponse {
     pub cache_stats: Value,
 }
 
-impl ToJson for SweepResponse {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(API_SCHEMA));
-        m.insert("scene".into(), Value::from(self.scene.as_str()));
-        m.insert("config".into(), Value::from(self.config.as_str()));
-        m.insert("points".into(), Value::Array(self.points.clone()));
-        m.insert("cache_stats".into(), self.cache_stats.clone());
-        Value::Object(m)
+minijson::record! {
+    SweepResponse schema(API_SCHEMA) check(zatel_sweep_v1_points) {
+        "scene" => scene,
+        "config" => config,
+        "points" => points,
+        "cache_stats" => cache_stats,
     }
 }
 
-impl FromJson for SweepResponse {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "SweepResponse";
-        expect_schema(value, TY)?;
-        let points = value
-            .get("points")
-            .and_then(Value::as_array)
-            .ok_or_else(|| JsonError::missing_field(TY, "points"))?;
-        for point in points {
-            match point.get("schema").and_then(Value::as_str) {
-                Some(s) if s == SWEEP_RECORD_SCHEMA => {}
-                Some(other) => {
-                    return Err(JsonError::conversion(format!(
-                        "{TY}: point carries unsupported record schema '{other}'"
-                    )))
-                }
-                None => return Err(JsonError::missing_field("sweep point", "schema")),
-            }
+/// Every point must be a `zatel-sweep-v1` record.
+fn zatel_sweep_v1_points(response: &SweepResponse) -> Result<(), JsonError> {
+    for point in &response.points {
+        let schema: String = field(point, "sweep point", "schema")?;
+        if schema != SWEEP_RECORD_SCHEMA {
+            return Err(JsonError::conversion(format!(
+                "SweepResponse: point carries unsupported record schema '{schema}'"
+            )));
         }
-        Ok(SweepResponse {
-            scene: value
-                .get("scene")
-                .and_then(Value::as_str)
-                .ok_or_else(|| JsonError::missing_field(TY, "scene"))?
-                .to_owned(),
-            config: value
-                .get("config")
-                .and_then(Value::as_str)
-                .ok_or_else(|| JsonError::missing_field(TY, "config"))?
-                .to_owned(),
-            points: points.to_vec(),
-            cache_stats: value
-                .get("cache_stats")
-                .cloned()
-                .ok_or_else(|| JsonError::missing_field(TY, "cache_stats"))?,
-        })
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ConfigRef;
+    use minijson::FromJson;
 
     #[test]
     fn request_round_trips() {

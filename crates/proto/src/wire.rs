@@ -1,8 +1,6 @@
 //! Service-level envelopes: errors and the scene catalog.
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
-
-use crate::{expect_schema, API_SCHEMA};
+use crate::API_SCHEMA;
 
 /// Machine-readable classification of a service error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,18 +20,17 @@ pub enum ErrorKind {
     Internal,
 }
 
-impl ErrorKind {
-    /// The wire tag (`"bad_request"`, `"overloaded"`, ...).
-    pub fn tag(self) -> &'static str {
-        match self {
-            ErrorKind::BadRequest => "bad_request",
-            ErrorKind::Unprocessable => "unprocessable",
-            ErrorKind::Overloaded => "overloaded",
-            ErrorKind::DeadlineExceeded => "deadline_exceeded",
-            ErrorKind::Internal => "internal",
-        }
+minijson::record! {
+    enum ErrorKind {
+        BadRequest => "bad_request",
+        Unprocessable => "unprocessable",
+        Overloaded => "overloaded",
+        DeadlineExceeded => "deadline_exceeded",
+        Internal => "internal",
     }
+}
 
+impl ErrorKind {
     /// The HTTP status code a server responds with.
     pub fn http_status(self) -> u16 {
         match self {
@@ -43,17 +40,6 @@ impl ErrorKind {
             ErrorKind::DeadlineExceeded => 504,
             ErrorKind::Internal => 500,
         }
-    }
-
-    fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "bad_request" => ErrorKind::BadRequest,
-            "unprocessable" => ErrorKind::Unprocessable,
-            "overloaded" => ErrorKind::Overloaded,
-            "deadline_exceeded" => ErrorKind::DeadlineExceeded,
-            "internal" => ErrorKind::Internal,
-            _ => return None,
-        })
     }
 }
 
@@ -105,51 +91,12 @@ impl ErrorResponse {
     }
 }
 
-impl ToJson for ErrorResponse {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(API_SCHEMA));
-        m.insert("kind".into(), Value::from(self.kind.tag()));
-        m.insert("error".into(), Value::from(self.error.as_str()));
-        if let Some(retry) = self.retry_after_ms {
-            m.insert("retry_after_ms".into(), Value::from(retry));
-        }
-        if let Some(slack) = self.deadline_slack_ms {
-            m.insert("deadline_slack_ms".into(), Value::from(slack));
-        }
-        Value::Object(m)
-    }
-}
-
-impl FromJson for ErrorResponse {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "ErrorResponse";
-        expect_schema(value, TY)?;
-        let tag = value
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| JsonError::missing_field(TY, "kind"))?;
-        Ok(ErrorResponse {
-            kind: ErrorKind::from_tag(tag)
-                .ok_or_else(|| JsonError::conversion(format!("unknown error kind '{tag}'")))?,
-            error: value
-                .get("error")
-                .and_then(Value::as_str)
-                .ok_or_else(|| JsonError::missing_field(TY, "error"))?
-                .to_owned(),
-            retry_after_ms: crate::optional(value, "retry_after_ms")
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| JsonError::missing_field(TY, "retry_after_ms"))
-                })
-                .transpose()?,
-            deadline_slack_ms: crate::optional(value, "deadline_slack_ms")
-                .map(|v| {
-                    v.as_i64()
-                        .ok_or_else(|| JsonError::missing_field(TY, "deadline_slack_ms"))
-                })
-                .transpose()?,
-        })
+minijson::record! {
+    ErrorResponse schema(API_SCHEMA) {
+        "kind" => kind,
+        "error" => error,
+        "retry_after_ms" => retry_after_ms: skip_none,
+        "deadline_slack_ms" => deadline_slack_ms: skip_none,
     }
 }
 
@@ -162,29 +109,10 @@ pub struct SceneInfo {
     pub description: String,
 }
 
-impl ToJson for SceneInfo {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("name".into(), Value::from(self.name.as_str()));
-        m.insert("description".into(), Value::from(self.description.as_str()));
-        Value::Object(m)
-    }
-}
-
-impl FromJson for SceneInfo {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "SceneInfo";
-        let text = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        Ok(SceneInfo {
-            name: text("name")?,
-            description: text("description")?,
-        })
+minijson::record! {
+    SceneInfo {
+        "name" => name,
+        "description" => description,
     }
 }
 
@@ -211,37 +139,16 @@ impl ScenesResponse {
     }
 }
 
-impl ToJson for ScenesResponse {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(API_SCHEMA));
-        m.insert(
-            "scenes".into(),
-            Value::Array(self.scenes.iter().map(ToJson::to_json).collect()),
-        );
-        Value::Object(m)
-    }
-}
-
-impl FromJson for ScenesResponse {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "ScenesResponse";
-        expect_schema(value, TY)?;
-        Ok(ScenesResponse {
-            scenes: value
-                .get("scenes")
-                .and_then(Value::as_array)
-                .ok_or_else(|| JsonError::missing_field(TY, "scenes"))?
-                .iter()
-                .map(SceneInfo::from_json)
-                .collect::<Result<_, _>>()?,
-        })
+minijson::record! {
+    ScenesResponse schema(API_SCHEMA) {
+        "scenes" => scenes,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minijson::{FromJson, ToJson, Value};
 
     #[test]
     fn error_round_trips_every_kind() {
@@ -255,7 +162,7 @@ mod tests {
             let e = ErrorResponse::new(kind, "boom");
             let back = ErrorResponse::from_json(&e.to_json()).expect("round trip");
             assert_eq!(e, back);
-            assert_eq!(ErrorKind::from_tag(kind.tag()), Some(kind));
+            assert_eq!(ErrorKind::from_json(&Value::from(kind.tag())), Ok(kind));
         }
     }
 

@@ -21,7 +21,7 @@
 
 use crate::geom::{Hit, Primitive, PrimitiveId};
 use crate::math::{Aabb, Ray, Vec3};
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::{FromJson, JsonError, Value};
 
 /// A node of the flattened BVH.
 ///
@@ -128,72 +128,22 @@ impl TraversalStats {
     }
 }
 
-impl ToJson for FlatNode {
-    fn to_json(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("bounds".to_string(), self.bounds.to_json());
-        map.insert(
-            "first_or_right".to_string(),
-            Value::from(self.first_or_right),
-        );
-        map.insert("count".to_string(), Value::from(self.count));
-        map.insert("axis".to_string(), Value::from(self.axis));
-        map.insert("leaf".to_string(), Value::from(self.leaf));
-        Value::Object(map)
+minijson::record! {
+    FlatNode {
+        "bounds" => bounds,
+        "first_or_right" => first_or_right,
+        "count" => count,
+        "axis" => axis,
+        "leaf" => leaf,
     }
 }
 
-impl FromJson for FlatNode {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let u32_field = |field: &str| {
-            value
-                .get(field)
-                .and_then(Value::as_u64)
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| JsonError::missing_field("FlatNode", field))
-        };
-        Ok(FlatNode {
-            bounds: Aabb::from_json(
-                value
-                    .get("bounds")
-                    .ok_or_else(|| JsonError::missing_field("FlatNode", "bounds"))?,
-            )?,
-            first_or_right: u32_field("first_or_right")?,
-            count: u32_field("count")?,
-            axis: u32_field("axis")? as u8,
-            leaf: value
-                .get("leaf")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| JsonError::missing_field("FlatNode", "leaf"))?,
-        })
-    }
-}
-
-impl ToJson for TraversalStats {
-    fn to_json(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("nodes_visited".to_string(), Value::from(self.nodes_visited));
-        map.insert("box_tests".to_string(), Value::from(self.box_tests));
-        map.insert("prim_tests".to_string(), Value::from(self.prim_tests));
-        map.insert("leaf_visits".to_string(), Value::from(self.leaf_visits));
-        Value::Object(map)
-    }
-}
-
-impl FromJson for TraversalStats {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::missing_field("TraversalStats", name))
-        };
-        Ok(TraversalStats {
-            nodes_visited: field("nodes_visited")?,
-            box_tests: field("box_tests")?,
-            prim_tests: field("prim_tests")?,
-            leaf_visits: field("leaf_visits")?,
-        })
+minijson::record! {
+    TraversalStats {
+        "nodes_visited" => nodes_visited,
+        "box_tests" => box_tests,
+        "prim_tests" => prim_tests,
+        "leaf_visits" => leaf_visits,
     }
 }
 
@@ -476,38 +426,18 @@ fn resolve_hit(ray: &Ray, prims: &[Primitive], t: f32, prim: u32) -> Hit {
     }
 }
 
-impl ToJson for Bvh {
-    fn to_json(&self) -> Value {
-        let mut map = Map::new();
-        map.insert(
-            "nodes".to_string(),
-            Value::Array(self.nodes.iter().map(ToJson::to_json).collect()),
-        );
-        map.insert("prim_order".to_string(), Value::from(&self.prim_order));
-        Value::Object(map)
+minijson::record! {
+    to_json Bvh {
+        "nodes" => nodes,
+        "prim_order" => prim_order,
     }
 }
 
+/// Hand-written: decoding goes through `Bvh::checked`.
 impl FromJson for Bvh {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let nodes = value
-            .get("nodes")
-            .and_then(Value::as_array)
-            .ok_or_else(|| JsonError::missing_field("Bvh", "nodes"))?
-            .iter()
-            .map(FlatNode::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let prim_order = value
-            .get("prim_order")
-            .and_then(Value::as_array)
-            .ok_or_else(|| JsonError::missing_field("Bvh", "prim_order"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| JsonError::missing_field("Bvh", "prim_order"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let nodes = minijson::field(value, "Bvh", "nodes")?;
+        let prim_order = minijson::field(value, "Bvh", "prim_order")?;
         Bvh::checked(nodes, prim_order).ok_or_else(|| {
             JsonError::conversion("Bvh: nodes must form a depth-first tree within MAX_DEPTH")
         })
@@ -709,6 +639,7 @@ mod tests {
     use crate::geom::{Sphere, Triangle};
     use crate::material::MaterialId;
     use crate::math::{uniform_sphere, Pcg};
+    use minijson::ToJson;
     use proptest::prelude::*;
 
     /// Drains `tr` step by step (`to_first_hit`: only until something is
@@ -1069,6 +1000,12 @@ mod tests {
             depth: 0,
         };
         assert!(Bvh::from_json(&cyclic.to_json()).is_err());
+        // A split axis past `u8` is rejected, not truncated to axis 0.
+        let mut node = FlatNode::interior(Aabb::empty(), 2, 1).to_json();
+        if let Value::Object(m) = &mut node {
+            m.insert("axis".into(), Value::from(256u32));
+        }
+        assert!(FlatNode::from_json(&node).is_err());
         // A well-formed left spine of `levels` interior nodes: accepted up to
         // the stack's depth, rejected one level beyond it.
         let spine = |levels: u32| {

@@ -26,29 +26,10 @@ pub struct Aabb {
     pub max: Vec3,
 }
 
-impl minijson::ToJson for Aabb {
-    fn to_json(&self) -> minijson::Value {
-        let mut map = minijson::Map::new();
-        map.insert("min".to_string(), self.min.to_json());
-        map.insert("max".to_string(), self.max.to_json());
-        minijson::Value::Object(map)
-    }
-}
-
-impl minijson::FromJson for Aabb {
-    fn from_json(value: &minijson::Value) -> Result<Self, minijson::JsonError> {
-        Ok(Aabb {
-            min: Vec3::from_json(
-                value
-                    .get("min")
-                    .ok_or_else(|| minijson::JsonError::missing_field("Aabb", "min"))?,
-            )?,
-            max: Vec3::from_json(
-                value
-                    .get("max")
-                    .ok_or_else(|| minijson::JsonError::missing_field("Aabb", "max"))?,
-            )?,
-        })
+minijson::record! {
+    Aabb {
+        "min" => min,
+        "max" => max,
     }
 }
 

@@ -29,30 +29,11 @@ pub struct Vec3 {
     pub z: f32,
 }
 
-impl minijson::ToJson for Vec3 {
-    fn to_json(&self) -> minijson::Value {
-        let mut map = minijson::Map::new();
-        map.insert("x".to_string(), minijson::Value::from(self.x));
-        map.insert("y".to_string(), minijson::Value::from(self.y));
-        map.insert("z".to_string(), minijson::Value::from(self.z));
-        minijson::Value::Object(map)
-    }
-}
-
-impl minijson::FromJson for Vec3 {
-    fn from_json(value: &minijson::Value) -> Result<Self, minijson::JsonError> {
-        let get = |field: &str| {
-            value
-                .get(field)
-                .and_then(minijson::Value::as_f64)
-                .map(|v| v as f32)
-                .ok_or_else(|| minijson::JsonError::missing_field("Vec3", field))
-        };
-        Ok(Vec3 {
-            x: get("x")?,
-            y: get("y")?,
-            z: get("z")?,
-        })
+minijson::record! {
+    Vec3 {
+        "x" => x,
+        "y" => y,
+        "z" => z,
     }
 }
 

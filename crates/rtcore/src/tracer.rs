@@ -33,35 +33,11 @@ impl Default for TraceConfig {
     }
 }
 
-impl minijson::ToJson for TraceConfig {
-    fn to_json(&self) -> minijson::Value {
-        let mut map = minijson::Map::new();
-        map.insert(
-            "samples_per_pixel".to_string(),
-            minijson::Value::from(self.samples_per_pixel),
-        );
-        map.insert(
-            "max_bounces".to_string(),
-            minijson::Value::from(self.max_bounces),
-        );
-        map.insert("seed".to_string(), minijson::Value::from(self.seed));
-        minijson::Value::Object(map)
-    }
-}
-
-impl minijson::FromJson for TraceConfig {
-    fn from_json(value: &minijson::Value) -> Result<Self, minijson::JsonError> {
-        let u64_field = |field: &str| {
-            value
-                .get(field)
-                .and_then(minijson::Value::as_u64)
-                .ok_or_else(|| minijson::JsonError::missing_field("TraceConfig", field))
-        };
-        Ok(TraceConfig {
-            samples_per_pixel: u64_field("samples_per_pixel")? as u32,
-            max_bounces: u64_field("max_bounces")? as u32,
-            seed: u64_field("seed")?,
-        })
+minijson::record! {
+    TraceConfig {
+        "samples_per_pixel" => samples_per_pixel,
+        "max_bounces" => max_bounces,
+        "seed" => seed,
     }
 }
 
@@ -317,6 +293,22 @@ mod tests {
     use crate::camera::Camera;
     use crate::material::Material;
     use crate::scene::SceneBuilder;
+    use minijson::{FromJson, Value};
+
+    #[test]
+    fn trace_config_json_rejects_malformed_counts() {
+        for (field, bad) in [
+            ("samples_per_pixel", "4294967297"),
+            ("max_bounces", "4294967296"),
+            ("max_bounces", "-1"),
+            ("seed", "\"7\""),
+        ] {
+            let doc =
+                format!(r#"{{"samples_per_pixel":1,"max_bounces":2,"seed":7,"{field}":{bad}}}"#);
+            let err = TraceConfig::from_json(&Value::parse(&doc).unwrap());
+            assert!(err.is_err(), "{field}={bad} accepted as {err:?}");
+        }
+    }
 
     fn test_scene() -> Scene {
         let cam = Camera::look_at(

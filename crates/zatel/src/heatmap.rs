@@ -4,6 +4,7 @@
 //! a temperature colour using NVIDIA's heat gradient, where warmer colours
 //! indicate lengthier ray-trace times.
 
+use minijson::JsonError;
 use rtcore::image::Image;
 use rtcore::math::Vec3;
 use rtcore::scene::Scene;
@@ -114,6 +115,14 @@ pub struct Heatmap {
     values: Vec<f32>,
 }
 
+minijson::record! {
+    Heatmap check(Heatmap::check_dims) {
+        "width" => width,
+        "height" => height,
+        "values" => values,
+    }
+}
+
 impl Heatmap {
     /// Builds a heatmap from raw per-pixel work counts, normalizing by the
     /// longest runtime.
@@ -134,17 +143,13 @@ impl Heatmap {
         Self::from_costs(&profile_costs(scene, width, height, trace))
     }
 
-    /// Reassembles a heatmap from raw parts (the on-disk artifact cache).
-    pub(crate) fn from_raw(width: u32, height: u32, values: Vec<f32>) -> Self {
-        assert_eq!(
-            values.len(),
-            (width as u64 * height as u64) as usize,
-            "value count must match dimensions"
-        );
-        Heatmap {
-            width,
-            height,
-            values,
+    /// A decoded heatmap (the on-disk artifact cache) holds one value per
+    /// pixel.
+    fn check_dims(&self) -> Result<(), JsonError> {
+        if self.values.len() == (self.width as u64 * self.height as u64) as usize {
+            Ok(())
+        } else {
+            Err(JsonError::conversion("Heatmap: one value per pixel"))
         }
     }
 

@@ -1,7 +1,7 @@
 //! Image-plane division into K groups (paper step 4, Section III-D):
 //! coarse-grained rectangles or fine-grained interleaved chunks.
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::{field, json, FromJson, JsonError, ToJson, Value};
 use rtworkload::Pixel;
 
 /// How the image plane is divided into groups.
@@ -31,45 +31,30 @@ impl DivisionMethod {
     }
 }
 
+/// Hand-written: the `method` tag decides which other keys exist.
 impl ToJson for DivisionMethod {
     fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        match self {
-            DivisionMethod::Coarse => {
-                m.insert("method".into(), Value::from("coarse"));
-            }
+        match *self {
+            DivisionMethod::Coarse => json!({ "method": "coarse" }),
             DivisionMethod::Fine {
                 chunk_width,
                 chunk_height,
             } => {
-                m.insert("method".into(), Value::from("fine"));
-                m.insert("chunk_width".into(), Value::from(*chunk_width));
-                m.insert("chunk_height".into(), Value::from(*chunk_height));
+                json!({ "method": "fine", "chunk_width": chunk_width, "chunk_height": chunk_height })
             }
         }
-        Value::Object(m)
     }
 }
 
 impl FromJson for DivisionMethod {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         const TY: &str = "DivisionMethod";
-        let method = value
-            .get("method")
-            .and_then(Value::as_str)
-            .ok_or_else(|| JsonError::missing_field(TY, "method"))?;
-        let dim = |name: &str| -> Result<u32, JsonError> {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        match method {
+        minijson::object(value, TY)?;
+        match field::<String>(value, TY, "method")?.as_str() {
             "coarse" => Ok(DivisionMethod::Coarse),
             "fine" => Ok(DivisionMethod::Fine {
-                chunk_width: dim("chunk_width")?,
-                chunk_height: dim("chunk_height")?,
+                chunk_width: field(value, TY, "chunk_width")?,
+                chunk_height: field(value, TY, "chunk_height")?,
             }),
             other => Err(JsonError::conversion(format!(
                 "unknown division method {other:?} (expected \"coarse\" or \"fine\")"

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gpusim::{GpuConfig, Metric, SimStats, Simulator, TraceHooks};
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::{FromJson, JsonError, ToJson, Value};
 use obs::span::SpanSheet;
 use obs::{ObsHooks, ObserveOptions, SpanRecord};
 use rtcore::fingerprint::Fnv64;
@@ -747,6 +747,7 @@ fn staged<S: Stage>(
     (artifact, fingerprint)
 }
 
+/// Hand-written: a mode is a string or a bare factor.
 impl ToJson for DownscaleMode {
     fn to_json(&self) -> Value {
         match self {
@@ -768,77 +769,26 @@ impl FromJson for DownscaleMode {
                 DownscaleMode::Factor(k)
             });
         }
+        const EXPECTED: &str = "downscale mode must be \"natural\", \"none\" or a factor";
         match value.as_str() {
             Some("natural") => Ok(DownscaleMode::Natural),
             Some("none") => Ok(DownscaleMode::NoDownscale),
-            _ => Err(JsonError::conversion(
-                "downscale mode must be \"natural\", \"none\" or a factor",
-            )),
+            Some(_) => Err(JsonError::conversion(EXPECTED)),
+            None => Err(JsonError::mistyped(EXPECTED)),
         }
     }
 }
 
-impl ToJson for ZatelOptions {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("division".into(), self.division.to_json());
-        m.insert("selection".into(), self.selection.to_json());
-        m.insert("quant_colors".into(), Value::from(self.quant_colors));
-        m.insert("downscale".into(), self.downscale.to_json());
-        m.insert("parallel".into(), Value::from(self.parallel));
-        m.insert("jobs".into(), self.jobs.map_or(Value::Null, Value::from));
-        m.insert(
-            "trace_slice_cycles".into(),
-            self.trace_slice_cycles.map_or(Value::Null, Value::from),
-        );
-        m.insert(
-            "observe".into(),
-            self.observe.as_ref().map_or(Value::Null, ToJson::to_json),
-        );
-        Value::Object(m)
-    }
-}
-
-impl FromJson for ZatelOptions {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "ZatelOptions";
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        let optional = |name: &str| match value.get(name) {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(v),
-        };
-        Ok(ZatelOptions {
-            division: DivisionMethod::from_json(field("division")?)?,
-            selection: SelectionOptions::from_json(field("selection")?)?,
-            quant_colors: field("quant_colors")?
-                .as_u64()
-                .ok_or_else(|| JsonError::missing_field(TY, "quant_colors"))?
-                as usize,
-            downscale: DownscaleMode::from_json(field("downscale")?)?,
-            parallel: field("parallel")?
-                .as_bool()
-                .ok_or_else(|| JsonError::missing_field(TY, "parallel"))?,
-            jobs: optional("jobs")
-                .map(|v| {
-                    v.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| JsonError::missing_field(TY, "jobs"))
-                })
-                .transpose()?,
-            trace_slice_cycles: optional("trace_slice_cycles")
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| JsonError::missing_field(TY, "trace_slice_cycles"))
-                })
-                .transpose()?,
-            observe: optional("observe")
-                .map(ObserveOptions::from_json)
-                .transpose()?,
-        })
+minijson::record! {
+    ZatelOptions {
+        "division" => division,
+        "selection" => selection,
+        "quant_colors" => quant_colors,
+        "downscale" => downscale,
+        "parallel" => parallel,
+        "jobs" => jobs,
+        "trace_slice_cycles" => trace_slice_cycles,
+        "observe" => observe,
     }
 }
 

@@ -6,6 +6,7 @@
 //! bit-identical clusters (and so unchanged fingerprints and on-disk
 //! artifacts) at a fraction of the cost.
 
+use minijson::{field, JsonError, Map, ToJson, Value};
 use rtcore::image::Image;
 use rtcore::math::{Pcg, Vec3};
 
@@ -46,6 +47,33 @@ pub struct QuantizedHeatmap {
     coolness: Vec<f32>,
 }
 
+minijson::record! {
+    QuantizedHeatmap check(QuantizedHeatmap::check_parts) {
+        "width" => width,
+        "height" => height,
+        "clusters" => clusters,
+        centroids: with(write_centroids, read_centroids),
+        "coolness" => coolness,
+    }
+}
+
+/// Centroid colours render as `[r, g, b]` arrays.
+fn write_centroids(centroids: &[Vec3], map: &mut Map) {
+    let rgb = centroids
+        .iter()
+        .map(|c| [c.x, c.y, c.z].to_json())
+        .collect();
+    map.insert("centroids".into(), Value::Array(rgb));
+}
+
+fn read_centroids(value: &Value, ty: &str) -> Result<Vec<Vec3>, JsonError> {
+    let rgb: Vec<[f32; 3]> = field(value, ty, "centroids")?;
+    Ok(rgb
+        .into_iter()
+        .map(|[r, g, b]| Vec3::new(r, g, b))
+        .collect())
+}
+
 impl QuantizedHeatmap {
     /// Quantizes `heatmap` into at most `k` colours with seeded K-means.
     ///
@@ -66,40 +94,21 @@ impl QuantizedHeatmap {
         }
     }
 
-    /// Reassembles a quantized heatmap from raw parts (the on-disk
-    /// artifact cache). Callers must have validated the invariants
-    /// (cluster ids in range, one coolness per centroid).
-    pub(crate) fn from_raw(
-        width: u32,
-        height: u32,
-        clusters: Vec<u16>,
-        centroids: Vec<Vec3>,
-        coolness: Vec<f32>,
-    ) -> Self {
-        assert_eq!(clusters.len(), (width as u64 * height as u64) as usize);
-        assert_eq!(centroids.len(), coolness.len());
-        QuantizedHeatmap {
-            width,
-            height,
-            clusters,
-            centroids,
-            coolness,
+    /// A decoded quantized heatmap (the on-disk artifact cache) has one
+    /// cluster id per pixel, one coolness per centroid, and no id past the
+    /// last centroid.
+    fn check_parts(&self) -> Result<(), JsonError> {
+        let k = self.centroids.len();
+        if self.clusters.len() == (self.width as u64 * self.height as u64) as usize
+            && self.coolness.len() == k
+            && self.clusters.iter().all(|&c| (c as usize) < k)
+        {
+            Ok(())
+        } else {
+            Err(JsonError::conversion(
+                "QuantizedHeatmap: inconsistent parts",
+            ))
         }
-    }
-
-    /// Per-pixel cluster ids, row-major (the on-disk artifact cache).
-    pub(crate) fn raw_clusters(&self) -> &[u16] {
-        &self.clusters
-    }
-
-    /// Centroid colours by cluster id (the on-disk artifact cache).
-    pub(crate) fn raw_centroids(&self) -> &[Vec3] {
-        &self.centroids
-    }
-
-    /// Coolness values by cluster id (the on-disk artifact cache).
-    pub(crate) fn raw_coolness(&self) -> &[f32] {
-        &self.coolness
     }
 
     /// Content fingerprint over dimensions, assignments, centroid and

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::{field, JsonError, Map, ToJson, Value};
 use rtcore::math::Pcg;
 
 use crate::partition::Group;
@@ -62,92 +62,34 @@ impl Default for SelectionOptions {
     }
 }
 
-impl ToJson for Distribution {
-    fn to_json(&self) -> Value {
-        Value::from(match self {
-            Distribution::Uniform => "uniform",
-            Distribution::LinTmp => "lintmp",
-            Distribution::ExpTmp => "exptmp",
-        })
+minijson::record! {
+    enum Distribution {
+        Uniform => "uniform",
+        LinTmp => "lintmp",
+        ExpTmp => "exptmp",
     }
 }
 
-impl FromJson for Distribution {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("uniform") => Ok(Distribution::Uniform),
-            Some("lintmp") => Ok(Distribution::LinTmp),
-            Some("exptmp") => Ok(Distribution::ExpTmp),
-            _ => Err(JsonError::conversion(
-                "distribution must be \"uniform\", \"lintmp\" or \"exptmp\"",
-            )),
-        }
+minijson::record! {
+    SelectionOptions {
+        "block_width" => block_width,
+        "block_height" => block_height,
+        "distribution" => distribution,
+        clamp: with(write_clamp, read_clamp),
+        "percent_override" => percent_override,
+        "percent_cap" => percent_cap,
+        "seed" => seed,
     }
 }
 
-impl ToJson for SelectionOptions {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("block_width".into(), Value::from(self.block_width));
-        m.insert("block_height".into(), Value::from(self.block_height));
-        m.insert("distribution".into(), self.distribution.to_json());
-        m.insert("clamp_lo".into(), Value::from(self.clamp.0));
-        m.insert("clamp_hi".into(), Value::from(self.clamp.1));
-        m.insert(
-            "percent_override".into(),
-            self.percent_override.map_or(Value::Null, Value::from),
-        );
-        m.insert(
-            "percent_cap".into(),
-            self.percent_cap.map_or(Value::Null, Value::from),
-        );
-        m.insert("seed".into(), Value::from(self.seed));
-        Value::Object(m)
-    }
+/// The clamp bounds render as two keys, `clamp_lo` and `clamp_hi`.
+fn write_clamp(&(lo, hi): &(f64, f64), map: &mut Map) {
+    map.insert("clamp_lo".into(), lo.to_json());
+    map.insert("clamp_hi".into(), hi.to_json());
 }
 
-impl FromJson for SelectionOptions {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        const TY: &str = "SelectionOptions";
-        let dim = |name: &str| -> Result<u32, JsonError> {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        let num = |name: &str| -> Result<f64, JsonError> {
-            value
-                .get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| JsonError::missing_field(TY, name))
-        };
-        let optional = |name: &str| -> Result<Option<f64>, JsonError> {
-            match value.get(name) {
-                None | Some(Value::Null) => Ok(None),
-                Some(v) => v
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| JsonError::missing_field(TY, name)),
-            }
-        };
-        Ok(SelectionOptions {
-            block_width: dim("block_width")?,
-            block_height: dim("block_height")?,
-            distribution: Distribution::from_json(
-                value
-                    .get("distribution")
-                    .ok_or_else(|| JsonError::missing_field(TY, "distribution"))?,
-            )?,
-            clamp: (num("clamp_lo")?, num("clamp_hi")?),
-            percent_override: optional("percent_override")?,
-            percent_cap: optional("percent_cap")?,
-            seed: value
-                .get("seed")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::missing_field(TY, "seed"))?,
-        })
-    }
+fn read_clamp(value: &Value, ty: &str) -> Result<(f64, f64), JsonError> {
+    Ok((field(value, ty, "clamp_lo")?, field(value, ty, "clamp_hi")?))
 }
 
 /// Result of selecting a group's representative pixels.

@@ -40,9 +40,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use minijson::{Map, ToJson, Value};
+use minijson::{json, FromJson, ToJson, Value};
 use rtcore::fingerprint::Fnv64;
-use rtcore::math::Vec3;
 use rtcore::scene::Scene;
 use rtcore::tracer::TraceConfig;
 
@@ -136,16 +135,12 @@ pub struct StageCacheRecord {
     pub outcome: CacheOutcome,
 }
 
+/// Hand-written: the fingerprint renders as 16 hex digits and the
+/// outcome as its label.
 impl ToJson for StageCacheRecord {
     fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("stage".into(), Value::from(self.stage));
-        m.insert(
-            "fingerprint".into(),
-            Value::from(format!("{:016x}", self.fingerprint)),
-        );
-        m.insert("outcome".into(), Value::from(self.outcome.label()));
-        Value::Object(m)
+        let fingerprint = format!("{:016x}", self.fingerprint);
+        json!({ "stage": self.stage, "fingerprint": fingerprint, "outcome": self.outcome.label() })
     }
 }
 
@@ -174,17 +169,15 @@ pub struct CacheStats {
     pub disk_entries: u64,
 }
 
-impl ToJson for CacheStats {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("memory_hits".into(), Value::from(self.memory_hits));
-        m.insert("disk_hits".into(), Value::from(self.disk_hits));
-        m.insert("misses".into(), Value::from(self.misses));
-        m.insert("disk_evictions".into(), Value::from(self.disk_evictions));
-        m.insert("disk_corrupt".into(), Value::from(self.disk_corrupt));
-        m.insert("disk_bytes".into(), Value::from(self.disk_bytes));
-        m.insert("disk_entries".into(), Value::from(self.disk_entries));
-        Value::Object(m)
+minijson::record! {
+    to_json CacheStats {
+        "memory_hits" => memory_hits,
+        "disk_hits" => disk_hits,
+        "misses" => misses,
+        "disk_evictions" => disk_evictions,
+        "disk_corrupt" => disk_corrupt,
+        "disk_bytes" => disk_bytes,
+        "disk_entries" => disk_entries,
     }
 }
 
@@ -432,19 +425,16 @@ impl DiskTier {
 
     /// Persists the index sidecar, best-effort.
     fn persist(&self, idx: &DiskIndex) {
-        let mut entries = Vec::with_capacity(idx.entries.len());
-        for (name, e) in &idx.entries {
-            let mut m = Map::new();
-            m.insert("file".into(), Value::from(name.as_str()));
-            m.insert("bytes".into(), Value::from(e.bytes));
-            m.insert("generation".into(), Value::from(e.generation));
-            entries.push(Value::Object(m));
-        }
-        let mut m = Map::new();
-        m.insert("schema".into(), Value::from(DISK_INDEX_SCHEMA));
-        m.insert("next_generation".into(), Value::from(idx.next_generation));
-        m.insert("entries".into(), Value::Array(entries));
-        let _ = std::fs::write(self.dir.join(DISK_INDEX_FILE), Value::Object(m).pretty());
+        let entries = idx.entries.iter().map(|(name, e)| {
+            json!({ "file": name.as_str(), "bytes": e.bytes, "generation": e.generation })
+        });
+        let entries: Vec<Value> = entries.collect();
+        let doc = json!({
+            "schema": DISK_INDEX_SCHEMA,
+            "next_generation": idx.next_generation,
+            "entries": entries,
+        });
+        let _ = std::fs::write(self.dir.join(DISK_INDEX_FILE), doc.pretty());
     }
 
     /// Removes an entry's file and index record.
@@ -724,26 +714,11 @@ impl Stage for HeatmapStage {
 
 impl Artifact for Heatmap {
     fn to_disk(&self) -> Option<Value> {
-        let mut m = Map::new();
-        m.insert("width".into(), Value::from(self.width()));
-        m.insert("height".into(), Value::from(self.height()));
-        m.insert("values".into(), Value::from(self.values()));
-        Some(Value::Object(m))
+        Some(self.to_json())
     }
 
     fn from_disk(value: &Value) -> Option<Self> {
-        let width = value.get("width")?.as_u64()? as u32;
-        let height = value.get("height")?.as_u64()? as u32;
-        let values: Vec<f32> = value
-            .get("values")?
-            .as_array()?
-            .iter()
-            .map(|v| v.as_f64().map(|f| f as f32))
-            .collect::<Option<_>>()?;
-        if values.len() != (width as u64 * height as u64) as usize {
-            return None;
-        }
-        Some(Heatmap::from_raw(width, height, values))
+        Heatmap::from_json(value).ok()
     }
 }
 
@@ -772,71 +747,13 @@ impl Stage for QuantizeStage {
     }
 }
 
-fn vec3_to_json(v: Vec3) -> Value {
-    Value::from(vec![v.x, v.y, v.z])
-}
-
-fn vec3_from_json(value: &Value) -> Option<Vec3> {
-    let a = value.as_array()?;
-    if a.len() != 3 {
-        return None;
-    }
-    Some(Vec3::new(
-        a[0].as_f64()? as f32,
-        a[1].as_f64()? as f32,
-        a[2].as_f64()? as f32,
-    ))
-}
-
 impl Artifact for QuantizedHeatmap {
     fn to_disk(&self) -> Option<Value> {
-        let mut m = Map::new();
-        m.insert("width".into(), Value::from(self.width()));
-        m.insert("height".into(), Value::from(self.height()));
-        m.insert("clusters".into(), Value::from(self.raw_clusters()));
-        m.insert(
-            "centroids".into(),
-            Value::Array(
-                self.raw_centroids()
-                    .iter()
-                    .map(|&c| vec3_to_json(c))
-                    .collect(),
-            ),
-        );
-        m.insert("coolness".into(), Value::from(self.raw_coolness()));
-        Some(Value::Object(m))
+        Some(self.to_json())
     }
 
     fn from_disk(value: &Value) -> Option<Self> {
-        let width = value.get("width")?.as_u64()? as u32;
-        let height = value.get("height")?.as_u64()? as u32;
-        let clusters: Vec<u16> = value
-            .get("clusters")?
-            .as_array()?
-            .iter()
-            .map(|v| v.as_u64().and_then(|n| u16::try_from(n).ok()))
-            .collect::<Option<_>>()?;
-        let centroids: Vec<Vec3> = value
-            .get("centroids")?
-            .as_array()?
-            .iter()
-            .map(vec3_from_json)
-            .collect::<Option<_>>()?;
-        let coolness: Vec<f32> = value
-            .get("coolness")?
-            .as_array()?
-            .iter()
-            .map(|v| v.as_f64().map(|f| f as f32))
-            .collect::<Option<_>>()?;
-        if clusters.len() != (width as u64 * height as u64) as usize
-            || centroids.len() != coolness.len()
-            || clusters.iter().any(|&c| (c as usize) >= centroids.len())
-        {
-            return None;
-        }
-        Some(QuantizedHeatmap::from_raw(
-            width, height, clusters, centroids, coolness,
-        ))
+        QuantizedHeatmap::from_json(value).ok()
     }
 }
 
@@ -969,6 +886,7 @@ mod tests {
         let (hm2, fp2, o2) = cache.get_or_run(&stage, &b, b.fingerprint());
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::MemoryHit);
+        assert!(!o1.is_hit() && o2.is_hit());
         assert_eq!(fp1, fp2);
         assert!(Arc::ptr_eq(&hm1, &hm2));
         // A parameter change misses.
@@ -1292,23 +1210,5 @@ mod tests {
             assert_eq!(outcome(seed), CacheOutcome::Miss, "key {seed} was evicted");
             assert_eq!(cache.len(), MEMORY_ENTRY_BOUND);
         }
-    }
-
-    #[test]
-    fn cache_records_serialize() {
-        let r = StageCacheRecord {
-            stage: "heatmap",
-            fingerprint: 0xAB,
-            outcome: CacheOutcome::DiskHit,
-        };
-        let v = r.to_json();
-        assert_eq!(v.get("stage").and_then(Value::as_str), Some("heatmap"));
-        assert_eq!(
-            v.get("fingerprint").and_then(Value::as_str),
-            Some("00000000000000ab")
-        );
-        assert_eq!(v.get("outcome").and_then(Value::as_str), Some("disk"));
-        assert!(CacheOutcome::DiskHit.is_hit());
-        assert!(!CacheOutcome::Miss.is_hit());
     }
 }

@@ -28,7 +28,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use minijson::{FromJson, JsonError, Map, ToJson, Value};
+use minijson::{field, FromJson, JsonError, Map, ToJson, Value};
 
 use crate::error::ZatelError;
 use crate::pipeline::{DownscaleMode, Prediction, RunContext, Zatel};
@@ -150,94 +150,48 @@ impl SweepSpec {
     }
 }
 
-impl ToJson for SweepPointSpec {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("label".into(), Value::from(self.label.as_str()));
-        m.insert(
-            "downscale".into(),
-            self.downscale.map_or(Value::Null, |d| d.to_json()),
-        );
-        m.insert(
-            "percent".into(),
-            self.percent.map_or(Value::Null, Value::from),
-        );
-        m.insert(
-            "clamp".into(),
-            self.clamp.map_or(Value::Null, |(lo, hi)| {
-                Value::Array(vec![Value::from(lo), Value::from(hi)])
-            }),
-        );
-        Value::Object(m)
+minijson::record! {
+    SweepPointSpec {
+        label: with(write_label, read_label),
+        "downscale" => downscale,
+        "percent" => percent,
+        "clamp" => clamp,
     }
 }
 
-impl FromJson for SweepPointSpec {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let downscale = match value.get("downscale") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(DownscaleMode::from_json(v)?),
-        };
-        let percent = match value.get("percent") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .ok_or_else(|| JsonError::conversion("sweep percent must be a number"))?,
-            ),
-        };
-        let clamp = match value.get("clamp") {
-            None | Some(Value::Null) => None,
-            Some(v) => {
-                let bounds = v
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| JsonError::conversion("sweep clamp must be [lo, hi]"))?;
-                let bound = |i: usize| {
-                    bounds[i]
-                        .as_f64()
-                        .ok_or_else(|| JsonError::conversion("clamp bounds must be numbers"))
-                };
-                Some((bound(0)?, bound(1)?))
-            }
-        };
-        let label = match value.get("label").and_then(Value::as_str) {
-            Some(s) => s.to_owned(),
-            None => derive_label(downscale, percent, clamp),
-        };
-        Ok(SweepPointSpec {
-            label,
-            downscale,
-            percent,
-            clamp,
-        })
+fn write_label(label: &str, map: &mut Map) {
+    map.insert("label".into(), label.to_json());
+}
+
+/// A point without a label gets one derived from its overrides.
+fn read_label(value: &Value, ty: &str) -> Result<String, JsonError> {
+    match field(value, ty, "label")? {
+        Some(label) => Ok(label),
+        None => Ok(derive_label(
+            field(value, ty, "downscale")?,
+            field(value, ty, "percent")?,
+            field(value, ty, "clamp")?,
+        )),
     }
 }
 
-impl ToJson for SweepSpec {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert(
-            "points".into(),
-            Value::Array(self.points.iter().map(ToJson::to_json).collect()),
-        );
-        Value::Object(m)
+minijson::record! {
+    to_json SweepSpec {
+        "points" => points,
     }
 }
 
+/// Hand-written: a bare array of points reads as a spec too.
 impl FromJson for SweepSpec {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
-        // Accept both {"points": [...]} and a bare top-level array.
-        let points = value
-            .get("points")
-            .or(Some(value))
-            .and_then(Value::as_array)
-            .ok_or_else(|| JsonError::missing_field("SweepSpec", "points"))?;
-        Ok(SweepSpec {
-            points: points
-                .iter()
-                .map(SweepPointSpec::from_json)
-                .collect::<Result<_, _>>()?,
-        })
+        let points = match value {
+            Value::Array(_) => Vec::from_json(value)?,
+            _ => {
+                minijson::object(value, "SweepSpec")?;
+                field(value, "SweepSpec", "points")?
+            }
+        };
+        Ok(SweepSpec { points })
     }
 }
 
@@ -502,20 +456,6 @@ mod tests {
         let factors = SweepSpec::from_factors(&[2]);
         assert_eq!(factors.points[0].percent, None);
         assert_eq!(factors.points[0].label, "K=2");
-    }
-
-    #[test]
-    fn spec_json_round_trips() {
-        let mut spec = SweepSpec::matrix(&[2], &[0.25]);
-        spec.points.push(SweepPointSpec {
-            label: "clamped".into(),
-            downscale: Some(DownscaleMode::Natural),
-            percent: None,
-            clamp: Some((0.1, 0.2)),
-        });
-        spec.points.push(SweepPointSpec::named("default"));
-        let back = SweepSpec::from_json(&spec.to_json()).expect("round trip");
-        assert_eq!(spec, back);
     }
 
     #[test]

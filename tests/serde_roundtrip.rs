@@ -3,8 +3,8 @@
 //! custom-config files and the bench harness's result files rely on.
 //!
 //! Serialization goes through the workspace's `minijson` crate (the build
-//! environment is offline, so serde/serde_json are unavailable); every
-//! type implements `ToJson`/`FromJson` by hand.
+//! environment is offline, so serde/serde_json are unavailable); each
+//! record declares its JSON once with `minijson::record!`.
 
 use minijson::{FromJson, ToJson, Value};
 use zatel_suite::prelude::*;
