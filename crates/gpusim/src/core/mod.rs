@@ -1,4 +1,3 @@
-//! SM-side execution structures: warps and RT units.
+//! SM-side execution structures: RT units.
 
 pub(crate) mod rtunit;
-pub(crate) mod warp;

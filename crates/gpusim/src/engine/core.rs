@@ -12,7 +12,7 @@ use crate::mem::MemoryHierarchy;
 use crate::stats::SimStats;
 use crate::workload::Workload;
 
-use super::decode::{deal_warps, DecodedPhase, Decoder};
+use super::decode::{deal_warps, Decoder};
 use super::events::{Event, EventQueue};
 use super::sm::SmState;
 
@@ -107,28 +107,25 @@ impl<'w, H: SimHooks> Engine<'w, H> {
 
     /// Executes one SIMT phase of a warp (or retires it).
     fn step_warp(&mut self, ev: Event) {
-        let mix = match self.decoder.next_phase(ev.sm, ev.slot) {
-            DecodedPhase::Mix(mix) => mix,
-            DecodedPhase::Retire => {
-                // Retired: backfill the slot with this SM's oldest pending
-                // warp. Slot indices must stay stable, so the replacement
-                // reuses the retired warp's position.
-                self.max_time = self.max_time.max(ev.time);
-                self.hooks.on_warp_retire(ev.sm, ev.warp_id, ev.time);
-                if let Some((id, first, lanes)) = self.sms[ev.sm].pending.pop_front() {
-                    self.decoder.on_launch(ev.sm, ev.slot, first, lanes);
-                    self.hooks.on_warp_launch(ev.sm, id, ev.time);
-                    self.events.push(Event {
-                        time: ev.time + WARP_LAUNCH_LATENCY,
-                        warp_id: id,
-                        sm: ev.sm,
-                        slot: ev.slot,
-                    });
-                } else {
-                    self.decoder.on_vacate(ev.sm, ev.slot);
-                }
-                return;
+        let Some(mix) = self.decoder.next_phase(ev.sm, ev.slot) else {
+            // Retired: backfill the slot with this SM's oldest pending
+            // warp. Slot indices must stay stable, so the replacement
+            // reuses the retired warp's position.
+            self.max_time = self.max_time.max(ev.time);
+            self.hooks.on_warp_retire(ev.sm, ev.warp_id, ev.time);
+            if let Some((id, first, lanes)) = self.sms[ev.sm].pending.pop_front() {
+                self.decoder.on_launch(ev.sm, ev.slot, first, lanes);
+                self.hooks.on_warp_launch(ev.sm, id, ev.time);
+                self.events.push(Event {
+                    time: ev.time + WARP_LAUNCH_LATENCY,
+                    warp_id: id,
+                    sm: ev.sm,
+                    slot: ev.slot,
+                });
+            } else {
+                self.decoder.on_vacate(ev.sm, ev.slot);
             }
+            return;
         };
         self.stats.instructions += mix.instructions;
         self.stats.warp_issues += 1;
@@ -200,7 +197,6 @@ impl<'w, H: SimHooks> Engine<'w, H> {
             sm: ev.sm,
             slot: ev.slot,
         });
-        self.decoder.recycle(mix);
     }
 }
 

@@ -1,57 +1,41 @@
 //! Decoding: where warp instruction streams turn into categorized phases,
 //! independent of the timing model.
 //!
-//! The engine's event loop ([`Engine`](super::Engine)) consumes
-//! [`DecodedPhase`]s from its [`Decoder`]. Decoding a phase — advancing
-//! every live lane of a warp one op and categorizing the gather into a
-//! [`PhaseMix`] — is a pure function of the workload and the line size; it
-//! touches no timing state. That is what lets a workload decode *ahead* of
-//! the commit loop: a lane may step its program a bounded burst of ops at
-//! once and hand them out one phase at a time (`rtworkload` does), and no
-//! timing decision can tell. Here, warps are instantiated at launch and
-//! their phases gathered inline, at the moment the commit loop asks; a warp
-//! slot's [`Warp`] — lane storage and gather buffer — outlives the warp and
-//! is reused by the slot's backfill, or freed at once if there is none.
+//! The engine's event loop ([`Engine`](super::Engine)) asks its [`Decoder`]
+//! for each phase. Decoding a phase — advancing every live lane of a warp
+//! one op and categorizing each op into a [`PhaseMix`] as it is gathered —
+//! is a pure function of the workload and the line size; it touches no
+//! timing state. That is what lets a workload decode *ahead* of the commit
+//! loop: a lane may record a whole ray's ops at once and hand them out one
+//! phase at a time (`rtworkload` does), and no timing decision can tell.
+//! Here, warps are instantiated at launch and their phases gathered inline,
+//! at the moment the commit loop asks; a warp slot's [`WarpProgram`]
+//! outlives the warp and is reused by the slot's backfill, or freed at once
+//! if there is none.
 
-use crate::core::warp::Warp;
-use crate::workload::Workload;
-
-use super::sm::PhaseMix;
-
-/// One decoded warp phase as consumed by the commit loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum DecodedPhase {
-    /// A non-empty phase: the warp issues this categorized op mix.
-    Mix(PhaseMix),
-    /// Every lane has exited; the warp retires. Always the final phase of
-    /// a warp's stream.
-    Retire,
-}
+use crate::workload::{PhaseMix, WarpProgram, Workload};
 
 /// Supplies decoded phases to the engine's commit loop.
 ///
 /// The engine drives it with the exact warp schedule it commits:
 /// [`Decoder::on_launch`] when a warp enters a slot, then one
-/// [`Decoder::next_phase`] per wake-up event until it returns
-/// [`DecodedPhase::Retire`].
+/// [`Decoder::next_phase`] per wake-up event until it returns `None`.
 pub(crate) struct Decoder<'w> {
     workload: &'w dyn Workload,
-    line_bytes: u32,
     /// Warp slots, indexed `[sm][slot]`. Slots are dense and stable: a
     /// retired warp's slot, storage included, is reused by its backfill,
     /// and emptied by [`Decoder::on_vacate`] when none comes.
-    warps: Vec<Vec<Option<Warp<'w>>>>,
-    /// The last recycled mix; its line buffers back the next phase.
-    spare: PhaseMix,
+    warps: Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>,
+    /// The phase under construction; its line buffers back every phase.
+    phase: PhaseMix,
 }
 
 impl<'w> Decoder<'w> {
     pub fn new(workload: &'w dyn Workload, num_sms: usize, line_bytes: u32) -> Self {
         Decoder {
             workload,
-            line_bytes,
             warps: (0..num_sms).map(|_| Vec::new()).collect(),
-            spare: PhaseMix::default(),
+            phase: PhaseMix::new(line_bytes),
         }
     }
 
@@ -64,7 +48,7 @@ impl<'w> Decoder<'w> {
             slots.push(None);
         }
         slots[slot]
-            .get_or_insert_with(|| Warp::new(self.workload))
+            .get_or_insert_with(|| self.workload.warp_program())
             .launch(first_thread, lanes);
     }
 
@@ -75,39 +59,19 @@ impl<'w> Decoder<'w> {
         self.warps[sm][slot] = None;
     }
 
-    /// Returns the next decoded phase of the warp resident in `(sm, slot)`.
-    /// Never called again for a warp after it returned
-    /// [`DecodedPhase::Retire`].
-    pub fn next_phase(&mut self, sm: usize, slot: usize) -> DecodedPhase {
+    /// Gathers and categorizes the next phase of the warp resident in
+    /// `(sm, slot)`, or returns `None` once every lane has exited: the warp
+    /// retires. Never called again for a warp after it returned `None`.
+    pub fn next_phase(&mut self, sm: usize, slot: usize) -> Option<&PhaseMix> {
         let slot = self.warps[sm][slot].as_mut();
         #[expect(
             clippy::expect_used,
-            reason = "engine invariant: next_phase is only called for slots the engine launched into and never after Retire"
+            reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
         )]
         let warp = slot.expect("phase for a vacant warp slot");
-        decode_one(warp, self.line_bytes, std::mem::take(&mut self.spare))
-    }
-
-    /// Takes back a mix the commit loop has finished with, so the next
-    /// phase reuses its line buffers.
-    pub fn recycle(&mut self, mix: PhaseMix) {
-        self.spare = mix;
-    }
-}
-
-/// Decodes one phase of `warp`: gathers ops from every live lane and
-/// categorizes them into `spare`'s buffers, or signals retirement.
-pub(crate) fn decode_one(
-    warp: &mut Warp<'_>,
-    line_bytes: u32,
-    mut spare: PhaseMix,
-) -> DecodedPhase {
-    let ops = warp.gather_phase();
-    if ops.is_empty() {
-        DecodedPhase::Retire
-    } else {
-        spare.categorize(ops, line_bytes);
-        DecodedPhase::Mix(spare)
+        self.phase.clear();
+        warp.gather(&mut self.phase);
+        (!self.phase.is_empty()).then_some(&self.phase)
     }
 }
 
@@ -161,25 +125,20 @@ mod tests {
         );
         let mut src = Decoder::new(&w, 1, 128);
         src.on_launch(0, 0, 0, 4);
-        match src.next_phase(0, 0) {
-            DecodedPhase::Mix(mix) => {
-                assert_eq!(mix.compute_cycles, 2);
-                assert_eq!(mix.instructions, 8, "4 lanes x 2 insts");
-            }
-            other => panic!("expected a compute phase, got {other:?}"),
-        }
-        match src.next_phase(0, 0) {
-            DecodedPhase::Mix(mix) => assert_eq!(mix.load_lines, vec![0]),
-            other => panic!("expected a load phase, got {other:?}"),
-        }
-        assert_eq!(src.next_phase(0, 0), DecodedPhase::Retire);
+        let mix = src.next_phase(0, 0).expect("a compute phase");
+        assert_eq!(mix.compute_cycles, 2);
+        assert_eq!(mix.instructions, 8, "4 lanes x 2 insts");
+        let mix = src.next_phase(0, 0).expect("a load phase");
+        assert_eq!(mix.load_lines, vec![0]);
+        assert_eq!(mix.compute_cycles, 0, "nothing of the last phase survives");
+        assert_eq!(src.next_phase(0, 0), None);
         // The slot is immediately reusable by a backfill, with its storage
         // or — once vacated — without.
         for _ in 0..2 {
             src.on_launch(0, 0, 0, 4);
-            assert!(matches!(src.next_phase(0, 0), DecodedPhase::Mix(_)));
-            assert!(matches!(src.next_phase(0, 0), DecodedPhase::Mix(_)));
-            assert_eq!(src.next_phase(0, 0), DecodedPhase::Retire);
+            assert!(src.next_phase(0, 0).is_some());
+            assert!(src.next_phase(0, 0).is_some());
+            assert_eq!(src.next_phase(0, 0), None);
             src.on_vacate(0, 0);
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Split along the machine's natural seams:
 //!
-//! * [`sm`] — per-SM timing state and phase categorization;
+//! * [`sm`] — per-SM timing state;
 //! * [`events`] — the global warp wake-up heap with its documented
 //!   (time, warp age, SM, slot) total order;
 //! * [`decode`] — warp streams turned into categorized phases, pure of

@@ -1,17 +1,16 @@
 //! Per-SM scheduling state: pending warps, the issue port and the RT
-//! accelerator, plus the categorization of a gathered warp phase into its
-//! compute/memory/RT components.
+//! accelerator.
 //!
 //! `SmState` holds only *timing* state. The warp programs themselves live
-//! in the [`Decoder`](super::decode::Decoder); categorization is likewise
-//! independent of [`MemoryHierarchy`](crate::mem::MemoryHierarchy) — it
-//! needs only the line size, which is pure configuration.
+//! in the [`Decoder`](super::decode::Decoder), which also categorizes each
+//! phase ([`PhaseMix`](crate::workload::PhaseMix)) independently of
+//! [`MemoryHierarchy`](crate::mem::MemoryHierarchy) — it needs only the
+//! line size, which is pure configuration.
 
 use std::collections::VecDeque;
 
 use crate::config::GpuConfig;
 use crate::core::rtunit::RtUnit;
-use crate::workload::{MemSpace, Op};
 
 /// Per-SM scheduling state.
 pub(crate) struct SmState {
@@ -50,99 +49,9 @@ impl SmState {
     }
 }
 
-/// A warp phase's gathered ops, categorized for timing: the max ALU
-/// latency, the coalesced memory lines per space, and the RT ray count.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub(crate) struct PhaseMix {
-    /// Longest `Op::Compute` latency in the phase.
-    pub compute_cycles: u64,
-    /// Active rays (one per RT op).
-    pub rt_rays: u32,
-    /// Coalesced line addresses fetched by the RT unit.
-    pub rt_lines: Vec<u64>,
-    /// Coalesced line addresses read by the LSU.
-    pub load_lines: Vec<u64>,
-    /// Coalesced line addresses written by the LSU.
-    pub store_lines: Vec<u64>,
-    /// Dynamic instruction count of the phase.
-    pub instructions: u64,
-}
-
-impl PhaseMix {
-    /// Overwrites this mix with the categorization of `ops`, coalescing
-    /// memory accesses at line granularity and keeping the line buffers'
-    /// allocations. `line_bytes` is the cache-line size (L1 and L2 lines
-    /// match by [`GpuConfig::validate`]).
-    pub fn categorize(&mut self, ops: &[Op], line_bytes: u32) {
-        self.compute_cycles = 0;
-        self.rt_rays = 0;
-        self.instructions = 0;
-        self.rt_lines.clear();
-        self.load_lines.clear();
-        self.store_lines.clear();
-        for op in ops {
-            self.instructions += op.instructions();
-            match op {
-                Op::Compute { cycles, .. } => {
-                    self.compute_cycles = self.compute_cycles.max(*cycles as u64);
-                }
-                Op::Store { addr, bytes } => {
-                    push_lines(&mut self.store_lines, line_bytes, *addr, *bytes)
-                }
-                Op::Load { addr, bytes } => {
-                    push_lines(&mut self.load_lines, line_bytes, *addr, *bytes)
-                }
-                Op::RtNode { .. } | Op::RtPrim { .. } => {
-                    self.rt_rays += 1;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the match arm restricts op to RtNode/RtPrim, which always carry a memory access"
-                    )]
-                    let (space, addr, bytes) = op.memory_access().expect("RT ops access memory");
-                    debug_assert_eq!(space, MemSpace::RtData);
-                    push_lines(&mut self.rt_lines, line_bytes, addr, bytes);
-                }
-            }
-        }
-    }
-
-    /// LSU transactions generated by the phase (loads + stores).
-    pub fn lsu_slots(&self) -> u64 {
-        (self.load_lines.len() + self.store_lines.len()) as u64
-    }
-}
-
-/// Adds the cache lines covered by `[addr, addr + bytes)` to `lines`,
-/// coalescing duplicates (warp-level memory coalescing).
-fn push_lines(lines: &mut Vec<u64>, line_bytes: u32, addr: u64, bytes: u32) {
-    let first = addr / line_bytes as u64;
-    let last = (addr + bytes.max(1) as u64 - 1) / line_bytes as u64;
-    for line in first..=last {
-        if !lines.contains(&line) {
-            lines.push(line);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const LINE: u32 = 128;
-
-    fn categorize(ops: &[Op]) -> PhaseMix {
-        // Start from a used mix: nothing of it may survive.
-        let mut mix = PhaseMix {
-            compute_cycles: 99,
-            rt_rays: 9,
-            rt_lines: vec![7],
-            load_lines: vec![8],
-            store_lines: vec![9],
-            instructions: 999,
-        };
-        mix.categorize(ops, LINE);
-        mix
-    }
 
     #[test]
     fn issue_port_serializes_lsu_slots() {
@@ -155,66 +64,5 @@ mod tests {
             "zero slots still occupy one cycle"
         );
         assert_eq!(sm.issue_next_free, 101);
-    }
-
-    #[test]
-    fn categorize_coalesces_duplicate_lines() {
-        let line = LINE as u64;
-        let ops = vec![
-            Op::Load { addr: 0, bytes: 4 },
-            Op::Load { addr: 4, bytes: 4 },
-            Op::Load {
-                addr: line,
-                bytes: 4,
-            },
-            Op::Compute {
-                cycles: 5,
-                insts: 5,
-            },
-            Op::Compute {
-                cycles: 9,
-                insts: 9,
-            },
-        ];
-        let mix = categorize(&ops);
-        assert_eq!(mix.load_lines, vec![0, 1], "two distinct lines");
-        assert_eq!(mix.compute_cycles, 9, "max, not sum");
-        assert_eq!(mix.lsu_slots(), 2);
-    }
-
-    #[test]
-    fn categorize_splits_spaces() {
-        let ops = vec![
-            Op::RtNode { addr: 0 },
-            Op::RtPrim { addr: 1 << 20 },
-            Op::Store { addr: 64, bytes: 4 },
-        ];
-        let mix = categorize(&ops);
-        assert_eq!(mix.rt_rays, 2);
-        assert_eq!(mix.rt_lines.len(), 2);
-        assert_eq!(mix.store_lines.len(), 1);
-        assert_eq!(mix.lsu_slots(), 1, "RT fetches do not consume LSU slots");
-    }
-
-    #[test]
-    fn unaligned_access_spans_lines() {
-        let ops = vec![Op::Load {
-            addr: LINE as u64 - 2,
-            bytes: 8,
-        }];
-        let mix = categorize(&ops);
-        assert_eq!(mix.load_lines, vec![0, 1]);
-    }
-
-    #[test]
-    fn categorize_matches_hierarchy_line_geometry() {
-        // The decoupled categorizer must agree with the memory hierarchy's
-        // own line mapping, which both use the L1 line size.
-        let cfg = GpuConfig::mobile_soc();
-        let mem = crate::mem::MemoryHierarchy::new(&cfg);
-        assert_eq!(mem.line_bytes(), cfg.l1d.line_bytes);
-        for addr in [0u64, 127, 128, 4096, 1 << 20] {
-            assert_eq!(mem.line_of(addr), addr / cfg.l1d.line_bytes as u64);
-        }
     }
 }

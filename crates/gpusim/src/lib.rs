@@ -63,7 +63,7 @@ pub use hooks::{
     CacheLevel, NullHooks, PhaseClass, SimHooks, TraceCounters, TraceHooks, TraceSlice,
 };
 pub use stats::{CombineRule, Metric, SimStats};
-pub use workload::{MemSpace, Op, ThreadProgram, WarpProgram, Workload};
+pub use workload::{MemSpace, Op, PhaseMix, ThreadProgram, WarpProgram, Workload};
 
 /// Pins the `disallowed-types` list: no live site uses a hash collection, so
 /// without this a deleted `clippy.toml` entry would go unnoticed. With it the

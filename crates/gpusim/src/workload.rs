@@ -3,8 +3,8 @@
 //! A [`Workload`] is a grid of threads (one per pixel for ray tracing); each
 //! thread is a lazy [`ThreadProgram`] yielding abstract operations ([`Op`]).
 //! The simulator groups threads into warps — one [`WarpProgram`] per
-//! resident warp — executes ops in SIMT phases and charges their
-//! latency/bandwidth to the modeled hardware.
+//! resident warp — gathers one op per live lane into a [`PhaseMix`] per SIMT
+//! phase and charges the phase's latency/bandwidth to the modeled hardware.
 
 /// Memory space an access belongs to; determines which units handle it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,6 +84,155 @@ impl Op {
     }
 }
 
+/// One SIMT phase of a warp as the timing model sees it, categorized while
+/// it is gathered: the longest ALU latency, the coalesced memory lines per
+/// space and the RT ray count. [`WarpProgram::gather`] adds one op per live
+/// lane; the engine reuses one mix, line buffers included, for every phase.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhaseMix {
+    /// Cache-line size the accesses coalesce at.
+    line_bytes: u32,
+    /// Ops gathered so far.
+    ops: u32,
+    /// Longest `Op::Compute` latency in the phase.
+    pub(crate) compute_cycles: u64,
+    /// Active rays (one per RT op).
+    pub(crate) rt_rays: u32,
+    /// Coalesced line addresses fetched by the RT unit.
+    pub(crate) rt_lines: Vec<u64>,
+    /// Coalesced line addresses read by the LSU.
+    pub(crate) load_lines: Vec<u64>,
+    /// Coalesced line addresses written by the LSU.
+    pub(crate) store_lines: Vec<u64>,
+    /// Dynamic instruction count of the phase.
+    pub(crate) instructions: u64,
+}
+
+impl PhaseMix {
+    /// An empty phase whose accesses coalesce at `line_bytes`, the
+    /// cache-line size (L1 and L2 lines match by
+    /// [`GpuConfig::validate`](crate::GpuConfig::validate)).
+    pub fn new(line_bytes: u32) -> Self {
+        PhaseMix {
+            line_bytes,
+            ops: 0,
+            compute_cycles: 0,
+            rt_rays: 0,
+            rt_lines: Vec::new(),
+            load_lines: Vec::new(),
+            store_lines: Vec::new(),
+            instructions: 0,
+        }
+    }
+
+    /// Empties the phase for the next gather, keeping the line buffers'
+    /// allocations.
+    pub fn clear(&mut self) {
+        self.ops = 0;
+        self.compute_cycles = 0;
+        self.rt_rays = 0;
+        self.instructions = 0;
+        self.rt_lines.clear();
+        self.load_lines.clear();
+        self.store_lines.clear();
+    }
+
+    /// Adds one lane's `op`, coalescing its memory access at line
+    /// granularity with the phase's earlier ones.
+    #[inline]
+    pub fn push(&mut self, op: Op) {
+        self.ops += 1;
+        self.instructions += op.instructions();
+        match op {
+            Op::Compute { cycles, .. } => {
+                self.compute_cycles = self.compute_cycles.max(cycles as u64);
+            }
+            Op::Load { addr, bytes } => {
+                push_lines(&mut self.load_lines, self.line_bytes, addr, bytes)
+            }
+            Op::Store { addr, bytes } => {
+                push_lines(&mut self.store_lines, self.line_bytes, addr, bytes)
+            }
+            Op::RtNode { .. } | Op::RtPrim { .. } => {
+                self.rt_rays += 1;
+                if let Some((_, addr, bytes)) = op.memory_access() {
+                    push_lines(&mut self.rt_lines, self.line_bytes, addr, bytes);
+                }
+            }
+        }
+    }
+
+    /// Ops gathered into the phase.
+    pub fn len(&self) -> usize {
+        self.ops as usize
+    }
+
+    /// `true` until an op is gathered; a gather that leaves it so means
+    /// every lane has exited.
+    pub fn is_empty(&self) -> bool {
+        self.ops == 0
+    }
+
+    /// LSU transactions generated by the phase (loads + stores).
+    pub(crate) fn lsu_slots(&self) -> u64 {
+        (self.load_lines.len() + self.store_lines.len()) as u64
+    }
+}
+
+/// The two-pass categorization the engine ran before phases were
+/// categorized while gathered — widen the phase to a `Vec<Op>`, then walk
+/// it — kept as the oracle [`PhaseMix::push`] is held to.
+#[cfg(test)]
+impl PhaseMix {
+    /// Overwrites this mix with the categorization of `ops`, coalescing
+    /// memory accesses at line granularity and keeping the line buffers'
+    /// allocations. `line_bytes` is the cache-line size (L1 and L2 lines
+    /// match by [`GpuConfig::validate`](crate::GpuConfig::validate)).
+    pub(crate) fn categorize(&mut self, ops: &[Op], line_bytes: u32) {
+        self.line_bytes = line_bytes;
+        self.ops = ops.len() as u32;
+        self.compute_cycles = 0;
+        self.rt_rays = 0;
+        self.instructions = 0;
+        self.rt_lines.clear();
+        self.load_lines.clear();
+        self.store_lines.clear();
+        for op in ops {
+            self.instructions += op.instructions();
+            match op {
+                Op::Compute { cycles, .. } => {
+                    self.compute_cycles = self.compute_cycles.max(*cycles as u64);
+                }
+                Op::Store { addr, bytes } => {
+                    push_lines(&mut self.store_lines, line_bytes, *addr, *bytes)
+                }
+                Op::Load { addr, bytes } => {
+                    push_lines(&mut self.load_lines, line_bytes, *addr, *bytes)
+                }
+                Op::RtNode { .. } | Op::RtPrim { .. } => {
+                    self.rt_rays += 1;
+                    let (space, addr, bytes) = op.memory_access().expect("RT ops access memory");
+                    debug_assert_eq!(space, MemSpace::RtData);
+                    push_lines(&mut self.rt_lines, line_bytes, addr, bytes);
+                }
+            }
+        }
+    }
+}
+
+/// Adds the cache lines covered by `[addr, addr + bytes)` to `lines`,
+/// coalescing duplicates (warp-level memory coalescing).
+#[inline]
+fn push_lines(lines: &mut Vec<u64>, line_bytes: u32, addr: u64, bytes: u32) {
+    let first = addr / line_bytes as u64;
+    let last = (addr + bytes.max(1) as u64 - 1) / line_bytes as u64;
+    for line in first..=last {
+        if !lines.contains(&line) {
+            lines.push(line);
+        }
+    }
+}
+
 /// A lazily evaluated per-thread instruction stream.
 pub trait ThreadProgram {
     /// Advances the thread and returns its next operation, or `None` once
@@ -136,9 +285,9 @@ pub trait WarpProgram {
     /// reusing the storage of whichever warp it held before.
     fn launch(&mut self, first_thread: u64, lanes: u32);
 
-    /// Advances every live lane by one operation, appending the ops to
-    /// `ops` in lane order. Appends nothing once every lane has exited.
-    fn gather(&mut self, ops: &mut Vec<Op>);
+    /// Advances every live lane by one operation, adding the ops to `phase`
+    /// in lane order. Adds nothing once every lane has exited.
+    fn gather(&mut self, phase: &mut PhaseMix);
 }
 
 /// [`Workload::warp_program`]'s default: one boxed program per live lane.
@@ -155,10 +304,10 @@ impl<W: Workload + ?Sized> WarpProgram for ThreadLanes<'_, W> {
             .extend(threads.map(|i| self.workload.create_thread(i)));
     }
 
-    fn gather(&mut self, ops: &mut Vec<Op>) {
+    fn gather(&mut self, phase: &mut PhaseMix) {
         // Exited lanes leave the vector, live ones stay in lane order.
         self.lanes
-            .retain_mut(|lane| lane.next_op().map(|op| ops.push(op)).is_some());
+            .retain_mut(|lane| lane.next_op().map(|op| phase.push(op)).is_some());
     }
 }
 
@@ -230,6 +379,45 @@ impl Workload for ScriptedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const LINE: u32 = 128;
+
+    /// `ops` gathered one by one into a mix that held an earlier phase:
+    /// nothing of that phase may survive.
+    fn gathered(ops: &[Op]) -> PhaseMix {
+        let mut mix = PhaseMix::new(LINE);
+        for op in [
+            Op::Compute {
+                cycles: 99,
+                insts: 999,
+            },
+            Op::RtNode { addr: 7 * 128 },
+            Op::Load { addr: 8, bytes: 4 },
+            Op::Store { addr: 9, bytes: 4 },
+        ] {
+            mix.push(op);
+        }
+        mix.clear();
+        for &op in ops {
+            mix.push(op);
+        }
+        mix
+    }
+
+    /// The phases of `program`, gathered until every lane has exited.
+    fn phases(program: &mut dyn WarpProgram) -> Vec<usize> {
+        let mut mix = PhaseMix::new(LINE);
+        let mut lens = Vec::new();
+        loop {
+            mix.clear();
+            program.gather(&mut mix);
+            lens.push(mix.len());
+            if mix.is_empty() {
+                return lens;
+            }
+        }
+    }
 
     #[test]
     fn op_instruction_counts() {
@@ -300,5 +488,132 @@ mod tests {
                 insts: 1
             })
         );
+    }
+
+    #[test]
+    fn gather_advances_all_lanes() {
+        let w = ScriptedWorkload::per_thread(4, |i| {
+            (0..=i)
+                .map(|_| Op::Compute {
+                    cycles: 1,
+                    insts: 1,
+                })
+                .collect()
+        });
+        let mut warp = w.warp_program();
+        warp.launch(0, 4);
+        // Lane i runs i + 1 ops; all done → an empty phase: retire.
+        assert_eq!(phases(warp.as_mut()), [4, 3, 2, 1, 0]);
+        // A backfill reuses the slot: threads 2 and 3 run 3 and 4 ops.
+        warp.launch(2, 2);
+        assert_eq!(phases(warp.as_mut()), [2, 2, 2, 1, 0]);
+        // The last warp of a 100-thread grid: 4 threads.
+        let w = ScriptedWorkload::uniform(100, vec![Op::Load { addr: 0, bytes: 4 }]);
+        let mut warp = w.warp_program();
+        warp.launch(96, 4);
+        assert_eq!(phases(warp.as_mut()), [4, 0]);
+    }
+
+    #[test]
+    fn gathering_coalesces_duplicate_lines() {
+        let line = LINE as u64;
+        let ops = vec![
+            Op::Load { addr: 0, bytes: 4 },
+            Op::Load { addr: 4, bytes: 4 },
+            Op::Load {
+                addr: line,
+                bytes: 4,
+            },
+            Op::Compute {
+                cycles: 5,
+                insts: 5,
+            },
+            Op::Compute {
+                cycles: 9,
+                insts: 9,
+            },
+        ];
+        let mix = gathered(&ops);
+        assert_eq!(mix.load_lines, vec![0, 1], "two distinct lines");
+        assert_eq!(mix.compute_cycles, 9, "max, not sum");
+        assert_eq!(mix.lsu_slots(), 2);
+        assert_eq!(mix.len(), 5);
+    }
+
+    #[test]
+    fn gathering_splits_spaces() {
+        let ops = vec![
+            Op::RtNode { addr: 0 },
+            Op::RtPrim { addr: 1 << 20 },
+            Op::Store { addr: 64, bytes: 4 },
+        ];
+        let mix = gathered(&ops);
+        assert_eq!(mix.rt_rays, 2);
+        assert_eq!(mix.rt_lines.len(), 2);
+        assert_eq!(mix.store_lines.len(), 1);
+        assert_eq!(mix.lsu_slots(), 1, "RT fetches do not consume LSU slots");
+        assert_eq!(mix.instructions, 3 + 2 + 1);
+    }
+
+    #[test]
+    fn unaligned_access_spans_lines() {
+        let ops = vec![Op::Load {
+            addr: LINE as u64 - 2,
+            bytes: 8,
+        }];
+        let mix = gathered(&ops);
+        assert_eq!(mix.load_lines, vec![0, 1]);
+    }
+
+    #[test]
+    fn categorization_matches_hierarchy_line_geometry() {
+        // The decoupled categorizer must agree with the memory hierarchy's
+        // own line mapping, which both use the L1 line size.
+        let cfg = crate::GpuConfig::mobile_soc();
+        let mem = crate::mem::MemoryHierarchy::new(&cfg);
+        assert_eq!(mem.line_bytes(), cfg.l1d.line_bytes);
+        for addr in [0u64, 127, 128, 4096, 1 << 20] {
+            assert_eq!(mem.line_of(addr), addr / cfg.l1d.line_bytes as u64);
+        }
+    }
+
+    /// An op over a few lines, so phases repeat lines; up to 300 bytes, so
+    /// accesses span up to four.
+    fn op() -> impl Strategy<Value = Op> {
+        let addr = 0u64..(6 * LINE as u64);
+        prop_oneof![
+            (0u32..50, 0u32..50).prop_map(|(cycles, insts)| Op::Compute { cycles, insts }),
+            (addr.clone(), 0u32..300).prop_map(|(addr, bytes)| Op::Load { addr, bytes }),
+            (addr.clone(), 0u32..300).prop_map(|(addr, bytes)| Op::Store { addr, bytes }),
+            addr.clone().prop_map(|addr| Op::RtNode { addr }),
+            addr.prop_map(|addr| Op::RtPrim { addr }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Categorizing op by op as a phase is gathered gives what the
+        /// two-pass categorization of the whole phase gives — lines in the
+        /// same order, duplicates coalesced, line-spanning accesses split —
+        /// for empty phases too, and after the mix held a longer phase.
+        #[test]
+        fn incremental_categorization_matches_two_pass(
+            earlier in prop::collection::vec(op(), 0..40),
+            ops in prop::collection::vec(op(), 0..40),
+        ) {
+            let mut want = PhaseMix::new(LINE);
+            want.categorize(&ops, LINE);
+            prop_assert_eq!(&gathered(&ops), &want);
+            let mut mix = PhaseMix::new(LINE);
+            for phase in [&earlier, &ops] {
+                mix.clear();
+                for &op in phase {
+                    mix.push(op);
+                }
+            }
+            prop_assert_eq!(&mix, &want);
+            prop_assert_eq!(mix.is_empty(), ops.is_empty());
+        }
     }
 }

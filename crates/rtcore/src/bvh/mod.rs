@@ -1,7 +1,8 @@
-//! Bounding volume hierarchy: binned-SAH construction and stepwise traversal.
+//! Bounding volume hierarchy: binned-SAH construction and a traversal loop
+//! generic over what it reports.
 
 mod build;
 mod flat;
 
 pub use build::BuildMethod;
-pub use flat::{Bvh, FlatNode, Traversal, TraversalStats, TraversalStep, MAX_DEPTH};
+pub use flat::{Bvh, FlatNode, TraversalStats, VisitSink, MAX_DEPTH};

@@ -5,11 +5,12 @@
 //! functional path tracer and the eight procedural benchmark scenes that
 //! stand in for LumiBench.
 //!
-//! The crate's central design point is [`bvh::Traversal`]: a stepwise
-//! traversal state machine that both the functional tracer (this crate) and
-//! the cycle-level timing model (`zatel-gpusim` via `zatel-rtworkload`)
-//! drive, so functional and timing simulation agree on exactly which nodes
-//! and primitives every ray touches.
+//! The crate's central design point is the BVH's one traversal loop,
+//! generic over a [`bvh::VisitSink`]: the functional tracer (this crate)
+//! counts what it visits, and the cycle-level timing model (`zatel-gpusim`
+//! via `zatel-rtworkload`) records each visit as a memory transaction, so
+//! functional and timing simulation agree on exactly which nodes and
+//! primitives every ray touches.
 //!
 //! ## Quick start
 //!

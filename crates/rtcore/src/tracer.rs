@@ -2,9 +2,9 @@
 //!
 //! This is the "functional mode" of the simulated GPU: it computes the same
 //! per-pixel radiance and — more importantly for Zatel — the same per-pixel
-//! *work counts* that the timing model executes: its queries are the fused
-//! form of the [`crate::bvh::Traversal`] state machine the timing model
-//! steps, held equal to it by a differential test.
+//! *work counts* that the timing model executes: its queries run the same
+//! BVH traversal loop the timing model records its ops from, with the
+//! counting sink ([`TraversalStats`]) in place of the recording one.
 
 use crate::bvh::TraversalStats;
 use crate::image::Image;

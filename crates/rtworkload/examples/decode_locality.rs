@@ -1,9 +1,12 @@
 //! Decode cost per op, drained two ways: thread after thread (what the
 //! benchmark's `rtworkload.decode_drain` probe times) and in engine order —
 //! one op per lane per phase, round-robin over a resident set of warps that
-//! is backfilled as warps retire, which is how `gpusim` actually pulls ops.
-//! The second number is the one the decode path is built for, and the one
-//! the frozen benchmark cannot see.
+//! is backfilled as warps retire, each phase categorized as it is gathered,
+//! which is how `gpusim` actually pulls ops. The second number is the one
+//! the decode path is built for, and the one the frozen benchmark cannot
+//! see. Then the whole engine: the best of five `Simulator::run`s on the
+//! Mobile SoC and an FNV-1a digest of its `SimStats` JSON, so two builds
+//! can be compared for speed and for identity in seconds.
 //!
 //! ```text
 //! cargo run --release -p zatel-rtworkload --example decode_locality [RES]
@@ -12,7 +15,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpusim::{GpuConfig, Workload};
+use gpusim::{GpuConfig, PhaseMix, Simulator, Workload};
+use minijson::ToJson;
+use rtcore::fingerprint::Fnv64;
 use rtcore::scenes::SceneId;
 use rtcore::tracer::TraceConfig;
 use rtworkload::RtWorkload;
@@ -33,7 +38,8 @@ fn sequential(workload: &RtWorkload<'_>) -> u64 {
 
 /// Gathers one phase from each of `slots` warp slots in turn, relaunching a
 /// slot whose warp has retired, until the grid is done; returns the op count.
-fn engine_order(workload: &RtWorkload<'_>, slots: u64, warp_size: u64) -> u64 {
+fn engine_order(workload: &RtWorkload<'_>, slots: u64, gpu: &GpuConfig) -> u64 {
+    let warp_size = u64::from(gpu.warp_size);
     let threads = workload.thread_count();
     let warps = threads.div_ceil(warp_size);
     let lanes_of = |warp: u64| (threads - warp * warp_size).min(warp_size) as u32;
@@ -45,7 +51,7 @@ fn engine_order(workload: &RtWorkload<'_>, slots: u64, warp_size: u64) -> u64 {
             program
         })
         .collect();
-    let (mut ops, mut phase) = (0, Vec::new());
+    let (mut ops, mut phase) = (0, PhaseMix::new(gpu.l1d.line_bytes));
     loop {
         let mut live = false;
         for program in &mut resident {
@@ -72,18 +78,30 @@ fn main() {
         .unwrap_or(64);
     let gpu = GpuConfig::mobile_soc();
     let slots = u64::from(gpu.num_sms * gpu.max_warps_per_sm);
+    let sim = Simulator::new(gpu.clone());
     for id in [SceneId::Park, SceneId::Bath] {
         let scene = id.build(1);
         let workload = RtWorkload::full_frame(&scene, res, res, TraceConfig::default());
-        let (mut seq_s, mut eng_s, mut ops) = (f64::MAX, f64::MAX, 0);
+        let (mut seq_s, mut eng_s, mut sim_s, mut ops) = (f64::MAX, f64::MAX, f64::MAX, 0);
+        let mut digest = None;
         for _ in 0..5 {
             let start = Instant::now();
             ops = sequential(&workload);
             seq_s = seq_s.min(start.elapsed().as_secs_f64());
             let start = Instant::now();
-            let engine_ops = engine_order(&workload, slots, u64::from(gpu.warp_size));
+            let engine_ops = engine_order(&workload, slots, &gpu);
             eng_s = eng_s.min(start.elapsed().as_secs_f64());
             assert_eq!(ops, engine_ops, "both orders decode every op");
+            let start = Instant::now();
+            let stats = sim.run(&workload);
+            sim_s = sim_s.min(start.elapsed().as_secs_f64());
+            let mut h = Fnv64::new();
+            h.write_bytes(stats.to_json().to_string().as_bytes());
+            assert!(
+                digest.is_none_or(|d| d == h.finish()),
+                "every run simulates the same"
+            );
+            digest = Some(h.finish());
         }
         let ns_per_op = |seconds: f64| seconds * 1e9 / ops as f64;
         println!(
@@ -92,6 +110,12 @@ fn main() {
             ns_per_op(seq_s),
             ns_per_op(eng_s),
             eng_s / seq_s,
+        );
+        println!(
+            "{} {res}x{res}: Simulator::run {:.1} ms, SimStats digest {:#018x}",
+            id.name(),
+            sim_s * 1e3,
+            digest.unwrap_or_default(),
         );
     }
 }

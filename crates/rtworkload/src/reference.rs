@@ -6,13 +6,13 @@
 use std::collections::VecDeque;
 
 use gpusim::{Op, ThreadProgram};
-use rtcore::bvh::{Traversal, TraversalStep};
 use rtcore::geom::Hit;
 use rtcore::material::Surface;
 use rtcore::math::{cosine_hemisphere, uniform_sphere, Pcg, Ray, Vec3, RAY_EPSILON};
 use rtcore::scene::Scene;
 use rtcore::tracer::TraceConfig;
 
+use super::traversal::{Traversal, TraversalStep, Traverse};
 use super::{AddressMap, Pixel, RtWorkload};
 
 /// `Workload::create_thread` as it was: the reference program of thread

@@ -381,7 +381,7 @@ impl Server {
 
     /// Runs the accept loop until SIGINT/SIGTERM or `POST /v1/shutdown`,
     /// then drains: stops accepting, serves every queued request, joins
-    /// the routers and workers.
+    /// the routers and workers, and waits for every 429 to be written.
     ///
     /// # Errors
     ///
@@ -447,6 +447,9 @@ impl Server {
         drop(jobs);
 
         let mut admitted = 0u64;
+        // Refusal writers still running; the drain waits for them, so a
+        // 429 is on its client's socket before `run` returns.
+        let mut refusals: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
             if signal::requested() || self.state.draining.load(Ordering::SeqCst) {
                 break;
@@ -474,7 +477,11 @@ impl Server {
                                       worker through the shared cache, so thread count never reaches a response's \
                                       deterministic subset — pinned by the 1-vs-4-worker identity test"
                         )]
-                        std::thread::spawn(move || refuse_overloaded(stream, depth - 1, avg_ms));
+                        let refusal = std::thread::spawn(move || {
+                            refuse_overloaded(stream, depth - 1, avg_ms)
+                        });
+                        refusals.retain(|writer| !writer.is_finished());
+                        refusals.push(refusal);
                         continue;
                     }
                     self.state
@@ -511,6 +518,11 @@ impl Server {
         }
         for worker in workers {
             let _ = worker.join();
+        }
+        // A refusal writer waits at most its read timeout for the request
+        // it drains before answering.
+        for refusal in refusals {
+            let _ = refusal.join();
         }
         let (responses_2xx, responses_4xx, responses_5xx) = self.state.status_classes();
         let report = ServeReport {

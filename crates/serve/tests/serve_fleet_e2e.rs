@@ -1,9 +1,12 @@
 //! Worker-pool end-to-end tests: worker-count identity, computed
-//! backpressure and panic containment — all over real sockets against a
-//! booted server.
+//! backpressure, refusals that survive a drain and panic containment — all
+//! over real sockets against a booted server.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use minijson::{FromJson, ToJson, Value};
 use zatel_proto::{ConfigRef, PredictRequest, PredictResponse};
@@ -156,6 +159,62 @@ fn saturated_queue_answers_429_with_computed_retry_after() {
     let report = join.join().expect("server thread").expect("clean run");
     assert_eq!(report.refused, refused.len() as u64, "{report:?}");
     assert!(report.peak_queue_depth <= 1, "{report:?}");
+}
+
+/// Sends a bare `GET /healthz` on `stream`.
+fn healthz(stream: &mut TcpStream) {
+    let request = "GET /healthz HTTP/1.1\r\nHost: zatel\r\nContent-Length: 0\r\n\r\n";
+    stream.write_all(request.as_bytes()).expect("send request");
+}
+
+/// The start of the answer on `stream`; on a nonblocking socket, what has
+/// already arrived.
+fn answer(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+    let mut buf = [0u8; 64];
+    let n = stream.read(&mut buf)?;
+    Ok(buf[..n].to_vec())
+}
+
+#[test]
+fn drain_waits_for_a_refusal_still_being_written() {
+    // A fills the one-deep queue by sending nothing, so B and C are refused
+    // (accept is first come, first served). A refusal writer drains the
+    // request before answering: C's 429 proves B's writer is running, and
+    // B sends its request only 200 ms after connecting — after the drain
+    // began. `run` must not return before the 429 is on B's socket.
+    let (_client, url, handle, join) = boot(ServeConfig {
+        workers: 1,
+        queue: 1,
+        ..ServeConfig::default()
+    });
+    let addr = url.trim_start_matches("http://");
+    let holder = TcpStream::connect(addr).expect("connect A");
+    let mut refused = TcpStream::connect(addr).expect("connect B");
+    let sender = {
+        let mut refused = refused.try_clone().expect("clone B");
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            healthz(&mut refused);
+        })
+    };
+    let mut barrier = TcpStream::connect(addr).expect("connect C");
+    healthz(&mut barrier);
+    let c = answer(&mut barrier).expect("C's answer");
+    assert!(c.starts_with(b"HTTP/1.1 429"), "C: {c:?}");
+    handle.shutdown();
+    // A never sends: closing it lets its router finish.
+    drop(holder);
+    let report = join.join().expect("server thread").expect("clean run");
+    refused.set_nonblocking(true).expect("nonblocking");
+    match answer(&mut refused) {
+        Ok(b) => assert!(b.starts_with(b"HTTP/1.1 429"), "B: {b:?}"),
+        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+            panic!("run returned before B's 429 was written")
+        }
+        Err(e) => panic!("reading B's answer: {e}"),
+    }
+    sender.join().expect("sender thread");
+    assert_eq!(report.refused, 2, "{report:?}");
 }
 
 #[test]
