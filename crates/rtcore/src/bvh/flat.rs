@@ -1,12 +1,12 @@
 //! Flattened BVH storage and its one traversal loop.
 //!
-//! A query runs a ray through the tree in one fused loop and reports each
-//! node it fetches and each primitive it tests, in visit order, to a
-//! [`VisitSink`]. The functional path tracer passes the counting sink,
-//! [`TraversalStats`] ([`Bvh::intersect`], [`Bvh::occluded`]); the timing
-//! simulator (`zatel-rtworkload`) passes one that records a memory
-//! transaction per visit ([`Bvh::intersect_with`], [`Bvh::occluded_with`]).
-//! One loop for both is what makes the functional and timing models agree on
+//! A query runs a ray through the tree in one fused loop and reports its
+//! root box test, each node it fetches and each primitive it tests, in
+//! visit order, to a [`VisitSink`]: [`TraversalStats`] counts them
+//! ([`Bvh::intersect`], [`Bvh::occluded`]), and the tracer's path machine
+//! hands them to its sink — counting for the profiler, recording a memory
+//! transaction per visit for the timing simulator (`zatel-rtworkload`). One
+//! loop for both is what makes the functional and timing models agree on
 //! exactly which work a ray performs.
 //!
 //! The loop takes two exact shortcuts, neither visible to a sink. A ray in
@@ -111,35 +111,19 @@ pub struct TraversalStats {
 }
 
 impl TraversalStats {
-    /// Adds another stats record into this one.
-    pub fn accumulate(&mut self, other: &TraversalStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.box_tests += other.box_tests;
-        self.prim_tests += other.prim_tests;
-        self.leaf_visits += other.leaf_visits;
-    }
-
     /// Total abstract work units; the per-pixel cost metric profiled into
     /// the heatmap.
     pub fn work(&self) -> u64 {
         self.nodes_visited + self.box_tests + 2 * self.prim_tests
     }
-
-    /// A query's counters before its first visit: the root box test every
-    /// query makes.
-    const ROOT_TESTED: TraversalStats = TraversalStats {
-        nodes_visited: 0,
-        box_tests: 1,
-        prim_tests: 0,
-        leaf_visits: 0,
-    };
 }
 
-/// Receives a BVH query's work as it happens, in visit order: each node
-/// fetched, then — for a leaf — each of its primitives tested, up to the
-/// first hit of an any-hit query. The root box test every query makes
-/// first is not reported.
+/// Receives a BVH query's work as it happens, in visit order: the root box
+/// test, then each node fetched and — for a leaf — each of its primitives
+/// tested, up to the first hit of an any-hit query.
 pub trait VisitSink {
+    /// The query tested the root's box: once, first, whatever it visits.
+    fn root(&mut self) {}
     /// Interior node `node` was fetched and both its children box-tested.
     fn interior(&mut self, node: u32);
     /// Leaf `node` was fetched; its primitives are tested next.
@@ -150,6 +134,11 @@ pub trait VisitSink {
 
 /// The counting sink: what a query's visits add up to.
 impl VisitSink for TraversalStats {
+    #[inline(always)]
+    fn root(&mut self) {
+        self.box_tests += 1;
+    }
+
     #[inline(always)]
     fn interior(&mut self, _node: u32) {
         self.nodes_visited += 1;
@@ -169,6 +158,11 @@ impl VisitSink for TraversalStats {
 }
 
 impl<S: VisitSink + ?Sized> VisitSink for &mut S {
+    #[inline(always)]
+    fn root(&mut self) {
+        (**self).root();
+    }
+
     #[inline(always)]
     fn interior(&mut self, node: u32) {
         (**self).interior(node);
@@ -313,18 +307,14 @@ impl Bvh {
 
     /// Finds the closest hit, with the counters of the visits it took.
     pub fn intersect(&self, ray: &Ray, prims: &[Primitive]) -> (Option<Hit>, TraversalStats) {
-        let (found, stats) = self.query(ray, prims, false, TraversalStats::ROOT_TESTED);
-        (
-            found.map(|(t, prim)| resolve_hit(ray, prims, t, prim)),
-            stats,
-        )
+        self.closest(ray, prims, TraversalStats::default())
     }
 
     /// Returns `true` if anything occludes the ray segment (early-out
     /// any-hit query used for shadow rays), with the counters of the visits
     /// up to the first hit.
     pub fn occluded(&self, ray: &Ray, prims: &[Primitive]) -> (bool, TraversalStats) {
-        let (found, stats) = self.query(ray, prims, true, TraversalStats::ROOT_TESTED);
+        let (found, stats) = self.query(ray, prims, true, TraversalStats::default());
         (found.is_some(), stats)
     }
 
@@ -336,14 +326,25 @@ impl Bvh {
         prims: &[Primitive],
         sink: &mut impl VisitSink,
     ) -> Option<Hit> {
-        let (found, _) = self.query(ray, prims, false, sink);
-        found.map(|(t, prim)| resolve_hit(ray, prims, t, prim))
+        self.closest(ray, prims, sink).0
     }
 
     /// [`Bvh::occluded`], reporting each visit to `sink` instead of
     /// counting it.
     pub fn occluded_with(&self, ray: &Ray, prims: &[Primitive], sink: &mut impl VisitSink) -> bool {
         self.query(ray, prims, true, sink).0.is_some()
+    }
+
+    /// [`Bvh::intersect_with`], moving `sink` through the loop by value.
+    pub(crate) fn closest<S: VisitSink>(
+        &self,
+        ray: &Ray,
+        prims: &[Primitive],
+        sink: S,
+    ) -> (Option<Hit>, S) {
+        let (found, sink) = self.query(ray, prims, false, sink);
+        let hit = found.map(|(t, prim)| resolve_hit(ray, prims, t, prim));
+        (hit, sink)
     }
 
     /// The traversal loop: ordered depth-first, near child first, reporting
@@ -356,7 +357,7 @@ impl Bvh {
     /// pushed and only `t_max` has shrunk since, so whether it is still
     /// worth visiting is the single comparison below rather than a second
     /// slab test.
-    fn query<S: VisitSink>(
+    pub(crate) fn query<S: VisitSink>(
         &self,
         ray: &Ray,
         prims: &[Primitive],
@@ -380,6 +381,7 @@ impl Bvh {
         any_hit: bool,
         mut sink: S,
     ) -> (Option<(f32, u32)>, S) {
+        sink.root();
         // `probe.t_max` is the closest hit distance so far.
         let mut probe = *ray;
         let mut best = None;

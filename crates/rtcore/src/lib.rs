@@ -5,12 +5,13 @@
 //! functional path tracer and the eight procedural benchmark scenes that
 //! stand in for LumiBench.
 //!
-//! The crate's central design point is the BVH's one traversal loop,
-//! generic over a [`bvh::VisitSink`]: the functional tracer (this crate)
-//! counts what it visits, and the cycle-level timing model (`zatel-gpusim`
-//! via `zatel-rtworkload`) records each visit as a memory transaction, so
-//! functional and timing simulation agree on exactly which nodes and
-//! primitives every ray touches.
+//! The crate's central design point is one path tracer: a per-pixel state
+//! machine ([`tracer::PixelPath`]) over the BVH's one traversal loop, generic
+//! over what it reports to ([`tracer::PathSink`]). The profiler (this crate)
+//! counts what a pixel's rays visit, and the cycle-level timing model
+//! (`zatel-gpusim` via `zatel-rtworkload`) records each visit and shading
+//! step as an op, so functional and timing simulation agree on exactly which
+//! work every ray does.
 //!
 //! ## Quick start
 //!

@@ -1,15 +1,16 @@
 //! Functional path tracer.
 //!
-//! This is the "functional mode" of the simulated GPU: it computes the same
-//! per-pixel radiance and — more importantly for Zatel — the same per-pixel
-//! *work counts* that the timing model executes: its queries run the same
-//! BVH traversal loop the timing model records its ops from, with the
-//! counting sink ([`TraversalStats`]) in place of the recording one.
+//! The "functional mode" of the simulated GPU, and the control flow its
+//! timing model executes: one path state machine, [`PixelPath`], traces a
+//! pixel's samples a ray at a time through the BVH's one traversal loop and
+//! reports every visit and shading event to a [`PathSink`]. The profiler's
+//! sink counts ([`PixelTrace`], whose work is the heatmap); a timing-model
+//! thread (`zatel-rtworkload`) records ops.
 
-use crate::bvh::TraversalStats;
+use crate::bvh::{TraversalStats, VisitSink};
 use crate::image::Image;
-use crate::material::Surface;
-use crate::math::{cosine_hemisphere, Pcg, Ray, Vec3, RAY_EPSILON};
+use crate::material::{Material, MaterialId, Surface};
+use crate::math::{cosine_hemisphere, uniform_sphere, Pcg, Ray, Vec3, RAY_EPSILON};
 use crate::scene::Scene;
 
 /// Rendering parameters.
@@ -42,7 +43,7 @@ minijson::record! {
 }
 
 /// Result of tracing a single pixel.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PixelTrace {
     /// Average radiance over all samples.
     pub color: Vec3,
@@ -85,14 +86,23 @@ impl CostMap {
         self.height
     }
 
-    /// Work units for pixel `(x, y)`.
+    /// Work units for pixel `(x, y)`; panics if out of bounds.
     pub fn get(&self, x: u32, y: u32) -> u64 {
-        self.work[(y * self.width + x) as usize]
+        self.work[self.index(x, y)]
     }
 
-    /// Sets work units for pixel `(x, y)`.
+    /// Sets work units for pixel `(x, y)`; panics if out of bounds.
     pub fn set(&mut self, x: u32, y: u32, w: u64) {
-        self.work[(y * self.width + x) as usize] = w;
+        let i = self.index(x, y);
+        self.work[i] = w;
+    }
+
+    fn index(&self, x: u32, y: u32) -> usize {
+        assert!(
+            x < self.width && y < self.height,
+            "pixel ({x},{y}) out of bounds"
+        );
+        (y * self.width + x) as usize
     }
 
     /// Raw work values in row-major order.
@@ -106,114 +116,212 @@ impl CostMap {
     }
 }
 
-/// Traces one pixel of the image plane.
-///
-/// The per-pixel RNG stream depends only on `(config.seed, x, y)`, so the
-/// same pixel always traces identically regardless of which other pixels are
-/// traced — the property Zatel's pixel filtering relies on.
-pub fn trace_pixel(
-    scene: &Scene,
+/// What a [`PixelPath`] reports: every BVH visit (the [`VisitSink`] half)
+/// and the shading events around them, each a no-op by default.
+pub trait PathSink: VisitSink {
+    /// A sample's camera ray was generated; it is traced next.
+    fn camera_ray(&mut self) {}
+    /// A camera or bounce ray left the scene, ending its path.
+    fn miss(&mut self) {}
+    /// A camera or bounce ray hit a surface of material `id`, which is
+    /// shaded next.
+    fn hit(&mut self, _id: MaterialId, _material: &Material) {}
+    /// A diffuse hit cast a shadow ray towards a light; it is traced next.
+    fn shadow_ray(&mut self) {}
+    /// A sample's path ended, having gathered `radiance`.
+    fn sample_done(&mut self, _radiance: Vec3) {}
+}
+
+/// The counting sink: each query is one ray, and its visits and the
+/// radiance of each finished sample add up to the pixel's trace.
+impl VisitSink for PixelTrace {
+    fn root(&mut self) {
+        self.rays += 1;
+        self.stats.root();
+    }
+
+    fn interior(&mut self, node: u32) {
+        self.stats.interior(node);
+    }
+
+    fn leaf(&mut self, node: u32) {
+        self.stats.leaf(node);
+    }
+
+    fn prim(&mut self, prim: u32) {
+        self.stats.prim(prim);
+    }
+}
+
+impl PathSink for PixelTrace {
+    fn sample_done(&mut self, radiance: Vec3) {
+        self.color += radiance;
+    }
+}
+
+/// One pixel's samples as a resumable state machine: each
+/// [`PixelPath::step`] traces one ray and resolves it. Its RNG stream
+/// depends only on `(config.seed, x, y)`, so a pixel traces identically
+/// whichever other pixels are traced — what pixel filtering relies on.
+#[derive(Debug, Clone)]
+pub struct PixelPath {
+    rng: Pcg,
     x: u32,
     y: u32,
     width: u32,
     height: u32,
-    config: &TraceConfig,
-) -> PixelTrace {
-    let mut rng = Pcg::for_index(config.seed, (y as u64) * (width as u64) + x as u64);
-    let mut color = Vec3::ZERO;
-    let mut stats = TraversalStats::default();
-    let mut rays = 0u32;
-
-    for _ in 0..config.samples_per_pixel.max(1) {
-        let ray = scene.camera().primary_ray(x, y, width, height, &mut rng);
-        let (sample, sample_stats, sample_rays) =
-            trace_path(scene, ray, config.max_bounces, &mut rng);
-        color += sample;
-        stats.accumulate(&sample_stats);
-        rays += sample_rays;
-    }
-
-    PixelTrace {
-        color: color / config.samples_per_pixel.max(1) as f32,
-        stats,
-        rays,
-    }
+    /// Samples not yet started.
+    samples_left: u32,
+    max_bounces: u32,
+    /// The path in flight's throughput and gathered radiance.
+    throughput: Vec3,
+    radiance: Vec3,
+    next: NextRay,
 }
 
-/// Traces a full path starting at `ray`, returning (radiance, stats, rays).
-fn trace_path(
-    scene: &Scene,
-    mut ray: Ray,
-    max_bounces: u32,
-    rng: &mut Pcg,
-) -> (Vec3, TraversalStats, u32) {
-    let mut stats = TraversalStats::default();
-    let mut throughput = Vec3::ONE;
-    let mut radiance = Vec3::ZERO;
-    let mut rays = 0u32;
+/// What a [`PixelPath`] traces next.
+#[derive(Debug, Clone, Copy)]
+enum NextRay {
+    /// The next sample's camera ray, if a sample is left.
+    Camera,
+    /// A bounce ray, `bounce` bounces into its path.
+    Path { ray: Ray, bounce: u32 },
+    /// The shadow ray of a diffuse hit: `light` is added if nothing
+    /// occludes it, then the path bounces off the ray's origin.
+    Shadow {
+        ray: Ray,
+        normal: Vec3,
+        bounce: u32,
+        light: Vec3,
+    },
+}
 
-    for _bounce in 0..=max_bounces {
-        rays += 1;
-        let (hit, tstats) = scene.bvh().intersect(&ray, scene.primitives());
-        stats.accumulate(&tstats);
+impl PixelPath {
+    /// The machine of pixel `(x, y)` of a `width × height` frame, before its
+    /// first ray.
+    #[inline]
+    pub fn new(x: u32, y: u32, width: u32, height: u32, config: &TraceConfig) -> Self {
+        PixelPath {
+            rng: Pcg::for_index(config.seed, (y as u64) * (width as u64) + x as u64),
+            x,
+            y,
+            width,
+            height,
+            samples_left: config.samples_per_pixel.max(1),
+            max_bounces: config.max_bounces,
+            throughput: Vec3::ONE,
+            radiance: Vec3::ZERO,
+            next: NextRay::Camera,
+        }
+    }
 
-        let Some(hit) = hit else {
-            radiance += throughput.hadamard(sky_color(ray.dir));
-            break;
+    /// Traces the next ray into `sink` and resolves it; `false`, tracing
+    /// nothing, once the last sample has finished. The sink moves through
+    /// the traversal loop by value, so the counting sink's fields stay in
+    /// registers; pass `&mut` a sink that should stay put.
+    #[inline(always)]
+    pub fn step<S: PathSink>(&mut self, scene: &Scene, mut sink: S) -> (bool, S) {
+        let (ray, bounce) = match self.next {
+            NextRay::Camera if self.samples_left == 0 => return (false, sink),
+            NextRay::Camera => {
+                self.samples_left -= 1;
+                sink.camera_ray();
+                let camera = scene.camera();
+                let ray =
+                    camera.primary_ray(self.x, self.y, self.width, self.height, &mut self.rng);
+                (ray, 0)
+            }
+            NextRay::Path { ray, bounce } => (ray, bounce),
+            NextRay::Shadow {
+                ray,
+                normal,
+                bounce,
+                light,
+            } => {
+                // Early-out once occlusion is proven.
+                let (occluder, mut sink) = scene.bvh().query(&ray, scene.primitives(), true, sink);
+                if occluder.is_none() {
+                    self.radiance += light;
+                }
+                self.bounce_diffuse(ray.origin, normal, bounce, &mut sink);
+                return (true, sink);
+            }
         };
+        (true, self.trace(scene, ray, bounce, sink))
+    }
 
+    /// Traces a camera or bounce ray and resolves its closest hit.
+    #[inline(always)]
+    fn trace<S: PathSink>(&mut self, scene: &Scene, ray: Ray, bounce: u32, sink: S) -> S {
+        let (hit, mut sink) = scene.bvh().closest(&ray, scene.primitives(), sink);
+        let Some(hit) = hit else {
+            sink.miss();
+            self.radiance += self.throughput.hadamard(sky_color(ray.dir));
+            self.end_path(&mut sink);
+            return sink;
+        };
         let material = *scene.material(hit.material);
+        sink.hit(hit.material, &material);
+        let origin = hit.point + hit.normal * RAY_EPSILON;
         match material.surface {
             Surface::Emissive => {
-                radiance += throughput.hadamard(material.color);
-                break;
+                self.radiance += self.throughput.hadamard(material.color);
+                self.end_path(&mut sink);
             }
             Surface::Diffuse => {
-                // Next-event estimation: shadow ray towards one light.
+                // Next-event estimation: a shadow ray towards one light. Its
+                // contribution is taken at this throughput and added once the
+                // shadow ray proves unoccluded.
+                let mut shadow = None;
                 if !scene.lights().is_empty() {
-                    let light = scene.lights()[rng.next_below(scene.lights().len())];
+                    let light = scene.lights()[self.rng.next_below(scene.lights().len())];
                     let to_light = light.position - hit.point;
                     let dist = to_light.length();
                     if dist > RAY_EPSILON {
                         let dir = to_light / dist;
                         let cos = hit.normal.dot(dir);
                         if cos > 0.0 {
-                            rays += 1;
-                            let shadow = Ray::segment(
-                                hit.point + hit.normal * RAY_EPSILON,
-                                dir,
-                                dist - 2.0 * RAY_EPSILON,
-                            );
-                            let (occluded, sstats) =
-                                scene.bvh().occluded(&shadow, scene.primitives());
-                            stats.accumulate(&sstats);
-                            if !occluded {
-                                let falloff = 1.0 / (dist * dist).max(1e-3);
-                                let nlights = scene.lights().len() as f32;
-                                radiance += throughput
-                                    .hadamard(material.color)
-                                    .hadamard(light.intensity)
-                                    * (cos * falloff * nlights / std::f32::consts::PI);
-                            }
+                            sink.shadow_ray();
+                            let falloff = 1.0 / (dist * dist).max(1e-3);
+                            let nlights = scene.lights().len() as f32;
+                            let light = self
+                                .throughput
+                                .hadamard(material.color)
+                                .hadamard(light.intensity)
+                                * (cos * falloff * nlights / std::f32::consts::PI);
+                            let ray = Ray::segment(origin, dir, dist - 2.0 * RAY_EPSILON);
+                            shadow = Some((ray, light));
                         }
                     }
                 }
-                throughput = throughput.hadamard(material.color);
-                let dir = cosine_hemisphere(hit.normal, rng);
-                ray = Ray::new(hit.point + hit.normal * RAY_EPSILON, dir);
+                self.throughput = self.throughput.hadamard(material.color);
+                match shadow {
+                    Some((ray, light)) => {
+                        let normal = hit.normal;
+                        self.next = NextRay::Shadow {
+                            ray,
+                            normal,
+                            bounce,
+                            light,
+                        };
+                    }
+                    None => self.bounce_diffuse(origin, hit.normal, bounce, &mut sink),
+                }
             }
             Surface::Mirror { fuzz } => {
-                throughput = throughput.hadamard(material.color);
+                self.throughput = self.throughput.hadamard(material.color);
                 let mut dir = ray.dir.reflect(hit.normal);
                 if fuzz > 0.0 {
-                    dir = (dir + crate::math::uniform_sphere(rng) * fuzz)
+                    dir = (dir + uniform_sphere(&mut self.rng) * fuzz)
                         .try_normalized()
                         .unwrap_or(dir);
                 }
                 if dir.dot(hit.normal) <= 0.0 {
-                    break; // Fuzz scattered the ray below the surface.
+                    // Fuzz scattered the ray below the surface.
+                    self.end_path(&mut sink);
+                } else {
+                    self.bounce(Ray::new(origin, dir), bounce, &mut sink);
                 }
-                ray = Ray::new(hit.point + hit.normal * RAY_EPSILON, dir);
             }
             Surface::Glass { ior } => {
                 let entering = ray.dir.dot(hit.normal) < 0.0;
@@ -221,7 +329,7 @@ fn trace_path(
                 let eta = 1.0 / ior;
                 let cos_i = (-ray.dir).dot(hit.normal).clamp(0.0, 1.0);
                 let reflect_prob = schlick(cos_i, ior);
-                let dir = if rng.next_f32() < reflect_prob {
+                let dir = if self.rng.next_f32() < reflect_prob {
                     ray.dir.reflect(hit.normal)
                 } else {
                     match ray.dir.refract(hit.normal, eta) {
@@ -234,18 +342,62 @@ fn trace_path(
                 } else {
                     hit.normal
                 };
-                ray = Ray::new(hit.point + offset * RAY_EPSILON, dir.normalized());
+                let ray = Ray::new(hit.point + offset * RAY_EPSILON, dir.normalized());
+                self.bounce(ray, bounce, &mut sink);
             }
         }
+        sink
+    }
 
-        // Paths whose throughput collapsed cannot contribute; terminate the
-        // same way regardless of RNG state to stay deterministic.
-        if throughput.max_component() < 1e-4 {
-            break;
+    /// Finishes a diffuse hit: a cosine-weighted bounce from `origin`.
+    fn bounce_diffuse(
+        &mut self,
+        origin: Vec3,
+        normal: Vec3,
+        bounce: u32,
+        sink: &mut impl PathSink,
+    ) {
+        let dir = cosine_hemisphere(normal, &mut self.rng);
+        self.bounce(Ray::new(origin, dir), bounce, sink);
+    }
+
+    /// Continues the path with `ray` unless it has used its last bounce or
+    /// its throughput collapsed (a rule that draws nothing from the RNG, so
+    /// termination stays deterministic).
+    fn bounce(&mut self, ray: Ray, bounce: u32, sink: &mut impl PathSink) {
+        if self.throughput.max_component() < 1e-4 || bounce >= self.max_bounces {
+            self.end_path(sink);
+        } else {
+            let bounce = bounce + 1;
+            self.next = NextRay::Path { ray, bounce };
         }
     }
 
-    (radiance, stats, rays)
+    /// Ends the path in flight; the next step starts the next sample.
+    fn end_path(&mut self, sink: &mut impl PathSink) {
+        sink.sample_done(std::mem::take(&mut self.radiance));
+        self.throughput = Vec3::ONE;
+        self.next = NextRay::Camera;
+    }
+}
+
+/// Traces one pixel of the image plane: steps its [`PixelPath`] with the
+/// counting sink until the last sample has finished.
+pub fn trace_pixel(
+    scene: &Scene,
+    x: u32,
+    y: u32,
+    width: u32,
+    height: u32,
+    config: &TraceConfig,
+) -> PixelTrace {
+    let mut path = PixelPath::new(x, y, width, height, config);
+    let (mut tracing, mut trace) = (true, PixelTrace::default());
+    while tracing {
+        (tracing, trace) = path.step(scene, trace);
+    }
+    trace.color /= config.samples_per_pixel.max(1) as f32;
+    trace
 }
 
 /// Schlick's approximation of the Fresnel reflectance.
@@ -291,9 +443,11 @@ pub fn profile_costs(scene: &Scene, width: u32, height: u32, config: &TraceConfi
 mod tests {
     use super::*;
     use crate::camera::Camera;
-    use crate::material::Material;
     use crate::scene::SceneBuilder;
+    use crate::scenes::SceneId;
     use minijson::{FromJson, Value};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     #[test]
     fn trace_config_json_rejects_malformed_counts() {
@@ -413,5 +567,193 @@ mod tests {
         let px = trace_pixel(&scene, 8, 8, 16, 16, &cfg);
         assert_eq!(px.rays, 1, "emissive hit must not spawn secondaries");
         assert!(px.color.mean() > 1.0);
+    }
+
+    impl TraversalStats {
+        /// Adds another stats record into this one.
+        fn accumulate(&mut self, other: &TraversalStats) {
+            self.nodes_visited += other.nodes_visited;
+            self.box_tests += other.box_tests;
+            self.prim_tests += other.prim_tests;
+            self.leaf_visits += other.leaf_visits;
+        }
+    }
+
+    /// The tracer as it was before the path became a machine, kept verbatim
+    /// (with the stats sum it alone used) as the colour and counter oracle of
+    /// [`PixelPath`]: one loop per sample, each shadow ray traced inside its
+    /// diffuse bounce.
+    fn reference_pixel(
+        scene: &Scene,
+        x: u32,
+        y: u32,
+        width: u32,
+        height: u32,
+        config: &TraceConfig,
+    ) -> PixelTrace {
+        let mut rng = Pcg::for_index(config.seed, (y as u64) * (width as u64) + x as u64);
+        let mut color = Vec3::ZERO;
+        let mut stats = TraversalStats::default();
+        let mut rays = 0u32;
+
+        for _ in 0..config.samples_per_pixel.max(1) {
+            let ray = scene.camera().primary_ray(x, y, width, height, &mut rng);
+            let (sample, sample_stats, sample_rays) =
+                trace_path(scene, ray, config.max_bounces, &mut rng);
+            color += sample;
+            stats.accumulate(&sample_stats);
+            rays += sample_rays;
+        }
+
+        PixelTrace {
+            color: color / config.samples_per_pixel.max(1) as f32,
+            stats,
+            rays,
+        }
+    }
+
+    /// Traces a full path starting at `ray`, returning (radiance, stats, rays).
+    fn trace_path(
+        scene: &Scene,
+        mut ray: Ray,
+        max_bounces: u32,
+        rng: &mut Pcg,
+    ) -> (Vec3, TraversalStats, u32) {
+        let mut stats = TraversalStats::default();
+        let mut throughput = Vec3::ONE;
+        let mut radiance = Vec3::ZERO;
+        let mut rays = 0u32;
+
+        for _bounce in 0..=max_bounces {
+            rays += 1;
+            let (hit, tstats) = scene.bvh().intersect(&ray, scene.primitives());
+            stats.accumulate(&tstats);
+
+            let Some(hit) = hit else {
+                radiance += throughput.hadamard(sky_color(ray.dir));
+                break;
+            };
+
+            let material = *scene.material(hit.material);
+            match material.surface {
+                Surface::Emissive => {
+                    radiance += throughput.hadamard(material.color);
+                    break;
+                }
+                Surface::Diffuse => {
+                    // Next-event estimation: shadow ray towards one light.
+                    if !scene.lights().is_empty() {
+                        let light = scene.lights()[rng.next_below(scene.lights().len())];
+                        let to_light = light.position - hit.point;
+                        let dist = to_light.length();
+                        if dist > RAY_EPSILON {
+                            let dir = to_light / dist;
+                            let cos = hit.normal.dot(dir);
+                            if cos > 0.0 {
+                                rays += 1;
+                                let shadow = Ray::segment(
+                                    hit.point + hit.normal * RAY_EPSILON,
+                                    dir,
+                                    dist - 2.0 * RAY_EPSILON,
+                                );
+                                let (occluded, sstats) =
+                                    scene.bvh().occluded(&shadow, scene.primitives());
+                                stats.accumulate(&sstats);
+                                if !occluded {
+                                    let falloff = 1.0 / (dist * dist).max(1e-3);
+                                    let nlights = scene.lights().len() as f32;
+                                    radiance += throughput
+                                        .hadamard(material.color)
+                                        .hadamard(light.intensity)
+                                        * (cos * falloff * nlights / std::f32::consts::PI);
+                                }
+                            }
+                        }
+                    }
+                    throughput = throughput.hadamard(material.color);
+                    let dir = cosine_hemisphere(hit.normal, rng);
+                    ray = Ray::new(hit.point + hit.normal * RAY_EPSILON, dir);
+                }
+                Surface::Mirror { fuzz } => {
+                    throughput = throughput.hadamard(material.color);
+                    let mut dir = ray.dir.reflect(hit.normal);
+                    if fuzz > 0.0 {
+                        dir = (dir + crate::math::uniform_sphere(rng) * fuzz)
+                            .try_normalized()
+                            .unwrap_or(dir);
+                    }
+                    if dir.dot(hit.normal) <= 0.0 {
+                        break; // Fuzz scattered the ray below the surface.
+                    }
+                    ray = Ray::new(hit.point + hit.normal * RAY_EPSILON, dir);
+                }
+                Surface::Glass { ior } => {
+                    let entering = ray.dir.dot(hit.normal) < 0.0;
+                    debug_assert!(entering, "shading normal should oppose the ray");
+                    let eta = 1.0 / ior;
+                    let cos_i = (-ray.dir).dot(hit.normal).clamp(0.0, 1.0);
+                    let reflect_prob = schlick(cos_i, ior);
+                    let dir = if rng.next_f32() < reflect_prob {
+                        ray.dir.reflect(hit.normal)
+                    } else {
+                        match ray.dir.refract(hit.normal, eta) {
+                            Some(t) => t,
+                            None => ray.dir.reflect(hit.normal),
+                        }
+                    };
+                    let offset = if dir.dot(hit.normal) < 0.0 {
+                        -hit.normal
+                    } else {
+                        hit.normal
+                    };
+                    ray = Ray::new(hit.point + offset * RAY_EPSILON, dir.normalized());
+                }
+            }
+
+            // Paths whose throughput collapsed cannot contribute; terminate the
+            // same way regardless of RNG state to stay deterministic.
+            if throughput.max_component() < 1e-4 {
+                break;
+            }
+        }
+
+        (radiance, stats, rays)
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn cost_map_rejects_a_column_past_the_width() {
+        // Row-major storage: unchecked, `(width, 0)` would read `(0, 1)`.
+        CostMap::new(4, 2).get(4, 0);
+    }
+
+    /// The eight registry scenes, built once for the whole proptest.
+    fn scenes() -> &'static [Scene] {
+        static SCENES: OnceLock<Vec<Scene>> = OnceLock::new();
+        SCENES.get_or_init(|| SceneId::ALL.iter().map(|id| id.build(1)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The path machine computes what the loop it replaced computed, bit
+        /// for bit: colour, rays and traversal counters.
+        #[test]
+        fn the_path_machine_traces_as_the_reference_loop(
+            scene in 0usize..8,
+            pixel in (0u32..16, 0u32..16),
+            spp in 0u32..4,
+            max_bounces in 0u32..6,
+            seed in any::<u64>(),
+        ) {
+            let config = TraceConfig { samples_per_pixel: spp, max_bounces, seed };
+            let (x, y) = pixel;
+            let got = trace_pixel(&scenes()[scene], x, y, 16, 16, &config);
+            let want = reference_pixel(&scenes()[scene], x, y, 16, 16, &config);
+            let bits = |c: Vec3| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()];
+            prop_assert_eq!(bits(got.color), bits(want.color));
+            prop_assert_eq!(got.rays, want.rays);
+            prop_assert_eq!(got.stats, want.stats);
+        }
     }
 }

@@ -5,8 +5,10 @@
 //! which is how `gpusim` actually pulls ops. The second number is the one
 //! the decode path is built for, and the one the frozen benchmark cannot
 //! see. Then the whole engine: the best of five `Simulator::run`s on the
-//! Mobile SoC and an FNV-1a digest of its `SimStats` JSON, so two builds
-//! can be compared for speed and for identity in seconds.
+//! Mobile SoC and an FNV-1a digest of its `SimStats` JSON. Last, the other
+//! sink of the same path machine: the best of five `profile_costs` of the
+//! frame and the Σ of its cost map. Two builds can so be compared for speed
+//! and for identity, on both sides, in seconds.
 //!
 //! ```text
 //! cargo run --release -p zatel-rtworkload --example decode_locality [RES]
@@ -19,7 +21,7 @@ use gpusim::{GpuConfig, PhaseMix, Simulator, Workload};
 use minijson::ToJson;
 use rtcore::fingerprint::Fnv64;
 use rtcore::scenes::SceneId;
-use rtcore::tracer::TraceConfig;
+use rtcore::tracer::{profile_costs, TraceConfig};
 use rtworkload::RtWorkload;
 
 /// Drains every thread to its end before starting the next; returns the op
@@ -81,8 +83,10 @@ fn main() {
     let sim = Simulator::new(gpu.clone());
     for id in [SceneId::Park, SceneId::Bath] {
         let scene = id.build(1);
-        let workload = RtWorkload::full_frame(&scene, res, res, TraceConfig::default());
+        let trace = TraceConfig::default();
+        let workload = RtWorkload::full_frame(&scene, res, res, trace);
         let (mut seq_s, mut eng_s, mut sim_s, mut ops) = (f64::MAX, f64::MAX, f64::MAX, 0);
+        let (mut profile_s, mut work) = (f64::MAX, 0);
         let mut digest = None;
         for _ in 0..5 {
             let start = Instant::now();
@@ -102,6 +106,10 @@ fn main() {
                 "every run simulates the same"
             );
             digest = Some(h.finish());
+            let start = Instant::now();
+            let costs = profile_costs(&scene, res, res, &trace);
+            profile_s = profile_s.min(start.elapsed().as_secs_f64());
+            work = costs.values().iter().sum::<u64>();
         }
         let ns_per_op = |seconds: f64| seconds * 1e9 / ops as f64;
         println!(
@@ -116,6 +124,11 @@ fn main() {
             id.name(),
             sim_s * 1e3,
             digest.unwrap_or_default(),
+        );
+        println!(
+            "{} {res}x{res}: profile_costs {:.1} ms, {work} work units",
+            id.name(),
+            profile_s * 1e3,
         );
     }
 }

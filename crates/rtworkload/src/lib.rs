@@ -2,19 +2,20 @@
 //!
 //! Bridges the functional ray tracer of `zatel-rtcore` and the cycle-level
 //! timing model of `zatel-gpusim`: every pixel becomes one GPU thread whose
-//! [`gpusim::ThreadProgram`] runs the path tracer's control flow over the
-//! *same* BVH traversal loop the functional tracer uses, emitting one
+//! [`gpusim::ThreadProgram`] steps the pixel's [`rtcore::tracer::PixelPath`]
+//! — the path state machine the functional profiler steps too — emitting one
 //! abstract op per BVH node fetch, primitive test and shading step.
 //!
-//! Because both sides run the identical traversal loop — the tracer with a
-//! counting sink, a thread with a recording one
-//! ([`rtcore::bvh::VisitSink`]) — and the identical per-pixel RNG stream,
+//! The profiler and a thread differ only in the sink they step the machine
+//! with ([`rtcore::tracer::PathSink`]): one counts, the other records ops.
+//! Same control flow, same traversal loop, same per-pixel RNG stream, so
 //! the timing simulation executes exactly the memory accesses and ALU work
 //! the functional render performs — there is no trace file and no replay
-//! skew.
+//! skew — and a pixel's heatmap cost and its simulated work come from one
+//! code path. This crate only maps shading events to ops.
 //!
-//! A thread decodes *a ray at a time*: when its buffer is dry it traces its
-//! next ray, recording every node and primitive visit as a four-byte packed
+//! A thread decodes *a ray at a time*: when its buffer is dry it steps its
+//! path once, recording every node and primitive visit as a four-byte packed
 //! op, then that hit's shading ops, and hands them out one per call. The
 //! engine pulls one op per lane per phase across every resident warp, so a
 //! lane's path state is touched once per ray; the ops and their order are
@@ -42,10 +43,9 @@ mod traversal;
 
 use gpusim::{Op, PhaseMix, ThreadProgram, WarpProgram, Workload};
 use rtcore::bvh::VisitSink;
-use rtcore::material::Surface;
-use rtcore::math::{cosine_hemisphere, uniform_sphere, Pcg, Ray, Vec3, RAY_EPSILON};
+use rtcore::material::{Material, MaterialId};
 use rtcore::scene::Scene;
-use rtcore::tracer::TraceConfig;
+use rtcore::tracer::{PathSink, PixelPath, TraceConfig};
 
 /// A pixel coordinate on the image plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -342,9 +342,9 @@ impl PackedOp {
     const STORE: u32 = 4;
 }
 
-/// A lane's decoded ops, and the recording sink of its BVH queries: each
-/// node fetch and primitive test becomes a packed op as the traversal loop
-/// visits it.
+/// A lane's decoded ops, and the recording sink of its path: each node fetch
+/// and primitive test becomes a packed op as the traversal loop visits it,
+/// and each shading event the ops the timing model charges for it.
 #[derive(Default)]
 struct LaneOps(Vec<PackedOp>);
 
@@ -381,33 +381,32 @@ impl VisitSink for LaneOps {
     }
 }
 
-/// Continuation data for a diffuse bounce paused on its shadow ray.
-#[derive(Debug, Clone, Copy)]
-struct DiffuseResume {
-    point: Vec3,
-    normal: Vec3,
-    bounce: u32,
+/// Passed by reference: the buffer stays in its lane while the ray is traced.
+impl PathSink for &mut LaneOps {
+    fn camera_ray(&mut self) {
+        self.push(PackedOp::COMPUTE, 16);
+    }
+
+    fn miss(&mut self) {
+        // Sky: small shade cost, path ends.
+        self.push(PackedOp::COMPUTE, 4);
+    }
+
+    fn hit(&mut self, id: MaterialId, material: &Material) {
+        // Material fetch + shading ALU work.
+        self.push(PackedOp::MATERIAL, id.0);
+        self.push(PackedOp::COMPUTE, material.shading_cost());
+    }
+
+    fn shadow_ray(&mut self) {
+        // Shadow-ray setup cost.
+        self.push(PackedOp::COMPUTE, 6);
+    }
 }
 
-/// What a lane traces next.
-enum State {
-    /// A deselected pixel: the paper's `filter_shader` + exit (Listing 1).
-    FilterExit,
-    StartSample,
-    Path {
-        ray: Ray,
-        bounce: u32,
-    },
-    Shadow {
-        ray: Ray,
-        resume: DiffuseResume,
-    },
-    Finished,
-}
-
-/// Per-pixel thread program: replays the exact path-tracing control flow of
-/// [`rtcore::tracer`], one [`Op`] per unit of work, decoded a ray at a time.
-/// What a buffered pop reads comes first.
+/// Per-pixel thread program: steps the pixel's [`PixelPath`] a ray at a time
+/// with its op buffer as the sink, and hands the ops out one per call. What
+/// a buffered pop reads comes first.
 #[repr(C)]
 struct PixelProgram<'w> {
     workload: &'w RtWorkload<'w>,
@@ -415,216 +414,52 @@ struct PixelProgram<'w> {
     /// `ops[head..]` is decoded and not yet handed out.
     head: u32,
     pixel: Pixel,
-    sample: u32,
-    throughput: Vec3,
-    rng: Pcg,
-    state: State,
+    /// `None` once the thread's last op is decoded.
+    path: Option<PixelPath>,
 }
 
 impl<'w> PixelProgram<'w> {
     fn new(workload: &'w RtWorkload<'w>, index: u64) -> Self {
-        let pixel = workload.pixels[index as usize];
-        let selected = workload
-            .selected
-            .as_ref()
-            .is_none_or(|sel| sel[index as usize]);
-        PixelProgram {
+        let i = index as usize;
+        let pixel @ Pixel { x, y } = workload.pixels[i];
+        let mut lane = PixelProgram {
             workload,
             ops: LaneOps::default(),
             head: 0,
             pixel,
-            sample: 0,
-            throughput: Vec3::ONE,
-            rng: Pcg::for_index(
-                workload.trace.seed,
-                pixel.y as u64 * workload.width as u64 + pixel.x as u64,
-            ),
-            state: if selected {
-                State::StartSample
-            } else {
-                State::FilterExit
-            },
-        }
-    }
-
-    /// Ends the current path; moves on to the next sample.
-    fn end_path(&mut self) {
-        self.throughput = Vec3::ONE;
-        self.state = State::StartSample;
-    }
-
-    /// Traces a primary/bounce `ray`, recording its visits, and resolves its
-    /// closest hit — mirroring `rtcore::tracer` decision for decision (and
-    /// RNG draw for RNG draw).
-    fn trace_path(&mut self, ray: Ray, bounce: u32) {
-        let scene = self.workload.scene;
-        let Some(hit) = scene
-            .bvh()
-            .intersect_with(&ray, scene.primitives(), &mut self.ops)
-        else {
-            // Sky: small shade cost, path ends.
-            self.ops.push(PackedOp::COMPUTE, 4);
-            self.end_path();
-            return;
+            path: None,
         };
-
-        let material = *scene.material(hit.material);
-        // Material fetch + shading ALU work.
-        self.ops.push(PackedOp::MATERIAL, hit.material.0);
-        self.ops.push(PackedOp::COMPUTE, material.shading_cost());
-
-        let incoming = ray.dir;
-        match material.surface {
-            Surface::Emissive => {
-                self.end_path();
-            }
-            Surface::Diffuse => {
-                let mut shadow = None;
-                if !scene.lights().is_empty() {
-                    let light = scene.lights()[self.rng.next_below(scene.lights().len())];
-                    let to_light = light.position - hit.point;
-                    let dist = to_light.length();
-                    if dist > RAY_EPSILON {
-                        let dir = to_light / dist;
-                        let cos = hit.normal.dot(dir);
-                        if cos > 0.0 {
-                            // Shadow-ray setup cost.
-                            self.ops.push(PackedOp::COMPUTE, 6);
-                            shadow = Some(Ray::segment(
-                                hit.point + hit.normal * RAY_EPSILON,
-                                dir,
-                                dist - 2.0 * RAY_EPSILON,
-                            ));
-                        }
-                    }
-                }
-                let resume = DiffuseResume {
-                    point: hit.point,
-                    normal: hit.normal,
-                    bounce,
-                };
-                self.throughput = self.throughput.hadamard(material.color);
-                match shadow {
-                    Some(ray) => self.state = State::Shadow { ray, resume },
-                    None => self.continue_after_diffuse(resume),
-                }
-            }
-            Surface::Mirror { fuzz } => {
-                self.throughput = self.throughput.hadamard(material.color);
-                let mut dir = incoming.reflect(hit.normal);
-                if fuzz > 0.0 {
-                    dir = (dir + uniform_sphere(&mut self.rng) * fuzz)
-                        .try_normalized()
-                        .unwrap_or(dir);
-                }
-                if dir.dot(hit.normal) <= 0.0 {
-                    self.end_path();
-                    return;
-                }
-                let ray = Ray::new(hit.point + hit.normal * RAY_EPSILON, dir);
-                self.continue_bounce(ray, bounce);
-            }
-            Surface::Glass { ior } => {
-                let eta = 1.0 / ior;
-                let cos_i = (-incoming).dot(hit.normal).clamp(0.0, 1.0);
-                let reflect_prob = schlick(cos_i, ior);
-                let dir = if self.rng.next_f32() < reflect_prob {
-                    incoming.reflect(hit.normal)
-                } else {
-                    match incoming.refract(hit.normal, eta) {
-                        Some(t) => t,
-                        None => incoming.reflect(hit.normal),
-                    }
-                };
-                let offset = if dir.dot(hit.normal) < 0.0 {
-                    -hit.normal
-                } else {
-                    hit.normal
-                };
-                let ray = Ray::new(hit.point + offset * RAY_EPSILON, dir.normalized());
-                self.continue_bounce(ray, bounce);
-            }
+        if workload.selected.as_ref().is_none_or(|sel| sel[i]) {
+            let (width, height) = (workload.width, workload.height);
+            lane.path = Some(PixelPath::new(x, y, width, height, &workload.trace));
+        } else {
+            // A deselected pixel: the paper's `filter_shader` + exit (Listing 1).
+            lane.ops.push(PackedOp::COMPUTE, 2);
         }
+        lane
     }
 
-    /// After a shadow query, finish the diffuse bounce: hemisphere sample
-    /// and the next path segment (matching the tracer's RNG order).
-    fn continue_after_diffuse(&mut self, resume: DiffuseResume) {
-        let dir = cosine_hemisphere(resume.normal, &mut self.rng);
-        let ray = Ray::new(resume.point + resume.normal * RAY_EPSILON, dir);
-        self.continue_bounce(ray, resume.bounce);
-    }
-
-    /// Advances to the next path segment, honouring the bounce limit and
-    /// the throughput termination rule of the functional tracer.
-    fn continue_bounce(&mut self, ray: Ray, bounce: u32) {
-        if self.throughput.max_component() < 1e-4 || bounce >= self.workload.trace.max_bounces {
-            self.end_path();
-            return;
-        }
-        self.state = State::Path {
-            ray,
-            bounce: bounce + 1,
-        };
-    }
-
-    /// Decodes the next ray into the dry buffer; `false` if the thread has
-    /// exited. Out of line, so that the pop in `next_op` stays a handful of
-    /// instructions that inline into a warp's gather loop.
+    /// Decodes the next ray — its visits, then the shading of what it hit —
+    /// or the framebuffer write into the dry buffer; `false` if the thread
+    /// has exited. Out of line, so that the pop in `next_op` stays a handful
+    /// of instructions that inline into a warp's gather loop.
     #[inline(never)]
     fn refill(&mut self) -> bool {
         self.head = 0;
         self.ops.clear();
         // A shadow ray that misses the scene's box records nothing.
-        while self.ops.0.is_empty() && self.step() {}
-        !self.ops.0.is_empty()
-    }
-
-    /// Traces the next ray — its visits, then the shading of what it hit —
-    /// or writes the framebuffer; `false` once the thread has exited.
-    fn step(&mut self) -> bool {
-        let w = self.workload;
-        match self.state {
-            State::FilterExit => {
-                self.ops.push(PackedOp::COMPUTE, 2);
-                self.state = State::Finished;
+        while self.ops.0.is_empty() {
+            let Some(path) = &mut self.path else {
+                return false;
+            };
+            if !path.step(self.workload.scene, &mut self.ops).0 {
+                // Frame done for this pixel: write the framebuffer.
+                self.ops.push(PackedOp::STORE, 0);
+                self.path = None;
             }
-            State::StartSample => {
-                if self.sample >= w.trace.samples_per_pixel.max(1) {
-                    // Frame done for this pixel: write the framebuffer.
-                    self.ops.push(PackedOp::STORE, 0);
-                    self.state = State::Finished;
-                    return true;
-                }
-                self.sample += 1;
-                let Pixel { x, y } = self.pixel;
-                let ray = w
-                    .scene
-                    .camera()
-                    .primary_ray(x, y, w.width, w.height, &mut self.rng);
-                self.ops.push(PackedOp::COMPUTE, 16);
-                self.trace_path(ray, 0);
-            }
-            State::Path { ray, bounce } => self.trace_path(ray, bounce),
-            State::Shadow { ray, resume } => {
-                let scene = w.scene;
-                // Early-out once occlusion is proven; either way the
-                // bounce finishes when the shadow query does.
-                scene
-                    .bvh()
-                    .occluded_with(&ray, scene.primitives(), &mut self.ops);
-                self.continue_after_diffuse(resume);
-            }
-            State::Finished => return false,
         }
         true
     }
-}
-
-/// Schlick's Fresnel approximation (identical to the functional tracer's).
-fn schlick(cos: f32, ior: f32) -> f32 {
-    let r0 = ((1.0 - ior) / (1.0 + ior)).powi(2);
-    r0 + (1.0 - r0) * (1.0 - cos).powi(5)
 }
 
 impl ThreadProgram for PixelProgram<'_> {
@@ -666,10 +501,9 @@ mod tests {
     use proptest::prelude::*;
     use rtcore::camera::Camera;
     use rtcore::geom::Triangle;
-    use rtcore::material::Material;
+    use rtcore::math::{Ray, Vec3, RAY_EPSILON};
     use rtcore::scene::SceneBuilder;
     use rtcore::scenes::SceneId;
-    use rtcore::tracer::{trace_pixel, TraceConfig};
     use std::sync::OnceLock;
 
     fn cfg() -> TraceConfig {
@@ -688,46 +522,6 @@ mod tests {
         assert!(m.material_addr(100_000) < m.framebuffer_base);
         assert_eq!(m.pixel_addr(1, 0, 64) - m.pixel_addr(0, 0, 64), 16);
         assert_eq!(m.pixel_addr(0, 1, 64) - m.pixel_addr(0, 0, 64), 64 * 16);
-    }
-
-    #[test]
-    fn op_counts_match_functional_tracer() {
-        // The core correctness property of this crate: for the same pixels
-        // and seed, the op stream's RtNode/RtPrim counts equal the
-        // functional tracer's nodes_visited/prim_tests exactly.
-        let scene = SceneId::Wknd.build(3);
-        let (w, h) = (16u32, 16u32);
-        let trace = cfg();
-        let mut func_nodes = 0u64;
-        let mut func_prims = 0u64;
-        for y in 0..h {
-            for x in 0..w {
-                let px = trace_pixel(&scene, x, y, w, h, &trace);
-                func_nodes += px.stats.nodes_visited;
-                func_prims += px.stats.prim_tests;
-            }
-        }
-        let workload = RtWorkload::full_frame(&scene, w, h, trace);
-        let mut sim_nodes = 0u64;
-        let mut sim_prims = 0u64;
-        for i in 0..workload.thread_count() {
-            let mut t = workload.create_thread(i);
-            while let Some(op) = t.next_op() {
-                match op {
-                    Op::RtNode { .. } => sim_nodes += 1,
-                    Op::RtPrim { .. } => sim_prims += 1,
-                    _ => {}
-                }
-            }
-        }
-        assert_eq!(
-            sim_nodes, func_nodes,
-            "node fetches must match functional traversal"
-        );
-        assert_eq!(
-            sim_prims, func_prims,
-            "primitive tests must match functional traversal"
-        );
     }
 
     #[test]
