@@ -315,6 +315,28 @@ fn config_the_engine_cannot_build_fails_cleanly() {
 }
 
 #[test]
+fn image_too_small_for_k_groups_fails_cleanly() {
+    for (args, message) in [
+        (&["--res", "6"][..], "a 6x6 image divides into 3 chunk(s)"),
+        (&["--res", "10", "--config", "rtx2060"], "K = 6"),
+        (&["--res", "1", "--division", "coarse"], "1 chunk(s)"),
+        (
+            &["--res", "2", "--division", "coarse", "--config", "rtx2060"],
+            "4 chunk(s)",
+        ),
+    ] {
+        let mut argv = vec!["predict", "--scene", "SPRNG", "--spp", "1"];
+        argv.extend_from_slice(args);
+        let out = zatel(&argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} accepted");
+        assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim().lines().count(), 1, "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn predict_json_includes_pipeline_spans() {
     let text = stdout(&[
         "predict", "--scene", "SPRNG", "--res", "32", "--spp", "1", "--json",

@@ -88,10 +88,17 @@ impl Op {
 /// it is gathered: the longest ALU latency, the coalesced memory lines per
 /// space and the RT ray count. [`WarpProgram::gather`] adds one op per live
 /// lane; the engine reuses one mix, line buffers included, for every phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Each line list holds its phase's distinct lines in first-occurrence
+/// order. A hash set of the lines seen so far merges duplicates, so adding
+/// an op costs the same however many lines the phase already holds.
+#[derive(Debug, Clone)]
 pub struct PhaseMix {
     /// Cache-line size the accesses coalesce at.
     line_bytes: u32,
+    /// `log2(line_bytes)` when that is a power of two: a line index is then
+    /// a shift rather than a division.
+    line_shift: Option<u32>,
     /// Ops gathered so far.
     ops: u32,
     /// Longest `Op::Compute` latency in the phase.
@@ -106,6 +113,33 @@ pub struct PhaseMix {
     pub(crate) store_lines: Vec<u64>,
     /// Dynamic instruction count of the phase.
     pub(crate) instructions: u64,
+    /// The lines already in the three lists; no part of the phase.
+    seen: LineSet,
+}
+
+/// Equal phases: the set of seen lines is working state and left out.
+impl PartialEq for PhaseMix {
+    fn eq(&self, other: &Self) -> bool {
+        self.line_bytes == other.line_bytes
+            && self.ops == other.ops
+            && self.compute_cycles == other.compute_cycles
+            && self.rt_rays == other.rt_rays
+            && self.rt_lines == other.rt_lines
+            && self.load_lines == other.load_lines
+            && self.store_lines == other.store_lines
+            && self.instructions == other.instructions
+    }
+}
+
+impl Eq for PhaseMix {}
+
+/// Which of a phase's line lists a line goes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum LineList {
+    #[default]
+    Rt,
+    Load,
+    Store,
 }
 
 impl PhaseMix {
@@ -115,6 +149,9 @@ impl PhaseMix {
     pub fn new(line_bytes: u32) -> Self {
         PhaseMix {
             line_bytes,
+            line_shift: line_bytes
+                .is_power_of_two()
+                .then(|| line_bytes.trailing_zeros()),
             ops: 0,
             compute_cycles: 0,
             rt_rays: 0,
@@ -122,6 +159,7 @@ impl PhaseMix {
             load_lines: Vec::new(),
             store_lines: Vec::new(),
             instructions: 0,
+            seen: LineSet::new(),
         }
     }
 
@@ -135,6 +173,7 @@ impl PhaseMix {
         self.rt_lines.clear();
         self.load_lines.clear();
         self.store_lines.clear();
+        self.seen.clear();
     }
 
     /// Adds one lane's `op`, coalescing its memory access at line
@@ -147,17 +186,34 @@ impl PhaseMix {
             Op::Compute { cycles, .. } => {
                 self.compute_cycles = self.compute_cycles.max(cycles as u64);
             }
-            Op::Load { addr, bytes } => {
-                push_lines(&mut self.load_lines, self.line_bytes, addr, bytes)
-            }
-            Op::Store { addr, bytes } => {
-                push_lines(&mut self.store_lines, self.line_bytes, addr, bytes)
-            }
+            Op::Load { addr, bytes } => self.push_lines(LineList::Load, addr, bytes),
+            Op::Store { addr, bytes } => self.push_lines(LineList::Store, addr, bytes),
             Op::RtNode { .. } | Op::RtPrim { .. } => {
                 self.rt_rays += 1;
                 if let Some((_, addr, bytes)) = op.memory_access() {
-                    push_lines(&mut self.rt_lines, self.line_bytes, addr, bytes);
+                    self.push_lines(LineList::Rt, addr, bytes);
                 }
+            }
+        }
+    }
+
+    /// Appends to `list` each cache line covered by `[addr, addr + bytes)`
+    /// that the list does not hold yet (warp-level memory coalescing).
+    #[inline]
+    fn push_lines(&mut self, list: LineList, addr: u64, bytes: u32) {
+        let lines = match list {
+            LineList::Rt => &mut self.rt_lines,
+            LineList::Load => &mut self.load_lines,
+            LineList::Store => &mut self.store_lines,
+        };
+        let line_of = |addr: u64| match self.line_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.line_bytes as u64,
+        };
+        let (first, last) = (line_of(addr), line_of(addr + bytes.max(1) as u64 - 1));
+        for line in first..=last {
+            if self.seen.insert(list, line) {
+                lines.push(line);
             }
         }
     }
@@ -220,15 +276,98 @@ impl PhaseMix {
     }
 }
 
-/// Adds the cache lines covered by `[addr, addr + bytes)` to `lines`,
-/// coalescing duplicates (warp-level memory coalescing).
-#[inline]
+/// The line merging [`PhaseMix::push_lines`] replaced: adds the cache lines
+/// covered by `[addr, addr + bytes)` to `lines`, coalescing duplicates
+/// (warp-level memory coalescing) by a scan of the list.
+#[cfg(test)]
 fn push_lines(lines: &mut Vec<u64>, line_bytes: u32, addr: u64, bytes: u32) {
     let first = addr / line_bytes as u64;
     let last = (addr + bytes.max(1) as u64 - 1) / line_bytes as u64;
     for line in first..=last {
         if !lines.contains(&line) {
             lines.push(line);
+        }
+    }
+}
+
+/// A set of `(list, line)` pairs, open-addressed with linear probing. A slot
+/// is occupied only if it carries the set's current generation, so
+/// [`LineSet::clear`] is a counter bump rather than a sweep of the slots.
+#[derive(Debug, Clone)]
+struct LineSet {
+    /// A power of two, at least twice the entries.
+    slots: Vec<LineSlot>,
+    /// Never 0, the generation of a slot no entry has written.
+    generation: u32,
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct LineSlot {
+    line: u64,
+    generation: u32,
+    list: LineList,
+}
+
+impl LineSet {
+    /// Room for a phase of 32 lanes whose accesses each span two lines;
+    /// larger phases grow the set.
+    const INITIAL_SLOTS: usize = 128;
+
+    fn new() -> Self {
+        LineSet {
+            slots: vec![LineSlot::default(); Self::INITIAL_SLOTS],
+            generation: 1,
+            len: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // A slot written 2^32 clears ago would read as occupied.
+            self.slots.fill(LineSlot::default());
+            self.generation = 1;
+        }
+    }
+
+    /// Adds `line` to `list`'s lines; `true` if it was not there yet.
+    #[inline]
+    fn insert(&mut self, list: LineList, line: u64) -> bool {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let hash = (line ^ ((list as u64) << 62)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut i = (hash >> 32) as usize & mask;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.generation != self.generation {
+                *slot = LineSlot {
+                    line,
+                    generation: self.generation,
+                    list,
+                };
+                self.len += 1;
+                return true;
+            }
+            if slot.line == line && slot.list == list {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the slots, keeping the current generation's entries.
+    #[cold]
+    fn grow(&mut self) {
+        let slots = vec![LineSlot::default(); 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, slots);
+        let generation = std::mem::replace(&mut self.generation, 1);
+        self.len = 0;
+        for slot in old.into_iter().filter(|s| s.generation == generation) {
+            self.insert(slot.list, slot.line);
         }
     }
 }
@@ -590,17 +729,116 @@ mod tests {
         ]
     }
 
+    /// An op anywhere in 4 096 lines, or one of [`op`]'s: a phase of these
+    /// holds more distinct lines than the line set starts with room for,
+    /// and still repeats some.
+    fn wide_op() -> impl Strategy<Value = Op> {
+        let addr = 0u64..(4096 * LINE as u64);
+        prop_oneof![
+            op(),
+            (addr.clone(), 0u32..300).prop_map(|(addr, bytes)| Op::Load { addr, bytes }),
+            (addr.clone(), 0u32..300).prop_map(|(addr, bytes)| Op::Store { addr, bytes }),
+            addr.clone().prop_map(|addr| Op::RtNode { addr }),
+            addr.prop_map(|addr| Op::RtPrim { addr }),
+        ]
+    }
+
+    /// A phase of up to 40 ops over a few lines, or of up to 200 over many.
+    fn phase() -> impl Strategy<Value = Vec<Op>> {
+        prop_oneof![
+            prop::collection::vec(op(), 0..40),
+            prop::collection::vec(wide_op(), 0..200),
+        ]
+    }
+
+    #[test]
+    fn a_line_size_that_is_no_power_of_two_divides() {
+        let ops = [
+            Op::Load { addr: 95, bytes: 2 },
+            Op::Store {
+                addr: 200,
+                bytes: 100,
+            },
+            Op::RtPrim { addr: 191 },
+            Op::RtNode { addr: 96 },
+        ];
+        let mut mix = PhaseMix::new(96);
+        for op in ops {
+            mix.push(op);
+        }
+        let mut want = PhaseMix::new(96);
+        want.categorize(&ops, 96);
+        assert_eq!(mix, want);
+        assert_eq!(mix.load_lines, [0, 1]);
+        assert_eq!(mix.store_lines, [2, 3]);
+        assert_eq!(mix.rt_lines, [1, 2]);
+    }
+
+    #[test]
+    fn line_set_grows_past_its_initial_slots() {
+        let ops: Vec<Op> = (0..LineSet::INITIAL_SLOTS as u64)
+            .flat_map(|i| {
+                let addr = (i * 7 % 128) * LINE as u64;
+                [Op::Load { addr, bytes: 4 }, Op::RtNode { addr }]
+            })
+            .collect();
+        let mix = gathered(&ops);
+        assert!(mix.seen.slots.len() > LineSet::INITIAL_SLOTS);
+        let lines: Vec<u64> = (0..128).map(|i| i * 7 % 128).collect();
+        assert_eq!(mix.load_lines, lines, "first-occurrence order");
+        assert_eq!(mix.rt_lines, lines);
+    }
+
+    #[test]
+    fn line_set_forgets_every_line_across_the_generation_wrap() {
+        let line = LINE as u64;
+        let near = [
+            Op::Load { addr: 0, bytes: 4 },
+            Op::Load {
+                addr: 4,
+                bytes: 200,
+            },
+            Op::Store { addr: 0, bytes: 4 },
+            Op::RtPrim { addr: 120 },
+        ];
+        let far = [Op::Load {
+            addr: 1000 * line,
+            bytes: 4,
+        }];
+        let mut mix = PhaseMix::new(LINE);
+        let gather = |mix: &mut PhaseMix, ops: &[Op]| {
+            mix.clear();
+            for &op in ops {
+                mix.push(op);
+            }
+            mix.seen.generation
+        };
+        // The near lines' slots keep this generation while the far phase
+        // is gathered through the wrap, which comes back to it: they must
+        // not read as seen.
+        let stale = gather(&mut mix, &near);
+        mix.seen.generation = u32::MAX - 1;
+        assert_eq!(gather(&mut mix, &far), u32::MAX);
+        assert_eq!(gather(&mut mix, &far), 1);
+        assert_eq!(gather(&mut mix, &near), stale);
+        assert_eq!(mix.load_lines, [0, 1]);
+        assert_eq!(mix.store_lines, [0]);
+        assert_eq!(mix.rt_lines, [0, 1]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Categorizing op by op as a phase is gathered gives what the
         /// two-pass categorization of the whole phase gives — lines in the
         /// same order, duplicates coalesced, line-spanning accesses split —
-        /// for empty phases too, and after the mix held a longer phase.
+        /// for empty phases too, and after the mix held a longer phase; and
+        /// so does every later phase the same mix gathers.
         #[test]
         fn incremental_categorization_matches_two_pass(
-            earlier in prop::collection::vec(op(), 0..40),
-            ops in prop::collection::vec(op(), 0..40),
+            earlier in phase(),
+            ops in phase(),
+            later in prop::collection::vec(phase(), 0..6),
         ) {
             let mut want = PhaseMix::new(LINE);
             want.categorize(&ops, LINE);
@@ -614,6 +852,14 @@ mod tests {
             }
             prop_assert_eq!(&mix, &want);
             prop_assert_eq!(mix.is_empty(), ops.is_empty());
+            for phase in &later {
+                want.categorize(phase, LINE);
+                mix.clear();
+                for &op in phase {
+                    mix.push(op);
+                }
+                prop_assert_eq!(&mix, &want);
+            }
         }
     }
 }

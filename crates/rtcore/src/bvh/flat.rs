@@ -285,11 +285,6 @@ impl Bvh {
         super::build::build_bvh(prims)
     }
 
-    /// Builds a BVH over `prims` with an explicit construction strategy.
-    pub fn build_with(prims: &[Primitive], method: super::BuildMethod) -> Self {
-        super::build::build_bvh_with(prims, method)
-    }
-
     /// The flattened node array.
     pub fn nodes(&self) -> &[FlatNode] {
         &self.nodes
@@ -486,6 +481,7 @@ impl FromJson for Bvh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bvh::reference::axis_star;
     use crate::geom::{Sphere, Triangle};
     use crate::material::MaterialId;
     use crate::math::Pcg;
@@ -598,32 +594,6 @@ mod tests {
                 (a, b) => panic!("ray {i}: bvh {a:?} vs brute {b:?}"),
             }
         }
-    }
-
-    /// Triangles centred along the three axes at distances growing 17-fold,
-    /// each large enough to reach back over the origin. On whichever axis is
-    /// longest, all centroids but the farthest share the first SAH bin, so
-    /// every split peels off exactly one triangle: the tree is a chain as
-    /// deep as the builder allows, and every node's box holds the origin.
-    fn axis_star() -> Vec<Primitive> {
-        let mut prims = Vec::new();
-        for step in 0..19 {
-            let d = 1e-6 * 17f32.powi(step);
-            for axis in [Vec3::X, Vec3::Y, Vec3::Z] {
-                let c = axis * d;
-                let (u, v) = (
-                    Vec3::new(2.0, -1.5, 0.5) * d,
-                    Vec3::new(-0.5, 2.0, -1.5) * d,
-                );
-                prims.push(Primitive::Triangle(Triangle::new(
-                    c + u,
-                    c + v,
-                    c - u - v,
-                    MaterialId(0),
-                )));
-            }
-        }
-        prims
     }
 
     #[test]

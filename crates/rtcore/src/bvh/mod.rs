@@ -3,6 +3,7 @@
 
 mod build;
 mod flat;
+#[cfg(test)]
+mod reference;
 
-pub use build::BuildMethod;
 pub use flat::{Bvh, FlatNode, TraversalStats, VisitSink, MAX_DEPTH};

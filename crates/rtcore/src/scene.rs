@@ -1,5 +1,7 @@
 //! Scene container: geometry, materials, lights, camera and the BVH.
 
+use std::sync::OnceLock;
+
 use crate::bvh::Bvh;
 use crate::camera::Camera;
 use crate::fingerprint::Fnv64;
@@ -28,7 +30,9 @@ pub struct Scene {
     lights: Vec<PointLight>,
     camera: Camera,
     bvh: Bvh,
-    fingerprint: u64,
+    /// [`Scene::fingerprint`], hashed on its first call: rendering and
+    /// simulating never read it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Scene {
@@ -81,8 +85,18 @@ impl Scene {
     /// content — regardless of how they were assembled — share a
     /// fingerprint, which keys cached derived artifacts (heatmaps,
     /// quantizations) in the `zatel` pipeline.
+    ///
+    /// Hashed on the first call, which pays for every primitive's bytes.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        *self.fingerprint.get_or_init(|| {
+            content_fingerprint(
+                &self.name,
+                &self.camera,
+                &self.materials,
+                &self.lights,
+                &self.primitives,
+            )
+        })
     }
 }
 
@@ -232,13 +246,6 @@ impl SceneBuilder {
             );
         }
         let bvh = Bvh::build(&self.primitives);
-        let fingerprint = content_fingerprint(
-            &self.name,
-            &self.camera,
-            &self.materials,
-            &self.lights,
-            &self.primitives,
-        );
         Scene {
             name: self.name,
             primitives: self.primitives,
@@ -246,7 +253,7 @@ impl SceneBuilder {
             lights: self.lights,
             camera: self.camera,
             bvh,
-            fingerprint,
+            fingerprint: OnceLock::new(),
         }
     }
 }

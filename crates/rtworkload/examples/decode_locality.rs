@@ -7,8 +7,10 @@
 //! see. Then the whole engine: the best of five `Simulator::run`s on the
 //! Mobile SoC and an FNV-1a digest of its `SimStats` JSON. Last, the other
 //! sink of the same path machine: the best of five `profile_costs` of the
-//! frame and the Σ of its cost map. Two builds can so be compared for speed
-//! and for identity, on both sides, in seconds.
+//! frame and the Σ of its cost map. Before all of it, the scene itself: the
+//! best of five `SceneId::build`s and of five `Bvh::build`s over its
+//! primitives, and an FNV-1a digest of the BVH's JSON. Two builds can so be
+//! compared for speed and for identity, on every side, in seconds.
 //!
 //! ```text
 //! cargo run --release -p zatel-rtworkload --example decode_locality [RES]
@@ -19,6 +21,7 @@ use std::time::Instant;
 
 use gpusim::{GpuConfig, PhaseMix, Simulator, Workload};
 use minijson::ToJson;
+use rtcore::bvh::Bvh;
 use rtcore::fingerprint::Fnv64;
 use rtcore::scenes::SceneId;
 use rtcore::tracer::{profile_costs, TraceConfig};
@@ -82,7 +85,33 @@ fn main() {
     let slots = u64::from(gpu.num_sms * gpu.max_warps_per_sm);
     let sim = Simulator::new(gpu.clone());
     for id in [SceneId::Park, SceneId::Bath] {
+        let (mut scene_s, mut bvh_s) = (f64::MAX, f64::MAX);
+        for _ in 0..5 {
+            let start = Instant::now();
+            black_box(id.build(1));
+            scene_s = scene_s.min(start.elapsed().as_secs_f64());
+        }
         let scene = id.build(1);
+        let mut bvh_digest = None;
+        for _ in 0..5 {
+            let start = Instant::now();
+            let bvh = Bvh::build(scene.primitives());
+            bvh_s = bvh_s.min(start.elapsed().as_secs_f64());
+            let mut h = Fnv64::new();
+            h.write_bytes(bvh.to_json().to_string().as_bytes());
+            assert!(
+                bvh_digest.is_none_or(|d| d == h.finish()),
+                "every build lays out the same tree"
+            );
+            bvh_digest = Some(h.finish());
+        }
+        println!(
+            "{}: SceneId::build {:.1} ms, Bvh::build {:.1} ms, BVH JSON digest {:#018x}",
+            id.name(),
+            scene_s * 1e3,
+            bvh_s * 1e3,
+            bvh_digest.unwrap_or_default(),
+        );
         let trace = TraceConfig::default();
         let workload = RtWorkload::full_frame(&scene, res, res, trace);
         let (mut seq_s, mut eng_s, mut sim_s, mut ops) = (f64::MAX, f64::MAX, f64::MAX, 0);

@@ -58,11 +58,11 @@ impl std::fmt::Display for ServiceError {
 impl From<ZatelError> for ServiceError {
     fn from(e: ZatelError) -> Self {
         match e {
-            // Bad factors and bad options are the client's input, not a
-            // server fault.
-            ZatelError::Downscale(_) | ZatelError::InvalidOptions(_) => {
-                ServiceError::Unprocessable(e.to_string())
-            }
+            // Bad factors, bad options and too small an image for K groups
+            // are the client's input, not a server fault.
+            ZatelError::Downscale(_)
+            | ZatelError::InvalidOptions(_)
+            | ZatelError::TooFewChunks { .. } => ServiceError::Unprocessable(e.to_string()),
             other => ServiceError::Internal(other.to_string()),
         }
     }

@@ -218,16 +218,60 @@ fn drain_waits_for_a_refusal_still_being_written() {
 }
 
 #[test]
+fn image_too_small_for_k_groups_answers_422() {
+    // `res: 2` passes `validate()`, but its one fine chunk cannot give each
+    // of the Mobile SoC's K = 4 groups a pixel: the client's input, so a
+    // typed 422 naming the numbers, and the worker goes on serving.
+    let (client, _url, handle, join) = boot(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut small = tiny_request(7);
+    small.res = 2;
+    let resp = client
+        .post_json("/v1/predict", &small.to_json())
+        .expect("small predict is answered");
+    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    let envelope = zatel_proto::ErrorResponse::from_json(&resp.json().unwrap())
+        .expect("422 body parses as ErrorResponse");
+    assert_eq!(envelope.kind.tag(), "unprocessable");
+    assert!(
+        envelope
+            .error
+            .contains("a 2x2 image divides into 1 chunk(s)")
+            && envelope.error.contains("K = 4"),
+        "{}",
+        envelope.error
+    );
+
+    let resp = client
+        .post_json("/v1/predict", &tiny_request(7).to_json())
+        .expect("predict after the refusal");
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(scrape(&client, "zatel_serve_http_responses_500"), 0);
+
+    handle.shutdown();
+    let report = join.join().expect("server thread").expect("clean run");
+    assert_eq!(report.responses_5xx, 0, "{report:?}");
+}
+
+#[test]
 fn panicking_request_answers_500_and_its_worker_survives() {
-    // `res: 2` passes `validate()` but panics inside group selection. On a
-    // 1-worker server the panic must come back as a 500 under the
-    // request's id, and the same worker must then serve a valid request.
+    // A zero-width division chunk passes `validate()` but panics where the
+    // image is divided. On a 1-worker server the panic must come back as a
+    // 500 under the request's id, and the same worker must then serve a
+    // valid request.
     let (client, _url, handle, join) = boot(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
     });
     let mut panics = tiny_request(7);
-    panics.res = 2;
+    let mut options = zatel::ZatelOptions::default();
+    options.division = zatel::DivisionMethod::Fine {
+        chunk_width: 0,
+        chunk_height: 2,
+    };
+    panics.options = Some(options);
     let resp = client
         .post_json_with_headers(
             "/v1/predict",

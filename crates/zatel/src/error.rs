@@ -11,6 +11,18 @@ pub enum ZatelError {
     InvalidOptions(String),
     /// A run-history file (`runs.jsonl`) is missing, empty or malformed.
     History(String),
+    /// The image divides into too few chunks to give each of the K groups a
+    /// pixel ([`chunk_count`](crate::partition::chunk_count)).
+    TooFewChunks {
+        /// Image width in pixels.
+        width: u32,
+        /// Image height in pixels.
+        height: u32,
+        /// Number of groups.
+        k: u32,
+        /// Chunks the division deals out.
+        chunks: u64,
+    },
 }
 
 impl std::fmt::Display for ZatelError {
@@ -19,6 +31,16 @@ impl std::fmt::Display for ZatelError {
             ZatelError::Downscale(e) => write!(f, "{e}"),
             ZatelError::InvalidOptions(msg) => write!(f, "invalid Zatel options: {msg}"),
             ZatelError::History(msg) => write!(f, "run history: {msg}"),
+            ZatelError::TooFewChunks {
+                width,
+                height,
+                k,
+                chunks,
+            } => write!(
+                f,
+                "a {width}x{height} image divides into {chunks} chunk(s), too few to give \
+                 each of K = {k} groups a pixel; raise the resolution or lower K"
+            ),
         }
     }
 }
@@ -27,7 +49,9 @@ impl std::error::Error for ZatelError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ZatelError::Downscale(e) => Some(e),
-            ZatelError::InvalidOptions(_) | ZatelError::History(_) => None,
+            ZatelError::InvalidOptions(_)
+            | ZatelError::History(_)
+            | ZatelError::TooFewChunks { .. } => None,
         }
     }
 }

@@ -99,6 +99,26 @@ pub fn divide(width: u32, height: u32, k: u32, method: DivisionMethod) -> Vec<Gr
     }
 }
 
+/// How many chunks [`divide`] deals out to the `k` groups: fine chunks, or
+/// coarse grid cells that hold a pixel. With fewer than `k`, some group
+/// gets no pixel.
+///
+/// # Panics
+///
+/// Panics if `k == 0` or (fine-grained) a chunk dimension is zero.
+pub fn chunk_count(width: u32, height: u32, k: u32, method: DivisionMethod) -> u64 {
+    match method {
+        DivisionMethod::Coarse => {
+            let (rows, cols) = grid_shape(k);
+            u64::from(rows.min(height)) * u64::from(cols.min(width))
+        }
+        DivisionMethod::Fine {
+            chunk_width,
+            chunk_height,
+        } => u64::from(width.div_ceil(chunk_width)) * u64::from(height.div_ceil(chunk_height)),
+    }
+}
+
 /// Picks the factor pair `rows × cols = k` with rows ≤ cols closest to
 /// square (Fig. 5 splits K=6 into 3 rows × 2 columns; we produce 2 × 3,
 /// equivalent up to orientation).

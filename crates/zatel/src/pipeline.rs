@@ -25,7 +25,7 @@ use crate::error::ZatelError;
 use crate::extrapolate::{linear_to_full, regression_to_full};
 use crate::heatmap::Heatmap;
 use crate::metrics::abs_error;
-use crate::partition::{DivisionMethod, Group};
+use crate::partition::{chunk_count, DivisionMethod, Group};
 use crate::select::{Selection, SelectionOptions};
 use crate::sim_executor::{available_jobs, SimExecutor};
 use crate::stages::{
@@ -515,6 +515,14 @@ impl<'s> Zatel<'s> {
             &(),
             0,
         );
+        if groups.iter().any(|g| g.pixels.is_empty()) {
+            return Err(ZatelError::TooFewChunks {
+                width: self.width,
+                height: self.height,
+                k,
+                chunks: chunk_count(self.width, self.height, k, self.options.division),
+            });
+        }
         let select_input = SelectInput {
             groups: Arc::clone(&groups),
             quantized: Arc::clone(&quantized),
@@ -795,6 +803,7 @@ minijson::record! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::divide;
     use rtcore::scenes::SceneId;
 
     fn trace() -> TraceConfig {
@@ -836,6 +845,74 @@ mod tests {
             set(&mut options);
             let err = options.validate().expect_err("invalid options accepted");
             assert!(matches!(err, ZatelError::InvalidOptions(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn small_images_predict_or_report_too_few_chunks() {
+        // Every preset and division at res 1..=16: an image too small to
+        // give each group a pixel is a typed error naming the resolution, K
+        // and the chunk count, and nothing panics.
+        let scene = SceneId::Sprng.build(1);
+        let mut rejected = Vec::new();
+        for config in [GpuConfig::mobile_soc(), GpuConfig::rtx_2060()] {
+            for division in [DivisionMethod::default_fine(), DivisionMethod::Coarse] {
+                for res in 1..=16 {
+                    let options = ZatelOptions {
+                        division,
+                        parallel: false,
+                        ..ZatelOptions::default()
+                    };
+                    let z =
+                        Zatel::new(&scene, config.clone(), res, res, trace()).with_options(options);
+                    let k = z.resolve_factor().expect("preset factor");
+                    let empty = divide(res, res, k, division)
+                        .iter()
+                        .any(|g| g.pixels.is_empty());
+                    match z.run() {
+                        Ok(prediction) => {
+                            assert!(!empty, "res {res}: a group is empty");
+                            assert_eq!(prediction.groups.len(), k as usize);
+                        }
+                        Err(err @ ZatelError::TooFewChunks { .. }) => {
+                            assert!(empty, "res {res}: rejected, but no group is empty");
+                            let chunks = chunk_count(res, res, k, division);
+                            assert!(chunks < u64::from(k));
+                            assert_eq!(
+                                err,
+                                ZatelError::TooFewChunks {
+                                    width: res,
+                                    height: res,
+                                    k,
+                                    chunks,
+                                }
+                            );
+                            let text = err.to_string();
+                            for part in [
+                                format!("{res}x{res}"),
+                                format!("K = {k}"),
+                                format!("{chunks} chunk"),
+                            ] {
+                                assert!(text.contains(&part), "{text}");
+                            }
+                            rejected.push((k, matches!(division, DivisionMethod::Coarse), res));
+                        }
+                        Err(err) => panic!("res {res}: {err}"),
+                    }
+                }
+            }
+        }
+        // Among the rejected: Mobile (K = 4) fine at res 6, RTX 2060
+        // (K = 6) fine at res 10, coarse at res 1 on both and at res 2 on
+        // the RTX 2060.
+        for case in [
+            (4, false, 6),
+            (6, false, 10),
+            (4, true, 1),
+            (6, true, 1),
+            (6, true, 2),
+        ] {
+            assert!(rejected.contains(&case), "{case:?} not rejected");
         }
     }
 
