@@ -78,8 +78,8 @@ fn main() {
         timeline: false,
         ..obs::ObserveOptions::default()
     });
-    let mut prediction = zatel.run().expect("observed pipeline runs");
+    let prediction = zatel.run().expect("observed pipeline runs");
     bench::print_spans(&prediction);
-    let registry = bench::collect_metrics(&mut prediction);
+    let registry = bench::collect_metrics(&prediction);
     bench::save_prometheus("fig14_runtime", &registry);
 }

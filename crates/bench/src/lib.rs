@@ -223,11 +223,11 @@ pub fn save_json(name: &str, value: &minijson::Value) {
 /// [`zatel::ZatelOptions::observe`] set into one [`obs::MetricsRegistry`]
 /// (group order, so fixed-seed snapshots are reproducible). Returns an
 /// empty registry when the run was not observed.
-pub fn collect_metrics(prediction: &mut zatel::Prediction) -> obs::MetricsRegistry {
+pub fn collect_metrics(prediction: &zatel::Prediction) -> obs::MetricsRegistry {
     let mut registry = obs::MetricsRegistry::new();
-    for group in &mut prediction.groups {
-        if let Some(o) = group.obs.as_mut() {
-            o.export(&mut registry);
+    for group in &prediction.groups {
+        if let Some(o) = &group.obs {
+            o.export(&group.stats, &mut registry);
         }
     }
     registry

@@ -101,7 +101,7 @@ fn print_help() {
            --reference         also run the full simulation and report errors\n\
            --json              emit machine-readable JSON instead of tables\n\
            --jobs N            worker threads for group simulation (default: host cores)\n\
-           --progress          per-group progress lines + engine trace counters (stderr)\n\
+           --progress          per-group progress lines + phase counts by class (stderr)\n\
            --trace-out FILE    write a Perfetto/Chrome-trace JSON timeline of the run\n\
            --run-out FILE      persist a zatel-run-v1 record for 'zatel report'\n\
            --request-id ID     tag the run with a caller-chosen request ID\n\
@@ -209,9 +209,6 @@ fn scene_from(args: &Args) -> Result<(SceneId, rtcore::scene::Scene, u64), Strin
     let scene = id.build(seed);
     Ok((id, scene, seed))
 }
-
-/// Simulated-cycle width of one `--progress` CPI-stack slice.
-const PROGRESS_SLICE_CYCLES: u64 = 100_000;
 
 /// Applies the pipeline options shared by `predict` and `sweep`
 /// (`--k`/`--no-downscale`, `--division`, `--dist`, `--percent`, `--cap`,
@@ -334,10 +331,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     }
 
     let options = request.options.get_or_insert_with(Default::default);
-    if progress {
-        options.trace_slice_cycles = Some(PROGRESS_SLICE_CYCLES);
-    }
-    if trace_out.is_some() || run_out.is_some() {
+    if progress || trace_out.is_some() || run_out.is_some() {
         options.observe = Some(ObserveOptions {
             timeline: trace_out.is_some(),
             ..ObserveOptions::default()
@@ -366,15 +360,11 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
                 g.stats.cycles,
                 g.wall.as_secs_f64(),
             );
-            if let Some(trace) = &g.trace {
-                let c = trace.counters();
+            if let Some(obs) = &g.obs {
+                let [compute, memory, rt] = obs.phase_counts();
                 eprint!(
-                    " | {} phases over {} slices, cpi c/m/r {}/{}/{}",
-                    c.phases(),
-                    trace.slices().len(),
-                    c.compute_phases,
-                    c.memory_phases,
-                    c.rt_phases,
+                    " | {} phases (compute/memory/rt {compute}/{memory}/{rt})",
+                    compute + memory + rt,
                 );
             }
             eprintln!();
@@ -812,11 +802,8 @@ fn run_record(
         "prediction".into(),
         MetricValues::from_prediction(prediction).to_json(),
     );
-    // The served group shape, without the engine traces.
-    let groups = prediction.groups.iter().map(|g| GroupReport {
-        trace: None,
-        ..GroupReport::from_outcome(g)
-    });
+    // The served group shape.
+    let groups = prediction.groups.iter().map(GroupReport::from_outcome);
     rec.insert("groups".into(), groups.collect::<Vec<_>>().to_json());
     rec.insert(
         "spans".into(),

@@ -154,14 +154,17 @@ fn predict_progress_prints_group_lines_on_stderr() {
     assert!(out.status.success());
     let err = String::from_utf8(out.stderr).expect("utf8 stderr");
     assert!(err.contains("group 1/"), "per-group progress line: {err}");
-    assert!(err.contains("phases over"), "trace counters shown: {err}");
+    assert!(
+        err.contains("phases (compute/memory/rt "),
+        "phase counts shown: {err}"
+    );
     assert!(
         err.contains("simulation wall"),
         "total sim wall shown: {err}"
     );
     // Progress is diagnostic output: none of it may leak into stdout.
     let text = String::from_utf8(out.stdout).expect("utf8 stdout");
-    for leaked in ["group 1/", "phases over", "simulation wall"] {
+    for leaked in ["group 1/", "phases (compute", "simulation wall"] {
         assert!(!text.contains(leaked), "'{leaked}' leaked to stdout");
     }
 }
@@ -213,18 +216,14 @@ fn predict_json_reports_group_wall_times() {
     for g in groups {
         assert!(g.get("wall_ms").and_then(minijson::Value::as_f64).unwrap() >= 0.0);
         assert!(g.get("cycles").and_then(minijson::Value::as_u64).unwrap() > 0);
-        let counters = g
-            .get("trace")
-            .and_then(|t| t.get("counters"))
-            .expect("trace attached");
-        assert!(
-            counters
-                .get("warps_launched")
-                .and_then(minijson::Value::as_u64)
-                .unwrap()
-                > 0
-        );
     }
+    let warps_launched = v
+        .get("metrics")
+        .and_then(|m| m.get("warps_launched"))
+        .and_then(|c| c.get("value"))
+        .and_then(minijson::Value::as_u64)
+        .expect("--progress observes the run");
+    assert!(warps_launched > 0);
 }
 
 #[test]

@@ -59,9 +59,7 @@ pub mod workload;
 
 pub use config::{gcd, CacheConfig, DownscaleError, GpuConfig};
 pub use gpu::Simulator;
-pub use hooks::{
-    CacheLevel, NullHooks, PhaseClass, SimHooks, TraceCounters, TraceHooks, TraceSlice,
-};
+pub use hooks::{NullHooks, PhaseClass, SimHooks};
 pub use stats::{CombineRule, Metric, SimStats};
 pub use workload::{MemSpace, Op, PhaseMix, ThreadProgram, WarpProgram, Workload};
 

@@ -192,8 +192,6 @@ pub struct GroupReport {
     pub cycles: u64,
     /// Host wall-clock of the group's simulation, in milliseconds.
     pub wall_ms: f64,
-    /// Engine trace (opaque `TraceHooks` JSON), when tracing was on.
-    pub trace: Option<Value>,
 }
 
 impl GroupReport {
@@ -206,7 +204,6 @@ impl GroupReport {
             target_percent: outcome.target_percent,
             cycles: outcome.stats.cycles,
             wall_ms: outcome.wall.as_secs_f64() * 1000.0,
-            trace: outcome.trace.as_ref().map(ToJson::to_json),
         }
     }
 }
@@ -219,7 +216,6 @@ minijson::record! {
         "target_percent" => target_percent,
         "cycles" => cycles,
         "wall_ms" => wall_ms,
-        "trace" => trace: skip_none,
     }
 }
 
@@ -392,7 +388,6 @@ mod tests {
                 target_percent: 0.5,
                 cycles: 123_456,
                 wall_ms: 12.5,
-                trace: None,
             }],
             reference: Some(ReferenceReport {
                 metrics: MetricValues([1.4, 2.1e6, 0.26, 0.13, 0.88, 0.79, 0.41]),

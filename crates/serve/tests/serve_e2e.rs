@@ -47,8 +47,9 @@ fn in_process_response(req: &PredictRequest) -> PredictResponse {
 }
 
 /// `doc` with the removed intra-simulation thread knobs injected into its
-/// `hints` (and, when present, `options`) object — unknown fields now,
-/// which every `zatel-api-v1` parser ignores.
+/// `hints` (and, when present, `options`) object, and the removed engine
+/// trace slice width into `options` — unknown fields now, which every
+/// `zatel-api-v1` parser ignores.
 fn with_legacy_thread_knobs(doc: &Value) -> Value {
     let text = doc
         .to_string()
@@ -56,7 +57,10 @@ fn with_legacy_thread_knobs(doc: &Value) -> Value {
             r#""hints":{"#,
             r#""hints":{"sim_threads":4,"timing_threads":2,"#,
         )
-        .replace(r#""options":{"#, r#""options":{"sim_threads":4,"#);
+        .replace(
+            r#""options":{"#,
+            r#""options":{"sim_threads":4,"trace_slice_cycles":5000,"#,
+        );
     assert!(text.contains("timing_threads"), "no hints object in {doc}");
     Value::parse(&text).expect("legacy doc")
 }
@@ -418,8 +422,8 @@ fn logging_and_legacy_thread_knobs_never_change_the_deterministic_subset() {
     // Satellite of the determinism contract: a server with JSONL logging
     // serves byte-identical deterministic subsets to the unlogged
     // in-process pipeline — also for a `zatel-api-v1` document that still
-    // carries the removed intra-simulation thread knobs (unknown fields
-    // now, ignored by the parsers).
+    // carries the removed intra-simulation thread knobs and engine trace
+    // slice width (unknown fields now, ignored by the parsers).
     let log_path =
         std::env::temp_dir().join(format!("zatel-serve-det-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&log_path);

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpusim::{GpuConfig, Metric, SimStats, Simulator, TraceHooks};
+use gpusim::{GpuConfig, Metric, SimStats, Simulator};
 use minijson::{FromJson, JsonError, ToJson, Value};
 use obs::span::SpanSheet;
 use obs::{ObsHooks, ObserveOptions, SpanRecord};
@@ -71,28 +71,19 @@ pub struct ZatelOptions {
     ///
     /// [`parallel`]: ZatelOptions::parallel
     pub jobs: Option<usize>,
-    /// When set, each group simulation runs with a
-    /// [`TraceHooks`] observer sampling one CPI-stack slice every this
-    /// many cycles, and the trace is attached to the group's
-    /// [`GroupOutcome::trace`]. Tracing never changes the simulated
-    /// statistics — hooks observe only.
-    pub trace_slice_cycles: Option<u64>,
-    /// When set, each group simulation additionally runs with an
-    /// [`ObsHooks`] observer (histograms, counters and optionally a
-    /// Perfetto timeline), attached to the group's
-    /// [`GroupOutcome::obs`]. Like tracing, observing never changes the
-    /// simulated statistics.
+    /// When set, each group simulation runs with an [`ObsHooks`]
+    /// observer (histograms, counters and optionally a Perfetto
+    /// timeline), attached to the group's [`GroupOutcome::obs`].
+    /// Observing never changes the simulated statistics — hooks observe
+    /// only.
     pub observe: Option<ObserveOptions>,
 }
 
 impl ZatelOptions {
     /// Checks option invariants that would otherwise panic (or silently
-    /// misbehave) deep inside the engine: a zero
-    /// [`trace_slice_cycles`], an empty worker pool, a degenerate
-    /// quantization or selection parameters outside their documented
-    /// domains.
-    ///
-    /// [`trace_slice_cycles`]: ZatelOptions::trace_slice_cycles
+    /// misbehave) deep inside the engine: an empty worker pool, a
+    /// degenerate quantization or selection parameters outside their
+    /// documented domains.
     ///
     /// # Errors
     ///
@@ -100,11 +91,6 @@ impl ZatelOptions {
     /// option.
     pub fn validate(&self) -> Result<(), ZatelError> {
         let invalid = |msg: String| Err(ZatelError::InvalidOptions(msg));
-        if self.trace_slice_cycles == Some(0) {
-            return invalid(
-                "trace_slice_cycles must be positive (use None to disable tracing)".into(),
-            );
-        }
         if self.jobs == Some(0) {
             return invalid("jobs must be positive (use None to size to the host)".into());
         }
@@ -147,7 +133,6 @@ impl Default for ZatelOptions {
             downscale: DownscaleMode::Natural,
             parallel: true,
             jobs: None,
-            trace_slice_cycles: None,
             observe: None,
         }
     }
@@ -168,9 +153,6 @@ pub struct GroupOutcome {
     pub stats: SimStats,
     /// Host wall-clock time of this group's simulation.
     pub wall: Duration,
-    /// Engine trace collected when
-    /// [`ZatelOptions::trace_slice_cycles`] is set.
-    pub trace: Option<TraceHooks>,
     /// Observability recording (histograms, counters, timeline) collected
     /// when [`ZatelOptions::observe`] is set.
     pub obs: Option<ObsHooks>,
@@ -655,17 +637,14 @@ impl<'s> Zatel<'s> {
             .with_selection(selection.mask.clone());
             let traced_fraction = workload.traced_fraction();
             let simulator = Simulator::new(down.clone());
-            let trace_hooks = self.options.trace_slice_cycles.map(TraceHooks::new);
-            let obs_hooks = self.options.observe.as_ref().map(|o| {
-                ObsHooks::for_gpu(group.index, &format!("group {}", group.index), down, o)
-            });
-            let (stats, trace, obs) = if trace_hooks.is_none() && obs_hooks.is_none() {
+            let (stats, obs) = match &self.options.observe {
                 // The uninstrumented path keeps the NullHooks monomorphization.
-                (simulator.run(&workload), None, None)
-            } else {
-                let mut hooks = (trace_hooks, obs_hooks);
-                let stats = simulator.run_with_hooks(&workload, &mut hooks);
-                (stats, hooks.0, hooks.1)
+                None => (simulator.run(&workload), None),
+                Some(o) => {
+                    let label = format!("group {}", group.index);
+                    let mut obs = ObsHooks::for_gpu(group.index, &label, down, o);
+                    (simulator.run_with_hooks(&workload, &mut obs), Some(obs))
+                }
             };
             GroupOutcome {
                 index: group.index,
@@ -674,7 +653,6 @@ impl<'s> Zatel<'s> {
                 target_percent: selection.target_percent,
                 stats,
                 wall: Duration::ZERO, // filled from the executor's timing
-                trace,
                 obs,
             }
         };
@@ -795,7 +773,6 @@ minijson::record! {
         "downscale" => downscale,
         "parallel" => parallel,
         "jobs" => jobs,
-        "trace_slice_cycles" => trace_slice_cycles,
         "observe" => observe,
     }
 }
@@ -830,8 +807,7 @@ mod tests {
         options.selection.clamp = (0.1, 0.9);
         options.validate().expect("valid options");
 
-        let broken: [fn(&mut ZatelOptions); 8] = [
-            |o| o.trace_slice_cycles = Some(0),
+        let broken: [fn(&mut ZatelOptions); 7] = [
             |o| o.jobs = Some(0),
             |o| o.quant_colors = 0,
             |o| o.selection.percent_override = Some(0.0),
@@ -1103,42 +1079,6 @@ mod tests {
                 crate::metrics::abs_error(p, r) < 0.05,
                 "{m}: predicted {p} vs reference {r}"
             );
-        }
-    }
-
-    #[test]
-    fn tracing_does_not_change_prediction() {
-        let scene = SceneId::Sprng.build(1);
-        let mut z = quick_zatel(&scene);
-        let plain = z.run().unwrap();
-        assert!(plain.groups.iter().all(|g| g.trace.is_none()));
-        z.options_mut().trace_slice_cycles = Some(10_000);
-        z.options_mut().jobs = Some(2);
-        let traced = z.run().unwrap();
-        for m in Metric::ALL {
-            assert_eq!(plain.value(m), traced.value(m), "{m} must ignore tracing");
-        }
-        for g in &traced.groups {
-            let trace = g.trace.as_ref().expect("trace attached");
-            assert_eq!(trace.counters().phases(), g.stats.warp_issues);
-        }
-    }
-
-    #[test]
-    fn zero_slice_width_is_an_error_not_a_panic() {
-        let scene = SceneId::Sprng.build(1);
-        let mut z = quick_zatel(&scene);
-        z.options_mut().trace_slice_cycles = Some(0);
-        for result in [
-            z.run(),
-            z.execute(&RunContext::new().with_regression([0.2, 0.3, 0.4])),
-        ] {
-            match result {
-                Err(ZatelError::InvalidOptions(msg)) => {
-                    assert!(msg.contains("trace_slice_cycles"), "message: {msg}")
-                }
-                other => panic!("expected InvalidOptions, got {other:?}"),
-            }
         }
     }
 

@@ -33,7 +33,7 @@ pub use zatel;
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {
-    pub use gpusim::{GpuConfig, Metric, NullHooks, SimHooks, SimStats, Simulator, TraceHooks};
+    pub use gpusim::{GpuConfig, Metric, NullHooks, SimHooks, SimStats, Simulator};
     pub use obs::{MetricsRegistry, ObsHooks, ObserveOptions, SpanSheet};
     pub use rtcore::scenes::SceneId;
     pub use rtcore::tracer::TraceConfig;

@@ -4,7 +4,7 @@
 //! * group simulation must produce **bit-identical** `SimStats` whether it
 //!   runs serially or on any number of `sim_executor` workers;
 //! * the `SimHooks` seam must be observation-only: `NullHooks` and
-//!   `TraceHooks` runs match a plain run exactly;
+//!   `ObsHooks` runs match a plain run exactly;
 //! * a golden-stats table over all eight scenes anchors the engine's
 //!   timing behaviour against silent drift in future refactors.
 
@@ -60,10 +60,11 @@ fn null_hooks_run_matches_plain_run_exactly() {
         plain, hooked,
         "NullHooks must add zero counters and zero perturbation"
     );
-    let mut tracing = TraceHooks::new(50_000);
-    let traced = sim.run_with_hooks(&workload, &mut tracing);
-    assert_eq!(plain, traced, "TraceHooks must observe without perturbing");
-    assert_eq!(tracing.counters().phases(), plain.warp_issues);
+    let config = GpuConfig::mobile_soc();
+    let mut obs = ObsHooks::for_gpu(0, "frame", &config, &ObserveOptions::default());
+    let observed = sim.run_with_hooks(&workload, &mut obs);
+    assert_eq!(plain, observed, "ObsHooks must observe without perturbing");
+    assert_eq!(obs.phase_counts().iter().sum::<u64>(), plain.warp_issues);
 }
 
 /// Engine fingerprint of a scene: a cross-section of counters that any

@@ -138,7 +138,6 @@ fn zatel_options_roundtrip() {
     opts.downscale = DownscaleMode::Factor(3);
     opts.parallel = false;
     opts.jobs = Some(5);
-    opts.trace_slice_cycles = Some(50_000);
     opts.observe = Some(obs::ObserveOptions {
         timeline: true,
         ..obs::ObserveOptions::default()
