@@ -43,17 +43,14 @@ fn run_panel(
             for &scene_id in scenes {
                 let scene = bench::build_scene(scene_id);
                 let reference = bench::reference(&scene, &config);
-                // Error figure (no wall-clock numbers), so the factor axis
-                // fans out across points on the shared executor. The
-                // artifact cache is shared across configs, divisions and
-                // panels: each scene's heatmap/quantization is computed
-                // once for the whole figure.
+                // The artifact cache is shared across configs, divisions
+                // and panels: each scene's heatmap/quantization is
+                // computed once for the whole figure.
                 let mut base = Zatel::new(&scene, config.clone(), res, res, bench::trace_config());
                 base.options_mut().division = division;
                 base.options_mut().selection.percent_override = Some(1.0);
-                let driver = SweepDriver::new(base)
-                    .with_executor(bench::executor())
-                    .with_cache(Arc::clone(cache));
+                base.options_mut().jobs = Some(bench::jobs());
+                let driver = SweepDriver::new(base).with_cache(Arc::clone(cache));
                 let errors: Vec<Vec<f64>> = driver
                     .run(&SweepSpec::from_factors(&factors))
                     .expect("pipeline runs")

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use rtcore::scenes::SceneId;
-use zatel::{ArtifactCache, SweepDriver, SweepParallelism, SweepSpec, Zatel};
+use zatel::{ArtifactCache, SweepDriver, SweepSpec, Zatel};
 use zatel_bench as bench;
 
 fn main() {
@@ -24,18 +24,17 @@ fn main() {
     bench::row(&header[0], &header[1..]);
 
     let mut json = minijson::Map::new();
-    // Wall-clock figure: points run serially (groups fan out inside each
-    // point) so per-group timings stay meaningful; the shared cache still
-    // profiles each scene's heatmap only once across the factor axis.
+    // Wall-clock figure: every group job is timed on its own, whichever
+    // worker ran it; the shared cache profiles each scene's heatmap only
+    // once across the factor axis.
     let cache = Arc::new(ArtifactCache::in_memory());
     for scene_id in SceneId::ALL {
         let scene = bench::build_scene(scene_id);
         let reference = bench::reference(&scene, &config);
         let mut base = Zatel::new(&scene, config.clone(), res, res, bench::trace_config());
         base.options_mut().selection.percent_override = Some(1.0);
-        let driver = SweepDriver::new(base)
-            .with_parallelism(SweepParallelism::Groups)
-            .with_cache(Arc::clone(&cache));
+        base.options_mut().jobs = Some(bench::jobs());
+        let driver = SweepDriver::new(base).with_cache(Arc::clone(&cache));
         let outcomes = driver
             .run(&SweepSpec::from_factors(&factors))
             .expect("pipeline runs");

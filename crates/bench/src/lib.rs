@@ -12,7 +12,7 @@
 //! | `ZATEL_RES` | 192 | Square image resolution for every experiment |
 //! | `ZATEL_SPP` | 2 | Samples per pixel (the paper uses 2) |
 //! | `ZATEL_SEED` | 42 | Master seed for scenes/tracing/selection |
-//! | `ZATEL_JOBS` | host cores | Worker threads for sweep/group simulation |
+//! | `ZATEL_JOBS` | host cores | `ZatelOptions::jobs` of the sweeps: worker threads for their group simulations |
 //!
 //! The paper evaluates at 512×512; the default of 192×192 keeps the full
 //! suite within minutes while preserving every trend (all reported
@@ -32,7 +32,7 @@ use rtcore::scene::Scene;
 use rtcore::scenes::SceneId;
 use rtcore::tracer::TraceConfig;
 use rtworkload::RtWorkload;
-use zatel::sim_executor::{available_jobs, SimExecutor};
+use zatel::sim_executor::available_jobs;
 use zatel::Reference;
 
 /// Reads a `u64` environment variable with a default.
@@ -53,16 +53,10 @@ pub fn seed() -> u64 {
     env_u64("ZATEL_SEED", 42)
 }
 
-/// Sweep worker-thread count, from `ZATEL_JOBS` (defaults to the host's
-/// available parallelism).
+/// The sweeps' `ZatelOptions::jobs`, from `ZATEL_JOBS` (defaults to the
+/// host's available parallelism).
 pub fn jobs() -> usize {
     env_u64("ZATEL_JOBS", available_jobs() as u64).max(1) as usize
-}
-
-/// The shared executor every bench sweep fans out on: `ZATEL_JOBS` workers
-/// seeded with the master seed.
-pub fn executor() -> SimExecutor {
-    SimExecutor::seeded(jobs(), seed())
 }
 
 /// The evaluation trace configuration (2 spp like the paper).
@@ -174,9 +168,10 @@ pub struct SweepPoint {
 /// Runs the pixel-sampling sweep of Figs. 13–16: the scene is traced at
 /// each percentage *without GPU downscaling* (isolating the
 /// representative-pixel optimization) and each prediction is returned.
-/// The sweep drives through [`zatel::SweepDriver`] on the shared
-/// [`executor`]: heatmap and quantization are computed once into the
-/// driver's artifact cache and every percentage point reuses them.
+/// The sweep drives through [`zatel::SweepDriver`] with [`jobs`] workers:
+/// heatmap and quantization are computed once into the driver's artifact
+/// cache, every percentage point reuses them, and all points' group
+/// simulations run in one pass.
 pub fn percent_sweep(
     scene: &Scene,
     config: &GpuConfig,
@@ -185,7 +180,8 @@ pub fn percent_sweep(
     let res = resolution();
     let mut base = zatel::Zatel::new(scene, config.clone(), res, res, trace_config());
     base.options_mut().downscale = zatel::DownscaleMode::NoDownscale;
-    let driver = zatel::SweepDriver::new(base).with_executor(executor());
+    base.options_mut().jobs = Some(jobs());
+    let driver = zatel::SweepDriver::new(base);
     driver
         .run(&zatel::SweepSpec::from_percents(percents))?
         .into_iter()

@@ -370,7 +370,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
             eprintln!();
         }
         eprintln!(
-            "  simulation wall {:.3}s",
+            "  simulation wall {:.3}s (summed over the group jobs)",
             prediction.sim_wall.as_secs_f64()
         );
     }

@@ -601,10 +601,13 @@ fn sweep_matrix_appends_runs_and_warm_cache_agrees() {
             .expect("heatmap outcome")
             .to_owned()
     };
-    // Within a run the driver pre-warms, so points see memory hits; the
-    // warm process never recomputes (its pre-warm loads from disk).
-    assert_eq!(heatmap_outcome(&cold_pts[0]), "memory");
-    assert_eq!(heatmap_outcome(&warm_pts[0]), "memory");
+    // Within a run the driver plans points in order, so only the first
+    // point computes the heatmap and later points see memory hits; the
+    // warm process never recomputes (its first point loads from disk).
+    assert_eq!(heatmap_outcome(&cold_pts[0]), "miss");
+    assert_eq!(heatmap_outcome(&cold_pts[1]), "memory");
+    assert_eq!(heatmap_outcome(&warm_pts[0]), "disk");
+    assert_eq!(heatmap_outcome(&warm_pts[1]), "memory");
 
     let lines: Vec<String> = std::fs::read_to_string(&runs)
         .expect("runs.jsonl written")

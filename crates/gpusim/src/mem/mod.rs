@@ -3,11 +3,9 @@
 mod cache;
 mod dram;
 mod hierarchy;
-mod interconnect;
 mod partition;
 
 pub use cache::{Cache, Probe};
 pub use dram::{DramChannel, RowBufferConfig};
 pub use hierarchy::MemoryHierarchy;
-pub use interconnect::Interconnect;
 pub use partition::MemPartition;

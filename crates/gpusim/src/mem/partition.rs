@@ -68,9 +68,8 @@ impl MemPartition {
         }
     }
 
-    /// Crosses the interconnect through one of this partition's ports
-    /// (same arithmetic as the crossbar model: per-direction port
-    /// serialization plus a fixed traversal latency).
+    /// Crosses the interconnect through one of this partition's ports:
+    /// per-direction port serialization plus a fixed traversal latency.
     fn cross(&mut self, response: bool, now: u64, bytes: u32) -> u64 {
         let occupancy = ((bytes as f32 / self.icnt_bytes_per_cycle).ceil() as u64).max(1);
         let port = if response {
@@ -186,6 +185,48 @@ mod tests {
         let warm = p.read(0, cold.data_ready);
         assert!(warm.l2_hit);
         assert!(warm.data_ready < cold.data_ready * 2 + 400);
+    }
+
+    /// Cycles a `bytes`-sized packet occupies a port of [`part`].
+    fn occupancy(bytes: u32) -> u64 {
+        let config = GpuConfig::mobile_soc();
+        ((bytes as f32 / config.interconnect_bytes_per_cycle).ceil() as u64).max(1)
+    }
+
+    #[test]
+    fn uncontended_transfer_takes_latency_plus_serialization() {
+        let mut p = part();
+        let latency = GpuConfig::mobile_soc().interconnect_latency as u64;
+        assert_eq!(p.cross(false, 100, 128), 100 + occupancy(128) + latency);
+        assert_eq!(p.icnt_transfers(), 1);
+        assert_eq!(p.icnt_busy_cycles(), occupancy(128));
+    }
+
+    #[test]
+    fn small_packets_take_one_cycle() {
+        let mut p = part();
+        let latency = GpuConfig::mobile_soc().interconnect_latency as u64;
+        assert_eq!(occupancy(1), 1);
+        assert_eq!(p.cross(false, 0, 1), 1 + latency);
+    }
+
+    #[test]
+    fn same_port_serializes() {
+        let mut p = part();
+        let a = p.cross(false, 0, 128);
+        let b = p.cross(false, 0, 128);
+        assert_eq!(b, a + occupancy(128), "second packet waits for the port");
+        let c = p.cross(true, 0, 128);
+        let d = p.cross(true, 0, 128);
+        assert_eq!(d, c + occupancy(128), "so does a second response");
+    }
+
+    #[test]
+    fn request_and_response_ports_are_independent() {
+        let mut p = part();
+        let request = p.cross(false, 0, 128);
+        let response = p.cross(true, 0, 128);
+        assert_eq!(request, response, "directions have separate ports");
     }
 
     #[test]

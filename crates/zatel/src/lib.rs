@@ -79,4 +79,4 @@ pub use sim_executor::{JobTiming, SimExecutor};
 pub use stages::{
     ArtifactCache, CacheOutcome, CacheStats, DiskTier, DiskTierStats, StageCacheRecord, TieredCache,
 };
-pub use sweep::{SweepDriver, SweepOutcome, SweepParallelism, SweepPointSpec, SweepSpec};
+pub use sweep::{SweepDriver, SweepOutcome, SweepPointSpec, SweepSpec};

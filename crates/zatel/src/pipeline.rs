@@ -1,13 +1,15 @@
 //! The end-to-end Zatel pipeline (paper Fig. 3): heatmap → quantize →
 //! downscale → divide → select → simulate per group → combine.
 //!
-//! [`Zatel::execute`] is the one path: heatmap, quantize, divide and
-//! select run as [`crate::stages`] through an [`ArtifactCache`], so callers
-//! that share a cache across runs (the [`crate::sweep`] driver, the
-//! serve workers) reuse those artifacts instead of recomputing them; group
-//! simulation and extrapolation are plain calls. The Section IV-F
-//! regression variant differs only in selecting and simulating three
-//! traced fractions and fitting through them.
+//! [`Zatel::execute`] is the one path, in three steps. *Plan*: heatmap,
+//! quantize, divide and select run as [`crate::stages`] through an
+//! [`ArtifactCache`], so callers that share a cache across runs (the
+//! [`crate::sweep`] driver, the serve workers) reuse those artifacts
+//! instead of recomputing them. *Run*: every group simulation is one job
+//! of a single [`SimExecutor::map_timed`] call. *Finish*: extrapolation.
+//! The Section IV-F regression variant differs only in planning three
+//! traced fractions and fitting through them; a sweep runs all its points'
+//! jobs in the same one pass.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,7 +29,7 @@ use crate::heatmap::Heatmap;
 use crate::metrics::abs_error;
 use crate::partition::{chunk_count, DivisionMethod, Group};
 use crate::select::{Selection, SelectionOptions};
-use crate::sim_executor::{available_jobs, SimExecutor};
+use crate::sim_executor::{available_jobs, JobTiming, SimExecutor};
 use crate::stages::{
     ArtifactCache, DivideStage, Fingerprint, HeatmapStage, QuantizeStage, SelectInput, SelectStage,
     Stage, StageCacheRecord,
@@ -178,8 +180,9 @@ pub struct Prediction {
     pub k: u32,
     /// Wall-clock time of preprocessing (heatmap profile + quantization).
     pub preprocess_wall: Duration,
-    /// Wall-clock time of the group-simulation phase (elapsed, so parallel
-    /// groups overlap).
+    /// Host wall-clock time of the group simulations, summed over the
+    /// prediction's jobs (every traced fraction's under regression): the
+    /// serial cost, the same whichever number of workers ran them.
     pub sim_wall: Duration,
     /// Host wall-clock spans of the pipeline phases (heatmap, quantize,
     /// select, simulate-groups with one `group N` span per job, and
@@ -229,19 +232,22 @@ impl Prediction {
         crate::metrics::mae(&errors)
     }
 
-    /// Simulation-time speedup over a reference run (wall-clock, counting
-    /// only the simulation phase, as the paper does).
+    /// Serial simulation-time speedup over a reference run: the
+    /// reference's wall-clock over [`Prediction::sim_wall`], counting only
+    /// the simulation phase as the paper does. This is what one host core
+    /// running the group simulations back to back delivers, whatever
+    /// `jobs` this prediction ran with.
     pub fn speedup_vs(&self, reference: &Reference) -> f64 {
         let z = self.sim_wall.as_secs_f64().max(1e-9);
         reference.wall.as_secs_f64() / z
     }
 
-    /// Simulation-time speedup assuming one host CPU core per group — the
-    /// paper's setup ("simulating each group simultaneously on different
-    /// CPU cores"): reference wall-clock divided by the *slowest single
-    /// group's* wall-clock. On a machine with at least K cores and
-    /// parallel groups enabled this converges to [`Prediction::speedup_vs`];
-    /// on smaller hosts it reports what K cores would deliver.
+    /// Simulation-time speedup with one host core per group — the paper's
+    /// setup ("simulating each group simultaneously on different CPU
+    /// cores"): the reference's wall-clock over the *slowest single
+    /// group's* job wall-clock. Like [`Prediction::speedup_vs`] it is read
+    /// from job timings, so it does not depend on how many workers this
+    /// prediction ran with.
     pub fn speedup_concurrent(&self, reference: &Reference) -> f64 {
         let slowest = self
             .groups
@@ -427,16 +433,22 @@ impl<'s> Zatel<'s> {
     /// Runs the pipeline as described by `ctx` — the single execution
     /// entry point; [`Zatel::run`] is its empty-context spelling.
     ///
+    /// An execution is three steps: *plan* (validate, then run every stage
+    /// through the cache), *run* (every group simulation as one job list
+    /// on [`Zatel::executor`]) and *finish* (extrapolate). A
+    /// [`crate::SweepDriver`] plans each of its points the same way and
+    /// runs all their jobs in one pass.
+    ///
     /// * [`RunContext::with_cache`] shares stage artifacts across runs:
     ///   cached stages are served instead of recomputed, their spans carry
     ///   a `" (cached)"` suffix, and statistics stay bit-identical to a
     ///   cold run — the cache only removes redundant work.
     /// * [`RunContext::with_regression`] switches to the Section IV-F
     ///   exponential-regression variant: the same heatmap, quantization
-    ///   and division, then one selection and one group simulation per
-    ///   traced fraction, and an exponential fit per metric in place of
-    ///   linear extrapolation. [`Prediction::groups`] are the last
-    ///   fraction's.
+    ///   and division, then one selection and one set of group
+    ///   simulations per traced fraction, and an exponential fit per
+    ///   metric in place of linear extrapolation. [`Prediction::groups`]
+    ///   are the last fraction's.
     ///
     /// # Errors
     ///
@@ -444,6 +456,15 @@ impl<'s> Zatel<'s> {
     /// configured downscale factor is invalid, or the regression fractions
     /// are not equally spaced ascending values in `(0, 1]`.
     pub fn execute(&self, ctx: &RunContext<'_>) -> Result<Prediction, ZatelError> {
+        let plan = self.plan(ctx)?;
+        Ok(run_plans(vec![plan], self.executor()).swap_remove(0))
+    }
+
+    /// Plans one execution: validates, then runs the heatmap, quantize and
+    /// divide stages and one select per traced fraction through `ctx`'s
+    /// cache. What is left are the group simulations and the
+    /// extrapolation ([`run_plans`]).
+    pub(crate) fn plan(&self, ctx: &RunContext<'_>) -> Result<Plan<'_, 's>, ZatelError> {
         self.options.validate()?;
         if let Some(fractions @ [f1, f2, f3]) = ctx.regression {
             let spaced = (f2 - f1) > 0.0 && ((f3 - f2) - (f2 - f1)).abs() < 1e-9;
@@ -515,87 +536,46 @@ impl<'s> Zatel<'s> {
             .write_u64(quantized.fingerprint());
         let select_input_fp = input_h.finish();
 
-        // Selects (through the cache) and simulates the groups under one
-        // selection; the regression variant calls it once per fraction.
-        let mut sim_wall = Duration::ZERO;
-        let mut simulate = |options: SelectionOptions, span: &str| {
-            let (selections, _) = staged(
-                cache,
-                &sheet,
-                &mut records,
-                &SelectStage { options },
-                &select_input,
-                select_input_fp,
-            );
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "measurement around the group simulations, not inside them: feeds only \
-                          Prediction::sim_wall (the speedup denominator), never a predicted value"
-            )]
-            let sim_start = Instant::now();
-            let _span = sheet.span(span);
-            let outcomes = self.simulate_groups(&down, &groups, &selections, &sheet);
-            sim_wall += sim_start.elapsed();
-            outcomes
+        // One selection per traced fraction: the configured one, or the
+        // regression's three.
+        let fractions: Vec<Option<f64>> = match ctx.regression {
+            None => vec![None],
+            Some(fractions) => fractions.map(Some).to_vec(),
         };
+        let traced = fractions
+            .into_iter()
+            .map(|fraction| {
+                let mut options = self.options.selection;
+                let span = match fraction {
+                    None => "simulate-groups".to_owned(),
+                    Some(f) => {
+                        options.percent_override = Some(f);
+                        format!("simulate-groups {:.0}%", f * 100.0)
+                    }
+                };
+                let (selections, _) = staged(
+                    cache,
+                    &sheet,
+                    &mut records,
+                    &SelectStage { options },
+                    &select_input,
+                    select_input_fp,
+                );
+                (span, selections)
+            })
+            .collect();
 
-        let (values, outcomes) = match ctx.regression {
-            None => {
-                let outcomes = simulate(self.options.selection, "simulate-groups");
-                let _span = sheet.span("extrapolate");
-                let values = Metric::ALL.map(|m| {
-                    let measured = outcomes
-                        .iter()
-                        .map(|o| (m.value(&o.stats), o.traced_fraction));
-                    linear_to_full(m, measured)
-                });
-                (values, outcomes)
-            }
-            Some(fractions) => {
-                let runs = fractions.map(|f| {
-                    let options = SelectionOptions {
-                        percent_override: Some(f),
-                        ..self.options.selection
-                    };
-                    let span = format!("simulate-groups {:.0}%", f * 100.0);
-                    (f, simulate(options, &span))
-                });
-                // Raw (non-extrapolated) combined values per fraction feed
-                // the fit; regression replaces linear extrapolation.
-                let _span = sheet.span("extrapolate");
-                let values = Metric::ALL.map(|m| {
-                    regression_to_full(&runs.each_ref().map(|(f, outcomes)| {
-                        let per_group: Vec<f64> =
-                            outcomes.iter().map(|o| m.value(&o.stats)).collect();
-                        (*f, m.combine(&per_group))
-                    }))
-                });
-                let [_, _, (_, outcomes)] = runs;
-                (values, outcomes)
-            }
-        };
-
-        let mut spans = sheet.snapshot();
-        if let Some(id) = &ctx.request_id {
-            spans.insert(
-                0,
-                SpanRecord {
-                    name: format!("request {id}"),
-                    track: 0,
-                    start_us: 0,
-                    dur_us: 0,
-                },
-            );
-        }
-        Ok(Prediction {
-            values,
-            groups: outcomes,
-            k,
+        Ok(Plan {
+            zatel: self,
+            sheet,
+            records,
             preprocess_wall,
-            sim_wall,
-            spans,
-            heatmap: heatmap.as_ref().clone(),
-            cache: records,
+            k,
+            down,
+            groups,
+            heatmap,
+            regression: ctx.regression,
+            traced,
             request_id: ctx.request_id.clone(),
         })
     }
@@ -617,73 +597,52 @@ impl<'s> Zatel<'s> {
         }
     }
 
-    /// Runs every group's simulation (in parallel when configured),
-    /// recording one `group N` span per job on `sheet`.
-    fn simulate_groups(
+    /// Simulates one group under its selection on the downscaled GPU.
+    /// The outcome's wall is filled in from the executor's timing.
+    fn simulate_group(
         &self,
         down: &GpuConfig,
-        groups: &[Group],
-        selections: &[Selection],
-        sheet: &SpanSheet,
-    ) -> Vec<GroupOutcome> {
-        let run_one = |group: &Group, selection: &Selection| -> GroupOutcome {
-            let workload = RtWorkload::new(
-                self.scene,
-                self.width,
-                self.height,
-                self.trace,
-                group.pixels.clone(),
-            )
-            .with_selection(selection.mask.clone());
-            let traced_fraction = workload.traced_fraction();
-            let simulator = Simulator::new(down.clone());
-            let (stats, obs) = match &self.options.observe {
-                // The uninstrumented path keeps the NullHooks monomorphization.
-                None => (simulator.run(&workload), None),
-                Some(o) => {
-                    let label = format!("group {}", group.index);
-                    let mut obs = ObsHooks::for_gpu(group.index, &label, down, o);
-                    (simulator.run_with_hooks(&workload, &mut obs), Some(obs))
-                }
-            };
-            GroupOutcome {
-                index: group.index,
-                pixels: group.pixels.len(),
-                traced_fraction,
-                target_percent: selection.target_percent,
-                stats,
-                wall: Duration::ZERO, // filled from the executor's timing
-                obs,
+        group: &Group,
+        selection: &Selection,
+    ) -> GroupOutcome {
+        let workload = RtWorkload::new(
+            self.scene,
+            self.width,
+            self.height,
+            self.trace,
+            group.pixels.clone(),
+        )
+        .with_selection(selection.mask.clone());
+        let traced_fraction = workload.traced_fraction();
+        let simulator = Simulator::new(down.clone());
+        let (stats, obs) = match &self.options.observe {
+            // The uninstrumented path keeps the NullHooks monomorphization.
+            None => (simulator.run(&workload), None),
+            Some(o) => {
+                let label = format!("group {}", group.index);
+                let mut obs = ObsHooks::for_gpu(group.index, &label, down, o);
+                (simulator.run_with_hooks(&workload, &mut obs), Some(obs))
             }
         };
-
-        let pairs: Vec<(&Group, &Selection)> = groups.iter().zip(selections).collect();
-        let phase_start = sheet.elapsed();
-        let (mut outcomes, timings) = self.executor().map_timed(&pairs, |_, (g, s)| run_one(g, s));
-        for (outcome, timing) in outcomes.iter_mut().zip(&timings) {
-            outcome.wall = timing.wall;
-            sheet.record(
-                &format!("group {}", outcome.index),
-                timing.worker as u32 + 1,
-                phase_start + timing.start,
-                timing.wall,
-            );
+        GroupOutcome {
+            index: group.index,
+            pixels: group.pixels.len(),
+            traced_fraction,
+            target_percent: selection.target_percent,
+            stats,
+            wall: Duration::ZERO,
+            obs,
         }
-        outcomes
     }
 
-    /// The executor group simulation runs on, honouring the `parallel` and
-    /// `jobs` options and seeded with the trace's master seed.
-    ///
-    /// Oversubscribing a single hardware thread only inflates per-group
-    /// wall-clock measurements, so parallelism also requires real cores.
+    /// The executor group simulation runs on: `jobs` workers (the host's
+    /// available parallelism when unset), or one when `parallel` is off.
     pub fn executor(&self) -> SimExecutor {
-        let jobs = match (self.options.parallel, self.options.jobs) {
+        SimExecutor::new(match (self.options.parallel, self.options.jobs) {
             (false, _) => 1,
             (true, Some(n)) => n,
             (true, None) => available_jobs(),
-        };
-        SimExecutor::seeded(jobs, self.trace.seed)
+        })
     }
 
     /// Simulates the full workload on the full-size GPU — the ground truth
@@ -703,6 +662,129 @@ impl<'s> Zatel<'s> {
             wall: start.elapsed(),
         }
     }
+}
+
+/// An execution whose stages have all run ([`Zatel::plan`]): what is left
+/// are its group simulations and the extrapolation.
+#[derive(Debug)]
+pub(crate) struct Plan<'z, 's> {
+    zatel: &'z Zatel<'s>,
+    sheet: SpanSheet,
+    records: Vec<StageCacheRecord>,
+    preprocess_wall: Duration,
+    k: u32,
+    down: GpuConfig,
+    groups: Arc<Vec<Group>>,
+    heatmap: Arc<Heatmap>,
+    regression: Option<[f64; 3]>,
+    /// Per traced fraction: its span name and each group's selection.
+    traced: Vec<(String, Arc<Vec<Selection>>)>,
+    request_id: Option<String>,
+}
+
+impl Plan<'_, '_> {
+    /// The plan's group simulations, fraction by fraction.
+    fn jobs(&self) -> impl Iterator<Item = (&Self, &Group, &Selection)> {
+        self.traced.iter().flat_map(move |(_, selections)| {
+            self.groups
+                .iter()
+                .zip(selections.iter())
+                .map(move |(group, selection)| (self, group, selection))
+        })
+    }
+
+    /// Takes the plan's jobs from `done`, in [`Plan::jobs`] order, records
+    /// their spans relative to `pass_start` (the pass's start on the plan's
+    /// sheet) and extrapolates the prediction.
+    fn finish(
+        self,
+        pass_start: Duration,
+        done: &mut impl Iterator<Item = (GroupOutcome, JobTiming)>,
+    ) -> Prediction {
+        let mut sim_wall = Duration::ZERO;
+        let mut runs = Vec::with_capacity(self.traced.len());
+        for (span, _) in &self.traced {
+            let (mut first, mut last) = (Duration::MAX, Duration::ZERO);
+            let mut outcomes = Vec::with_capacity(self.groups.len());
+            for (mut outcome, timing) in done.by_ref().take(self.groups.len()) {
+                let start = pass_start + timing.start;
+                self.sheet.record(
+                    &format!("group {}", outcome.index),
+                    timing.worker as u32 + 1,
+                    start,
+                    timing.wall,
+                );
+                first = first.min(start);
+                last = last.max(start + timing.wall);
+                sim_wall += timing.wall;
+                outcome.wall = timing.wall;
+                outcomes.push(outcome);
+            }
+            self.sheet
+                .record(span, 0, first, last.saturating_sub(first));
+            runs.push(outcomes);
+        }
+
+        let extrapolate = self.sheet.span("extrapolate");
+        let values = match self.regression {
+            None => Metric::ALL.map(|m| {
+                let measured = runs[0]
+                    .iter()
+                    .map(|o| (m.value(&o.stats), o.traced_fraction));
+                linear_to_full(m, measured)
+            }),
+            // Raw (non-extrapolated) combined values per fraction feed the
+            // fit; regression replaces linear extrapolation.
+            Some(fractions) => Metric::ALL.map(|m| {
+                regression_to_full(&std::array::from_fn(|i| {
+                    let per_group: Vec<f64> = runs[i].iter().map(|o| m.value(&o.stats)).collect();
+                    (fractions[i], m.combine(&per_group))
+                }))
+            }),
+        };
+        drop(extrapolate);
+
+        let mut spans = self.sheet.snapshot();
+        if let Some(id) = &self.request_id {
+            spans.insert(
+                0,
+                SpanRecord {
+                    name: format!("request {id}"),
+                    track: 0,
+                    start_us: 0,
+                    dur_us: 0,
+                },
+            );
+        }
+        Prediction {
+            values,
+            groups: runs.pop().unwrap_or_default(),
+            k: self.k,
+            preprocess_wall: self.preprocess_wall,
+            sim_wall,
+            spans,
+            heatmap: self.heatmap.as_ref().clone(),
+            cache: self.records,
+            request_id: self.request_id,
+        }
+    }
+}
+
+/// Runs the group simulations of every plan as one job list on `executor`
+/// — `(plan, traced fraction, group)` jobs, handed out in that order — and
+/// finishes each plan into its prediction, in plan order.
+pub(crate) fn run_plans(plans: Vec<Plan<'_, '_>>, executor: SimExecutor) -> Vec<Prediction> {
+    let jobs: Vec<_> = plans.iter().flat_map(Plan::jobs).collect();
+    let pass_starts: Vec<Duration> = plans.iter().map(|plan| plan.sheet.elapsed()).collect();
+    let (outcomes, timings) = executor.map_timed(&jobs, |_, &(plan, group, selection)| {
+        plan.zatel.simulate_group(&plan.down, group, selection)
+    });
+    let mut done = outcomes.into_iter().zip(timings);
+    plans
+        .into_iter()
+        .zip(pass_starts)
+        .map(|(plan, pass_start)| plan.finish(pass_start, &mut done))
+        .collect()
 }
 
 /// Executes `stage` through `cache`, recording a span named

@@ -12,7 +12,7 @@
 use std::env;
 
 use zatel::sweep::factor_mode;
-use zatel::{SweepDriver, SweepParallelism, SweepPointSpec, SweepSpec};
+use zatel::{SweepDriver, SweepPointSpec, SweepSpec};
 use zatel_suite::prelude::*;
 
 fn main() -> Result<(), zatel::ZatelError> {
@@ -80,9 +80,9 @@ fn main() -> Result<(), zatel::ZatelError> {
         });
     }
 
-    // Groups mode: points run serially with groups fanned out inside each
-    // point, so `speedup_concurrent` reflects real wall-clock.
-    let driver = SweepDriver::new(base).with_parallelism(SweepParallelism::Groups);
+    // Every point's groups run in one job list; `speedup_concurrent` reads
+    // each point's own slowest group job.
+    let driver = SweepDriver::new(base);
     let outcomes = driver.run(&spec)?;
 
     println!(

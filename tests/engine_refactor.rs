@@ -1,13 +1,17 @@
 //! Integration tests guarding the componentized engine and the shared
 //! executor layer (C-ENGINE):
 //!
-//! * group simulation must produce **bit-identical** `SimStats` whether it
-//!   runs serially or on any number of `sim_executor` workers;
+//! * group simulation must produce **bit-identical** `SimStats` and
+//!   predictions whether its job list — a predict's, a regression's or a
+//!   sweep's — runs serially or on any number of `sim_executor` workers;
 //! * the `SimHooks` seam must be observation-only: `NullHooks` and
 //!   `ObsHooks` runs match a plain run exactly;
 //! * a golden-stats table over all eight scenes anchors the engine's
 //!   timing behaviour against silent drift in future refactors.
 
+use std::time::Duration;
+
+use zatel::{SweepDriver, SweepSpec};
 use zatel_suite::prelude::*;
 
 fn trace() -> TraceConfig {
@@ -45,6 +49,50 @@ fn serial_and_parallel_group_stats_are_bit_identical() {
         }
         for m in Metric::ALL {
             assert_eq!(serial.value(m), variant.value(m));
+        }
+    }
+
+    // Every shape that simulates groups — a predict, a regression and a
+    // sweep — runs them as one job list; the worker count must not reach a
+    // result, and every job's wall is its own.
+    for id in [SceneId::Park, SceneId::Bath] {
+        let scene = id.build(1);
+        let base = |jobs: usize| {
+            let mut z = Zatel::new(&scene, GpuConfig::mobile_soc(), 32, 32, trace());
+            z.options_mut().jobs = Some(jobs);
+            z
+        };
+        let shapes = |jobs: usize| {
+            let z = base(jobs);
+            let plain = z.run().expect("predict runs");
+            assert!(plain.groups.iter().all(|g| g.wall > Duration::ZERO));
+            assert_eq!(
+                plain.sim_wall,
+                plain.groups.iter().map(|g| g.wall).sum::<Duration>(),
+                "sim_wall is the sum of the job walls"
+            );
+            let regression = z
+                .execute(&RunContext::new().with_regression([0.2, 0.3, 0.4]))
+                .expect("regression runs");
+            let sweep = SweepDriver::new(base(jobs))
+                .run(&SweepSpec::matrix(&[1, 2], &[0.3, 0.6]))
+                .expect("sweep runs");
+            let predictions = [plain, regression]
+                .into_iter()
+                .chain(sweep.into_iter().map(|o| o.prediction));
+            predictions
+                .map(|p| {
+                    assert!(p.groups.iter().all(|g| g.wall > Duration::ZERO));
+                    let values: Vec<u64> =
+                        Metric::ALL.iter().map(|&m| p.value(m).to_bits()).collect();
+                    let stats: Vec<SimStats> = p.groups.iter().map(|g| g.stats).collect();
+                    (values, stats)
+                })
+                .collect::<Vec<_>>()
+        };
+        let serial = shapes(1);
+        for jobs in [2, 3] {
+            assert_eq!(shapes(jobs), serial, "{} with {jobs} jobs", id.name());
         }
     }
 }
