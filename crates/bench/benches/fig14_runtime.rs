@@ -80,6 +80,6 @@ fn main() {
     });
     let prediction = zatel.run().expect("observed pipeline runs");
     bench::print_spans(&prediction);
-    let registry = bench::collect_metrics(&prediction);
+    let registry = prediction.observed_metrics().unwrap_or_default();
     bench::save_prometheus("fig14_runtime", &registry);
 }

@@ -27,11 +27,10 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use gpusim::{GpuConfig, Metric, SimStats, Simulator};
+use gpusim::{GpuConfig, Metric, SimStats};
 use rtcore::scene::Scene;
 use rtcore::scenes::SceneId;
 use rtcore::tracer::TraceConfig;
-use rtworkload::RtWorkload;
 use zatel::sim_executor::available_jobs;
 use zatel::Reference;
 
@@ -96,13 +95,7 @@ pub fn reference(scene: &Scene, config: &GpuConfig) -> Reference {
         return r.clone();
     }
     let res = resolution();
-    let start = std::time::Instant::now();
-    let workload = RtWorkload::full_frame(scene, res, res, trace_config());
-    let stats = Simulator::new(config.clone()).run(&workload);
-    let r = Reference {
-        stats,
-        wall: start.elapsed(),
-    };
+    let r = zatel::Zatel::new(scene, config.clone(), res, res, trace_config()).run_reference();
     REF_CACHE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -213,20 +206,6 @@ pub fn save_json(name: &str, value: &minijson::Value) {
     }
     let path = dir.join(format!("{name}.json"));
     let _ = std::fs::write(path, value.pretty());
-}
-
-/// Folds the per-group observability of a prediction run with
-/// [`zatel::ZatelOptions::observe`] set into one [`obs::MetricsRegistry`]
-/// (group order, so fixed-seed snapshots are reproducible). Returns an
-/// empty registry when the run was not observed.
-pub fn collect_metrics(prediction: &zatel::Prediction) -> obs::MetricsRegistry {
-    let mut registry = obs::MetricsRegistry::new();
-    for group in &prediction.groups {
-        if let Some(o) = &group.obs {
-            o.export(&group.stats, &mut registry);
-        }
-    }
-    registry
 }
 
 /// Writes a metrics snapshot under `target/zatel-results/{name}.prom` in

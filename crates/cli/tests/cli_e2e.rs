@@ -263,6 +263,31 @@ fn unknown_scene_fails_cleanly() {
 }
 
 #[test]
+fn unknown_options_are_rejected() {
+    // A misspelt switch must not silently drop what it asked for.
+    let out = zatel(&[
+        "predict",
+        "--scene",
+        "SPRNG",
+        "--res",
+        "32",
+        "--spp",
+        "1",
+        "--refrence",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option '--refrence'"), "stderr: {err}");
+    assert!(out.stdout.is_empty(), "nothing ran");
+
+    // Keys no command reads are unknown too.
+    let out = zatel(&["predict", "--scene", "SPRNG", "--qps", "5"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option '--qps'"), "stderr: {err}");
+}
+
+#[test]
 fn unknown_subcommand_fails_cleanly() {
     let out = zatel(&["frobnicate"]);
     assert!(!out.status.success());
@@ -431,7 +456,11 @@ fn run_out_metrics_are_deterministic() {
         ]);
         let text = std::fs::read_to_string(&path).expect("run record written");
         let run = minijson::Value::parse(&text).expect("valid JSON");
-        run.get("metrics").expect("metrics section").to_string()
+        let response = run.get("response").expect("response section");
+        response
+            .get("metrics")
+            .expect("metrics section")
+            .to_string()
     };
     assert_eq!(
         run("a.json"),
@@ -531,7 +560,9 @@ fn report_rejects_missing_and_malformed_records() {
     std::fs::write(&bad, "{\"schema\": \"not-a-run\"}").unwrap();
     let out = zatel(&["report", "--run", bad.to_str().unwrap()]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unsupported run schema"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unsupported schema 'not-a-run'"), "{err}");
+    assert!(err.contains("--run-out"), "hints at re-recording: {err}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! # zatel-obs — observability for the Zatel simulation suite
 //!
-//! Five pieces, each usable on its own and wired together by the CLI:
+//! Four pieces, each usable on its own and wired together by the CLI:
 //!
 //! * [`hooks::ObsHooks`] — a [`gpusim::SimHooks`] implementation recording
 //!   latency/lifetime/traversal histograms, event counters and (optionally)
@@ -10,8 +10,7 @@
 //!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
 //! * [`registry::MetricsRegistry`] — counters, gauges and log2-bucket
 //!   histograms, snapshotable as JSON and Prometheus text format;
-//! * [`span`] + [`report`] — host wall-clock pipeline spans and the
-//!   `zatel report` renderer for persisted `zatel-run-v1` records;
+//! * [`span`] — host wall-clock pipeline spans;
 //! * [`log`] — the `zatel-log-v1` structured JSONL event log used by
 //!   `zatel serve` and the CLI's `--log-out`.
 //!
@@ -31,12 +30,10 @@ pub mod hooks;
 pub mod log;
 pub mod perfetto;
 pub mod registry;
-pub mod report;
 pub mod span;
 
 pub use hooks::{ObsHooks, ObserveOptions};
 pub use log::{LogLevel, Logger, LOG_SCHEMA};
 pub use perfetto::{merge_trace, validate_trace, Timeline, TraceEvent};
 pub use registry::{Histogram, MetricKind, MetricsRegistry};
-pub use report::RUN_SCHEMA;
 pub use span::{SpanGuard, SpanRecord, SpanSheet};

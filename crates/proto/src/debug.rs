@@ -11,6 +11,7 @@
 
 use minijson::Value;
 use obs::SpanRecord;
+use zatel::StageCacheRecord;
 
 use crate::API_SCHEMA;
 
@@ -36,7 +37,7 @@ pub struct SlowRequestEntry {
     /// first), when the route produced one.
     pub spans: Vec<SpanRecord>,
     /// Per-stage artifact-cache outcomes, when the route produced them.
-    pub cache: Vec<Value>,
+    pub cache: Vec<StageCacheRecord>,
     /// The exact `zatel-log-v1` request line emitted for this request.
     pub log: Value,
 }
@@ -88,7 +89,11 @@ mod tests {
                     start_us: 0,
                     dur_us: 0,
                 }],
-                cache: vec![Value::parse(r#"{"stage":"heatmap","outcome":"miss"}"#).unwrap()],
+                cache: vec![StageCacheRecord {
+                    stage: "heatmap".into(),
+                    fingerprint: 0xfeed,
+                    outcome: zatel::CacheOutcome::Miss,
+                }],
                 log: Value::parse(r#"{"schema":"zatel-log-v1","event":"request"}"#).unwrap(),
             }],
         }

@@ -1,4 +1,4 @@
-//! # zatel-proto — the `zatel-api-v1` wire protocol
+//! # zatel-proto — the `zatel-api-v1` wire protocol and its records
 //!
 //! Versioned request/response DTOs shared by every consumer that speaks
 //! Zatel over a wire or a file: the `zatel` CLI (`predict --json`,
@@ -6,6 +6,16 @@
 //! HTTP service. Both sides construct and parse these types instead of
 //! assembling JSON field by field, so the wire format lives in exactly
 //! one place.
+//!
+//! The persisted prediction records live here too, each one
+//! `minijson::record!` declaration:
+//!
+//! * [`PointRecord`] (`zatel-sweep-v1`) — one prediction's metrics, MAE,
+//!   speedup, walls and cache outcomes: every [`SweepResponse`] point,
+//!   every `zatel sweep --runs-out` line and the line `zatel report --run`
+//!   appends, read back by [`read_history`];
+//! * [`RunRecord`] (`zatel-run-v2`) — the request, response and heatmap
+//!   `zatel predict --run-out` persists for `zatel report --run`.
 //!
 //! ## Stability contract
 //!
@@ -44,6 +54,7 @@ mod config;
 mod debug;
 mod hints;
 mod predict;
+mod run;
 mod sweep;
 mod wire;
 
@@ -51,13 +62,14 @@ pub use config::ConfigRef;
 pub use debug::{DebugSlowResponse, SlowRequestEntry};
 pub use hints::ExecutionHints;
 pub use predict::{GroupReport, MetricValues, PredictRequest, PredictResponse, ReferenceReport};
-pub use sweep::{sweep_point_record, SweepRequest, SweepResponse};
+pub use run::{RunRecord, RUN_SCHEMA};
+pub use sweep::{read_history, PointRecord, SweepRequest, SweepResponse};
 pub use wire::{ErrorKind, ErrorResponse, SceneInfo, ScenesResponse};
 
 /// The protocol schema identifier every `zatel-api-v1` document carries.
 pub const API_SCHEMA: &str = "zatel-api-v1";
 
-/// The per-point record schema of `zatel sweep --runs-out` history lines
+/// The [`PointRecord`] schema: `zatel sweep --runs-out` history lines
 /// (predates `zatel-api-v1` and is embedded unchanged in
 /// [`SweepResponse`] points).
 pub const SWEEP_RECORD_SCHEMA: &str = "zatel-sweep-v1";

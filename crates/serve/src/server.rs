@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use minijson::{FromJson, Map, ToJson, Value};
 use obs::{LogLevel, Logger, MetricKind, MetricsRegistry, SpanRecord};
-use zatel::{ArtifactCache, DiskTier};
+use zatel::{ArtifactCache, DiskTier, StageCacheRecord};
 use zatel_proto::{
     DebugSlowResponse, ErrorKind, ErrorResponse, ExecutionHints, PredictRequest, ScenesResponse,
     SlowRequestEntry, SweepRequest, API_SCHEMA,
@@ -230,7 +230,8 @@ impl ServerState {
             fields.insert("deadline_slack_ms".into(), Value::from(slack));
         }
         if !artifacts.cache.is_empty() {
-            fields.insert("cache_hits".into(), Value::from(artifacts.cache_hits));
+            let hits = StageCacheRecord::hits(&artifacts.cache);
+            fields.insert("cache_hits".into(), Value::from(hits));
             fields.insert(
                 "cache_stages".into(),
                 Value::from(artifacts.cache.len() as u64),
@@ -265,9 +266,7 @@ struct RouteArtifacts {
     /// The run's span sheet (request span first), when the route ran one.
     spans: Vec<SpanRecord>,
     /// Per-stage cache-outcome records, when the route produced them.
-    cache: Vec<Value>,
-    /// How many of those stages were cache hits (memory or disk).
-    cache_hits: u64,
+    cache: Vec<StageCacheRecord>,
     /// Deadline budget left when execution started, when one applied.
     deadline_slack_ms: Option<i64>,
 }
@@ -932,20 +931,6 @@ fn apply_default_jobs(options: &mut Option<zatel::ZatelOptions>, default_jobs: O
     }
 }
 
-/// Counts the cache-outcome records whose `outcome` is a hit (memory or
-/// disk).
-fn count_cache_hits(cache: &[Value]) -> u64 {
-    cache
-        .iter()
-        .filter(|record| {
-            matches!(
-                record.get("outcome").and_then(Value::as_str),
-                Some("memory" | "disk")
-            )
-        })
-        .count() as u64
-}
-
 /// Runs one prediction through the shared cache and accumulates its
 /// request metrics.
 fn run_predict(
@@ -963,7 +948,6 @@ fn run_predict(
             });
             artifacts.spans = out.response.spans.clone();
             artifacts.cache = out.response.cache.clone();
-            artifacts.cache_hits = count_cache_hits(&artifacts.cache);
             (Routed::Json(200, out.response.to_json()), artifacts)
         }
         Err(err) => {

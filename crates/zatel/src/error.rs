@@ -9,8 +9,6 @@ pub enum ZatelError {
     Downscale(DownscaleError),
     /// An option combination is invalid (details in the message).
     InvalidOptions(String),
-    /// A run-history file (`runs.jsonl`) is missing, empty or malformed.
-    History(String),
     /// The image divides into too few chunks to give each of the K groups a
     /// pixel ([`chunk_count`](crate::partition::chunk_count)).
     TooFewChunks {
@@ -30,7 +28,6 @@ impl std::fmt::Display for ZatelError {
         match self {
             ZatelError::Downscale(e) => write!(f, "{e}"),
             ZatelError::InvalidOptions(msg) => write!(f, "invalid Zatel options: {msg}"),
-            ZatelError::History(msg) => write!(f, "run history: {msg}"),
             ZatelError::TooFewChunks {
                 width,
                 height,
@@ -49,9 +46,7 @@ impl std::error::Error for ZatelError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ZatelError::Downscale(e) => Some(e),
-            ZatelError::InvalidOptions(_)
-            | ZatelError::History(_)
-            | ZatelError::TooFewChunks { .. } => None,
+            ZatelError::InvalidOptions(_) | ZatelError::TooFewChunks { .. } => None,
         }
     }
 }

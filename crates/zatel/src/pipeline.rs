@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use gpusim::{GpuConfig, Metric, SimStats, Simulator};
 use minijson::{FromJson, JsonError, ToJson, Value};
 use obs::span::SpanSheet;
-use obs::{ObsHooks, ObserveOptions, SpanRecord};
+use obs::{MetricsRegistry, ObsHooks, ObserveOptions, SpanRecord};
 use rtcore::fingerprint::Fnv64;
 use rtcore::scene::Scene;
 use rtcore::tracer::TraceConfig;
@@ -256,6 +256,32 @@ impl Prediction {
             .fold(0.0f64, f64::max)
             .max(1e-9);
         reference.wall.as_secs_f64() / slowest
+    }
+
+    /// Folds the groups' observability into one registry, in group order so
+    /// fixed-seed snapshots are byte-identical, then sets the `k`, `groups`
+    /// and `traced_fraction_mean` gauges. `None` when no group was observed
+    /// ([`ZatelOptions::observe`] unset).
+    pub fn observed_metrics(&self) -> Option<MetricsRegistry> {
+        let mut registry = MetricsRegistry::new();
+        let mut observed = false;
+        for g in &self.groups {
+            if let Some(o) = &g.obs {
+                o.export(&g.stats, &mut registry);
+                observed = true;
+            }
+        }
+        if !observed {
+            return None;
+        }
+        let traced: f64 = self.groups.iter().map(|g| g.traced_fraction).sum();
+        registry.gauge_set("k", f64::from(self.k));
+        registry.gauge_set("groups", self.groups.len() as f64);
+        registry.gauge_set(
+            "traced_fraction_mean",
+            traced / self.groups.len().max(1) as f64,
+        );
+        Some(registry)
     }
 }
 
@@ -808,7 +834,7 @@ fn staged<S: Stage>(
     };
     sheet.record(&name, 0, start, dur);
     records.push(StageCacheRecord {
-        stage: S::NAME,
+        stage: S::NAME.to_owned(),
         fingerprint,
         outcome,
     });
@@ -1021,7 +1047,7 @@ mod tests {
             assert_eq!(cold.value(m), first.value(m), "{m} cold vs shared cache");
             assert_eq!(cold.value(m), second.value(m), "{m} cold vs warm cache");
         }
-        let stages: Vec<&str> = second.cache.iter().map(|r| r.stage).collect();
+        let stages: Vec<&str> = second.cache.iter().map(|r| r.stage.as_str()).collect();
         assert_eq!(
             stages,
             ["heatmap", "quantize", "divide", "select", "select", "select"]

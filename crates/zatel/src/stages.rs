@@ -106,42 +106,62 @@ pub enum CacheOutcome {
     DiskHit,
 }
 
+minijson::record! {
+    enum CacheOutcome {
+        Miss => "miss",
+        MemoryHit => "memory",
+        DiskHit => "disk",
+    }
+}
+
 impl CacheOutcome {
     /// `true` when the artifact was reused instead of recomputed.
     pub fn is_hit(self) -> bool {
         matches!(self, CacheOutcome::MemoryHit | CacheOutcome::DiskHit)
-    }
-
-    /// Stable lowercase label (`"miss"`, `"memory"`, `"disk"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheOutcome::Miss => "miss",
-            CacheOutcome::MemoryHit => "memory",
-            CacheOutcome::DiskHit => "disk",
-        }
     }
 }
 
 /// How one stage execution interacted with the cache; attached to
 /// [`Prediction::cache`](crate::Prediction::cache) so runs report their
 /// reuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageCacheRecord {
     /// The stage's [`Stage::NAME`].
-    pub stage: &'static str,
+    pub stage: String,
     /// The artifact's cache key.
     pub fingerprint: Fingerprint,
     /// How the request was served.
     pub outcome: CacheOutcome,
 }
 
-/// Hand-written: the fingerprint renders as 16 hex digits and the
-/// outcome as its label.
-impl ToJson for StageCacheRecord {
-    fn to_json(&self) -> Value {
-        let fingerprint = format!("{:016x}", self.fingerprint);
-        json!({ "stage": self.stage, "fingerprint": fingerprint, "outcome": self.outcome.label() })
+impl StageCacheRecord {
+    /// How many of `records` were cache hits (memory or disk).
+    pub fn hits(records: &[StageCacheRecord]) -> u64 {
+        records.iter().filter(|r| r.outcome.is_hit()).count() as u64
     }
+}
+
+minijson::record! {
+    StageCacheRecord {
+        "stage" => stage,
+        fingerprint: with(write_fingerprint, read_fingerprint),
+        "outcome" => outcome,
+    }
+}
+
+/// The fingerprint renders as 16 hex digits.
+fn write_fingerprint(fingerprint: &Fingerprint, map: &mut minijson::Map) {
+    map.insert(
+        "fingerprint".into(),
+        format!("{fingerprint:016x}").to_json(),
+    );
+}
+
+fn read_fingerprint(value: &Value, ty: &str) -> Result<Fingerprint, minijson::JsonError> {
+    let hex: String = minijson::field(value, ty, "fingerprint")?;
+    Fingerprint::from_str_radix(&hex, 16).map_err(|e| {
+        minijson::JsonError::conversion(format!("{ty}: fingerprint '{hex}' is not hex: {e}"))
+    })
 }
 
 /// Cumulative hit/miss counters of an [`ArtifactCache`].
@@ -170,7 +190,7 @@ pub struct CacheStats {
 }
 
 minijson::record! {
-    to_json CacheStats {
+    CacheStats {
         "memory_hits" => memory_hits,
         "disk_hits" => disk_hits,
         "misses" => misses,

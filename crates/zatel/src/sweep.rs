@@ -18,7 +18,6 @@
 //! [`Prediction::sim_wall`] and per-group walls are its own jobs' walls, so
 //! wall-clock figures read them just as error figures read the values.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use minijson::{field, FromJson, JsonError, Map, ToJson, Value};
@@ -306,45 +305,6 @@ impl<'s> SweepDriver<'s> {
     }
 }
 
-/// Loads a `runs.jsonl` run-history file: one JSON record per line, blank
-/// lines ignored.
-///
-/// # Errors
-///
-/// Returns [`ZatelError::History`] when the file cannot be read, holds no
-/// records, or a line is not valid JSON — each message says how to record
-/// a run (`zatel predict --run-out` + `zatel report --run`, or
-/// `zatel sweep --runs-out`).
-pub fn load_history(path: &Path) -> Result<Vec<Value>, ZatelError> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        ZatelError::History(format!(
-            "cannot read '{}': {e}; record runs with 'zatel predict --run-out run.json' \
-             then 'zatel report --run run.json', or 'zatel sweep --runs-out {}'",
-            path.display(),
-            path.display()
-        ))
-    })?;
-    let mut records = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value = Value::parse(line).map_err(|e| {
-            ZatelError::History(format!("'{}' line {}: {e}", path.display(), lineno + 1))
-        })?;
-        records.push(value);
-    }
-    if records.is_empty() {
-        return Err(ZatelError::History(format!(
-            "'{}' holds no runs yet; record one with 'zatel report --run run.json' \
-             or 'zatel sweep --runs-out {}'",
-            path.display(),
-            path.display()
-        )));
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,36 +436,5 @@ mod tests {
         let driver = SweepDriver::new(base(&scene));
         assert!(driver.run(&SweepSpec::default()).unwrap().is_empty());
         assert_eq!(driver.cache().len(), 0, "no artifacts computed");
-    }
-
-    #[test]
-    fn load_history_reports_clear_errors() {
-        let dir = std::env::temp_dir().join("zatel-sweep-history-test");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let missing = dir.join("missing.jsonl");
-        let _ = std::fs::remove_file(&missing);
-        let err = load_history(&missing).unwrap_err();
-        assert!(matches!(err, ZatelError::History(_)));
-        assert!(err.to_string().contains("--run"), "hints at --run: {err}");
-
-        let empty = dir.join("empty.jsonl");
-        std::fs::write(&empty, "\n\n").unwrap();
-        let err = load_history(&empty).unwrap_err();
-        assert!(err.to_string().contains("no runs"), "{err}");
-
-        let malformed = dir.join("bad.jsonl");
-        std::fs::write(&malformed, "{\"ok\": 1}\nnot json\n").unwrap();
-        let err = load_history(&malformed).unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-
-        let good = dir.join("good.jsonl");
-        std::fs::write(&good, "{\"scene\": \"PARK\"}\n\n{\"scene\": \"SHIP\"}\n").unwrap();
-        let records = load_history(&good).expect("valid history");
-        assert_eq!(records.len(), 2);
-        assert_eq!(
-            records[1].get("scene").and_then(Value::as_str),
-            Some("SHIP")
-        );
     }
 }
