@@ -52,7 +52,7 @@ use zatel_serve::HttpClient;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
+    if argv.is_empty() || argv[0] == "help" || is_help(&argv[0]) {
         print_help();
         return ExitCode::SUCCESS;
     }
@@ -65,7 +65,20 @@ fn main() -> ExitCode {
     }
 }
 
+fn is_help(arg: &str) -> bool {
+    arg == "--help" || arg == "-h"
+}
+
 fn run(argv: Vec<String>) -> Result<(), String> {
+    let unknown = |name: &str| format!("unknown subcommand '{name}'; try 'zatel help'");
+    if argv[1..].iter().map(String::as_str).any(is_help) {
+        let (_, usage) = COMMANDS
+            .iter()
+            .find(|(name, _)| *name == argv[0])
+            .ok_or_else(|| unknown(&argv[0]))?;
+        print!("{usage}");
+        return Ok(());
+    }
     let args = Args::parse(argv)?;
     match args.command.as_str() {
         "scenes" => cmd_scenes(),
@@ -75,87 +88,132 @@ fn run(argv: Vec<String>) -> Result<(), String> {
         "serve" => cmd_serve(&args),
         "report" => cmd_report(&args),
         "heatmap" => cmd_heatmap(&args),
-        other => Err(format!("unknown subcommand '{other}'; try 'zatel help'")),
+        other => Err(unknown(other)),
     }
 }
+
+/// Each subcommand's usage, in `zatel help` order; `zatel <command>
+/// --help` (or `-h`) prints its own.
+const COMMANDS: [(&str, &str); 7] = [
+    (
+        "scenes",
+        "\
+usage: zatel scenes
+  list the benchmark scenes with their primitive counts
+",
+    ),
+    (
+        "configs",
+        "\
+usage: zatel configs
+  print the GPU configuration presets (mobile, rtx2060) as JSON
+",
+    ),
+    (
+        "predict",
+        "\
+usage: zatel predict [options]
+  --scene NAME        benchmark scene (default PARK; see 'zatel scenes')
+  --config NAME|FILE  mobile | rtx2060 | path to a GpuConfig JSON (default mobile)
+  --res N             square image resolution (default 128)
+  --spp N             samples per pixel (default 2)
+  --seed N            master seed (default 42)
+  --percent F         fixed traced fraction in (0,1] instead of Eq.(1)
+  --cap F             upper bound applied after Eq.(1)
+  --k N               explicit downscale factor (default: gcd rule)
+  --no-downscale      single group on the full GPU
+  --division KIND     fine | coarse (default fine)
+  --dist KIND         uniform | lintmp | exptmp (default uniform)
+  --regression        extrapolate via 20/30/40% exponential regression
+  --reference         also run the full simulation and report errors
+  --json              emit machine-readable JSON instead of tables
+  --jobs N            worker threads for group simulation (default: host cores)
+  --progress          per-group progress lines + phase counts by class (stderr)
+  --trace-out FILE    write a Perfetto/Chrome-trace JSON timeline of the run
+  --run-out FILE      persist a zatel-run-v2 record (request, response
+                      and heatmap) for 'zatel report --run'
+  --request-id ID     tag the run with a caller-chosen request ID
+                      (default: a generated req-... ID); with --url the
+                      ID travels as the x-zatel-request-id header
+  --log-out DEST      emit one zatel-log-v1 JSONL line for the run to
+                      DEST ('-' or 'stderr' for stderr, else a file)
+  --url URL           send the request to a 'zatel serve' instance at
+                      http://host:port instead of running locally; the
+                      output is identical to local mode
+",
+    ),
+    (
+        "sweep",
+        "\
+usage: zatel sweep [options]
+  (scene/config/res/spp/seed/division/dist/jobs as for predict)
+  --ks LIST           comma-separated downscale factors, e.g. 1,2,4
+  --percents LIST     comma-separated traced fractions, e.g. 0.1,0.3,0.6
+  --spec FILE         sweep-spec JSON instead of the --ks/--percents matrix
+  --cache-dir DIR     keep profiled heatmaps on disk (warm reruns skip
+                      heatmap profiling)
+  --runs-out FILE     append one zatel-sweep-v1 JSON line per point
+  --reference         also run the full simulation and report errors
+  --json              emit machine-readable JSON instead of tables
+  --url URL           run the sweep on a 'zatel serve' instance
+",
+    ),
+    (
+        "serve",
+        "\
+usage: zatel serve [options]
+  long-running prediction service (see DESIGN.md)
+  --addr HOST:PORT    listen address (default 127.0.0.1:7878; port 0
+                      picks an ephemeral port, logged on stderr)
+  --workers N         worker threads pulling predictions and sweeps
+                      off one queue through one shared cache
+                      (default 2)
+  --queue N           admission queue depth; beyond it requests are
+                      refused with 429 + a computed Retry-After
+                      (default 64)
+  --sim-jobs N        per-request simulation thread cap, when the
+                      request does not set options.jobs itself
+  --deadline-ms N     default deadline for requests that carry none;
+                      requests queued past it answer 504
+  --cache-dir DIR     keep profiled heatmaps on disk across restarts
+                      (the disk tier under the shared memory tier)
+  --cache-budget-mb N evict least-recently-used disk-tier entries
+                      once the cache dir outgrows N MiB
+  --log-out DEST      zatel-log-v1 JSONL event log destination: one
+                      line per request plus a drain summary (default
+                      stderr; '-'/'stderr' or a file path)
+",
+    ),
+    (
+        "report",
+        "\
+usage: zatel report [options]
+  --run FILE          run record written by 'zatel predict --run-out';
+                      without --run, summarizes the recorded history
+  --history FILE      append a one-line summary here (default runs.jsonl)
+  --pgm FILE          write the execution-time heatmap as a binary PGM
+  --prom FILE         write the metrics snapshot in Prometheus text format
+",
+    ),
+    (
+        "heatmap",
+        "\
+usage: zatel heatmap [options]
+  --scene NAME --res N --out DIR   write heatmap/quantized PPM images
+",
+    ),
+];
 
 fn print_help() {
     println!(
         "zatel — sample complexity-aware scale-model simulation for ray tracing\n\
          \n\
-         USAGE:\n  zatel <scenes|configs|predict|sweep|serve|report|heatmap|help> [options]\n\
-         \n\
-         predict options:\n\
-           --scene NAME        benchmark scene (default PARK; see 'zatel scenes')\n\
-           --config NAME|FILE  mobile | rtx2060 | path to a GpuConfig JSON (default mobile)\n\
-           --res N             square image resolution (default 128)\n\
-           --spp N             samples per pixel (default 2)\n\
-           --seed N            master seed (default 42)\n\
-           --percent F         fixed traced fraction in (0,1] instead of Eq.(1)\n\
-           --cap F             upper bound applied after Eq.(1)\n\
-           --k N               explicit downscale factor (default: gcd rule)\n\
-           --no-downscale      single group on the full GPU\n\
-           --division KIND     fine | coarse (default fine)\n\
-           --dist KIND         uniform | lintmp | exptmp (default uniform)\n\
-           --regression        extrapolate via 20/30/40%% exponential regression\n\
-           --reference         also run the full simulation and report errors\n\
-           --json              emit machine-readable JSON instead of tables\n\
-           --jobs N            worker threads for group simulation (default: host cores)\n\
-           --progress          per-group progress lines + phase counts by class (stderr)\n\
-           --trace-out FILE    write a Perfetto/Chrome-trace JSON timeline of the run\n\
-           --run-out FILE      persist a zatel-run-v2 record (request, response\n\
-                               and heatmap) for 'zatel report --run'\n\
-           --request-id ID     tag the run with a caller-chosen request ID\n\
-                               (default: a generated req-... ID); with --url the\n\
-                               ID travels as the x-zatel-request-id header\n\
-           --log-out DEST      emit one zatel-log-v1 JSONL line for the run to\n\
-                               DEST ('-' or 'stderr' for stderr, else a file)\n\
-           --url URL           send the request to a 'zatel serve' instance at\n\
-                               http://host:port instead of running locally; the\n\
-                               output is identical to local mode\n\
-         \n\
-         sweep options (scene/config/res/spp/seed/division/dist/jobs as for predict):\n\
-           --ks LIST           comma-separated downscale factors, e.g. 1,2,4\n\
-           --percents LIST     comma-separated traced fractions, e.g. 0.1,0.3,0.6\n\
-           --spec FILE         sweep-spec JSON instead of the --ks/--percents matrix\n\
-           --cache-dir DIR     persist stage artifacts on disk (warm reruns skip\n\
-                               heatmap profiling and quantization)\n\
-           --runs-out FILE     append one zatel-sweep-v1 JSON line per point\n\
-           --reference         also run the full simulation and report errors\n\
-           --json              emit machine-readable JSON instead of tables\n\
-           --url URL           run the sweep on a 'zatel serve' instance\n\
-         \n\
-         serve options (long-running prediction service; see DESIGN.md):\n\
-           --addr HOST:PORT    listen address (default 127.0.0.1:7878; port 0\n\
-                               picks an ephemeral port, logged on stderr)\n\
-           --workers N         worker threads pulling predictions and sweeps\n\
-                               off one queue through one shared cache\n\
-                               (default 2)\n\
-           --queue N           admission queue depth; beyond it requests are\n\
-                               refused with 429 + a computed Retry-After\n\
-                               (default 64)\n\
-           --sim-jobs N        per-request simulation thread cap, when the\n\
-                               request does not set options.jobs itself\n\
-           --deadline-ms N     default deadline for requests that carry none;\n\
-                               requests queued past it answer 504\n\
-           --cache-dir DIR     persist stage artifacts on disk across restarts\n\
-                               (the disk tier under the shared memory tier)\n\
-           --cache-budget-mb N evict least-recently-used disk-tier entries\n\
-                               once the cache dir outgrows N MiB\n\
-           --log-out DEST      zatel-log-v1 JSONL event log destination: one\n\
-                               line per request plus a drain summary (default\n\
-                               stderr; '-'/'stderr' or a file path)\n\
-         \n\
-         report options:\n\
-           --run FILE          run record written by 'zatel predict --run-out';\n\
-                               without --run, summarizes the recorded history\n\
-           --history FILE      append a one-line summary here (default runs.jsonl)\n\
-           --pgm FILE          write the execution-time heatmap as a binary PGM\n\
-           --prom FILE         write the metrics snapshot in Prometheus text format\n\
-         \n\
-         heatmap options:\n\
-           --scene NAME --res N --out DIR   write heatmap/quantized PPM images"
+         USAGE:\n  zatel <scenes|configs|predict|sweep|serve|report|heatmap|help> [options]\n  \
+         zatel <command> --help"
     );
+    for (_, usage) in COMMANDS {
+        print!("\n{usage}");
+    }
 }
 
 fn cmd_scenes() -> Result<(), String> {

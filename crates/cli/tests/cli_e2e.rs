@@ -295,6 +295,34 @@ fn unknown_subcommand_fails_cleanly() {
 }
 
 #[test]
+fn every_command_prints_its_usage_on_help() {
+    let commands = [
+        "scenes", "configs", "predict", "sweep", "serve", "report", "heatmap",
+    ];
+    for command in commands {
+        for help in ["--help", "-h"] {
+            // Anywhere after the command, even after other options.
+            let text = stdout(&[command, "--json", help]);
+            assert!(
+                text.starts_with(&format!("usage: zatel {command}")),
+                "zatel {command} {help}: {text}"
+            );
+            for other in commands.iter().filter(|&&c| c != command) {
+                assert!(
+                    !text.contains(&format!("usage: zatel {other}")),
+                    "zatel {command} {help} prints only its own usage: {text}"
+                );
+            }
+        }
+    }
+    let usage = stdout(&["sweep", "--help"]);
+    assert!(usage.contains("--cache-dir DIR"), "{usage}");
+    let out = zatel(&["frobnicate", "--help"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+}
+
+#[test]
 fn bad_config_file_fails_cleanly() {
     let out = zatel(&["predict", "--config", "/nonexistent/cfg.json"]);
     assert!(!out.status.success());

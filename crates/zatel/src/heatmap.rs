@@ -153,18 +153,6 @@ impl Heatmap {
         }
     }
 
-    /// Content fingerprint over dimensions and the exact temperature bit
-    /// patterns; keys derived artifacts in the stage cache.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = rtcore::fingerprint::Fnv64::new();
-        h.write_str("zatel-heatmap-v1");
-        h.write_u32(self.width).write_u32(self.height);
-        for &v in &self.values {
-            h.write_f32(v);
-        }
-        h.finish()
-    }
-
     /// Heatmap width in pixels.
     pub fn width(&self) -> u32 {
         self.width

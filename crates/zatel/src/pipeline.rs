@@ -1,12 +1,12 @@
 //! The end-to-end Zatel pipeline (paper Fig. 3): heatmap → quantize →
 //! downscale → divide → select → simulate per group → combine.
 //!
-//! [`Zatel::execute`] is the one path, in three steps. *Plan*: heatmap,
-//! quantize, divide and select run as [`crate::stages`] through an
-//! [`ArtifactCache`], so callers that share a cache across runs (the
-//! [`crate::sweep`] driver, the serve workers) reuse those artifacts
-//! instead of recomputing them. *Run*: every group simulation is one job
-//! of a single [`SimExecutor::map_timed`] call. *Finish*: extrapolation.
+//! [`Zatel::execute`] is the one path, in three steps. *Plan*: the heatmap
+//! comes through an [`ArtifactCache`] ([`crate::stages`]), so callers that
+//! share a cache across runs (the [`crate::sweep`] driver, the serve
+//! workers) profile each scene shape once; quantize, divide and select are
+//! plain calls. *Run*: every group simulation is one job of a single
+//! [`SimExecutor::map_timed`] call. *Finish*: extrapolation.
 //! The Section IV-F regression variant differs only in planning three
 //! traced fractions and fitting through them; a sweep runs all its points'
 //! jobs in the same one pass.
@@ -18,7 +18,6 @@ use gpusim::{GpuConfig, Metric, SimStats, Simulator};
 use minijson::{FromJson, JsonError, ToJson, Value};
 use obs::span::SpanSheet;
 use obs::{MetricsRegistry, ObsHooks, ObserveOptions, SpanRecord};
-use rtcore::fingerprint::Fnv64;
 use rtcore::scene::Scene;
 use rtcore::tracer::TraceConfig;
 use rtworkload::RtWorkload;
@@ -27,13 +26,11 @@ use crate::error::ZatelError;
 use crate::extrapolate::{linear_to_full, regression_to_full};
 use crate::heatmap::Heatmap;
 use crate::metrics::abs_error;
-use crate::partition::{chunk_count, DivisionMethod, Group};
-use crate::select::{Selection, SelectionOptions};
+use crate::partition::{chunk_count, divide, DivisionMethod, Group};
+use crate::quantize::QuantizedHeatmap;
+use crate::select::{select_pixels, Selection, SelectionOptions};
 use crate::sim_executor::{available_jobs, JobTiming, SimExecutor};
-use crate::stages::{
-    ArtifactCache, DivideStage, Fingerprint, HeatmapStage, QuantizeStage, SelectInput, SelectStage,
-    Stage, StageCacheRecord,
-};
+use crate::stages::{ArtifactCache, HeatmapStage, Stage, StageCacheRecord};
 
 /// How the target GPU is downscaled before group simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,10 +187,9 @@ pub struct Prediction {
     pub spans: Vec<SpanRecord>,
     /// The execution-time heatmap profiled by [`Zatel::execute`].
     pub heatmap: Heatmap,
-    /// How each stage execution interacted with the artifact cache, in
-    /// pipeline order (heatmap, quantize, divide, then one select per
-    /// traced fraction). A cold [`Zatel::run`] reports all misses; sweep
-    /// points sharing a cache report hits for the reused artifacts.
+    /// How the heatmap, the one cached stage, was served: one record. A
+    /// cold [`Zatel::run`] reports a miss; sweep points sharing a cache
+    /// report hits for the reused heatmap.
     pub cache: Vec<StageCacheRecord>,
     /// The request ID this prediction was computed for
     /// ([`RunContext::with_request_id`]); `None` for untraced executions.
@@ -459,16 +455,17 @@ impl<'s> Zatel<'s> {
     /// Runs the pipeline as described by `ctx` — the single execution
     /// entry point; [`Zatel::run`] is its empty-context spelling.
     ///
-    /// An execution is three steps: *plan* (validate, then run every stage
-    /// through the cache), *run* (every group simulation as one job list
-    /// on [`Zatel::executor`]) and *finish* (extrapolate). A
+    /// An execution is three steps: *plan* (validate, take the heatmap
+    /// through the cache, then quantize, divide and select), *run* (every
+    /// group simulation as one job list on [`Zatel::executor`]) and
+    /// *finish* (extrapolate). A
     /// [`crate::SweepDriver`] plans each of its points the same way and
     /// runs all their jobs in one pass.
     ///
-    /// * [`RunContext::with_cache`] shares stage artifacts across runs:
-    ///   cached stages are served instead of recomputed, their spans carry
-    ///   a `" (cached)"` suffix, and statistics stay bit-identical to a
-    ///   cold run — the cache only removes redundant work.
+    /// * [`RunContext::with_cache`] shares the heatmap across runs: a
+    ///   cached heatmap is served instead of profiled, its span carries a
+    ///   `" (cached)"` suffix, and statistics stay bit-identical to a cold
+    ///   run — the cache only removes redundant work.
     /// * [`RunContext::with_regression`] switches to the Section IV-F
     ///   exponential-regression variant: the same heatmap, quantization
     ///   and division, then one selection and one set of group
@@ -482,15 +479,21 @@ impl<'s> Zatel<'s> {
     /// configured downscale factor is invalid, or the regression fractions
     /// are not equally spaced ascending values in `(0, 1]`.
     pub fn execute(&self, ctx: &RunContext<'_>) -> Result<Prediction, ZatelError> {
-        let plan = self.plan(ctx)?;
+        let plan = self.plan(ctx, None)?;
         Ok(run_plans(vec![plan], self.executor()).swap_remove(0))
     }
 
-    /// Plans one execution: validates, then runs the heatmap, quantize and
-    /// divide stages and one select per traced fraction through `ctx`'s
-    /// cache. What is left are the group simulations and the
-    /// extrapolation ([`run_plans`]).
-    pub(crate) fn plan(&self, ctx: &RunContext<'_>) -> Result<Plan<'_, 's>, ZatelError> {
+    /// Plans one execution: validates, looks the heatmap up in `ctx`'s
+    /// cache, then quantizes, divides and selects once per traced fraction
+    /// by plain calls, each under a span of its name. `quantized`, when
+    /// given, is this predictor's quantized heatmap from an earlier plan (a
+    /// sweep's first point) and replaces the quantize call. What is left
+    /// are the group simulations and the extrapolation ([`run_plans`]).
+    pub(crate) fn plan(
+        &self,
+        ctx: &RunContext<'_>,
+        quantized: Option<&Arc<QuantizedHeatmap>>,
+    ) -> Result<Plan<'_, 's>, ZatelError> {
         self.options.validate()?;
         if let Some(fractions @ [f1, f2, f3]) = ctx.regression {
             let spaced = (f2 - f1) > 0.0 && ((f3 - f2) - (f2 - f1)).abs() < 1e-9;
@@ -503,47 +506,46 @@ impl<'s> Zatel<'s> {
         let private = ArtifactCache::in_memory();
         let cache = ctx.cache.unwrap_or(&private);
         let sheet = SpanSheet::new();
-        let mut records = Vec::new();
 
         #[expect(
             clippy::disallowed_methods,
-            reason = "measurement around the stages, not inside them: feeds only \
-                      Prediction::preprocess_wall, which no metric value or fingerprint reads"
+            reason = "measurement around the heatmap and quantize steps, not inside them: feeds \
+                      only Prediction::preprocess_wall, which no metric value or fingerprint reads"
         )]
         let pre_start = Instant::now();
-        let (heatmap, _) = staged(
-            cache,
-            &sheet,
-            &mut records,
-            &self.heatmap_stage(),
-            self.scene,
-            self.scene.fingerprint(),
-        );
-        let (quantized, _) = staged(
-            cache,
-            &sheet,
-            &mut records,
-            &self.quantize_stage(),
-            heatmap.as_ref(),
-            heatmap.fingerprint(),
-        );
+        let start = sheet.elapsed();
+        let stage = self.heatmap_stage();
+        let (heatmap, fingerprint, outcome) =
+            cache.get_or_run(&stage, self.scene, self.scene.fingerprint());
+        let span = if outcome.is_hit() {
+            format!("{} (cached)", HeatmapStage::NAME)
+        } else {
+            HeatmapStage::NAME.to_owned()
+        };
+        sheet.record(&span, 0, start, sheet.elapsed().saturating_sub(start));
+        let record = StageCacheRecord {
+            stage: HeatmapStage::NAME.to_owned(),
+            fingerprint,
+            outcome,
+        };
+        let quantized = match quantized {
+            Some(quantized) => Arc::clone(quantized),
+            None => {
+                let _span = sheet.span("quantize");
+                Arc::new(QuantizedHeatmap::quantize(
+                    &heatmap,
+                    self.options.quant_colors,
+                    self.trace.seed,
+                ))
+            }
+        };
         let preprocess_wall = pre_start.elapsed();
 
         let k = self.resolve_factor()?;
         let down = self.target.downscaled(k)?;
-        let (groups, groups_fp) = staged(
-            cache,
-            &sheet,
-            &mut records,
-            &DivideStage {
-                width: self.width,
-                height: self.height,
-                k,
-                division: self.options.division,
-            },
-            &(),
-            0,
-        );
+        let span = sheet.span("divide");
+        let groups = divide(self.width, self.height, k, self.options.division);
+        span.finish();
         if groups.iter().any(|g| g.pixels.is_empty()) {
             return Err(ZatelError::TooFewChunks {
                 width: self.width,
@@ -552,15 +554,6 @@ impl<'s> Zatel<'s> {
                 chunks: chunk_count(self.width, self.height, k, self.options.division),
             });
         }
-        let select_input = SelectInput {
-            groups: Arc::clone(&groups),
-            quantized: Arc::clone(&quantized),
-        };
-        let mut input_h = Fnv64::new();
-        input_h
-            .write_u64(groups_fp)
-            .write_u64(quantized.fingerprint());
-        let select_input_fp = input_h.finish();
 
         // One selection per traced fraction: the configured one, or the
         // regression's three.
@@ -579,14 +572,11 @@ impl<'s> Zatel<'s> {
                         format!("simulate-groups {:.0}%", f * 100.0)
                     }
                 };
-                let (selections, _) = staged(
-                    cache,
-                    &sheet,
-                    &mut records,
-                    &SelectStage { options },
-                    &select_input,
-                    select_input_fp,
-                );
+                let _select = sheet.span("select");
+                let selections = groups
+                    .iter()
+                    .map(|g| select_pixels(g, &quantized, &options))
+                    .collect();
                 (span, selections)
             })
             .collect();
@@ -594,12 +584,13 @@ impl<'s> Zatel<'s> {
         Ok(Plan {
             zatel: self,
             sheet,
-            records,
+            record,
             preprocess_wall,
             k,
             down,
             groups,
             heatmap,
+            quantized,
             regression: ctx.regression,
             traced,
             request_id: ctx.request_id.clone(),
@@ -612,14 +603,6 @@ impl<'s> Zatel<'s> {
             width: self.width,
             height: self.height,
             trace: self.trace,
-        }
-    }
-
-    /// The quantize stage for this predictor's colour count and seed.
-    pub(crate) fn quantize_stage(&self) -> QuantizeStage {
-        QuantizeStage {
-            colors: self.options.quant_colors,
-            seed: self.trace.seed,
         }
     }
 
@@ -690,21 +673,25 @@ impl<'s> Zatel<'s> {
     }
 }
 
-/// An execution whose stages have all run ([`Zatel::plan`]): what is left
-/// are its group simulations and the extrapolation.
+/// An execution whose heatmap, quantization, division and selections are
+/// done ([`Zatel::plan`]): what is left are its group simulations and the
+/// extrapolation.
 #[derive(Debug)]
 pub(crate) struct Plan<'z, 's> {
     zatel: &'z Zatel<'s>,
     sheet: SpanSheet,
-    records: Vec<StageCacheRecord>,
+    record: StageCacheRecord,
     preprocess_wall: Duration,
     k: u32,
     down: GpuConfig,
-    groups: Arc<Vec<Group>>,
+    groups: Vec<Group>,
     heatmap: Arc<Heatmap>,
+    /// The quantized heatmap the selections were made on; a sweep hands
+    /// it to its later points' plans.
+    pub(crate) quantized: Arc<QuantizedHeatmap>,
     regression: Option<[f64; 3]>,
     /// Per traced fraction: its span name and each group's selection.
-    traced: Vec<(String, Arc<Vec<Selection>>)>,
+    traced: Vec<(String, Vec<Selection>)>,
     request_id: Option<String>,
 }
 
@@ -790,7 +777,7 @@ impl Plan<'_, '_> {
             sim_wall,
             spans,
             heatmap: self.heatmap.as_ref().clone(),
-            cache: self.records,
+            cache: vec![self.record],
             request_id: self.request_id,
         }
     }
@@ -811,34 +798,6 @@ pub(crate) fn run_plans(plans: Vec<Plan<'_, '_>>, executor: SimExecutor) -> Vec<
         .zip(pass_starts)
         .map(|(plan, pass_start)| plan.finish(pass_start, &mut done))
         .collect()
-}
-
-/// Executes `stage` through `cache`, recording a span named
-/// [`Stage::NAME`] (with a `" (cached)"` suffix when the artifact was
-/// reused) and appending a [`StageCacheRecord`].
-fn staged<S: Stage>(
-    cache: &ArtifactCache,
-    sheet: &SpanSheet,
-    records: &mut Vec<StageCacheRecord>,
-    stage: &S,
-    input: &S::Input,
-    input_fp: Fingerprint,
-) -> (Arc<S::Output>, Fingerprint) {
-    let start = sheet.elapsed();
-    let (artifact, fingerprint, outcome) = cache.get_or_run(stage, input, input_fp);
-    let dur = sheet.elapsed().saturating_sub(start);
-    let name = if outcome.is_hit() {
-        format!("{} (cached)", S::NAME)
-    } else {
-        S::NAME.to_owned()
-    };
-    sheet.record(&name, 0, start, dur);
-    records.push(StageCacheRecord {
-        stage: S::NAME.to_owned(),
-        fingerprint,
-        outcome,
-    });
-    (artifact, fingerprint)
 }
 
 /// Hand-written: a mode is a string or a bare factor.

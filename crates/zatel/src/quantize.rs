@@ -3,10 +3,9 @@
 //! eliminate noise.
 //!
 //! [`kmeans`] works per distinct colour rather than per pixel, which gives
-//! bit-identical clusters (and so unchanged fingerprints and on-disk
-//! artifacts) at a fraction of the cost.
+//! bit-identical clusters (and so unchanged fingerprints) at a fraction of
+//! the cost.
 
-use minijson::{field, JsonError, Map, ToJson, Value};
 use rtcore::image::Image;
 use rtcore::math::{Pcg, Vec3};
 
@@ -47,33 +46,6 @@ pub struct QuantizedHeatmap {
     coolness: Vec<f32>,
 }
 
-minijson::record! {
-    QuantizedHeatmap check(QuantizedHeatmap::check_parts) {
-        "width" => width,
-        "height" => height,
-        "clusters" => clusters,
-        centroids: with(write_centroids, read_centroids),
-        "coolness" => coolness,
-    }
-}
-
-/// Centroid colours render as `[r, g, b]` arrays.
-fn write_centroids(centroids: &[Vec3], map: &mut Map) {
-    let rgb = centroids
-        .iter()
-        .map(|c| [c.x, c.y, c.z].to_json())
-        .collect();
-    map.insert("centroids".into(), Value::Array(rgb));
-}
-
-fn read_centroids(value: &Value, ty: &str) -> Result<Vec<Vec3>, JsonError> {
-    let rgb: Vec<[f32; 3]> = field(value, ty, "centroids")?;
-    Ok(rgb
-        .into_iter()
-        .map(|[r, g, b]| Vec3::new(r, g, b))
-        .collect())
-}
-
 impl QuantizedHeatmap {
     /// Quantizes `heatmap` into at most `k` colours with seeded K-means.
     ///
@@ -94,25 +66,8 @@ impl QuantizedHeatmap {
         }
     }
 
-    /// A decoded quantized heatmap (the on-disk artifact cache) has one
-    /// cluster id per pixel, one coolness per centroid, and no id past the
-    /// last centroid.
-    fn check_parts(&self) -> Result<(), JsonError> {
-        let k = self.centroids.len();
-        if self.clusters.len() == (self.width as u64 * self.height as u64) as usize
-            && self.coolness.len() == k
-            && self.clusters.iter().all(|&c| (c as usize) < k)
-        {
-            Ok(())
-        } else {
-            Err(JsonError::conversion(
-                "QuantizedHeatmap: inconsistent parts",
-            ))
-        }
-    }
-
     /// Content fingerprint over dimensions, assignments, centroid and
-    /// coolness bit patterns; keys derived artifacts in the stage cache.
+    /// coolness bit patterns: what golden tests pin a quantization by.
     pub fn fingerprint(&self) -> u64 {
         let mut h = rtcore::fingerprint::Fnv64::new();
         h.write_str("zatel-quantized-v1");

@@ -1,23 +1,20 @@
-//! The pipeline as a stage graph with a content-addressed artifact cache.
+//! The heatmap cache: a content-addressed store for the one pipeline
+//! step that is worth caching.
 //!
-//! Each deterministic phase of the Zatel pipeline (heatmap → quantize →
-//! divide → select) is a [`Stage`]: a pure function from a typed input to
-//! a typed output [`Artifact`], plus a deterministic *parameter
-//! fingerprint* covering exactly the options that feed that stage — not
-//! the whole [`ZatelOptions`](crate::ZatelOptions). Combining the stage
-//! name, its parameter fingerprint and the input's content fingerprint
-//! yields the artifact's cache key, so the [`ArtifactCache`] can recognize
-//! repeated work across pipeline runs. Group simulation and extrapolation
-//! are not stages: their results embed per-run wall-clock observations and
-//! the simulation *is* the measurement being taken, so
-//! [`crate::pipeline`] calls them directly.
+//! Profiling the execution-time heatmap traces every pixel of the frame;
+//! at the benchmark's `predict-light` shapes it costs about 162 ms a pass,
+//! against about 14 ms for quantize, divide and select together. So the
+//! heatmap is a [`Stage`] — a deterministic function of its input plus a
+//! *parameter fingerprint* covering exactly the options that feed it —
+//! and its output is kept in an [`ArtifactCache`] under a key mixing the
+//! stage name, the parameter fingerprint and the scene's content
+//! fingerprint. Quantize, divide and select are plain calls in
+//! [`crate::pipeline`]: recomputing them costs less than keying, storing
+//! and decoding them would.
 //!
-//! This is what makes sweeps cheap: a sweep over traced-percentages or
-//! downscale factors varies only selection and simulation, so the
-//! heatmap, quantization and division artifacts are computed once and
-//! served from cache for every subsequent sweep point. An opt-in on-disk
-//! layer ([`ArtifactCache::with_disk`]) extends reuse across processes for
-//! the artifacts that serialize losslessly (heatmap, quantized heatmap).
+//! A sweep or a serve worker that shares one cache profiles each scene
+//! shape once. An opt-in on-disk layer ([`ArtifactCache::with_disk`])
+//! extends that reuse across processes.
 //!
 //! ```
 //! use rtcore::scenes::SceneId;
@@ -40,47 +37,25 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use minijson::{json, FromJson, ToJson, Value};
+use minijson::{FromJson, ToJson, Value};
 use rtcore::fingerprint::Fnv64;
 use rtcore::scene::Scene;
 use rtcore::tracer::TraceConfig;
 
 use crate::heatmap::Heatmap;
-use crate::partition::{divide, DivisionMethod, Group};
-use crate::quantize::QuantizedHeatmap;
-use crate::select::{select_pixels, Selection, SelectionOptions};
 
 /// A 64-bit content/derivation fingerprint (FNV-1a).
 pub type Fingerprint = u64;
 
-/// A value a stage produces. Artifacts live in the cache behind `Arc`, so
-/// they must be shareable across threads; the disk hooks are optional and
-/// only implemented by artifacts whose JSON round-trip is bit-exact.
-pub trait Artifact: Send + Sync + 'static {
-    /// Serializes the artifact for the on-disk cache layer; `None` (the
-    /// default) keeps the artifact memory-only.
-    fn to_disk(&self) -> Option<Value> {
-        None
-    }
-
-    /// Rebuilds the artifact from its [`Artifact::to_disk`] encoding;
-    /// `None` on malformed input (treated as a cache miss).
-    fn from_disk(_value: &Value) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
-}
-
-/// One phase of the pipeline: a deterministic `Input → Output` function
+/// A cached pipeline step: a deterministic `Input → Output` function
 /// identified by a name and a parameter fingerprint.
 pub trait Stage {
     /// What the stage consumes. Inputs are borrowed, never stored, so they
     /// may be arbitrarily large (a whole scene).
     type Input: ?Sized;
-    /// What the stage produces.
-    type Output: Artifact;
+    /// What the stage produces: shared across threads behind `Arc`, and
+    /// stored on disk as its JSON, whose round trip must be bit-exact.
+    type Output: ToJson + FromJson + Send + Sync + 'static;
 
     /// Stable stage name; the first component of the cache key and the
     /// span name recorded for the stage.
@@ -202,7 +177,7 @@ minijson::record! {
 }
 
 /// How many artifacts the memory level holds before an insert evicts the
-/// least recently used one. A prediction inserts four; a long-lived
+/// least recently used one. A prediction inserts one; a long-lived
 /// server meeting never-seen `(scene, seed)` pairs would otherwise grow
 /// without limit. An evicted artifact is simply the disk hit or miss it
 /// would have been in a fresh process.
@@ -276,18 +251,17 @@ pub struct DiskTierStats {
     pub entries: u64,
 }
 
-const DISK_INDEX_FILE: &str = "cache-index.json";
-const DISK_INDEX_SCHEMA: &str = "zatel-cache-index-v1";
-
 #[derive(Debug, Clone, Copy)]
 struct DiskEntry {
     bytes: u64,
     generation: u64,
 }
 
+/// The tier's view of its directory: each artifact file's size and when
+/// it was last used, as a generation counter that lives as long as the
+/// tier does.
 #[derive(Debug, Default)]
 struct DiskIndex {
-    loaded: bool,
     next_generation: u64,
     entries: BTreeMap<String, DiskEntry>,
 }
@@ -297,15 +271,15 @@ impl DiskIndex {
         self.entries.values().map(|e| e.bytes).sum()
     }
 
-    fn bump(&mut self) -> u64 {
-        let g = self.next_generation;
+    /// Records `name` as the most recently used entry.
+    fn touch(&mut self, name: String, bytes: u64) {
+        let generation = self.next_generation;
         self.next_generation += 1;
-        g
+        self.entries.insert(name, DiskEntry { bytes, generation });
     }
 }
 
-/// `true` for `{stage}-{fingerprint:016x}.json` artifact file names (and
-/// `false` for the index sidecar or anything else living in the dir).
+/// `true` for `{stage}-{fingerprint:016x}.json` artifact file names.
 fn is_artifact_file(name: &str) -> bool {
     let Some(stem) = name.strip_suffix(".json") else {
         return false;
@@ -316,15 +290,24 @@ fn is_artifact_file(name: &str) -> bool {
     hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
-/// The persistent tier: serialized artifacts stored as
-/// `{stage}-{fingerprint:016x}.json` files under one directory.
+/// Suffix of the temp files a write goes through before its rename.
+const TEMP_SUFFIX: &str = ".tmp";
+
+/// Numbers the temp files of this process, so tiers that share a
+/// directory never write through the same temp file.
+static TEMP_FILES: AtomicU64 = AtomicU64::new(0);
+
+/// The persistent tier: one `{stage}-{fingerprint:016x}.json` file per
+/// artifact under one directory, and nothing else.
 ///
-/// Recency for the LRU eviction policy is a monotonic in-index
-/// *generation counter* — never file mtimes, whose granularity and
-/// timezone semantics vary by filesystem — persisted (with entry sizes)
-/// in a `cache-index.json` sidecar so recency survives across processes.
-/// When a size budget is configured, inserts evict the
-/// lowest-generation entries until the tier fits. Several
+/// A write goes to a temp file in the same directory and is renamed into
+/// place, so a reader sees a whole file or none. Opening the tier adopts
+/// the artifact files already there in name order and deletes temp files
+/// an interrupted write left behind. Recency for the LRU eviction policy
+/// is a generation counter kept in memory for as long as the tier is
+/// open — never file mtimes, whose granularity and timezone semantics
+/// vary by filesystem. When a size budget is configured, inserts evict
+/// the least recently used entries until the tier fits. Several
 /// [`TieredCache`]s may share one `DiskTier` behind an `Arc`. Every
 /// failure mode — I/O errors, corrupt documents — degrades to a miss,
 /// never an error.
@@ -340,22 +323,36 @@ pub struct DiskTier {
 }
 
 impl DiskTier {
-    /// An unbounded disk tier over `dir` (created on first write).
+    /// Opens an unbounded disk tier over `dir` (created on first write).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self::build(dir.into(), None)
+        Self::open(dir.into(), None)
     }
 
-    /// A disk tier over `dir` holding at most `budget_bytes` of artifact
-    /// files; inserts beyond the budget evict least-recently-used entries.
+    /// Opens a disk tier over `dir` holding at most `budget_bytes` of
+    /// artifact files; inserts beyond the budget evict least-recently-used
+    /// entries.
     pub fn with_budget(dir: impl Into<PathBuf>, budget_bytes: u64) -> Self {
-        Self::build(dir.into(), Some(budget_bytes))
+        Self::open(dir.into(), Some(budget_bytes))
     }
 
-    fn build(dir: PathBuf, budget: Option<u64>) -> Self {
+    fn open(dir: PathBuf, budget: Option<u64>) -> Self {
+        let mut present = BTreeMap::new();
+        for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if is_artifact_file(&name) {
+                present.insert(name, entry.metadata().map(|m| m.len()).unwrap_or(0));
+            } else if name.ends_with(TEMP_SUFFIX) {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+        let mut index = DiskIndex::default();
+        for (name, bytes) in present {
+            index.touch(name, bytes);
+        }
         DiskTier {
             dir,
             budget,
-            index: Mutex::new(DiskIndex::default()),
+            index: Mutex::new(index),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -380,175 +377,72 @@ impl DiskTier {
         format!("{stage}-{fp:016x}.json")
     }
 
-    /// The index, lazily initialized from the sidecar file and a directory
-    /// scan, recovering from lock poisoning (mutations leave the index
-    /// coherent entry-by-entry).
+    /// The index, recovering from lock poisoning (mutations leave the
+    /// index coherent entry-by-entry).
     fn index(&self) -> std::sync::MutexGuard<'_, DiskIndex> {
-        let mut idx = self
-            .index
+        self.index
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !idx.loaded {
-            self.load(&mut idx);
-        }
-        idx
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Builds the in-memory index: sizes come from the files actually
-    /// present, generations from the sidecar where available. Files never
-    /// indexed (a pre-index cache dir, or a sidecar lost to a crash) are
-    /// adopted in sorted-name order so the result is deterministic.
-    fn load(&self, idx: &mut DiskIndex) {
-        idx.loaded = true;
-        let mut present: BTreeMap<String, u64> = BTreeMap::new();
-        if let Ok(dir) = std::fs::read_dir(&self.dir) {
-            for entry in dir.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if !is_artifact_file(&name) {
-                    continue;
-                }
-                let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                present.insert(name, bytes);
-            }
-        }
-        let mut recorded: BTreeMap<String, u64> = BTreeMap::new();
-        if let Ok(text) = std::fs::read_to_string(self.dir.join(DISK_INDEX_FILE)) {
-            if let Ok(doc) = Value::parse(&text) {
-                if doc.get("schema").and_then(Value::as_str) == Some(DISK_INDEX_SCHEMA) {
-                    idx.next_generation = doc
-                        .get("next_generation")
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0);
-                    if let Some(entries) = doc.get("entries").and_then(Value::as_array) {
-                        for e in entries {
-                            let (Some(file), Some(generation)) = (
-                                e.get("file").and_then(Value::as_str),
-                                e.get("generation").and_then(Value::as_u64),
-                            ) else {
-                                continue;
-                            };
-                            recorded.insert(file.to_owned(), generation);
-                        }
-                    }
-                }
-            }
-        }
-        for (name, bytes) in present {
-            let generation = match recorded.get(&name) {
-                Some(&g) => g,
-                None => idx.bump(),
-            };
-            idx.next_generation = idx.next_generation.max(generation + 1);
-            idx.entries.insert(name, DiskEntry { bytes, generation });
-        }
-    }
-
-    /// Persists the index sidecar, best-effort.
-    fn persist(&self, idx: &DiskIndex) {
-        let entries = idx.entries.iter().map(|(name, e)| {
-            json!({ "file": name.as_str(), "bytes": e.bytes, "generation": e.generation })
-        });
-        let entries: Vec<Value> = entries.collect();
-        let doc = json!({
-            "schema": DISK_INDEX_SCHEMA,
-            "next_generation": idx.next_generation,
-            "entries": entries,
-        });
-        let _ = std::fs::write(self.dir.join(DISK_INDEX_FILE), doc.pretty());
-    }
-
-    /// Removes an entry's file and index record.
-    fn remove_entry(&self, idx: &mut DiskIndex, name: &str) {
-        let _ = std::fs::remove_file(self.dir.join(name));
-        idx.entries.remove(name);
-    }
-
-    /// Evicts lowest-generation entries until the tier fits its budget.
-    fn evict_over_budget(&self, idx: &mut DiskIndex) {
-        let Some(budget) = self.budget else {
-            return;
-        };
-        while idx.total_bytes() > budget {
-            let Some(oldest) = idx
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.generation)
-                .map(|(name, _)| name.clone())
-            else {
-                return;
-            };
-            self.remove_entry(idx, &oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Looks up an entry's document, making it the most recently used;
-    /// `None` is a miss. An unreadable or unparsable file is dropped and
-    /// counted corrupt.
-    fn get(&self, stage: &str, fp: Fingerprint) -> Option<Value> {
+    /// Looks up an entry's typed artifact, making it the most recently
+    /// used; `None` is a miss. A file that does not read back — truncated,
+    /// not JSON, or JSON that fails the typed decode — is deleted and
+    /// counted corrupt, and the caller's recompute writes it anew.
+    fn get<T: FromJson>(&self, stage: &str, fp: Fingerprint) -> Option<T> {
         let name = Self::file_name(stage, fp);
-        let mut idx = self.index();
-        if !idx.entries.contains_key(&name) {
+        let path = self.dir.join(&name);
+        let Ok(text) = std::fs::read_to_string(&path) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
-        }
-        let parsed = std::fs::read_to_string(self.dir.join(&name))
-            .ok()
-            .and_then(|text| Value::parse(&text).ok());
-        match parsed {
-            Some(value) => {
-                let generation = idx.bump();
-                if let Some(e) = idx.entries.get_mut(&name) {
-                    e.generation = generation;
-                }
-                self.persist(&idx);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                // Truncated, corrupt or unreadable: drop it, serve a miss.
-                self.remove_entry(&mut idx, &name);
-                self.persist(&idx);
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores an entry's document as the most recently used, evicting
-    /// over-budget entries.
-    fn put(&self, stage: &str, fp: Fingerprint, value: &Value) {
-        let name = Self::file_name(stage, fp);
-        let text = value.pretty();
+        };
+        let decoded = Value::parse(&text).ok().and_then(|v| T::from_json(&v).ok());
         let mut idx = self.index();
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
-        if std::fs::write(self.dir.join(&name), &text).is_err() {
-            return;
-        }
-        let generation = idx.bump();
-        idx.entries.insert(
-            name,
-            DiskEntry {
-                bytes: text.len() as u64,
-                generation,
-            },
-        );
-        self.evict_over_budget(&mut idx);
-        self.persist(&idx);
-    }
-
-    /// Drops an entry whose document failed the typed decode (counted
-    /// corrupt) so it is never served again.
-    fn discard(&self, stage: &str, fp: Fingerprint) {
-        let name = Self::file_name(stage, fp);
-        let mut idx = self.index();
-        if idx.entries.contains_key(&name) {
-            self.remove_entry(&mut idx, &name);
-            self.persist(&idx);
+        if decoded.is_some() {
+            idx.touch(name, text.len() as u64);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let _ = std::fs::remove_file(&path);
+            idx.entries.remove(&name);
             self.corrupt.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        decoded
+    }
+
+    /// Stores an entry as the most recently used: written to a temp file
+    /// and renamed into place, then over-budget entries are evicted.
+    fn put(&self, stage: &str, fp: Fingerprint, artifact: &impl ToJson) {
+        let name = Self::file_name(stage, fp);
+        let text = artifact.to_json().pretty();
+        let temp = self.dir.join(format!(
+            "{name}.{}-{}{TEMP_SUFFIX}",
+            std::process::id(),
+            TEMP_FILES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let written = std::fs::create_dir_all(&self.dir)
+            .and_then(|()| std::fs::write(&temp, &text))
+            .and_then(|()| std::fs::rename(&temp, self.dir.join(&name)));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&temp);
+            return;
+        }
+        let mut idx = self.index();
+        idx.touch(name, text.len() as u64);
+        if let Some(budget) = self.budget {
+            while idx.total_bytes() > budget {
+                let Some(oldest) = idx
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.generation)
+                    .map(|(name, _)| name.clone())
+                else {
+                    break;
+                };
+                let _ = std::fs::remove_file(self.dir.join(&oldest));
+                idx.entries.remove(&oldest);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -563,7 +457,7 @@ impl DiskTier {
 ///
 /// A lookup reads memory, then disk (a disk hit is decoded and promoted
 /// into memory); a miss computes the artifact, keeps it in memory and
-/// writes its [`Artifact::to_disk`] document, if it has one, to disk. The
+/// writes its JSON to disk. The
 /// cache is internally synchronized and is shared across sweep worker
 /// threads and serve's workers behind an `Arc`; independent caches may
 /// share a [`DiskTier`] (see [`TieredCache::with_disk_tier`]), each with
@@ -597,7 +491,7 @@ impl TieredCache {
         Self::compose(None)
     }
 
-    /// A cache backed by `dir`: disk-persistable artifacts are written as
+    /// A cache backed by `dir`: artifacts are written as
     /// `{stage}-{fingerprint:016x}.json` on miss and read back on a memory
     /// miss (then promoted to memory). The directory is created on first
     /// write; I/O failures degrade to cache misses, never errors.
@@ -675,34 +569,24 @@ impl TieredCache {
             self.memory_hits.fetch_add(1, Ordering::Relaxed);
             return (artifact, fp, CacheOutcome::MemoryHit);
         }
-        if let Some(disk) = &self.disk {
-            if let Some(value) = disk.get(S::NAME, fp) {
-                match S::Output::from_disk(&value) {
-                    Some(artifact) => {
-                        let artifact = Arc::new(artifact);
-                        self.memory().insert(key, Arc::clone(&artifact) as _);
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return (artifact, fp, CacheOutcome::DiskHit);
-                    }
-                    None => disk.discard(S::NAME, fp),
-                }
-            }
+        if let Some(artifact) = self.disk.as_ref().and_then(|d| d.get(S::NAME, fp)) {
+            let artifact = Arc::new(artifact);
+            self.memory().insert(key, Arc::clone(&artifact) as _);
+            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            return (artifact, fp, CacheOutcome::DiskHit);
         }
         let artifact = Arc::new(stage.run(input));
         self.memory().insert(key, Arc::clone(&artifact) as _);
         if let Some(disk) = &self.disk {
-            if let Some(value) = artifact.to_disk() {
-                disk.put(S::NAME, fp, &value);
-            }
+            disk.put(S::NAME, fp, artifact.as_ref());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         (artifact, fp, CacheOutcome::Miss)
     }
 }
 
-// --- Stage implementations -------------------------------------------------
-
-/// Stage ①: profile the execution-time heatmap of a scene.
+/// Profiles the execution-time heatmap of a scene (paper step ①): the one
+/// cached stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeatmapStage {
     /// Image width in pixels.
@@ -731,152 +615,6 @@ impl Stage for HeatmapStage {
         Heatmap::profile(scene, self.width, self.height, &self.trace)
     }
 }
-
-impl Artifact for Heatmap {
-    fn to_disk(&self) -> Option<Value> {
-        Some(self.to_json())
-    }
-
-    fn from_disk(value: &Value) -> Option<Self> {
-        Heatmap::from_json(value).ok()
-    }
-}
-
-/// Stage ②: K-means colour quantization of the heatmap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuantizeStage {
-    /// Number of K-means colours.
-    pub colors: usize,
-    /// K-means seed.
-    pub seed: u64,
-}
-
-impl Stage for QuantizeStage {
-    type Input = Heatmap;
-    type Output = QuantizedHeatmap;
-    const NAME: &'static str = "quantize";
-
-    fn params_fingerprint(&self) -> Fingerprint {
-        let mut h = Fnv64::new();
-        h.write_u64(self.colors as u64).write_u64(self.seed);
-        h.finish()
-    }
-
-    fn run(&self, heatmap: &Heatmap) -> QuantizedHeatmap {
-        QuantizedHeatmap::quantize(heatmap, self.colors, self.seed)
-    }
-}
-
-impl Artifact for QuantizedHeatmap {
-    fn to_disk(&self) -> Option<Value> {
-        Some(self.to_json())
-    }
-
-    fn from_disk(value: &Value) -> Option<Self> {
-        QuantizedHeatmap::from_json(value).ok()
-    }
-}
-
-/// Stage ④: divide the image plane into K groups. Pure function of its
-/// parameters — the input is `()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DivideStage {
-    /// Image width in pixels.
-    pub width: u32,
-    /// Image height in pixels.
-    pub height: u32,
-    /// Downscale factor K (number of groups).
-    pub k: u32,
-    /// Division method.
-    pub division: DivisionMethod,
-}
-
-impl Stage for DivideStage {
-    type Input = ();
-    type Output = Vec<Group>;
-    const NAME: &'static str = "divide";
-
-    fn params_fingerprint(&self) -> Fingerprint {
-        let mut h = Fnv64::new();
-        h.write_u32(self.width)
-            .write_u32(self.height)
-            .write_u32(self.k);
-        match self.division {
-            DivisionMethod::Coarse => {
-                h.write_u8(0);
-            }
-            DivisionMethod::Fine {
-                chunk_width,
-                chunk_height,
-            } => {
-                h.write_u8(1).write_u32(chunk_width).write_u32(chunk_height);
-            }
-        }
-        h.finish()
-    }
-
-    fn run(&self, _: &()) -> Vec<Group> {
-        divide(self.width, self.height, self.k, self.division)
-    }
-}
-
-impl Artifact for Vec<Group> {}
-
-/// Input of [`SelectStage`]: the groups and the quantized heatmap, shared
-/// by `Arc` so the stage input can be assembled from cached artifacts
-/// without copying.
-#[derive(Debug, Clone)]
-pub struct SelectInput {
-    /// Image-plane groups (output of [`DivideStage`]).
-    pub groups: Arc<Vec<Group>>,
-    /// Quantized heatmap (output of [`QuantizeStage`]).
-    pub quantized: Arc<QuantizedHeatmap>,
-}
-
-/// Stage ⑤: select each group's representative pixels.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SelectStage {
-    /// Selection parameters (with any percent override already applied).
-    pub options: SelectionOptions,
-}
-
-impl Stage for SelectStage {
-    type Input = SelectInput;
-    type Output = Vec<Selection>;
-    const NAME: &'static str = "select";
-
-    fn params_fingerprint(&self) -> Fingerprint {
-        let o = &self.options;
-        let mut h = Fnv64::new();
-        h.write_u32(o.block_width).write_u32(o.block_height);
-        h.write_u8(match o.distribution {
-            crate::select::Distribution::Uniform => 0,
-            crate::select::Distribution::LinTmp => 1,
-            crate::select::Distribution::ExpTmp => 2,
-        });
-        h.write_f64(o.clamp.0).write_f64(o.clamp.1);
-        match o.percent_override {
-            None => h.write_u8(0),
-            Some(p) => h.write_u8(1).write_f64(p),
-        };
-        match o.percent_cap {
-            None => h.write_u8(0),
-            Some(p) => h.write_u8(1).write_f64(p),
-        };
-        h.write_u64(o.seed);
-        h.finish()
-    }
-
-    fn run(&self, input: &SelectInput) -> Vec<Selection> {
-        input
-            .groups
-            .iter()
-            .map(|g| select_pixels(g, &input.quantized, &self.options))
-            .collect()
-    }
-}
-
-impl Artifact for Vec<Selection> {}
 
 #[cfg(test)]
 mod tests {
@@ -925,113 +663,66 @@ mod tests {
         );
     }
 
-    #[test]
-    fn disk_layer_round_trips_heatmap_and_quantized() {
-        let scene = SceneId::Sprng.build(1);
-        let dir = std::env::temp_dir().join(format!(
-            "zatel-stage-test-{}-{:x}",
-            std::process::id(),
-            scene.fingerprint()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let hm_stage = HeatmapStage {
-            width: 16,
-            height: 16,
-            trace: trace(),
-        };
-        let q_stage = QuantizeStage { colors: 4, seed: 5 };
-
-        let warm = ArtifactCache::with_disk(&dir);
-        let (hm1, _, _) = warm.get_or_run(&hm_stage, &scene, scene.fingerprint());
-        let (q1, _, _) = warm.get_or_run(&q_stage, hm1.as_ref(), hm1.fingerprint());
-
-        // A fresh cache over the same directory must hit disk and produce
-        // bit-identical artifacts.
-        let cold = ArtifactCache::with_disk(&dir);
-        let (hm2, _, o_hm) = cold.get_or_run(&hm_stage, &scene, scene.fingerprint());
-        let (q2, _, o_q) = cold.get_or_run(&q_stage, hm2.as_ref(), hm2.fingerprint());
-        assert_eq!(o_hm, CacheOutcome::DiskHit);
-        assert_eq!(o_q, CacheOutcome::DiskHit);
-        assert_eq!(hm1.as_ref(), hm2.as_ref());
-        assert_eq!(q1.as_ref(), q2.as_ref());
-        // And the promotion to memory serves subsequent requests.
-        let (_, _, o3) = cold.get_or_run(&hm_stage, &scene, scene.fingerprint());
-        assert_eq!(o3, CacheOutcome::MemoryHit);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn divide_stage_is_pure_in_its_params() {
-        let cache = ArtifactCache::in_memory();
-        let stage = DivideStage {
-            width: 64,
-            height: 64,
-            k: 4,
-            division: DivisionMethod::default_fine(),
-        };
-        let (g1, _, _) = cache.get_or_run(&stage, &(), 0);
-        let (g2, _, o2) = cache.get_or_run(&stage, &(), 0);
-        assert_eq!(o2, CacheOutcome::MemoryHit);
-        assert_eq!(g1.len(), 4);
-        assert!(Arc::ptr_eq(&g1, &g2));
-        let coarse = DivideStage {
-            division: DivisionMethod::Coarse,
-            ..stage
-        };
-        let (_, _, o3) = cache.get_or_run(&coarse, &(), 0);
-        assert_eq!(o3, CacheOutcome::Miss);
-    }
-
-    #[test]
-    fn select_stage_key_tracks_percent_override() {
-        let scene = SceneId::Sprng.build(1);
-        let cache = ArtifactCache::in_memory();
-        let hm_stage = HeatmapStage {
-            width: 32,
-            height: 32,
-            trace: trace(),
-        };
-        let (hm, _, _) = cache.get_or_run(&hm_stage, &scene, scene.fingerprint());
-        let q_stage = QuantizeStage { colors: 4, seed: 5 };
-        let (q, q_fp, _) = cache.get_or_run(&q_stage, hm.as_ref(), hm.fingerprint());
-        let d_stage = DivideStage {
-            width: 32,
-            height: 32,
-            k: 2,
-            division: DivisionMethod::default_fine(),
-        };
-        let (groups, g_fp, _) = cache.get_or_run(&d_stage, &(), 0);
-        let input = SelectInput {
-            groups,
-            quantized: q,
-        };
-        let mut input_h = Fnv64::new();
-        input_h.write_u64(g_fp).write_u64(q_fp);
-        let input_fp = input_h.finish();
-
-        let base = SelectStage {
-            options: SelectionOptions::default(),
-        };
-        let (_, _, o1) = cache.get_or_run(&base, &input, input_fp);
-        let (_, _, o2) = cache.get_or_run(&base, &input, input_fp);
-        assert_eq!((o1, o2), (CacheOutcome::Miss, CacheOutcome::MemoryHit));
-
-        let overridden = SelectStage {
-            options: SelectionOptions {
-                percent_override: Some(0.4),
-                ..SelectionOptions::default()
-            },
-        };
-        let (_, _, o3) = cache.get_or_run(&overridden, &input, input_fp);
-        assert_eq!(o3, CacheOutcome::Miss, "percent override changes the key");
-    }
-
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("zatel-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The file names in `dir`, sorted.
+    fn files(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("cache dir exists")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A 1×1 heatmap stage: every seed gives a distinct key and a file of
+    /// the same size.
+    fn tiny(seed: u64) -> HeatmapStage {
+        HeatmapStage {
+            width: 1,
+            height: 1,
+            trace: TraceConfig { seed, ..trace() },
+        }
+    }
+
+    #[test]
+    fn disk_layer_round_trips_the_heatmap() {
+        let scene = SceneId::Sprng.build(1);
+        let dir = temp_dir("stage-test");
+        let stage = HeatmapStage {
+            width: 16,
+            height: 16,
+            trace: trace(),
+        };
+
+        let warm = ArtifactCache::with_disk(&dir);
+        let (hm1, fp, _) = warm.get_or_run(&stage, &scene, scene.fingerprint());
+        assert_eq!(
+            files(&dir),
+            [format!("heatmap-{fp:016x}.json")],
+            "one file, no index"
+        );
+
+        // A fresh cache over the same directory must hit disk and produce a
+        // bit-identical heatmap.
+        let cold = ArtifactCache::with_disk(&dir);
+        let (hm2, _, outcome) = cold.get_or_run(&stage, &scene, scene.fingerprint());
+        assert_eq!(outcome, CacheOutcome::DiskHit);
+        assert_eq!(hm1.as_ref(), hm2.as_ref());
+        // And the promotion to memory serves subsequent requests.
+        let (_, _, o3) = cold.get_or_run(&stage, &scene, scene.fingerprint());
+        assert_eq!(o3, CacheOutcome::MemoryHit);
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1043,20 +734,26 @@ mod tests {
             height: 16,
             trace: trace(),
         };
+        let on_disk = |path: &std::path::Path| {
+            let text = std::fs::read_to_string(path).expect("entry readable");
+            Heatmap::from_json(&Value::parse(&text).expect("entry is JSON")).expect("a heatmap")
+        };
 
         let warm = ArtifactCache::with_disk(&dir);
         let (hm1, fp, _) = warm.get_or_run(&stage, &scene, scene.fingerprint());
         let path = dir.join(format!("heatmap-{fp:016x}.json"));
-        assert!(path.exists());
+        assert_eq!(on_disk(&path), *hm1);
 
-        // Truncated garbage: the cold cache must treat it as a miss,
-        // delete it, count it, and recompute the same artifact.
-        std::fs::write(&path, "{ \"width\": 16, \"hei").expect("truncate entry");
+        // The heatmap file cut short: the cold cache must treat it as a
+        // miss, count it, and recompute the same artifact over it.
+        let whole = std::fs::read_to_string(&path).expect("entry readable");
+        std::fs::write(&path, &whole[..whole.len() / 2]).expect("truncate entry");
         let cold = ArtifactCache::with_disk(&dir);
         let (hm2, _, outcome) = cold.get_or_run(&stage, &scene, scene.fingerprint());
         assert_eq!(outcome, CacheOutcome::Miss);
         assert_eq!(hm1.as_ref(), hm2.as_ref());
         assert_eq!(cold.stats().disk_corrupt, 1);
+        assert_eq!(on_disk(&path), *hm1, "the recompute rewrote a whole file");
         // The miss rewrote a valid entry, so a third cache disk-hits.
         let third = ArtifactCache::with_disk(&dir);
         let (_, _, o3) = third.get_or_run(&stage, &scene, scene.fingerprint());
@@ -1069,58 +766,60 @@ mod tests {
         let (_, _, o4) = fourth.get_or_run(&stage, &scene, scene.fingerprint());
         assert_eq!(o4, CacheOutcome::Miss);
         assert_eq!(fourth.stats().disk_corrupt, 1);
+        assert_eq!(on_disk(&path), *hm1);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[derive(Debug, PartialEq)]
-    struct Payload(Vec<u64>);
+    #[test]
+    fn interrupted_and_racing_writes_leave_only_whole_files() {
+        let scene = SceneId::Sprng.build(1);
+        let dir = temp_dir("cache-writes");
+        let stage = tiny(3);
+        let fp = ArtifactCache::key_of(&stage, scene.fingerprint());
+        let name = format!("heatmap-{fp:016x}.json");
+        let heatmap = stage.run(&scene);
 
-    impl Artifact for Payload {
-        fn to_disk(&self) -> Option<Value> {
-            Some(Value::Array(
-                self.0.iter().map(|&x| Value::from(x)).collect(),
-            ))
-        }
+        // A write interrupted before its rename leaves a temp file beside
+        // where the entry would go, whole or not. It is never served, and
+        // opening a tier over the directory deletes it.
+        std::fs::create_dir_all(&dir).expect("cache dir");
+        let temp = dir.join(format!("{name}.999-0{TEMP_SUFFIX}"));
+        std::fs::write(&temp, heatmap.to_json().pretty()).expect("temp file");
+        let cache = ArtifactCache::with_disk(&dir);
+        assert!(!temp.exists(), "opening the tier removed the temp file");
+        let (_, _, outcome) = cache.get_or_run(&stage, &scene, scene.fingerprint());
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert_eq!(files(&dir), std::slice::from_ref(&name));
 
-        fn from_disk(value: &Value) -> Option<Self> {
-            value
-                .as_array()?
-                .iter()
-                .map(|v| v.as_u64())
-                .collect::<Option<Vec<_>>>()
-                .map(Payload)
-        }
-    }
+        // Two tiers over one directory writing the same key at once leave
+        // one file, and it parses.
+        std::fs::remove_file(dir.join(&name)).expect("entry removed");
+        let tiers = [DiskTier::new(&dir), DiskTier::new(&dir)];
+        std::thread::scope(|s| {
+            for tier in &tiers {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        tier.put(HeatmapStage::NAME, fp, &heatmap);
+                    }
+                });
+            }
+        });
+        assert_eq!(files(&dir), [name]);
+        let fresh = DiskTier::new(&dir);
+        assert_eq!(fresh.get::<Heatmap>(HeatmapStage::NAME, fp), Some(heatmap));
+        assert_eq!(fresh.stats().corrupt, 0);
 
-    struct PayloadStage {
-        id: u64,
-    }
-
-    impl Stage for PayloadStage {
-        type Input = ();
-        type Output = Payload;
-        const NAME: &'static str = "payload";
-        fn params_fingerprint(&self) -> Fingerprint {
-            let mut h = Fnv64::new();
-            h.write_u64(self.id);
-            h.finish()
-        }
-        fn run(&self, _: &()) -> Payload {
-            Payload(vec![self.id; 64])
-        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn disk_tier_evicts_lru_by_generation_within_budget() {
+        let scene = SceneId::Sprng.build(1);
         // Probe one entry's on-disk size so the budget holds exactly two.
         let probe_dir = temp_dir("cache-probe");
         let probe = DiskTier::new(&probe_dir);
-        probe.put(
-            "payload",
-            0,
-            &Payload(vec![0; 64]).to_disk().expect("payload serializes"),
-        );
+        probe.put(HeatmapStage::NAME, 0, &tiny(0).run(&scene));
         let entry_bytes = probe.stats().bytes;
         assert!(entry_bytes > 0);
         let _ = std::fs::remove_dir_all(&probe_dir);
@@ -1128,9 +827,9 @@ mod tests {
         let dir = temp_dir("cache-evict");
         let tier = Arc::new(DiskTier::with_budget(&dir, 2 * entry_bytes + 8));
         let cache = ArtifactCache::with_disk_tier(Arc::clone(&tier));
-        let key = |id| {
-            let (_, fp, _) = cache.get_or_run(&PayloadStage { id }, &(), 0);
-            dir.join(format!("payload-{fp:016x}.json"))
+        let key = |seed| {
+            let (_, fp, _) = cache.get_or_run(&tiny(seed), &scene, scene.fingerprint());
+            dir.join(format!("heatmap-{fp:016x}.json"))
         };
         let p1 = key(1);
         let p2 = key(2);
@@ -1139,7 +838,7 @@ mod tests {
         // Touch #1 from a fresh cache (disk hit), making #2 the LRU; the
         // next insert must evict #2, not #1.
         let toucher = ArtifactCache::with_disk_tier(Arc::clone(&tier));
-        let (_, _, o) = toucher.get_or_run(&PayloadStage { id: 1 }, &(), 0);
+        let (_, _, o) = toucher.get_or_run(&tiny(1), &scene, scene.fingerprint());
         assert_eq!(o, CacheOutcome::DiskHit);
         let p3 = key(3);
 
@@ -1151,15 +850,17 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes <= 2 * entry_bytes + 8);
 
-        // A fresh tier over the same dir reloads the index: same entries,
-        // and the evicted key is a miss while the survivors hit.
+        // A fresh tier over the same dir adopts the files left: the
+        // evicted key is a miss while the survivors hit.
         drop(cache);
         let reloaded = ArtifactCache::with_disk(&dir);
-        let (_, _, o1) = reloaded.get_or_run(&PayloadStage { id: 1 }, &(), 0);
-        let (_, _, o2) = reloaded.get_or_run(&PayloadStage { id: 2 }, &(), 0);
-        let (_, _, o3) = reloaded.get_or_run(&PayloadStage { id: 3 }, &(), 0);
+        let outcome = |seed| {
+            reloaded
+                .get_or_run(&tiny(seed), &scene, scene.fingerprint())
+                .2
+        };
         assert_eq!(
-            (o1, o2, o3),
+            (outcome(1), outcome(2), outcome(3)),
             (
                 CacheOutcome::DiskHit,
                 CacheOutcome::Miss,
@@ -1172,20 +873,21 @@ mod tests {
 
     #[test]
     fn caches_share_a_disk_tier_under_private_memory_tiers() {
+        let scene = SceneId::Sprng.build(1);
         let dir = temp_dir("cache-shared");
         let tier = Arc::new(DiskTier::new(&dir));
         let a = ArtifactCache::with_disk_tier(Arc::clone(&tier));
         let b = ArtifactCache::with_disk_tier(Arc::clone(&tier));
-        let stage = PayloadStage { id: 7 };
+        let stage = tiny(7);
 
-        let (va, _, oa) = a.get_or_run(&stage, &(), 0);
-        let (vb, _, ob) = b.get_or_run(&stage, &(), 0);
+        let (va, _, oa) = a.get_or_run(&stage, &scene, scene.fingerprint());
+        let (vb, _, ob) = b.get_or_run(&stage, &scene, scene.fingerprint());
         assert_eq!(oa, CacheOutcome::Miss);
         assert_eq!(ob, CacheOutcome::DiskHit, "b reuses a's artifact via disk");
         assert_eq!(va.as_ref(), vb.as_ref());
         // Each cache promotes into its own memory tier.
-        let (_, _, oa2) = a.get_or_run(&stage, &(), 0);
-        let (_, _, ob2) = b.get_or_run(&stage, &(), 0);
+        let (_, _, oa2) = a.get_or_run(&stage, &scene, scene.fingerprint());
+        let (_, _, ob2) = b.get_or_run(&stage, &scene, scene.fingerprint());
         assert_eq!(oa2, CacheOutcome::MemoryHit);
         assert_eq!(ob2, CacheOutcome::MemoryHit);
         // Per-cache counters stay private; tier counters aggregate.
@@ -1204,15 +906,9 @@ mod tests {
         let scene = SceneId::Sprng.build(1);
         let cache = ArtifactCache::in_memory();
         let outcome = |seed: usize| {
-            let stage = HeatmapStage {
-                width: 1,
-                height: 1,
-                trace: TraceConfig {
-                    seed: seed as u64,
-                    ..trace()
-                },
-            };
-            cache.get_or_run(&stage, &scene, scene.fingerprint()).2
+            cache
+                .get_or_run(&tiny(seed as u64), &scene, scene.fingerprint())
+                .2
         };
         let k = 3;
         for seed in 0..MEMORY_ENTRY_BOUND {

@@ -5,12 +5,15 @@
 //!
 //! A sweep is a base [`Zatel`] predictor plus a [`SweepSpec`] — a list of
 //! [`SweepPointSpec`]s, each overriding a handful of options (downscale
-//! factor, traced percentage, Eq. (1) clamp bounds). The driver plans every
-//! point serially through one shared [`ArtifactCache`], so scene profiling,
-//! quantization and image-plane division are computed once per sweep
-//! instead of once per point. Then all points' group simulations run as one
-//! job list on the base predictor's [`Zatel::executor`], exactly like a
-//! single [`Zatel::execute`].
+//! factor, traced percentage, Eq. (1) clamp bounds). None of them reaches
+//! the heatmap or its quantization, so the driver plans every point
+//! serially through one shared [`ArtifactCache`]: the first point profiles
+//! the heatmap (or finds it cached) and quantizes it, and every later point
+//! takes the heatmap from the cache's memory and reuses the quantization.
+//! Each point divides and selects for itself; those are plain calls, cheap
+//! next to the profile. Then all points' group simulations run as one job
+//! list on the base predictor's [`Zatel::executor`], exactly like a single
+//! [`Zatel::execute`].
 //!
 //! Statistics are bit-identical to standalone runs, for every worker count
 //! and between cold and warm caches — the cache and the executor only
@@ -23,7 +26,7 @@ use std::sync::Arc;
 use minijson::{field, FromJson, JsonError, Map, ToJson, Value};
 
 use crate::error::ZatelError;
-use crate::pipeline::{run_plans, DownscaleMode, Prediction, RunContext, Zatel};
+use crate::pipeline::{run_plans, DownscaleMode, Plan, Prediction, RunContext, Zatel};
 use crate::stages::ArtifactCache;
 
 /// One point of a sweep: a label plus the options it overrides on the
@@ -235,8 +238,8 @@ impl<'s> SweepDriver<'s> {
     }
 
     /// Replaces the artifact cache — share one `Arc` across drivers (e.g.
-    /// across division methods or whole bench panels) to reuse heatmap,
-    /// quantize and divide artifacts between sweeps.
+    /// across division methods or whole bench panels) to reuse the heatmap
+    /// between sweeps.
     pub fn with_cache(mut self, cache: Arc<ArtifactCache>) -> Self {
         self.cache = cache;
         self
@@ -266,10 +269,13 @@ impl<'s> SweepDriver<'s> {
     pub fn run(&self, spec: &SweepSpec) -> Result<Vec<SweepOutcome>, ZatelError> {
         let points: Vec<Zatel<'s>> = spec.points.iter().map(|p| self.point_zatel(p)).collect();
         let ctx = RunContext::new().with_cache(&self.cache);
-        let plans = points
-            .iter()
-            .map(|point| point.plan(&ctx))
-            .collect::<Result<Vec<_>, _>>()?;
+        // No point overrides anything the heatmap or its quantization
+        // reads, so the first plan's quantization serves every point.
+        let mut plans: Vec<Plan<'_, 's>> = Vec::with_capacity(points.len());
+        for point in &points {
+            let plan = point.plan(&ctx, plans.first().map(|first| &first.quantized))?;
+            plans.push(plan);
+        }
         let predictions = run_plans(plans, self.base.executor());
         Ok(spec
             .points

@@ -1,6 +1,6 @@
 //! Golden table for the JSON wire: the exact text every `ToJson` type
 //! renders for one fixed sample, the two request fingerprints that hash
-//! JSON text, and the on-disk artifact documents of the stage cache.
+//! JSON text, and the on-disk heatmap document of the stage cache.
 //!
 //! The CLI, `zatel serve`, the run records and history and the disk cache exchange
 //! these documents, and a disk cache written by one build must be read by
@@ -11,7 +11,7 @@
 //! an *intentional* change to a wire format.
 
 use gpusim::{CacheConfig, GpuConfig, Metric, SimStats};
-use minijson::{Map, ToJson, Value};
+use minijson::{FromJson, Map, ToJson, Value};
 use obs::{Histogram, MetricsRegistry, ObserveOptions, SpanRecord, TraceEvent};
 use rtcore::bvh::{FlatNode, TraversalStats};
 use rtcore::fingerprint::Fnv64;
@@ -19,8 +19,6 @@ use rtcore::math::{Aabb, Vec3};
 use rtcore::scenes::SceneId;
 use rtcore::tracer::TraceConfig;
 use zatel::heatmap::Heatmap;
-use zatel::quantize::QuantizedHeatmap;
-use zatel::stages::Artifact;
 use zatel::{
     CacheOutcome, CacheStats, Distribution, DivisionMethod, DownscaleMode, SelectionOptions,
     StageCacheRecord, SweepPointSpec, SweepSpec, ZatelOptions,
@@ -243,24 +241,21 @@ fn slow_entry() -> SlowRequestEntry {
     }
 }
 
-/// SPRNG at 16², 1 spp: the heatmap and its quantization, as the stage
-/// cache builds them.
-fn sprng_artifacts() -> (Heatmap, QuantizedHeatmap) {
+/// SPRNG at 16², 1 spp: the heatmap, as the stage cache builds it.
+fn sprng_heatmap() -> Heatmap {
     let scene = SceneId::Sprng.build(1);
     let trace = TraceConfig {
         samples_per_pixel: 1,
         max_bounces: 2,
         seed: 7,
     };
-    let heatmap = Heatmap::profile(&scene, 16, 16, &trace);
-    let quantized = QuantizedHeatmap::quantize(&heatmap, 8, 7);
-    (heatmap, quantized)
+    Heatmap::profile(&scene, 16, 16, &trace)
 }
 
 /// Every pinned document: name and rendered text.
 fn documents() -> Vec<(&'static str, String)> {
     let text = |v: Value| v.to_string();
-    let (heatmap, quantized) = sprng_artifacts();
+    let heatmap = sprng_heatmap();
     let mut event_args = Map::new();
     event_args.insert("rays".into(), Value::from(31u32));
     let bvh = SceneId::Sprng.build(1);
@@ -519,14 +514,7 @@ fn documents() -> Vec<(&'static str, String)> {
                 .to_json(),
             ),
         ),
-        (
-            "Heatmap disk SPRNG 16",
-            text(heatmap.to_disk().expect("heatmap serializes")),
-        ),
-        (
-            "QuantizedHeatmap disk SPRNG 16",
-            text(quantized.to_disk().expect("quantized heatmap serializes")),
-        ),
+        ("Heatmap disk SPRNG 16", text(heatmap.to_json())),
     ]
 }
 
@@ -677,10 +665,6 @@ const GOLDEN: &[(&str, &str)] = &[
         "Heatmap disk SPRNG 16",
         r#"fnv1a 567b9ae76b48d998, 3959 bytes"#,
     ),
-    (
-        "QuantizedHeatmap disk SPRNG 16",
-        r#"fnv1a 607f3794fcb696ed, 944 bytes"#,
-    ),
 ];
 
 const FINGERPRINTS: [u64; 4] = [
@@ -712,12 +696,9 @@ fn request_fingerprints_are_pinned() {
 
 #[test]
 fn disk_artifacts_read_back_exactly() {
-    let (heatmap, quantized) = sprng_artifacts();
-    let back = Heatmap::from_disk(&heatmap.to_disk().unwrap()).expect("heatmap reads back");
+    let heatmap = sprng_heatmap();
+    let back = Heatmap::from_json(&heatmap.to_json()).expect("heatmap reads back");
     assert_eq!(back, heatmap);
-    let back =
-        QuantizedHeatmap::from_disk(&quantized.to_disk().unwrap()).expect("quantized reads back");
-    assert_eq!(back, quantized);
 }
 
 #[test]
