@@ -1006,13 +1006,17 @@ mod tests {
             assert_eq!(cold.value(m), first.value(m), "{m} cold vs shared cache");
             assert_eq!(cold.value(m), second.value(m), "{m} cold vs warm cache");
         }
+        // The heatmap is the one cached stage; the three fractions share
+        // one quantization and division and select once each.
         let stages: Vec<&str> = second.cache.iter().map(|r| r.stage.as_str()).collect();
-        assert_eq!(
-            stages,
-            ["heatmap", "quantize", "divide", "select", "select", "select"]
-        );
+        assert_eq!(stages, ["heatmap"]);
         assert!(first.cache.iter().all(|r| !r.outcome.is_hit()));
         assert!(second.cache.iter().all(|r| r.outcome.is_hit()));
+        let spans = |name: &str| second.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(
+            (spans("quantize"), spans("divide"), spans("select")),
+            (1, 1, 3)
+        );
     }
 
     #[test]

@@ -369,9 +369,16 @@ mod tests {
         assert_eq!(outcomes.len(), 2);
 
         // The shared preprocessing ran exactly once for the whole sweep: in
-        // the first point's plan, and every later point reused it.
+        // the first point's plan, and every later point reused it — the
+        // heatmap from the cache, the quantization from the first plan.
         let stats = driver.cache().stats();
-        assert!(stats.memory_hits >= 2, "later points reuse artifacts");
+        assert_eq!((stats.misses, stats.memory_hits), (1, 1));
+        let quantize_spans = outcomes
+            .iter()
+            .flat_map(|o| &o.prediction.spans)
+            .filter(|s| s.name == "quantize")
+            .count();
+        assert_eq!(quantize_spans, 1, "one quantization per sweep");
         let heatmap_outcomes: Vec<CacheOutcome> = outcomes
             .iter()
             .map(|outcome| {

@@ -180,7 +180,7 @@ fn reference() -> ReferenceReport {
 
 fn stage_record() -> StageCacheRecord {
     StageCacheRecord {
-        stage: "quantize".into(),
+        stage: "heatmap".into(),
         fingerprint: 0x0123_4567_89AB_CDEF,
         outcome: CacheOutcome::DiskHit,
     }
@@ -608,7 +608,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("SweepSpec", r#"fnv1a bdb4c50041aaa070, 213 bytes"#),
     (
         "StageCacheRecord",
-        r#"{"stage":"quantize","fingerprint":"0123456789abcdef","outcome":"disk"}"#,
+        r#"{"stage":"heatmap","fingerprint":"0123456789abcdef","outcome":"disk"}"#,
     ),
     ("CacheOutcome", r#"["miss","memory","disk"]"#),
     (
@@ -636,14 +636,14 @@ const GOLDEN: &[(&str, &str)] = &[
         r#"{"index":1,"pixels":1024,"traced_fraction":0.3125,"target_percent":0.3,"cycles":98765,"wall_ms":12.5}"#,
     ),
     ("ReferenceReport", r#"fnv1a c43d454cd122e7a9, 234 bytes"#),
-    ("PredictResponse", r#"fnv1a b870e00801066827, 1185 bytes"#),
+    ("PredictResponse", r#"fnv1a a8f20e284cc6dcb6, 1184 bytes"#),
     (
         "PredictResponse deterministic",
         r#"fnv1a 530ab02ae4effcd1, 728 bytes"#,
     ),
     ("SweepRequest", r#"fnv1a abe6d010c94ea5e3, 1157 bytes"#),
-    ("SweepResponse", r#"fnv1a 616299514a0c1320, 703 bytes"#),
-    ("PointRecord", r#"fnv1a 1e2aae1b53d91487, 510 bytes"#),
+    ("SweepResponse", r#"fnv1a 65ecdd4e37b49c7f, 702 bytes"#),
+    ("PointRecord", r#"fnv1a 71e5d6b9fa17f7b8, 509 bytes"#),
     (
         "ErrorResponse",
         r#"{"schema":"zatel-api-v1","kind":"bad_request","error":"bad \"res\""}"#,
@@ -658,9 +658,9 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
     ("SceneInfo", r#"{"name":"SPRNG","description":"springs"}"#),
     ("ScenesResponse", r#"fnv1a 7b25b44c57b3a36c, 531 bytes"#),
-    ("SlowRequestEntry", r#"fnv1a f44c1063143a67ab, 317 bytes"#),
-    ("DebugSlowResponse", r#"fnv1a 0d6bf180c81eec99, 355 bytes"#),
-    ("RunRecord", r#"fnv1a bc0c39e6f7ab62cb, 5719 bytes"#),
+    ("SlowRequestEntry", r#"fnv1a f2a97f6c66c87c32, 316 bytes"#),
+    ("DebugSlowResponse", r#"fnv1a 6b35bb5bd5e8979c, 354 bytes"#),
+    ("RunRecord", r#"fnv1a ec978a107c55a890, 5718 bytes"#),
     (
         "Heatmap disk SPRNG 16",
         r#"fnv1a 567b9ae76b48d998, 3959 bytes"#,
