@@ -514,7 +514,11 @@ impl<'s> Zatel<'s> {
         )]
         let pre_start = Instant::now();
         let start = sheet.elapsed();
-        let stage = self.heatmap_stage();
+        let stage = HeatmapStage {
+            width: self.width,
+            height: self.height,
+            trace: self.trace,
+        };
         let (heatmap, fingerprint, outcome) =
             cache.get_or_run(&stage, self.scene, self.scene.fingerprint());
         let span = if outcome.is_hit() {
@@ -595,15 +599,6 @@ impl<'s> Zatel<'s> {
             traced,
             request_id: ctx.request_id.clone(),
         })
-    }
-
-    /// The heatmap stage for this predictor's resolution and trace config.
-    pub(crate) fn heatmap_stage(&self) -> HeatmapStage {
-        HeatmapStage {
-            width: self.width,
-            height: self.height,
-            trace: self.trace,
-        }
     }
 
     /// Simulates one group under its selection on the downscaled GPU.

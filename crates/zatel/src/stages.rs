@@ -13,8 +13,10 @@
 //! and decoding them would.
 //!
 //! A sweep or a serve worker that shares one cache profiles each scene
-//! shape once. An opt-in on-disk layer ([`ArtifactCache::with_disk`])
-//! extends that reuse across processes.
+//! shape once. An opt-in on-disk layer ([`DiskTier`]) extends that reuse
+//! across processes: one `{stage}-{key:016x}.json` file per artifact and
+//! nothing beside it. Its size budget evicts by recency kept in memory, so
+//! that order lasts only while the process runs.
 //!
 //! ```
 //! use rtcore::scenes::SceneId;
