@@ -1,22 +1,32 @@
-//! # zatel-bench — shared harness for the paper-reproduction benchmarks
+//! # zatel-bench — the paper's evaluation as one figure plan
 //!
-//! Every table and figure of the paper has a `[[bench]]` target in this
-//! crate (see DESIGN.md for the index). This library holds the pieces they
-//! share: environment-tunable resolution, the evaluation trace config,
-//! cached reference simulations and small table-printing helpers.
+//! Every table and figure of the paper's evaluation (Table III, Figs.
+//! 10–20; DESIGN.md has the index) is a [`Figure`] in [`FIGURES`]: the
+//! predictions it reads, each with its full-GPU reference, and a renderer
+//! that prints its table and returns its JSON document. A [`Plan`] keeps
+//! one of each distinct prediction and reference of its figures, so a
+//! sweep that four figures read is simulated once. [`Plan::run`] profiles
+//! each scene's heatmap once into one [`ArtifactCache`], simulates every
+//! distinct reference and prediction as one job of one
+//! [`SimExecutor::map_timed`] list (a prediction runs its groups on one
+//! worker, inside its job), then renders the figures in order into one
+//! document keyed by figure name. The `figures` bench writes it to
+//! `target/zatel-results/figures.json`, relative to the crate:
 //!
-//! ## Environment variables
+//! ```text
+//! cargo bench -p zatel-bench              # every figure
+//! cargo bench -p zatel-bench -- fig13     # the figures whose name contains "fig13"
+//! ```
+//!
+//! [`Setup::from_env`] reads the environment once; a malformed or zero
+//! value is an error naming the variable (a zero seed is a seed).
 //!
 //! | Variable | Default | Meaning |
 //! |----------|---------|---------|
-//! | `ZATEL_RES` | 192 | Square image resolution for every experiment |
+//! | `ZATEL_RES` | 192 | Square image resolution (the paper uses 512) |
 //! | `ZATEL_SPP` | 2 | Samples per pixel (the paper uses 2) |
 //! | `ZATEL_SEED` | 42 | Master seed for scenes/tracing/selection |
-//! | `ZATEL_JOBS` | host cores | `ZatelOptions::jobs` of the sweeps: worker threads for their group simulations |
-//!
-//! The paper evaluates at 512×512; the default of 192×192 keeps the full
-//! suite within minutes while preserving every trend (all reported
-//! quantities are ratios). Set `ZATEL_RES=512` to run at paper scale.
+//! | `ZATEL_JOBS` | host cores | Worker threads of the job list |
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -24,83 +34,340 @@
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+mod figures;
 
-use gpusim::{GpuConfig, Metric, SimStats};
+use std::collections::BTreeMap;
+use std::time::Duration;
+
+use gpusim::{GpuConfig, Metric};
+use minijson::{Map, Value};
+use obs::SpanRecord;
 use rtcore::scene::Scene;
 use rtcore::scenes::SceneId;
 use rtcore::tracer::TraceConfig;
+use zatel::metrics::abs_error;
 use zatel::sim_executor::available_jobs;
-use zatel::Reference;
+use zatel::stages::HeatmapStage;
+use zatel::{
+    ArtifactCache, Prediction, Reference, RunContext, SimExecutor, Zatel, ZatelError, ZatelOptions,
+};
 
-/// Reads a `u64` environment variable with a default.
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+pub use figures::FIGURES;
+
+/// The campaign's resolution, sampling, seed and worker count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Setup {
+    /// Square image resolution (`ZATEL_RES`).
+    pub res: u32,
+    /// Samples per pixel (`ZATEL_SPP`).
+    pub spp: u32,
+    /// Master seed (`ZATEL_SEED`).
+    pub seed: u64,
+    /// Worker threads of the job list (`ZATEL_JOBS`).
+    pub jobs: usize,
 }
 
-/// Experiment resolution (square), from `ZATEL_RES`.
-pub fn resolution() -> u32 {
-    env_u64("ZATEL_RES", 192) as u32
-}
+impl Setup {
+    /// Reads the setup from the process environment (see [`Setup::parse`]).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first malformed variable.
+    pub fn from_env() -> Result<Setup, String> {
+        Setup::parse(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
 
-/// Master seed, from `ZATEL_SEED`.
-pub fn seed() -> u64 {
-    env_u64("ZATEL_SEED", 42)
-}
+    /// Reads the setup through `lookup` (variable name to value, `None`
+    /// when unset). An unset variable takes its default; a set one must
+    /// parse as an unsigned integer in its type's range, positive for all
+    /// but the seed.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first malformed variable.
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Setup, String> {
+        let var = |name: &str, default: u64, positive: bool| -> Result<u64, String> {
+            let Some(text) = lookup(name) else {
+                return Ok(default);
+            };
+            match text.parse::<u64>() {
+                Ok(v) if v > 0 || !positive => Ok(v),
+                _ if positive => Err(format!("{name}={text:?} is not a positive integer")),
+                _ => Err(format!("{name}={text:?} is not an unsigned integer")),
+            }
+        };
+        let count = |name: &str, default: u64| {
+            let v = var(name, default, true)?;
+            u32::try_from(v).map_err(|_| format!("{name}={v} is out of range"))
+        };
+        Ok(Setup {
+            res: count("ZATEL_RES", 192)?,
+            spp: count("ZATEL_SPP", 2)?,
+            seed: var("ZATEL_SEED", 42, false)?,
+            jobs: count("ZATEL_JOBS", available_jobs() as u64)? as usize,
+        })
+    }
 
-/// The sweeps' `ZatelOptions::jobs`, from `ZATEL_JOBS` (defaults to the
-/// host's available parallelism).
-pub fn jobs() -> usize {
-    env_u64("ZATEL_JOBS", available_jobs() as u64).max(1) as usize
-}
-
-/// The evaluation trace configuration (2 spp like the paper).
-pub fn trace_config() -> TraceConfig {
-    TraceConfig {
-        samples_per_pixel: env_u64("ZATEL_SPP", 2) as u32,
-        max_bounces: 4,
-        seed: seed(),
+    /// The evaluation trace configuration.
+    pub fn trace(&self) -> TraceConfig {
+        TraceConfig {
+            samples_per_pixel: self.spp,
+            max_bounces: 4,
+            seed: self.seed,
+        }
     }
 }
 
-/// Builds a scene with the master seed.
-pub fn build_scene(id: SceneId) -> Scene {
-    id.build(seed())
+/// A prediction a figure reads: the pipeline on one scene and GPU with the
+/// given options. Equal predictions are simulated once. The runner sets
+/// [`ZatelOptions::jobs`] to 1.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Predict {
+    /// The scene.
+    pub scene: SceneId,
+    /// The full-size target GPU.
+    pub config: GpuConfig,
+    /// Pipeline options.
+    pub options: ZatelOptions,
+    /// The Section IV-F regression fractions, if any.
+    pub regression: Option<[f64; 3]>,
 }
 
-/// The two evaluation GPU configurations of Table II.
-pub fn eval_configs() -> [GpuConfig; 2] {
-    [GpuConfig::mobile_soc(), GpuConfig::rtx_2060()]
-}
-
-/// A process-wide cache of full-resolution reference simulations, keyed by
-/// `(scene, config name, resolution)` — several benches need the same
-/// ground truth and it is the slowest thing we run.
-static REF_CACHE: Mutex<BTreeMap<(String, String, u32), Reference>> = Mutex::new(BTreeMap::new());
-
-/// Runs (or fetches) the full reference simulation for `scene` on `config`.
-pub fn reference(scene: &Scene, config: &GpuConfig) -> Reference {
-    let key = (scene.name().to_owned(), config.name.clone(), resolution());
-    // Poison recovery: the cache is a plain insert-only map, so a holder
-    // that panicked mid-bench cannot have left it torn.
-    if let Some(r) = REF_CACHE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&key)
-    {
-        return r.clone();
+impl Predict {
+    /// The default pipeline on `scene` and `config`.
+    pub fn new(scene: SceneId, config: GpuConfig) -> Self {
+        Predict {
+            scene,
+            config,
+            options: ZatelOptions::default(),
+            regression: None,
+        }
     }
-    let res = resolution();
-    let r = zatel::Zatel::new(scene, config.clone(), res, res, trace_config()).run_reference();
-    REF_CACHE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(key, r.clone());
-    r
+
+    /// The same prediction with `edit` applied to its options.
+    pub fn with(mut self, edit: impl FnOnce(&mut ZatelOptions)) -> Self {
+        edit(&mut self.options);
+        self
+    }
+}
+
+/// What the figures read of one [`Prediction`].
+#[derive(Debug, Clone)]
+pub struct Predicted {
+    /// Predicted metric values, in [`Metric::ALL`] order.
+    pub values: Vec<f64>,
+    /// The downscale factor.
+    pub k: u32,
+    /// Wall-clock of the group simulations, summed.
+    pub sim_wall: Duration,
+    /// Wall-clock of the slowest group simulation.
+    pub slowest_group: Duration,
+    /// The pipeline phase spans.
+    pub spans: Vec<SpanRecord>,
+}
+
+impl From<Prediction> for Predicted {
+    fn from(p: Prediction) -> Self {
+        Predicted {
+            values: Metric::ALL.iter().map(|&m| p.value(m)).collect(),
+            k: p.k,
+            sim_wall: p.sim_wall,
+            slowest_group: p.groups.iter().map(|g| g.wall).max().unwrap_or_default(),
+            spans: p.spans,
+        }
+    }
+}
+
+/// One point of a figure, simulated.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    /// The prediction asked for.
+    pub point: &'a Predict,
+    /// What it predicted.
+    pub predicted: &'a Predicted,
+    /// The reference simulation of its scene on its GPU.
+    pub reference: &'a Reference,
+}
+
+impl Row<'_> {
+    /// Relative absolute error of every metric against the reference, in
+    /// [`Metric::ALL`] order ([`Prediction::errors_vs`]).
+    pub fn errors(&self) -> Vec<f64> {
+        let values = Metric::ALL.iter().zip(&self.predicted.values);
+        values
+            .map(|(m, &v)| abs_error(v, m.value(&self.reference.stats)))
+            .collect()
+    }
+
+    /// Speedup with one host core per group
+    /// ([`Prediction::speedup_concurrent`]).
+    pub fn speedup_concurrent(&self) -> f64 {
+        let slowest = self.predicted.slowest_group.as_secs_f64().max(1e-9);
+        self.reference.wall.as_secs_f64() / slowest
+    }
+}
+
+/// One table or figure of the paper.
+#[derive(Debug)]
+pub struct Figure {
+    /// Name, the key of its results document.
+    pub name: &'static str,
+    /// The two banner lines above its table.
+    pub banner: &'static str,
+    /// The predictions it reads, in the order its renderer reads them.
+    pub points: fn(&Setup) -> Vec<Predict>,
+    /// Prints its table from its points' rows and returns its document.
+    pub render: fn(&[Row]) -> Value,
+}
+
+/// The index of `item` in `list`, appending it if absent.
+fn intern<T: PartialEq>(list: &mut Vec<T>, item: T) -> usize {
+    list.iter().position(|x| *x == item).unwrap_or_else(|| {
+        list.push(item);
+        list.len() - 1
+    })
+}
+
+/// The distinct simulations of some figures.
+#[derive(Debug)]
+pub struct Plan<'f> {
+    setup: Setup,
+    figures: Vec<&'f Figure>,
+    /// Every distinct prediction, in first-named order.
+    pub predictions: Vec<Predict>,
+    /// Every distinct (scene, GPU) reference, in first-named order.
+    pub references: Vec<(SceneId, GpuConfig)>,
+    /// Per figure and point: the indices of its prediction and reference.
+    rows: Vec<Vec<(usize, usize)>>,
+}
+
+impl<'f> Plan<'f> {
+    /// Collects the points of `figures` and their references, keeping one
+    /// of each distinct value.
+    pub fn new(setup: &Setup, figures: &[&'f Figure]) -> Self {
+        let (mut predictions, mut references) = (Vec::new(), Vec::new());
+        let rows = figures
+            .iter()
+            .map(|f| {
+                (f.points)(setup)
+                    .into_iter()
+                    .map(|p| {
+                        let reference = intern(&mut references, (p.scene, p.config.clone()));
+                        (intern(&mut predictions, p), reference)
+                    })
+                    .collect()
+            })
+            .collect();
+        Plan {
+            setup: *setup,
+            figures: figures.to_vec(),
+            predictions,
+            references,
+            rows,
+        }
+    }
+
+    /// How many points the figures named, repeats included.
+    pub fn named(&self) -> usize {
+        self.rows.iter().map(Vec::len).sum()
+    }
+
+    /// Simulates the plan, prints how much it simulated, then prints the
+    /// figures in order and returns their documents keyed by name.
+    ///
+    /// # Errors
+    ///
+    /// The first failing prediction's [`ZatelError`].
+    pub fn run(&self) -> Result<Value, ZatelError> {
+        let (references, predictions, heatmaps) = self.simulate()?;
+        let s = &self.setup;
+        println!(
+            "figure plan: {} predictions and {} references simulated, {heatmaps} heatmaps \
+             profiled ({} points named by {} figures), on {} workers",
+            predictions.len(),
+            references.len(),
+            self.named(),
+            self.figures.len(),
+            s.jobs
+        );
+        let mut doc = Map::new();
+        for (figure, rows) in self.figures.iter().zip(&self.rows) {
+            let rule = "=".repeat(78);
+            println!("\n{rule}\n{}", figure.banner);
+            println!(
+                "resolution {0}x{0}, {1} spp, seed {2}\n{rule}",
+                s.res, s.spp, s.seed
+            );
+            let rows: Vec<Row> = rows
+                .iter()
+                .map(|&(p, r)| Row {
+                    point: &self.predictions[p],
+                    predicted: &predictions[p],
+                    reference: &references[r],
+                })
+                .collect();
+            doc.insert(figure.name.into(), (figure.render)(&rows));
+        }
+        Ok(Value::Object(doc))
+    }
+
+    /// Simulates every reference and prediction once, as one job list on
+    /// [`Setup::jobs`] workers, references first: they are the longest
+    /// jobs. Also returns how many heatmaps were profiled.
+    fn simulate(&self) -> Result<(Vec<Reference>, Vec<Predicted>, u64), ZatelError> {
+        let (res, trace) = (self.setup.res, self.setup.trace());
+        let mut scenes = BTreeMap::new();
+        for &(id, _) in &self.references {
+            scenes
+                .entry(id)
+                .or_insert_with(|| id.build(self.setup.seed));
+        }
+        let exec = SimExecutor::new(self.setup.jobs);
+
+        // Profile each scene's heatmap before the job list: jobs that
+        // missed the same heatmap at once would each profile it.
+        let cache = ArtifactCache::in_memory();
+        let stage = HeatmapStage {
+            width: res,
+            height: res,
+            trace,
+        };
+        let profiled: Vec<&Scene> = scenes.values().collect();
+        exec.map_timed(&profiled, |_, s| {
+            cache.get_or_run(&stage, s, s.fingerprint())
+        });
+
+        enum Outcome {
+            Reference(Reference),
+            Predicted(Predicted),
+        }
+        // Job i is reference i, then prediction i - references.len().
+        let jobs: Vec<usize> = (0..self.references.len() + self.predictions.len()).collect();
+        let (done, _) = exec.map_timed(&jobs, |i, _| match self.references.get(i) {
+            Some((id, config)) => Ok(Outcome::Reference(
+                Zatel::new(&scenes[id], config.clone(), res, res, trace).run_reference(),
+            )),
+            None => {
+                let p = &self.predictions[i - self.references.len()];
+                let mut zatel = Zatel::new(&scenes[&p.scene], p.config.clone(), res, res, trace)
+                    .with_options(p.options.clone());
+                zatel.options_mut().jobs = Some(1);
+                let mut ctx = RunContext::new().with_cache(&cache);
+                if let Some(fractions) = p.regression {
+                    ctx = ctx.with_regression(fractions);
+                }
+                zatel.execute(&ctx).map(|p| Outcome::Predicted(p.into()))
+            }
+        });
+        let (mut references, mut predictions) = (Vec::new(), Vec::new());
+        for outcome in done {
+            match outcome? {
+                Outcome::Reference(r) => references.push(r),
+                Outcome::Predicted(p) => predictions.push(p),
+            }
+        }
+        Ok((references, predictions, cache.stats().misses))
+    }
 }
 
 /// Formats a fraction as a percentage string.
@@ -112,22 +379,8 @@ pub fn pct(x: f64) -> String {
     }
 }
 
-/// Prints a figure/table banner.
-pub fn banner(title: &str, detail: &str) {
-    println!("\n{}", "=".repeat(78));
-    println!("{title}");
-    println!("{detail}");
-    println!(
-        "resolution {res}x{res}, {spp} spp, seed {seed}",
-        res = resolution(),
-        spp = trace_config().samples_per_pixel,
-        seed = seed()
-    );
-    println!("{}", "=".repeat(78));
-}
-
-/// Prints one row of right-aligned cells after a left-aligned label.
-pub fn row(label: &str, cells: &[String]) {
+/// Prints one table row: a left-aligned label, then right-aligned cells.
+pub fn row(label: &str, cells: impl IntoIterator<Item = impl std::fmt::Display>) {
     print!("{label:<18}");
     for c in cells {
         print!(" {c:>12}");
@@ -135,122 +388,55 @@ pub fn row(label: &str, cells: &[String]) {
     println!();
 }
 
-/// Per-metric errors of a prediction against reference stats, in
-/// [`Metric::ALL`] order.
-pub fn metric_errors(pred: &zatel::Prediction, reference: &SimStats) -> Vec<f64> {
-    pred.errors_vs(reference)
-        .into_iter()
-        .map(|(_, e)| e)
-        .collect()
-}
-
-/// All seven metric names, short form, in [`Metric::ALL`] order.
-pub fn metric_names() -> Vec<&'static str> {
-    Metric::ALL.iter().map(|m| m.name()).collect()
-}
-
-/// One point of a traced-percentage sweep.
-#[derive(Debug)]
-pub struct SweepPoint {
-    /// Traced-pixel fraction requested.
-    pub percent: f64,
-    /// The resulting prediction.
-    pub prediction: zatel::Prediction,
-}
-
-/// Runs the pixel-sampling sweep of Figs. 13–16: the scene is traced at
-/// each percentage *without GPU downscaling* (isolating the
-/// representative-pixel optimization) and each prediction is returned.
-/// The sweep drives through [`zatel::SweepDriver`] with [`jobs`] workers:
-/// heatmap and quantization are computed once into the driver's artifact
-/// cache, every percentage point reuses them, and all points' group
-/// simulations run in one pass.
-pub fn percent_sweep(
-    scene: &Scene,
-    config: &GpuConfig,
-    percents: &[f64],
-) -> Result<Vec<SweepPoint>, zatel::ZatelError> {
-    let res = resolution();
-    let mut base = zatel::Zatel::new(scene, config.clone(), res, res, trace_config());
-    base.options_mut().downscale = zatel::DownscaleMode::NoDownscale;
-    base.options_mut().jobs = Some(jobs());
-    let driver = zatel::SweepDriver::new(base);
-    driver
-        .run(&zatel::SweepSpec::from_percents(percents))?
-        .into_iter()
-        .map(|outcome| {
-            let percent = outcome.point.percent.ok_or_else(|| {
-                zatel::ZatelError::InvalidOptions(
-                    "percent sweep produced a point without a percent".to_owned(),
-                )
-            })?;
-            Ok(SweepPoint {
-                percent,
-                prediction: outcome.prediction,
-            })
-        })
-        .collect()
-}
-
-/// The standard sweep percentages of Fig. 13: 10 % … 90 %.
-pub fn sweep_percents() -> Vec<f64> {
-    (1..=9).map(|i| i as f64 / 10.0).collect()
-}
-
-/// Writes a JSON results file under `target/zatel-results/` so EXPERIMENTS.md
-/// numbers can be regenerated mechanically.
-pub fn save_json(name: &str, value: &minijson::Value) {
-    let dir = std::path::Path::new("target/zatel-results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return; // Results files are best-effort.
-    }
-    let path = dir.join(format!("{name}.json"));
-    let _ = std::fs::write(path, value.pretty());
-}
-
-/// Writes a metrics snapshot under `target/zatel-results/{name}.prom` in
-/// Prometheus text exposition format (best-effort, like [`save_json`]).
-pub fn save_prometheus(name: &str, registry: &obs::MetricsRegistry) {
-    let dir = std::path::Path::new("target/zatel-results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.prom"));
-    let _ = std::fs::write(path, registry.to_prometheus("zatel"));
-}
-
-/// Prints the pipeline phase spans of a prediction as an indented tree —
-/// benches call this after a run to show where the wall-clock went.
-pub fn print_spans(prediction: &zatel::Prediction) {
-    for s in &prediction.spans {
-        let indent = if s.track == 0 { "  " } else { "    " };
-        println!(
-            "{indent}{:<24} {:>10.2} ms",
-            s.name,
-            s.dur_us as f64 / 1000.0
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn defaults_are_sane() {
-        assert!(resolution() >= 32);
-        assert!(trace_config().samples_per_pixel >= 1);
+    fn setup(vars: &[(&str, &str)]) -> Result<Setup, String> {
+        Setup::parse(|name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| (*v).to_owned())
+        })
     }
 
     #[test]
-    fn reference_cache_returns_same_stats() {
-        std::env::set_var("ZATEL_RES", "32");
-        let scene = build_scene(SceneId::Sprng);
-        let cfg = GpuConfig::mobile_soc();
-        let a = reference(&scene, &cfg);
-        let b = reference(&scene, &cfg);
-        assert_eq!(a.stats, b.stats);
-        std::env::remove_var("ZATEL_RES");
+    fn setup_defaults_and_overrides() {
+        let s = setup(&[]).unwrap();
+        assert_eq!((s.res, s.spp, s.seed), (192, 2, 42));
+        assert!(s.jobs >= 1);
+        let s = setup(&[
+            ("ZATEL_RES", "32"),
+            ("ZATEL_JOBS", "3"),
+            ("ZATEL_SEED", "0"),
+        ])
+        .unwrap();
+        assert_eq!((s.res, s.spp, s.seed, s.jobs), (32, 2, 0, 3));
+    }
+
+    #[test]
+    fn setup_rejects_malformed_and_zero_values() {
+        for (name, value) in [
+            ("ZATEL_RES", "19x"),
+            ("ZATEL_RES", "4294967296"),
+            ("ZATEL_RES", "0"),
+            ("ZATEL_SPP", ""),
+            ("ZATEL_SPP", "0"),
+            ("ZATEL_SEED", "-1"),
+            ("ZATEL_JOBS", "0"),
+            ("ZATEL_JOBS", "two"),
+        ] {
+            let err = setup(&[(name, value)]).unwrap_err();
+            assert!(err.starts_with(name), "{name}={value}: {err}");
+        }
+    }
+
+    #[test]
+    fn the_plan_simulates_each_distinct_run_once() {
+        let s = setup(&[]).unwrap();
+        let plan = Plan::new(&s, &FIGURES.iter().collect::<Vec<_>>());
+        assert_eq!(plan.named(), 634);
+        assert_eq!((plan.predictions.len(), plan.references.len()), (344, 16));
     }
 
     #[test]
