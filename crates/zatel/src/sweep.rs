@@ -1,7 +1,9 @@
 //! The unified sweep driver: every consumer that runs the pipeline at
-//! many option points (the Fig. 13–19 benches, the CLI's `zatel sweep`,
-//! the examples) drives through [`SweepDriver`] instead of hand-rolling a
-//! per-point loop.
+//! many option points of one scene and GPU (the CLI's `zatel sweep` and
+//! serve's `/v1/sweep`) drives through [`SweepDriver`] instead of
+//! hand-rolling a per-point loop. The paper-figure plan (`zatel-bench`)
+//! spans many scenes and GPUs, so it runs each distinct point as a
+//! [`Zatel::execute`] job of its own list instead.
 //!
 //! A sweep is a base [`Zatel`] predictor plus a [`SweepSpec`] — a list of
 //! [`SweepPointSpec`]s, each overriding a handful of options (downscale
