@@ -122,20 +122,20 @@ impl Setup {
 /// given options. Equal predictions are simulated once. The runner sets
 /// [`ZatelOptions::jobs`] to 1.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Predict {
+pub(crate) struct Predict {
     /// The scene.
-    pub scene: SceneId,
+    pub(crate) scene: SceneId,
     /// The full-size target GPU.
-    pub config: GpuConfig,
+    pub(crate) config: GpuConfig,
     /// Pipeline options.
-    pub options: ZatelOptions,
+    pub(crate) options: ZatelOptions,
     /// The Section IV-F regression fractions, if any.
-    pub regression: Option<[f64; 3]>,
+    pub(crate) regression: Option<[f64; 3]>,
 }
 
 impl Predict {
     /// The default pipeline on `scene` and `config`.
-    pub fn new(scene: SceneId, config: GpuConfig) -> Self {
+    pub(crate) fn new(scene: SceneId, config: GpuConfig) -> Self {
         Predict {
             scene,
             config,
@@ -145,7 +145,7 @@ impl Predict {
     }
 
     /// The same prediction with `edit` applied to its options.
-    pub fn with(mut self, edit: impl FnOnce(&mut ZatelOptions)) -> Self {
+    pub(crate) fn with(mut self, edit: impl FnOnce(&mut ZatelOptions)) -> Self {
         edit(&mut self.options);
         self
     }
@@ -153,17 +153,17 @@ impl Predict {
 
 /// What the figures read of one [`Prediction`].
 #[derive(Debug, Clone)]
-pub struct Predicted {
+pub(crate) struct Predicted {
     /// Predicted metric values, in [`Metric::ALL`] order.
-    pub values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
     /// The downscale factor.
-    pub k: u32,
+    pub(crate) k: u32,
     /// Wall-clock of the group simulations, summed.
-    pub sim_wall: Duration,
+    pub(crate) sim_wall: Duration,
     /// Wall-clock of the slowest group simulation.
-    pub slowest_group: Duration,
+    pub(crate) slowest_group: Duration,
     /// The pipeline phase spans.
-    pub spans: Vec<SpanRecord>,
+    pub(crate) spans: Vec<SpanRecord>,
 }
 
 impl From<Prediction> for Predicted {
@@ -180,19 +180,19 @@ impl From<Prediction> for Predicted {
 
 /// One point of a figure, simulated.
 #[derive(Debug, Clone, Copy)]
-pub struct Row<'a> {
+pub(crate) struct Row<'a> {
     /// The prediction asked for.
-    pub point: &'a Predict,
+    pub(crate) point: &'a Predict,
     /// What it predicted.
-    pub predicted: &'a Predicted,
+    pub(crate) predicted: &'a Predicted,
     /// The reference simulation of its scene on its GPU.
-    pub reference: &'a Reference,
+    pub(crate) reference: &'a Reference,
 }
 
 impl Row<'_> {
     /// Relative absolute error of every metric against the reference, in
     /// [`Metric::ALL`] order ([`Prediction::errors_vs`]).
-    pub fn errors(&self) -> Vec<f64> {
+    pub(crate) fn errors(&self) -> Vec<f64> {
         let values = Metric::ALL.iter().zip(&self.predicted.values);
         values
             .map(|(m, &v)| abs_error(v, m.value(&self.reference.stats)))
@@ -201,7 +201,7 @@ impl Row<'_> {
 
     /// Speedup with one host core per group
     /// ([`Prediction::speedup_concurrent`]).
-    pub fn speedup_concurrent(&self) -> f64 {
+    pub(crate) fn speedup_concurrent(&self) -> f64 {
         let slowest = self.predicted.slowest_group.as_secs_f64().max(1e-9);
         self.reference.wall.as_secs_f64() / slowest
     }
@@ -213,11 +213,11 @@ pub struct Figure {
     /// Name, the key of its results document.
     pub name: &'static str,
     /// The two banner lines above its table.
-    pub banner: &'static str,
+    banner: &'static str,
     /// The predictions it reads, in the order its renderer reads them.
-    pub points: fn(&Setup) -> Vec<Predict>,
+    points: fn(&Setup) -> Vec<Predict>,
     /// Prints its table from its points' rows and returns its document.
-    pub render: fn(&[Row]) -> Value,
+    render: fn(&[Row]) -> Value,
 }
 
 /// The index of `item` in `list`, appending it if absent.
@@ -234,9 +234,9 @@ pub struct Plan<'f> {
     setup: Setup,
     figures: Vec<&'f Figure>,
     /// Every distinct prediction, in first-named order.
-    pub predictions: Vec<Predict>,
+    predictions: Vec<Predict>,
     /// Every distinct (scene, GPU) reference, in first-named order.
-    pub references: Vec<(SceneId, GpuConfig)>,
+    references: Vec<(SceneId, GpuConfig)>,
     /// Per figure and point: the indices of its prediction and reference.
     rows: Vec<Vec<(usize, usize)>>,
 }
@@ -268,7 +268,7 @@ impl<'f> Plan<'f> {
     }
 
     /// How many points the figures named, repeats included.
-    pub fn named(&self) -> usize {
+    fn named(&self) -> usize {
         self.rows.iter().map(Vec::len).sum()
     }
 
@@ -371,7 +371,7 @@ impl<'f> Plan<'f> {
 }
 
 /// Formats a fraction as a percentage string.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     if x.is_infinite() {
         "inf".to_owned()
     } else {
@@ -380,7 +380,7 @@ pub fn pct(x: f64) -> String {
 }
 
 /// Prints one table row: a left-aligned label, then right-aligned cells.
-pub fn row(label: &str, cells: impl IntoIterator<Item = impl std::fmt::Display>) {
+pub(crate) fn row(label: &str, cells: impl IntoIterator<Item = impl std::fmt::Display>) {
     print!("{label:<18}");
     for c in cells {
         print!(" {c:>12}");
