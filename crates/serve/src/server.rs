@@ -840,23 +840,16 @@ fn execute(job: Job, state: &ServerState) {
                 Payload::Sweep(req) => apply_default_jobs(&mut req.options, jobs),
             }
             let started = Instant::now();
-            let run = catch_unwind(AssertUnwindSafe(|| match &payload {
-                Payload::Predict(req) => run_predict(state, req, &request_id),
-                Payload::Sweep(req) => run_sweep(state, req),
-            }));
+            let errors = match payload {
+                Payload::Predict(_) => "predict_errors",
+                Payload::Sweep(_) => "sweep_errors",
+            };
+            let (routed, mut artifacts) =
+                contain_panic(state, errors, &request_id, || match &payload {
+                    Payload::Predict(req) => run_predict(state, req, &request_id),
+                    Payload::Sweep(req) => run_sweep(state, req),
+                });
             state.service_ring.record(elapsed_ms(started));
-            let (routed, mut artifacts) = run.unwrap_or_else(|_| {
-                let counter = match payload {
-                    Payload::Predict(_) => "predict_errors",
-                    Payload::Sweep(_) => "sweep_errors",
-                };
-                state.with_registry(|r| r.counter_add(counter, 1));
-                let message = format!("request {request_id} panicked during execution");
-                (
-                    error_json(ErrorKind::Internal, message),
-                    RouteArtifacts::default(),
-                )
-            });
             artifacts.deadline_slack_ms = slack;
             (routed, artifacts)
         }
@@ -871,6 +864,22 @@ fn execute(job: Job, state: &ServerState) {
         picked,
         artifacts,
     );
+}
+
+/// Runs one execution of request `id`. A panic inside it answers `500
+/// internal` under that ID, counts in `errors` and returns here, so the
+/// worker goes on serving.
+fn contain_panic(
+    state: &ServerState,
+    errors: &str,
+    id: &str,
+    run: impl FnOnce() -> (Routed, RouteArtifacts),
+) -> (Routed, RouteArtifacts) {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+        state.with_registry(|r| r.counter_add(errors, 1));
+        let message = format!("request {id} panicked during execution");
+        (error_json(ErrorKind::Internal, message), Default::default())
+    })
 }
 
 /// Maps a [`ServiceError`] (or a deadline expiry) onto the wire.
@@ -1036,6 +1045,26 @@ mod tests {
         // Slow rates grow it, clamped to a minute.
         assert_eq!(retry_after_secs(9, Some(2000)), 20);
         assert_eq!(retry_after_secs(1000, Some(60_000)), 60);
+    }
+
+    #[test]
+    fn a_panicking_execution_answers_500_and_is_counted() {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(config).expect("bind");
+        let state = &server.state;
+        let panics = || -> (Routed, RouteArtifacts) { panic!("a request that panics") };
+        let (routed, _) = contain_panic(state, "predict_errors", "boom-1", panics);
+        let (status, _, body) = routed.render();
+        assert_eq!(status, 500, "{body}");
+        let envelope = ErrorResponse::from_json(&Value::parse(&body).unwrap()).unwrap();
+        assert_eq!(envelope.kind, ErrorKind::Internal);
+        assert!(envelope.error.contains("boom-1"), "{}", envelope.error);
+        let mut errors = None;
+        state.with_registry(|r| errors = r.get("predict_errors").cloned());
+        assert_eq!(errors, Some(MetricKind::Counter(1)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Worker-pool end-to-end tests: worker-count identity, computed
-//! backpressure, refusals that survive a drain and panic containment — all
-//! over real sockets against a booted server.
+//! backpressure, refusals that survive a drain and a worker that serves on
+//! after an invalid request — all over real sockets against a booted
+//! server.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -256,43 +257,43 @@ fn image_too_small_for_k_groups_answers_422() {
 }
 
 #[test]
-fn panicking_request_answers_500_and_its_worker_survives() {
-    // A zero-width division chunk passes `validate()` but panics where the
-    // image is divided. On a 1-worker server the panic must come back as a
-    // 500 under the request's id, and the same worker must then serve a
-    // valid request.
+fn zero_sized_chunk_answers_400_and_its_worker_serves_on() {
+    // A zero-width division chunk is invalid options: on a 1-worker
+    // server it is answered 400 under the request's id, and the same
+    // worker then serves a valid request.
     let (client, _url, handle, join) = boot(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
     });
-    let mut panics = tiny_request(7);
+    let mut invalid = tiny_request(7);
     let mut options = zatel::ZatelOptions::default();
     options.division = zatel::DivisionMethod::Fine {
         chunk_width: 0,
         chunk_height: 2,
     };
-    panics.options = Some(options);
+    invalid.options = Some(options);
     let resp = client
         .post_json_with_headers(
             "/v1/predict",
-            &panics.to_json(),
-            &[("x-zatel-request-id", "panics-1")],
+            &invalid.to_json(),
+            &[("x-zatel-request-id", "zero-chunk-1")],
         )
-        .expect("panicking predict is answered");
-    assert_eq!(resp.status, 500, "body: {}", resp.body);
-    assert_eq!(resp.header("x-zatel-request-id"), Some("panics-1"));
+        .expect("invalid predict is answered");
+    assert_eq!(resp.status, 400, "body: {}", resp.body);
+    assert_eq!(resp.header("x-zatel-request-id"), Some("zero-chunk-1"));
     let envelope = zatel_proto::ErrorResponse::from_json(&resp.json().unwrap())
-        .expect("500 body parses as ErrorResponse");
-    assert_eq!(envelope.kind.tag(), "internal");
+        .expect("400 body parses as ErrorResponse");
+    assert_eq!(envelope.kind.tag(), "bad_request");
+    assert!(envelope.error.contains("chunk"), "{}", envelope.error);
 
     let resp = client
         .post_json("/v1/predict", &tiny_request(7).to_json())
-        .expect("predict after the panic");
+        .expect("predict after the invalid one");
     assert_eq!(resp.status, 200, "body: {}", resp.body);
     assert_eq!(scrape(&client, "zatel_serve_predict_errors"), 1);
-    assert_eq!(scrape(&client, "zatel_serve_http_responses_500"), 1);
+    assert_eq!(scrape(&client, "zatel_serve_http_responses_500"), 0);
 
     handle.shutdown();
     let report = join.join().expect("server thread").expect("clean run");
-    assert_eq!(report.responses_5xx, 1, "{report:?}");
+    assert_eq!(report.responses_5xx, 0, "{report:?}");
 }

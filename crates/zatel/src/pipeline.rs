@@ -81,8 +81,8 @@ pub struct ZatelOptions {
 impl ZatelOptions {
     /// Checks option invariants that would otherwise panic (or silently
     /// misbehave) deep inside the engine: an empty worker pool, a
-    /// degenerate quantization or selection parameters outside their
-    /// documented domains.
+    /// degenerate quantization, an empty division chunk or selection
+    /// parameters outside their documented domains.
     ///
     /// # Errors
     ///
@@ -95,6 +95,15 @@ impl ZatelOptions {
         }
         if self.quant_colors == 0 {
             return invalid("quant_colors must be at least 1".into());
+        }
+        if let DivisionMethod::Fine {
+            chunk_width: w,
+            chunk_height: h,
+        } = self.division
+        {
+            if w == 0 || h == 0 {
+                return invalid(format!("division chunks must be non-empty, got {w}x{h}"));
+            }
         }
         let sel = &self.selection;
         if sel.block_width == 0 || sel.block_height == 0 {
@@ -869,9 +878,17 @@ mod tests {
         options.selection.clamp = (0.1, 0.9);
         options.validate().expect("valid options");
 
-        let broken: [fn(&mut ZatelOptions); 7] = [
+        fn chunk(o: &mut ZatelOptions, chunk_width: u32, chunk_height: u32) {
+            o.division = DivisionMethod::Fine {
+                chunk_width,
+                chunk_height,
+            };
+        }
+        let broken: [fn(&mut ZatelOptions); 9] = [
             |o| o.jobs = Some(0),
             |o| o.quant_colors = 0,
+            |o| chunk(o, 0, 2),
+            |o| chunk(o, 32, 0),
             |o| o.selection.percent_override = Some(0.0),
             |o| o.selection.percent_override = Some(1.5),
             |o| o.selection.percent_cap = Some(-0.1),
