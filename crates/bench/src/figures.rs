@@ -632,3 +632,70 @@ fn fig20(rows: &[Row]) -> Value {
     json.insert("worse_share".into(), json!(share));
     Value::Object(json)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Predicted;
+    use gpusim::SimStats;
+    use std::time::Duration;
+    use zatel::Reference;
+
+    /// Table III over synthetic rows with known errors: combination `c`,
+    /// repetition `r` and metric `m` miss by `0.05 (1 + (7c + 3m) mod 12) +
+    /// 0.01 r + 0.001 m`. The best combination of metric `m` is `3m mod 12`,
+    /// and its mean over the five repetitions is `0.07 + 0.001 m`.
+    #[test]
+    fn table3_reports_the_best_mean_error_of_each_metric() {
+        // A reference on which every metric is positive.
+        let mut s = SimStats::default();
+        (s.cycles, s.instructions, s.dram_channels) = (1000, 4000, 1);
+        (s.l1_accesses, s.l1_misses, s.l2_accesses, s.l2_misses) = (4, 1, 2, 1);
+        (s.rt_warp_phases, s.rt_active_rays) = (1, 16);
+        (s.dram_busy_cycles, s.dram_active_cycles) = (500, 1000);
+        let reference = Reference {
+            stats: s,
+            wall: Duration::ZERO,
+        };
+        let point = Predict::new(SceneId::Ship, mobile());
+        let combos = DISTS.len() * BLOCKS.len();
+        let predicted: Vec<Predicted> = (0..combos * REPS as usize)
+            .map(|i| {
+                let (c, r) = (i / REPS as usize, i % REPS as usize);
+                let values = Metric::ALL.iter().enumerate().map(|(m, metric)| {
+                    let err = 0.05 * (1 + (7 * c + 3 * m) % 12) as f64;
+                    assert!(metric.value(&s) > 0.0, "{metric}");
+                    metric.value(&s) * (1.0 + err + 0.01 * r as f64 + 0.001 * m as f64)
+                });
+                Predicted {
+                    values: values.collect(),
+                    k: 1,
+                    sim_wall: Duration::ZERO,
+                    slowest_group: Duration::ZERO,
+                    spans: Vec::new(),
+                }
+            })
+            .collect();
+        let row = |predicted| Row {
+            point: &point,
+            predicted,
+            reference: &reference,
+        };
+        let doc = table3(&predicted.iter().map(row).collect::<Vec<_>>());
+        let ship = doc.get("SHIP").expect("one scene");
+        let mut best = Vec::new();
+        for (m, metric) in Metric::ALL.iter().enumerate() {
+            let entry = ship.get(metric.name()).expect("a row per metric");
+            let text = |key| entry.get(key).and_then(Value::as_str).unwrap_or_default();
+            best.push(format!("{} {}", text("dist"), text("block")));
+            let mae = entry.get("mae").and_then(Value::as_f64).unwrap_or(f64::NAN);
+            let want = 0.07 + 0.001 * m as f64;
+            assert!((mae - want).abs() < 1e-9, "{metric}: MAE {mae}");
+        }
+        let want = "uniform 32x1, uniform 32x32, lintmp 32x16, exptmp 32x2, \
+                    uniform 32x1, uniform 32x32, lintmp 32x16";
+        assert_eq!(best.join(", "), want);
+        let overall = ship.get("overall_mae").and_then(Value::as_f64);
+        assert!((overall.unwrap_or(f64::NAN) - 0.073).abs() < 1e-9);
+    }
+}
