@@ -148,15 +148,6 @@ impl MemoryHierarchy {
             .max()
             .unwrap_or(0)
     }
-
-    /// Average read latency in cycles observed so far.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_latency_sum as f64 / self.reads as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -86,12 +86,6 @@ impl SimStats {
         ratio(self.dram_busy_cycles, self.dram_active_cycles)
     }
 
-    /// Average memory read latency in core cycles (diagnostic; not a
-    /// Table-I metric).
-    pub fn avg_read_latency(&self) -> f64 {
-        ratio(self.read_latency_sum, self.reads)
-    }
-
     /// DRAM row-buffer hit rate (diagnostic; not a Table-I metric).
     pub fn dram_row_hit_rate(&self) -> f64 {
         ratio(self.dram_row_hits, self.dram_transactions)

@@ -89,11 +89,6 @@ impl FlatNode {
         debug_assert!(!self.leaf);
         self.first_or_right
     }
-
-    /// Split axis (interior nodes only).
-    pub fn split_axis(&self) -> u8 {
-        self.axis
-    }
 }
 
 /// Counters accumulated while traversing; the basis of the execution-time
