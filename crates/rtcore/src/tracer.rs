@@ -444,10 +444,7 @@ mod tests {
     use super::*;
     use crate::camera::Camera;
     use crate::scene::SceneBuilder;
-    use crate::scenes::SceneId;
     use minijson::{FromJson, Value};
-    use proptest::prelude::*;
-    use std::sync::OnceLock;
 
     #[test]
     fn trace_config_json_rejects_malformed_counts() {
@@ -569,191 +566,10 @@ mod tests {
         assert!(px.color.mean() > 1.0);
     }
 
-    impl TraversalStats {
-        /// Adds another stats record into this one.
-        fn accumulate(&mut self, other: &TraversalStats) {
-            self.nodes_visited += other.nodes_visited;
-            self.box_tests += other.box_tests;
-            self.prim_tests += other.prim_tests;
-            self.leaf_visits += other.leaf_visits;
-        }
-    }
-
-    /// The tracer as it was before the path became a machine, kept verbatim
-    /// (with the stats sum it alone used) as the colour and counter oracle of
-    /// [`PixelPath`]: one loop per sample, each shadow ray traced inside its
-    /// diffuse bounce.
-    fn reference_pixel(
-        scene: &Scene,
-        x: u32,
-        y: u32,
-        width: u32,
-        height: u32,
-        config: &TraceConfig,
-    ) -> PixelTrace {
-        let mut rng = Pcg::for_index(config.seed, (y as u64) * (width as u64) + x as u64);
-        let mut color = Vec3::ZERO;
-        let mut stats = TraversalStats::default();
-        let mut rays = 0u32;
-
-        for _ in 0..config.samples_per_pixel.max(1) {
-            let ray = scene.camera().primary_ray(x, y, width, height, &mut rng);
-            let (sample, sample_stats, sample_rays) =
-                trace_path(scene, ray, config.max_bounces, &mut rng);
-            color += sample;
-            stats.accumulate(&sample_stats);
-            rays += sample_rays;
-        }
-
-        PixelTrace {
-            color: color / config.samples_per_pixel.max(1) as f32,
-            stats,
-            rays,
-        }
-    }
-
-    /// Traces a full path starting at `ray`, returning (radiance, stats, rays).
-    fn trace_path(
-        scene: &Scene,
-        mut ray: Ray,
-        max_bounces: u32,
-        rng: &mut Pcg,
-    ) -> (Vec3, TraversalStats, u32) {
-        let mut stats = TraversalStats::default();
-        let mut throughput = Vec3::ONE;
-        let mut radiance = Vec3::ZERO;
-        let mut rays = 0u32;
-
-        for _bounce in 0..=max_bounces {
-            rays += 1;
-            let (hit, tstats) = scene.bvh().intersect(&ray, scene.primitives());
-            stats.accumulate(&tstats);
-
-            let Some(hit) = hit else {
-                radiance += throughput.hadamard(sky_color(ray.dir));
-                break;
-            };
-
-            let material = *scene.material(hit.material);
-            match material.surface {
-                Surface::Emissive => {
-                    radiance += throughput.hadamard(material.color);
-                    break;
-                }
-                Surface::Diffuse => {
-                    // Next-event estimation: shadow ray towards one light.
-                    if !scene.lights().is_empty() {
-                        let light = scene.lights()[rng.next_below(scene.lights().len())];
-                        let to_light = light.position - hit.point;
-                        let dist = to_light.length();
-                        if dist > RAY_EPSILON {
-                            let dir = to_light / dist;
-                            let cos = hit.normal.dot(dir);
-                            if cos > 0.0 {
-                                rays += 1;
-                                let shadow = Ray::segment(
-                                    hit.point + hit.normal * RAY_EPSILON,
-                                    dir,
-                                    dist - 2.0 * RAY_EPSILON,
-                                );
-                                let (occluded, sstats) =
-                                    scene.bvh().occluded(&shadow, scene.primitives());
-                                stats.accumulate(&sstats);
-                                if !occluded {
-                                    let falloff = 1.0 / (dist * dist).max(1e-3);
-                                    let nlights = scene.lights().len() as f32;
-                                    radiance += throughput
-                                        .hadamard(material.color)
-                                        .hadamard(light.intensity)
-                                        * (cos * falloff * nlights / std::f32::consts::PI);
-                                }
-                            }
-                        }
-                    }
-                    throughput = throughput.hadamard(material.color);
-                    let dir = cosine_hemisphere(hit.normal, rng);
-                    ray = Ray::new(hit.point + hit.normal * RAY_EPSILON, dir);
-                }
-                Surface::Mirror { fuzz } => {
-                    throughput = throughput.hadamard(material.color);
-                    let mut dir = ray.dir.reflect(hit.normal);
-                    if fuzz > 0.0 {
-                        dir = (dir + crate::math::uniform_sphere(rng) * fuzz)
-                            .try_normalized()
-                            .unwrap_or(dir);
-                    }
-                    if dir.dot(hit.normal) <= 0.0 {
-                        break; // Fuzz scattered the ray below the surface.
-                    }
-                    ray = Ray::new(hit.point + hit.normal * RAY_EPSILON, dir);
-                }
-                Surface::Glass { ior } => {
-                    let entering = ray.dir.dot(hit.normal) < 0.0;
-                    debug_assert!(entering, "shading normal should oppose the ray");
-                    let eta = 1.0 / ior;
-                    let cos_i = (-ray.dir).dot(hit.normal).clamp(0.0, 1.0);
-                    let reflect_prob = schlick(cos_i, ior);
-                    let dir = if rng.next_f32() < reflect_prob {
-                        ray.dir.reflect(hit.normal)
-                    } else {
-                        match ray.dir.refract(hit.normal, eta) {
-                            Some(t) => t,
-                            None => ray.dir.reflect(hit.normal),
-                        }
-                    };
-                    let offset = if dir.dot(hit.normal) < 0.0 {
-                        -hit.normal
-                    } else {
-                        hit.normal
-                    };
-                    ray = Ray::new(hit.point + offset * RAY_EPSILON, dir.normalized());
-                }
-            }
-
-            // Paths whose throughput collapsed cannot contribute; terminate the
-            // same way regardless of RNG state to stay deterministic.
-            if throughput.max_component() < 1e-4 {
-                break;
-            }
-        }
-
-        (radiance, stats, rays)
-    }
-
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn cost_map_rejects_a_column_past_the_width() {
         // Row-major storage: unchecked, `(width, 0)` would read `(0, 1)`.
         CostMap::new(4, 2).get(4, 0);
-    }
-
-    /// The eight registry scenes, built once for the whole proptest.
-    fn scenes() -> &'static [Scene] {
-        static SCENES: OnceLock<Vec<Scene>> = OnceLock::new();
-        SCENES.get_or_init(|| SceneId::ALL.iter().map(|id| id.build(1)).collect())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The path machine computes what the loop it replaced computed, bit
-        /// for bit: colour, rays and traversal counters.
-        #[test]
-        fn the_path_machine_traces_as_the_reference_loop(
-            scene in 0usize..8,
-            pixel in (0u32..16, 0u32..16),
-            spp in 0u32..4,
-            max_bounces in 0u32..6,
-            seed in any::<u64>(),
-        ) {
-            let config = TraceConfig { samples_per_pixel: spp, max_bounces, seed };
-            let (x, y) = pixel;
-            let got = trace_pixel(&scenes()[scene], x, y, 16, 16, &config);
-            let want = reference_pixel(&scenes()[scene], x, y, 16, 16, &config);
-            let bits = |c: Vec3| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()];
-            prop_assert_eq!(bits(got.color), bits(want.color));
-            prop_assert_eq!(got.rays, want.rays);
-            prop_assert_eq!(got.stats, want.stats);
-        }
     }
 }

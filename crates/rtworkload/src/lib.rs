@@ -36,11 +36,6 @@
 )]
 #![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 
-#[cfg(test)]
-mod reference;
-#[cfg(test)]
-mod traversal;
-
 use gpusim::{Op, PhaseMix, ThreadProgram, WarpProgram, Workload};
 use rtcore::bvh::VisitSink;
 use rtcore::material::{Material, MaterialId};
@@ -498,15 +493,12 @@ impl ThreadProgram for PixelProgram<'_> {
 mod tests {
     use super::*;
     use gpusim::{GpuConfig, Simulator};
-    use minijson::ToJson;
-    use obs::{MetricsRegistry, ObsHooks, ObserveOptions};
-    use proptest::prelude::*;
     use rtcore::camera::Camera;
     use rtcore::geom::Triangle;
     use rtcore::math::{Ray, Vec3, RAY_EPSILON};
     use rtcore::scene::SceneBuilder;
     use rtcore::scenes::SceneId;
-    use std::sync::OnceLock;
+    use rtcore::tracer::trace_pixel;
 
     fn cfg() -> TraceConfig {
         TraceConfig {
@@ -514,6 +506,12 @@ mod tests {
             max_bounces: 3,
             seed: 11,
         }
+    }
+
+    /// Thread `index`'s ops, drained.
+    fn drain(workload: &RtWorkload<'_>, index: u64) -> Vec<Op> {
+        let mut thread = workload.create_thread(index);
+        std::iter::from_fn(|| thread.next_op()).collect()
     }
 
     #[test]
@@ -530,15 +528,7 @@ mod tests {
     fn threads_are_reproducible() {
         let scene = SceneId::Sprng.build(1);
         let workload = RtWorkload::full_frame(&scene, 8, 8, cfg());
-        let collect = |i| {
-            let mut t = workload.create_thread(i);
-            let mut ops = Vec::new();
-            while let Some(op) = t.next_op() {
-                ops.push(op);
-            }
-            ops
-        };
-        assert_eq!(collect(5), collect(5));
+        assert_eq!(drain(&workload, 5), drain(&workload, 5));
     }
 
     #[test]
@@ -636,14 +626,6 @@ mod tests {
             trace,
             vec![Pixel::new(3, 7), Pixel::new(12, 2)],
         );
-        let drain = |w: &RtWorkload<'_>, i: u64| {
-            let mut t = w.create_thread(i);
-            let mut ops = Vec::new();
-            while let Some(op) = t.next_op() {
-                ops.push(op);
-            }
-            ops
-        };
         // Pixel (3,7) is thread 7*16+3 = 115 of the full frame.
         assert_eq!(drain(&group, 0), drain(&full, 115));
         // Pixel (12,2) is thread 2*16+12 = 44.
@@ -664,62 +646,35 @@ mod tests {
         let _ = RtWorkload::new(&scene, 8, 8, cfg(), vec![Pixel::new(8, 0)]);
     }
 
-    /// The workload as it decoded before lanes ran ahead: boxed
-    /// [`reference`] programs behind the default per-thread warp program.
-    struct ReferenceWorkload<'a>(&'a RtWorkload<'a>);
-
-    impl Workload for ReferenceWorkload<'_> {
-        fn thread_count(&self) -> u64 {
-            self.0.thread_count()
-        }
-
-        fn create_thread(&self, index: u64) -> Box<dyn ThreadProgram + '_> {
-            reference::create_thread(self.0, index)
-        }
-
-        fn filtered_threads(&self) -> u64 {
-            self.0.filtered_threads()
-        }
-    }
-
-    /// The Mobile SoC's line size.
-    const LINE: u32 = 128;
-
-    fn drain(mut thread: Box<dyn ThreadProgram + '_>) -> Vec<Op> {
-        std::iter::from_fn(|| thread.next_op()).collect()
-    }
-
-    /// The eight registry scenes, built once for the whole proptest.
-    fn scenes() -> &'static [Scene] {
-        static SCENES: OnceLock<Vec<Scene>> = OnceLock::new();
-        SCENES.get_or_init(|| SceneId::ALL.iter().map(|id| id.build(1)).collect())
-    }
-
     #[test]
     fn a_lane_traces_on_past_a_shadow_ray_that_records_nothing() {
         // One floor triangle makes the scene's box flat, and the light is
         // overhead: every shadow ray starts just above the box and leaves
         // it, so its query visits nothing and the refill must go on to the
         // next ray rather than end the thread.
-        let camera = Camera::look_at(Vec3::new(0.0, 4.0, -1.0), Vec3::ZERO, Vec3::Y, 40.0);
+        let v = Vec3::new;
+        let camera = Camera::look_at(v(0.0, 4.0, -1.0), Vec3::ZERO, Vec3::Y, 40.0);
         let mut builder = SceneBuilder::new("floor", camera);
         let gray = builder.add_material(Material::diffuse(Vec3::splat(0.7)));
-        builder.add_triangle(Triangle::new(
-            Vec3::new(-50.0, 0.0, -50.0),
-            Vec3::new(50.0, 0.0, -50.0),
-            Vec3::new(0.0, 0.0, 50.0),
-            gray,
-        ));
-        builder.add_light(Vec3::new(0.0, 10.0, 0.0), Vec3::splat(50.0));
+        let corners = [v(-50.0, 0.0, -50.0), v(50.0, 0.0, -50.0), v(0.0, 0.0, 50.0)];
+        builder.add_triangle(Triangle::new(corners[0], corners[1], corners[2], gray));
+        builder.add_light(v(0.0, 10.0, 0.0), Vec3::splat(50.0));
         let scene = builder.build();
-        let shadow = Ray::segment(Vec3::new(0.0, RAY_EPSILON, 0.0), Vec3::Y, 9.0);
+        let shadow = Ray::segment(v(0.0, RAY_EPSILON, 0.0), Vec3::Y, 9.0);
         let (_, stats) = scene.bvh().occluded(&shadow, scene.primitives());
         assert_eq!(stats.nodes_visited, 0, "the shadow ray misses the box");
         let workload = RtWorkload::full_frame(&scene, 4, 4, cfg());
-        for i in 0..workload.thread_count() {
-            let want = drain(reference::create_thread(&workload, i));
-            assert!(want.len() > 10, "thread {i} traces and shades");
-            assert_eq!(drain(workload.create_thread(i)), want, "thread {i}");
+        for (i, &Pixel { x, y }) in workload.pixels().iter().enumerate() {
+            let ops = drain(&workload, i as u64);
+            // The lane does the work the profiler counts for its pixel,
+            // shadow rays included.
+            let want = trace_pixel(&scene, x, y, 4, 4, &cfg());
+            assert!(want.rays > 2 * cfg().samples_per_pixel, "thread {i}");
+            let nodes = ops.iter().filter(|op| matches!(op, Op::RtNode { .. }));
+            let prims = ops.iter().filter(|op| matches!(op, Op::RtPrim { .. }));
+            let got = [nodes.count(), prims.count()].map(|n| n as u64);
+            assert_eq!(got, [want.stats.nodes_visited, want.stats.prim_tests]);
+            assert!(matches!(ops.last(), Some(Op::Store { .. })), "thread {i}");
         }
     }
 
@@ -749,123 +704,5 @@ mod tests {
         ops.clear();
         assert!(ops.0.is_empty());
         assert!(ops.0.capacity() <= RETAINED_OPS);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// The ray-at-a-time lane yields the one-op-at-a-time reference stream
-        /// op for op — per thread, per warp phase, after a slot is reused,
-        /// and up to wherever a lane is dropped.
-        #[test]
-        fn lanes_yield_the_reference_op_stream(
-            scene in 0usize..8,
-            corner in (0u32..13, 0u32..13),
-            spp in 0u32..4,
-            max_bounces in 0u32..6,
-            seed in any::<u64>(),
-            mask in prop::collection::vec(any::<bool>(), 12..13),
-            filtered in any::<bool>(),
-            cut in 0usize..300,
-        ) {
-            let trace = TraceConfig { samples_per_pixel: spp, max_bounces, seed };
-            let pixels = (0..12).map(|i| Pixel::new(corner.0 + i % 4, corner.1 + i / 4)).collect();
-            let mut workload = RtWorkload::new(&scenes()[scene], 16, 16, trace, pixels);
-            if filtered {
-                workload = workload.with_selection(mask);
-            }
-            let want: Vec<Vec<Op>> = (0..12)
-                .map(|i| drain(reference::create_thread(&workload, i)))
-                .collect();
-            for (i, want) in want.iter().enumerate() {
-                prop_assert_eq!(&drain(workload.create_thread(i as u64)), want);
-                // Dropped mid-ray: the prefix is the reference's prefix.
-                let mut lane = workload.create_thread(i as u64);
-                let prefix: Vec<Op> = (0..cut).map_while(|_| lane.next_op()).collect();
-                prop_assert_eq!(&prefix[..], &want[..cut.min(want.len())]);
-            }
-            // One slot, launched twice over different lanes: each phase is
-            // categorized as it is gathered, exactly as its ops would be.
-            let mut warp = workload.warp_program();
-            let (mut got, mut expect) = (PhaseMix::new(LINE), PhaseMix::new(LINE));
-            for lanes in [0..12usize, 5..9] {
-                warp.launch(lanes.start as u64, lanes.len() as u32);
-                for phase in 0.. {
-                    got.clear();
-                    warp.gather(&mut got);
-                    expect.clear();
-                    for ops in &want[lanes.clone()] {
-                        if let Some(&op) = ops.get(phase) {
-                            expect.push(op);
-                        }
-                    }
-                    prop_assert_eq!(&got, &expect, "phase {}", phase);
-                    if got.is_empty() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engine_sees_the_reference_run_on_park_and_bath() {
-        // `tests/engine_refactor.rs` pins these fingerprints (32x32, 1 spp,
-        // 2 bounces, seed 7, Mobile SoC); the rows are copied, not edited.
-        let golden: [(SceneId, [u64; 8]); 2] = [
-            (
-                SceneId::Park,
-                [77355, 508818, 10966, 124463, 36491, 10705, 11685, 156474],
-            ),
-            (
-                SceneId::Bath,
-                [25414, 544003, 7908, 84694, 4333, 1614, 2600, 158333],
-            ),
-        ];
-        let trace = TraceConfig {
-            samples_per_pixel: 1,
-            max_bounces: 2,
-            seed: 7,
-        };
-        let config = GpuConfig::mobile_soc();
-        let sim = Simulator::new(config.clone());
-        // Every phase, RT and DRAM event with its arguments (the merged
-        // timeline) plus the exported registry of one observed run.
-        let observe = |workload: &dyn Workload| {
-            let opts = ObserveOptions::default();
-            let mut hooks = ObsHooks::for_gpu(0, "frame", &config, &opts);
-            let stats = sim.run_with_hooks(workload, &mut hooks);
-            let mut registry = MetricsRegistry::new();
-            hooks.export(&stats, &mut registry);
-            let timeline = hooks.take_timeline().expect("timeline on");
-            let trace = obs::merge_trace(vec![timeline]).to_string();
-            (stats, trace, registry.to_json().to_string())
-        };
-        for (id, fingerprint) in golden {
-            let scene = id.build(1);
-            let workload = RtWorkload::full_frame(&scene, 32, 32, trace);
-            let (stats, events, registry) = observe(&workload);
-            let (reference_stats, reference_events, reference_registry) =
-                observe(&ReferenceWorkload(&workload));
-            assert_eq!(stats, reference_stats, "{id}: SimStats");
-            // `assert!`, not `assert_eq!`: the texts run to megabytes.
-            assert!(events == reference_events, "{id}: timeline events differ");
-            assert_eq!(registry, reference_registry, "{id}: registry");
-            let s = stats;
-            assert_eq!(
-                [
-                    s.cycles,
-                    s.instructions,
-                    s.warp_issues,
-                    s.l1_accesses,
-                    s.l1_misses,
-                    s.l2_misses,
-                    s.dram_transactions,
-                    s.rt_active_rays,
-                ],
-                fingerprint,
-                "{id}: the golden row of tests/engine_refactor.rs"
-            );
-        }
     }
 }
