@@ -175,11 +175,6 @@ impl Map {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()

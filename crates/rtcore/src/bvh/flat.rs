@@ -9,17 +9,15 @@
 //! loop for both is what makes the functional and timing models agree on
 //! exactly which work a ray performs.
 //!
-//! The loop takes two exact shortcuts, neither visible to a sink. A ray in
-//! the class of [`Ray::slab_finite`] — every ray the tracer casts, short of
-//! one with a zero direction component — runs the NaN-free
-//! [`Aabb::hit_finite`]; any other ray runs the reference [`Aabb::hit`]. The
-//! loop is written once, generic over that choice, and picks it once per
-//! ray. And a popped node is re-tested only if a hit has shrunk the interval
-//! since it was pushed, by comparing the entry distance it stacked.
+//! Every box test of the loop, for every ray, is the one slab test
+//! [`Aabb::hit`], run on the `[min, max]` corners a node stores. The loop
+//! takes one exact shortcut, invisible to a sink: a popped node is
+//! re-tested only if a hit has shrunk the interval since it was pushed, by
+//! comparing the entry distance it stacked.
 
 use crate::geom::{Hit, Primitive, PrimitiveId};
-use crate::math::{Aabb, Ray, Vec3};
-use minijson::{FromJson, JsonError, Value};
+use crate::math::{slab, Aabb, Ray, Vec3};
+use minijson::{FromJson, JsonError, ToJson, Value};
 
 /// A node of the flattened BVH.
 ///
@@ -28,7 +26,9 @@ use minijson::{FromJson, JsonError, Value};
 /// primitive-order array.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatNode {
-    bounds: Aabb,
+    /// Bounding box as its `[min, max]` corners, which the slab test
+    /// indexes by the sign of the ray's direction.
+    corners: [Vec3; 2],
     /// Leaf: first index into the primitive order. Interior: right child.
     first_or_right: u32,
     /// Leaf: number of primitives. Unused for interior nodes.
@@ -43,7 +43,7 @@ impl FlatNode {
     /// BVH's primitive order.
     pub fn leaf(bounds: Aabb, first: u32, count: u32) -> Self {
         FlatNode {
-            bounds,
+            corners: [bounds.min, bounds.max],
             first_or_right: first,
             count,
             axis: 0,
@@ -54,7 +54,7 @@ impl FlatNode {
     /// Creates an interior node whose right child is at `right`.
     pub fn interior(bounds: Aabb, right: u32, axis: u8) -> Self {
         FlatNode {
-            bounds,
+            corners: [bounds.min, bounds.max],
             first_or_right: right,
             count: 0,
             axis,
@@ -64,7 +64,8 @@ impl FlatNode {
 
     /// Bounding box of the node.
     pub fn bounds(&self) -> Aabb {
-        self.bounds
+        let [min, max] = self.corners;
+        Aabb { min, max }
     }
 
     /// Returns `true` for leaves.
@@ -174,9 +175,21 @@ impl<S: VisitSink + ?Sized> VisitSink for &mut S {
     }
 }
 
+/// A node's corners on the wire: the `bounds` box.
+fn write_bounds(corners: &[Vec3; 2], map: &mut minijson::Map) {
+    let [min, max] = *corners;
+    map.insert("bounds".into(), Aabb { min, max }.to_json());
+}
+
+/// The `bounds` box of a node on the wire, as corners.
+fn read_bounds(value: &Value, ty: &str) -> Result<[Vec3; 2], JsonError> {
+    let bounds: Aabb = minijson::field(value, ty, "bounds")?;
+    Ok([bounds.min, bounds.max])
+}
+
 minijson::record! {
     FlatNode {
-        "bounds" => bounds,
+        corners: with(write_bounds, read_bounds),
         "first_or_right" => first_or_right,
         "count" => count,
         "axis" => axis,
@@ -352,32 +365,16 @@ impl Bvh {
         ray: &Ray,
         prims: &[Primitive],
         any_hit: bool,
-        sink: S,
-    ) -> (Option<(f32, u32)>, S) {
-        let inv_dir = ray.inv_dir();
-        if ray.slab_finite(inv_dir) {
-            self.query_with::<true, S>(ray, inv_dir, prims, any_hit, sink)
-        } else {
-            self.query_with::<false, S>(ray, inv_dir, prims, any_hit, sink)
-        }
-    }
-
-    /// [`Bvh::query`] with the slab test chosen by [`slab`].
-    fn query_with<const FINITE: bool, S: VisitSink>(
-        &self,
-        ray: &Ray,
-        inv_dir: Vec3,
-        prims: &[Primitive],
-        any_hit: bool,
         mut sink: S,
     ) -> (Option<(f32, u32)>, S) {
+        let inv_dir = ray.inv_dir();
         sink.root();
         // `probe.t_max` is the closest hit distance so far.
         let mut probe = *ray;
         let mut best = None;
         let mut stack = [(0u32, 0f32); MAX_DEPTH + 1];
         let mut len = 0;
-        if let Some(t_enter) = slab::<FINITE>(&self.nodes[0].bounds, ray, inv_dir) {
+        if let Some(t_enter) = slab(&self.nodes[0].corners, ray, inv_dir) {
             stack[0] = (0, t_enter);
             len = 1;
         }
@@ -406,8 +403,8 @@ impl Bvh {
             // Interior: box-test both children, push hits far-then-near.
             sink.interior(index);
             let (left, right) = (index + 1, node.first_or_right);
-            let t_left = slab::<FINITE>(&self.nodes[left as usize].bounds, &probe, inv_dir);
-            let t_right = slab::<FINITE>(&self.nodes[right as usize].bounds, &probe, inv_dir);
+            let t_left = slab(&self.nodes[left as usize].corners, &probe, inv_dir);
+            let t_right = slab(&self.nodes[right as usize].corners, &probe, inv_dir);
             let mut push = |node: u32, t_enter: f32| {
                 stack[len] = (node, t_enter);
                 len += 1;
@@ -427,18 +424,6 @@ impl Bvh {
             }
         }
         (best, sink)
-    }
-}
-
-/// The slab test of a traversal loop: [`Aabb::hit_finite`] if `FINITE` (the
-/// ray is in the class of [`Ray::slab_finite`]), else the reference
-/// [`Aabb::hit`].
-#[inline(always)]
-fn slab<const FINITE: bool>(bounds: &Aabb, ray: &Ray, inv_dir: Vec3) -> Option<f32> {
-    if FINITE {
-        bounds.hit_finite(ray, inv_dir)
-    } else {
-        bounds.hit(ray, inv_dir)
     }
 }
 
@@ -480,7 +465,6 @@ mod tests {
     use crate::geom::{Sphere, Triangle};
     use crate::material::MaterialId;
     use crate::math::Pcg;
-    use minijson::ToJson;
 
     fn two_spheres() -> Vec<Primitive> {
         vec![

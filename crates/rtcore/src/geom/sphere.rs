@@ -47,25 +47,23 @@ impl Sphere {
     }
 
     /// Ray/sphere intersection returning the nearest hit distance within
-    /// `[ray.t_min, ray.t_max]`.
+    /// `[ray.t_min, ray.t_max]`. A NaN (from a direction with an infinite
+    /// component) fails every comparison here, so it is a miss.
     pub fn hit(&self, ray: &Ray) -> Option<f32> {
         let oc = ray.origin - self.center;
         let a = ray.dir.length_squared();
         let half_b = oc.dot(ray.dir);
         let c = oc.length_squared() - self.radius * self.radius;
         let disc = half_b * half_b - a * c;
-        if disc < 0.0 {
-            return None;
+        // `>=` is false for a NaN discriminant too.
+        let sqrt_d = (disc >= 0.0).then(|| disc.sqrt())?;
+        let in_range = |t: f32| t >= ray.t_min && t <= ray.t_max;
+        let near = (-half_b - sqrt_d) / a;
+        if in_range(near) {
+            return Some(near);
         }
-        let sqrt_d = disc.sqrt();
-        let mut t = (-half_b - sqrt_d) / a;
-        if t < ray.t_min || t > ray.t_max {
-            t = (-half_b + sqrt_d) / a;
-            if t < ray.t_min || t > ray.t_max {
-                return None;
-            }
-        }
-        Some(t)
+        let far = (-half_b + sqrt_d) / a;
+        in_range(far).then_some(far)
     }
 }
 

@@ -117,53 +117,45 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
-    /// Slab-test ray/box intersection: the reference test, defined for
-    /// every ray.
+    /// Slab-test ray/box intersection, defined for every ray.
     ///
     /// `inv_dir` must be `ray.inv_dir()`; it is passed in so traversal can
     /// compute it once per ray. Returns the entry distance when the ray
-    /// overlaps the box within `[ray.t_min, ray.t_max]`.
+    /// overlaps the box within `[ray.t_min, ray.t_max]`; the empty box is
+    /// always missed.
     ///
-    /// A ray with a zero direction component whose origin lies on one of
-    /// the box's planes on that axis makes the product `0 · ∞` NaN, and the
-    /// NaN-ignoring `f32::min`/`max` keep the slab's other bound: a ray
-    /// running in a face plane of a solid box misses it, one in the plane
-    /// of a flat box ignores that axis. Rays that can produce no NaN
-    /// ([`Ray::slab_finite`]) may take [`Aabb::hit_finite`] instead.
+    /// Each axis's near and far plane is picked by the sign of `inv_dir`
+    /// (Williams et al., JGT 2005), and the distances to them are folded
+    /// into the ray's bounds with compare-selects that keep the running
+    /// bound when the axis distance is NaN (Ize, JCGT 2013). A NaN arises
+    /// only as `0 · ∞`, from a ray with a zero (or reciprocal-overflowing)
+    /// direction component whose origin lies in one of that axis's planes:
+    /// the ray runs in the plane, and the axis leaves it unconstrained.
     #[inline]
     pub fn hit(&self, ray: &Ray, inv_dir: Vec3) -> Option<f32> {
-        let t0 = (self.min - ray.origin).hadamard(inv_dir);
-        let t1 = (self.max - ray.origin).hadamard(inv_dir);
-        let t_near = t0.min(t1);
-        let t_far = t0.max(t1);
-        let t_enter = t_near.max_component().max(ray.t_min);
-        let t_exit = t_far.min_component().min(ray.t_max);
-        if t_enter <= t_exit {
-            Some(t_enter)
-        } else {
-            None
-        }
+        slab(&[self.min, self.max], ray, inv_dir)
     }
+}
 
-    /// [`Aabb::hit`] with plain compare-select min/max, for a ray in the
-    /// class of [`Ray::slab_finite`].
-    ///
-    /// For such a ray no slab product or difference is NaN, against a
-    /// finite box or the empty one, and compare-select agrees with
-    /// `f32::min`/`max` on every non-NaN pair except for which zero it
-    /// returns from `(-0.0, 0.0)`: the result equals [`Aabb::hit`]'s up to
-    /// the sign of a zero entry distance, which comparisons cannot see.
-    #[inline]
-    pub fn hit_finite(&self, ray: &Ray, inv_dir: Vec3) -> Option<f32> {
-        let lo = |a: f32, b: f32| if a < b { a } else { b };
-        let hi = |a: f32, b: f32| if a > b { a } else { b };
-        let t0 = (self.min - ray.origin).hadamard(inv_dir);
-        let t1 = (self.max - ray.origin).hadamard(inv_dir);
-        let t_near = hi(hi(lo(t0.x, t1.x), lo(t0.y, t1.y)), lo(t0.z, t1.z));
-        let t_far = lo(lo(hi(t0.x, t1.x), hi(t0.y, t1.y)), hi(t0.z, t1.z));
-        let t_enter = hi(t_near, ray.t_min);
-        (t_enter <= lo(t_far, ray.t_max)).then_some(t_enter)
-    }
+/// [`Aabb::hit`] on a box held as its `[min, max]` corners, as the BVH's
+/// nodes hold theirs: a plane is then a load at an index the ray fixes,
+/// where picking between two fields costs a select per plane and box.
+#[inline(always)]
+pub(crate) fn slab(corners: &[Vec3; 2], ray: &Ray, inv_dir: Vec3) -> Option<f32> {
+    let near = |inv: f32| usize::from(inv.is_sign_negative());
+    let (x, y, z) = (near(inv_dir.x), near(inv_dir.y), near(inv_dir.z));
+    let o = ray.origin;
+    // The axis distance `t` comes first: a NaN fails the comparison and the
+    // running bound is kept.
+    let hi = |t: f32, bound: f32| if t > bound { t } else { bound };
+    let lo = |t: f32, bound: f32| if t < bound { t } else { bound };
+    let t_enter = hi((corners[x].x - o.x) * inv_dir.x, ray.t_min);
+    let t_enter = hi((corners[y].y - o.y) * inv_dir.y, t_enter);
+    let t_enter = hi((corners[z].z - o.z) * inv_dir.z, t_enter);
+    let t_exit = lo((corners[1 - x].x - o.x) * inv_dir.x, ray.t_max);
+    let t_exit = lo((corners[1 - y].y - o.y) * inv_dir.y, t_exit);
+    let t_exit = lo((corners[1 - z].z - o.z) * inv_dir.z, t_exit);
+    (t_enter <= t_exit).then_some(t_enter)
 }
 
 impl Default for Aabb {
@@ -185,7 +177,6 @@ impl FromIterator<Vec3> for Aabb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn unit_box() -> Aabb {
         Aabb::from_corners(Vec3::ZERO, Vec3::ONE)
@@ -264,76 +255,6 @@ mod tests {
         let b = unit_box();
         let r = Ray::new(Vec3::new(0.5, 0.5, -3.0), Vec3::Z);
         assert!(b.hit(&r, r.inv_dir()).is_some());
-    }
-
-    fn coord() -> impl Strategy<Value = f32> {
-        -10.0f32..10.0
-    }
-
-    fn point() -> impl Strategy<Value = Vec3> {
-        (coord(), coord(), coord()).prop_map(|(x, y, z)| Vec3::new(x, y, z))
-    }
-
-    /// `v` with component `axis` replaced by `value`.
-    fn with_axis(v: Vec3, axis: usize, value: f32) -> Vec3 {
-        match axis {
-            0 => Vec3::new(value, v.y, v.z),
-            1 => Vec3::new(v.x, value, v.z),
-            _ => Vec3::new(v.x, v.y, value),
-        }
-    }
-
-    /// Solid boxes, boxes flat along one axis, single points and the empty
-    /// box.
-    fn any_box() -> impl Strategy<Value = Aabb> {
-        prop_oneof![
-            (point(), point()).prop_map(|(a, b)| Aabb::from_corners(a, b)),
-            (point(), point(), 0usize..3).prop_map(|(a, b, axis)| {
-                let b = Aabb::from_corners(a, b);
-                Aabb::from_corners(b.min, with_axis(b.max, axis, b.min[axis]))
-            }),
-            point().prop_map(|p| Aabb::from_corners(p, p)),
-            Just(Aabb::empty()),
-        ]
-    }
-
-    /// A direction component that is finite, non-zero and has a finite
-    /// reciprocal, down to near the subnormal edge.
-    fn component() -> impl Strategy<Value = f32> {
-        (-1.0f32..1.0, 0i32..40).prop_map(|(v, e)| {
-            let v = if v.abs() < 1e-3 { 1e-3 } else { v };
-            v * 2f32.powi(-3 * e)
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(2048))]
-
-        /// For rays in the fast class the NaN-free test returns exactly what
-        /// the reference returns. `==` on `Option<f32>` treats `-0.0` and
-        /// `0.0` as equal, which is the one way the two may differ; every
-        /// consumer of the entry distance only compares it, where the sign
-        /// of a zero is invisible.
-        #[test]
-        fn finite_slab_test_equals_the_reference(
-            b in any_box(),
-            origin in point(),
-            on_plane in 0usize..4,
-            dir in (component(), component(), component()),
-            t_min in prop_oneof![Just(crate::math::RAY_EPSILON), Just(0.0f32), -5.0f32..5.0],
-            t_max in prop_oneof![Just(f32::INFINITY), 0.0f32..30.0],
-        ) {
-            // Sometimes start on one of the box's slab planes.
-            let origin = if on_plane < 3 && !b.is_empty() {
-                with_axis(origin, on_plane, b.min[on_plane])
-            } else {
-                origin
-            };
-            let ray = Ray { origin, dir: Vec3::new(dir.0, dir.1, dir.2), t_min, t_max };
-            let inv_dir = ray.inv_dir();
-            prop_assume!(ray.slab_finite(inv_dir));
-            prop_assert_eq!(b.hit_finite(&ray, inv_dir), b.hit(&ray, inv_dir));
-        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ mod ray;
 mod rng;
 mod vec3;
 
+pub(crate) use aabb::slab;
 pub use aabb::Aabb;
 pub use onb::{cosine_hemisphere, uniform_sphere, Onb};
 pub use ray::{Ray, RAY_EPSILON};

@@ -65,22 +65,6 @@ impl Ray {
     pub fn inv_dir(&self) -> Vec3 {
         Vec3::new(1.0 / self.dir.x, 1.0 / self.dir.y, 1.0 / self.dir.z)
     }
-
-    /// Whether this ray may take the NaN-free slab test
-    /// [`Aabb::hit_finite`](super::Aabb::hit_finite): origin, direction and
-    /// `inv_dir` (which must be [`Ray::inv_dir`]) are finite and neither
-    /// bound is NaN. Then no `0 · ∞` or `∞ − ∞` can arise against any box.
-    /// Rays with a zero or infinite direction component, or one small
-    /// enough that its reciprocal overflows, fall outside and take the
-    /// reference [`Aabb::hit`](super::Aabb::hit).
-    #[inline]
-    pub fn slab_finite(&self, inv_dir: Vec3) -> bool {
-        self.origin.is_finite()
-            && self.dir.is_finite()
-            && inv_dir.is_finite()
-            && !self.t_min.is_nan()
-            && !self.t_max.is_nan()
-    }
 }
 
 #[cfg(test)]
@@ -105,24 +89,6 @@ mod tests {
     fn segment_ray_is_bounded() {
         let r = Ray::segment(Vec3::ZERO, Vec3::X, 5.0);
         assert_eq!(r.t_max, 5.0);
-    }
-
-    #[test]
-    fn slab_finite_excludes_rays_that_can_make_a_nan() {
-        let slab_finite = |dir: Vec3| {
-            let ray = Ray::new(Vec3::ZERO, dir);
-            ray.slab_finite(ray.inv_dir())
-        };
-        assert!(slab_finite(Vec3::new(0.3, -0.2, 1.0)));
-        assert!(!slab_finite(Vec3::Z), "zero components");
-        assert!(
-            !slab_finite(Vec3::new(1e-40, 0.5, 1.0)),
-            "reciprocal overflows"
-        );
-        assert!(!slab_finite(Vec3::new(f32::INFINITY, 0.5, 1.0)));
-        let mut ray = Ray::new(Vec3::ZERO, Vec3::ONE);
-        ray.t_max = f32::NAN;
-        assert!(!ray.slab_finite(ray.inv_dir()));
     }
 
     #[test]

@@ -144,12 +144,6 @@ impl Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
     }
 
-    /// The smallest of the three components.
-    #[inline]
-    pub fn min_component(self) -> f32 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// The largest of the three components.
     #[inline]
     pub fn max_component(self) -> f32 {
@@ -211,12 +205,6 @@ impl Vec3 {
     #[inline]
     pub fn mean(self) -> f32 {
         (self.x + self.y + self.z) / 3.0
-    }
-
-    /// Returns `true` if every component is finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
 }
 
@@ -389,7 +377,6 @@ mod tests {
         let b = Vec3::new(2.0, 4.0, 6.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 4.0, 3.0));
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, 6.0));
-        assert_eq!(a.min_component(), 1.0);
         assert_eq!(a.max_component(), 5.0);
         assert_eq!(a.largest_axis(), 1);
         assert_eq!(Vec3::new(9.0, 1.0, 1.0).largest_axis(), 0);

@@ -816,6 +816,38 @@ mod tests {
     }
 
     #[test]
+    fn a_disk_tier_that_cannot_write_serves_every_lookup_from_a_recompute() {
+        let scene = SceneId::Sprng.build(1);
+        // A cache directory under a regular file: `create_dir_all` fails
+        // with ENOTDIR whatever the process may write, root included.
+        let file = temp_dir("cache-unwritable");
+        std::fs::write(&file, "a file").expect("regular file");
+        let dir = file.join("cache");
+        let frame = HeatmapStage {
+            width: 16,
+            height: 16,
+            trace: trace(),
+        };
+        // Two caches in turn: the second finds nothing the first wrote.
+        for _ in 0..2 {
+            let cache = ArtifactCache::with_disk(&dir);
+            for (i, stage) in [tiny(1), tiny(2), frame].iter().enumerate() {
+                let (heatmap, _, outcome) = cache.get_or_run(stage, &scene, scene.fingerprint());
+                assert_eq!(outcome, CacheOutcome::Miss);
+                let profiled = Heatmap::profile(&scene, stage.width, stage.height, &stage.trace);
+                assert_eq!(*heatmap, profiled);
+                assert_eq!(cache.stats().misses, i as u64 + 1);
+            }
+            let stats = cache.stats();
+            assert_eq!((stats.disk_entries, stats.disk_bytes), (0, 0));
+        }
+        // Every write would have gone under `dir`, temp files included.
+        assert!(!dir.exists());
+        assert_eq!(std::fs::read_to_string(&file).expect("file kept"), "a file");
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
     fn disk_tier_evicts_lru_by_generation_within_budget() {
         let scene = SceneId::Sprng.build(1);
         // Probe one entry's on-disk size so the budget holds exactly two.
