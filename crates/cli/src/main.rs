@@ -362,7 +362,6 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     if progress || trace_out.is_some() || run_out.is_some() {
         options.observe = Some(ObserveOptions {
             timeline: trace_out.is_some(),
-            ..ObserveOptions::default()
         });
     }
     let cache = zatel::ArtifactCache::in_memory();
@@ -453,7 +452,7 @@ fn emit_predict_log_line(
     let Some(dest) = args.get("log-out") else {
         return Ok(());
     };
-    let logger = obs::Logger::for_destination(Some(dest), obs::LogLevel::Info)
+    let logger = obs::Logger::for_destination(Some(dest))
         .map_err(|e| format!("opening --log-out '{dest}': {e}"))?;
     let fields = [
         ("request_id", json!(request_id)),

@@ -830,6 +830,15 @@ fn serve_rejects_zero_workers() {
     let out = zatel(&["serve", "--addr", "127.0.0.1:0", "--workers", "0"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("worker"));
+    // A zero job cap is refused at boot too, before any client could be
+    // answered 400 for it.
+    let out = zatel(&["serve", "--addr", "127.0.0.1:0", "--sim-jobs", "0"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--sim-jobs") && !err.contains("listening"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -49,7 +49,9 @@ impl CacheConfig {
 ///
 /// Mirrors the structure of the paper's Table II: independent components
 /// (SMs), shared components (memory partitions with their L2 slice and DRAM
-/// channel), and per-SM resources (warp slots, RT unit).
+/// channel), and per-SM resources (warp slots, RT unit). Every field
+/// changes what the timing model computes; the Table II values it does
+/// not model are listed in DESIGN.md ("Timing-model decisions").
 ///
 /// # Examples
 ///
@@ -75,14 +77,8 @@ pub struct GpuConfig {
     pub max_warps_per_sm: u32,
     /// Threads per warp (32 on all modeled GPUs).
     pub warp_size: u32,
-    /// Registers per SM (occupancy limit; informational in this model).
-    pub registers_per_sm: u32,
-    /// RT accelerator units per SM.
-    pub rt_units_per_sm: u32,
     /// Maximum warps concurrently resident in one RT unit.
     pub rt_max_warps: u32,
-    /// RT unit MSHR entries (outstanding node/primitive fetches).
-    pub rt_mshr_size: u32,
     /// Rays an RT unit can box/primitive-test per cycle.
     pub rt_lanes_per_cycle: u32,
     /// L1 data cache (per SM).
@@ -98,12 +94,6 @@ pub struct GpuConfig {
     pub dram_latency: u32,
     /// DRAM bandwidth per channel in bytes per core cycle.
     pub dram_bytes_per_cycle: f32,
-    /// Warp-instruction issue slots per SM per cycle.
-    pub issue_width: u32,
-    /// Core clock in MHz (used to convert cycles to wall time).
-    pub core_clock_mhz: u32,
-    /// Memory clock in MHz.
-    pub memory_clock_mhz: u32,
 }
 
 /// Error returned when a configuration cannot be downscaled.
@@ -131,10 +121,7 @@ impl GpuConfig {
             num_mem_partitions: 4,
             max_warps_per_sm: 32,
             warp_size: 32,
-            registers_per_sm: 32768,
-            rt_units_per_sm: 1,
             rt_max_warps: 4,
-            rt_mshr_size: 64,
             rt_lanes_per_cycle: 4,
             l1d: CacheConfig {
                 bytes: 64 * 1024,
@@ -152,9 +139,6 @@ impl GpuConfig {
             interconnect_bytes_per_cycle: 32.0,
             dram_latency: 100,
             dram_bytes_per_cycle: 16.0,
-            issue_width: 1,
-            core_clock_mhz: 1365,
-            memory_clock_mhz: 3500,
         }
     }
 
@@ -166,10 +150,7 @@ impl GpuConfig {
             num_mem_partitions: 12,
             max_warps_per_sm: 32,
             warp_size: 32,
-            registers_per_sm: 65536,
-            rt_units_per_sm: 1,
             rt_max_warps: 4,
-            rt_mshr_size: 64,
             rt_lanes_per_cycle: 4,
             l1d: CacheConfig {
                 bytes: 64 * 1024,
@@ -187,9 +168,6 @@ impl GpuConfig {
             interconnect_bytes_per_cycle: 32.0,
             dram_latency: 100,
             dram_bytes_per_cycle: 16.0,
-            issue_width: 1,
-            core_clock_mhz: 1365,
-            memory_clock_mhz: 3500,
         }
     }
 
@@ -284,9 +262,6 @@ impl GpuConfig {
         if self.rt_max_warps == 0 || self.rt_lanes_per_cycle == 0 {
             return Err("rt_max_warps and rt_lanes_per_cycle must be positive".into());
         }
-        if self.issue_width == 0 {
-            return Err("issue_width must be positive".into());
-        }
         if self.dram_bytes_per_cycle <= 0.0 {
             return Err("dram_bytes_per_cycle must be positive".into());
         }
@@ -313,10 +288,7 @@ minijson::record! {
         "num_mem_partitions" => num_mem_partitions,
         "max_warps_per_sm" => max_warps_per_sm,
         "warp_size" => warp_size,
-        "registers_per_sm" => registers_per_sm,
-        "rt_units_per_sm" => rt_units_per_sm,
         "rt_max_warps" => rt_max_warps,
-        "rt_mshr_size" => rt_mshr_size,
         "rt_lanes_per_cycle" => rt_lanes_per_cycle,
         "l1d" => l1d,
         "l2" => l2,
@@ -324,9 +296,6 @@ minijson::record! {
         "interconnect_bytes_per_cycle" => interconnect_bytes_per_cycle,
         "dram_latency" => dram_latency,
         "dram_bytes_per_cycle" => dram_bytes_per_cycle,
-        "issue_width" => issue_width,
-        "core_clock_mhz" => core_clock_mhz,
-        "memory_clock_mhz" => memory_clock_mhz,
     }
 }
 
@@ -349,20 +318,15 @@ mod tests {
     fn presets_match_table_ii() {
         let m = GpuConfig::mobile_soc();
         assert_eq!((m.num_sms, m.num_mem_partitions), (8, 4));
-        assert_eq!(m.registers_per_sm, 32768);
         let r = GpuConfig::rtx_2060();
         assert_eq!((r.num_sms, r.num_mem_partitions), (30, 12));
-        assert_eq!(r.registers_per_sm, 65536);
         for cfg in [m, r] {
             assert_eq!(cfg.warp_size, 32);
             assert_eq!(cfg.max_warps_per_sm, 32);
             assert_eq!(cfg.rt_max_warps, 4);
-            assert_eq!(cfg.rt_mshr_size, 64);
             assert_eq!(cfg.l1d.bytes, 64 * 1024);
             assert_eq!(cfg.l2.bytes, 3 * 1024 * 1024);
             assert_eq!(cfg.l2.ways, 16);
-            assert_eq!(cfg.core_clock_mhz, 1365);
-            assert_eq!(cfg.memory_clock_mhz, 3500);
             cfg.validate().expect("preset must validate");
         }
     }

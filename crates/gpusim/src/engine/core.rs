@@ -152,10 +152,11 @@ impl<'w, H: SimHooks> Engine<'w, H> {
             let (slot, rt_start) = sm_state.rt_unit.acquire(start);
             let occupancy = sm_state.rt_unit.occupancy_cycles(mix.rt_rays);
             // The warp occupies a tester slot only while its rays are being
-            // box/primitive-tested; node and primitive fetches park in the
-            // RT unit's MSHR (Table II: 64 entries) so other warps can use
-            // the testers during the memory round trip. The warp itself
-            // still waits for its data before the next phase.
+            // box/primitive-tested; node and primitive fetches then go out
+            // without holding the slot (no bound on how many are in
+            // flight), so other warps can use the testers during the
+            // memory round trip. The warp itself still waits for its data
+            // before the next phase.
             sm_state
                 .rt_unit
                 .complete(slot, rt_start + occupancy, mix.rt_rays);

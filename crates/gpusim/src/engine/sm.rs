@@ -14,8 +14,8 @@ use crate::core::rtunit::RtUnit;
 
 /// Per-SM scheduling state.
 pub(crate) struct SmState {
-    /// This SM's warps not yet resident, in launch order
-    /// (greedy-then-oldest hands slots to the oldest pending warp first).
+    /// This SM's warps not yet resident, in launch order (a freed slot
+    /// goes to the oldest pending warp).
     pub pending: VecDeque<(u64, u64, u32)>, // (warp id, first thread, lanes)
     /// Next cycle the issue port is free.
     pub issue_next_free: u64,

@@ -24,25 +24,20 @@ use crate::registry::{Histogram, MetricsRegistry};
 /// What an [`ObsHooks`] instance should record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObserveOptions {
-    /// Record a Perfetto timeline (histograms/counters are always on).
+    /// Record a Perfetto timeline (histograms/counters are always on),
+    /// capped at [`DEFAULT_MAX_EVENTS`] events per group.
     pub timeline: bool,
-    /// Per-group timeline event cap.
-    pub max_timeline_events: usize,
 }
 
 impl Default for ObserveOptions {
     fn default() -> Self {
-        ObserveOptions {
-            timeline: true,
-            max_timeline_events: DEFAULT_MAX_EVENTS,
-        }
+        ObserveOptions { timeline: true }
     }
 }
 
 minijson::record! {
     ObserveOptions {
         "timeline" => timeline,
-        "max_timeline_events" => max_timeline_events,
     }
 }
 
@@ -73,7 +68,7 @@ impl ObsHooks {
     /// are registered per SM, RT unit and memory partition of `config`.
     pub fn for_gpu(pid: u32, label: &str, config: &GpuConfig, opts: &ObserveOptions) -> Self {
         let timeline = opts.timeline.then(|| {
-            let mut t = Timeline::new(pid, label, opts.max_timeline_events);
+            let mut t = Timeline::new(pid, label, DEFAULT_MAX_EVENTS);
             for sm in 0..config.num_sms {
                 t.thread(sm, &format!("SM {sm}"));
                 t.thread(lanes::RT_BASE + sm, &format!("RT {sm}"));
@@ -347,10 +342,7 @@ mod tests {
     fn timeline_disabled_records_no_events() {
         let cfg = GpuConfig::mobile_soc();
         let sim = Simulator::new(cfg.clone());
-        let opts = ObserveOptions {
-            timeline: false,
-            ..ObserveOptions::default()
-        };
+        let opts = ObserveOptions { timeline: false };
         let mut obs = ObsHooks::for_gpu(0, "g", &cfg, &opts);
         sim.run_with_hooks(&workload(), &mut obs);
         assert!(obs.take_timeline().is_none());

@@ -1,4 +1,4 @@
-//! `zatel-log-v1`: a structured, leveled JSONL event log.
+//! `zatel-log-v1`: a structured JSONL event log.
 //!
 //! One event per line, each a self-describing JSON object:
 //!
@@ -29,12 +29,11 @@ use minijson::{Map, Value};
 /// Schema identifier stamped on every line.
 pub const LOG_SCHEMA: &str = "zatel-log-v1";
 
-/// Event severity, ordered so `Debug < Info < Warn < Error`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Event severity, written as the line's `level` field. Every level is
+/// written: the log has no minimum level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogLevel {
-    /// Diagnostic detail.
-    Debug,
-    /// Normal operational events (the default minimum).
+    /// Normal operational events.
     Info,
     /// Degraded but recoverable situations.
     Warn,
@@ -46,21 +45,9 @@ impl LogLevel {
     /// The lowercase wire name of the level.
     pub fn as_str(self) -> &'static str {
         match self {
-            LogLevel::Debug => "debug",
             LogLevel::Info => "info",
             LogLevel::Warn => "warn",
             LogLevel::Error => "error",
-        }
-    }
-
-    /// Parses a wire name back to a level.
-    pub fn parse(name: &str) -> Option<LogLevel> {
-        match name {
-            "debug" => Some(LogLevel::Debug),
-            "info" => Some(LogLevel::Info),
-            "warn" => Some(LogLevel::Warn),
-            "error" => Some(LogLevel::Error),
-            _ => None,
         }
     }
 }
@@ -73,71 +60,58 @@ impl fmt::Display for LogLevel {
 
 /// A thread-safe JSONL event sink.
 pub struct Logger {
-    min_level: LogLevel,
     sink: Mutex<Box<dyn Write + Send>>,
 }
 
 impl fmt::Debug for Logger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Logger")
-            .field("min_level", &self.min_level)
-            .finish_non_exhaustive()
+        f.debug_struct("Logger").finish_non_exhaustive()
     }
 }
 
 impl Logger {
     /// A logger writing to standard error.
-    pub fn to_stderr(min_level: LogLevel) -> Logger {
-        Logger::to_writer(Box::new(io::stderr()), min_level)
+    pub fn to_stderr() -> Logger {
+        Logger::to_writer(Box::new(io::stderr()))
     }
 
     /// A logger appending to the file at `path` (created if absent).
-    pub fn to_file(path: &str, min_level: LogLevel) -> io::Result<Logger> {
+    pub fn to_file(path: &str) -> io::Result<Logger> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)?;
-        Ok(Logger::to_writer(Box::new(file), min_level))
+        Ok(Logger::to_writer(Box::new(file)))
     }
 
     /// A logger over an arbitrary sink (tests, in-memory capture).
-    pub fn to_writer(sink: Box<dyn Write + Send>, min_level: LogLevel) -> Logger {
+    pub fn to_writer(sink: Box<dyn Write + Send>) -> Logger {
         Logger {
-            min_level,
             sink: Mutex::new(sink),
         }
     }
 
     /// Resolves a `--log-out` style destination: `None`, `"-"` or
     /// `"stderr"` mean standard error, anything else is a file path.
-    pub fn for_destination(dest: Option<&str>, min_level: LogLevel) -> io::Result<Logger> {
+    pub fn for_destination(dest: Option<&str>) -> io::Result<Logger> {
         match dest {
-            None | Some("-") | Some("stderr") => Ok(Logger::to_stderr(min_level)),
-            Some(path) => Logger::to_file(path, min_level),
+            None | Some("-") | Some("stderr") => Ok(Logger::to_stderr()),
+            Some(path) => Logger::to_file(path),
         }
     }
 
-    /// Whether events at `level` would be written.
-    pub fn enabled(&self, level: LogLevel) -> bool {
-        level >= self.min_level
-    }
-
     /// Writes one event line: the `zatel-log-v1` envelope followed by
-    /// `fields` in their insertion order. Lines below the minimum level
-    /// are dropped; write errors are swallowed (logging must never take
-    /// the service down).
+    /// `fields` in their insertion order. Write errors are swallowed
+    /// (logging must never take the service down).
     pub fn log(&self, level: LogLevel, event: &str, fields: Map) {
-        self.log_line(level, &event_line(level, event, fields));
+        self.log_line(&event_line(level, event, fields));
     }
 
     /// Writes an already-built event line (see [`event_line`]), letting
     /// callers retain the exact line they emitted — `zatel serve` stores
-    /// it in the `/v1/debug/slow` ring. Same level filtering and
-    /// error-swallowing as [`Logger::log`].
-    pub fn log_line(&self, level: LogLevel, line: &Value) {
-        if !self.enabled(level) {
-            return;
-        }
+    /// it in the `/v1/debug/slow` ring. Same error-swallowing as
+    /// [`Logger::log`].
+    pub fn log_line(&self, line: &Value) {
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
         let _ = writeln!(sink, "{line}");
         let _ = sink.flush();
@@ -205,24 +179,21 @@ mod tests {
     }
 
     #[test]
-    fn levels_are_ordered_and_roundtrip() {
-        assert!(LogLevel::Debug < LogLevel::Info);
-        assert!(LogLevel::Warn < LogLevel::Error);
-        for l in [
-            LogLevel::Debug,
-            LogLevel::Info,
-            LogLevel::Warn,
-            LogLevel::Error,
+    fn levels_render_their_wire_names() {
+        for (level, name) in [
+            (LogLevel::Info, "info"),
+            (LogLevel::Warn, "warn"),
+            (LogLevel::Error, "error"),
         ] {
-            assert_eq!(LogLevel::parse(l.as_str()), Some(l));
+            assert_eq!(level.as_str(), name);
+            assert_eq!(level.to_string(), name);
         }
-        assert_eq!(LogLevel::parse("fatal"), None);
     }
 
     #[test]
     fn lines_are_parseable_json_with_the_envelope_first() {
         let sink = Capture::default();
-        let logger = Logger::to_writer(Box::new(sink.clone()), LogLevel::Info);
+        let logger = Logger::to_writer(Box::new(sink.clone()));
         let mut fields = Map::new();
         fields.insert("request_id".into(), Value::from("req-1"));
         fields.insert("status".into(), Value::from(200u64));
@@ -245,15 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn min_level_filters() {
+    fn every_level_is_written() {
         let sink = Capture::default();
-        let logger = Logger::to_writer(Box::new(sink.clone()), LogLevel::Warn);
-        assert!(!logger.enabled(LogLevel::Info));
-        logger.log(LogLevel::Info, "dropped", Map::new());
-        logger.log(LogLevel::Error, "kept", Map::new());
+        let logger = Logger::to_writer(Box::new(sink.clone()));
+        for level in [LogLevel::Info, LogLevel::Warn, LogLevel::Error] {
+            logger.log(level, "event", Map::new());
+        }
         let text = sink.text();
-        assert_eq!(text.lines().count(), 1);
-        assert!(text.contains("\"kept\""));
+        let levels: Vec<Value> = text
+            .lines()
+            .map(|l| Value::parse(l).unwrap().get("level").unwrap().clone())
+            .collect();
+        assert_eq!(levels, ["info", "warn", "error"].map(Value::from));
     }
 
     #[test]
@@ -266,13 +240,13 @@ mod tests {
 
     #[test]
     fn destination_resolution() {
-        assert!(Logger::for_destination(None, LogLevel::Info).is_ok());
-        assert!(Logger::for_destination(Some("-"), LogLevel::Info).is_ok());
-        assert!(Logger::for_destination(Some("stderr"), LogLevel::Info).is_ok());
+        assert!(Logger::for_destination(None).is_ok());
+        assert!(Logger::for_destination(Some("-")).is_ok());
+        assert!(Logger::for_destination(Some("stderr")).is_ok());
         let dir = std::env::temp_dir().join("zatel-log-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.jsonl");
-        let logger = Logger::for_destination(Some(path.to_str().unwrap()), LogLevel::Info).unwrap();
+        let logger = Logger::for_destination(Some(path.to_str().unwrap())).unwrap();
         logger.log(LogLevel::Info, "hello", Map::new());
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"hello\""));

@@ -1,16 +1,17 @@
 //! Execution hints: the execution-only knobs of a request, grouped into
 //! one DTO.
 //!
-//! Every field here changes *how* a request executes — the group job
-//! cap, the queue deadline — and never *what* it computes. That invariant
-//! is what lets the request fingerprints exclude the whole object: two
-//! requests that differ only in their hints still produce byte-identical
+//! Every field here changes *how* a request executes — today only the
+//! queue deadline — and never *what* it computes. That invariant is what
+//! lets the request fingerprints exclude the whole object: two requests
+//! that differ only in their hints still produce byte-identical
 //! deterministic subsets, so they share cached artifacts.
 //!
 //! `hints.deadline_ms` is the only deadline spelling: a top-level
 //! `deadline_ms` (the field it replaced) is an unknown field now, ignored
 //! like any other. So are the removed hints: the intra-simulation thread
-//! knobs and the opt-out of request merging the server no longer does.
+//! knobs, the opt-out of request merging the server no longer does, and
+//! `hints.jobs`, a second spelling of `options.jobs`.
 
 #[cfg(test)]
 use minijson::Value;
@@ -19,9 +20,6 @@ use minijson::Value;
 /// fields are optional; [`ExecutionHints::default`] hints nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecutionHints {
-    /// Worker-thread cap for the per-request group pool
-    /// (`ZatelOptions::jobs`).
-    pub jobs: Option<usize>,
     /// Client deadline budget: a server answers `504` if the request is
     /// still queued when this elapses (execution is never preempted once
     /// started).
@@ -33,42 +31,25 @@ impl ExecutionHints {
     pub fn is_empty(&self) -> bool {
         *self == ExecutionHints::default()
     }
-
-    /// Checks semantic invariants: the job count must be positive
-    /// (absent means "no hint", never zero workers).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        match self.jobs {
-            Some(0) => Err("hints.jobs must be positive (omit it to defer)".into()),
-            Some(n) if u32::try_from(n).is_err() => {
-                Err(format!("hints.jobs must fit in a u32, got {n}"))
-            }
-            _ => Ok(()),
-        }
-    }
 }
 
 minijson::record! {
     ExecutionHints {
-        "jobs" => jobs,
         "deadline_ms" => deadline_ms,
     }
 }
 
-/// `doc` with the removed hints (the intra-simulation thread knobs and
-/// the dedup opt-out) injected into its `hints` and `options` objects —
-/// the shape old clients still send. They are unknown fields now, which
-/// every `zatel-api-v1` parser ignores.
+/// `doc` with the removed hints (the intra-simulation thread knobs, the
+/// dedup opt-out and `jobs`) injected into its `hints` and `options`
+/// objects — the shape old clients still send. They are unknown fields
+/// now, which every `zatel-api-v1` parser ignores.
 #[cfg(test)]
 pub(crate) fn with_legacy_hints(doc: &Value) -> Value {
     let text = doc
         .to_string()
         .replace(
             r#""hints":{"#,
-            r#""hints":{"sim_threads":4,"timing_threads":2,"no_dedup":true,"#,
+            r#""hints":{"jobs":3,"sim_threads":4,"timing_threads":2,"no_dedup":true,"#,
         )
         .replace(r#""options":{"#, r#""options":{"sim_threads":4,"#);
     assert_eq!(text.matches("_threads").count(), 3, "{doc}");
@@ -95,30 +76,23 @@ mod tests {
     #[test]
     fn hints_round_trip_and_report_empty() {
         let set = ExecutionHints {
-            jobs: Some(8),
             deadline_ms: Some(5000),
         };
+        assert!(!set.is_empty());
+        assert!(ExecutionHints::default().is_empty());
         for hints in [set, ExecutionHints::default()] {
             let back = ExecutionHints::from_json(&hints.to_json()).expect("round trip");
             assert_eq!(hints, back);
-            assert!(back.validate().is_ok());
         }
-        assert!(ExecutionHints::default().is_empty());
-        assert!(!ExecutionHints {
-            deadline_ms: Some(0),
-            ..ExecutionHints::default()
-        }
-        .is_empty());
     }
 
     #[test]
     fn hints_reject_malformed_fields() {
         for (field, bad) in [
-            ("jobs", "\"four\""),
-            ("jobs", "-1"),
-            ("jobs", "2.5"),
-            ("jobs", "[]"),
             ("deadline_ms", "\"soon\""),
+            ("deadline_ms", "-1"),
+            ("deadline_ms", "2.5"),
+            ("deadline_ms", "[]"),
         ] {
             let doc = format!(r#"{{"{field}":{bad}}}"#);
             let v = Value::parse(&doc).unwrap();
@@ -128,15 +102,5 @@ mod tests {
             );
         }
         assert!(ExecutionHints::from_json(&Value::parse("[]").unwrap()).is_err());
-    }
-
-    #[test]
-    fn hints_validate_rejects_zero_and_oversized_counts() {
-        let hints = |jobs| ExecutionHints {
-            jobs: Some(jobs),
-            ..ExecutionHints::default()
-        };
-        assert!(hints(0).validate().unwrap_err().contains("positive"));
-        assert!(hints(usize::MAX).validate().unwrap_err().contains("u32"));
     }
 }

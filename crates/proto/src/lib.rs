@@ -22,10 +22,13 @@
 //! Every document carries `"schema": "zatel-api-v1"`. Within the `v1`
 //! schema:
 //!
-//! * existing fields are never removed or change meaning/type;
+//! * an existing field never changes meaning or type;
 //! * new **optional** fields may be added at any time — parsers must
 //!   ignore unknown fields (every DTO here is a `minijson::record!`
 //!   declaration, and those do);
+//! * a field may be removed: it then becomes an unknown field, so a
+//!   document that still carries it decodes as if it were absent, and
+//!   its name is never reused with another meaning;
 //! * documents with a different `schema` value are rejected, never
 //!   half-parsed.
 //!
@@ -75,13 +78,12 @@ pub const API_SCHEMA: &str = "zatel-api-v1";
 pub const SWEEP_RECORD_SCHEMA: &str = "zatel-sweep-v1";
 
 /// The bounds a predict and a sweep request share: a named scene, `res`
-/// and `spp` in range, and valid options and hints.
+/// and `spp` in range, and valid options.
 fn validate_run(
     scene: &str,
     res: u32,
     spp: u32,
     options: Option<&zatel::ZatelOptions>,
-    hints: Option<&ExecutionHints>,
 ) -> Result<(), String> {
     if scene.is_empty() {
         return Err("scene must not be empty".into());
@@ -94,9 +96,6 @@ fn validate_run(
     }
     if let Some(options) = options {
         options.validate().map_err(|e| e.to_string())?;
-    }
-    if let Some(hints) = hints {
-        hints.validate()?;
     }
     Ok(())
 }

@@ -28,7 +28,7 @@ pub struct PredictRequest {
     pub regression: Option<[f64; 3]>,
     /// Also run the full reference simulation and report errors.
     pub reference: bool,
-    /// Execution-only knobs (job cap, deadline). Excluded from the
+    /// Execution-only knobs (the queue deadline). Excluded from the
     /// affinity and dedup fingerprints: hints never change the computed
     /// result, so differently-hinted requests still share artifacts.
     pub hints: Option<crate::ExecutionHints>,
@@ -58,13 +58,7 @@ impl PredictRequest {
     ///
     /// Returns a message describing the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        crate::validate_run(
-            &self.scene,
-            self.res,
-            self.spp,
-            self.options.as_ref(),
-            self.hints.as_ref(),
-        )
+        crate::validate_run(&self.scene, self.res, self.spp, self.options.as_ref())
     }
 
     /// The request's *affinity fingerprint*: a stable FNV-1a hash of the
@@ -310,8 +304,8 @@ pub struct PredictResponse {
     pub preprocess_wall_ms: f64,
     /// Host wall-clock pipeline spans.
     pub spans: Vec<SpanRecord>,
-    /// Per-stage artifact-cache outcomes, in pipeline order: heatmap,
-    /// quantize, divide, then one select per traced fraction.
+    /// Artifact-cache outcomes: one row, for the heatmap stage (the only
+    /// cached stage).
     pub cache: Vec<StageCacheRecord>,
     /// Folded observability registry, when the request enabled observing.
     pub metrics: Option<MetricsRegistry>,
@@ -456,7 +450,6 @@ mod tests {
         req.regression = Some([0.2, 0.3, 0.4]);
         req.options = Some(ZatelOptions::default());
         req.hints = Some(crate::ExecutionHints {
-            jobs: Some(3),
             deadline_ms: Some(9000),
         });
         let back = PredictRequest::from_json(&req.to_json()).expect("round trip");
@@ -468,7 +461,6 @@ mod tests {
         let plain = PredictRequest::new("PARK", ConfigRef::preset("mobile"));
         let mut hinted = plain.clone();
         hinted.hints = Some(crate::ExecutionHints {
-            jobs: Some(2),
             deadline_ms: Some(100),
         });
         assert_eq!(plain.affinity_fingerprint(), hinted.affinity_fingerprint());
@@ -476,8 +468,8 @@ mod tests {
         assert_ne!(plain.to_json().to_string(), hinted.to_json().to_string());
 
         // Documents written for the removed hints (the intra-simulation
-        // thread knobs, the dedup opt-out) still parse, to exactly the
-        // request without them.
+        // thread knobs, the dedup opt-out, `hints.jobs`) still parse, to
+        // exactly the request without them.
         let mut plain = plain;
         plain.options = Some(ZatelOptions::default());
         plain.hints = Some(crate::ExecutionHints::default());
@@ -533,7 +525,7 @@ mod tests {
             ("regression", "[0.2, 0.3, \"x\"]"),
             ("reference", "\"yes\""),
             ("options", "{\"division\": 3}"),
-            ("hints", "{\"jobs\": \"four\"}"),
+            ("hints", "{\"deadline_ms\": \"soon\"}"),
             ("hints", "[]"),
         ] {
             let doc = format!(
@@ -560,12 +552,6 @@ mod tests {
         req.spp = 1;
         req.scene = String::new();
         assert!(req.validate().unwrap_err().contains("scene"));
-        req.scene = "PARK".into();
-        req.hints = Some(crate::ExecutionHints {
-            jobs: Some(0),
-            ..crate::ExecutionHints::default()
-        });
-        assert!(req.validate().unwrap_err().contains("hints.jobs"));
     }
 
     #[test]

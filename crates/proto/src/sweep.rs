@@ -57,13 +57,7 @@ impl SweepRequest {
     ///
     /// Returns a message describing the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        crate::validate_run(
-            &self.scene,
-            self.res,
-            self.spp,
-            self.options.as_ref(),
-            self.hints.as_ref(),
-        )?;
+        crate::validate_run(&self.scene, self.res, self.spp, self.options.as_ref())?;
         if self.spec.points.is_empty() {
             return Err("sweep spec must contain at least one point".into());
         }
@@ -245,8 +239,7 @@ mod tests {
         req.reference = true;
         req.options = Some(ZatelOptions::default());
         req.hints = Some(crate::ExecutionHints {
-            jobs: Some(2),
-            ..crate::ExecutionHints::default()
+            deadline_ms: Some(2000),
         });
         let back = SweepRequest::from_json(&req.to_json()).expect("round trip");
         assert_eq!(req, back);
@@ -256,8 +249,8 @@ mod tests {
     #[test]
     fn removed_hints_parse_to_the_request_without_them() {
         // Documents written for the removed hints (the intra-simulation
-        // thread knobs, the dedup opt-out) still parse, to exactly the
-        // request without them.
+        // thread knobs, the dedup opt-out, `hints.jobs`) still parse, to
+        // exactly the request without them.
         let mut plain = SweepRequest::new(
             "PARK",
             ConfigRef::preset("mobile"),
@@ -277,7 +270,7 @@ mod tests {
                 r#"{"schema":"zatel-api-v1","scene":"PARK","config":"mobile",
                     "res":32,"spp":1,"seed":9,
                     "spec":{"points":[{"label":"a","percent":0.5}]},
-                    "hints":{"jobs":"many"}}"#,
+                    "hints":{"deadline_ms":"soon"}}"#,
             )
             .unwrap()
         )

@@ -26,8 +26,8 @@ use minijson::{FromJson, Map, ToJson, Value};
 use obs::{LogLevel, Logger, MetricKind, MetricsRegistry, SpanRecord};
 use zatel::{ArtifactCache, DiskTier, StageCacheRecord};
 use zatel_proto::{
-    DebugSlowResponse, ErrorKind, ErrorResponse, ExecutionHints, PredictRequest, ScenesResponse,
-    SlowRequestEntry, SweepRequest, API_SCHEMA,
+    DebugSlowResponse, ErrorKind, ErrorResponse, PredictRequest, ScenesResponse, SlowRequestEntry,
+    SweepRequest, API_SCHEMA,
 };
 
 use crate::http::{self, HttpError, Request};
@@ -66,7 +66,8 @@ pub struct ServeConfig {
     pub queue: usize,
     /// Default worker-thread cap for each request's group simulation,
     /// applied when the request itself does not set `options.jobs`.
-    /// `None` lets each request size itself to the host.
+    /// `None` lets each request size itself to the host; `Some(0)` is
+    /// refused by [`Server::bind`].
     pub sim_jobs: Option<usize>,
     /// Default request deadline, applied when a request carries no
     /// `deadline_ms` of its own. `None` means queued requests never
@@ -238,7 +239,7 @@ impl ServerState {
             );
         }
         let line = obs::log::event_line(level, "request", fields);
-        self.logger.log_line(level, &line);
+        self.logger.log_line(&line);
 
         let entry = SlowRequestEntry {
             request_id,
@@ -287,12 +288,13 @@ enum Payload {
 }
 
 impl Payload {
-    /// The request's execution hints, if any.
-    fn hints(&self) -> Option<&ExecutionHints> {
-        match self {
+    /// The request's own queue deadline, if it carries one.
+    fn deadline_ms(&self) -> Option<u64> {
+        let hints = match self {
             Payload::Predict(req) => req.hints.as_ref(),
             Payload::Sweep(req) => req.hints.as_ref(),
-        }
+        };
+        hints.and_then(|h| h.deadline_ms)
     }
 }
 
@@ -323,14 +325,18 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns a message when the address cannot be bound or the cache
-    /// directory cannot be created.
+    /// Returns a message when the worker count, queue depth or job cap is
+    /// zero, the address cannot be bound or the cache directory cannot be
+    /// created.
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
         if config.workers == 0 {
             return Err("serve needs at least one worker".into());
         }
         if config.queue == 0 {
             return Err("serve needs a queue depth of at least 1".into());
+        }
+        if config.sim_jobs == Some(0) {
+            return Err("serve needs --sim-jobs of at least 1".into());
         }
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
@@ -345,7 +351,7 @@ impl Server {
             }
             None => ArtifactCache::in_memory(),
         };
-        let logger = Logger::for_destination(config.log_out.as_deref(), LogLevel::Info)
+        let logger = Logger::for_destination(config.log_out.as_deref())
             .map_err(|e| format!("opening log destination: {e}"))?;
         let state = Arc::new(ServerState {
             cache: Arc::new(cache),
@@ -830,14 +836,12 @@ fn execute(job: Job, state: &ServerState) {
         mut payload,
     } = job;
     let queue_wait_ms = elapsed_ms(admitted);
-    let deadline_ms = payload.hints().and_then(|h| h.deadline_ms);
-    let (routed, artifacts) = match check_deadline(deadline_ms, admitted, state) {
+    let (routed, artifacts) = match check_deadline(payload.deadline_ms(), admitted, state) {
         Err(routed) => (routed, RouteArtifacts::default()),
         Ok(slack) => {
-            let jobs = payload.hints().and_then(|h| h.jobs).or(state.sim_jobs);
             match &mut payload {
-                Payload::Predict(req) => apply_default_jobs(&mut req.options, jobs),
-                Payload::Sweep(req) => apply_default_jobs(&mut req.options, jobs),
+                Payload::Predict(req) => apply_default_jobs(&mut req.options, state.sim_jobs),
+                Payload::Sweep(req) => apply_default_jobs(&mut req.options, state.sim_jobs),
             }
             let started = Instant::now();
             let errors = match payload {
@@ -926,10 +930,9 @@ fn check_deadline(
 }
 
 /// Fills the job cap a request runs its group simulations with.
-/// Precedence: an explicit `options.jobs` wins, then `hints.jobs`, then
-/// the server's `--sim-jobs` default (`default_jobs` is the latter two,
-/// resolved). The cap is execution-only, so applying it never changes
-/// what the request computes.
+/// Precedence: an explicit `options.jobs` wins, then the server's
+/// `--sim-jobs` default (`default_jobs`). The cap is execution-only, so
+/// applying it never changes what the request computes.
 fn apply_default_jobs(options: &mut Option<zatel::ZatelOptions>, default_jobs: Option<usize>) {
     if default_jobs.is_none() {
         return;
@@ -1045,6 +1048,23 @@ mod tests {
         // Slow rates grow it, clamped to a minute.
         assert_eq!(retry_after_secs(9, Some(2000)), 20);
         assert_eq!(retry_after_secs(1000, Some(60_000)), 60);
+    }
+
+    #[test]
+    fn bind_refuses_a_zero_job_cap() {
+        // A zero cap would boot, then answer every request without its
+        // own `options.jobs` with 400 for the server's mistake.
+        let config = |sim_jobs| ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            sim_jobs,
+            ..ServeConfig::default()
+        };
+        let Err(err) = Server::bind(config(Some(0))) else {
+            panic!("zero job cap accepted");
+        };
+        assert!(err.contains("--sim-jobs"), "{err}");
+        Server::bind(config(Some(1))).expect("a cap of one binds");
+        Server::bind(config(None)).expect("no cap binds");
     }
 
     #[test]

@@ -31,10 +31,7 @@ fn observed_facts(scene: &str, preset: &str) -> [(u64, usize); 3] {
     request.spp = 1;
     request.seed = 7;
     let mut options = ZatelOptions::default();
-    options.observe = Some(ObserveOptions {
-        timeline: true,
-        ..ObserveOptions::default()
-    });
+    options.observe = Some(ObserveOptions { timeline: true });
     request.options = Some(options);
     let cache = zatel::ArtifactCache::in_memory();
     let out =

@@ -1,6 +1,7 @@
 //! Integration tests of the timing simulator's architectural behaviour on
 //! real ray-tracing workloads (rtcore scenes through rtworkload).
 
+use minijson::{FromJson, ToJson, Value};
 use zatel_suite::prelude::*;
 
 fn trace() -> TraceConfig {
@@ -138,5 +139,63 @@ fn downscaled_config_preserves_miss_rate_better_than_cycles() {
     assert!(
         l1_gap < cyc_gap,
         "L1 miss rate gap ({l1_gap:.3}) should be smaller than cycles gap ({cyc_gap:.3})"
+    );
+}
+
+/// Every number in `doc` with its dotted path (`l1d.bytes`), nested
+/// objects included, in document order.
+fn numeric_keys(doc: &Value, prefix: &str, out: &mut Vec<(String, f64)>) {
+    for (key, value) in doc.as_object().expect("config JSON is an object").iter() {
+        let path = format!("{prefix}{key}");
+        match value {
+            Value::Number(n) => out.push((path, n.as_f64())),
+            Value::Object(_) => numeric_keys(value, &format!("{path}."), out),
+            _ => {}
+        }
+    }
+}
+
+/// `doc` with the value at the dotted `path` replaced by `new`.
+fn with_value(doc: &Value, path: &str, new: Value) -> Value {
+    let mut map = doc.as_object().expect("config JSON is an object").clone();
+    let (key, value) = match path.split_once('.') {
+        Some((key, rest)) => (
+            key,
+            with_value(map.get(key).expect("nested key"), rest, new),
+        ),
+        None => (path, new),
+    };
+    map.insert(key.to_owned(), value);
+    Value::Object(map)
+}
+
+#[test]
+fn every_config_key_changes_the_simulation() {
+    // A `GpuConfig` key that neither `validate()` nor the timing model
+    // reads is a setting that silently simulates the same GPU. Walking the
+    // preset's JSON covers every key, nested cache keys too, including
+    // any added later. Each number goes to 1 (to 2 where it already is 1):
+    // the copy must be rejected or simulate differently.
+    let scene = SceneId::Park.build(1);
+    let workload = RtWorkload::full_frame(&scene, 32, 32, trace());
+    let preset = GpuConfig::mobile_soc();
+    let baseline = Simulator::new(preset.clone()).run(&workload);
+    let doc = preset.to_json();
+    let mut keys = Vec::new();
+    numeric_keys(&doc, "", &mut keys);
+    assert!(keys.iter().any(|(k, _)| k == "l2.ways"), "{keys:?}");
+
+    let mut inert = Vec::new();
+    for (key, old) in &keys {
+        let new = if *old == 1.0 { 2u64 } else { 1 };
+        let config = GpuConfig::from_json(&with_value(&doc, key, Value::from(new)))
+            .unwrap_or_else(|e| panic!("{key} = {new} does not decode: {e}"));
+        if config.validate().is_ok() && Simulator::new(config).run(&workload) == baseline {
+            inert.push(format!("{key}: {old} -> {new}"));
+        }
+    }
+    assert!(
+        inert.is_empty(),
+        "these perturbations of the preset validate and simulate exactly like it: {inert:?}"
     );
 }

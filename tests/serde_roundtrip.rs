@@ -67,12 +67,88 @@ fn metric_enum_roundtrip() {
     }
 }
 
+/// `zatel configs` output before Table II's unmodeled values (registers,
+/// RT units per SM, RT-unit MSHR, issue width, both clocks) left
+/// `GpuConfig`: config files written from it still carry those keys.
+const CONFIGS_WITH_REMOVED_KEYS: [&str; 2] = [
+    r#"{
+  "name": "Mobile SoC",
+  "num_sms": 8,
+  "num_mem_partitions": 4,
+  "max_warps_per_sm": 32,
+  "warp_size": 32,
+  "registers_per_sm": 32768,
+  "rt_units_per_sm": 1,
+  "rt_max_warps": 4,
+  "rt_mshr_size": 64,
+  "rt_lanes_per_cycle": 4,
+  "l1d": {
+    "bytes": 65536,
+    "ways": 0,
+    "line_bytes": 128,
+    "latency": 20
+  },
+  "l2": {
+    "bytes": 3145728,
+    "ways": 16,
+    "line_bytes": 128,
+    "latency": 160
+  },
+  "interconnect_latency": 8,
+  "interconnect_bytes_per_cycle": 32.0,
+  "dram_latency": 100,
+  "dram_bytes_per_cycle": 16.0,
+  "issue_width": 1,
+  "core_clock_mhz": 1365,
+  "memory_clock_mhz": 3500
+}"#,
+    r#"{
+  "name": "RTX 2060",
+  "num_sms": 30,
+  "num_mem_partitions": 12,
+  "max_warps_per_sm": 32,
+  "warp_size": 32,
+  "registers_per_sm": 65536,
+  "rt_units_per_sm": 1,
+  "rt_max_warps": 4,
+  "rt_mshr_size": 64,
+  "rt_lanes_per_cycle": 4,
+  "l1d": {
+    "bytes": 65536,
+    "ways": 0,
+    "line_bytes": 128,
+    "latency": 20
+  },
+  "l2": {
+    "bytes": 3145728,
+    "ways": 16,
+    "line_bytes": 128,
+    "latency": 160
+  },
+  "interconnect_latency": 8,
+  "interconnect_bytes_per_cycle": 32.0,
+  "dram_latency": 100,
+  "dram_bytes_per_cycle": 16.0,
+  "issue_width": 1,
+  "core_clock_mhz": 1365,
+  "memory_clock_mhz": 3500
+}"#,
+];
+
 #[test]
 fn pretty_printed_config_parses_too() {
     let config = GpuConfig::mobile_soc();
     let pretty = config.to_json().pretty();
     let parsed = Value::parse(&pretty).expect("pretty output is valid JSON");
     assert_eq!(GpuConfig::from_json(&parsed).unwrap(), config);
+
+    // Removed keys are unknown fields now, which the decoder ignores.
+    let presets = [GpuConfig::mobile_soc(), GpuConfig::rtx_2060()];
+    for (text, preset) in CONFIGS_WITH_REMOVED_KEYS.iter().zip(presets) {
+        assert!(text.contains("\"rt_mshr_size\": 64"), "{text}");
+        let parsed = Value::parse(text).expect("valid JSON");
+        assert_eq!(GpuConfig::from_json(&parsed).expect("decodes"), preset);
+    }
 }
 
 #[test]
@@ -138,10 +214,7 @@ fn zatel_options_roundtrip() {
     opts.downscale = DownscaleMode::Factor(3);
     opts.parallel = false;
     opts.jobs = Some(5);
-    opts.observe = Some(obs::ObserveOptions {
-        timeline: true,
-        ..obs::ObserveOptions::default()
-    });
+    opts.observe = Some(obs::ObserveOptions { timeline: true });
     assert_eq!(opts, roundtrip(&opts));
 }
 
