@@ -68,7 +68,9 @@ pub struct Setup {
 }
 
 impl Setup {
-    /// Reads the setup from the process environment (see [`Setup::parse`]).
+    /// Reads the setup from the process environment: an unset variable
+    /// takes its default; a set one must parse as an unsigned integer in its
+    /// type's range, positive for all but the seed.
     ///
     /// # Errors
     ///
@@ -85,7 +87,7 @@ impl Setup {
     /// # Errors
     ///
     /// A message naming the first malformed variable.
-    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Setup, String> {
+    pub(crate) fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Setup, String> {
         let var = |name: &str, default: u64, positive: bool| -> Result<u64, String> {
             let Some(text) = lookup(name) else {
                 return Ok(default);
@@ -109,7 +111,7 @@ impl Setup {
     }
 
     /// The evaluation trace configuration.
-    pub fn trace(&self) -> TraceConfig {
+    pub(crate) fn trace(&self) -> TraceConfig {
         TraceConfig {
             samples_per_pixel: self.spp,
             max_bounces: 4,

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 /// A parsed command line: subcommand, `--key value` options and flags.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Args {
+pub(crate) struct Args {
     /// The subcommand (first non-flag argument).
     pub command: String,
     /// `--key value` pairs.
@@ -16,7 +16,7 @@ pub struct Args {
 
 /// Error produced when the command line cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseArgsError(pub String);
+pub(crate) struct ParseArgsError(pub String);
 
 impl std::fmt::Display for ParseArgsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -58,7 +58,7 @@ impl Args {
     ///
     /// Returns [`ParseArgsError`] on a missing subcommand, an unknown
     /// option, a value key without a value, or repeated keys.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ParseArgsError> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ParseArgsError> {
         let mut it = argv.into_iter().peekable();
         let command = it
             .next()
@@ -91,12 +91,12 @@ impl Args {
     }
 
     /// Raw string value of `--key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
     /// Whether a boolean `--flag` was given.
-    pub fn flag(&self, name: &str) -> bool {
+    pub(crate) fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
 
@@ -105,7 +105,10 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ParseArgsError`] when the value does not parse.
-    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ParseArgsError> {
+    pub(crate) fn parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+    ) -> Result<Option<T>, ParseArgsError> {
         let parse = |v: &str| {
             v.parse()
                 .map_err(|_| format!("--{key} value '{v}' is not valid"))
@@ -118,7 +121,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ParseArgsError`] when the value does not parse.
-    pub fn get_parsed<T: std::str::FromStr>(
+    pub(crate) fn get_parsed<T: std::str::FromStr>(
         &self,
         key: &str,
         default: T,

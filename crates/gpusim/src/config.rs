@@ -218,7 +218,7 @@ impl GpuConfig {
     }
 
     /// Total L2 capacity available to one memory partition.
-    pub fn l2_slice(&self) -> CacheConfig {
+    pub(crate) fn l2_slice(&self) -> CacheConfig {
         CacheConfig {
             bytes: self.l2.bytes / self.num_mem_partitions as u64,
             ..self.l2

@@ -22,7 +22,7 @@ impl RtUnit {
     /// # Panics
     ///
     /// Panics if either parameter is zero.
-    pub fn new(max_warps: u32, lanes_per_cycle: u32) -> Self {
+    pub(crate) fn new(max_warps: u32, lanes_per_cycle: u32) -> Self {
         assert!(
             max_warps > 0 && lanes_per_cycle > 0,
             "RT unit limits must be positive"
@@ -37,7 +37,7 @@ impl RtUnit {
 
     /// Requests a warp slot at time `now`; returns `(slot, start)` where
     /// `start >= now` is when the warp may begin its RT phase.
-    pub fn acquire(&mut self, now: u64) -> (usize, u64) {
+    pub(crate) fn acquire(&mut self, now: u64) -> (usize, u64) {
         #[expect(
             clippy::expect_used,
             reason = "GpuConfig::validate rejects zero RT tester slots before a unit is built"
@@ -53,24 +53,24 @@ impl RtUnit {
 
     /// Marks `slot` busy until `done` and records `active_rays` for the
     /// efficiency statistic.
-    pub fn complete(&mut self, slot: usize, done: u64, active_rays: u32) {
+    pub(crate) fn complete(&mut self, slot: usize, done: u64, active_rays: u32) {
         self.slots[slot] = self.slots[slot].max(done);
         self.phases += 1;
         self.active_rays += active_rays as u64;
     }
 
     /// Cycles the test pipeline needs for `rays` concurrent rays.
-    pub fn occupancy_cycles(&self, rays: u32) -> u64 {
+    pub(crate) fn occupancy_cycles(&self, rays: u32) -> u64 {
         (rays as u64).div_ceil(self.lanes_per_cycle as u64).max(1)
     }
 
     /// Total RT warp phases issued.
-    pub fn phases(&self) -> u64 {
+    pub(crate) fn phases(&self) -> u64 {
         self.phases
     }
 
     /// Sum of active rays over all phases.
-    pub fn active_rays(&self) -> u64 {
+    pub(crate) fn active_rays(&self) -> u64 {
         self.active_rays
     }
 }

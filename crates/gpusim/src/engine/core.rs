@@ -36,7 +36,7 @@ pub(crate) struct Engine<'w, H: SimHooks> {
 }
 
 impl<'w, H: SimHooks> Engine<'w, H> {
-    pub fn new(config: &'w GpuConfig, workload: &'w dyn Workload, hooks: &'w mut H) -> Self {
+    pub(crate) fn new(config: &'w GpuConfig, workload: &'w dyn Workload, hooks: &'w mut H) -> Self {
         let mem = MemoryHierarchy::new(config);
         let sms = (0..config.num_sms).map(|_| SmState::new(config)).collect();
         Engine {
@@ -53,7 +53,7 @@ impl<'w, H: SimHooks> Engine<'w, H> {
     }
 
     /// Runs the workload's grid to completion.
-    pub fn run(mut self) -> SimStats {
+    pub(crate) fn run(mut self) -> SimStats {
         self.launch_grid();
         while let Some(ev) = self.events.pop() {
             self.step_warp(ev);

@@ -31,7 +31,7 @@ pub(crate) struct Decoder<'w> {
 }
 
 impl<'w> Decoder<'w> {
-    pub fn new(workload: &'w dyn Workload, num_sms: usize, line_bytes: u32) -> Self {
+    pub(crate) fn new(workload: &'w dyn Workload, num_sms: usize, line_bytes: u32) -> Self {
         Decoder {
             workload,
             warps: (0..num_sms).map(|_| Vec::new()).collect(),
@@ -42,7 +42,7 @@ impl<'w> Decoder<'w> {
     /// The warp covering threads `[first_thread, first_thread + lanes)`
     /// was launched into `slot` on `sm`: a fresh slot, or one whose warp
     /// has retired.
-    pub fn on_launch(&mut self, sm: usize, slot: usize, first_thread: u64, lanes: u32) {
+    pub(crate) fn on_launch(&mut self, sm: usize, slot: usize, first_thread: u64, lanes: u32) {
         let slots = &mut self.warps[sm];
         if slot == slots.len() {
             slots.push(None);
@@ -55,14 +55,14 @@ impl<'w> Decoder<'w> {
     /// The warp in `(sm, slot)` has retired and no warp is left to backfill
     /// it: its storage goes back to the allocator now rather than at the end
     /// of the run, while the memory model's tables are still growing.
-    pub fn on_vacate(&mut self, sm: usize, slot: usize) {
+    pub(crate) fn on_vacate(&mut self, sm: usize, slot: usize) {
         self.warps[sm][slot] = None;
     }
 
     /// Gathers and categorizes the next phase of the warp resident in
     /// `(sm, slot)`, or returns `None` once every lane has exited: the warp
     /// retires. Never called again for a warp after it returned `None`.
-    pub fn next_phase(&mut self, sm: usize, slot: usize) -> Option<&PhaseMix> {
+    pub(crate) fn next_phase(&mut self, sm: usize, slot: usize) -> Option<&PhaseMix> {
         let slot = self.warps[sm][slot].as_mut();
         #[expect(
             clippy::expect_used,

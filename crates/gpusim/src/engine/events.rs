@@ -51,19 +51,19 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
         }
     }
 
     /// Schedules a wake-up.
-    pub fn push(&mut self, ev: Event) {
+    pub(crate) fn push(&mut self, ev: Event) {
         self.heap.push(Reverse(ev));
     }
 
     /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|Reverse(ev)| ev)
     }
 }

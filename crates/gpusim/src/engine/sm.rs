@@ -28,7 +28,7 @@ pub(crate) struct SmState {
 
 impl SmState {
     /// Creates an idle SM for `config`.
-    pub fn new(config: &GpuConfig) -> Self {
+    pub(crate) fn new(config: &GpuConfig) -> Self {
         SmState {
             pending: VecDeque::new(),
             issue_next_free: 0,
@@ -42,7 +42,7 @@ impl SmState {
     /// The port is occupied one cycle per LSU transaction (coalesced
     /// line), at least one cycle total; RT fetches are issued by the RT
     /// unit and do not consume LSU slots. Returns the issue cycle.
-    pub fn issue_at(&mut self, time: u64, lsu_slots: u64) -> u64 {
+    pub(crate) fn issue_at(&mut self, time: u64, lsu_slots: u64) -> u64 {
         let start = time.max(self.issue_next_free);
         self.issue_next_free = start + lsu_slots.max(1);
         start

@@ -47,11 +47,6 @@ impl Simulator {
         Simulator { config }
     }
 
-    /// The configuration being simulated.
-    pub fn config(&self) -> &GpuConfig {
-        &self.config
-    }
-
     /// Runs `workload` to completion and returns the collected statistics.
     ///
     /// Equivalent to [`Simulator::run_with_hooks`] with

@@ -64,7 +64,6 @@ struct SetRing {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    name: &'static str,
     /// Slab of resident lines. A slot is allocated by the fill that first
     /// needs it and afterwards only ever reused by evictions in its set.
     entries: Vec<TagEntry>,
@@ -81,7 +80,8 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry; `name` labels its
+    /// panic messages.
     ///
     /// # Panics
     ///
@@ -90,11 +90,10 @@ impl Cache {
     pub fn new(name: &'static str, config: CacheConfig) -> Self {
         let set_count = config.sets();
         let ways = config.effective_ways();
-        assert!(set_count > 0 && ways > 0, "cache must have lines");
+        assert!(set_count > 0 && ways > 0, "{name}: cache must have lines");
         let buckets = (2 * set_count * ways).next_power_of_two().max(2);
-        assert!(buckets <= 1 << 31, "cache too large for u32 slots");
+        assert!(buckets <= 1 << 31, "{name}: cache too large for u32 slots");
         Cache {
-            name,
             entries: Vec::new(),
             sets: vec![SetRing::default(); set_count as usize],
             index: vec![0; buckets as usize],
@@ -233,11 +232,6 @@ impl Cache {
         // The deletion may have shifted entries across `bucket`: re-probe.
         let bucket = self.bucket_of(line);
         self.index[bucket] = ring.lru + 1;
-    }
-
-    /// Cache display name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Total probes so far.

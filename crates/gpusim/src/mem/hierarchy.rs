@@ -47,11 +47,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Cache-line size in bytes.
-    pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
-    }
-
     /// Converts a byte address to a line-granular address.
     pub fn line_of(&self, addr: u64) -> u64 {
         addr / self.line_bytes as u64
@@ -75,7 +70,13 @@ impl MemoryHierarchy {
     /// Like [`MemoryHierarchy::read`], reporting the read's latency and
     /// any DRAM transfer to `hooks`. Hooks observe only; the returned time
     /// is identical for every hook implementation.
-    pub fn read_with<H: SimHooks>(&mut self, sm: usize, line: u64, now: u64, hooks: &mut H) -> u64 {
+    pub(crate) fn read_with<H: SimHooks>(
+        &mut self,
+        sm: usize,
+        line: u64,
+        now: u64,
+        hooks: &mut H,
+    ) -> u64 {
         let t = self.read_inner(sm, line, now, hooks);
         self.read_latency_sum += t - now;
         self.reads += 1;
@@ -100,15 +101,10 @@ impl MemoryHierarchy {
     }
 
     /// Issues a write of cache line `line` (write-through, no-allocate,
-    /// fire-and-forget). Consumes L2/DRAM bandwidth but the warp does not
-    /// wait; returns the cycle the store has left the SM.
-    pub fn write(&mut self, sm: usize, line: u64, now: u64) -> u64 {
-        self.write_with(sm, line, now, &mut NullHooks)
-    }
-
-    /// Like [`MemoryHierarchy::write`], reporting the DRAM transfer to
-    /// `hooks`.
-    pub fn write_with<H: SimHooks>(
+    /// fire-and-forget), reporting the DRAM transfer to `hooks`. Consumes
+    /// L2/DRAM bandwidth but the warp does not wait; returns the cycle the
+    /// store has left the SM.
+    pub(crate) fn write_with<H: SimHooks>(
         &mut self,
         sm: usize,
         line: u64,
@@ -123,7 +119,7 @@ impl MemoryHierarchy {
     }
 
     /// Accumulates cache and DRAM counters into `stats`.
-    pub fn export_stats(&self, stats: &mut SimStats) {
+    pub(crate) fn export_stats(&self, stats: &mut SimStats) {
         stats.l1_accesses = self.l1.iter().map(Cache::accesses).sum();
         stats.l1_misses = self.l1.iter().map(Cache::misses).sum();
         stats.l2_accesses = self.parts.iter().map(|p| p.l2().accesses()).sum();
@@ -141,7 +137,7 @@ impl MemoryHierarchy {
 
     /// The cycle at which all DRAM channels finish their scheduled
     /// transfers (write-back drain).
-    pub fn drain_time(&self) -> u64 {
+    pub(crate) fn drain_time(&self) -> u64 {
         self.parts
             .iter()
             .map(|p| p.dram().drain_time())
@@ -204,7 +200,7 @@ mod tests {
     #[test]
     fn writes_consume_bandwidth_without_stalling() {
         let mut h = hierarchy();
-        let t = h.write(0, 5, 10);
+        let t = h.write_with(0, 5, 10, &mut NullHooks);
         assert_eq!(t, 11, "stores retire immediately");
         let mut s = SimStats::default();
         h.export_stats(&mut s);

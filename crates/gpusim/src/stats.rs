@@ -86,11 +86,6 @@ impl SimStats {
         ratio(self.dram_busy_cycles, self.dram_active_cycles)
     }
 
-    /// DRAM row-buffer hit rate (diagnostic; not a Table-I metric).
-    pub fn dram_row_hit_rate(&self) -> f64 {
-        ratio(self.dram_row_hits, self.dram_transactions)
-    }
-
     /// A CPI-stack-style breakdown of where warp-phase time went, as
     /// fractions of the total attributed cycles: `(issue, compute, memory,
     /// rt)`. Returns zeros before any phase has run.
@@ -233,7 +228,7 @@ impl Metric {
     /// instructions (the paper's 20 + 50 = 70 IPC example). Everything else
     /// — cycles, miss rates, efficiencies — is a per-group-encapsulated
     /// quantity and averages.
-    pub fn combine_rule(self) -> CombineRule {
+    pub(crate) fn combine_rule(self) -> CombineRule {
         match self {
             Metric::Ipc => CombineRule::Sum,
             _ => CombineRule::Average,
@@ -242,7 +237,7 @@ impl Metric {
 
     /// Whether the metric is an absolute quantity that must be linearly
     /// extrapolated by the traced-pixel fraction (paper Section III-G).
-    pub fn is_absolute(self) -> bool {
+    pub(crate) fn is_absolute(self) -> bool {
         matches!(self, Metric::SimCycles)
     }
 

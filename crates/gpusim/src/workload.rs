@@ -54,7 +54,7 @@ pub enum Op {
 
 impl Op {
     /// Scalar instructions this op contributes to the IPC metric.
-    pub fn instructions(&self) -> u64 {
+    pub(crate) fn instructions(&self) -> u64 {
         match self {
             Op::Compute { insts, .. } => *insts as u64,
             Op::Load { .. } | Op::Store { .. } => 1,
@@ -63,11 +63,6 @@ impl Op {
             // Primitive fetch + intersection test.
             Op::RtPrim { .. } => 2,
         }
-    }
-
-    /// Returns `true` for operations the RT accelerator executes.
-    pub fn is_rt(&self) -> bool {
-        matches!(self, Op::RtNode { .. } | Op::RtPrim { .. })
     }
 
     /// Returns the memory access `(space, addr, bytes)` if the op touches
@@ -453,13 +448,13 @@ impl<W: Workload + ?Sized> WarpProgram for ThreadLanes<'_, W> {
 /// A scripted thread whose ops come from a pre-built list. The workhorse of
 /// unit tests and micro-benchmarks.
 #[derive(Debug, Clone)]
-pub struct ScriptedThread {
+pub(crate) struct ScriptedThread {
     ops: std::vec::IntoIter<Op>,
 }
 
 impl ScriptedThread {
     /// Creates a thread that will yield `ops` in order.
-    pub fn new(ops: Vec<Op>) -> Self {
+    pub(crate) fn new(ops: Vec<Op>) -> Self {
         ScriptedThread {
             ops: ops.into_iter(),
         }
@@ -575,8 +570,6 @@ mod tests {
 
     #[test]
     fn op_classification() {
-        assert!(Op::RtNode { addr: 0 }.is_rt());
-        assert!(!Op::Load { addr: 0, bytes: 4 }.is_rt());
         assert_eq!(
             Op::RtNode { addr: 96 }.memory_access(),
             Some((MemSpace::RtData, 96, 32))
@@ -710,7 +703,6 @@ mod tests {
         // own line mapping, which both use the L1 line size.
         let cfg = crate::GpuConfig::mobile_soc();
         let mem = crate::mem::MemoryHierarchy::new(&cfg);
-        assert_eq!(mem.line_bytes(), cfg.l1d.line_bytes);
         for addr in [0u64, 127, 128, 4096, 1 << 20] {
             assert_eq!(mem.line_of(addr), addr / cfg.l1d.line_bytes as u64);
         }

@@ -84,7 +84,7 @@ impl Number {
     }
 
     /// The value as `u64` if it is a non-negative integer.
-    pub fn as_u64(self) -> Option<u64> {
+    pub(crate) fn as_u64(self) -> Option<u64> {
         match self {
             Number::U64(v) => Some(v),
             Number::I64(v) => u64::try_from(v).ok(),
@@ -96,7 +96,7 @@ impl Number {
     }
 
     /// The value as `i64` if it is an integer in range.
-    pub fn as_i64(self) -> Option<i64> {
+    pub(crate) fn as_i64(self) -> Option<i64> {
         match self {
             Number::U64(v) => i64::try_from(v).ok(),
             Number::I64(v) => Some(v),
@@ -433,7 +433,7 @@ impl JsonError {
     }
 
     /// Convenience for "missing or mistyped field" errors.
-    pub fn missing_field(ty: &str, field: &str) -> Self {
+    pub(crate) fn missing_field(ty: &str, field: &str) -> Self {
         JsonError::conversion(format!("{ty}: missing or invalid field '{field}'"))
     }
 
@@ -876,15 +876,16 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 /// runs `f(&record) -> Result<(), JsonError>` on every decoded record.
 /// `to_json Type { .. }` implements [`ToJson`] alone.
 ///
-/// `record! { enum Type { Variant => "tag", .. } }` renders each variant
-/// as its string tag, rejects any other string, and adds
-/// `Type::tag(self) -> &'static str`.
+/// `record! { pub enum Type { Variant => "tag", .. } }` renders each
+/// variant as its string tag, rejects any other string, and adds
+/// `Type::tag(self) -> &'static str` with the visibility written before
+/// `enum`.
 #[macro_export]
 macro_rules! record {
-    (enum $ty:ident { $($variant:ident => $tag:literal),+ $(,)? }) => {
+    ($vis:vis enum $ty:ident { $($variant:ident => $tag:literal),+ $(,)? }) => {
         impl $ty {
             /// The value's wire tag.
-            pub fn tag(self) -> &'static str {
+            $vis fn tag(self) -> &'static str {
                 match self {
                     $($ty::$variant => $tag,)+
                 }

@@ -25,7 +25,7 @@ use crate::registry::{Histogram, MetricsRegistry};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObserveOptions {
     /// Record a Perfetto timeline (histograms/counters are always on),
-    /// capped at [`DEFAULT_MAX_EVENTS`] events per group.
+    /// capped at 2^20 events per group.
     pub timeline: bool,
 }
 
@@ -125,16 +125,6 @@ impl ObsHooks {
     /// The memory read latency distribution (simulated cycles).
     pub fn mem_read_latency(&self) -> &Histogram {
         &self.mem_read_latency
-    }
-
-    /// The warp lifetime distribution, launch to retire (simulated cycles).
-    pub fn warp_lifetime(&self) -> &Histogram {
-        &self.warp_lifetime
-    }
-
-    /// The RT traversal depth distribution (BVH lines per RT phase).
-    pub fn rt_traversal_depth(&self) -> &Histogram {
-        &self.rt_traversal_depth
     }
 }
 
@@ -261,7 +251,7 @@ mod tests {
         let stats = sim.run_with_hooks(&w, &mut obs);
         assert_eq!(obs.warps_launched, 8, "256 threads / 32 lanes");
         assert_eq!(obs.warps_retired, obs.warps_launched, "every warp retires");
-        assert_eq!(obs.warp_lifetime().count(), 8, "one lifetime per warp");
+        assert_eq!(obs.warp_lifetime.count(), 8, "one lifetime per warp");
         assert_eq!(
             obs.phase_counts().iter().sum::<u64>(),
             stats.warp_issues,
@@ -273,8 +263,8 @@ mod tests {
             stats.read_latency_sum,
             "histogram sum equals the engine's own latency accumulator"
         );
-        assert!(obs.rt_traversal_depth().count() > 0);
-        assert!(obs.warp_lifetime().min() > 0, "no warp retires instantly");
+        assert!(obs.rt_traversal_depth.count() > 0);
+        assert!(obs.warp_lifetime.min() > 0, "no warp retires instantly");
 
         let mut reg = MetricsRegistry::new();
         obs.export(&stats, &mut reg);

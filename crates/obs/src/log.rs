@@ -43,7 +43,7 @@ pub enum LogLevel {
 
 impl LogLevel {
     /// The lowercase wire name of the level.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             LogLevel::Info => "info",
             LogLevel::Warn => "warn",
@@ -71,12 +71,12 @@ impl fmt::Debug for Logger {
 
 impl Logger {
     /// A logger writing to standard error.
-    pub fn to_stderr() -> Logger {
+    pub(crate) fn to_stderr() -> Logger {
         Logger::to_writer(Box::new(io::stderr()))
     }
 
     /// A logger appending to the file at `path` (created if absent).
-    pub fn to_file(path: &str) -> io::Result<Logger> {
+    pub(crate) fn to_file(path: &str) -> io::Result<Logger> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -85,7 +85,7 @@ impl Logger {
     }
 
     /// A logger over an arbitrary sink (tests, in-memory capture).
-    pub fn to_writer(sink: Box<dyn Write + Send>) -> Logger {
+    pub(crate) fn to_writer(sink: Box<dyn Write + Send>) -> Logger {
         Logger {
             sink: Mutex::new(sink),
         }
@@ -133,7 +133,7 @@ pub fn event_line(level: LogLevel, event: &str, fields: Map) -> Value {
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
-pub fn now_ms() -> u64 {
+pub(crate) fn now_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)

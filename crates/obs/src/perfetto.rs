@@ -54,9 +54,9 @@ minijson::record! {
 /// Lane numbering convention used by [`Timeline`] thread metadata.
 pub mod lanes {
     /// Thread-id base for RT-unit lanes (`RT_BASE + sm index`).
-    pub const RT_BASE: u32 = 1000;
+    pub(crate) const RT_BASE: u32 = 1000;
     /// Thread-id base for memory-partition lanes (`MEM_BASE + partition`).
-    pub const MEM_BASE: u32 = 2000;
+    pub(crate) const MEM_BASE: u32 = 2000;
 }
 
 /// An event buffer for one trace process, with a hard cap so pathological
@@ -70,12 +70,12 @@ pub struct Timeline {
 }
 
 /// Default per-timeline event cap (~1M events).
-pub const DEFAULT_MAX_EVENTS: usize = 1 << 20;
+pub(crate) const DEFAULT_MAX_EVENTS: usize = 1 << 20;
 
 impl Timeline {
     /// Opens a timeline for process `pid`, emitting `process_name`
     /// metadata so trace viewers label the group.
-    pub fn new(pid: u32, process_name: &str, max_events: usize) -> Self {
+    pub(crate) fn new(pid: u32, process_name: &str, max_events: usize) -> Self {
         let mut timeline = Timeline {
             pid,
             events: Vec::new(),
@@ -87,7 +87,7 @@ impl Timeline {
     }
 
     /// Names a thread lane (`thread_name` metadata event).
-    pub fn thread(&mut self, tid: u32, name: &str) {
+    pub(crate) fn thread(&mut self, tid: u32, name: &str) {
         self.metadata("thread_name", tid, name);
     }
 
@@ -107,7 +107,7 @@ impl Timeline {
     }
 
     /// Appends a duration (`"X"`) event.
-    pub fn duration(&mut self, cat: &'static str, name: &str, tid: u32, ts: u64, dur: u64) {
+    pub(crate) fn duration(&mut self, cat: &'static str, name: &str, tid: u32, ts: u64, dur: u64) {
         self.push(TraceEvent {
             name: name.to_owned(),
             cat,
@@ -121,7 +121,14 @@ impl Timeline {
     }
 
     /// Appends an instant (`"i"`) event with optional arguments.
-    pub fn instant(&mut self, cat: &'static str, name: &str, tid: u32, ts: u64, args: Option<Map>) {
+    pub(crate) fn instant(
+        &mut self,
+        cat: &'static str,
+        name: &str,
+        tid: u32,
+        ts: u64,
+        args: Option<Map>,
+    ) {
         self.push(TraceEvent {
             name: name.to_owned(),
             cat,
@@ -142,24 +149,9 @@ impl Timeline {
         }
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events were buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events dropped because the cap was reached.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Closes the timeline, appending a marker instant if events were
     /// dropped, and returns the event buffer.
-    pub fn finish(mut self) -> Vec<TraceEvent> {
+    pub(crate) fn finish(mut self) -> Vec<TraceEvent> {
         if self.dropped > 0 {
             let mut args = Map::new();
             args.insert("dropped".into(), Value::from(self.dropped));
@@ -232,7 +224,7 @@ mod tests {
     #[test]
     fn new_timeline_carries_process_metadata() {
         let t = Timeline::new(3, "group 3", DEFAULT_MAX_EVENTS);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.events.len(), 1);
         let events = t.finish();
         assert_eq!(events[0].ph, 'M');
         assert_eq!(events[0].pid, 3);
@@ -271,8 +263,8 @@ mod tests {
         t.duration("c", "a", 0, 0, 1); // fills the cap (metadata took slot 1)
         t.duration("c", "b", 0, 1, 1); // dropped
         t.duration("c", "c", 0, 2, 1); // dropped
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 2);
+        assert_eq!(t.events.len(), 2);
+        assert_eq!(t.dropped, 2);
         let events = t.finish();
         assert_eq!(events.len(), 3, "finish appends the dropped marker");
         let marker = events.last().unwrap();

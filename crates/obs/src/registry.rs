@@ -35,7 +35,7 @@ pub struct Histogram {
 }
 
 /// The log2 bucket index of `value`.
-pub fn bucket_of(value: u64) -> usize {
+pub(crate) fn bucket_of(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -89,7 +89,7 @@ impl Histogram {
     }
 
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
@@ -107,22 +107,13 @@ impl Histogram {
         self.max
     }
 
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Per-bucket counts, index = log2 bucket.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
 
     /// Adds all samples of `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
         }
@@ -230,7 +221,7 @@ impl MetricsRegistry {
     }
 
     /// Registers a pre-built histogram under `name` (merging if present).
-    pub fn histogram_merge(&mut self, name: &str, hist: &Histogram) {
+    pub(crate) fn histogram_merge(&mut self, name: &str, hist: &Histogram) {
         match self.entry(name) {
             Some(MetricKind::Histogram(h)) => h.merge(hist),
             Some(_) => debug_assert!(false, "metric '{name}' is not a histogram"),
@@ -248,29 +239,6 @@ impl MetricsRegistry {
     /// Iterates metrics in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricKind)> {
         self.entries.iter().map(|(n, k)| (n.as_str(), k))
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Folds `other` into `self`: counters add, gauges take `other`'s
-    /// value, histograms merge; metrics absent from `self` are appended in
-    /// `other`'s order (keeping the merged snapshot deterministic).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, kind) in &other.entries {
-            match kind {
-                MetricKind::Counter(v) => self.counter_add(name, *v),
-                MetricKind::Gauge(v) => self.gauge_set(name, *v),
-                MetricKind::Histogram(h) => self.histogram_merge(name, h),
-            }
-        }
     }
 
     /// Serializes every metric as Prometheus text exposition format, with
@@ -418,7 +386,6 @@ mod tests {
         assert_eq!(h.sum(), 308);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 300);
-        assert_eq!(h.mean(), 77.0);
         assert_eq!(h.buckets()[0], 1, "value 0");
         assert_eq!(h.buckets()[3], 1, "value 7 in [4,7]");
         assert_eq!(h.buckets()[9], 1, "value 300 in [256,511]");
@@ -446,12 +413,12 @@ mod tests {
         a.counter_add("hits", 2);
         a.gauge_set("k", 4.0);
         a.observe("lat", 100);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("hits", 3);
-        b.gauge_set("k", 8.0);
-        b.observe("lat", 200);
-        b.counter_add("extra", 1);
-        a.merge(&b);
+        let mut lat = Histogram::new();
+        lat.observe(200);
+        a.counter_add("hits", 3);
+        a.gauge_set("k", 8.0);
+        a.histogram_merge("lat", &lat);
+        a.counter_add("extra", 1);
         assert_eq!(a.get("hits"), Some(&MetricKind::Counter(5)));
         assert_eq!(a.get("k"), Some(&MetricKind::Gauge(8.0)));
         match a.get("lat") {
@@ -459,7 +426,7 @@ mod tests {
             other => panic!("expected histogram, got {other:?}"),
         }
         assert_eq!(a.get("extra"), Some(&MetricKind::Counter(1)));
-        assert_eq!(a.len(), 4);
+        assert_eq!(a.iter().count(), 4);
     }
 
     #[test]

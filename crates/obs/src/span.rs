@@ -84,7 +84,7 @@ impl SpanSheet {
     }
 
     /// Opens a guard span on an explicit track.
-    pub fn span_on(&self, name: &str, track: u32) -> SpanGuard<'_> {
+    pub(crate) fn span_on(&self, name: &str, track: u32) -> SpanGuard<'_> {
         SpanGuard {
             sheet: self,
             name: name.to_owned(),

@@ -26,7 +26,7 @@ impl ConfigRef {
     }
 
     /// The preset names [`ConfigRef::resolve`] accepts.
-    pub const PRESETS: [&'static str; 2] = ["mobile", "rtx2060"];
+    pub(crate) const PRESETS: [&'static str; 2] = ["mobile", "rtx2060"];
 
     /// A short human-readable label (`"mobile"`, or the inline config's
     /// own name).

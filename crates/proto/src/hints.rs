@@ -26,13 +26,6 @@ pub struct ExecutionHints {
     pub deadline_ms: Option<u64>,
 }
 
-impl ExecutionHints {
-    /// `true` when no hint is set (the JSON round-trips as absent).
-    pub fn is_empty(&self) -> bool {
-        *self == ExecutionHints::default()
-    }
-}
-
 minijson::record! {
     ExecutionHints {
         "deadline_ms" => deadline_ms,
@@ -78,8 +71,6 @@ mod tests {
         let set = ExecutionHints {
             deadline_ms: Some(5000),
         };
-        assert!(!set.is_empty());
-        assert!(ExecutionHints::default().is_empty());
         for hints in [set, ExecutionHints::default()] {
             let back = ExecutionHints::from_json(&hints.to_json()).expect("round trip");
             assert_eq!(hints, back);

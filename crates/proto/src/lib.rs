@@ -75,7 +75,7 @@ pub const API_SCHEMA: &str = "zatel-api-v1";
 /// The [`PointRecord`] schema: `zatel sweep --runs-out` history lines
 /// (predates `zatel-api-v1` and is embedded unchanged in
 /// [`SweepResponse`] points).
-pub const SWEEP_RECORD_SCHEMA: &str = "zatel-sweep-v1";
+pub(crate) const SWEEP_RECORD_SCHEMA: &str = "zatel-sweep-v1";
 
 /// The bounds a predict and a sweep request share: a named scene, `res`
 /// and `spp` in range, and valid options.

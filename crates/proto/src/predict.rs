@@ -139,7 +139,7 @@ impl MetricValues {
     }
 
     /// Collects a reference simulation's values.
-    pub fn from_stats(stats: &gpusim::SimStats) -> Self {
+    pub(crate) fn from_stats(stats: &gpusim::SimStats) -> Self {
         let mut values = [0.0; 7];
         for (slot, &m) in values.iter_mut().zip(Metric::ALL.iter()) {
             *slot = m.value(stats);
@@ -190,7 +190,7 @@ pub struct GroupReport {
 
 impl GroupReport {
     /// Builds the report for one pipeline group outcome.
-    pub fn from_outcome(outcome: &zatel::GroupOutcome) -> Self {
+    pub(crate) fn from_outcome(outcome: &zatel::GroupOutcome) -> Self {
         GroupReport {
             index: outcome.index,
             pixels: outcome.pixels as u64,
@@ -224,7 +224,7 @@ pub struct ReferenceReport {
 
 impl ReferenceReport {
     /// Builds the report from a reference run's statistics.
-    pub fn from_stats(stats: &gpusim::SimStats) -> Self {
+    pub(crate) fn from_stats(stats: &gpusim::SimStats) -> Self {
         ReferenceReport {
             metrics: MetricValues::from_stats(stats),
             cpi_stack: stats

@@ -21,7 +21,7 @@ pub enum ErrorKind {
 }
 
 minijson::record! {
-    enum ErrorKind {
+    pub enum ErrorKind {
         BadRequest => "bad_request",
         Unprocessable => "unprocessable",
         Overloaded => "overloaded",

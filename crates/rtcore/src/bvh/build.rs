@@ -148,7 +148,7 @@ struct Bin {
 ///
 /// Returns an empty (single empty-leaf) BVH for an empty primitive list so
 /// that traversal of empty scenes is well defined.
-pub fn build_bvh(prims: &[Primitive]) -> Bvh {
+pub(crate) fn build_bvh(prims: &[Primitive]) -> Bvh {
     if prims.is_empty() {
         return Bvh::new(vec![FlatNode::leaf(Aabb::empty(), 0, 0)], Vec::new());
     }

@@ -109,7 +109,7 @@ pub struct TraversalStats {
 impl TraversalStats {
     /// Total abstract work units; the per-pixel cost metric profiled into
     /// the heatmap.
-    pub fn work(&self) -> u64 {
+    pub(crate) fn work(&self) -> u64 {
         self.nodes_visited + self.box_tests + 2 * self.prim_tests
     }
 }

@@ -62,7 +62,7 @@ fn build_range(
     let mut bounds = Aabb::empty();
     let mut centroid_bounds = Aabb::empty();
     for p in &info[start..end] {
-        bounds.grow_box(&p.bounds);
+        bounds = bounds.union(&p.bounds);
         centroid_bounds.grow_point(p.centroid.into());
     }
 
@@ -119,7 +119,7 @@ fn choose_split(
     for p in &info[start..end] {
         let b = bin_of(p.centroid[axis]);
         bin_counts[b] += 1;
-        bin_bounds[b].grow_box(&p.bounds);
+        bin_bounds[b] = bin_bounds[b].union(&p.bounds);
     }
 
     // Sweep from the right to accumulate suffix areas.
@@ -128,7 +128,7 @@ fn choose_split(
     let mut right_count = [0usize; SAH_BINS];
     let mut rc = 0;
     for i in (1..SAH_BINS).rev() {
-        acc.grow_box(&bin_bounds[i]);
+        acc = acc.union(&bin_bounds[i]);
         rc += bin_counts[i];
         right_area[i] = acc.surface_area();
         right_count[i] = rc;
@@ -140,7 +140,7 @@ fn choose_split(
     let mut left_box = Aabb::empty();
     let mut left_count = 0usize;
     for i in 0..SAH_BINS - 1 {
-        left_box.grow_box(&bin_bounds[i]);
+        left_box = left_box.union(&bin_bounds[i]);
         left_count += bin_counts[i];
         if left_count == 0 || right_count[i + 1] == 0 {
             continue;

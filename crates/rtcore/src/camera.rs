@@ -62,11 +62,6 @@ impl Camera {
         }
     }
 
-    /// Camera position.
-    pub fn origin(&self) -> Vec3 {
-        self.origin
-    }
-
     /// Feeds the full camera basis into a content fingerprint. Fields are
     /// private, so the scene fingerprint delegates here.
     pub(crate) fn write_fingerprint(&self, h: &mut crate::fingerprint::Fnv64) {

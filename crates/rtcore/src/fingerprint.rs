@@ -90,13 +90,6 @@ impl Fnv64 {
     }
 }
 
-/// Convenience: fingerprints a byte slice in one call.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_bytes(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +97,7 @@ mod tests {
     #[test]
     fn known_vectors() {
         // Standard FNV-1a test vectors.
+        let fnv64 = |bytes: &[u8]| Fnv64::new().write_bytes(bytes).finish();
         assert_eq!(fnv64(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(fnv64(b"foobar"), 0x85944171F73967E8);

@@ -11,7 +11,14 @@ use crate::math::{Pcg, Vec3};
 use super::Triangle;
 
 /// Appends a quad (two triangles) spanning corners `a → b → c → d` in order.
-pub fn push_quad(out: &mut Vec<Triangle>, a: Vec3, b: Vec3, c: Vec3, d: Vec3, mat: MaterialId) {
+pub(crate) fn push_quad(
+    out: &mut Vec<Triangle>,
+    a: Vec3,
+    b: Vec3,
+    c: Vec3,
+    d: Vec3,
+    mat: MaterialId,
+) {
     out.push(Triangle::new(a, b, c, mat));
     out.push(Triangle::new(a, c, d, mat));
 }
@@ -23,7 +30,7 @@ pub fn push_quad(out: &mut Vec<Triangle>, a: Vec3, b: Vec3, c: Vec3, d: Vec3, ma
     clippy::too_many_arguments,
     reason = "a plain geometric parameter list; a builder would obscure it"
 )]
-pub fn heightfield(
+pub(crate) fn heightfield(
     center: Vec3,
     size_x: f32,
     size_z: f32,
@@ -60,7 +67,7 @@ pub fn heightfield(
 }
 
 /// Builds an axis-aligned box from `min` to `max` (12 triangles).
-pub fn cuboid(min: Vec3, max: Vec3, mat: MaterialId) -> Vec<Triangle> {
+pub(crate) fn cuboid(min: Vec3, max: Vec3, mat: MaterialId) -> Vec<Triangle> {
     let (x0, y0, z0) = (min.x, min.y, min.z);
     let (x1, y1, z1) = (max.x, max.y, max.z);
     let p = |x: f32, y: f32, z: f32| Vec3::new(x, y, z);
@@ -120,7 +127,7 @@ pub fn cuboid(min: Vec3, max: Vec3, mat: MaterialId) -> Vec<Triangle> {
 }
 
 /// Builds a UV sphere mesh with `stacks × slices` resolution.
-pub fn uv_sphere(
+pub(crate) fn uv_sphere(
     center: Vec3,
     radius: f32,
     stacks: usize,
@@ -167,7 +174,7 @@ pub fn uv_sphere(
     clippy::too_many_arguments,
     reason = "a plain geometric parameter list; a builder would obscure it"
 )]
-pub fn sphere_flake(
+pub(crate) fn sphere_flake(
     center: Vec3,
     radius: f32,
     depth: usize,
@@ -208,7 +215,7 @@ pub fn sphere_flake(
 /// Scatters `count` randomly scaled tetrahedra inside `region_min..region_max`.
 /// Produces incoherent "clutter" geometry that stresses BVH traversal the way
 /// foliage does in the PARK scene.
-pub fn scatter_tetrahedra(
+pub(crate) fn scatter_tetrahedra(
     region_min: Vec3,
     region_max: Vec3,
     count: usize,
@@ -241,6 +248,10 @@ mod tests {
     use super::*;
     use crate::math::Aabb;
 
+    fn area(t: &Triangle) -> f32 {
+        0.5 * (t.b - t.a).cross(t.c - t.a).length()
+    }
+
     #[test]
     fn quad_is_two_triangles() {
         let mut v = Vec::new();
@@ -253,7 +264,7 @@ mod tests {
             MaterialId(0),
         );
         assert_eq!(v.len(), 2);
-        let area: f32 = v.iter().map(Triangle::area).sum();
+        let area: f32 = v.iter().map(area).sum();
         assert!((area - 1.0).abs() < 1e-5);
     }
 
@@ -288,14 +299,14 @@ mod tests {
     fn cuboid_has_twelve_triangles_enclosing_box() {
         let tris = cuboid(Vec3::ZERO, Vec3::ONE, MaterialId(0));
         assert_eq!(tris.len(), 12);
-        let area: f32 = tris.iter().map(Triangle::area).sum();
+        let area: f32 = tris.iter().map(area).sum();
         assert!((area - 6.0).abs() < 1e-4);
     }
 
     #[test]
     fn uv_sphere_area_approximates_analytic() {
         let tris = uv_sphere(Vec3::ZERO, 1.0, 32, 64, MaterialId(0));
-        let area: f32 = tris.iter().map(Triangle::area).sum();
+        let area: f32 = tris.iter().map(area).sum();
         let analytic = 4.0 * std::f32::consts::PI;
         assert!(
             (area - analytic).abs() / analytic < 0.02,

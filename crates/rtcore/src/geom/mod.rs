@@ -1,6 +1,6 @@
 //! Geometric primitives and procedural mesh builders.
 
-pub mod mesh;
+pub(crate) mod mesh;
 mod primitive;
 mod sphere;
 mod triangle;

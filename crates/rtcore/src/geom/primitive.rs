@@ -28,7 +28,7 @@ impl Primitive {
     }
 
     /// Centroid used for BVH partitioning.
-    pub fn centroid(&self) -> Vec3 {
+    pub(crate) fn centroid(&self) -> Vec3 {
         match self {
             Primitive::Triangle(t) => t.centroid(),
             Primitive::Sphere(s) => s.center,

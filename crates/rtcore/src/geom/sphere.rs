@@ -33,7 +33,7 @@ impl Sphere {
     }
 
     /// Bounding box of the sphere.
-    pub fn bounds(&self) -> Aabb {
+    pub(crate) fn bounds(&self) -> Aabb {
         let r = Vec3::splat(self.radius);
         Aabb {
             min: self.center - r,
@@ -42,7 +42,7 @@ impl Sphere {
     }
 
     /// Outward unit normal at a surface point `p`.
-    pub fn normal_at(&self, p: Vec3) -> Vec3 {
+    pub(crate) fn normal_at(&self, p: Vec3) -> Vec3 {
         (p - self.center) / self.radius
     }
 

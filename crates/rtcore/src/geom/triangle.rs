@@ -26,7 +26,7 @@ impl Triangle {
     }
 
     /// Bounding box of the triangle.
-    pub fn bounds(&self) -> Aabb {
+    pub(crate) fn bounds(&self) -> Aabb {
         let mut bb = Aabb::empty();
         bb.grow_point(self.a);
         bb.grow_point(self.b);
@@ -35,7 +35,7 @@ impl Triangle {
     }
 
     /// Geometric (unnormalized-winding) unit normal.
-    pub fn normal(&self) -> Vec3 {
+    pub(crate) fn normal(&self) -> Vec3 {
         (self.b - self.a)
             .cross(self.c - self.a)
             .try_normalized()
@@ -43,13 +43,8 @@ impl Triangle {
     }
 
     /// Triangle centroid.
-    pub fn centroid(&self) -> Vec3 {
+    pub(crate) fn centroid(&self) -> Vec3 {
         (self.a + self.b + self.c) / 3.0
-    }
-
-    /// Surface area.
-    pub fn area(&self) -> f32 {
-        0.5 * (self.b - self.a).cross(self.c - self.a).length()
     }
 
     /// Möller–Trumbore ray/triangle intersection.
@@ -57,7 +52,7 @@ impl Triangle {
     /// Returns the hit distance `t` within `[ray.t_min, ray.t_max]`, or
     /// `None` on a miss. Back faces are reported as hits (two-sided
     /// geometry), which matches how the procedural scenes are authored.
-    pub fn hit(&self, ray: &Ray) -> Option<f32> {
+    pub(crate) fn hit(&self, ray: &Ray) -> Option<f32> {
         let e1 = self.b - self.a;
         let e2 = self.c - self.a;
         let pvec = ray.dir.cross(e2);
@@ -144,11 +139,5 @@ mod tests {
         let n = t.normal();
         assert!((n.length() - 1.0).abs() < 1e-6);
         assert!(n.dot(t.b - t.a).abs() < 1e-6);
-    }
-
-    #[test]
-    fn area_of_right_triangle() {
-        let t = Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y, MaterialId(0));
-        assert!((t.area() - 0.5).abs() < 1e-6);
     }
 }

@@ -68,11 +68,6 @@ impl Image {
         self.pixels[i] = color;
     }
 
-    /// Raw pixel storage in row-major order.
-    pub fn pixels(&self) -> &[Vec3] {
-        &self.pixels
-    }
-
     fn index(&self, x: u32, y: u32) -> usize {
         assert!(
             x < self.width && y < self.height,
@@ -82,7 +77,7 @@ impl Image {
     }
 
     /// Encodes as binary PPM (P6) with gamma-2 tone mapping.
-    pub fn write_ppm<W: Write>(&self, mut out: W) -> io::Result<()> {
+    pub(crate) fn write_ppm<W: Write>(&self, mut out: W) -> io::Result<()> {
         writeln!(out, "P6\n{} {}\n255", self.width, self.height)?;
         let mut row = Vec::with_capacity(self.width as usize * 3);
         for y in 0..self.height {
@@ -127,7 +122,7 @@ mod tests {
         let img = Image::new(3, 2);
         assert_eq!(img.width(), 3);
         assert_eq!(img.height(), 2);
-        assert!(img.pixels().iter().all(|p| *p == Vec3::ZERO));
+        assert!((0..2).all(|y| (0..3).all(|x| img.get(x, y) == Vec3::ZERO)));
         assert_eq!(img.mean_luminance(), 0.0);
     }
 

@@ -48,7 +48,7 @@ impl Material {
     }
 
     /// Mirror material with optional fuzz.
-    pub fn mirror(color: Vec3, fuzz: f32) -> Self {
+    pub(crate) fn mirror(color: Vec3, fuzz: f32) -> Self {
         Material {
             surface: Surface::Mirror {
                 fuzz: fuzz.clamp(0.0, 1.0),
@@ -58,24 +58,11 @@ impl Material {
     }
 
     /// Glass material with index of refraction `ior`.
-    pub fn glass(ior: f32) -> Self {
+    pub(crate) fn glass(ior: f32) -> Self {
         Material {
             surface: Surface::Glass { ior },
             color: Vec3::ONE,
         }
-    }
-
-    /// Emissive material radiating `radiance`.
-    pub fn emissive(radiance: Vec3) -> Self {
-        Material {
-            surface: Surface::Emissive,
-            color: radiance,
-        }
-    }
-
-    /// Returns `true` if the surface emits light.
-    pub fn is_emissive(&self) -> bool {
-        matches!(self.surface, Surface::Emissive)
     }
 
     /// Relative shading cost in abstract ALU operations; consumed by the
@@ -108,8 +95,6 @@ mod tests {
             Material::glass(1.5).surface,
             Surface::Glass { .. }
         ));
-        assert!(Material::emissive(Vec3::ONE).is_emissive());
-        assert!(!Material::diffuse(Vec3::ONE).is_emissive());
     }
 
     #[test]
@@ -123,7 +108,11 @@ mod tests {
 
     #[test]
     fn shading_costs_ordered_by_complexity() {
-        let e = Material::emissive(Vec3::ONE).shading_cost();
+        let e = Material {
+            surface: Surface::Emissive,
+            color: Vec3::ONE,
+        }
+        .shading_cost();
         let m = Material::mirror(Vec3::ONE, 0.0).shading_cost();
         let d = Material::diffuse(Vec3::ONE).shading_cost();
         let g = Material::glass(1.5).shading_cost();

@@ -67,13 +67,6 @@ impl Aabb {
         self.max = self.max.max(p);
     }
 
-    /// Expands the box to contain `other`.
-    #[inline]
-    pub fn grow_box(&mut self, other: &Aabb) {
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Union of two boxes.
     #[inline]
     pub fn union(&self, other: &Aabb) -> Aabb {
@@ -91,7 +84,7 @@ impl Aabb {
 
     /// Per-axis extent (`max - min`).
     #[inline]
-    pub fn extent(&self) -> Vec3 {
+    pub(crate) fn extent(&self) -> Vec3 {
         self.max - self.min
     }
 

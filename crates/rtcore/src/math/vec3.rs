@@ -89,7 +89,7 @@ impl Vec3 {
 
     /// Cross product of `self` and `rhs` (right-handed).
     #[inline]
-    pub fn cross(self, rhs: Vec3) -> Vec3 {
+    pub(crate) fn cross(self, rhs: Vec3) -> Vec3 {
         Vec3 {
             x: self.y * rhs.z - self.z * rhs.y,
             y: self.z * rhs.x - self.x * rhs.z,
@@ -134,13 +134,13 @@ impl Vec3 {
 
     /// Component-wise minimum.
     #[inline]
-    pub fn min(self, rhs: Vec3) -> Vec3 {
+    pub(crate) fn min(self, rhs: Vec3) -> Vec3 {
         Vec3::new(self.x.min(rhs.x), self.y.min(rhs.y), self.z.min(rhs.z))
     }
 
     /// Component-wise maximum.
     #[inline]
-    pub fn max(self, rhs: Vec3) -> Vec3 {
+    pub(crate) fn max(self, rhs: Vec3) -> Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
     }
 
@@ -153,7 +153,7 @@ impl Vec3 {
     /// Index of the component with the largest magnitude extent, used to pick
     /// BVH split axes (0 = x, 1 = y, 2 = z).
     #[inline]
-    pub fn largest_axis(self) -> usize {
+    pub(crate) fn largest_axis(self) -> usize {
         if self.x >= self.y && self.x >= self.z {
             0
         } else if self.y >= self.z {
@@ -195,15 +195,9 @@ impl Vec3 {
         Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
     }
 
-    /// Component-wise absolute value.
-    #[inline]
-    pub fn abs(self) -> Vec3 {
-        Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
-    }
-
     /// Average of the three components; used as a scalar luminance proxy.
     #[inline]
-    pub fn mean(self) -> f32 {
+    pub(crate) fn mean(self) -> f32 {
         (self.x + self.y + self.z) / 3.0
     }
 }

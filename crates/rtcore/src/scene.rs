@@ -205,7 +205,7 @@ impl SceneBuilder {
     }
 
     /// Adds every triangle from an iterator (e.g. a procedural mesh).
-    pub fn add_mesh<I: IntoIterator<Item = Triangle>>(&mut self, tris: I) -> &mut Self {
+    pub(crate) fn add_mesh<I: IntoIterator<Item = Triangle>>(&mut self, tris: I) -> &mut Self {
         self.primitives
             .extend(tris.into_iter().map(Primitive::Triangle));
         self
@@ -225,11 +225,6 @@ impl SceneBuilder {
             intensity,
         });
         self
-    }
-
-    /// Number of primitives added so far.
-    pub fn primitive_count(&self) -> usize {
-        self.primitives.len()
     }
 
     /// Builds the BVH and finalizes the scene.

@@ -86,11 +86,6 @@ impl CostMap {
         self.height
     }
 
-    /// Work units for pixel `(x, y)`; panics if out of bounds.
-    pub fn get(&self, x: u32, y: u32) -> u64 {
-        self.work[self.index(x, y)]
-    }
-
     /// Sets work units for pixel `(x, y)`; panics if out of bounds.
     pub fn set(&mut self, x: u32, y: u32, w: u64) {
         let i = self.index(x, y);
@@ -526,8 +521,8 @@ mod tests {
         };
         let costs = profile_costs(&scene, 32, 32, &cfg);
         // Center pixels hit the mirror sphere (bounces); top corners mostly sky.
-        let center = costs.get(16, 14);
-        let corner = costs.get(0, 0);
+        let center = costs.values()[14 * 32 + 16];
+        let corner = costs.values()[0];
         assert!(
             center > corner,
             "center {center} should out-cost corner {corner}"
@@ -553,7 +548,10 @@ mod tests {
     fn emissive_hit_terminates_path() {
         let cam = Camera::look_at(Vec3::new(0.0, 0.0, -4.0), Vec3::ZERO, Vec3::Y, 45.0);
         let mut b = SceneBuilder::new("em", cam);
-        let light = b.add_material(Material::emissive(Vec3::splat(5.0)));
+        let light = b.add_material(Material {
+            surface: Surface::Emissive,
+            color: Vec3::splat(5.0),
+        });
         b.add_sphere(Vec3::ZERO, 1.0, light);
         let scene = b.build();
         let cfg = TraceConfig {
@@ -569,7 +567,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn cost_map_rejects_a_column_past_the_width() {
-        // Row-major storage: unchecked, `(width, 0)` would read `(0, 1)`.
-        CostMap::new(4, 2).get(4, 0);
+        // Row-major storage: unchecked, `(width, 0)` would write `(0, 1)`.
+        CostMap::new(4, 2).set(4, 0, 1);
     }
 }

@@ -9,13 +9,13 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 /// Largest accepted request head (request line + headers).
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body.
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// A parse or transport failure while reading a request.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The request violated the supported HTTP subset.
     Malformed(String),
     /// Head or body exceeded the hard size caps (maps to 413).
@@ -42,7 +42,7 @@ impl From<std::io::Error> for HttpError {
 
 /// One parsed request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method (`GET`, `POST`, ...), uppercased by the client.
     pub method: String,
     /// Request path including any query string, e.g. `/v1/predict`.
@@ -55,7 +55,7 @@ pub struct Request {
 
 impl Request {
     /// The first value of header `name` (ASCII case-insensitive).
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
@@ -68,7 +68,7 @@ impl Request {
     ///
     /// Returns [`HttpError`] on malformed syntax, size-cap violations or
     /// socket failures.
-    pub fn read_from(stream: &mut TcpStream) -> Result<Request, HttpError> {
+    pub(crate) fn read_from(stream: &mut TcpStream) -> Result<Request, HttpError> {
         let (head, mut body) = read_head(stream)?;
         let text = std::str::from_utf8(&head)
             .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
@@ -112,12 +112,12 @@ impl Request {
             headers,
             body: Vec::new(),
         };
-        let content_length = match request.header("content-length") {
-            None => 0,
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| HttpError::Malformed(format!("bad Content-Length '{v}'")))?,
-        };
+        if request.header("transfer-encoding").is_some() {
+            return Err(HttpError::Malformed(
+                "Transfer-Encoding is not supported: send Content-Length".into(),
+            ));
+        }
+        let content_length = content_length(&request.headers)?;
         if content_length > MAX_BODY_BYTES {
             return Err(HttpError::TooLarge);
         }
@@ -137,6 +137,27 @@ impl Request {
         }
         Ok(Request { body, ..request })
     }
+}
+
+/// The declared body length, 0 when absent. A value is ASCII digits only
+/// (RFC 9110 §8.6), and repeated headers must agree (RFC 9112 §6.3).
+fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
+    let mut length = None;
+    for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let digits = v.bytes().all(|b| b.is_ascii_digit());
+        let n = v
+            .parse::<usize>()
+            .ok()
+            .filter(|_| digits)
+            .ok_or_else(|| HttpError::Malformed(format!("bad Content-Length '{v}'")))?;
+        if length.is_some_and(|first| first != n) {
+            return Err(HttpError::Malformed(
+                "conflicting Content-Length headers".into(),
+            ));
+        }
+        length = Some(n);
+    }
+    Ok(length.unwrap_or(0))
 }
 
 /// Reads up to and including the `\r\n\r\n` head terminator, returning
@@ -167,7 +188,7 @@ fn find_terminator(buf: &[u8]) -> Option<usize> {
 }
 
 /// The standard reason phrase for the status codes this service emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -190,7 +211,7 @@ pub fn reason(status: u16) -> &'static str {
 ///
 /// Returns the socket error, which callers log and otherwise ignore — a
 /// client that hung up early is not a server failure.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -266,6 +287,27 @@ mod tests {
             round_trip(b"GET / HTTP/1.1\r\nContent-Length: nine\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
+        // Body framing the subset refuses: chunked, a signed length, two
+        // lengths that disagree. Each message names the header.
+        for (raw, header) in [
+            (
+                &b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n0\r\n\r\n"[..],
+                "Transfer-Encoding",
+            ),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd",
+                "Content-Length",
+            ),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcd",
+                "Content-Length",
+            ),
+        ] {
+            match round_trip(raw) {
+                Err(HttpError::Malformed(msg)) => assert!(msg.contains(header), "{msg}"),
+                other => panic!("expected a malformed {header}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

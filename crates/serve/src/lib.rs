@@ -57,7 +57,7 @@
 #![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod client;
-pub mod http;
+mod http;
 pub mod server;
 pub mod service;
 pub mod signal;

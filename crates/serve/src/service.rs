@@ -36,7 +36,7 @@ pub enum ServiceError {
 
 impl ServiceError {
     /// The matching wire-protocol error kind.
-    pub fn kind(&self) -> ErrorKind {
+    pub(crate) fn kind(&self) -> ErrorKind {
         match self {
             ServiceError::BadRequest(_) => ErrorKind::BadRequest,
             ServiceError::Unprocessable(_) => ErrorKind::Unprocessable,

@@ -7,15 +7,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Set by the handler; polled by [`requested`].
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// Whether a shutdown signal has been delivered (or [`trigger`]ed).
-pub fn requested() -> bool {
+/// Whether a shutdown signal has been delivered.
+pub(crate) fn requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Latches the flag programmatically — what the handler does, reachable
-/// from tests and from embedding callers that manage signals themselves.
-pub fn trigger() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -45,7 +39,7 @@ mod imp {
         unsafe_code,
         reason = "the one unsafe block the workspace accepts: there is no libc crate offline"
     )]
-    pub fn install() {
+    pub(crate) fn install() {
         // SAFETY: the declaration above matches libc's `signal`, and
         // `on_signal` only stores to an AtomicBool, which is
         // async-signal-safe.
@@ -58,25 +52,12 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    /// Signals are not wired on this platform; `/v1/shutdown` and
-    /// [`super::trigger`] remain available.
-    pub fn install() {}
+    /// Signals are not wired on this platform; `/v1/shutdown` remains
+    /// available.
+    pub(crate) fn install() {}
 }
 
 /// Installs the SIGINT/SIGTERM handler (idempotent).
 pub fn install() {
     imp::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trigger_latches_requested() {
-        // The flag is process-global and only ever set, so this test is
-        // order-independent with any other test in the binary.
-        trigger();
-        assert!(requested());
-    }
 }

@@ -10,7 +10,7 @@ pub enum ZatelError {
     /// An option combination is invalid (details in the message).
     InvalidOptions(String),
     /// The image divides into too few chunks to give each of the K groups a
-    /// pixel ([`chunk_count`](crate::partition::chunk_count)).
+    /// pixel.
     TooFewChunks {
         /// Image width in pixels.
         width: u32,

@@ -106,7 +106,7 @@ pub fn divide(width: u32, height: u32, k: u32, method: DivisionMethod) -> Vec<Gr
 /// # Panics
 ///
 /// Panics if `k == 0` or (fine-grained) a chunk dimension is zero.
-pub fn chunk_count(width: u32, height: u32, k: u32, method: DivisionMethod) -> u64 {
+pub(crate) fn chunk_count(width: u32, height: u32, k: u32, method: DivisionMethod) -> u64 {
     match method {
         DivisionMethod::Coarse => {
             let (rows, cols) = grid_shape(k);

@@ -423,13 +423,8 @@ impl<'s> Zatel<'s> {
     }
 
     /// The options currently in force.
-    pub fn options(&self) -> &ZatelOptions {
+    pub(crate) fn options(&self) -> &ZatelOptions {
         &self.options
-    }
-
-    /// The target (full-size) GPU configuration.
-    pub fn target(&self) -> &GpuConfig {
-        &self.target
     }
 
     /// Resolves the downscale factor for the current options.
@@ -466,7 +461,7 @@ impl<'s> Zatel<'s> {
     ///
     /// An execution is three steps: *plan* (validate, take the heatmap
     /// through the cache, then quantize, divide and select), *run* (every
-    /// group simulation as one job list on [`Zatel::executor`]) and
+    /// group simulation as one job list on the predictor's executor) and
     /// *finish* (extrapolate). A
     /// [`crate::SweepDriver`] plans each of its points the same way and
     /// runs all their jobs in one pass.
@@ -650,7 +645,7 @@ impl<'s> Zatel<'s> {
 
     /// The executor group simulation runs on: `jobs` workers (the host's
     /// available parallelism when unset), or one when `parallel` is off.
-    pub fn executor(&self) -> SimExecutor {
+    pub(crate) fn executor(&self) -> SimExecutor {
         SimExecutor::new(match (self.options.parallel, self.options.jobs) {
             (false, _) => 1,
             (true, Some(n)) => n,

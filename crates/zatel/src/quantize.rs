@@ -84,16 +84,6 @@ impl QuantizedHeatmap {
         h.finish()
     }
 
-    /// Width in pixels.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Height in pixels.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Number of distinct clusters actually produced.
     pub fn cluster_count(&self) -> usize {
         self.centroids.len()
@@ -104,18 +94,18 @@ impl QuantizedHeatmap {
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn cluster(&self, x: u32, y: u32) -> u16 {
+    pub(crate) fn cluster(&self, x: u32, y: u32) -> u16 {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.clusters[(y * self.width + x) as usize]
     }
 
     /// Quantized colour of pixel `(x, y)`.
-    pub fn color(&self, x: u32, y: u32) -> Vec3 {
+    pub(crate) fn color(&self, x: u32, y: u32) -> Vec3 {
         self.centroids[self.cluster(x, y) as usize]
     }
 
     /// Coolness `c_i` of pixel `(x, y)` (its cluster's coolness).
-    pub fn coolness(&self, x: u32, y: u32) -> f32 {
+    pub(crate) fn coolness(&self, x: u32, y: u32) -> f32 {
         self.coolness[self.cluster(x, y) as usize]
     }
 

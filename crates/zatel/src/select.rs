@@ -63,7 +63,7 @@ impl Default for SelectionOptions {
 }
 
 minijson::record! {
-    enum Distribution {
+    pub enum Distribution {
         Uniform => "uniform",
         LinTmp => "lintmp",
         ExpTmp => "exptmp",
@@ -106,7 +106,7 @@ pub struct Selection {
 
 /// Eq. (1) before clamping: the mean coolness of the group's pixels,
 /// `P = (1/M) Σ c_i`.
-pub fn mean_coolness(group: &Group, quantized: &QuantizedHeatmap) -> f64 {
+pub(crate) fn mean_coolness(group: &Group, quantized: &QuantizedHeatmap) -> f64 {
     assert!(!group.pixels.is_empty(), "group must not be empty");
     let sum: f64 = group
         .pixels

@@ -47,7 +47,7 @@ use rtcore::tracer::TraceConfig;
 use crate::heatmap::Heatmap;
 
 /// A 64-bit content/derivation fingerprint (FNV-1a).
-pub type Fingerprint = u64;
+pub(crate) type Fingerprint = u64;
 
 /// A cached pipeline step: a deterministic `Input → Output` function
 /// identified by a name and a parameter fingerprint.
@@ -363,7 +363,7 @@ impl DiskTier {
     }
 
     /// Tier-level counters and current occupancy.
-    pub fn stats(&self) -> DiskTierStats {
+    pub(crate) fn stats(&self) -> DiskTierStats {
         let idx = self.index();
         DiskTierStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -531,19 +531,9 @@ impl TieredCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Number of artifacts currently held in memory.
-    pub fn len(&self) -> usize {
-        self.memory().entries.len()
-    }
-
-    /// `true` when no artifacts are held in memory.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The cache key of `stage` applied to an input with content
     /// fingerprint `input_fp`.
-    pub fn key_of<S: Stage>(stage: &S, input_fp: Fingerprint) -> Fingerprint {
+    pub(crate) fn key_of<S: Stage>(stage: &S, input_fp: Fingerprint) -> Fingerprint {
         let mut h = Fnv64::new();
         h.write_str("zatel-stage-v1");
         h.write_str(S::NAME);
@@ -954,11 +944,11 @@ mod tests {
         for seed in MEMORY_ENTRY_BOUND..MEMORY_ENTRY_BOUND + k {
             assert_eq!(outcome(seed), CacheOutcome::Miss);
         }
-        assert_eq!(cache.len(), MEMORY_ENTRY_BOUND);
+        assert_eq!(cache.memory().entries.len(), MEMORY_ENTRY_BOUND);
         assert_eq!(outcome(0), CacheOutcome::MemoryHit, "touched key survives");
         for seed in 1..=k {
             assert_eq!(outcome(seed), CacheOutcome::Miss, "key {seed} was evicted");
-            assert_eq!(cache.len(), MEMORY_ENTRY_BOUND);
+            assert_eq!(cache.memory().entries.len(), MEMORY_ENTRY_BOUND);
         }
     }
 }

@@ -14,7 +14,7 @@
 //! takes the heatmap from the cache's memory and reuses the quantization.
 //! Each point divides and selects for itself; those are plain calls, cheap
 //! next to the profile. Then all points' group simulations run as one job
-//! list on the base predictor's [`Zatel::executor`], exactly like a single
+//! list on the base predictor's executor, exactly like a single
 //! [`Zatel::execute`].
 //!
 //! Statistics are bit-identical to standalone runs, for every worker count
@@ -89,7 +89,7 @@ fn derive_label(
 
 /// Maps a numeric downscale factor to its mode: 1 (or 0) means "do not
 /// downscale", anything larger is an explicit factor.
-pub fn factor_mode(k: u32) -> DownscaleMode {
+pub(crate) fn factor_mode(k: u32) -> DownscaleMode {
     if k <= 1 {
         DownscaleMode::NoDownscale
     } else {
@@ -108,12 +108,6 @@ impl SweepSpec {
     /// A traced-percentage sweep (the Figs. 13–16 axis).
     pub fn from_percents(percents: &[f64]) -> Self {
         SweepSpec::matrix(&[], percents)
-    }
-
-    /// A downscale-factor sweep (the Figs. 17–19 axis); factor 1 maps to
-    /// [`DownscaleMode::NoDownscale`].
-    pub fn from_factors(factors: &[u32]) -> Self {
-        SweepSpec::matrix(factors, &[])
     }
 
     /// The cross product of downscale factors and traced percentages. An
@@ -348,7 +342,7 @@ mod tests {
         assert_eq!(percents.points[0].downscale, None);
         assert_eq!(percents.points[0].label, "p=10%");
 
-        let factors = SweepSpec::from_factors(&[2]);
+        let factors = SweepSpec::matrix(&[2], &[]);
         assert_eq!(factors.points[0].percent, None);
         assert_eq!(factors.points[0].label, "K=2");
     }
@@ -440,7 +434,7 @@ mod tests {
     #[test]
     fn invalid_point_surfaces_the_error() {
         let scene = SceneId::Sprng.build(1);
-        let spec = SweepSpec::from_factors(&[3]); // 3 divides neither 8 nor 4
+        let spec = SweepSpec::matrix(&[3], &[]); // 3 divides neither 8 nor 4
         let err = SweepDriver::new(base(&scene)).run(&spec).unwrap_err();
         assert!(matches!(err, ZatelError::Downscale(_)));
     }
@@ -450,6 +444,6 @@ mod tests {
         let scene = SceneId::Sprng.build(1);
         let driver = SweepDriver::new(base(&scene));
         assert!(driver.run(&SweepSpec::default()).unwrap().is_empty());
-        assert_eq!(driver.cache().len(), 0, "no artifacts computed");
+        assert_eq!(driver.cache().stats().misses, 0, "no artifacts computed");
     }
 }

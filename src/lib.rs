@@ -43,3 +43,26 @@ pub mod prelude {
         ZatelOptions,
     };
 }
+
+#[cfg(test)]
+mod tests {
+    /// Pins the workspace's `unreachable_pub` lint, which keeps `pub` to what
+    /// another crate names. An `#[expect(unreachable_pub)]` canary cannot pin
+    /// it: the attribute turns the allow-by-default lint on in its own scope,
+    /// so it stays fulfilled with the workspace entry deleted.
+    #[test]
+    fn the_workspace_warns_on_unreachable_pub() {
+        let manifest = include_str!("../Cargo.toml");
+        let rust_lints = manifest
+            .split("[workspace.lints.rust]")
+            .nth(1)
+            .and_then(|rest| rest.split("\n[").next())
+            .expect("the root manifest has a [workspace.lints.rust] table");
+        assert!(
+            rust_lints
+                .lines()
+                .any(|line| line.trim() == r#"unreachable_pub = "warn""#),
+            "[workspace.lints.rust] must set unreachable_pub = \"warn\""
+        );
+    }
+}
