@@ -116,19 +116,20 @@ fn fig10_points(_: &Setup) -> Vec<Predict> {
 fn fig10(rows: &[Row]) -> Value {
     let mut json = Map::new();
     for r in &rows[..2] {
-        println!("\n--- {} (K = {}) ---", r.point.config.name, r.predicted.k);
+        println!("\n--- {} (K = {}) ---", r.point.config.name, r.prediction.k);
         row("metric", ["Zatel", "reference", "abs error"]);
         let mut errs = Map::new();
         let errors = r.errors();
-        for ((metric, v), &err) in Metric::ALL.iter().zip(&r.predicted.values).zip(&errors) {
-            let reference = metric.value(&r.reference.stats);
+        for (&metric, &err) in Metric::ALL.iter().zip(&errors) {
+            let (v, reference) = (r.prediction.value(metric), metric.value(&r.reference.stats));
             row(
                 metric.name(),
                 [format!("{v:.4}"), format!("{reference:.4}"), pct(err)],
             );
             errs.insert(metric.name().into(), json!(err));
         }
-        let (mae, speedup) = (zatel::metrics::mae(&errors), r.speedup_concurrent());
+        let speedup = r.prediction.speedup_concurrent(r.reference);
+        let mae = zatel::metrics::mae(&errors);
         println!(
             "MAE = {}   speedup (1 core/group, as in the paper) = {speedup:.1}x   (paper: 4.5% @ 9.2x Mobile, 15.1% @ 11.6x RTX)",
             pct(mae)
@@ -141,10 +142,8 @@ fn fig10(rows: &[Row]) -> Value {
     println!(
         "\n--- Mobile SoC with traced pixels capped at 10% (paper: 50x speedup, 5.2% MAE) ---"
     );
-    let (mae, speedup) = (
-        zatel::metrics::mae(&rows[2].errors()),
-        rows[2].speedup_concurrent(),
-    );
+    let mae = zatel::metrics::mae(&rows[2].errors());
+    let speedup = rows[2].prediction.speedup_concurrent(rows[2].reference);
     println!(
         "MAE = {}   speedup (1 core/group) = {speedup:.1}x",
         pct(mae)
@@ -171,8 +170,8 @@ fn fig11(rows: &[Row]) -> Value {
     let mut json = Map::new();
     let mut max_diff: (f64, &str) = (0.0, "");
     let mut min_diff: (f64, &str) = (f64::INFINITY, "");
-    for (i, metric) in Metric::ALL.into_iter().enumerate() {
-        let z = r.predicted.values[i] / m.predicted.values[i].max(1e-12);
+    for metric in Metric::ALL {
+        let z = r.prediction.value(metric) / m.prediction.value(metric).max(1e-12);
         let s = metric.value(&r.reference.stats) / metric.value(&m.reference.stats).max(1e-12);
         let diff = (z - s).abs() / s.abs().max(1e-12);
         row(
@@ -236,50 +235,56 @@ fn table3(rows: &[Row]) -> Value {
     let mut json = Map::new();
     for (scene, rows) in by_scene(rows) {
         println!("\n--- {} ---", scene.name());
-        // table[metric][combo] = mean abs error over repetitions, combos
-        // distribution-major.
-        let mut table: Vec<Vec<f64>> = vec![Vec::new(); Metric::ALL.len()];
-        for reps in rows.chunks(REPS as usize) {
-            let mut sums = vec![0.0; Metric::ALL.len()];
-            for r in reps {
-                for (sum, err) in sums.iter_mut().zip(r.errors()) {
-                    *sum += err;
-                }
-            }
-            for (mi, s) in sums.into_iter().enumerate() {
-                table[mi].push(s / REPS as f64);
-            }
-        }
-
-        row("metric", ["best dist", "best section", "best MAE"]);
-        let mut scene_json = Map::new();
-        let mut scene_best_errs = Vec::new();
-        for (metric, combos) in Metric::ALL.iter().zip(&table) {
-            let (ci, err) = combos
-                .iter()
-                .copied()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .unwrap_or((0, f64::NAN));
-            let (dist, block) = (DISTS[ci / BLOCKS.len()].1, BLOCKS[ci % BLOCKS.len()]);
-            // "any" when the spread between best and worst is small.
-            let worst = combos.iter().copied().fold(0.0f64, f64::max);
-            let (dist, block) = if worst - err < 0.02 {
-                ("any", "any".to_owned())
-            } else {
-                (dist, format!("{}x{}", block.0, block.1))
-            };
-            row(metric.name(), [dist.to_owned(), block.clone(), pct(err)]);
-            scene_best_errs.push(err);
-            let entry = json!({ "dist": dist, "block": block, "mae": err });
-            scene_json.insert(metric.name().into(), entry);
-        }
-        let overall = scene_best_errs.iter().sum::<f64>() / scene_best_errs.len() as f64;
-        println!("overall best-combo MAE: {}", pct(overall));
-        scene_json.insert("overall_mae".into(), json!(overall));
-        json.insert(scene.name().into(), Value::Object(scene_json));
+        let errors: Vec<Vec<f64>> = rows.iter().map(Row::errors).collect();
+        json.insert(scene.name().into(), table3_scene(&errors));
     }
     println!("\n(paper MAEs over listed metrics: SHIP 21.0%, WKND 13.9%, BUNNY 8.5% — colder scenes are harder)");
+    Value::Object(json)
+}
+
+/// One scene's Table III from its rows' errors (each in [`Metric::ALL`]
+/// order), combinations distribution-major, `REPS` rows per combination.
+fn table3_scene(errors: &[Vec<f64>]) -> Value {
+    // table[metric][combo] = mean abs error over repetitions.
+    let mut table: Vec<Vec<f64>> = vec![Vec::new(); Metric::ALL.len()];
+    for reps in errors.chunks(REPS as usize) {
+        let mut sums = vec![0.0; Metric::ALL.len()];
+        for errors in reps {
+            for (sum, err) in sums.iter_mut().zip(errors) {
+                *sum += err;
+            }
+        }
+        for (mi, s) in sums.into_iter().enumerate() {
+            table[mi].push(s / REPS as f64);
+        }
+    }
+
+    row("metric", ["best dist", "best section", "best MAE"]);
+    let mut json = Map::new();
+    let mut best_errs = Vec::new();
+    for (metric, combos) in Metric::ALL.iter().zip(&table) {
+        let (ci, err) = combos
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap_or((0, f64::NAN));
+        let (dist, block) = (DISTS[ci / BLOCKS.len()].1, BLOCKS[ci % BLOCKS.len()]);
+        // "any" when the spread between best and worst is small.
+        let worst = combos.iter().copied().fold(0.0f64, f64::max);
+        let (dist, block) = if worst - err < 0.02 {
+            ("any", "any".to_owned())
+        } else {
+            (dist, format!("{}x{}", block.0, block.1))
+        };
+        row(metric.name(), [dist.to_owned(), block.clone(), pct(err)]);
+        best_errs.push(err);
+        let entry = json!({ "dist": dist, "block": block, "mae": err });
+        json.insert(metric.name().into(), entry);
+    }
+    let overall = best_errs.iter().sum::<f64>() / best_errs.len() as f64;
+    println!("overall best-combo MAE: {}", pct(overall));
+    json.insert("overall_mae".into(), json!(overall));
     Value::Object(json)
 }
 
@@ -344,7 +349,7 @@ fn fig14(rows: &[Row]) -> Value {
     for (scene, rows) in by_scene(sweep) {
         let times: Vec<f64> = rows
             .iter()
-            .map(|r| r.predicted.sim_wall.as_secs_f64())
+            .map(|r| r.prediction.sim_wall.as_secs_f64())
             .collect();
         // Least-squares slope of seconds per percentage point.
         let n = times.len() as f64;
@@ -373,7 +378,7 @@ fn fig14(rows: &[Row]) -> Value {
     }
 
     println!("\nphase breakdown (SPRNG, Mobile SoC):");
-    for s in &breakdown[0].predicted.spans {
+    for s in &breakdown[0].prediction.spans {
         let indent = if s.track == 0 { "  " } else { "    " };
         let ms = s.dur_us as f64 / 1000.0;
         println!("{indent}{:<24} {ms:>10.2} ms", s.name);
@@ -391,7 +396,7 @@ fn fig15(rows: &[Row]) -> Value {
     for (scene, rows) in by_scene(rows) {
         let speedups: Vec<f64> = rows
             .iter()
-            .map(|r| r.reference.wall.as_secs_f64() / r.predicted.sim_wall.as_secs_f64().max(1e-9))
+            .map(|r| r.prediction.speedup_vs(r.reference))
             .collect();
         for (p, s) in percents().iter().zip(&speedups) {
             if *s > 0.0 {
@@ -571,7 +576,10 @@ fn fig19(rows: &[Row]) -> Value {
     row("scene", FIG19_FACTORS.map(|k| format!("K={k}")));
     let mut json = Map::new();
     for (scene, rows) in by_scene(rows) {
-        let speedups: Vec<f64> = rows.iter().map(Row::speedup_concurrent).collect();
+        let speedups: Vec<f64> = rows
+            .iter()
+            .map(|r| r.prediction.speedup_concurrent(r.reference))
+            .collect();
         row(scene.name(), speedups.iter().map(|s| format!("{s:.2}x")));
         json.insert(scene.name().into(), json!(speedups));
     }
@@ -636,53 +644,25 @@ fn fig20(rows: &[Row]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Predicted;
-    use gpusim::SimStats;
-    use std::time::Duration;
-    use zatel::Reference;
 
-    /// Table III over synthetic rows with known errors: combination `c`,
-    /// repetition `r` and metric `m` miss by `0.05 (1 + (7c + 3m) mod 12) +
-    /// 0.01 r + 0.001 m`. The best combination of metric `m` is `3m mod 12`,
-    /// and its mean over the five repetitions is `0.07 + 0.001 m`.
+    /// Table III over synthetic errors: combination `c`, repetition `r` and
+    /// metric `m` miss by `0.05 (1 + (7c + 3m) mod 12) + 0.01 r + 0.001 m`.
+    /// The best combination of metric `m` is `3m mod 12`, and its mean over
+    /// the five repetitions is `0.07 + 0.001 m`.
     #[test]
     fn table3_reports_the_best_mean_error_of_each_metric() {
-        // A reference on which every metric is positive.
-        let mut s = SimStats::default();
-        (s.cycles, s.instructions, s.dram_channels) = (1000, 4000, 1);
-        (s.l1_accesses, s.l1_misses, s.l2_accesses, s.l2_misses) = (4, 1, 2, 1);
-        (s.rt_warp_phases, s.rt_active_rays) = (1, 16);
-        (s.dram_busy_cycles, s.dram_active_cycles) = (500, 1000);
-        let reference = Reference {
-            stats: s,
-            wall: Duration::ZERO,
-        };
-        let point = Predict::new(SceneId::Ship, mobile());
         let combos = DISTS.len() * BLOCKS.len();
-        let predicted: Vec<Predicted> = (0..combos * REPS as usize)
+        let errors: Vec<Vec<f64>> = (0..combos * REPS as usize)
             .map(|i| {
                 let (c, r) = (i / REPS as usize, i % REPS as usize);
-                let values = Metric::ALL.iter().enumerate().map(|(m, metric)| {
+                let errors = (0..Metric::ALL.len()).map(|m| {
                     let err = 0.05 * (1 + (7 * c + 3 * m) % 12) as f64;
-                    assert!(metric.value(&s) > 0.0, "{metric}");
-                    metric.value(&s) * (1.0 + err + 0.01 * r as f64 + 0.001 * m as f64)
+                    err + 0.01 * r as f64 + 0.001 * m as f64
                 });
-                Predicted {
-                    values: values.collect(),
-                    k: 1,
-                    sim_wall: Duration::ZERO,
-                    slowest_group: Duration::ZERO,
-                    spans: Vec::new(),
-                }
+                errors.collect()
             })
             .collect();
-        let row = |predicted| Row {
-            point: &point,
-            predicted,
-            reference: &reference,
-        };
-        let doc = table3(&predicted.iter().map(row).collect::<Vec<_>>());
-        let ship = doc.get("SHIP").expect("one scene");
+        let ship = table3_scene(&errors);
         let mut best = Vec::new();
         for (m, metric) in Metric::ALL.iter().enumerate() {
             let entry = ship.get(metric.name()).expect("a row per metric");

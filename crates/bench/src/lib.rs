@@ -5,11 +5,10 @@
 //! predictions it reads, each with its full-GPU reference, and a renderer
 //! that prints its table and returns its JSON document. A [`Plan`] keeps
 //! one of each distinct prediction and reference of its figures, so a
-//! sweep that four figures read is simulated once. [`Plan::run`] profiles
-//! each scene's heatmap once into one [`ArtifactCache`], simulates every
-//! distinct reference and prediction as one job of one
-//! [`SimExecutor::map_timed`] list (a prediction runs its groups on one
-//! worker, inside its job), then renders the figures in order into one
+//! sweep that four figures read is simulated once. [`Plan::run`] hands
+//! them all to one [`zatel::run_jobs`] list through one [`ArtifactCache`]
+//! (each scene's heatmap is profiled once, each distinct quantization and
+//! division made once), then renders the figures in order into one
 //! document keyed by figure name. The `figures` bench writes it to
 //! `target/zatel-results/figures.json`, relative to the crate:
 //!
@@ -37,17 +36,12 @@
 mod figures;
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
-use gpusim::{GpuConfig, Metric};
+use gpusim::GpuConfig;
 use minijson::{Map, Value};
-use obs::SpanRecord;
-use rtcore::scene::Scene;
 use rtcore::scenes::SceneId;
 use rtcore::tracer::TraceConfig;
-use zatel::metrics::abs_error;
 use zatel::sim_executor::available_jobs;
-use zatel::stages::HeatmapStage;
 use zatel::{
     ArtifactCache, Prediction, Reference, RunContext, SimExecutor, Zatel, ZatelError, ZatelOptions,
 };
@@ -121,8 +115,8 @@ impl Setup {
 }
 
 /// A prediction a figure reads: the pipeline on one scene and GPU with the
-/// given options. Equal predictions are simulated once. The runner sets
-/// [`ZatelOptions::jobs`] to 1.
+/// given options. Equal predictions are simulated once. The plan's job list
+/// runs on [`Setup::jobs`] workers, whatever [`ZatelOptions::jobs`] says.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Predict {
     /// The scene.
@@ -153,59 +147,23 @@ impl Predict {
     }
 }
 
-/// What the figures read of one [`Prediction`].
-#[derive(Debug, Clone)]
-pub(crate) struct Predicted {
-    /// Predicted metric values, in [`Metric::ALL`] order.
-    pub(crate) values: Vec<f64>,
-    /// The downscale factor.
-    pub(crate) k: u32,
-    /// Wall-clock of the group simulations, summed.
-    pub(crate) sim_wall: Duration,
-    /// Wall-clock of the slowest group simulation.
-    pub(crate) slowest_group: Duration,
-    /// The pipeline phase spans.
-    pub(crate) spans: Vec<SpanRecord>,
-}
-
-impl From<Prediction> for Predicted {
-    fn from(p: Prediction) -> Self {
-        Predicted {
-            values: Metric::ALL.iter().map(|&m| p.value(m)).collect(),
-            k: p.k,
-            sim_wall: p.sim_wall,
-            slowest_group: p.groups.iter().map(|g| g.wall).max().unwrap_or_default(),
-            spans: p.spans,
-        }
-    }
-}
-
 /// One point of a figure, simulated.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Row<'a> {
     /// The prediction asked for.
     pub(crate) point: &'a Predict,
     /// What it predicted.
-    pub(crate) predicted: &'a Predicted,
+    pub(crate) prediction: &'a Prediction,
     /// The reference simulation of its scene on its GPU.
     pub(crate) reference: &'a Reference,
 }
 
 impl Row<'_> {
     /// Relative absolute error of every metric against the reference, in
-    /// [`Metric::ALL`] order ([`Prediction::errors_vs`]).
+    /// [`gpusim::Metric::ALL`] order.
     pub(crate) fn errors(&self) -> Vec<f64> {
-        let values = Metric::ALL.iter().zip(&self.predicted.values);
-        values
-            .map(|(m, &v)| abs_error(v, m.value(&self.reference.stats)))
-            .collect()
-    }
-
-    /// Speedup with one host core per group
-    /// ([`Prediction::speedup_concurrent`]).
-    pub(crate) fn speedup_concurrent(&self) -> f64 {
-        let slowest = self.predicted.slowest_group.as_secs_f64().max(1e-9);
-        self.reference.wall.as_secs_f64() / slowest
+        let errors = self.prediction.errors_vs(&self.reference.stats);
+        errors.into_iter().map(|(_, e)| e).collect()
     }
 }
 
@@ -304,7 +262,7 @@ impl<'f> Plan<'f> {
                 .iter()
                 .map(|&(p, r)| Row {
                     point: &self.predictions[p],
-                    predicted: &predictions[p],
+                    prediction: &predictions[p],
                     reference: &references[r],
                 })
                 .collect();
@@ -313,10 +271,10 @@ impl<'f> Plan<'f> {
         Ok(Value::Object(doc))
     }
 
-    /// Simulates every reference and prediction once, as one job list on
-    /// [`Setup::jobs`] workers, references first: they are the longest
-    /// jobs. Also returns how many heatmaps were profiled.
-    fn simulate(&self) -> Result<(Vec<Reference>, Vec<Predicted>, u64), ZatelError> {
+    /// Simulates every reference and prediction once, as one
+    /// [`zatel::run_jobs`] list on [`Setup::jobs`] workers. Also returns
+    /// how many heatmaps were profiled.
+    fn simulate(&self) -> Result<(Vec<Reference>, Vec<Prediction>, u64), ZatelError> {
         let (res, trace) = (self.setup.res, self.setup.trace());
         let mut scenes = BTreeMap::new();
         for &(id, _) in &self.references {
@@ -324,50 +282,30 @@ impl<'f> Plan<'f> {
                 .entry(id)
                 .or_insert_with(|| id.build(self.setup.seed));
         }
-        let exec = SimExecutor::new(self.setup.jobs);
-
-        // Profile each scene's heatmap before the job list: jobs that
-        // missed the same heatmap at once would each profile it.
-        let cache = ArtifactCache::in_memory();
-        let stage = HeatmapStage {
-            width: res,
-            height: res,
-            trace,
+        let zatel = |id: &SceneId, config: &GpuConfig| {
+            Zatel::new(&scenes[id], config.clone(), res, res, trace)
         };
-        let profiled: Vec<&Scene> = scenes.values().collect();
-        exec.map_timed(&profiled, |_, s| {
-            cache.get_or_run(&stage, s, s.fingerprint())
-        });
-
-        enum Outcome {
-            Reference(Reference),
-            Predicted(Predicted),
-        }
-        // Job i is reference i, then prediction i - references.len().
-        let jobs: Vec<usize> = (0..self.references.len() + self.predictions.len()).collect();
-        let (done, _) = exec.map_timed(&jobs, |i, _| match self.references.get(i) {
-            Some((id, config)) => Ok(Outcome::Reference(
-                Zatel::new(&scenes[id], config.clone(), res, res, trace).run_reference(),
-            )),
-            None => {
-                let p = &self.predictions[i - self.references.len()];
-                let mut zatel = Zatel::new(&scenes[&p.scene], p.config.clone(), res, res, trace)
-                    .with_options(p.options.clone());
-                zatel.options_mut().jobs = Some(1);
+        let references: Vec<Zatel> = self.references.iter().map(|(id, c)| zatel(id, c)).collect();
+        let references: Vec<&Zatel> = references.iter().collect();
+        let predictors: Vec<Zatel> = self
+            .predictions
+            .iter()
+            .map(|p| zatel(&p.scene, &p.config).with_options(p.options.clone()))
+            .collect();
+        let cache = ArtifactCache::in_memory();
+        let jobs: Vec<_> = predictors
+            .iter()
+            .zip(&self.predictions)
+            .map(|(zatel, p)| {
                 let mut ctx = RunContext::new().with_cache(&cache);
                 if let Some(fractions) = p.regression {
                     ctx = ctx.with_regression(fractions);
                 }
-                zatel.execute(&ctx).map(|p| Outcome::Predicted(p.into()))
-            }
-        });
-        let (mut references, mut predictions) = (Vec::new(), Vec::new());
-        for outcome in done {
-            match outcome? {
-                Outcome::Reference(r) => references.push(r),
-                Outcome::Predicted(p) => predictions.push(p),
-            }
-        }
+                (zatel, ctx)
+            })
+            .collect();
+        let (predictions, references) =
+            zatel::run_jobs(&jobs, &references, SimExecutor::new(self.setup.jobs))?;
         Ok((references, predictions, cache.stats().misses))
     }
 }

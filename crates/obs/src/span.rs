@@ -133,11 +133,6 @@ pub struct SpanGuard<'a> {
     start: Duration,
 }
 
-impl SpanGuard<'_> {
-    /// Closes the span now (equivalent to dropping the guard).
-    pub fn finish(self) {}
-}
-
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let dur = self.sheet.elapsed().saturating_sub(self.start);

@@ -72,7 +72,7 @@ pub mod sweep;
 pub use error::ZatelError;
 pub use partition::{DivisionMethod, Group};
 pub use pipeline::{
-    DownscaleMode, GroupOutcome, Prediction, Reference, RunContext, Zatel, ZatelOptions,
+    run_jobs, DownscaleMode, GroupOutcome, Prediction, Reference, RunContext, Zatel, ZatelOptions,
 };
 pub use select::{Distribution, Selection, SelectionOptions};
 pub use sim_executor::{JobTiming, SimExecutor};

@@ -1,10 +1,9 @@
-//! Shared parallel-execution layer for simulation jobs.
+//! The host-thread pool simulation jobs run on.
 //!
-//! Every place the workspace fans simulation work out across host threads
-//! goes through [`SimExecutor::map_timed`] instead of ad-hoc
-//! `std::thread` plumbing: a predict's, a regression's and a whole sweep's
-//! group simulations are one job list handed to one call (see
-//! [`crate::pipeline`]). The executor is:
+//! [`crate::run_jobs`] is the one caller of [`SimExecutor::map_timed`]:
+//! every simulation the workspace runs, a prediction's groups and a
+//! full-frame reference alike, is a job of one list handed to one call.
+//! The executor is:
 //!
 //! * **deterministic** — results come back in input order and each job is
 //!   a pure function of `(index, item)`, so the output is bit-identical

@@ -278,7 +278,7 @@ fn prediction_records_roundtrip() {
     let run = RunRecord {
         request,
         response,
-        heatmap: prediction.heatmap.clone(),
+        heatmap: prediction.heatmap.as_ref().clone(),
     };
     assert_eq!(run, roundtrip(&run));
 }

@@ -786,19 +786,19 @@ fn assert_engine_sees_the_spec_run(id: SceneId) -> SimStats {
     stats
 }
 
+include!("golden/engine_rows.rs");
+
 #[test]
 fn engine_sees_the_spec_run_on_park_and_bath() {
-    // The golden rows of `tests/engine_refactor.rs`, copied, not edited.
-    const PARK: [u64; 8] = [77355, 508818, 10966, 124463, 36491, 10705, 11685, 156474];
-    const BATH: [u64; 8] = [25414, 544003, 7908, 84694, 4333, 1614, 2600, 158333];
-    for (id, golden) in [(SceneId::Park, PARK), (SceneId::Bath, BATH)] {
+    let rows = GOLDEN.into_iter();
+    for (id, golden) in rows.filter(|(id, _)| matches!(id, SceneId::Park | SceneId::Bath)) {
         let s = assert_engine_sees_the_spec_run(id);
         let front = [s.cycles, s.instructions, s.warp_issues, s.l1_accesses];
         let misses = [s.l1_misses, s.l2_misses, s.dram_transactions];
         let got = [&front[..], &misses, &[s.rt_active_rays]].concat();
         assert_eq!(
             got, golden,
-            "{id}: the golden row of tests/engine_refactor.rs"
+            "{id}: the golden row of tests/golden/engine_rows.rs"
         );
     }
 }
