@@ -300,7 +300,8 @@ pub struct PredictResponse {
     pub speedup_concurrent: Option<f64>,
     /// Wall-clock of the group-simulation phase, in milliseconds.
     pub sim_wall_ms: f64,
-    /// Wall-clock of heatmap profiling + quantization, in milliseconds.
+    /// Wall-clock of the preprocessing this prediction did, in milliseconds
+    /// ([`zatel::Prediction::preprocess_wall`]).
     pub preprocess_wall_ms: f64,
     /// Host wall-clock pipeline spans.
     pub spans: Vec<SpanRecord>,

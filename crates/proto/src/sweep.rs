@@ -115,7 +115,8 @@ pub struct PointRecord {
     pub speedup_concurrent: Option<f64>,
     /// Wall-clock of the group-simulation phase, in milliseconds.
     pub sim_wall_ms: f64,
-    /// Wall-clock of heatmap profiling + quantization, in milliseconds.
+    /// Wall-clock of the preprocessing this prediction did, in milliseconds
+    /// ([`zatel::Prediction::preprocess_wall`]).
     pub preprocess_wall_ms: f64,
     /// Per-stage artifact-cache outcomes, in pipeline order.
     pub cache: Vec<StageCacheRecord>,
@@ -321,8 +322,8 @@ mod tests {
         };
         let base = zatel::Zatel::new(&scene, gpusim::GpuConfig::mobile_soc(), 32, 32, trace);
         let spec = SweepSpec::from_percents(&[0.3]);
-        let outcomes = zatel::SweepDriver::new(base)
-            .run(&spec)
+        let (outcomes, _) = zatel::SweepDriver::new(base)
+            .run(&spec, false)
             .expect("sweep runs");
         let mut request = crate::PredictRequest::new(scene.name(), ConfigRef::preset("mobile"));
         request.res = 32;

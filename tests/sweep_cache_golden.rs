@@ -42,8 +42,9 @@ fn warm_memory_cache_matches_cold_per_point_runs() {
     // private cache (every stage computed from scratch).
     let driver = SweepDriver::new(base_zatel(&scene));
     let cold: Vec<_> = driver
-        .run(&spec())
+        .run(&spec(), false)
         .expect("cold sweep runs")
+        .0
         .iter()
         .map(|o| signature(&o.prediction))
         .collect();
@@ -52,8 +53,8 @@ fn warm_memory_cache_matches_cold_per_point_runs() {
     // first pass.
     let cache = Arc::new(ArtifactCache::in_memory());
     let warm_driver = SweepDriver::new(base_zatel(&scene)).with_cache(Arc::clone(&cache));
-    warm_driver.run(&spec()).expect("priming sweep runs");
-    let outcomes = warm_driver.run(&spec()).expect("warm sweep runs");
+    warm_driver.run(&spec(), false).expect("priming sweep runs");
+    let (outcomes, _) = warm_driver.run(&spec(), false).expect("warm sweep runs");
 
     for (outcome, cold_sig) in outcomes.iter().zip(&cold) {
         assert_eq!(
@@ -84,8 +85,9 @@ fn disk_cache_round_trips_identically_across_processes() {
     let first =
         SweepDriver::new(base_zatel(&scene)).with_cache(Arc::new(ArtifactCache::with_disk(&dir)));
     let cold: Vec<_> = first
-        .run(&spec())
+        .run(&spec(), false)
         .expect("cold sweep runs")
+        .0
         .iter()
         .map(|o| signature(&o.prediction))
         .collect();
@@ -95,7 +97,7 @@ fn disk_cache_round_trips_identically_across_processes() {
     // nothing in memory, everything deserialized from disk.
     let second =
         SweepDriver::new(base_zatel(&scene)).with_cache(Arc::new(ArtifactCache::with_disk(&dir)));
-    let outcomes = second.run(&spec()).expect("warm sweep runs");
+    let (outcomes, _) = second.run(&spec(), false).expect("warm sweep runs");
     assert!(
         second.cache().stats().disk_hits > 0,
         "second run loads artifacts from disk: {:?}",
