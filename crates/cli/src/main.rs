@@ -557,9 +557,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             }
             None => std::sync::Arc::new(zatel::ArtifactCache::in_memory()),
         };
-        zatel_serve::execute_sweep(&request, &cache)
-            .map_err(|e| e.to_string())?
-            .response
+        zatel_serve::execute_sweep(&request, &cache).map_err(|e| e.to_string())?
     };
 
     let stats = &response.cache_stats;

@@ -1,5 +1,6 @@
-//! A deliberately small HTTP/1.1 subset: enough to parse one request and
-//! write one `Connection: close` response over a [`TcpStream`].
+//! A deliberately small HTTP/1.1 subset: enough to parse one request from
+//! any byte source and write one `Connection: close` response over a
+//! [`TcpStream`].
 //!
 //! The server speaks exactly this subset — no keep-alive, no chunked
 //! transfer, no multipart — which keeps the attack/bug surface of the
@@ -67,8 +68,8 @@ impl Request {
     /// # Errors
     ///
     /// Returns [`HttpError`] on malformed syntax, size-cap violations or
-    /// socket failures.
-    pub(crate) fn read_from(stream: &mut TcpStream) -> Result<Request, HttpError> {
+    /// read failures.
+    pub(crate) fn read_from(stream: &mut impl Read) -> Result<Request, HttpError> {
         let (head, mut body) = read_head(stream)?;
         let text = std::str::from_utf8(&head)
             .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
@@ -140,16 +141,15 @@ impl Request {
 }
 
 /// The declared body length, 0 when absent. A value is ASCII digits only
-/// (RFC 9110 §8.6), and repeated headers must agree (RFC 9112 §6.3).
+/// (RFC 9110 §8.6), and repeated headers must agree (RFC 9112 §6.3). A
+/// length too large for `usize` is [`HttpError::TooLarge`].
 fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
     let mut length = None;
     for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
-        let digits = v.bytes().all(|b| b.is_ascii_digit());
-        let n = v
-            .parse::<usize>()
-            .ok()
-            .filter(|_| digits)
-            .ok_or_else(|| HttpError::Malformed(format!("bad Content-Length '{v}'")))?;
+        if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(HttpError::Malformed(format!("bad Content-Length '{v}'")));
+        }
+        let n = v.parse::<usize>().map_err(|_| HttpError::TooLarge)?;
         if length.is_some_and(|first| first != n) {
             return Err(HttpError::Malformed(
                 "conflicting Content-Length headers".into(),
@@ -161,16 +161,23 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
 }
 
 /// Reads up to and including the `\r\n\r\n` head terminator, returning
-/// `(head bytes, body bytes already read past the terminator)`.
-fn read_head(stream: &mut TcpStream) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
+/// `(head bytes, body bytes already read past the terminator)`. A head of
+/// more than [`MAX_HEAD_BYTES`] is [`HttpError::TooLarge`], wherever the
+/// reads happen to split it.
+fn read_head(stream: &mut impl Read) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
     let mut buf = Vec::with_capacity(1024);
     loop {
         if let Some(end) = find_terminator(&buf) {
+            if end > MAX_HEAD_BYTES {
+                return Err(HttpError::TooLarge);
+            }
             let body = buf.split_off(end + 4);
             buf.truncate(end);
             return Ok((buf, body));
         }
-        if buf.len() > MAX_HEAD_BYTES {
+        // Without a terminator in `MAX_HEAD_BYTES + 4` bytes, the head is
+        // longer than the cap.
+        if buf.len() >= MAX_HEAD_BYTES + 4 {
             return Err(HttpError::TooLarge);
         }
         let mut chunk = [0u8; 1024];
@@ -193,13 +200,10 @@ pub(crate) fn reason(status: u16) -> &'static str {
         200 => "OK",
         202 => "Accepted",
         400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
-        503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Unknown",
     }
@@ -238,20 +242,10 @@ pub(crate) fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use proptest::prelude::*;
 
     fn round_trip(raw: &[u8]) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut out = TcpStream::connect(addr).expect("connect");
-            out.write_all(&raw).expect("write");
-        });
-        let (mut conn, _) = listener.accept().expect("accept");
-        let parsed = Request::read_from(&mut conn);
-        writer.join().expect("writer thread");
-        parsed
+        Request::read_from(&mut &raw[..])
     }
 
     #[test]
@@ -324,8 +318,185 @@ mod tests {
 
     #[test]
     fn reason_phrases_cover_service_statuses() {
-        for status in [200, 202, 400, 404, 405, 413, 422, 429, 500, 503, 504] {
+        for status in [200, 202, 400, 413, 422, 429, 500, 504] {
             assert_ne!(reason(status), "Unknown", "status {status}");
+        }
+    }
+
+    /// A string of 1 to `max` characters drawn from `alphabet`.
+    fn word(alphabet: &'static str, max: usize) -> impl Strategy<Value = String> {
+        let chars: Vec<char> = alphabet.chars().collect();
+        prop::collection::vec(0..chars.len(), 1..max + 1)
+            .prop_map(move |ix| ix.into_iter().map(|i| chars[i]).collect())
+    }
+
+    const TOKEN: &str = "ABCXYZabcxyz0189-_";
+
+    /// Header lines the parser keeps as they are: no body framing, names
+    /// in mixed case, values trimmed, neither with a line break.
+    fn plain_headers() -> impl Strategy<Value = Vec<(String, String)>> {
+        let value = word("abz09 :;/=\"{}-", 24).prop_map(|v| v.trim().to_owned());
+        let header =
+            (word(TOKEN, 12), value).prop_map(|(name, value)| (format!("x-{name}"), value));
+        prop::collection::vec(header, 0..6)
+    }
+
+    /// A request head: request line and header lines, without the blank
+    /// line that ends it.
+    fn head(request_line: &str, headers: &[(String, String)]) -> String {
+        let lines = headers.iter().map(|(n, v)| format!("\r\n{n}: {v}"));
+        lines.fold(request_line.to_owned(), |head, line| head + &line)
+    }
+
+    /// Fragments that splice into heads the parser must classify.
+    const FRAGMENTS: [&[u8]; 18] = [
+        b"GET",
+        b"POST",
+        b" ",
+        b"/v1/predict",
+        b"HTTP/1.1",
+        b"HTTP/2",
+        b"\r\n",
+        b"\r\n\r\n",
+        b":",
+        b"Content-Length: ",
+        b"transfer-encoding: chunked",
+        b"0",
+        b"17",
+        b"99999999999999999999999",
+        b"+",
+        b"{\"a\":1}",
+        b"\xff\xfe",
+        b"\r",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Spliced fragments and raw bytes never panic the parser, and a
+        /// byte source that cannot fail never yields a read error.
+        #[test]
+        fn no_input_panics(
+            parts in prop::collection::vec(0..FRAGMENTS.len(), 0..40),
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut raw: Vec<u8> = parts.iter().flat_map(|&i| FRAGMENTS[i]).copied().collect();
+            raw.extend(tail);
+            let parsed = round_trip(&raw);
+            prop_assert!(!matches!(parsed, Err(HttpError::Io(_))), "{parsed:?}");
+        }
+
+        /// The head cap is exact: a head of up to `MAX_HEAD_BYTES` parses,
+        /// one byte more is 413, however the reads split it.
+        #[test]
+        fn the_head_cap_is_exact(
+            len in prop_oneof![
+                (MAX_HEAD_BYTES - 2048)..(MAX_HEAD_BYTES + 2048),
+                (MAX_HEAD_BYTES + 1)..(4 * MAX_HEAD_BYTES),
+            ],
+            terminated in any::<bool>(),
+        ) {
+            let line = "GET / HTTP/1.1\r\nx-pad: ";
+            let mut raw = format!("{line}{}", "a".repeat(len - line.len()));
+            if terminated {
+                raw.push_str("\r\n\r\n");
+            }
+            let parsed = round_trip(raw.as_bytes());
+            match parsed {
+                Err(HttpError::TooLarge) => prop_assert!(len > MAX_HEAD_BYTES, "len {len}"),
+                Ok(_) => prop_assert!(terminated && len <= MAX_HEAD_BYTES, "len {len}"),
+                Err(HttpError::Malformed(_)) => {
+                    prop_assert!(!terminated && len <= MAX_HEAD_BYTES, "len {len}")
+                }
+                Err(HttpError::Io(e)) => prop_assert!(false, "read error {e}"),
+            }
+        }
+
+        /// A declared body over `MAX_BODY_BYTES`, even one too long for
+        /// `usize`, is 413 before any of it is read.
+        #[test]
+        fn an_oversized_content_length_is_too_large(
+            excess in 1u64..u64::MAX / 2,
+            extra_digits in word("0123456789", 12),
+            overflow in any::<bool>(),
+        ) {
+            let length = MAX_BODY_BYTES as u64 + excess;
+            let length = match overflow {
+                true => format!("{length}{extra_digits}"),
+                false => length.to_string(),
+            };
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+            let parsed = round_trip(raw.as_bytes());
+            prop_assert!(matches!(parsed, Err(HttpError::TooLarge)), "{parsed:?}");
+        }
+
+        /// Chunked framing, a non-digit or conflicting `Content-Length`, a
+        /// request line without a version and a truncated body are all
+        /// malformed (400).
+        #[test]
+        fn framing_violations_are_malformed(
+            headers in plain_headers(),
+            case in 0usize..5,
+            n in 1usize..400,
+            m in 0usize..400,
+            junk in word("+-xa.,_", 3),
+            at in 0usize..4,
+        ) {
+            let header = |name: &str, value: usize| (name.to_owned(), value.to_string());
+            let post = "POST /v1/predict HTTP/1.1";
+            let (line, framing, body) = match case {
+                0 => (post, vec![("Transfer-Encoding".into(), "chunked".into())], 0),
+                1 => {
+                    let digits = n.to_string();
+                    let cut = at.min(digits.len());
+                    let value = format!("{}{junk}{}", &digits[..cut], &digits[cut..]);
+                    (post, vec![("Content-Length".into(), value)], 0)
+                }
+                2 => {
+                    let other = if m == n { n + 1 } else { m };
+                    let lengths = [("content-length", n), ("Content-Length", other)];
+                    (post, lengths.map(|(name, l)| header(name, l)).to_vec(), n)
+                }
+                3 => ("GET /healthz", Vec::new(), 0),
+                _ => (post, vec![header("Content-Length", n)], m % n),
+            };
+            let all: Vec<_> = headers.into_iter().chain(framing).collect();
+            let raw = format!("{}\r\n\r\n{}", head(line, &all), "a".repeat(body));
+            let parsed = round_trip(raw.as_bytes());
+            let malformed = matches!(parsed, Err(HttpError::Malformed(_)));
+            prop_assert!(malformed, "case {case}: {parsed:?}");
+        }
+
+        /// A well-formed request round-trips its method, path, headers
+        /// (names lowercased) and body.
+        #[test]
+        fn a_well_formed_request_round_trips(
+            method in word("ABCDEGHLOPSTU", 7),
+            path in word("abz09/_.?=&-", 30),
+            headers in plain_headers(),
+            body in prop::collection::vec(any::<u8>(), 0..600),
+            declare_empty in any::<bool>(),
+        ) {
+            let path = format!("/{path}");
+            let mut expected: Vec<(String, String)> = headers
+                .iter()
+                .map(|(n, v)| (n.to_ascii_lowercase(), v.clone()))
+                .collect();
+            let mut sent = headers;
+            if !body.is_empty() || declare_empty {
+                sent.push(("Content-Length".into(), body.len().to_string()));
+                expected.push(("content-length".into(), body.len().to_string()));
+            }
+            let line = format!("{method} {path} HTTP/1.1");
+            let mut raw = format!("{}\r\n\r\n", head(&line, &sent)).into_bytes();
+            raw.extend_from_slice(&body);
+            let parsed = round_trip(&raw);
+            prop_assert!(parsed.is_ok(), "{parsed:?}");
+            let parsed = parsed.unwrap();
+            prop_assert_eq!(&parsed.method, &method);
+            prop_assert_eq!(&parsed.path, &path);
+            prop_assert_eq!(&parsed.headers, &expected);
+            prop_assert_eq!(&parsed.body, &body);
         }
     }
 }

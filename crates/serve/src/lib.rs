@@ -9,17 +9,15 @@
 //! ## Request lifecycle
 //!
 //! ```text
-//! accept → admission gauge (429 + computed Retry-After when full)
+//! accept → admission slot (429 + computed Retry-After when full)
 //!        → router: parse → admin answered inline
-//!        → predict/sweep → one job channel
-//!        → worker pool: deadline check (504) → execute → respond
+//!        → predict/sweep → job channel → worker: deadline (504) → execute
 //! ```
 //!
-//! Every worker executes through the same cache: one memory tier over
-//! an optional disk tier, so a warm artifact serves whichever worker
-//! picks the next request, and the disk tier survives restarts. A
-//! request whose execution panics answers `500 internal`; its worker
-//! keeps serving.
+//! A connection travels as one exchange with one exit path that writes,
+//! counts and logs its response; its admission slot is given back when
+//! dropped. Workers share one cache (memory over an optional disk tier
+//! that survives restarts); a panicking execution answers `500 internal`.
 //!
 //! Endpoints (all speaking [`zatel_proto`]'s `zatel-api-v1` documents):
 //!
@@ -66,5 +64,4 @@ pub use client::HttpClient;
 pub use server::{ServeConfig, ServeReport, Server};
 pub use service::{
     execute_predict, execute_predict_traced, execute_sweep, PredictOutput, ServiceError,
-    SweepOutput,
 };

@@ -7,12 +7,16 @@
 //! ## Topology
 //!
 //! ```text
-//! accept → admission gauge (429 + computed Retry-After when full)
+//! accept → admission slot (429 + computed Retry-After when full)
 //!        → router threads: parse → admin routes answered inline
 //!        → predict/sweep: one job channel
 //!        → worker pool: deadline check (504) → execute through the
 //!          shared cache (a panic answers 500) → respond
 //! ```
+//!
+//! Each connection travels as one `Exchange`; every response leaves
+//! through `Exchange::answer`, and its admission slot leaves the
+//! `queue_depth` gauge when dropped.
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
@@ -204,60 +208,6 @@ impl ServerState {
         }
         (c2, c4, c5)
     }
-
-    /// Records a completed request: the `zatel-log-v1` request line
-    /// (leveled by status class) and its `/v1/debug/slow` ring entry.
-    fn finish_request(
-        &self,
-        request_id: String,
-        route: String,
-        status: u16,
-        queue_wait_ms: u64,
-        wall_ms: f64,
-        artifacts: RouteArtifacts,
-    ) {
-        let level = match status {
-            500.. => LogLevel::Error,
-            400.. => LogLevel::Warn,
-            _ => LogLevel::Info,
-        };
-        let mut fields = Map::new();
-        fields.insert("request_id".into(), Value::from(request_id.as_str()));
-        fields.insert("route".into(), Value::from(route.as_str()));
-        fields.insert("status".into(), Value::from(u64::from(status)));
-        fields.insert("queue_wait_ms".into(), Value::from(queue_wait_ms));
-        fields.insert("wall_ms".into(), Value::from(wall_ms));
-        if let Some(slack) = artifacts.deadline_slack_ms {
-            fields.insert("deadline_slack_ms".into(), Value::from(slack));
-        }
-        if !artifacts.cache.is_empty() {
-            let hits = StageCacheRecord::hits(&artifacts.cache);
-            fields.insert("cache_hits".into(), Value::from(hits));
-            fields.insert(
-                "cache_stages".into(),
-                Value::from(artifacts.cache.len() as u64),
-            );
-        }
-        let line = obs::log::event_line(level, "request", fields);
-        self.logger.log_line(&line);
-
-        let entry = SlowRequestEntry {
-            request_id,
-            route,
-            status,
-            queue_wait_ms,
-            wall_ms,
-            deadline_slack_ms: artifacts.deadline_slack_ms,
-            spans: artifacts.spans,
-            cache: artifacts.cache,
-            log: line,
-        };
-        let mut slow = self.slow.lock().unwrap_or_else(PoisonError::into_inner);
-        if slow.len() == SLOW_RING_CAPACITY {
-            slow.pop_front();
-        }
-        slow.push_back(entry);
-    }
 }
 
 /// Observational artifacts a route hands back for the request's log line
@@ -272,11 +222,115 @@ struct RouteArtifacts {
     deadline_slack_ms: Option<i64>,
 }
 
-/// One admitted connection: the socket plus its admission instant (the
-/// deadline clock starts at admission, not at parse).
-struct Admitted {
+/// A place in the admission queue, taken at accept (raising the
+/// `queue_depth` gauge) and given back exactly once, when dropped.
+struct AdmissionSlot(Arc<ServerState>);
+
+impl AdmissionSlot {
+    /// Takes a slot; returns it with the depth it raised the gauge to.
+    fn take(state: &Arc<ServerState>) -> (AdmissionSlot, usize) {
+        let depth = state.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
+        (AdmissionSlot(Arc::clone(state)), depth)
+    }
+}
+
+impl Drop for AdmissionSlot {
+    fn drop(&mut self) {
+        self.0.queue_depth.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One admitted connection from accept to its one answer.
+struct Exchange {
     stream: TcpStream,
+    /// Admission instant — the deadline clock starts here, not at parse.
     admitted: Instant,
+    /// When the thread now holding the exchange picked it up: the request
+    /// line's `queue_wait_ms` ends and its `wall_ms` starts here.
+    picked: Instant,
+    /// The request's trace ID, once parsed (or minted).
+    request_id: String,
+    /// `"METHOD /path"` for the request log line (`-` when unparseable).
+    route: String,
+    /// Held while the exchange is queued for a router or a worker; an
+    /// exchange dropped unanswered gives its slot back too.
+    slot: Option<AdmissionSlot>,
+}
+
+impl Exchange {
+    /// A just-accepted connection holding `slot`; its router fills in the
+    /// request ID and route.
+    fn admit(stream: TcpStream, slot: AdmissionSlot) -> Exchange {
+        let now = Instant::now();
+        Exchange {
+            stream,
+            admitted: now,
+            picked: now,
+            request_id: String::new(),
+            route: "-".into(),
+            slot: Some(slot),
+        }
+    }
+
+    /// The one exit path for every answered request: gives back the
+    /// admission slot if still held, writes the response, counts
+    /// `http_responses_{status}`, logs the `zatel-log-v1` request line
+    /// (leveled by status class) and pushes the `/v1/debug/slow` entry.
+    fn answer(mut self, state: &ServerState, routed: Routed, artifacts: RouteArtifacts) {
+        self.slot = None;
+        let (status, content_type, body) = routed.render();
+        state.with_registry(|r| r.counter_add(&format!("http_responses_{status}"), 1));
+        let headers = [("x-zatel-request-id", self.request_id.clone())];
+        let _ = http::write_response(
+            &mut self.stream,
+            status,
+            content_type,
+            &headers,
+            body.as_bytes(),
+        );
+        let wall_ms = self.picked.elapsed().as_secs_f64() * 1000.0;
+        let queue_wait_ms = millis(self.picked.duration_since(self.admitted));
+
+        let level = match status {
+            500.. => LogLevel::Error,
+            400.. => LogLevel::Warn,
+            _ => LogLevel::Info,
+        };
+        let mut fields = Map::new();
+        fields.insert("request_id".into(), Value::from(self.request_id.as_str()));
+        fields.insert("route".into(), Value::from(self.route.as_str()));
+        fields.insert("status".into(), Value::from(u64::from(status)));
+        fields.insert("queue_wait_ms".into(), Value::from(queue_wait_ms));
+        fields.insert("wall_ms".into(), Value::from(wall_ms));
+        if let Some(slack) = artifacts.deadline_slack_ms {
+            fields.insert("deadline_slack_ms".into(), Value::from(slack));
+        }
+        if !artifacts.cache.is_empty() {
+            let hits = StageCacheRecord::hits(&artifacts.cache);
+            fields.insert("cache_hits".into(), Value::from(hits));
+            let stages = artifacts.cache.len() as u64;
+            fields.insert("cache_stages".into(), Value::from(stages));
+        }
+        let line = obs::log::event_line(level, "request", fields);
+        state.logger.log_line(&line);
+
+        let entry = SlowRequestEntry {
+            request_id: self.request_id,
+            route: self.route,
+            status,
+            queue_wait_ms,
+            wall_ms,
+            deadline_slack_ms: artifacts.deadline_slack_ms,
+            spans: artifacts.spans,
+            cache: artifacts.cache,
+            log: line,
+        };
+        let mut slow = state.slow.lock().unwrap_or_else(PoisonError::into_inner);
+        if slow.len() == SLOW_RING_CAPACITY {
+            slow.pop_front();
+        }
+        slow.push_back(entry);
+    }
 }
 
 /// A parsed request body awaiting execution on a worker.
@@ -288,27 +342,83 @@ enum Payload {
 }
 
 impl Payload {
+    /// Parses a predict or sweep body into its typed payload.
+    fn parse(request: &Request) -> Result<Payload, Routed> {
+        let bad = |message: String| error_json(ErrorKind::BadRequest, message);
+        let text =
+            std::str::from_utf8(&request.body).map_err(|_| bad("body is not UTF-8".into()))?;
+        let body = Value::parse(text).map_err(|e| bad(format!("body: {e}")))?;
+        let payload = match request.path.as_str() {
+            "/v1/predict" => PredictRequest::from_json(&body).map(Payload::Predict),
+            _ => SweepRequest::from_json(&body).map(Payload::Sweep),
+        };
+        payload.map_err(|e| bad(e.to_string()))
+    }
+
+    /// The route stem naming the payload's counters: `{stem}_requests`,
+    /// `{stem}_errors` and the `{stem}_latency_ms` histogram.
+    fn stem(&self) -> &'static str {
+        match self {
+            Payload::Predict(_) => "predict",
+            Payload::Sweep(_) => "sweep",
+        }
+    }
+
     /// The request's own queue deadline, if it carries one.
     fn deadline_ms(&self) -> Option<u64> {
         let hints = match self {
-            Payload::Predict(req) => req.hints.as_ref(),
-            Payload::Sweep(req) => req.hints.as_ref(),
+            Payload::Predict(req) => &req.hints,
+            Payload::Sweep(req) => &req.hints,
         };
-        hints.and_then(|h| h.deadline_ms)
+        hints.as_ref().and_then(|h| h.deadline_ms)
     }
-}
 
-/// One parsed request on the job channel.
-struct Job {
-    /// The connection awaiting the response.
-    stream: TcpStream,
-    /// Admission instant — the deadline clock starts here.
-    admitted: Instant,
-    /// The request's trace ID.
-    request_id: String,
-    /// `"METHOD /path"` for the request log line.
-    route_label: String,
-    payload: Payload,
+    /// Fills the job cap the request runs its group simulations with.
+    /// Precedence: an explicit `options.jobs` wins, then the server's
+    /// `--sim-jobs` default. The cap is execution-only, so applying it
+    /// never changes what the request computes.
+    fn apply_default_jobs(&mut self, default_jobs: Option<usize>) {
+        let options = match self {
+            Payload::Predict(req) => &mut req.options,
+            Payload::Sweep(req) => &mut req.options,
+        };
+        if default_jobs.is_some() {
+            let options = options.get_or_insert_with(zatel::ZatelOptions::default);
+            options.jobs = options.jobs.or(default_jobs);
+        }
+    }
+
+    /// Runs the request through the shared cache and accumulates its
+    /// request metrics.
+    fn run(&self, state: &ServerState, request_id: &str) -> (Routed, RouteArtifacts) {
+        let mut artifacts = RouteArtifacts::default();
+        let started = Instant::now();
+        let executed = match self {
+            Payload::Predict(req) => {
+                service::execute_predict_traced(req, &state.cache, Some(request_id)).map(|out| {
+                    let body = out.response.to_json();
+                    (artifacts.spans, artifacts.cache) = (out.response.spans, out.response.cache);
+                    body
+                })
+            }
+            Payload::Sweep(req) => service::execute_sweep(req, &state.cache).map(|r| r.to_json()),
+        };
+        let stem = self.stem();
+        let routed = match executed {
+            Ok(body) => {
+                state.with_registry(|r| {
+                    r.counter_add(&format!("{stem}_requests"), 1);
+                    r.observe(&format!("{stem}_latency_ms"), millis(started.elapsed()));
+                });
+                Routed::Json(200, body)
+            }
+            Err(err) => {
+                state.with_registry(|r| r.counter_add(&format!("{stem}_errors"), 1));
+                error_json(err.kind(), err.to_string())
+            }
+        };
+        (routed, artifacts)
+    }
 }
 
 /// A bound, not-yet-running server. Binding and running are split so
@@ -392,43 +502,29 @@ impl Server {
     ///
     /// Returns a message only for listener-level failures; per-connection
     /// errors are answered over HTTP and never stop the server.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
+                  writers and the worker pool all live here; each request executes once on one \
+                  worker through the shared cache, so thread count never reaches a response's \
+                  deterministic subset — pinned by the 1-vs-4-worker identity test"
+    )]
     pub fn run(self) -> Result<ServeReport, String> {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| format!("configuring listener: {e}"))?;
         // Routers pull admitted connections from this channel; the global
         // admission bound is the queue_depth gauge, checked at accept.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
-                      writers and the worker pool all live here; each request executes once on one \
-                      worker through the shared cache, so thread count never reaches a response's \
-                      deterministic subset — pinned by the 1-vs-4-worker identity test"
-        )]
-        let (tx, rx) = std::sync::mpsc::channel::<Admitted>();
+        let (tx, rx) = std::sync::mpsc::channel::<Exchange>();
         let rx = Arc::new(Mutex::new(rx));
         // The one job channel. Only the routers hold its senders, so once
         // they have joined the workers drain it and exit.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
-                      writers and the worker pool all live here; each request executes once on one \
-                      worker through the shared cache, so thread count never reaches a response's \
-                      deterministic subset — pinned by the 1-vs-4-worker identity test"
-        )]
-        let (jobs, job_rx) = std::sync::mpsc::channel::<Job>();
+        let (jobs, job_rx) = std::sync::mpsc::channel::<(Exchange, Payload)>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let mut workers = Vec::with_capacity(self.config.workers);
         for _ in 0..self.config.workers {
             let job_rx = Arc::clone(&job_rx);
             let state = Arc::clone(&self.state);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
-                          writers and the worker pool all live here; each request executes once on one \
-                          worker through the shared cache, so thread count never reaches a response's \
-                          deterministic subset — pinned by the 1-vs-4-worker identity test"
-            )]
             workers.push(std::thread::spawn(move || {
                 for_each_received(&job_rx, |job| execute(job, &state));
             }));
@@ -438,15 +534,8 @@ impl Server {
             let rx = Arc::clone(&rx);
             let jobs = jobs.clone();
             let state = Arc::clone(&self.state);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
-                          writers and the worker pool all live here; each request executes once on one \
-                          worker through the shared cache, so thread count never reaches a response's \
-                          deterministic subset — pinned by the 1-vs-4-worker identity test"
-            )]
             routers.push(std::thread::spawn(move || {
-                for_each_received(&rx, |conn| route_connection(conn, &jobs, &state));
+                for_each_received(&rx, |exchange| route(exchange, &jobs, &state));
             }));
         }
         drop(jobs);
@@ -461,13 +550,11 @@ impl Server {
             }
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    // The gauge rises before the handoff publishes the
-                    // connection: otherwise an idle router can pull it and
-                    // decrement first, wrapping the unsigned depth below
-                    // zero.
-                    let depth = self.state.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
+                    // The slot is taken before the handoff publishes the
+                    // connection, so no router can give it back first.
+                    let (slot, depth) = AdmissionSlot::take(&self.state);
                     if depth > self.config.queue {
-                        self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                        drop(slot);
                         self.state.refused.fetch_add(1, Ordering::SeqCst);
                         self.state
                             .with_registry(|r| r.counter_add("http_responses_429", 1));
@@ -475,13 +562,6 @@ impl Server {
                         // first, which can wait on a slow client — do it
                         // off the accept loop so admission stays live.
                         let avg_ms = self.state.service_ring.average_ms();
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "the serve topology seam: the accept loop, router threads, admission-refusal \
-                                      writers and the worker pool all live here; each request executes once on one \
-                                      worker through the shared cache, so thread count never reaches a response's \
-                                      deterministic subset — pinned by the 1-vs-4-worker identity test"
-                        )]
                         let refusal = std::thread::spawn(move || {
                             refuse_overloaded(stream, depth - 1, avg_ms)
                         });
@@ -492,12 +572,8 @@ impl Server {
                     self.state
                         .peak_queue_depth
                         .fetch_max(depth, Ordering::SeqCst);
-                    let conn = Admitted {
-                        stream,
-                        admitted: Instant::now(),
-                    };
-                    if tx.send(conn).is_err() {
-                        self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                    // An unsent exchange drops, giving its slot back.
+                    if tx.send(Exchange::admit(stream, slot)).is_err() {
                         break;
                     }
                     admitted += 1;
@@ -638,70 +714,22 @@ impl Routed {
     }
 }
 
-/// Writes a response and records its counters, request line and debug
-/// ring entry. The single exit path for every answered request.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the single exit path takes everything the log line and debug ring record"
-)]
-fn write_and_finish(
-    state: &ServerState,
-    mut stream: TcpStream,
-    routed: Routed,
-    request_id: String,
-    route_label: String,
-    queue_wait_ms: u64,
-    handled: Instant,
-    artifacts: RouteArtifacts,
-) {
-    let (status, content_type, body) = routed.render();
-    state.with_registry(|r| r.counter_add(&format!("http_responses_{status}"), 1));
-    let headers = [("x-zatel-request-id", request_id.clone())];
-    let _ = http::write_response(&mut stream, status, content_type, &headers, body.as_bytes());
-    state.finish_request(
-        request_id,
-        route_label,
-        status,
-        queue_wait_ms,
-        handled.elapsed().as_secs_f64() * 1000.0,
-        artifacts,
-    );
-}
-
 /// One router step: parse an admitted connection, answer admin routes
 /// and unparseable bodies inline, and queue predictions/sweeps as jobs.
-fn route_connection(conn: Admitted, jobs: &Sender<Job>, state: &ServerState) {
-    let Admitted {
-        mut stream,
-        admitted,
-    } = conn;
-    let queue_wait_ms = elapsed_ms(admitted);
-    let handled = Instant::now();
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let request = match Request::read_from(&mut stream) {
+fn route(mut exchange: Exchange, jobs: &Sender<(Exchange, Payload)>, state: &ServerState) {
+    exchange.picked = Instant::now();
+    let _ = exchange.stream.set_read_timeout(Some(READ_TIMEOUT));
+    let request = match Request::read_from(&mut exchange.stream) {
         Ok(request) => request,
         Err(err) => {
-            state.queue_depth.fetch_sub(1, Ordering::SeqCst);
             let (status, message) = match err {
                 HttpError::TooLarge => (413, "request exceeds size limits".to_owned()),
                 other => (400, other.to_string()),
             };
-            let request_id = obs::log::request_id();
-            let routed = Routed::Json(
-                status,
-                ErrorResponse::new(ErrorKind::BadRequest, message).to_json(),
-            );
-            write_and_finish(
-                state,
-                stream,
-                routed,
-                request_id,
-                "-".into(),
-                queue_wait_ms,
-                handled,
-                RouteArtifacts::default(),
-            );
-            return;
+            exchange.request_id = obs::log::request_id();
+            let envelope = ErrorResponse::new(ErrorKind::BadRequest, message).to_json();
+            let routed = Routed::Json(status, envelope);
+            return exchange.answer(state, routed, RouteArtifacts::default());
         }
     };
 
@@ -709,46 +737,27 @@ fn route_connection(conn: Admitted, jobs: &Sender<Job>, state: &ServerState) {
     // a process-unique ID is minted. Either way the same ID lands in the
     // response header, the JSONL request line, the run's span sheet and
     // the /v1/debug/slow ring.
-    let request_id = request
+    exchange.request_id = request
         .header("x-zatel-request-id")
         .map(str::to_owned)
         .unwrap_or_else(obs::log::request_id);
-    let route_label = format!("{} {}", request.method, request.path);
+    exchange.route = format!("{} {}", request.method, request.path);
     state.with_registry(|r| r.counter_add("http_requests_total", 1));
 
     let routed = match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/predict" | "/v1/sweep") => match parse_payload(&request) {
+        ("POST", "/v1/predict" | "/v1/sweep") => match Payload::parse(&request) {
             Ok(payload) => {
-                let job = Job {
-                    stream,
-                    admitted,
-                    request_id,
-                    route_label,
-                    payload,
-                };
                 // Workers hold the receiver until every router's sender
                 // is gone, so this fails only if every worker died outside
-                // its unwind guard; the connection then closes unanswered.
-                if jobs.send(job).is_err() {
-                    state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                }
+                // its unwind guard; the exchange then drops unanswered.
+                let _ = jobs.send((exchange, payload));
                 return;
             }
             Err(routed) => routed,
         },
         _ => route_admin(&request, state),
     };
-    state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-    write_and_finish(
-        state,
-        stream,
-        routed,
-        request_id,
-        route_label,
-        queue_wait_ms,
-        handled,
-        RouteArtifacts::default(),
-    );
+    exchange.answer(state, routed, RouteArtifacts::default());
 }
 
 /// Answers every route the routers serve inline (no execution, no
@@ -796,91 +805,46 @@ fn route_admin(request: &Request, state: &ServerState) -> Routed {
     }
 }
 
-/// Parses the body as a JSON document.
-fn parse_body(request: &Request) -> Result<Value, Routed> {
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| error_json(ErrorKind::BadRequest, "body is not UTF-8"))?;
-    Value::parse(text).map_err(|e| error_json(ErrorKind::BadRequest, format!("body: {e}")))
-}
-
-/// Parses a predict or sweep body into its typed payload.
-fn parse_payload(request: &Request) -> Result<Payload, Routed> {
-    let body = parse_body(request)?;
-    match request.path.as_str() {
-        "/v1/predict" => PredictRequest::from_json(&body)
-            .map(Payload::Predict)
-            .map_err(|e| error_json(ErrorKind::BadRequest, e.to_string())),
-        _ => SweepRequest::from_json(&body)
-            .map(Payload::Sweep)
-            .map_err(|e| error_json(ErrorKind::BadRequest, e.to_string())),
-    }
-}
-
-/// Saturating milliseconds since `since`.
-fn elapsed_ms(since: Instant) -> u64 {
-    since.elapsed().as_millis().min(u128::from(u64::MAX)) as u64
+/// Whole milliseconds of `d`, saturating.
+fn millis(d: Duration) -> u64 {
+    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
 /// One worker step: answer 504 if the job out-waited its deadline,
 /// otherwise execute it through the shared cache. A panic inside the
 /// execution answers `500 internal` under the request's ID, is counted in
 /// `predict_errors`/`sweep_errors`, and leaves the worker serving.
-fn execute(job: Job, state: &ServerState) {
-    state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-    let picked = Instant::now();
-    let Job {
-        stream,
-        admitted,
-        request_id,
-        route_label,
-        mut payload,
-    } = job;
-    let queue_wait_ms = elapsed_ms(admitted);
-    let (routed, artifacts) = match check_deadline(payload.deadline_ms(), admitted, state) {
+fn execute((mut exchange, mut payload): (Exchange, Payload), state: &ServerState) {
+    exchange.slot = None;
+    exchange.picked = Instant::now();
+    let deadline = check_deadline(payload.deadline_ms(), exchange.admitted, state);
+    let (routed, artifacts) = match deadline {
         Err(routed) => (routed, RouteArtifacts::default()),
         Ok(slack) => {
-            match &mut payload {
-                Payload::Predict(req) => apply_default_jobs(&mut req.options, state.sim_jobs),
-                Payload::Sweep(req) => apply_default_jobs(&mut req.options, state.sim_jobs),
-            }
+            payload.apply_default_jobs(state.sim_jobs);
             let started = Instant::now();
-            let errors = match payload {
-                Payload::Predict(_) => "predict_errors",
-                Payload::Sweep(_) => "sweep_errors",
-            };
+            let id = &exchange.request_id;
             let (routed, mut artifacts) =
-                contain_panic(state, errors, &request_id, || match &payload {
-                    Payload::Predict(req) => run_predict(state, req, &request_id),
-                    Payload::Sweep(req) => run_sweep(state, req),
-                });
-            state.service_ring.record(elapsed_ms(started));
+                contain_panic(state, payload.stem(), id, || payload.run(state, id));
+            state.service_ring.record(millis(started.elapsed()));
             artifacts.deadline_slack_ms = slack;
             (routed, artifacts)
         }
     };
-    write_and_finish(
-        state,
-        stream,
-        routed,
-        request_id,
-        route_label,
-        queue_wait_ms,
-        picked,
-        artifacts,
-    );
+    exchange.answer(state, routed, artifacts);
 }
 
 /// Runs one execution of request `id`. A panic inside it answers `500
-/// internal` under that ID, counts in `errors` and returns here, so the
-/// worker goes on serving.
+/// internal` under that ID, counts in `{stem}_errors` and returns here, so
+/// the worker goes on serving.
 fn contain_panic(
     state: &ServerState,
-    errors: &str,
+    stem: &str,
     id: &str,
     run: impl FnOnce() -> (Routed, RouteArtifacts),
 ) -> (Routed, RouteArtifacts) {
     catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
-        state.with_registry(|r| r.counter_add(errors, 1));
+        state.with_registry(|r| r.counter_add(&format!("{stem}_errors"), 1));
         let message = format!("request {id} panicked during execution");
         (error_json(ErrorKind::Internal, message), Default::default())
     })
@@ -907,7 +871,7 @@ fn check_deadline(
         return Ok(None);
     };
     let waited = admitted.elapsed();
-    let waited_ms = waited.as_millis().min(u128::from(u64::MAX)) as i64;
+    let waited_ms = i64::try_from(waited.as_millis()).unwrap_or(i64::MAX);
     let slack = i64::try_from(budget).unwrap_or(i64::MAX) - waited_ms;
     if waited > Duration::from_millis(budget) {
         // The 504 envelope mirrors the 429's machine-readable shape:
@@ -927,66 +891,6 @@ fn check_deadline(
         ));
     }
     Ok(Some(slack))
-}
-
-/// Fills the job cap a request runs its group simulations with.
-/// Precedence: an explicit `options.jobs` wins, then the server's
-/// `--sim-jobs` default (`default_jobs`). The cap is execution-only, so
-/// applying it never changes what the request computes.
-fn apply_default_jobs(options: &mut Option<zatel::ZatelOptions>, default_jobs: Option<usize>) {
-    if default_jobs.is_none() {
-        return;
-    }
-    let options = options.get_or_insert_with(zatel::ZatelOptions::default);
-    if options.jobs.is_none() {
-        options.jobs = default_jobs;
-    }
-}
-
-/// Runs one prediction through the shared cache and accumulates its
-/// request metrics.
-fn run_predict(
-    state: &ServerState,
-    req: &PredictRequest,
-    request_id: &str,
-) -> (Routed, RouteArtifacts) {
-    let mut artifacts = RouteArtifacts::default();
-    let started = Instant::now();
-    match service::execute_predict_traced(req, &state.cache, Some(request_id)) {
-        Ok(out) => {
-            state.with_registry(|r| {
-                r.counter_add("predict_requests", 1);
-                r.observe("predict_latency_ms", elapsed_ms(started));
-            });
-            artifacts.spans = out.response.spans.clone();
-            artifacts.cache = out.response.cache.clone();
-            (Routed::Json(200, out.response.to_json()), artifacts)
-        }
-        Err(err) => {
-            state.with_registry(|r| r.counter_add("predict_errors", 1));
-            (error_json(err.kind(), err.to_string()), artifacts)
-        }
-    }
-}
-
-/// Runs one sweep through the shared cache and accumulates its request
-/// metrics.
-fn run_sweep(state: &ServerState, req: &SweepRequest) -> (Routed, RouteArtifacts) {
-    let artifacts = RouteArtifacts::default();
-    let started = Instant::now();
-    match service::execute_sweep(req, &state.cache) {
-        Ok(out) => {
-            state.with_registry(|r| {
-                r.counter_add("sweep_requests", 1);
-                r.observe("sweep_latency_ms", elapsed_ms(started));
-            });
-            (Routed::Json(200, out.response.to_json()), artifacts)
-        }
-        Err(err) => {
-            state.with_registry(|r| r.counter_add("sweep_errors", 1));
-            (error_json(err.kind(), err.to_string()), artifacts)
-        }
-    }
 }
 
 /// Estimates a `Retry-After` (seconds) for a 429 from the queue's depth
@@ -1076,7 +980,7 @@ mod tests {
         let server = Server::bind(config).expect("bind");
         let state = &server.state;
         let panics = || -> (Routed, RouteArtifacts) { panic!("a request that panics") };
-        let (routed, _) = contain_panic(state, "predict_errors", "boom-1", panics);
+        let (routed, _) = contain_panic(state, "predict", "boom-1", panics);
         let (status, _, body) = routed.render();
         assert_eq!(status, 500, "{body}");
         let envelope = ErrorResponse::from_json(&Value::parse(&body).unwrap()).unwrap();
@@ -1085,6 +989,41 @@ mod tests {
         let mut errors = None;
         state.with_registry(|r| errors = r.get("predict_errors").cloned());
         assert_eq!(errors, Some(MetricKind::Counter(1)));
+    }
+
+    #[test]
+    fn every_exit_gives_the_admission_slot_back() {
+        // One slot: a slot any exit kept would refuse the next request.
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(config).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let (state, handle) = (Arc::clone(&server.state), server.handle());
+        let run = std::thread::spawn(move || server.run());
+        let client = crate::HttpClient::new(&format!("http://{addr}")).expect("client");
+        let unknown_scene = PredictRequest::new("NOPE", zatel_proto::ConfigRef::preset("mobile"));
+        for _ in 0..2 {
+            // Unparseable head, admin route, bad payload: the router answers.
+            let mut raw = TcpStream::connect(addr).expect("connect");
+            std::io::Write::write_all(&mut raw, b"NONSENSE\r\n\r\n").expect("send");
+            let mut answer = String::new();
+            std::io::Read::read_to_string(&mut raw, &mut answer).expect("read");
+            assert!(answer.starts_with("HTTP/1.1 400"), "{answer}");
+            assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+            let bad = client.post_json("/v1/predict", &Value::from("x"));
+            assert_eq!(bad.expect("bad payload").status, 400);
+            // A worker answers.
+            let predict = client.post_json("/v1/predict", &unknown_scene.to_json());
+            assert_eq!(predict.expect("predict").status, 422);
+        }
+        handle.shutdown();
+        let report = run.join().expect("server thread").expect("run");
+        assert_eq!((report.refused, report.responses_4xx), (0, 6));
+        assert_eq!(state.queue_depth.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use gpusim::GpuConfig;
-use obs::{MetricsRegistry, Timeline};
+use obs::Timeline;
 use rtcore::scene::Scene;
 use rtcore::tracer::TraceConfig;
 use zatel::{ArtifactCache, Prediction, RunContext, Zatel, ZatelError};
@@ -77,9 +77,6 @@ pub struct PredictOutput {
     pub response: PredictResponse,
     /// The raw prediction (observed groups carry their `ObsHooks`).
     pub prediction: Prediction,
-    /// Folded per-group observability registry (empty when the request
-    /// did not observe).
-    pub registry: MetricsRegistry,
     /// Per-group Perfetto timelines (empty unless observing with
     /// timelines enabled).
     pub timelines: Vec<Timeline>,
@@ -172,21 +169,13 @@ pub fn execute_predict_traced(
         scene.name(),
         &prediction,
         reference.as_ref(),
-        metrics.clone(),
+        metrics,
     );
     Ok(PredictOutput {
         response,
         prediction,
-        registry: metrics.unwrap_or_default(),
         timelines,
     })
-}
-
-/// Everything one sweep execution produced.
-#[derive(Debug)]
-pub struct SweepOutput {
-    /// The wire response.
-    pub response: SweepResponse,
 }
 
 /// Executes one sweep request through `cache` (shared with every other
@@ -198,7 +187,7 @@ pub struct SweepOutput {
 pub fn execute_sweep(
     request: &SweepRequest,
     cache: &Arc<ArtifactCache>,
-) -> Result<SweepOutput, ServiceError> {
+) -> Result<SweepResponse, ServiceError> {
     request.validate().map_err(ServiceError::BadRequest)?;
     let (scene, config, trace) =
         resolve(&request.scene, &request.config, request.spp, request.seed)?;
@@ -220,13 +209,12 @@ pub fn execute_sweep(
             PointRecord::new(o.point, &response)
         })
         .collect();
-    let response = SweepResponse {
+    Ok(SweepResponse {
         scene: scene.name().to_owned(),
         config: request.config.label().to_owned(),
         points,
         cache_stats: cache.stats(),
-    };
-    Ok(SweepOutput { response })
+    })
 }
 
 #[cfg(test)]
@@ -340,8 +328,8 @@ mod tests {
         req.res = 32;
         req.spp = 1;
         let cache = Arc::new(ArtifactCache::in_memory());
-        let out = execute_sweep(&req, &cache).expect("sweep");
-        assert_eq!(out.response.points.len(), 2);
+        let response = execute_sweep(&req, &cache).expect("sweep");
+        assert_eq!(response.points.len(), 2);
         let stats = cache.stats();
         assert!(
             stats.memory_hits > 0,

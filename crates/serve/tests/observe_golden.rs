@@ -36,9 +36,13 @@ fn observed_facts(scene: &str, preset: &str) -> [(u64, usize); 3] {
     let cache = zatel::ArtifactCache::in_memory();
     let out =
         zatel_serve::execute_predict_traced(&request, &cache, None).expect("observed predict runs");
+    let registry = out
+        .response
+        .metrics
+        .expect("an observed predict carries its registry");
     let texts = [
-        out.registry.to_json().to_string(),
-        out.registry.to_prometheus("zatel"),
+        registry.to_json().to_string(),
+        registry.to_prometheus("zatel"),
         obs::merge_trace(out.timelines).to_string(),
     ];
     texts.map(|text| {

@@ -42,8 +42,8 @@ fn response_doc() -> Value {
     request.seed = 7;
     request.reference = true;
     let cache = Arc::new(ArtifactCache::in_memory());
-    let out = zatel_serve::execute_sweep(&request, &cache).expect("sweep runs");
-    let doc = out.response.to_json();
+    let response = zatel_serve::execute_sweep(&request, &cache).expect("sweep runs");
+    let doc = response.to_json();
     let map = doc.as_object().expect("a response is an object");
     let entries = map.iter().map(|(k, v)| {
         let v = match (k.as_str(), v.as_array()) {
