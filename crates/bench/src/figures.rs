@@ -103,6 +103,12 @@ fn cycles() -> usize {
     i.unwrap_or(0)
 }
 
+/// Simulated warp phases of a row's prediction, summed over its groups.
+fn warp_phases(r: &Row) -> f64 {
+    let phases = r.prediction.groups.iter().map(|g| g.stats.warp_issues);
+    phases.sum::<u64>() as f64
+}
+
 /// Fig. 10 — absolute error of every metric for fully-optimized Zatel on
 /// PARK, on both configurations, plus the Section IV-B "≤10 % of pixels"
 /// speed-run on the Mobile SoC (the paper's 50x variant).
@@ -309,9 +315,19 @@ fn percent_sweep(_: &Setup) -> Vec<Predict> {
 }
 
 /// The sweep's table header: `first`, one column per percentage, `last`.
-fn percent_header(first: &str, last: Option<&str>) {
+fn percent_header(first: &str, last: &[&str]) {
     let labels = percents().into_iter().map(|p| format!("{:.0}%", p * 100.0));
-    row(first, labels.chain(last.map(String::from)));
+    row(first, labels.chain(last.iter().map(|l| l.to_string())));
+}
+
+/// Least-squares slope of `ys` per percentage point of [`percents`].
+fn slope_per_pct(ys: &[f64]) -> f64 {
+    let xs: Vec<f64> = percents().iter().map(|p| p * 100.0).collect();
+    let n = ys.len() as f64;
+    let (sx, sy) = (xs.iter().sum::<f64>(), ys.iter().sum::<f64>());
+    let sxx: f64 = xs.iter().map(|x| x * x).sum();
+    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| x * y).sum();
+    (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
 /// Fig. 13 — absolute error of the simulation-cycles estimate per scene
@@ -319,7 +335,7 @@ fn percent_header(first: &str, last: Option<&str>) {
 /// pixels are traced, and SPRNG blows up at low percentages because the
 /// underutilized GPU breaks linear extrapolation.
 fn fig13(rows: &[Row]) -> Value {
-    percent_header("scene", None);
+    percent_header("scene", &[]);
     let mut json = Map::new();
     for (scene, rows) in by_scene(rows) {
         let errors: Vec<f64> = rows.iter().map(|r| r.errors()[cycles()]).collect();
@@ -332,8 +348,10 @@ fn fig13(rows: &[Row]) -> Value {
 
 /// Fig. 14 — Zatel's simulation running time per scene against the traced
 /// percentage, and the rising slope per scene: the longest-running scenes
-/// (BATH) are exactly the ones with the lowest error bounds. Then the
-/// phase breakdown of one default prediction.
+/// (BATH) are exactly the ones with the lowest error bounds. The longest
+/// is named from the slope of simulated warp phases, which, unlike the
+/// host's seconds, does not vary from run to run. Then the phase breakdown
+/// of one default prediction.
 fn fig14_points(s: &Setup) -> Vec<Predict> {
     let mut points = percent_sweep(s);
     points.push(Predict::new(SceneId::Sprng, mobile()));
@@ -341,38 +359,29 @@ fn fig14_points(s: &Setup) -> Vec<Predict> {
 }
 
 fn fig14(rows: &[Row]) -> Value {
-    percent_header("scene", Some("slope s/%"));
+    percent_header("scene", &["slope s/%", "phases/%"]);
     let (sweep, breakdown) = rows.split_at(rows.len() - 1);
-    let percents = percents();
     let mut json = Map::new();
-    let mut slopes: Vec<(SceneId, f64)> = Vec::new();
+    let mut slopes: Vec<(SceneId, f64, f64)> = Vec::new();
     for (scene, rows) in by_scene(sweep) {
         let times: Vec<f64> = rows
             .iter()
             .map(|r| r.prediction.sim_wall.as_secs_f64())
             .collect();
-        // Least-squares slope of seconds per percentage point.
-        let n = times.len() as f64;
-        let sx: f64 = percents.iter().map(|p| p * 100.0).sum();
-        let sy: f64 = times.iter().sum();
-        let sxx: f64 = percents.iter().map(|p| (p * 100.0).powi(2)).sum();
-        let sxy: f64 = percents
-            .iter()
-            .zip(&times)
-            .map(|(p, t)| p * 100.0 * t)
-            .sum();
-        let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
+        let phases: Vec<f64> = rows.iter().map(warp_phases).collect();
+        let (slope, phases_slope) = (slope_per_pct(&times), slope_per_pct(&phases));
         let cells = times.iter().map(|t| format!("{t:.2}s"));
-        row(scene.name(), cells.chain([format!("{slope:.4}")]));
-        slopes.push((scene, slope));
+        let slopes_cells = [format!("{slope:.4}"), format!("{phases_slope:.0}")];
+        row(scene.name(), cells.chain(slopes_cells));
+        slopes.push((scene, slope, phases_slope));
         json.insert(
             scene.name().into(),
-            json!({ "seconds": times, "slope_per_pct": slope }),
+            json!({ "seconds": times, "slope_per_pct": slope, "phases_slope_per_pct": phases_slope }),
         );
     }
-    if let Some((scene, slope)) = slopes.iter().max_by(|a, b| a.1.total_cmp(&b.1)) {
+    if let Some((scene, slope, phases)) = slopes.iter().max_by(|a, b| a.2.total_cmp(&b.2)) {
         println!(
-            "\nlongest-running scene: {} at {slope:.4} s per percentage point (paper: BATH by a high margin)",
+            "\nlongest-running scene: {} at {phases:.0} simulated warp phases ({slope:.4} s) per percentage point (paper: BATH by a high margin)",
             scene.name()
         );
     }
@@ -390,7 +399,7 @@ fn fig14(rows: &[Row]) -> Value {
 /// traced percentage, and the power-law fit `speedup(perc) = a · perc^b`
 /// over all points (the paper fits 181 · perc^-1.15).
 fn fig15(rows: &[Row]) -> Value {
-    percent_header("scene", None);
+    percent_header("scene", &[]);
     let mut json = Map::new();
     let mut fit_points: Vec<(f64, f64)> = Vec::new();
     for (scene, rows) in by_scene(rows) {
@@ -436,7 +445,7 @@ fn fig16(rows: &[Row]) -> Value {
         }
     }
 
-    percent_header("metric", None);
+    percent_header("metric", &[]);
     let mut json = Map::new();
     for (metric, per_percent) in Metric::ALL.iter().zip(&samples) {
         let mut cells = Vec::new();
