@@ -376,7 +376,11 @@ fn fig14(rows: &[Row]) -> Value {
         slopes.push((scene, slope, phases_slope));
         json.insert(
             scene.name().into(),
-            json!({ "seconds": times, "slope_per_pct": slope, "phases_slope_per_pct": phases_slope }),
+            json!({
+                "seconds": times,
+                "slope_per_pct": slope,
+                "phases_slope_per_pct": phases_slope
+            }),
         );
     }
     if let Some((scene, slope, phases)) = slopes.iter().max_by(|a, b| a.2.total_cmp(&b.2)) {
