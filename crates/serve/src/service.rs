@@ -308,9 +308,9 @@ mod tests {
         let cache = ArtifactCache::in_memory();
         let plain = execute_predict(&req, &cache).expect("plain");
         let traced = execute_predict_traced(&req, &cache, Some("req-svc-1")).expect("traced");
-        assert_eq!(traced.prediction.request_id.as_deref(), Some("req-svc-1"));
+        assert_eq!(traced.response.request_id(), Some("req-svc-1"));
         assert_eq!(traced.response.spans[0].name, "request req-svc-1");
-        assert!(plain.prediction.request_id.is_none());
+        assert!(plain.response.request_id().is_none());
         assert_eq!(
             plain.response.deterministic_json().to_string(),
             traced.response.deterministic_json().to_string(),

@@ -6,7 +6,7 @@
 //! ([`crate::stages`]); each distinct quantization and division is made
 //! once per list. *Run*: every full-frame reference and every group's
 //! selection and simulation is one job of a single
-//! [`SimExecutor::map_timed`] call, references first. *Finish*:
+//! [`SimExecutor::map`] call, references first. *Finish*:
 //! extrapolation. A predict ([`Zatel::execute`]), a Section IV-F regression
 //! (three traced fractions fitted), a sweep and the figure plan are calls
 //! to it.
@@ -186,18 +186,22 @@ pub struct Prediction {
     pub k: u32,
     /// Wall-clock time of the preprocessing this prediction did: the
     /// heatmap profile (or its cache lookup) and the quantization, unless an
-    /// earlier prediction of its job list made that quantization.
+    /// earlier prediction of its job list made that quantization. Read off
+    /// the span sheet, from the heatmap span's start to the quantize span's
+    /// end.
     pub preprocess_wall: Duration,
     /// Host wall-clock time of the group simulations, summed over the
     /// prediction's jobs (every traced fraction's under regression): the
     /// serial cost, the same whichever number of workers ran them.
     pub sim_wall: Duration,
     /// Host wall-clock spans of the pipeline phases (heatmap, quantize,
-    /// divide, select, simulate-groups with one `group N` span per job, and
-    /// extrapolate), sorted by start offset. A heatmap served by the cache
-    /// is `heatmap (cached)`; a quantization or division made by an earlier
-    /// prediction of the job list is a zero-length `quantize (shared)` or
-    /// `divide (shared)`.
+    /// divide, select, simulate-groups with one `group N` span per job on
+    /// track `1 + worker`, and extrapolate), sorted by start offset. A
+    /// heatmap served by the cache is `heatmap (cached)`; a quantization or
+    /// division made by an earlier prediction of the job list is a
+    /// zero-length `quantize (shared)` or `divide (shared)`. A traced
+    /// execution ([`RunContext::with_request_id`]) opens with a zero-width
+    /// `request <id>` span.
     pub spans: Vec<SpanRecord>,
     /// The execution-time heatmap the prediction was planned on, shared
     /// with every prediction of its job list that uses it.
@@ -206,9 +210,6 @@ pub struct Prediction {
     /// cold [`Zatel::run`] reports a miss; sweep points sharing a cache
     /// report hits for the reused heatmap.
     pub cache: Vec<StageCacheRecord>,
-    /// The request ID this prediction was computed for
-    /// ([`RunContext::with_request_id`]); `None` for untraced executions.
-    pub request_id: Option<String>,
 }
 
 impl Prediction {
@@ -344,9 +345,8 @@ impl<'a> RunContext<'a> {
         self
     }
 
-    /// Tags this execution with a request ID: the resulting
-    /// [`Prediction::request_id`] carries it and a zero-width
-    /// `request <id>` marker span is prepended to the span sheet, so every
+    /// Tags this execution with a request ID: a zero-width `request <id>`
+    /// marker span is prepended to [`Prediction::spans`], so every
     /// persisted artifact of the execution (run report, span sheet, serve
     /// debug ring) is correlatable back to the originating request. Purely
     /// observational — the prediction's values, fingerprints and cache
@@ -503,13 +503,6 @@ impl<'s> Zatel<'s> {
             }
         }
         let sheet = SpanSheet::new();
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "measurement around the heatmap and quantize steps, not inside them: feeds \
-                      only Prediction::preprocess_wall, which no metric value or fingerprint reads"
-        )]
-        let pre_start = Instant::now();
         let start = sheet.elapsed();
         let stage = HeatmapStage {
             width: self.width,
@@ -534,7 +527,7 @@ impl<'s> Zatel<'s> {
         let quantized = memo(&mut shared.quantized, key, &sheet, "quantize", || {
             QuantizedHeatmap::quantize(&heatmap, colors, seed)
         });
-        let preprocess_wall = pre_start.elapsed();
+        let preprocess_wall = sheet.elapsed().saturating_sub(start);
 
         let k = self.resolve_factor()?;
         let down = self.target.downscaled(k)?;
@@ -696,8 +689,9 @@ impl<'z, 's> Plan<'z, 's> {
     }
 
     /// Selects `group`'s pixels under `options` and simulates them on the
-    /// downscaled GPU; the outcome's wall is the simulation's.
-    fn run_group(&self, options: &SelectionOptions, group: &Group) -> Done {
+    /// downscaled GPU; the outcome's wall is the simulation's, recorded as
+    /// its `group N` span on track `1 + worker`.
+    fn run_group(&self, worker: usize, options: &SelectionOptions, group: &Group) -> Done {
         let (zatel, down) = (self.zatel, &self.down);
         let selecting = self.sheet.elapsed();
         let selection = select_pixels(group, &self.quantized, options);
@@ -716,40 +710,35 @@ impl<'z, 's> Plan<'z, 's> {
             }
         };
         let end = self.sheet.elapsed();
+        let wall = end.saturating_sub(simulating);
+        let (name, track) = (format!("group {}", group.index), worker as u32 + 1);
+        self.sheet.record(&name, track, simulating, wall);
         let outcome = GroupOutcome {
             index: group.index,
             pixels: group.pixels.len(),
             traced_fraction: workload.traced_fraction(),
             target_percent: selection.target_percent,
             stats,
-            wall: end.saturating_sub(simulating),
+            wall,
             obs,
         };
         Done::Group(Box::new(outcome), [selecting, simulating, end])
     }
 
     /// Takes the plan's jobs from `done` (each with its [`Done::Group`]
-    /// offsets and its worker), in [`Plan::jobs`] order, records their
-    /// spans and extrapolates the prediction. Per fraction, the simulate
-    /// span runs from the first simulation's start to the last one's end,
-    /// and `select` starts at the first selection and lasts as long as the
+    /// offsets), in [`Plan::jobs`] order, records the phase spans and
+    /// extrapolates the prediction. Per fraction, the simulate span runs
+    /// from the first simulation's start to the last one's end, and
+    /// `select` starts at the first selection and lasts as long as the
     /// fraction's selections together, which ran between simulations.
-    fn finish(
-        self,
-        done: &mut impl Iterator<Item = (GroupOutcome, [Duration; 3], usize)>,
-    ) -> Prediction {
+    fn finish(self, done: &mut impl Iterator<Item = (GroupOutcome, [Duration; 3])>) -> Prediction {
         let mut sim_wall = Duration::ZERO;
         let mut runs = Vec::with_capacity(self.traced.len());
         for (span, _) in &self.traced {
             let mut select = (Duration::MAX, Duration::ZERO);
             let mut simulate = (Duration::MAX, Duration::ZERO);
             let mut outcomes = Vec::with_capacity(self.groups.len());
-            for (outcome, [selecting, simulating, end], worker) in
-                done.by_ref().take(self.groups.len())
-            {
-                let track = worker as u32 + 1;
-                let name = format!("group {}", outcome.index);
-                self.sheet.record(&name, track, simulating, outcome.wall);
+            for (outcome, [selecting, simulating, end]) in done.by_ref().take(self.groups.len()) {
                 select.0 = select.0.min(selecting);
                 select.1 += simulating.saturating_sub(selecting);
                 simulate = (simulate.0.min(simulating), simulate.1.max(end));
@@ -803,7 +792,6 @@ impl<'z, 's> Plan<'z, 's> {
             spans,
             heatmap: self.heatmap,
             cache: vec![self.record],
-            request_id: self.request_id,
         }
     }
 }
@@ -817,9 +805,9 @@ impl<'z, 's> Plan<'z, 's> {
 /// each distinct quantization and division is made once for the list.
 /// Then every reference and every `(prediction, traced fraction, group)`
 /// selection and simulation is one job of a single
-/// [`SimExecutor::map_timed`] call, references first. Every job is timed
-/// on its own, so no wall and no simulated value depends on how many
-/// workers share the list.
+/// [`SimExecutor::map`] call, references first. Every job times itself on
+/// its plan's span sheet, so no wall and no simulated value depends on how
+/// many workers share the list.
 ///
 /// # Errors
 ///
@@ -842,15 +830,15 @@ pub fn run_jobs<'z, 's>(
         .map(|zatel| Job::Reference(zatel))
         .chain(plans.iter().flat_map(Plan::jobs))
         .collect();
-    let (outcomes, timings) = executor.map_timed(&jobs, |_, job| match *job {
+    let outcomes = executor.map(&jobs, |worker, job| match *job {
         Job::Reference(zatel) => Done::Reference(zatel.run_reference()),
-        Job::Group(plan, options, group) => plan.run_group(options, group),
+        Job::Group(plan, options, group) => plan.run_group(worker, options, group),
     });
     let (mut simulated, mut groups) = (Vec::new(), Vec::new());
-    for (outcome, timing) in outcomes.into_iter().zip(timings) {
+    for outcome in outcomes {
         match outcome {
             Done::Reference(reference) => simulated.push(reference),
-            Done::Group(group, at) => groups.push((*group, at, timing.worker)),
+            Done::Group(group, at) => groups.push((*group, at)),
         }
     }
     let mut groups = groups.into_iter();
@@ -1091,11 +1079,9 @@ mod tests {
         let tagged = z
             .execute(&RunContext::new().with_request_id("req-test-7"))
             .expect("tagged execute");
-        assert_eq!(tagged.request_id.as_deref(), Some("req-test-7"));
         assert_eq!(tagged.spans[0].name, "request req-test-7");
         assert_eq!((tagged.spans[0].track, tagged.spans[0].dur_us), (0, 0));
         let plain = z.run().expect("plain run");
-        assert!(plain.request_id.is_none());
         assert!(!plain.spans.iter().any(|s| s.name.starts_with("request ")));
         for m in Metric::ALL {
             assert_eq!(
@@ -1221,41 +1207,53 @@ mod tests {
     #[test]
     fn pipeline_records_phase_and_group_spans() {
         let scene = SceneId::Sprng.build(1);
-        let pred = quick_zatel(&scene).run().unwrap();
-        let names: Vec<&str> = pred.spans.iter().map(|s| s.name.as_str()).collect();
-        for phase in [
-            "heatmap",
-            "quantize",
-            "select",
-            "simulate-groups",
-            "extrapolate",
-        ] {
-            assert!(
-                names.contains(&phase),
-                "missing span '{phase}' in {names:?}"
-            );
-        }
-        let group_spans = pred
-            .spans
-            .iter()
-            .filter(|s| s.name.starts_with("group "))
-            .count();
-        assert_eq!(group_spans, pred.groups.len(), "one span per group job");
-        assert!(
-            pred.spans
+        for jobs in [None, Some(2)] {
+            let mut z = quick_zatel(&scene);
+            z.options_mut().jobs = jobs;
+            let workers = jobs.unwrap_or_else(available_jobs) as u32;
+            let pred = z.run().unwrap();
+            let names: Vec<&str> = pred.spans.iter().map(|s| s.name.as_str()).collect();
+            for phase in [
+                "heatmap",
+                "quantize",
+                "select",
+                "simulate-groups",
+                "extrapolate",
+            ] {
+                assert!(
+                    names.contains(&phase),
+                    "missing span '{phase}' in {names:?}"
+                );
+            }
+            let (groups, phases): (Vec<&SpanRecord>, Vec<&SpanRecord>) = pred
+                .spans
                 .iter()
-                .all(|s| s.name.starts_with("group ") || s.track == 0),
-            "phase spans live on track 0"
-        );
-        // Spans arrive sorted; group spans start inside simulate-groups.
-        let sim = pred
-            .spans
-            .iter()
-            .find(|s| s.name == "simulate-groups")
-            .unwrap();
-        for g in pred.spans.iter().filter(|s| s.name.starts_with("group ")) {
-            assert!(g.start_us >= sim.start_us);
-            assert!(g.start_us + g.dur_us <= sim.start_us + sim.dur_us + 1000);
+                .partition(|s| s.name.starts_with("group "));
+            assert_eq!(groups.len(), pred.groups.len(), "one span per group job");
+            assert!(
+                phases.iter().all(|s| s.track == 0),
+                "phase spans live on track 0"
+            );
+            // Each group span is its outcome's wall, on its worker's track.
+            for outcome in &pred.groups {
+                let name = format!("group {}", outcome.index);
+                let span = groups.iter().find(|s| s.name == name).unwrap();
+                assert!((1..=workers).contains(&span.track), "{span:?}");
+                assert_eq!(span.dur_us, outcome.wall.as_micros() as u64, "{span:?}");
+            }
+            // The preprocessing wall covers the heatmap and quantize spans.
+            let preprocess: u64 = phases
+                .iter()
+                .filter(|s| s.name == "heatmap" || s.name == "quantize")
+                .map(|s| s.dur_us)
+                .sum();
+            assert!(pred.preprocess_wall.as_micros() as u64 >= preprocess);
+            // Spans arrive sorted; group spans start inside simulate-groups.
+            let sim = phases.iter().find(|s| s.name == "simulate-groups").unwrap();
+            for g in &groups {
+                assert!(g.start_us >= sim.start_us);
+                assert!(g.start_us + g.dur_us <= sim.start_us + sim.dur_us + 1000);
+            }
         }
     }
 

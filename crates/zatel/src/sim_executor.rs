@@ -1,12 +1,12 @@
 //! The host-thread pool simulation jobs run on.
 //!
-//! [`crate::run_jobs`] is the one caller of [`SimExecutor::map_timed`]:
-//! every simulation the workspace runs, a prediction's groups and a
-//! full-frame reference alike, is a job of one list handed to one call.
-//! The executor is:
+//! [`crate::run_jobs`] is the one caller of [`SimExecutor::map`]: every
+//! simulation the workspace runs, a prediction's groups and a full-frame
+//! reference alike, is a job of one list handed to one call. The executor
+//! is:
 //!
-//! * **deterministic** — results come back in input order and each job is
-//!   a pure function of `(index, item)`, so the output is bit-identical
+//! * **deterministic** — results come back in input order and each job's
+//!   result is a pure function of its item, so the output is bit-identical
 //!   regardless of worker count or scheduling;
 //! * **scoped** — workers are scoped threads, so jobs may borrow from the
 //!   caller's stack (scenes, configs, heatmaps) without `Arc`.
@@ -15,27 +15,12 @@
 //! use zatel::sim_executor::SimExecutor;
 //!
 //! let exec = SimExecutor::new(4);
-//! let (squares, timings) = exec.map_timed(&[1u64, 2, 3, 4, 5], |_, &x| x * x);
+//! let squares = exec.map(&[1u64, 2, 3, 4, 5], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
-//! assert_eq!(timings.len(), 5);
 //! ```
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-/// When and where one [`SimExecutor::map_timed`] job ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobTiming {
-    /// Input index of the job.
-    pub index: usize,
-    /// Worker thread the job ran on (0 on the serial path).
-    pub worker: usize,
-    /// Offset of the job's start from the `map_timed` call.
-    pub start: Duration,
-    /// Wall-clock time the job took.
-    pub wall: Duration,
-}
 
 /// A deterministic scoped-thread job pool.
 ///
@@ -56,32 +41,24 @@ impl SimExecutor {
 
     /// Applies `f` to every item across up to `jobs` (see
     /// [`SimExecutor::new`]) scoped worker threads and returns the results
-    /// **in input order**, together with when and on which worker each job
-    /// ran (offsets relative to the call, ready to be recorded as per-job
-    /// spans).
+    /// **in input order**.
     ///
-    /// `f` receives `(index, &item)`. Workers claim jobs in input order
-    /// from one atomic cursor, so uneven job lengths load-balance;
+    /// `f` receives `(worker, &item)`: the index of the worker thread
+    /// running the job (0 on the serial path), for recording the job on
+    /// that worker's span track, and the item. Workers claim jobs in input
+    /// order from one atomic cursor, so uneven job lengths load-balance;
     /// determinism is preserved because each result is put back in its
-    /// input slot. Timing is observation only: the result vector does not
-    /// depend on it.
+    /// input slot, so a result must not depend on `worker`.
     ///
     /// # Panics
     ///
     /// Re-raises the payload of a panicking job on the caller.
-    pub fn map_timed<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, Vec<JobTiming>)
+    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "observation-only job timings: the result vector is bit-identical with or without \
-                      them; offsets feed span sheets and walls, never predictions, pinned by the \
-                      serial/parallel identity tests"
-        )]
-        let epoch = Instant::now();
         let cursor = AtomicUsize::new(0);
         let work = |worker: usize| {
             let mut done = Vec::new();
@@ -90,18 +67,7 @@ impl SimExecutor {
                 let Some(item) = items.get(index) else {
                     return done;
                 };
-                let start = epoch.elapsed();
-                let result = f(index, item);
-                let wall = epoch.elapsed().saturating_sub(start);
-                done.push((
-                    result,
-                    JobTiming {
-                        index,
-                        worker,
-                        start,
-                        wall,
-                    },
-                ));
+                done.push((index, f(worker, item)));
             }
         };
         let workers = self.jobs.min(items.len());
@@ -130,8 +96,8 @@ impl SimExecutor {
                 done
             })
         };
-        done.sort_unstable_by_key(|(_, timing)| timing.index);
-        done.into_iter().unzip()
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -148,18 +114,18 @@ mod tests {
 
     #[test]
     fn zero_jobs_clamps_to_serial() {
-        let (_, runs) = SimExecutor::new(0).map_timed(&[1, 2, 3], |_, &x: &u32| x);
-        assert!(runs.iter().all(|run| run.worker == 0));
+        let workers = SimExecutor::new(0).map(&[1, 2, 3], |worker, _: &u32| worker);
+        assert_eq!(workers, [0, 0, 0]);
     }
 
     #[test]
     fn map_preserves_input_order() {
         let exec = SimExecutor::new(8);
         let items: Vec<u64> = (0..100).collect();
-        let (out, _) = exec.map_timed(&items, |i, &x| {
+        let out = exec.map(&items, |_, &x| {
             // Uneven job lengths: later items finish first.
             std::thread::sleep(std::time::Duration::from_micros(100 - x));
-            (i as u64) * 10 + x % 10
+            x * 10 + x % 10
         });
         let expect: Vec<u64> = (0..100u64).map(|i| i * 10 + i % 10).collect();
         assert_eq!(out, expect);
@@ -168,9 +134,9 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..50).collect();
-        let f = |i: usize, x: &u64| (i as u64).wrapping_mul(31).wrapping_add(*x);
-        let serial = SimExecutor::new(1).map_timed(&items, f).0;
-        let parallel = SimExecutor::new(7).map_timed(&items, f).0;
+        let f = |_: usize, x: &u64| x.wrapping_mul(31).wrapping_add(*x >> 1);
+        let serial = SimExecutor::new(1).map(&items, f);
+        let parallel = SimExecutor::new(7).map(&items, f);
         assert_eq!(serial, parallel);
     }
 
@@ -178,48 +144,31 @@ mod tests {
     fn jobs_may_borrow_from_the_stack() {
         let shared = [10u64, 20, 30];
         let exec = SimExecutor::new(2);
-        let (out, _) = exec.map_timed(&[0usize, 1, 2], |_, &i| shared[i] + 1);
+        let out = exec.map(&[0usize, 1, 2], |_, &i| shared[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);
     }
 
     #[test]
-    fn map_timed_returns_results_and_orderly_timings() {
+    fn map_hands_each_job_a_worker_below_jobs() {
         let items: Vec<u64> = (0..20).collect();
         for jobs in [1usize, 4] {
-            let (results, timings) = SimExecutor::new(jobs).map_timed(&items, |i, x| i as u64 + x);
+            let out = SimExecutor::new(jobs).map(&items, |worker, &x| (worker, 2 * x));
+            let results: Vec<u64> = out.iter().map(|&(_, r)| r).collect();
             assert_eq!(results, (0..20).map(|i| 2 * i).collect::<Vec<u64>>());
-            assert_eq!(timings.len(), items.len());
-            for (i, t) in timings.iter().enumerate() {
-                assert_eq!(t.index, i, "timings come back in input order");
-                assert!(t.worker < jobs);
-            }
-        }
-    }
-
-    #[test]
-    fn map_timed_serial_jobs_do_not_overlap() {
-        let exec = SimExecutor::new(1);
-        let (_, timings) = exec.map_timed(&[1u64, 2, 3], |_, _| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        });
-        for pair in timings.windows(2) {
-            assert!(
-                pair[1].start >= pair[0].start + pair[0].wall,
-                "serial jobs run back to back: {timings:?}"
-            );
+            assert!(out.iter().all(|&(worker, _)| worker < jobs), "{out:?}");
         }
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let (out, timings) = SimExecutor::new(4).map_timed(&[] as &[u64], |_, &x| x);
-        assert!(out.is_empty() && timings.is_empty());
+        let out = SimExecutor::new(4).map(&[] as &[u64], |_, &x| x);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn panics_propagate() {
         let result = std::panic::catch_unwind(|| {
-            SimExecutor::new(2).map_timed(&[1, 2, 3], |_, &x| {
+            SimExecutor::new(2).map(&[1, 2, 3], |_, &x| {
                 if x == 2 {
                     panic!("boom");
                 }
