@@ -405,6 +405,7 @@ fn documents() -> Vec<(&'static str, String)> {
                     misses: 3,
                     disk_evictions: 4,
                     disk_corrupt: 5,
+                    disk_write_failures: 8,
                     disk_bytes: 6,
                     disk_entries: 7,
                 }
@@ -609,7 +610,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("CacheOutcome", r#"["miss","memory","disk"]"#),
     (
         "CacheStats",
-        r#"{"memory_hits":1,"disk_hits":2,"misses":3,"disk_evictions":4,"disk_corrupt":5,"disk_bytes":6,"disk_entries":7}"#,
+        r#"{"memory_hits":1,"disk_hits":2,"misses":3,"disk_evictions":4,"disk_corrupt":5,"disk_write_failures":8,"disk_bytes":6,"disk_entries":7}"#,
     ),
     ("ConfigRef preset", r#""mobile""#),
     ("ConfigRef inline", r#"fnv1a d983f8da0a123978, 360 bytes"#),
@@ -635,7 +636,7 @@ const GOLDEN: &[(&str, &str)] = &[
         r#"fnv1a 530ab02ae4effcd1, 728 bytes"#,
     ),
     ("SweepRequest", r#"fnv1a 7c131c3dda6f8fbe, 1023 bytes"#),
-    ("SweepResponse", r#"fnv1a 65ecdd4e37b49c7f, 702 bytes"#),
+    ("SweepResponse", r#"fnv1a cd2a2ddd1688c6d2, 726 bytes"#),
     ("PointRecord", r#"fnv1a 71e5d6b9fa17f7b8, 509 bytes"#),
     (
         "ErrorResponse",
