@@ -371,6 +371,7 @@ fn image_too_small_for_k_groups_fails_cleanly() {
     for (args, message) in [
         (&["--res", "6"][..], "a 6x6 image divides into 3 chunk(s)"),
         (&["--res", "10", "--config", "rtx2060"], "K = 6"),
+        (&["--res", "10", "--config", "turing"], "K = 6"),
         (&["--res", "1", "--division", "coarse"], "1 chunk(s)"),
         (
             &["--res", "2", "--division", "coarse", "--config", "rtx2060"],
