@@ -200,6 +200,7 @@ usage: zatel report [options]
         "\
 usage: zatel heatmap [options]
   --scene NAME --res N --out DIR   write heatmap/quantized PPM images
+                                   (each pixel's first sample profiled)
 ",
     ),
 ];

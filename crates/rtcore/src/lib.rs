@@ -17,11 +17,12 @@
 //!
 //! ```
 //! use rtcore::scenes::SceneId;
-//! use rtcore::tracer::{render, TraceConfig};
+//! use rtcore::tracer::{profile_costs, render, TraceConfig};
 //!
 //! let scene = SceneId::Sprng.build(42);
 //! let cfg = TraceConfig { samples_per_pixel: 1, max_bounces: 2, seed: 1 };
-//! let (image, costs) = render(&scene, 32, 32, &cfg);
+//! let image = render(&scene, 32, 32, &cfg);
+//! let costs = profile_costs(&scene, 32, 32, &cfg);
 //! assert!(image.mean_luminance() > 0.0);
 //! assert!(costs.max() > 0);
 //! ```

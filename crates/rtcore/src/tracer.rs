@@ -24,6 +24,20 @@ pub struct TraceConfig {
     pub seed: u64,
 }
 
+impl TraceConfig {
+    /// The configuration [`profile_costs`] traces: this one cut to each
+    /// pixel's first sample. A pixel's first sample is the start of its own
+    /// RNG stream, so it does the same work here as in a path of every
+    /// sample; what `samples_per_pixel` adds after it, the heatmap does not
+    /// see.
+    pub fn profiled(&self) -> TraceConfig {
+        TraceConfig {
+            samples_per_pixel: 1,
+            ..*self
+        }
+    }
+}
+
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
@@ -53,8 +67,8 @@ pub struct PixelTrace {
     pub rays: u32,
 }
 
-/// Per-pixel work counts for a full frame; the raw input of Zatel's
-/// execution-time heatmap.
+/// Per-pixel work counts for a full frame, each pixel's first sample (see
+/// [`profile_costs`]); the raw input of Zatel's execution-time heatmap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostMap {
     width: u32,
@@ -407,27 +421,30 @@ fn sky_color(dir: Vec3) -> Vec3 {
     Vec3::new(1.0, 1.0, 1.0).lerp(Vec3::new(0.35, 0.55, 0.95), t) * 0.6
 }
 
-/// Renders the full frame, producing the image and the per-pixel cost map.
-pub fn render(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> (Image, CostMap) {
+/// Renders the full frame at every sample of `config`.
+pub fn render(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> Image {
     let mut image = Image::new(width, height);
-    let mut costs = CostMap::new(width, height);
     for y in 0..height {
         for x in 0..width {
-            let px = trace_pixel(scene, x, y, width, height, config);
-            image.set(x, y, px.color);
-            costs.set(x, y, px.stats.work());
+            image.set(x, y, trace_pixel(scene, x, y, width, height, config).color);
         }
     }
-    (image, costs)
+    image
 }
 
-/// Profiles only the per-pixel cost map (no image), which is how Zatel
-/// obtains its heatmap (paper step 1).
+/// Profiles the per-pixel cost map (no image), which is how Zatel obtains
+/// its heatmap (paper step 1): the work of each pixel's first sample,
+/// whatever `config.samples_per_pixel` says ([`TraceConfig::profiled`]).
+/// The paper reads the heatmap off a hardware profile that costs almost
+/// nothing; one sample is the cheapest trace that still sees every pixel's
+/// path. The result equals the 1-spp profile bit for bit, and each pixel's
+/// value is the work its first sample does in a simulation at any spp.
 pub fn profile_costs(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> CostMap {
+    let config = config.profiled();
     let mut costs = CostMap::new(width, height);
     for y in 0..height {
         for x in 0..width {
-            let px = trace_pixel(scene, x, y, width, height, config);
+            let px = trace_pixel(scene, x, y, width, height, &config);
             costs.set(x, y, px.stats.work());
         }
     }
@@ -439,7 +456,9 @@ mod tests {
     use super::*;
     use crate::camera::Camera;
     use crate::scene::SceneBuilder;
+    use crate::scenes::SceneId;
     use minijson::{FromJson, Value};
+    use proptest::prelude::*;
 
     #[test]
     fn trace_config_json_rejects_malformed_counts() {
@@ -499,14 +518,15 @@ mod tests {
         let scene = test_scene();
         let cfg = TraceConfig::default();
         let alone = trace_pixel(&scene, 5, 5, 16, 16, &cfg);
-        let (img, _) = render(&scene, 16, 16, &cfg);
+        let img = render(&scene, 16, 16, &cfg);
         assert_eq!(img.get(5, 5), alone.color);
     }
 
     #[test]
     fn render_produces_nonblack_image() {
         let scene = test_scene();
-        let (img, costs) = render(&scene, 16, 16, &TraceConfig::default());
+        let img = render(&scene, 16, 16, &TraceConfig::default());
+        let costs = profile_costs(&scene, 16, 16, &TraceConfig::default());
         assert!(img.mean_luminance() > 0.01, "image should catch light");
         assert!(costs.max() > 0, "tracing must cost something");
     }
@@ -562,6 +582,73 @@ mod tests {
         let px = trace_pixel(&scene, 8, 8, 16, 16, &cfg);
         assert_eq!(px.rays, 1, "emissive hit must not spawn secondaries");
         assert!(px.color.mean() > 1.0);
+    }
+
+    /// Counts a path's visits and keeps the work done when its first
+    /// sample finished.
+    #[derive(Default)]
+    struct FirstSample {
+        stats: TraversalStats,
+        first: Option<u64>,
+    }
+
+    impl VisitSink for FirstSample {
+        fn root(&mut self) {
+            self.stats.root();
+        }
+        fn interior(&mut self, node: u32) {
+            self.stats.interior(node);
+        }
+        fn leaf(&mut self, node: u32) {
+            self.stats.leaf(node);
+        }
+        fn prim(&mut self, prim: u32) {
+            self.stats.prim(prim);
+        }
+    }
+
+    impl PathSink for FirstSample {
+        fn sample_done(&mut self, _radiance: Vec3) {
+            self.first.get_or_insert(self.stats.work());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The profile is each pixel's first sample at any spp: the 1-spp
+        /// profile, each pixel's 1-spp `trace_pixel` work, and the work a
+        /// path of every sample has done when its first sample finishes.
+        #[test]
+        fn the_profile_is_each_pixels_first_sample(
+            scene in 0..SceneId::ALL.len() + 1,
+            spp in 1u32..5,
+            max_bounces in 0u32..5,
+            seed in any::<u64>(),
+            res in 2u32..10,
+        ) {
+            let scene = match SceneId::ALL.get(scene) {
+                Some(id) => id.build(1),
+                None => test_scene(),
+            };
+            let cfg = TraceConfig { samples_per_pixel: spp, max_bounces, seed };
+            let one = TraceConfig { samples_per_pixel: 1, ..cfg };
+            let costs = profile_costs(&scene, res, res, &cfg);
+            prop_assert_eq!(&costs, &profile_costs(&scene, res, res, &one));
+            for y in 0..res {
+                for x in 0..res {
+                    let work = costs.values()[(y * res + x) as usize];
+                    let alone = trace_pixel(&scene, x, y, res, res, &one).stats.work();
+                    prop_assert_eq!(work, alone, "pixel ({}, {})", x, y);
+                    let mut path = PixelPath::new(x, y, res, res, &cfg);
+                    let (mut tracing, mut sink) = (true, FirstSample::default());
+                    while tracing {
+                        (tracing, sink) = path.step(&scene, sink);
+                    }
+                    prop_assert_eq!(Some(work), sink.first, "pixel ({}, {})", x, y);
+                }
+            }
+        }
     }
 
     #[test]

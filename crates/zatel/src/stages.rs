@@ -542,12 +542,16 @@ impl Stage for HeatmapStage {
     type Output = Heatmap;
     const NAME: &'static str = "heatmap";
 
+    /// Hashes the trace the profile runs ([`TraceConfig::profiled`]): its
+    /// one sample, not the request's spp, so every spp of a frame shares
+    /// the 1-spp key.
     fn params_fingerprint(&self) -> Fingerprint {
+        let trace = self.trace.profiled();
         let mut h = Fnv64::new();
         h.write_u32(self.width).write_u32(self.height);
-        h.write_u32(self.trace.samples_per_pixel)
-            .write_u32(self.trace.max_bounces)
-            .write_u64(self.trace.seed);
+        h.write_u32(trace.samples_per_pixel)
+            .write_u32(trace.max_bounces)
+            .write_u64(trace.seed);
         h.finish()
     }
 
@@ -601,6 +605,46 @@ mod tests {
                 ..CacheStats::default()
             }
         );
+    }
+
+    #[test]
+    fn every_spp_of_a_frame_shares_the_one_sample_key() {
+        let scene = SceneId::Sprng.build(1);
+        let cache = ArtifactCache::in_memory();
+        let one = HeatmapStage {
+            width: 16,
+            height: 16,
+            trace: trace(),
+        };
+        let two = HeatmapStage {
+            trace: TraceConfig {
+                samples_per_pixel: 2,
+                ..trace()
+            },
+            ..one
+        };
+        assert_eq!(one.params_fingerprint(), two.params_fingerprint());
+        let (hm1, fp1, o1) = cache.get_or_run(&one, &scene, scene.fingerprint());
+        let (hm2, fp2, o2) = cache.get_or_run(&two, &scene, scene.fingerprint());
+        assert_eq!((o1, o2), (CacheOutcome::Miss, CacheOutcome::MemoryHit));
+        assert_eq!(fp1, fp2);
+        assert!(Arc::ptr_eq(&hm1, &hm2));
+        // A bounce or seed change still misses.
+        for trace in [
+            TraceConfig {
+                max_bounces: 3,
+                ..two.trace
+            },
+            TraceConfig {
+                seed: 6,
+                ..two.trace
+            },
+        ] {
+            let stage = HeatmapStage { trace, ..two };
+            let (_, fp, outcome) = cache.get_or_run(&stage, &scene, scene.fingerprint());
+            assert_eq!(outcome, CacheOutcome::Miss);
+            assert_ne!(fp, fp1);
+        }
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

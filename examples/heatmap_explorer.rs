@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use rtcore::image::Image;
 use rtcore::math::Vec3;
-use rtcore::tracer::render;
+use rtcore::tracer::{profile_costs, render};
 use zatel::heatmap::Heatmap;
 use zatel::partition::{divide, DivisionMethod};
 use zatel::quantize::QuantizedHeatmap;
@@ -44,10 +44,10 @@ fn main() -> std::io::Result<()> {
     };
     println!("Profiling {} at {res}x{res}...", scene.name());
 
-    // Render + profile in one pass (step 1 of Fig. 3).
-    let (image, costs) = render(&scene, res, res, &trace);
-    image.save_ppm(out_dir.join("render.ppm"))?;
-    let heatmap = Heatmap::from_costs(&costs);
+    // The frame at every sample, then its profile (step 1 of Fig. 3): the
+    // work of each pixel's first sample.
+    render(&scene, res, res, &trace).save_ppm(out_dir.join("render.ppm"))?;
+    let heatmap = Heatmap::from_costs(&profile_costs(&scene, res, res, &trace));
     heatmap.to_image().save_ppm(out_dir.join("heatmap.ppm"))?;
     println!("mean temperature: {:.3}", heatmap.mean_temperature());
 

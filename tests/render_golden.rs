@@ -27,7 +27,7 @@ fn rendered(case: Case) -> [u64; 2] {
         max_bounces: bounces,
         seed: SEED,
     };
-    let (image, _) = render(&scene, res, res, &trace);
+    let image = render(&scene, res, res, &trace);
     let mut h = Fnv64::new();
     h.write_u32(image.width()).write_u32(image.height());
     let mut rays = 0u64;
