@@ -72,22 +72,22 @@ const GROUPS: [(SceneId, &str, &[u64]); 2] = [
         SceneId::Bunny,
         "mobile",
         &[
-            0x5B4045B93105EE4F,
-            0xB20137AC9F99B3E3,
-            0xB79064531EF0EFB6,
-            0x3BE54A25236CEC00,
+            0xEB711129192812EC,
+            0x6B96994CCEDB6436,
+            0x9B7E15E24DC99837,
+            0x5AF99B1781B3C195,
         ],
     ),
     (
         SceneId::Park,
         "rtx2060",
         &[
-            0x1F67A95ADBBA0AB5,
-            0x47C665D0424CF765,
-            0x2FEA9F4F1B0E14B2,
-            0x6A151CE6B5AC5EF9,
-            0xF80D8751EDDBC67C,
-            0xEB7096BB969B5B60,
+            0x5A5EDAAC83710614,
+            0x84F29DD005BD43AE,
+            0xED958E528302B695,
+            0x5BFAD8049748E012,
+            0x2F97424A5741E0A0,
+            0xDDF7C569AA581B37,
         ],
     ),
 ];
