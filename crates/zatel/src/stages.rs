@@ -1,14 +1,14 @@
 //! The heatmap cache: a content-addressed store for the one pipeline
 //! step that is worth caching.
 //!
-//! Profiling the execution-time heatmap traces every pixel of the frame;
-//! at the benchmark's `predict-light` shapes it costs about 162 ms a pass,
-//! against about 14 ms for quantize, divide and select together. So the
-//! heatmap is a [`Stage`] — a deterministic function of its input plus a
-//! *parameter fingerprint* covering exactly the options that feed it —
-//! and its output is kept in an [`ArtifactCache`] under a key mixing the
-//! stage name, the parameter fingerprint and the scene's content
-//! fingerprint. Quantize, divide and select are plain calls in
+//! Profiling the execution-time heatmap traces the first sample of every
+//! pixel of the frame; at the benchmark's `predict-light` shapes it costs
+//! about 80 ms a pass, against about 12 ms for quantize, divide and select
+//! together. So the heatmap is a [`Stage`] — a deterministic function of
+//! its input plus a *parameter fingerprint* covering exactly the options
+//! that feed it — and its output is kept in an [`ArtifactCache`] under a
+//! key mixing the stage name, the parameter fingerprint and the scene's
+//! content fingerprint. Quantize, divide and select are plain calls in
 //! [`crate::pipeline`]: recomputing them costs less than keying, storing
 //! and decoding them would.
 //!
