@@ -98,10 +98,7 @@ fn by_scene<'r, 'a>(rows: &'r [Row<'a>]) -> impl Iterator<Item = (SceneId, &'r [
 }
 
 /// The index of [`Metric::SimCycles`] in [`Metric::ALL`].
-fn cycles() -> usize {
-    let i = Metric::ALL.iter().position(|&m| m == Metric::SimCycles);
-    i.unwrap_or(0)
-}
+const CYCLES: usize = Metric::SimCycles.index();
 
 /// Simulated warp phases of a row's prediction, summed over its groups.
 fn warp_phases(r: &Row) -> f64 {
@@ -209,10 +206,10 @@ fn fig11(rows: &[Row]) -> Value {
 /// ~3 % traced (the paper traces 2–4 %), repeated with different selection
 /// seeds and averaged (block choice is random), reporting the best
 /// combination per metric.
-const DISTS: [(Distribution, &str); 3] = [
-    (Distribution::Uniform, "uniform"),
-    (Distribution::LinTmp, "lintmp"),
-    (Distribution::ExpTmp, "exptmp"),
+const DISTS: [Distribution; 3] = [
+    Distribution::Uniform,
+    Distribution::LinTmp,
+    Distribution::ExpTmp,
 ];
 const BLOCKS: [(u32, u32); 4] = [(32, 1), (32, 2), (32, 16), (32, 32)];
 const REPS: u64 = 5;
@@ -220,7 +217,7 @@ const REPS: u64 = 5;
 fn table3_points(s: &Setup) -> Vec<Predict> {
     let mut points = Vec::new();
     for scene in [SceneId::Ship, SceneId::Wknd, SceneId::Bunny] {
-        for (dist, _) in DISTS {
+        for dist in DISTS {
             for block in BLOCKS {
                 for rep in 0..REPS {
                     points.push(Predict::new(scene, mobile()).with(|o| {
@@ -275,7 +272,7 @@ fn table3_scene(errors: &[Vec<f64>]) -> Value {
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap_or((0, f64::NAN));
-        let (dist, block) = (DISTS[ci / BLOCKS.len()].1, BLOCKS[ci % BLOCKS.len()]);
+        let (dist, block) = (DISTS[ci / BLOCKS.len()].tag(), BLOCKS[ci % BLOCKS.len()]);
         // "any" when the spread between best and worst is small.
         let worst = combos.iter().copied().fold(0.0f64, f64::max);
         let (dist, block) = if worst - err < 0.02 {
@@ -322,12 +319,9 @@ fn percent_header(first: &str, last: &[&str]) {
 
 /// Least-squares slope of `ys` per percentage point of [`percents`].
 fn slope_per_pct(ys: &[f64]) -> f64 {
-    let xs: Vec<f64> = percents().iter().map(|p| p * 100.0).collect();
-    let n = ys.len() as f64;
-    let (sx, sy) = (xs.iter().sum::<f64>(), ys.iter().sum::<f64>());
-    let sxx: f64 = xs.iter().map(|x| x * x).sum();
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| x * y).sum();
-    (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    let xs = percents().into_iter().map(|p| p * 100.0);
+    let points: Vec<(f64, f64)> = xs.zip(ys.iter().copied()).collect();
+    zatel::metrics::fit_line(&points).1
 }
 
 /// Fig. 13 — absolute error of the simulation-cycles estimate per scene
@@ -338,7 +332,7 @@ fn fig13(rows: &[Row]) -> Value {
     percent_header("scene", &[]);
     let mut json = Map::new();
     for (scene, rows) in by_scene(rows) {
-        let errors: Vec<f64> = rows.iter().map(|r| r.errors()[cycles()]).collect();
+        let errors: Vec<f64> = rows.iter().map(|r| r.errors()[CYCLES]).collect();
         row(scene.name(), errors.iter().map(|&e| pct(e)));
         json.insert(scene.name().into(), json!(errors));
     }
@@ -466,7 +460,7 @@ fn fig16(rows: &[Row]) -> Value {
     }
 
     // The exponential-convergence claim: error(10%) vs error(30%).
-    let max_at = |pi: usize| samples[cycles()][pi].iter().copied().fold(0.0f64, f64::max);
+    let max_at = |pi: usize| samples[CYCLES][pi].iter().copied().fold(0.0f64, f64::max);
     println!(
         "\nhighest cycles error at 10%: {}; at 30%: {} ({:.1}x reduction; paper: >2x on RTX, ~3x on Mobile)",
         pct(max_at(0)),
@@ -484,9 +478,8 @@ fn factors() -> [(GpuConfig, Vec<u32>); 2] {
     [(mobile(), vec![2, 4]), (rtx(), vec![2, 3, 6])]
 }
 
-fn divisions() -> [(DivisionMethod, &'static str); 2] {
-    let fine = DivisionMethod::default_fine();
-    [(fine, "fine"), (DivisionMethod::Coarse, "coarse")]
+fn divisions() -> [DivisionMethod; 2] {
+    [DivisionMethod::default_fine(), DivisionMethod::Coarse]
 }
 
 const PANELS: [(&str, &[SceneId]); 2] = [
@@ -515,7 +508,7 @@ fn fig17_18_points(_: &Setup) -> Vec<Predict> {
     let mut points = Vec::new();
     for (_, scenes) in PANELS {
         for (config, ks) in factors() {
-            for (division, _) in divisions() {
+            for division in divisions() {
                 for &scene in scenes {
                     let point = |&k| factor_point(scene, &config, division, k);
                     points.extend(ks.iter().map(point));
@@ -533,7 +526,8 @@ fn fig17_18(rows: &[Row]) -> Value {
         println!("\n### {title} ###");
         let mut panel = Map::new();
         for (config, ks) in factors() {
-            for (_, div_name) in divisions() {
+            for division in divisions() {
+                let div_name = division.name();
                 println!("\n--- {} / {div_name}-grained ---", config.name);
                 row("metric", ks.iter().map(|k| format!("K={k}")));
 
@@ -555,7 +549,7 @@ fn fig17_18(rows: &[Row]) -> Value {
                     row(metric.name(), sums.iter().map(|&e| pct(e)));
                     div_json.insert(metric.name().into(), json!(sums.clone()));
                 }
-                let largest_k = pct(maxima[cycles()][ks.len() - 1]);
+                let largest_k = pct(maxima[CYCLES][ks.len() - 1]);
                 println!("max cycles error over scenes at largest K: {largest_k}");
                 panel.insert(
                     format!("{} {div_name}", config.name),

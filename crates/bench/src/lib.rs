@@ -108,8 +108,8 @@ impl Setup {
     pub(crate) fn trace(&self) -> TraceConfig {
         TraceConfig {
             samples_per_pixel: self.spp,
-            max_bounces: 4,
             seed: self.seed,
+            ..TraceConfig::default()
         }
     }
 }

@@ -1,27 +1,6 @@
 //! `zatel` — command-line front end for the Zatel prediction pipeline.
-//!
-//! ```text
-//! zatel scenes
-//! zatel configs
-//! zatel predict --scene PARK --config mobile --res 192 [--reference]
-//!               [--percent 0.4] [--cap 0.1] [--k 4 | --no-downscale]
-//!               [--division fine|coarse] [--dist uniform|lintmp|exptmp]
-//!               [--regression] [--json] [--seed 42] [--spp 2]
-//!               [--trace-out trace.json] [--run-out run.json]
-//!               [--request-id ID] [--log-out FILE|-]
-//! zatel sweep --scene PARK --config mobile --ks 1,2,4 --percents 0.1,0.3,0.6
-//!             [--spec spec.json] [--cache-dir DIR] [--runs-out runs.jsonl]
-//!             [--reference] [--json]
-//! zatel serve [--addr 127.0.0.1:7878] [--workers 2] [--queue 64]
-//!             [--sim-jobs N] [--deadline-ms N] [--cache-dir DIR]
-//!             [--cache-budget-mb N] [--log-out FILE|-]
-//! zatel predict --url http://host:7878 ...   # same output, computed remotely
-//! zatel sweep --url http://host:7878 ...
-//! zatel report --run run.json [--history runs.jsonl] [--pgm heatmap.pgm]
-//!              [--prom metrics.prom]
-//! zatel report [--history runs.jsonl]      # summarize recorded history
-//! zatel heatmap --scene WKND --res 256 --out target/heatmaps
-//! ```
+//! `zatel help` lists every command with its options, `zatel <command>
+//! --help` one command's.
 //!
 //! All progress and diagnostic output goes to **stderr**; stdout carries
 //! only the result (tables, or JSON with `--json`), so piping into tools
@@ -36,13 +15,14 @@ mod args;
 
 use std::process::ExitCode;
 
-use args::Args;
+use args::{Args, Command, Opt};
 use gpusim::GpuConfig;
 use minijson::{json, FromJson, ToJson};
 use obs::ObserveOptions;
-use rtcore::scenes::SceneId;
 use rtcore::tracer::TraceConfig;
-use zatel::{Distribution, DivisionMethod, DownscaleMode, StageCacheRecord, SweepPointSpec};
+use zatel::{
+    Distribution, DivisionMethod, DownscaleMode, StageCacheRecord, SweepPointSpec, ZatelOptions,
+};
 use zatel_cli::report;
 use zatel_proto::{
     ConfigRef, PointRecord, PredictRequest, PredictResponse, RunRecord, SweepRequest,
@@ -52,7 +32,7 @@ use zatel_serve::HttpClient;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "help" || is_help(&argv[0]) {
+    if argv.is_empty() || argv[0] == "help" || args::is_help(&argv[0]) {
         print_help();
         return ExitCode::SUCCESS;
     }
@@ -65,162 +45,161 @@ fn main() -> ExitCode {
     }
 }
 
-fn is_help(arg: &str) -> bool {
-    arg == "--help" || arg == "-h"
-}
-
 fn run(argv: Vec<String>) -> Result<(), String> {
-    let unknown = |name: &str| format!("unknown subcommand '{name}'; try 'zatel help'");
-    if argv[1..].iter().map(String::as_str).any(is_help) {
-        let (_, usage) = COMMANDS
-            .iter()
-            .find(|(name, _)| *name == argv[0])
-            .ok_or_else(|| unknown(&argv[0]))?;
-        print!("{usage}");
+    let args = Args::parse(&COMMANDS, argv)?;
+    if args.help {
+        print!("{}", args.command.usage());
         return Ok(());
     }
-    let args = Args::parse(argv)?;
-    match args.command.as_str() {
-        "scenes" => cmd_scenes(),
-        "configs" => cmd_configs(),
-        "predict" => cmd_predict(&args),
-        "sweep" => cmd_sweep(&args),
-        "serve" => cmd_serve(&args),
-        "report" => cmd_report(&args),
-        "heatmap" => cmd_heatmap(&args),
-        other => Err(unknown(other)),
-    }
+    (args.command.run)(&args)
 }
 
-/// Each subcommand's usage, in `zatel help` order; `zatel <command>
-/// --help` (or `-h`) prints its own.
-const COMMANDS: [(&str, &str); 7] = [
-    (
-        "scenes",
-        "\
-usage: zatel scenes
-  list the benchmark scenes with their primitive counts
-",
-    ),
-    (
-        "configs",
-        "\
-usage: zatel configs
-  print the GPU configuration presets (mobile, rtx2060) as JSON
-",
-    ),
-    (
-        "predict",
-        "\
-usage: zatel predict [options]
-  --scene NAME        benchmark scene (default PARK; see 'zatel scenes')
-  --config NAME|FILE  mobile | rtx2060 | path to a GpuConfig JSON (default mobile)
-  --res N             square image resolution (default 128)
-  --spp N             samples per pixel (default 2)
-  --seed N            master seed (default 42)
-  --percent F         fixed traced fraction in (0,1] instead of Eq.(1)
-  --cap F             upper bound applied after Eq.(1)
-  --k N               explicit downscale factor (default: gcd rule)
-  --no-downscale      single group on the full GPU
-  --division KIND     fine | coarse (default fine)
-  --dist KIND         uniform | lintmp | exptmp (default uniform)
-  --regression        extrapolate via 20/30/40% exponential regression
-  --reference         also run the full simulation and report errors
-  --json              emit machine-readable JSON instead of tables
-  --jobs N            worker threads for group simulation (default: host cores)
-  --progress          per-group progress lines + phase counts by class (stderr)
-  --trace-out FILE    write a Perfetto/Chrome-trace JSON timeline of the run
-  --run-out FILE      persist a zatel-run-v2 record (request, response
-                      and heatmap) for 'zatel report --run'
-  --request-id ID     tag the run with a caller-chosen request ID
-                      (default: a generated req-... ID); with --url the
-                      ID travels as the x-zatel-request-id header
-  --log-out DEST      emit one zatel-log-v1 JSONL line for the run to
-                      DEST ('-' or 'stderr' for stderr, else a file)
-  --url URL           send the request to a 'zatel serve' instance at
-                      http://host:port instead of running locally; the
-                      output is identical to local mode
-",
-    ),
-    (
-        "sweep",
-        "\
-usage: zatel sweep [options]
-  (scene/config/res/spp/seed/division/dist/jobs as for predict)
-  --ks LIST           comma-separated downscale factors, e.g. 1,2,4
-  --percents LIST     comma-separated traced fractions, e.g. 0.1,0.3,0.6
-  --spec FILE         sweep-spec JSON instead of the --ks/--percents matrix
-  --cache-dir DIR     keep profiled heatmaps on disk (warm reruns skip
-                      heatmap profiling)
-  --runs-out FILE     append one zatel-sweep-v1 JSON line per point
-  --reference         also run the full simulation and report errors
-  --json              emit machine-readable JSON instead of tables
-  --url URL           run the sweep on a 'zatel serve' instance
-",
-    ),
-    (
-        "serve",
-        "\
-usage: zatel serve [options]
-  long-running prediction service (see DESIGN.md)
-  --addr HOST:PORT    listen address (default 127.0.0.1:7878; port 0
-                      picks an ephemeral port, logged on stderr)
-  --workers N         worker threads pulling predictions and sweeps
-                      off one queue through one shared cache
-                      (default 2)
-  --queue N           admission queue depth; beyond it requests are
-                      refused with 429 + a computed Retry-After
-                      (default 64)
-  --sim-jobs N        per-request simulation thread cap, when the
-                      request does not set options.jobs itself
-  --deadline-ms N     default deadline for requests that carry none;
-                      requests queued past it answer 504
-  --cache-dir DIR     keep profiled heatmaps on disk across restarts
-                      (the disk tier under the shared memory tier)
-  --cache-budget-mb N evict least-recently-used disk-tier entries
-                      once the cache dir outgrows N MiB
-  --log-out DEST      zatel-log-v1 JSONL event log destination: one
-                      line per request plus a drain summary (default
-                      stderr; '-'/'stderr' or a file path)
-",
-    ),
-    (
-        "report",
-        "\
-usage: zatel report [options]
-  --run FILE          run record written by 'zatel predict --run-out';
-                      without --run, summarizes the recorded history
-  --history FILE      append a one-line summary here (default runs.jsonl)
-  --pgm FILE          write the execution-time heatmap as a binary PGM
-  --prom FILE         write the metrics snapshot in Prometheus text format
-",
-    ),
-    (
-        "heatmap",
-        "\
-usage: zatel heatmap [options]
-  --scene NAME --res N --out DIR   write heatmap/quantized PPM images
-                                   (each pixel's first sample profiled)
-",
-    ),
+const SCENE: Opt = (
+    "--scene NAME",
+    "benchmark scene (default PARK; see 'zatel scenes')",
+);
+const SEED: Opt = ("--seed N", "master seed (default 42)");
+
+/// The options `predict` and `sweep` share: the request [`run_request`]
+/// reads.
+#[rustfmt::skip]
+const RUN: &[Opt] = &[
+    SCENE,
+    ("--config NAME|FILE", "mobile | rtx2060 | path to a GpuConfig JSON (default mobile)"),
+    ("--res N", "square image resolution (default 128)"),
+    ("--spp N", "samples per pixel (default 2)"),
+    SEED,
+    ("--percent F", "fixed traced fraction in (0,1] instead of Eq.(1)"),
+    ("--cap F", "upper bound applied after Eq.(1)"),
+    ("--k N", "explicit downscale factor (default: gcd rule)"),
+    ("--no-downscale", "single group on the full GPU"),
+    ("--division KIND", "fine | coarse (default fine)"),
+    ("--dist KIND", "uniform | lintmp | exptmp (default uniform)"),
+    ("--jobs N", "worker threads for group simulation (default: host cores)"),
+    ("--reference", "also run the full simulation and report errors"),
+    ("--json", "emit machine-readable JSON instead of tables"),
+];
+
+/// Each subcommand with the options it reads, in `zatel help` order; its
+/// usage lists them as written here.
+#[rustfmt::skip]
+static COMMANDS: [Command; 7] = [
+    Command {
+        name: "scenes",
+        about: "list the benchmark scenes with their primitive counts",
+        options: &[],
+        run: cmd_scenes,
+    },
+    Command {
+        name: "configs",
+        about: "print the GPU configuration presets (mobile, rtx2060) as JSON",
+        options: &[],
+        run: cmd_configs,
+    },
+    Command {
+        name: "predict",
+        about: "predict one scene's metrics on a GPU configuration",
+        options: &[RUN, &[
+            ("--regression", "extrapolate via 20/30/40% exponential regression"),
+            ("--progress", "per-group progress lines + phase counts by class (stderr)"),
+            ("--trace-out FILE", "write a Perfetto/Chrome-trace JSON timeline of the run"),
+            ("--run-out FILE", "persist a zatel-run-v2 record (request, response"),
+            ("", "and heatmap) for 'zatel report --run'"),
+            ("--request-id ID", "tag the run with a caller-chosen request ID"),
+            ("", "(default: a generated req-... ID); with --url the"),
+            ("", "ID travels as the x-zatel-request-id header"),
+            ("--log-out DEST", "emit one zatel-log-v1 JSONL line for the run to"),
+            ("", "DEST ('-' or 'stderr' for stderr, else a file)"),
+            ("--url URL", "send the request to a 'zatel serve' instance at"),
+            ("", "http://host:port instead of running locally; the"),
+            ("", "output is identical to local mode"),
+        ]],
+        run: cmd_predict,
+    },
+    Command {
+        name: "sweep",
+        about: "predict a matrix of points through one artifact cache",
+        options: &[RUN, &[
+            ("--ks LIST", "comma-separated downscale factors, e.g. 1,2,4"),
+            ("--percents LIST", "comma-separated traced fractions, e.g. 0.1,0.3,0.6"),
+            ("--spec FILE", "sweep-spec JSON instead of the --ks/--percents matrix"),
+            ("--cache-dir DIR", "keep profiled heatmaps on disk (warm reruns skip"),
+            ("", "heatmap profiling)"),
+            ("--runs-out FILE", "append one zatel-sweep-v1 JSON line per point"),
+            ("--url URL", "run the sweep on a 'zatel serve' instance"),
+        ]],
+        run: cmd_sweep,
+    },
+    Command {
+        name: "serve",
+        about: "long-running prediction service (see DESIGN.md)",
+        options: &[&[
+            ("--addr HOST:PORT", "listen address (default 127.0.0.1:7878; port 0"),
+            ("", "picks an ephemeral port, logged on stderr)"),
+            ("--workers N", "worker threads pulling predictions and sweeps"),
+            ("", "off one queue through one shared cache"),
+            ("", "(default 2)"),
+            ("--queue N", "admission queue depth; beyond it requests are"),
+            ("", "refused with 429 + a computed Retry-After"),
+            ("", "(default 64)"),
+            ("--sim-jobs N", "per-request simulation thread cap, when the"),
+            ("", "request does not set options.jobs itself"),
+            ("--deadline-ms N", "default deadline for requests that carry none;"),
+            ("", "requests queued past it answer 504"),
+            ("--cache-dir DIR", "keep profiled heatmaps on disk across restarts"),
+            ("", "(the disk tier under the shared memory tier)"),
+            ("--cache-budget-mb N", "evict least-recently-used disk-tier entries"),
+            ("", "once the cache dir outgrows N MiB"),
+            ("--log-out DEST", "zatel-log-v1 JSONL event log destination: one"),
+            ("", "line per request plus a drain summary (default"),
+            ("", "stderr; '-'/'stderr' or a file path)"),
+        ]],
+        run: cmd_serve,
+    },
+    Command {
+        name: "report",
+        about: "render a run record, or summarize the recorded history",
+        options: &[&[
+            ("--run FILE", "run record written by 'zatel predict --run-out';"),
+            ("", "without --run, summarizes the recorded history"),
+            ("--history FILE", "append a one-line summary here (default runs.jsonl)"),
+            ("--pgm FILE", "write the execution-time heatmap as a binary PGM"),
+            ("--prom FILE", "write the metrics snapshot in Prometheus text format"),
+        ]],
+        run: cmd_report,
+    },
+    Command {
+        name: "heatmap",
+        about: "write heatmap/quantized PPM images\n(each pixel's first sample profiled)",
+        options: &[&[
+            SCENE,
+            ("--res N", "square image resolution (default 256)"),
+            SEED,
+            ("--out DIR", "output directory (default target/heatmaps)"),
+        ]],
+        run: cmd_heatmap,
+    },
 ];
 
 fn print_help() {
+    let names = COMMANDS.each_ref().map(|c| c.name).join("|");
     println!(
         "zatel — sample complexity-aware scale-model simulation for ray tracing\n\
          \n\
-         USAGE:\n  zatel <scenes|configs|predict|sweep|serve|report|heatmap|help> [options]\n  \
+         USAGE:\n  zatel <{names}|help> [options]\n  \
          zatel <command> --help"
     );
-    for (_, usage) in COMMANDS {
-        print!("\n{usage}");
+    for command in &COMMANDS {
+        print!("\n{}", command.usage());
     }
 }
 
-fn cmd_scenes() -> Result<(), String> {
+/// Lists each scene as a default request builds it.
+fn cmd_scenes(_: &Args) -> Result<(), String> {
+    let seed = default_request("").seed;
     println!("{:<8} {:>10}  characteristics", "scene", "primitives");
     for id in rtcore::scenes::all() {
-        let scene = id.build(42);
+        let scene = id.build(seed);
         println!(
             "{:<8} {:>10}  {}",
             id.name(),
@@ -231,7 +210,7 @@ fn cmd_scenes() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_configs() -> Result<(), String> {
+fn cmd_configs(_: &Args) -> Result<(), String> {
     for config in [GpuConfig::mobile_soc(), GpuConfig::rtx_2060()] {
         println!("{}", config.to_json().pretty());
     }
@@ -259,69 +238,57 @@ fn config_ref(spec: &str) -> Result<ConfigRef, String> {
     Ok(ConfigRef::inline(config))
 }
 
-fn scene_from(args: &Args) -> Result<(SceneId, rtcore::scene::Scene, u64), String> {
-    let seed = args.get_parsed("seed", 42u64)?;
-    let name = args.get("scene").unwrap_or("PARK");
-    let id = rtcore::scenes::by_name(name)
-        .ok_or_else(|| format!("unknown scene '{name}'; see 'zatel scenes'"))?;
-    let scene = id.build(seed);
-    Ok((id, scene, seed))
+/// A request for `scene` on the default config, every other field at
+/// [`PredictRequest::new`]'s default.
+fn default_request(scene: &str) -> PredictRequest {
+    PredictRequest::new(scene, ConfigRef::preset("mobile"))
 }
 
-/// The pipeline options shared by `predict` and `sweep`
-/// (`--k`/`--no-downscale`, `--division`, `--dist`, `--percent`, `--cap`,
-/// `--jobs`) over the defaults.
-fn options(args: &Args) -> Result<zatel::ZatelOptions, String> {
-    let mut opts = zatel::ZatelOptions::default();
-    if args.flag("no-downscale") {
-        opts.downscale = DownscaleMode::NoDownscale;
-    } else if let Some(k) = args.parsed("k")? {
-        opts.downscale = DownscaleMode::Factor(k);
-    }
-    match args.get("division").unwrap_or("fine") {
-        "fine" => opts.division = DivisionMethod::default_fine(),
-        "coarse" => opts.division = DivisionMethod::Coarse,
-        other => return Err(format!("unknown division '{other}' (fine|coarse)")),
-    }
-    match args.get("dist").unwrap_or("uniform") {
-        "uniform" => opts.selection.distribution = Distribution::Uniform,
-        "lintmp" => opts.selection.distribution = Distribution::LinTmp,
-        "exptmp" => opts.selection.distribution = Distribution::ExpTmp,
-        other => {
-            return Err(format!(
-                "unknown distribution '{other}' (uniform|lintmp|exptmp)"
-            ))
-        }
-    }
-    opts.selection.percent_override = args.parsed("percent")?;
-    opts.selection.percent_cap = args.parsed("cap")?;
-    opts.jobs = args.parsed("jobs")?;
-    if opts.jobs == Some(0) {
-        return Err("--jobs must be at least 1".into());
-    }
-    Ok(opts)
+/// The default request for the scene `--scene` names, with its `--seed`.
+fn scene_request(args: &Args) -> Result<PredictRequest, String> {
+    let mut request = default_request(args.get("scene").unwrap_or("PARK"));
+    request.seed = args.get_parsed("seed", request.seed)?;
+    Ok(request)
 }
 
-/// Builds the wire request shared by local and `--url` prediction from
-/// the command line.
-fn predict_request(args: &Args) -> Result<PredictRequest, String> {
-    let mut request = PredictRequest::new(
-        args.get("scene").unwrap_or("PARK"),
-        config_ref(args.get("config").unwrap_or("mobile"))?,
-    );
-    request.res = args.get_parsed("res", 128u32)?;
-    request.spp = args.get_parsed("spp", 2u32)?;
-    request.seed = args.get_parsed("seed", 42u64)?;
-    request.options = Some(options(args)?);
-    if args.flag("regression") {
-        request.regression = Some([0.2, 0.3, 0.4]);
+/// The request `predict` and `sweep` read from the [`RUN`] options, over
+/// [`PredictRequest::new`]'s and [`ZatelOptions::default`]'s defaults. The
+/// option values are checked where they are used:
+/// [`PredictRequest::validate`] on the local path, the server on `--url`.
+fn run_request(args: &Args) -> Result<PredictRequest, String> {
+    let mut request = scene_request(args)?;
+    if let Some(spec) = args.get("config") {
+        request.config = config_ref(spec)?;
     }
+    request.res = args.get_parsed("res", request.res)?;
+    request.spp = args.get_parsed("spp", request.spp)?;
     request.reference = args.flag("reference");
+
+    let mut options = ZatelOptions::default();
+    if args.flag("no-downscale") {
+        options.downscale = DownscaleMode::NoDownscale;
+    } else if let Some(k) = args.parsed("k")? {
+        options.downscale = DownscaleMode::Factor(k);
+    }
+    if let Some(name) = args.get("division") {
+        options.division = DivisionMethod::named(name)?;
+    }
+    if let Some(name) = args.get("dist") {
+        options.selection.distribution =
+            Distribution::from_json(&name.into()).map_err(|e| e.to_string())?;
+    }
+    options.selection.percent_override = args.parsed("percent")?;
+    options.selection.percent_cap = args.parsed("cap")?;
+    options.jobs = args.parsed("jobs")?;
+    request.options = Some(options);
     Ok(request)
 }
 
 fn cmd_predict(args: &Args) -> Result<(), String> {
-    let mut request = predict_request(args)?;
+    let mut request = run_request(args)?;
+    if args.flag("regression") {
+        request.regression = Some([0.2, 0.3, 0.4]);
+    }
     let progress = args.flag("progress");
     let trace_out = args.get("trace-out");
     let run_out = args.get("run-out");
@@ -520,23 +487,16 @@ fn sweep_spec(args: &Args) -> Result<zatel::SweepSpec, String> {
     Ok(zatel::SweepSpec::matrix(&ks, &percents))
 }
 
-/// Builds the wire request shared by local and `--url` sweeps.
-fn sweep_request(args: &Args) -> Result<SweepRequest, String> {
-    let mut request = SweepRequest::new(
-        args.get("scene").unwrap_or("PARK"),
-        config_ref(args.get("config").unwrap_or("mobile"))?,
-        sweep_spec(args)?,
-    );
-    request.res = args.get_parsed("res", 128u32)?;
-    request.spp = args.get_parsed("spp", 2u32)?;
-    request.seed = args.get_parsed("seed", 42u64)?;
-    request.options = Some(options(args)?);
-    request.reference = args.flag("reference");
-    Ok(request)
-}
-
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let request = sweep_request(args)?;
+    let run = run_request(args)?;
+    let request = SweepRequest {
+        res: run.res,
+        spp: run.spp,
+        seed: run.seed,
+        options: run.options,
+        reference: run.reference,
+        ..SweepRequest::new(run.scene, run.config, sweep_spec(args)?)
+    };
 
     let response = if let Some(url) = args.get("url") {
         if args.get("cache-dir").is_some() {
@@ -591,22 +551,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     config.queue = args.get_parsed("queue", config.queue)?;
     config.sim_jobs = args.parsed("sim-jobs")?;
     config.default_deadline_ms = args.parsed("deadline-ms")?;
-    if let Some(dir) = args.get("cache-dir") {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating cache dir '{dir}': {e}"))?;
-        config.cache_dir = Some(dir.to_owned());
-    }
-    if let Some(budget) = args.parsed("cache-budget-mb")? {
-        if budget == 0 {
-            return Err("--cache-budget-mb must be at least 1".into());
-        }
-        if config.cache_dir.is_none() {
-            return Err("--cache-budget-mb needs --cache-dir".into());
-        }
-        config.cache_budget_mb = Some(budget);
-    }
-    if let Some(dest) = args.get("log-out") {
-        config.log_out = Some(dest.to_owned());
-    }
+    config.cache_dir = args.get("cache-dir").map(str::to_owned);
+    config.cache_budget_mb = args.parsed("cache-budget-mb")?;
+    config.log_out = args.get("log-out").map(str::to_owned);
 
     zatel_serve::signal::install();
     let server = Server::bind(config)?;
@@ -630,9 +577,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `zatel report`: renders a `--run` record and appends its summary to the
+/// history, or without `--run` summarizes the history (`zatel report
+/// --run` lines and `zatel sweep --runs-out` records share one file and
+/// one record type).
 fn cmd_report(args: &Args) -> Result<(), String> {
+    let history = args.get("history").unwrap_or("runs.jsonl");
     let Some(path) = args.get("run") else {
-        return cmd_report_history(args);
+        let runs = zatel_proto::read_history(std::path::Path::new(history))?;
+        println!("{} recorded runs in {history}", runs.len());
+        print!("{}", report::render_points(&runs));
+        return Ok(());
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading run record '{path}': {e}"))?;
@@ -646,7 +601,6 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         })?;
     print!("{}", report::render_run(&run));
 
-    let history = args.get("history").unwrap_or("runs.jsonl");
     let line = PointRecord::new(SweepPointSpec::named("predict"), &run.response);
     append_history(history, &[line])?;
     eprintln!("appended run summary to {history}");
@@ -684,30 +638,21 @@ fn append_history(path: &str, records: &[PointRecord]) -> Result<(), String> {
     Ok(())
 }
 
-/// `zatel report` without `--run`: summarize the recorded run history
-/// (`zatel report --run` lines and `zatel sweep --runs-out` records share
-/// one file and one record type).
-fn cmd_report_history(args: &Args) -> Result<(), String> {
-    let history = args.get("history").unwrap_or("runs.jsonl");
-    let runs = zatel_proto::read_history(std::path::Path::new(history))?;
-    println!("{} recorded runs in {history}", runs.len());
-    print!("{}", report::render_points(&runs));
-    Ok(())
-}
-
 fn cmd_heatmap(args: &Args) -> Result<(), String> {
-    let (_, scene, seed) = scene_from(args)?;
+    let PredictRequest { scene, seed, .. } = scene_request(args)?;
+    let scene = rtcore::scenes::by_name(&scene)
+        .ok_or_else(|| format!("unknown scene '{scene}'; see 'zatel scenes'"))?
+        .build(seed);
     let res = args.get_parsed("res", 256u32)?;
-    let spp = args.get_parsed("spp", 2u32)?;
     let out = std::path::PathBuf::from(args.get("out").unwrap_or("target/heatmaps"));
     std::fs::create_dir_all(&out).map_err(|e| format!("creating '{}': {e}", out.display()))?;
     let trace = TraceConfig {
-        samples_per_pixel: spp,
-        max_bounces: 4,
         seed,
+        ..TraceConfig::default()
     };
     let heatmap = zatel::heatmap::Heatmap::profile(&scene, res, res, &trace);
-    let quantized = zatel::quantize::QuantizedHeatmap::quantize(&heatmap, 8, seed);
+    let colours = ZatelOptions::default().quant_colors;
+    let quantized = zatel::quantize::QuantizedHeatmap::quantize(&heatmap, colours, seed);
     heatmap
         .to_image()
         .save_ppm(out.join("heatmap.ppm"))

@@ -10,7 +10,7 @@ use gpusim::Metric;
 use obs::registry::{bucket_lower, bucket_upper};
 use obs::{Histogram, MetricKind, MetricsRegistry};
 use zatel::heatmap::Heatmap;
-use zatel::{DivisionMethod, StageCacheRecord};
+use zatel::StageCacheRecord;
 use zatel_proto::{MetricValues, PointRecord, PredictResponse, RunRecord};
 
 /// The metric rows `zatel predict` and `zatel report --run` print, each
@@ -103,10 +103,6 @@ pub fn render_run(run: &RunRecord) -> String {
     let response = &run.response;
     let res = response.res;
     let options = run.request.options.clone().unwrap_or_default();
-    let division = match options.division {
-        DivisionMethod::Coarse => "coarse",
-        DivisionMethod::Fine { .. } => "fine",
-    };
     let _ = writeln!(
         out,
         "zatel run: scene {} on {} at {res}x{res} (spp {}, seed {})",
@@ -114,8 +110,9 @@ pub fn render_run(run: &RunRecord) -> String {
     );
     let _ = writeln!(
         out,
-        "  K = {}, division {division}, distribution {}",
+        "  K = {}, division {}, distribution {}",
         response.k,
+        options.division.name(),
         options.selection.distribution.tag(),
     );
     if let Some(id) = response.request_id() {

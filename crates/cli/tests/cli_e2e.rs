@@ -285,6 +285,33 @@ fn unknown_options_are_rejected() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown option '--qps'"), "stderr: {err}");
+
+    // So are the keys only another command reads: nothing runs, and no
+    // cache directory appears.
+    let dir = std::env::temp_dir().join(format!("zatel-cli-unread-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf8 temp dir");
+    for argv in [
+        &[
+            "predict",
+            "--scene",
+            "SPRNG",
+            "--res",
+            "32",
+            "--cache-dir",
+            dir,
+        ][..],
+        &[
+            "heatmap", "--scene", "SPRNG", "--res", "8", "--spp", "2", "--out", dir,
+        ],
+        &["scenes", "--res", "8"],
+    ] {
+        let out = zatel(argv);
+        assert!(!out.status.success(), "{argv:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option"), "{argv:?}: {err}");
+        assert!(out.stdout.is_empty(), "{argv:?}: nothing ran");
+    }
+    assert!(!std::path::Path::new(dir).exists(), "no directory created");
 }
 
 #[test]
@@ -860,8 +887,6 @@ fn heatmap_writes_ppm_files() {
         "SPRNG",
         "--res",
         "24",
-        "--spp",
-        "1",
         "--out",
         dir.to_str().unwrap(),
     ]);

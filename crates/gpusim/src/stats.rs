@@ -196,6 +196,11 @@ impl Metric {
         Metric::BandwidthUtilization,
     ];
 
+    /// The metric's position in [`Metric::ALL`].
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short display name matching the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -394,5 +399,12 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 7);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, metric) in Metric::ALL.into_iter().enumerate() {
+            assert_eq!(metric.index(), i, "{metric:?}");
+        }
     }
 }

@@ -118,33 +118,17 @@ pub struct MetricValues(pub [f64; 7]);
 impl MetricValues {
     /// The value of `metric`.
     pub fn value(&self, metric: Metric) -> f64 {
-        #[expect(
-            clippy::expect_used,
-            reason = "Metric::ALL enumerates every variant by construction; mirrors Prediction::value"
-        )]
-        let idx = Metric::ALL
-            .iter()
-            .position(|m| *m == metric)
-            .expect("metric in ALL");
-        self.0[idx]
+        self.0[metric.index()]
     }
 
     /// Collects a prediction's values.
     pub fn from_prediction(prediction: &zatel::Prediction) -> Self {
-        let mut values = [0.0; 7];
-        for (slot, &m) in values.iter_mut().zip(Metric::ALL.iter()) {
-            *slot = prediction.value(m);
-        }
-        MetricValues(values)
+        MetricValues(Metric::ALL.map(|m| prediction.value(m)))
     }
 
     /// Collects a reference simulation's values.
     pub(crate) fn from_stats(stats: &gpusim::SimStats) -> Self {
-        let mut values = [0.0; 7];
-        for (slot, &m) in values.iter_mut().zip(Metric::ALL.iter()) {
-            *slot = m.value(stats);
-        }
-        MetricValues(values)
+        MetricValues(Metric::ALL.map(|m| m.value(stats)))
     }
 }
 

@@ -13,6 +13,10 @@ use crate::material::{Material, MaterialId, Surface};
 use crate::math::{cosine_hemisphere, uniform_sphere, Pcg, Ray, Vec3, RAY_EPSILON};
 use crate::scene::Scene;
 
+/// The bounce depth of [`TraceConfig::default`], which every prediction
+/// traces.
+pub const MAX_BOUNCES: u32 = 4;
+
 /// Rendering parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
@@ -42,7 +46,7 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             samples_per_pixel: 2,
-            max_bounces: 4,
+            max_bounces: MAX_BOUNCES,
             seed: 0x5A7E1,
         }
     }

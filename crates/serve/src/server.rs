@@ -82,7 +82,8 @@ pub struct ServeConfig {
     pub cache_dir: Option<String>,
     /// Size budget for the disk tier in MiB; least-recently-used entries
     /// are evicted once the tier outgrows it. `None` means unbounded.
-    /// Ignored without [`ServeConfig::cache_dir`].
+    /// [`Server::bind`] refuses `Some(0)` and a budget without a
+    /// [`ServeConfig::cache_dir`].
     pub cache_budget_mb: Option<u64>,
     /// Where the `zatel-log-v1` JSONL event log goes: `None`, `"-"` or
     /// `"stderr"` mean standard error, anything else is a file path
@@ -439,9 +440,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns a message when the worker count, queue depth or job cap is
-    /// zero, the address cannot be bound or the cache directory cannot be
-    /// created.
+    /// Returns a message when the worker count, queue depth, job cap or
+    /// disk budget is zero, a budget comes without a cache directory, the
+    /// address cannot be bound or the cache directory cannot be created.
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
         if config.workers == 0 {
             return Err("serve needs at least one worker".into());
@@ -451,6 +452,12 @@ impl Server {
         }
         if config.sim_jobs == Some(0) {
             return Err("serve needs --sim-jobs of at least 1".into());
+        }
+        if config.cache_budget_mb == Some(0) {
+            return Err("serve needs --cache-budget-mb of at least 1".into());
+        }
+        if config.cache_budget_mb.is_some() && config.cache_dir.is_none() {
+            return Err("--cache-budget-mb needs --cache-dir".into());
         }
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
@@ -971,6 +978,33 @@ mod tests {
         assert!(err.contains("--sim-jobs"), "{err}");
         Server::bind(config(Some(1))).expect("a cap of one binds");
         Server::bind(config(None)).expect("no cap binds");
+    }
+
+    #[test]
+    fn bind_refuses_a_zero_budget_and_a_budget_without_a_cache_dir() {
+        let dir = std::env::temp_dir().join(format!("zatel-serve-budget-{}", std::process::id()));
+        let config = |cache_dir: Option<&std::path::Path>, budget| ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            cache_dir: cache_dir.map(|d| d.to_string_lossy().into_owned()),
+            cache_budget_mb: budget,
+            ..ServeConfig::default()
+        };
+        for (config, message) in [
+            (
+                config(Some(&dir), Some(0)),
+                "--cache-budget-mb of at least 1",
+            ),
+            (config(None, Some(4)), "--cache-budget-mb needs --cache-dir"),
+        ] {
+            let Err(err) = Server::bind(config) else {
+                panic!("{message}: accepted");
+            };
+            assert!(err.contains(message), "{err}");
+        }
+        assert!(!dir.exists(), "a refused config creates no cache dir");
+        Server::bind(config(Some(&dir), Some(1))).expect("a budget with a dir binds");
+        assert!(dir.is_dir(), "bind creates the cache dir");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

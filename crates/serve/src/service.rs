@@ -17,9 +17,9 @@ use zatel_proto::{
     ConfigRef, ErrorKind, PointRecord, PredictRequest, PredictResponse, SweepRequest, SweepResponse,
 };
 
-/// Ray bounce depth used by every service-issued trace (the CLI's
-/// long-standing default).
-pub const MAX_BOUNCES: u32 = 4;
+/// Ray bounce depth used by every service-issued trace: the tracer's
+/// default.
+pub use rtcore::tracer::MAX_BOUNCES;
 
 /// Why a request could not be served.
 #[derive(Debug)]

@@ -94,17 +94,7 @@ impl ExpRegression {
 /// The degenerate-fit fallback for [`ExpRegression`].
 pub(crate) fn linear_fit(points: &[(f64, f64)], f: f64) -> f64 {
     assert!(!points.is_empty(), "need at least one point");
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return sy / n;
-    }
-    let slope = (n * sxy - sx * sy) / denom;
-    let intercept = (sy - slope * sx) / n;
+    let (intercept, slope) = crate::metrics::fit_line(points);
     intercept + slope * f
 }
 

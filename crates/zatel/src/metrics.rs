@@ -61,19 +61,27 @@ pub fn fit_power_law(points: &[(f64, f64)]) -> PowerLaw {
         points.iter().all(|&(x, y)| x > 0.0 && y > 0.0),
         "power-law fit needs positive samples"
     );
+    let logs: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x.ln(), y.ln())).collect();
+    let (ln_a, b) = fit_line(&logs);
+    PowerLaw { a: ln_a.exp(), b }
+}
+
+/// Least-squares line `y = intercept + slope · x` through `points`, as
+/// `(intercept, slope)`, each sum taken in point order. When every `x` is
+/// equal the slope is 0 and the intercept the mean `y`.
+pub fn fit_line(points: &[(f64, f64)]) -> (f64, f64) {
     let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0.ln()).sum();
-    let sy: f64 = points.iter().map(|p| p.1.ln()).sum();
-    let sxx: f64 = points.iter().map(|p| p.0.ln().powi(2)).sum();
-    let sxy: f64 = points.iter().map(|p| p.0.ln() * p.1.ln()).sum();
+    let sx: f64 = points.iter().map(|p| p.0).sum();
+    let sy: f64 = points.iter().map(|p| p.1).sum();
+    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
+    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
     let denom = n * sxx - sx * sx;
-    let b = if denom.abs() < 1e-12 {
+    let slope = if denom.abs() < 1e-12 {
         0.0
     } else {
         (n * sxy - sx * sy) / denom
     };
-    let a = ((sy - b * sx) / n).exp();
-    PowerLaw { a, b }
+    ((sy - slope * sx) / n, slope)
 }
 
 #[cfg(test)]

@@ -29,18 +29,44 @@ impl DivisionMethod {
             chunk_height: 2,
         }
     }
+
+    /// The method's name, `fine` or `coarse`: its JSON `method` tag.
+    pub fn name(self) -> &'static str {
+        match self {
+            DivisionMethod::Coarse => "coarse",
+            DivisionMethod::Fine { .. } => "fine",
+        }
+    }
+
+    /// The method [`DivisionMethod::name`] calls `name`; `fine` has the
+    /// paper's 32×2 chunks.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message listing the names when `name` is neither.
+    pub fn named(name: &str) -> Result<Self, String> {
+        let methods = [DivisionMethod::default_fine(), DivisionMethod::Coarse];
+        methods
+            .into_iter()
+            .find(|m| m.name() == name)
+            .ok_or_else(|| {
+                let [a, b] = methods.map(DivisionMethod::name);
+                format!("unknown division method {name:?} (expected {a:?} or {b:?})")
+            })
+    }
 }
 
 /// Hand-written: the `method` tag decides which other keys exist.
 impl ToJson for DivisionMethod {
     fn to_json(&self) -> Value {
+        let method = self.name();
         match *self {
-            DivisionMethod::Coarse => json!({ "method": "coarse" }),
+            DivisionMethod::Coarse => json!({ "method": method }),
             DivisionMethod::Fine {
                 chunk_width,
                 chunk_height,
             } => {
-                json!({ "method": "fine", "chunk_width": chunk_width, "chunk_height": chunk_height })
+                json!({ "method": method, "chunk_width": chunk_width, "chunk_height": chunk_height })
             }
         }
     }
@@ -50,15 +76,13 @@ impl FromJson for DivisionMethod {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         const TY: &str = "DivisionMethod";
         minijson::object(value, TY)?;
-        match field::<String>(value, TY, "method")?.as_str() {
-            "coarse" => Ok(DivisionMethod::Coarse),
-            "fine" => Ok(DivisionMethod::Fine {
+        let method = field::<String>(value, TY, "method")?;
+        match DivisionMethod::named(&method).map_err(JsonError::conversion)? {
+            DivisionMethod::Fine { .. } => Ok(DivisionMethod::Fine {
                 chunk_width: field(value, TY, "chunk_width")?,
                 chunk_height: field(value, TY, "chunk_height")?,
             }),
-            other => Err(JsonError::conversion(format!(
-                "unknown division method {other:?} (expected \"coarse\" or \"fine\")"
-            ))),
+            coarse => Ok(coarse),
         }
     }
 }

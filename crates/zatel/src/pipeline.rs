@@ -91,7 +91,9 @@ impl ZatelOptions {
     pub fn validate(&self) -> Result<(), ZatelError> {
         let invalid = |msg: String| Err(ZatelError::InvalidOptions(msg));
         if self.jobs == Some(0) {
-            return invalid("jobs must be positive (use None to size to the host)".into());
+            return invalid(
+                "jobs (--jobs) must be at least 1; leave it unset to size to the host".into(),
+            );
         }
         if self.quant_colors == 0 {
             return invalid("quant_colors must be at least 1".into());
@@ -215,15 +217,7 @@ pub struct Prediction {
 impl Prediction {
     /// Predicted value of `metric`.
     pub fn value(&self, metric: Metric) -> f64 {
-        #[expect(
-            clippy::expect_used,
-            reason = "Metric::ALL enumerates every variant by construction; a Result here would make an infallible accessor fallible"
-        )]
-        let idx = Metric::ALL
-            .iter()
-            .position(|m| *m == metric)
-            .expect("metric in ALL");
-        self.values[idx]
+        self.values[metric.index()]
     }
 
     /// Relative absolute error of every metric against a reference run.

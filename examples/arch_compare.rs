@@ -34,8 +34,8 @@ fn main() -> Result<(), zatel::ZatelError> {
     let scene = scene_id.build(42);
     let trace = TraceConfig {
         samples_per_pixel: 2,
-        max_bounces: 4,
         seed: 7,
+        ..TraceConfig::default()
     };
     println!(
         "Comparing architectures on {} at {res}x{res}\n",

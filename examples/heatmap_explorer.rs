@@ -39,8 +39,8 @@ fn main() -> std::io::Result<()> {
     let scene = scene_id.build(42);
     let trace = TraceConfig {
         samples_per_pixel: 2,
-        max_bounces: 4,
         seed: 7,
+        ..TraceConfig::default()
     };
     println!("Profiling {} at {res}x{res}...", scene.name());
 
@@ -52,7 +52,8 @@ fn main() -> std::io::Result<()> {
     println!("mean temperature: {:.3}", heatmap.mean_temperature());
 
     // Step 2: colour quantization (Fig. 4).
-    let quantized = QuantizedHeatmap::quantize(&heatmap, 8, 7);
+    let colours = ZatelOptions::default().quant_colors;
+    let quantized = QuantizedHeatmap::quantize(&heatmap, colours, 7);
     quantized
         .to_image()
         .save_ppm(out_dir.join("heatmap_quantized.ppm"))?;

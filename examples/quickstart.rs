@@ -23,8 +23,8 @@ fn main() -> Result<(), zatel::ZatelError> {
     let scene = scene_id.build(42);
     let trace = TraceConfig {
         samples_per_pixel: 2,
-        max_bounces: 4,
         seed: 7,
+        ..TraceConfig::default()
     };
     println!(
         "Scene {} at {res}x{res}, {} primitives, Mobile SoC target",
