@@ -17,6 +17,14 @@
 //! cargo bench -p zatel-bench -- fig13     # the figures whose name contains "fig13"
 //! ```
 //!
+//! The `accuracy` bench writes the accuracy [`ledger`] — every scene on
+//! both presets over several scene and selection seeds, with their spreads
+//! — to the committed `BENCH_accuracy.json`; it runs only by name:
+//!
+//! ```text
+//! ZATEL_RES=64 cargo bench -p zatel-bench --bench accuracy
+//! ```
+//!
 //! [`Setup::from_env`] reads the environment once; a malformed or zero
 //! value is an error naming the variable (a zero seed is a seed).
 //!
@@ -33,6 +41,7 @@
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+mod accuracy;
 mod figures;
 
 use std::collections::BTreeMap;
@@ -46,6 +55,7 @@ use zatel::{
     ArtifactCache, Prediction, Reference, RunContext, SimExecutor, Zatel, ZatelError, ZatelOptions,
 };
 
+pub use accuracy::ledger;
 pub use figures::FIGURES;
 
 /// The campaign's resolution, sampling, seed and worker count.
