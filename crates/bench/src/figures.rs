@@ -605,7 +605,7 @@ fn fig20_points(_: &Setup) -> Vec<Predict> {
     for scene in SceneId::ALL {
         let base = Predict::new(scene, rtx()).with(|o| o.downscale = DownscaleMode::NoDownscale);
         points.push(Predict {
-            regression: Some([0.2, 0.3, 0.4]),
+            regression: Some(zatel::REGRESSION_FRACTIONS),
             ..base
         });
         points.push(percent_point(scene, 0.4));

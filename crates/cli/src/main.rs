@@ -72,7 +72,7 @@ const RUN: &[Opt] = &[
     ("--percent F", "fixed traced fraction in (0,1] instead of Eq.(1)"),
     ("--cap F", "upper bound applied after Eq.(1)"),
     ("--k N", "explicit downscale factor (default: gcd rule)"),
-    ("--no-downscale", "single group on the full GPU"),
+    ("--no-downscale", "single group on the full GPU (not with --k)"),
     ("--division KIND", "fine | coarse (default fine)"),
     ("--dist KIND", "uniform | lintmp | exptmp (default uniform)"),
     ("--jobs N", "worker threads for group simulation (default: host cores)"),
@@ -170,7 +170,7 @@ static COMMANDS: [Command; 7] = [
     },
     Command {
         name: "heatmap",
-        about: "write heatmap/quantized PPM images\n(each pixel's first sample profiled)",
+        about: "write heatmap/quantized PPM images\n(first sample of one pixel per row pair profiled)",
         options: &[&[
             SCENE,
             ("--res N", "square image resolution (default 256)"),
@@ -265,9 +265,13 @@ fn run_request(args: &Args) -> Result<PredictRequest, String> {
     request.reference = args.flag("reference");
 
     let mut options = ZatelOptions::default();
+    let k = args.parsed("k")?;
     if args.flag("no-downscale") {
+        if k.is_some() {
+            return Err("--no-downscale replaces --k; give one or the other".into());
+        }
         options.downscale = DownscaleMode::NoDownscale;
-    } else if let Some(k) = args.parsed("k")? {
+    } else if let Some(k) = k {
         options.downscale = DownscaleMode::Factor(k);
     }
     if let Some(name) = args.get("division") {
@@ -287,7 +291,7 @@ fn run_request(args: &Args) -> Result<PredictRequest, String> {
 fn cmd_predict(args: &Args) -> Result<(), String> {
     let mut request = run_request(args)?;
     if args.flag("regression") {
-        request.regression = Some([0.2, 0.3, 0.4]);
+        request.regression = Some(zatel::REGRESSION_FRACTIONS);
     }
     let progress = args.flag("progress");
     let trace_out = args.get("trace-out");

@@ -255,6 +255,28 @@ fn predict_no_downscale_and_percent() {
 }
 
 #[test]
+fn no_downscale_and_k_are_refused_together() {
+    let run = [
+        "--scene",
+        "SPRNG",
+        "--res",
+        "32",
+        "--k",
+        "2",
+        "--no-downscale",
+    ];
+    for args in [&["predict"][..], &["sweep", "--percents", "0.5"]] {
+        let out = zatel(&[args, &run[..]].concat());
+        assert!(!out.status.success(), "{args:?} accepted both");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--no-downscale replaces --k"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn unknown_scene_fails_cleanly() {
     let out = zatel(&["predict", "--scene", "NOPE"]);
     assert!(!out.status.success());

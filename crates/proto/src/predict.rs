@@ -432,7 +432,7 @@ mod tests {
     fn request_round_trips() {
         let mut req = PredictRequest::new("PARK", ConfigRef::preset("mobile"));
         req.reference = true;
-        req.regression = Some([0.2, 0.3, 0.4]);
+        req.regression = Some(zatel::REGRESSION_FRACTIONS);
         req.options = Some(ZatelOptions::default());
         req.hints = Some(crate::ExecutionHints {
             deadline_ms: Some(9000),

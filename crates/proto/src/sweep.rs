@@ -34,19 +34,20 @@ pub struct SweepRequest {
 }
 
 impl SweepRequest {
-    /// A sweep of `spec` with the CLI's defaults (128×128, 2 spp,
-    /// seed 42, default options, no reference).
+    /// A sweep of `spec` with [`crate::PredictRequest::new`]'s defaults
+    /// (128×128, 2 spp, seed 42, default options, no reference).
     pub fn new(scene: impl Into<String>, config: crate::ConfigRef, spec: SweepSpec) -> Self {
+        let run = crate::PredictRequest::new(scene, config);
         SweepRequest {
-            scene: scene.into(),
-            config,
-            res: 128,
-            spp: 2,
-            seed: 42,
-            options: None,
+            scene: run.scene,
+            config: run.config,
+            res: run.res,
+            spp: run.spp,
+            seed: run.seed,
+            options: run.options,
             spec,
-            reference: false,
-            hints: None,
+            reference: run.reference,
+            hints: run.hints,
         }
     }
 

@@ -71,8 +71,9 @@ pub struct PixelTrace {
     pub rays: u32,
 }
 
-/// Per-pixel work counts for a full frame, each pixel's first sample (see
-/// [`profile_costs`]); the raw input of Zatel's execution-time heatmap.
+/// Per-pixel work counts for a full frame, the first sample of one pixel of
+/// each vertical pair (see [`profile_costs`]); the raw input of Zatel's
+/// execution-time heatmap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostMap {
     width: u32,
@@ -438,18 +439,38 @@ pub fn render(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> I
 
 /// Profiles the per-pixel cost map (no image), which is how Zatel obtains
 /// its heatmap (paper step 1): the work of each pixel's first sample,
-/// whatever `config.samples_per_pixel` says ([`TraceConfig::profiled`]).
-/// The paper reads the heatmap off a hardware profile that costs almost
-/// nothing; one sample is the cheapest trace that still sees every pixel's
-/// path. The result equals the 1-spp profile bit for bit, and each pixel's
-/// value is the work its first sample does in a simulation at any spp.
+/// whatever `config.samples_per_pixel` says ([`TraceConfig::profiled`]),
+/// traced for one pixel of each vertical pair. The paper reads the heatmap
+/// off a hardware profile that costs almost nothing and uses only its
+/// relative shape, so the profile traces a quarter of a 2-spp frame:
+///
+/// - rows `2k` and `2k + 1` form a pair, the two rows of every 32×2
+///   selection block;
+/// - of each pair's two pixels in column `x`, the one with `x + y` even is
+///   traced (a checkerboard), and its partner holds the same value;
+/// - the last row of an odd height has no partner and is traced in full.
+///
+/// Each traced value is the work that pixel's first sample does in a
+/// simulation at any spp.
 pub fn profile_costs(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> CostMap {
     let config = config.profiled();
+    let work = |x, y| {
+        trace_pixel(scene, x, y, width, height, &config)
+            .stats
+            .work()
+    };
     let mut costs = CostMap::new(width, height);
-    for y in 0..height {
+    for y in (0..height - height % 2).step_by(2) {
         for x in 0..width {
-            let px = trace_pixel(scene, x, y, width, height, &config);
-            costs.set(x, y, px.stats.work());
+            let w = work(x, y + x % 2);
+            costs.set(x, y, w);
+            costs.set(x, y + 1, w);
+        }
+    }
+    if height % 2 == 1 {
+        let y = height - 1;
+        for x in 0..width {
+            costs.set(x, y, work(x, y));
         }
     }
     costs
@@ -620,16 +641,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The profile is each pixel's first sample at any spp: the 1-spp
-        /// profile, each pixel's 1-spp `trace_pixel` work, and the work a
-        /// path of every sample has done when its first sample finishes.
+        /// The profile traces one pixel of each vertical pair at any spp,
+        /// on any size (odd ones too): it equals the 1-spp profile; each
+        /// traced pixel (`x + y` even, or the last row of an odd height)
+        /// holds its 1-spp `trace_pixel` work and the work a path of every
+        /// sample has done when its first sample finishes; its partner in
+        /// the pair holds the same value.
         #[test]
         fn the_profile_is_each_pixels_first_sample(
             scene in 0..SceneId::ALL.len() + 1,
             spp in 1u32..5,
             max_bounces in 0u32..5,
             seed in any::<u64>(),
-            res in 2u32..10,
+            width in 1u32..11,
+            height in 1u32..11,
         ) {
             let scene = match SceneId::ALL.get(scene) {
                 Some(id) => id.build(1),
@@ -637,14 +662,20 @@ mod tests {
             };
             let cfg = TraceConfig { samples_per_pixel: spp, max_bounces, seed };
             let one = TraceConfig { samples_per_pixel: 1, ..cfg };
-            let costs = profile_costs(&scene, res, res, &cfg);
-            prop_assert_eq!(&costs, &profile_costs(&scene, res, res, &one));
-            for y in 0..res {
-                for x in 0..res {
-                    let work = costs.values()[(y * res + x) as usize];
-                    let alone = trace_pixel(&scene, x, y, res, res, &one).stats.work();
+            let costs = profile_costs(&scene, width, height, &cfg);
+            prop_assert_eq!(&costs, &profile_costs(&scene, width, height, &one));
+            let at = |x: u32, y: u32| costs.values()[(y * width + x) as usize];
+            for y in 0..height {
+                for x in 0..width {
+                    let unpaired = height % 2 == 1 && y == height - 1;
+                    if !unpaired && (x + y) % 2 == 1 {
+                        prop_assert_eq!(at(x, y), at(x, y ^ 1), "partner ({}, {})", x, y);
+                        continue;
+                    }
+                    let work = at(x, y);
+                    let alone = trace_pixel(&scene, x, y, width, height, &one).stats.work();
                     prop_assert_eq!(work, alone, "pixel ({}, {})", x, y);
-                    let mut path = PixelPath::new(x, y, res, res, &cfg);
+                    let mut path = PixelPath::new(x, y, width, height, &cfg);
                     let (mut tracing, mut sink) = (true, FirstSample::default());
                     while tracing {
                         (tracing, sink) = path.step(&scene, sink);

@@ -138,9 +138,10 @@ impl Heatmap {
 
     /// Profiles `scene` with the functional tracer and builds the heatmap
     /// (the substitution for profiling on real GPU hardware; the paper
-    /// notes both options yield comparable results). Only each pixel's
-    /// first sample is traced, whatever `trace.samples_per_pixel` says
-    /// ([`profile_costs`]), so every spp of one frame shares one heatmap.
+    /// notes both options yield comparable results). Only the first sample
+    /// of one pixel of each vertical pair is traced, whatever
+    /// `trace.samples_per_pixel` says ([`profile_costs`]), so every spp of
+    /// one frame shares one heatmap.
     pub fn profile(scene: &Scene, width: u32, height: u32, trace: &TraceConfig) -> Self {
         Self::from_costs(&profile_costs(scene, width, height, trace))
     }

@@ -73,6 +73,7 @@ pub use error::ZatelError;
 pub use partition::{DivisionMethod, Group};
 pub use pipeline::{
     run_jobs, DownscaleMode, GroupOutcome, Prediction, Reference, RunContext, Zatel, ZatelOptions,
+    REGRESSION_FRACTIONS,
 };
 pub use select::{Distribution, Selection, SelectionOptions};
 pub use sim_executor::SimExecutor;

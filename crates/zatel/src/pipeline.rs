@@ -291,6 +291,10 @@ impl Prediction {
     }
 }
 
+/// The traced fractions of the paper's Section IV-F regression runs (20,
+/// 30 and 40 %), which `zatel predict --regression` and Fig. 20 fit.
+pub const REGRESSION_FRACTIONS: [f64; 3] = [0.2, 0.3, 0.4];
+
 /// How one [`Zatel::execute`] call should run: which artifact cache to
 /// share, whether to use the Section IV-F regression variant, and which
 /// request it serves.
@@ -1039,7 +1043,7 @@ mod tests {
     fn execute_regression_shares_the_stage_cache() {
         let scene = SceneId::Sprng.build(1);
         let z = quick_zatel(&scene);
-        let fractions = [0.2, 0.3, 0.4];
+        let fractions = REGRESSION_FRACTIONS;
         let cold = z
             .execute(&RunContext::new().with_regression(fractions))
             .expect("cold execute");
@@ -1280,7 +1284,7 @@ mod tests {
         let mut z = quick_zatel(&scene);
         z.options_mut().downscale = DownscaleMode::NoDownscale;
         let regress = |fractions| z.execute(&RunContext::new().with_regression(fractions));
-        let pred = regress([0.2, 0.3, 0.4]).unwrap();
+        let pred = regress(REGRESSION_FRACTIONS).unwrap();
         assert!(pred.value(Metric::SimCycles).is_finite());
         assert!(regress([0.4, 0.3, 0.2]).is_err());
         assert!(regress([0.2, 0.35, 0.4]).is_err());

@@ -1,10 +1,10 @@
 //! The heatmap cache: a content-addressed store for the one pipeline
 //! step that is worth caching.
 //!
-//! Profiling the execution-time heatmap traces the first sample of every
-//! pixel of the frame; at the benchmark's `predict-light` shapes it costs
-//! about 80 ms a pass, against about 12 ms for quantize, divide and select
-//! together. So the heatmap is a [`Stage`] — a deterministic function of
+//! Profiling the execution-time heatmap traces the first sample of one
+//! pixel of each vertical pair; at the benchmark's `predict-light` shapes it
+//! costs about 42 ms a pass, against about 14 ms for quantize, divide and
+//! select together. So the heatmap is a [`Stage`] — a deterministic function of
 //! its input plus a *parameter fingerprint* covering exactly the options
 //! that feed it — and its output is kept in an [`ArtifactCache`] under a
 //! key mixing the stage name, the parameter fingerprint and the scene's
@@ -475,10 +475,11 @@ impl TieredCache {
     }
 
     /// The cache key of `stage` applied to a scene with content
-    /// fingerprint `scene_fp`.
+    /// fingerprint `scene_fp`. The tag moves on when every heatmap changes
+    /// (v2: the paired profile), so no older artifact is ever served.
     pub(crate) fn key_of(stage: &HeatmapStage, scene_fp: Fingerprint) -> Fingerprint {
         let mut h = Fnv64::new();
-        h.write_str("zatel-stage-v1");
+        h.write_str("zatel-stage-v2");
         h.write_str(HeatmapStage::NAME);
         h.write_u64(stage.params_fingerprint());
         h.write_u64(scene_fp);
@@ -645,6 +646,22 @@ mod tests {
             assert_eq!(outcome, CacheOutcome::Miss);
             assert_ne!(fp, fp1);
         }
+    }
+
+    /// Every heatmap changed when the profile started pairing rows, so the
+    /// key's tag moved on with it: the key a build from before the paired
+    /// profile gave this stage (pinned) is never asked for, and a heatmap
+    /// such a build left in a disk tier is never served.
+    #[test]
+    fn the_paired_profile_keys_no_earlier_heatmap() {
+        const UNPAIRED_KEY: Fingerprint = 0xc91c_3051_51e3_1252;
+        let stage = HeatmapStage {
+            width: 16,
+            height: 16,
+            trace: trace(),
+        };
+        let key = ArtifactCache::key_of(&stage, 0x5EED);
+        assert_ne!(key, UNPAIRED_KEY);
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

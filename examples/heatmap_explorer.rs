@@ -45,7 +45,7 @@ fn main() -> std::io::Result<()> {
     println!("Profiling {} at {res}x{res}...", scene.name());
 
     // The frame at every sample, then its profile (step 1 of Fig. 3): the
-    // work of each pixel's first sample.
+    // work of the first sample of one pixel of each vertical pair.
     render(&scene, res, res, &trace).save_ppm(out_dir.join("render.ppm"))?;
     let heatmap = Heatmap::from_costs(&profile_costs(&scene, res, res, &trace));
     heatmap.to_image().save_ppm(out_dir.join("heatmap.ppm"))?;
