@@ -65,14 +65,14 @@ const GOLDEN: [[(u64, usize); 3]; 4] = [
         (0x580877006F18F743, 84072),
     ],
     [
-        (0x245EEBB4743BA8B4, 1283),
-        (0xDA9D5047852F6569, 2066),
-        (0x764694DE8B0E7CA8, 4768980),
+        (0x98B7EE8F42037DAE, 1285),
+        (0x46F5E7606BE8CAA2, 2066),
+        (0x4B2930F634566EDA, 4791750),
     ],
     [
-        (0x23F51900537C6919, 1255),
-        (0x34EF97C03A3B7526, 1982),
-        (0x725496BE7A3D2439, 5011720),
+        (0xBB60CBD0E807101D, 1256),
+        (0xC561D9032C004DBE, 1983),
+        (0x2774DFBAE5CF985B, 4802268),
     ],
 ];
 

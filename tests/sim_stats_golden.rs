@@ -72,22 +72,22 @@ const GROUPS: [(SceneId, &str, &[u64]); 2] = [
         SceneId::Bunny,
         "mobile",
         &[
-            0xEB711129192812EC,
-            0x6B96994CCEDB6436,
-            0x9B7E15E24DC99837,
-            0x5AF99B1781B3C195,
+            0x3F61A2B1238A2862,
+            0x5A4A4AC5488610FB,
+            0x0AFC6159688F0478,
+            0x6BDAE9C8BC6F54BA,
         ],
     ),
     (
         SceneId::Park,
         "rtx2060",
         &[
-            0x5A5EDAAC83710614,
-            0x84F29DD005BD43AE,
-            0xED958E528302B695,
-            0x5BFAD8049748E012,
-            0x2F97424A5741E0A0,
-            0xDDF7C569AA581B37,
+            0xACB0F1D966DDC174,
+            0x9FA6373C6532534D,
+            0x98D6530380D14CCC,
+            0x6A151CE6B5AC5EF9,
+            0xB1E51534A3C38FA1,
+            0x40C181E7D6B6D66B,
         ],
     ),
 ];

@@ -654,10 +654,10 @@ const GOLDEN: &[(&str, &str)] = &[
     ("ScenesResponse", r#"fnv1a 7b25b44c57b3a36c, 531 bytes"#),
     ("SlowRequestEntry", r#"fnv1a f2a97f6c66c87c32, 316 bytes"#),
     ("DebugSlowResponse", r#"fnv1a 6b35bb5bd5e8979c, 354 bytes"#),
-    ("RunRecord", r#"fnv1a 2fc4f5db75dc4468, 5679 bytes"#),
+    ("RunRecord", r#"fnv1a f8b391b4211da8f4, 6379 bytes"#),
     (
         "Heatmap disk SPRNG 16",
-        r#"fnv1a 567b9ae76b48d998, 3959 bytes"#,
+        r#"fnv1a 532b30ba27d4311c, 4659 bytes"#,
     ),
 ];
 
