@@ -1,9 +1,9 @@
 //! The event-driven commit loop: launches the grid, steps warps through
 //! their SIMT phases and collects the final statistics.
 //!
-//! The loop decodes each phase inline through its [`Decoder`] and charges
-//! it to the timing state (issue ports, RT units, memory hierarchy)
-//! strictly in [`EventQueue`] pop order. Every timing decision and every
+//! The loop takes each phase from its [`Decoder`] — gathered ahead by a
+//! helper, or inline — and charges it to the timing state (issue ports, RT
+//! units, memory hierarchy) strictly in [`EventQueue`] pop order. Every timing decision and every
 //! hook call happens here, in that one deterministic order.
 
 use crate::config::GpuConfig;
@@ -12,7 +12,7 @@ use crate::mem::MemoryHierarchy;
 use crate::stats::SimStats;
 use crate::workload::Workload;
 
-use super::decode::{deal_warps, Decoder};
+use super::decode::{deal_warps, Access, Decoder};
 use super::events::{Event, EventQueue};
 use super::sm::SmState;
 
@@ -23,26 +23,32 @@ const WARP_LAUNCH_LATENCY: u64 = 4;
 /// state and the observer. Generic over the hook type so the cycle path
 /// monomorphizes — [`NullHooks`](crate::hooks::NullHooks) compiles to
 /// exactly the pre-seam engine.
-pub(crate) struct Engine<'w, H: SimHooks> {
-    config: &'w GpuConfig,
+pub(crate) struct Engine<'a, 'w, H: SimHooks> {
+    config: &'a GpuConfig,
     threads: u64,
-    decoder: Decoder<'w>,
+    decoder: Decoder<'a, 'w>,
     mem: MemoryHierarchy,
     sms: Vec<SmState>,
     events: EventQueue,
     stats: SimStats,
     max_time: u64,
-    hooks: &'w mut H,
+    hooks: &'a mut H,
 }
 
-impl<'w, H: SimHooks> Engine<'w, H> {
-    pub(crate) fn new(config: &'w GpuConfig, workload: &'w dyn Workload, hooks: &'w mut H) -> Self {
+impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
+    /// An engine whose warps occupy `slots`.
+    pub(crate) fn new(
+        config: &'a GpuConfig,
+        workload: &'w dyn Workload,
+        slots: Access<'a, 'w>,
+        hooks: &'a mut H,
+    ) -> Self {
         let mem = MemoryHierarchy::new(config);
         let sms = (0..config.num_sms).map(|_| SmState::new(config)).collect();
         Engine {
             config,
             threads: workload.thread_count(),
-            decoder: Decoder::new(workload, config.num_sms as usize, config.l1d.line_bytes),
+            decoder: Decoder::new(workload, slots),
             mem,
             sms,
             events: EventQueue::new(),

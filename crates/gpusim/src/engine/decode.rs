@@ -8,34 +8,353 @@
 //! timing state. That is what lets a workload decode *ahead* of the commit
 //! loop: a lane may record a whole ray's ops at once and hand them out one
 //! phase at a time (`rtworkload` does), and no timing decision can tell.
-//! Here, warps are instantiated at launch and their phases gathered inline,
-//! at the moment the commit loop asks; a warp slot's [`WarpProgram`]
-//! outlives the warp and is reused by the slot's backfill, or freed at once
-//! if there is none.
+//! Warps are instantiated at launch; a warp slot's [`WarpProgram`] outlives
+//! the warp and is reused by the slot's backfill, or freed at once if there
+//! is none.
+//!
+//! A helped run ([`Simulator::run_helped`](crate::Simulator::run_helped))
+//! lends the slots ([`WarpSlots`]) to a second thread, the helper
+//! ([`WarpSlots::help`]). The helper adopts started warps one at a time
+//! while it keeps up, and gathers an adopted warp's phases ahead into its
+//! slot's bounded ring. The commit loop pops a slot's ring, or gathers
+//! inline, exactly as an unhelped run does, when the ring is empty: it never
+//! waits for a phase, and each warp's phase stream is the same whichever
+//! thread gathered which phase. A warp the commit loop had to gather
+//! inline goes back to it, so the helper owns no more warps than it can
+//! keep ahead of, and a warp's lanes stay in one core's cache.
 
+use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+
+use crate::config::GpuConfig;
 use crate::workload::{PhaseMix, WarpProgram, Workload};
+
+/// Phases a slot's ring holds at most. The commit loop asks the helper for
+/// more once it has taken half.
+const RING_PHASES: u32 = 8;
+
+/// Phases the commit loop gathers inline before it starts the helper: a
+/// short run is over before a helper would pay for its thread and for the
+/// cache misses of moving warps' lanes to its core.
+const ALONE_PHASES: u32 = 8192;
+
+/// How often the commit loop tries a slot the helper holds before it
+/// sleeps on it: the helper holds a slot for one gather.
+const SPINS: u32 = 1 << 16;
+
+/// One warp slot: the program of the warp resident in it, and in a helped
+/// run the phases gathered ahead of the commit loop.
+struct Slot<'w> {
+    /// Outlives its warp: a backfill reuses the storage.
+    program: Option<Box<dyn WarpProgram + 'w>>,
+    /// Phases gathered ahead, oldest first, as [`PhaseMix::put_words`].
+    /// Allocated by the helper, the one thread that adds to it.
+    ring: VecDeque<u64>,
+    /// Phases in `ring`.
+    phases: u32,
+    /// The commit loop has gathered the warp's first phase, so its lanes
+    /// hold their storage: the helper allocates no lane state.
+    started: bool,
+    /// The helper has adopted the warp and gathers it ahead.
+    adopted: bool,
+    /// The slot waits in [`WarpSlots::wanted`].
+    wanted: bool,
+    /// The helper's last gather came back empty: every lane has exited.
+    exhausted: bool,
+}
+
+/// The warp slots of one run, indexed `sm * slots_per_sm + slot`: shared by
+/// its commit loop and, in a helped run, the helper.
+pub(crate) struct WarpSlots<'w> {
+    slots: Vec<Mutex<Slot<'w>>>,
+    slots_per_sm: usize,
+    line_bytes: u32,
+    /// Adopted slots whose ring the commit loop has drained to half, in the
+    /// order it did; the helper takes the whole list at once.
+    wanted: Mutex<Vec<usize>>,
+    /// Set when `wanted` gains a slot, so an idle helper polls a flag
+    /// rather than the list's lock.
+    pending: AtomicBool,
+    /// Counts the warps the commit loop has started or taken back: an idle
+    /// helper looks for a warp to adopt only when it has moved.
+    starts: AtomicU32,
+    /// Set by the commit loop when it takes back an adopted warp whose ring
+    /// ran dry: the helper, falling behind, skips its next adoption.
+    taken_back: AtomicBool,
+    /// Set once the commit loop has returned or unwound: the helper stops.
+    ended: AtomicBool,
+}
+
+impl<'w> WarpSlots<'w> {
+    pub(crate) fn new(config: &GpuConfig) -> Self {
+        let slots_per_sm = config.max_warps_per_sm as usize;
+        let empty = || {
+            Mutex::new(Slot {
+                program: None,
+                ring: VecDeque::new(),
+                phases: 0,
+                started: false,
+                adopted: false,
+                wanted: false,
+                exhausted: false,
+            })
+        };
+        WarpSlots {
+            slots: (0..config.num_sms as usize * slots_per_sm)
+                .map(|_| empty())
+                .collect(),
+            slots_per_sm,
+            line_bytes: config.l1d.line_bytes,
+            wanted: Mutex::new(Vec::new()),
+            pending: AtomicBool::new(false),
+            starts: AtomicU32::new(0),
+            taken_back: AtomicBool::new(false),
+            ended: AtomicBool::new(false),
+        }
+    }
+
+    /// The commit loop's lock on a slot. The helper holds a slot for one
+    /// gather at most, so the commit loop spins for it rather than sleep.
+    fn lock(&self, sm: usize, slot: usize) -> MutexGuard<'_, Slot<'w>> {
+        let slot = &self.slots[sm * self.slots_per_sm + slot];
+        let mut spins = 0u32;
+        let locked = loop {
+            match slot.try_lock() {
+                Err(TryLockError::WouldBlock) if spins < SPINS => {
+                    spins += 1;
+                    std::hint::spin_loop();
+                }
+                Err(TryLockError::WouldBlock) => break slot.lock(),
+                Err(TryLockError::Poisoned(poisoned)) => break Err(poisoned),
+                Ok(locked) => break Ok(locked),
+            }
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned slot means the helper panicked inside a gather; the run cannot go on, and the executor re-raises the helper's panic"
+        )]
+        locked.expect("the decode-ahead helper panicked")
+    }
+
+    /// The list of wanted slots. Only a push or a swap happens under its
+    /// lock, so it is never poisoned.
+    fn wanted(&self) -> MutexGuard<'_, Vec<usize>> {
+        self.wanted.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Marks the run ended and wakes the helper when dropped, also while
+    /// the commit loop unwinds, so [`WarpSlots::help`] returns.
+    pub(crate) fn end_on_drop(&self) -> RunEnd<'_, 'w> {
+        RunEnd(self)
+    }
+
+    /// The helper's loop: [`WarpSlots::help_step`] until the run ends,
+    /// yielding its core whenever there was nothing to do. An idle helper
+    /// reads two flags and a counter, so it notices work and the end of the
+    /// run at once without taking a lock the commit loop uses.
+    pub(crate) fn help(&self) {
+        let mut helper = Helper {
+            phase: PhaseMix::new(self.line_bytes),
+            batch: Vec::new(),
+            cursor: 0,
+            scanned_at: None,
+        };
+        while !self.ended.load(Ordering::Acquire) {
+            if !self.help_step(&mut helper) {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// One round of the helper: fills the rings of the wanted slots or,
+    /// when none is wanted, adopts the next started warp in slot order and
+    /// fills its ring. `false` if there was neither.
+    fn help_step(&self, helper: &mut Helper) -> bool {
+        // Polled with a load: a write per poll would pull the line the
+        // commit loop reads the slot table through to this core.
+        if self.pending.load(Ordering::Relaxed) && self.pending.swap(false, Ordering::Acquire) {
+            std::mem::swap(&mut *self.wanted(), &mut helper.batch);
+        }
+        if helper.batch.is_empty() {
+            let Some(index) = self.adopt(helper) else {
+                return false;
+            };
+            helper.batch.push(index);
+        }
+        for index in helper.batch.drain(..) {
+            self.fill(index, &mut helper.phase);
+        }
+        true
+    }
+
+    /// Adopts the first started warp the helper does not own, looking from
+    /// the helper's cursor on and skipping slots the commit loop holds;
+    /// returns its slot. Adopts none right after the commit loop took a warp
+    /// back, nor while no warp has started or come back since a look that
+    /// found none.
+    fn adopt(&self, helper: &mut Helper) -> Option<usize> {
+        let starts = self.starts.load(Ordering::Relaxed);
+        if helper.scanned_at == Some(starts)
+            || (self.taken_back.load(Ordering::Relaxed)
+                && self.taken_back.swap(false, Ordering::Relaxed))
+        {
+            return None;
+        }
+        for _ in 0..self.slots.len() {
+            let index = helper.cursor;
+            helper.cursor = (index + 1) % self.slots.len();
+            // Busy, or poisoned by a commit loop that panicked.
+            let Ok(mut slot) = self.slots[index].try_lock() else {
+                continue;
+            };
+            if slot.started && !slot.adopted && !slot.exhausted {
+                slot.adopted = true;
+                return Some(index);
+            }
+        }
+        helper.scanned_at = Some(starts);
+        None
+    }
+
+    /// Fills the ring of slot `index` while the helper owns its warp, one
+    /// phase per lock, so that the commit loop waits at most one gather for
+    /// the slot.
+    fn fill(&self, index: usize, phase: &mut PhaseMix) {
+        loop {
+            // Poisoned by a commit loop that panicked: the run is ending.
+            let Ok(mut slot) = self.slots[index].lock() else {
+                return;
+            };
+            let slot = &mut *slot;
+            slot.wanted = false;
+            let Some(program) = slot.program.as_mut() else {
+                return;
+            };
+            if !slot.adopted || slot.exhausted || slot.phases == RING_PHASES {
+                return;
+            }
+            phase.clear();
+            program.gather(phase);
+            if phase.is_empty() {
+                slot.exhausted = true;
+            } else {
+                phase.put_words(&mut slot.ring);
+                slot.phases += 1;
+            }
+        }
+    }
+}
+
+/// The helper's working state.
+struct Helper {
+    /// Where a phase is gathered before it goes into a ring.
+    phase: PhaseMix,
+    /// The wanted slots being filled.
+    batch: Vec<usize>,
+    /// The slot to look for a warp to adopt from.
+    cursor: usize,
+    /// [`WarpSlots::starts`] when a look for a warp to adopt found none.
+    scanned_at: Option<u32>,
+}
+
+/// Ends a helped run when dropped ([`WarpSlots::end_on_drop`]).
+pub(crate) struct RunEnd<'a, 'w>(&'a WarpSlots<'w>);
+
+impl Drop for RunEnd<'_, '_> {
+    fn drop(&mut self) {
+        self.0.ended.store(true, Ordering::Release);
+    }
+}
+
+/// The commit loop's hold on its run's slots.
+pub(crate) enum Access<'a, 'w> {
+    /// Unhelped: no other thread sees the slots, so none is locked.
+    Alone(WarpSlots<'w>),
+    /// Helped: each slot is locked while the commit loop uses it. The
+    /// closure starts the helper; the commit loop calls it once, when it
+    /// has gathered [`ALONE_PHASES`] phases inline.
+    Shared(&'a WarpSlots<'w>, &'a dyn Fn()),
+}
+
+/// A slot as [`Access`] reaches it.
+enum SlotRef<'s, 'w> {
+    Alone(&'s mut Slot<'w>),
+    Shared(MutexGuard<'s, Slot<'w>>),
+}
+
+impl<'w> Deref for SlotRef<'_, 'w> {
+    type Target = Slot<'w>;
+
+    fn deref(&self) -> &Slot<'w> {
+        match self {
+            SlotRef::Alone(slot) => slot,
+            SlotRef::Shared(guard) => guard,
+        }
+    }
+}
+
+impl<'w> DerefMut for SlotRef<'_, 'w> {
+    fn deref_mut(&mut self) -> &mut Slot<'w> {
+        match self {
+            SlotRef::Alone(slot) => slot,
+            SlotRef::Shared(guard) => guard,
+        }
+    }
+}
+
+impl<'w> Access<'_, 'w> {
+    fn slots(&self) -> &WarpSlots<'w> {
+        match self {
+            Access::Alone(slots) => slots,
+            Access::Shared(slots, _) => slots,
+        }
+    }
+
+    fn slot(&mut self, sm: usize, slot: usize) -> SlotRef<'_, 'w> {
+        match self {
+            Access::Alone(slots) => {
+                let index = sm * slots.slots_per_sm + slot;
+                let slot = slots.slots[index].get_mut();
+                // Never locked, so never poisoned.
+                SlotRef::Alone(slot.unwrap_or_else(PoisonError::into_inner))
+            }
+            Access::Shared(slots, _) => SlotRef::Shared(slots.lock(sm, slot)),
+        }
+    }
+}
 
 /// Supplies decoded phases to the engine's commit loop.
 ///
 /// The engine drives it with the exact warp schedule it commits:
 /// [`Decoder::on_launch`] when a warp enters a slot, then one
 /// [`Decoder::next_phase`] per wake-up event until it returns `None`.
-pub(crate) struct Decoder<'w> {
+pub(crate) struct Decoder<'a, 'w> {
     workload: &'w dyn Workload,
-    /// Warp slots, indexed `[sm][slot]`. Slots are dense and stable: a
-    /// retired warp's slot, storage included, is reused by its backfill,
-    /// and emptied by [`Decoder::on_vacate`] when none comes.
-    warps: Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>,
-    /// The phase under construction; its line buffers back every phase.
+    slots: Access<'a, 'w>,
+    /// Phases gathered inline in a helped run, up to [`ALONE_PHASES`].
+    inline: u32,
+    /// Starts the helper of a helped run, until called.
+    start: Option<&'a dyn Fn()>,
+    /// The phase handed to the commit loop; its line buffers back every
+    /// phase.
     phase: PhaseMix,
 }
 
-impl<'w> Decoder<'w> {
-    pub(crate) fn new(workload: &'w dyn Workload, num_sms: usize, line_bytes: u32) -> Self {
+impl<'a, 'w> Decoder<'a, 'w> {
+    pub(crate) fn new(workload: &'w dyn Workload, slots: Access<'a, 'w>) -> Self {
+        let phase = PhaseMix::new(slots.slots().line_bytes);
+        let start = match slots {
+            Access::Alone(_) => None,
+            Access::Shared(_, start) => Some(start),
+        };
         Decoder {
             workload,
-            warps: (0..num_sms).map(|_| Vec::new()).collect(),
-            phase: PhaseMix::new(line_bytes),
+            slots,
+            inline: 0,
+            start,
+            phase,
         }
     }
 
@@ -43,35 +362,82 @@ impl<'w> Decoder<'w> {
     /// was launched into `slot` on `sm`: a fresh slot, or one whose warp
     /// has retired.
     pub(crate) fn on_launch(&mut self, sm: usize, slot: usize, first_thread: u64, lanes: u32) {
-        let slots = &mut self.warps[sm];
-        if slot == slots.len() {
-            slots.push(None);
-        }
-        slots[slot]
+        let mut slot = self.slots.slot(sm, slot);
+        debug_assert_eq!(slot.phases, 0, "a retired warp's ring is drained");
+        slot.program
             .get_or_insert_with(|| self.workload.warp_program())
             .launch(first_thread, lanes);
+        slot.started = false;
+        slot.adopted = false;
+        slot.wanted = false;
+        slot.exhausted = false;
     }
 
     /// The warp in `(sm, slot)` has retired and no warp is left to backfill
     /// it: its storage goes back to the allocator now rather than at the end
     /// of the run, while the memory model's tables are still growing.
     pub(crate) fn on_vacate(&mut self, sm: usize, slot: usize) {
-        self.warps[sm][slot] = None;
+        let mut slot = self.slots.slot(sm, slot);
+        slot.program = None;
+        slot.ring = VecDeque::new();
     }
 
-    /// Gathers and categorizes the next phase of the warp resident in
-    /// `(sm, slot)`, or returns `None` once every lane has exited: the warp
-    /// retires. Never called again for a warp after it returned `None`.
+    /// The next phase of the warp resident in `(sm, slot)` — the front of
+    /// its ring, else gathered and categorized here — or `None` once every
+    /// lane has exited: the warp retires. Never called again for a warp
+    /// after it returned `None`. In a helped run, a warp gathered here is
+    /// the commit loop's again, and an adopted warp whose ring is down to
+    /// half asks the helper for more.
     pub(crate) fn next_phase(&mut self, sm: usize, slot: usize) -> Option<&PhaseMix> {
-        let slot = self.warps[sm][slot].as_mut();
-        #[expect(
-            clippy::expect_used,
-            reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
-        )]
-        let warp = slot.expect("phase for a vacant warp slot");
-        self.phase.clear();
-        warp.gather(&mut self.phase);
-        (!self.phase.is_empty()).then_some(&self.phase)
+        let shared = match self.slots {
+            Access::Alone(_) => None,
+            Access::Shared(slots, _) => Some(slots),
+        };
+        let mut warp = self.slots.slot(sm, slot);
+        if warp.phases > 0 {
+            warp.phases -= 1;
+            self.phase.take_words(&mut warp.ring);
+        } else if warp.exhausted {
+            return None;
+        } else {
+            if let Some(slots) = shared {
+                let taken_back = std::mem::take(&mut warp.adopted);
+                if taken_back {
+                    slots.taken_back.store(true, Ordering::Relaxed);
+                }
+                if taken_back || !warp.started {
+                    slots.starts.fetch_add(1, Ordering::Relaxed);
+                }
+                if self.inline < ALONE_PHASES {
+                    self.inline += 1;
+                    if self.inline == ALONE_PHASES {
+                        if let Some(start) = self.start.take() {
+                            start();
+                        }
+                    }
+                }
+            }
+            warp.started = true;
+            #[expect(
+                clippy::expect_used,
+                reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
+            )]
+            let program = warp.program.as_mut().expect("phase for a vacant warp slot");
+            self.phase.clear();
+            program.gather(&mut self.phase);
+            if self.phase.is_empty() {
+                return None;
+            }
+        }
+        if let Some(slots) = shared {
+            let low = warp.phases <= RING_PHASES / 2;
+            if warp.adopted && low && !warp.wanted && !warp.exhausted {
+                warp.wanted = true;
+                slots.wanted().push(sm * slots.slots_per_sm + slot);
+                slots.pending.store(true, Ordering::Release);
+            }
+        }
+        Some(&self.phase)
     }
 }
 
@@ -111,6 +477,143 @@ mod tests {
     use super::*;
     use crate::workload::{Op, ScriptedWorkload};
 
+    /// One SM with two warp slots.
+    fn one_sm() -> GpuConfig {
+        let mut config = GpuConfig::mobile_soc();
+        config.num_sms = 1;
+        config.max_warps_per_sm = 2;
+        config
+    }
+
+    fn helper() -> Helper {
+        Helper {
+            phase: PhaseMix::new(128),
+            batch: Vec::new(),
+            cursor: 0,
+            scanned_at: None,
+        }
+    }
+
+    /// Every phase the commit loop takes, per step, from a run of 7 warps
+    /// of uneven length through 2 slots, with a helper pass after every
+    /// `help_every`-th step (never when 0): the engine's drive — launch,
+    /// phases, retire, backfill or vacate — in a fixed round-robin order.
+    fn drive(help_every: usize) -> Vec<Option<PhaseMix>> {
+        let w = ScriptedWorkload::per_thread(7 * 32 - 5, |i| {
+            (0..i % 13 + i / 32)
+                .map(|k| match k % 3 {
+                    0 => Op::RtNode {
+                        addr: (i * 7 + k) * 32,
+                    },
+                    1 => Op::Load {
+                        addr: (i % 5) * 64,
+                        bytes: 8,
+                    },
+                    _ => Op::Compute {
+                        cycles: k as u32,
+                        insts: 1,
+                    },
+                })
+                .collect()
+        });
+        let slots = WarpSlots::new(&one_sm());
+        let access = match help_every {
+            0 => Access::Alone(WarpSlots::new(&one_sm())),
+            _ => Access::Shared(&slots, &|| ()),
+        };
+        let mut decoder = Decoder::new(&w, access);
+        let mut helper = helper();
+        let mut pending = deal_warps(w.thread_count(), 32, 1).remove(0).into_iter();
+        let mut resident = [true; 2];
+        for slot in 0..2 {
+            let warp = pending.next().expect("7 warps");
+            decoder.on_launch(0, slot, warp.first_thread, warp.lanes);
+        }
+        let mut taken = Vec::new();
+        for step in 0.. {
+            if help_every > 0 && step % help_every == 0 {
+                slots.help_step(&mut helper);
+            }
+            let slot = step % 2;
+            if !resident[slot] {
+                if resident == [false; 2] {
+                    break;
+                }
+                continue;
+            }
+            let phase = decoder.next_phase(0, slot).cloned();
+            if phase.is_none() {
+                match pending.next() {
+                    Some(warp) => decoder.on_launch(0, slot, warp.first_thread, warp.lanes),
+                    None => {
+                        decoder.on_vacate(0, slot);
+                        resident[slot] = false;
+                    }
+                }
+            }
+            taken.push(phase);
+        }
+        taken
+    }
+
+    #[test]
+    fn a_helper_leaves_the_phase_stream_unchanged() {
+        let unhelped = drive(0);
+        assert!(unhelped.iter().filter(|p| p.is_none()).count() == 7);
+        for help_every in [1, 2, 3, 5, 17] {
+            assert_eq!(
+                drive(help_every),
+                unhelped,
+                "a helper pass every {help_every} steps"
+            );
+        }
+    }
+
+    #[test]
+    fn the_helper_owns_the_warps_it_keeps_ahead_of() {
+        let w = ScriptedWorkload::uniform(
+            64,
+            vec![
+                Op::Compute {
+                    cycles: 1,
+                    insts: 1
+                };
+                40
+            ],
+        );
+        let slots = WarpSlots::new(&one_sm());
+        let mut decoder = Decoder::new(&w, Access::Shared(&slots, &|| ()));
+        let mut helper = helper();
+        decoder.on_launch(0, 0, 0, 32);
+        decoder.on_launch(0, 1, 32, 32);
+        assert!(!slots.help_step(&mut helper), "no warp has started");
+        assert!(decoder.next_phase(0, 0).is_some());
+        assert!(slots.help_step(&mut helper), "adopts slot 0");
+        let ring = |slot: usize| slots.lock(0, slot).phases;
+        assert_eq!((ring(0), ring(1)), (RING_PHASES, 0));
+        assert!(!slots.help_step(&mut helper), "slot 1 has not started");
+        // The commit loop takes half the ring, then asks for a refill.
+        for taken in 1..=RING_PHASES / 2 {
+            assert!(decoder.next_phase(0, 0).is_some());
+            assert_eq!(ring(0), RING_PHASES - taken);
+        }
+        assert!(slots.help_step(&mut helper));
+        assert_eq!(ring(0), RING_PHASES);
+        // Unserved, the ring runs dry: the warp is gathered inline and is
+        // the commit loop's again, until the helper adopts it anew.
+        for _ in 0..=RING_PHASES {
+            assert!(decoder.next_phase(0, 0).is_some());
+        }
+        assert!(!slots.lock(0, 0).adopted);
+        std::mem::take(&mut *slots.wanted());
+        slots.pending.store(false, Ordering::Relaxed);
+        assert!(!slots.help_step(&mut helper), "no adoption right after");
+        assert!(slots.help_step(&mut helper), "adopts slot 0 again");
+        assert_eq!(ring(0), RING_PHASES);
+        drop(slots.end_on_drop());
+        slots.help();
+    }
+
     #[test]
     fn decoder_decodes_until_retire() {
         let w = ScriptedWorkload::uniform(
@@ -123,7 +626,7 @@ mod tests {
                 Op::Load { addr: 0, bytes: 4 },
             ],
         );
-        let mut src = Decoder::new(&w, 1, 128);
+        let mut src = Decoder::new(&w, Access::Alone(WarpSlots::new(&one_sm())));
         src.on_launch(0, 0, 0, 4);
         let mix = src.next_phase(0, 0).expect("a compute phase");
         assert_eq!(mix.compute_cycles, 2);

@@ -6,7 +6,7 @@
 //! * [`events`] — the global warp wake-up heap with its documented
 //!   (time, warp age, SM, slot) total order;
 //! * [`decode`] — warp streams turned into categorized phases, pure of
-//!   all timing state;
+//!   all timing state, inline or by a decode-ahead helper;
 //! * [`core`] — the event-driven commit loop tying them together.
 //!
 //! The public surface stays [`crate::Simulator`]; everything here is
@@ -18,3 +18,4 @@ mod events;
 mod sm;
 
 pub(crate) use core::Engine;
+pub(crate) use decode::{Access, WarpSlots};

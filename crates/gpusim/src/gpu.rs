@@ -1,7 +1,7 @@
 //! Public facade over the simulation engine.
 
 use crate::config::GpuConfig;
-use crate::engine::Engine;
+use crate::engine::{Access, Engine, WarpSlots};
 use crate::hooks::{NullHooks, SimHooks};
 use crate::stats::SimStats;
 use crate::workload::Workload;
@@ -62,7 +62,56 @@ impl Simulator {
     /// [`NullHooks`](crate::hooks::NullHooks). Hooks observe only — the
     /// returned statistics are bit-identical for every hook implementation.
     pub fn run_with_hooks<H: SimHooks>(&self, workload: &dyn Workload, hooks: &mut H) -> SimStats {
-        let mut stats = Engine::new(&self.config, workload, hooks).run();
+        let slots = Access::Alone(WarpSlots::new(&self.config));
+        let stats = Engine::new(&self.config, workload, slots, hooks).run();
+        Self::finish(stats, workload)
+    }
+
+    /// [`Simulator::run_with_hooks`] with a second thread that decodes
+    /// ahead of the commit loop: the same statistics and hook calls, bit
+    /// for bit, in less wall time when decode is a large share of it.
+    ///
+    /// `lend(commit, help)` must call `commit(start)` — the commit loop,
+    /// hooks included — on the calling thread, and return once it and any
+    /// helper have returned. The commit loop calls `start()` at most once,
+    /// after it has gathered a few thousand phases alone, so a short run
+    /// never asks for a thread; `start` should then run `help` on another
+    /// thread. `help` adopts warps the commit loop has started and gathers
+    /// their phases ahead into each warp slot's bounded ring, until `commit`
+    /// returns or unwinds. The commit loop pops a ring, or gathers inline
+    /// when it is empty, so it never waits for a phase, and a `start` that
+    /// runs nothing only loses the speed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lend` does not call `commit`. A thread program's panic
+    /// unwinds the thread it ran on: a helper's reaches `lend`, and the
+    /// commit loop then panics at the slot the helper left poisoned.
+    pub fn run_helped<H: SimHooks>(
+        &self,
+        workload: &dyn Workload,
+        hooks: &mut H,
+        lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
+    ) -> SimStats {
+        let slots = WarpSlots::new(&self.config);
+        let mut stats = None;
+        lend(
+            &mut |start| {
+                let _end = slots.end_on_drop();
+                let access = Access::Shared(&slots, start);
+                stats = Some(Engine::new(&self.config, workload, access, hooks).run());
+            },
+            &|| slots.help(),
+        );
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: a lender that skips the commit loop is a caller bug"
+        )]
+        let stats = stats.expect("lend must call the commit loop");
+        Self::finish(stats, workload)
+    }
+
+    fn finish(mut stats: SimStats, workload: &dyn Workload) -> SimStats {
         // Filtering is a property of the workload, not of the engine.
         stats.threads_filtered = workload.filtered_threads();
         stats

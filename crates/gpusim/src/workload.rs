@@ -6,6 +6,8 @@
 //! resident warp — gathers one op per live lane into a [`PhaseMix`] per SIMT
 //! phase and charges the phase's latency/bandwidth to the modeled hardware.
 
+use std::collections::VecDeque;
+
 /// Memory space an access belongs to; determines which units handle it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
@@ -228,6 +230,46 @@ impl PhaseMix {
     pub(crate) fn lsu_slots(&self) -> u64 {
         (self.load_lines.len() + self.store_lines.len()) as u64
     }
+
+    /// Appends the phase to `words` without its set of seen lines: five
+    /// header words (ops and rays, compute cycles, instructions, the RT and
+    /// load list lengths, the store list length), then the three line
+    /// lists. [`PhaseMix::take_words`] reads it back.
+    pub(crate) fn put_words(&self, words: &mut VecDeque<u64>) {
+        let lists = [&self.rt_lines, &self.load_lines, &self.store_lines];
+        words.extend([
+            self.ops as u64 | (self.rt_rays as u64) << 32,
+            self.compute_cycles,
+            self.instructions,
+            self.rt_lines.len() as u64 | (self.load_lines.len() as u64) << 32,
+            self.store_lines.len() as u64,
+        ]);
+        for list in lists {
+            words.extend(list);
+        }
+    }
+
+    /// Makes this the phase at the front of `words` ([`PhaseMix::put_words`])
+    /// and removes it there. The mix is for reading only: its seen set stays
+    /// empty, so [`PhaseMix::clear`] it before it gathers again.
+    pub(crate) fn take_words(&mut self, words: &mut VecDeque<u64>) {
+        self.clear();
+        let [ops_rays, cycles, instructions, rt_load, stores] =
+            std::array::from_fn(|_| words.pop_front().unwrap_or_default());
+        self.ops = ops_rays as u32;
+        self.rt_rays = (ops_rays >> 32) as u32;
+        self.compute_cycles = cycles;
+        self.instructions = instructions;
+        let lens = [rt_load as u32, (rt_load >> 32) as u32, stores as u32];
+        let lists = [
+            &mut self.rt_lines,
+            &mut self.load_lines,
+            &mut self.store_lines,
+        ];
+        for (list, len) in lists.into_iter().zip(lens) {
+            list.extend(words.drain(..len as usize));
+        }
+    }
 }
 
 /// The two-pass categorization the engine ran before phases were
@@ -368,7 +410,10 @@ impl LineSet {
 }
 
 /// A lazily evaluated per-thread instruction stream.
-pub trait ThreadProgram {
+///
+/// `Send`, so that a warp's lanes may be gathered on a decode-ahead helper
+/// thread ([`Simulator::run_helped`](crate::Simulator::run_helped)).
+pub trait ThreadProgram: Send {
     /// Advances the thread and returns its next operation, or `None` once
     /// the thread has exited. Called by the repository's benchmark: the
     /// signature stays source-compatible.
@@ -379,7 +424,9 @@ pub trait ThreadProgram {
 ///
 /// Thread index order defines warp packing: threads `[i*warp_size,
 /// (i+1)*warp_size)` form warp `i`.
-pub trait Workload {
+///
+/// `Sync`, since its programs borrow it from whichever thread gathers them.
+pub trait Workload: Sync {
     /// Total number of threads in the grid.
     fn thread_count(&self) -> u64;
 
@@ -414,7 +461,10 @@ pub trait Workload {
 }
 
 /// The thread programs of one warp slot, advanced a SIMT phase at a time.
-pub trait WarpProgram {
+///
+/// `Send`: a helped run gathers a slot on whichever of its two threads gets
+/// to it first, one at a time.
+pub trait WarpProgram: Send {
     /// Points the slot at threads `[first_thread, first_thread + lanes)`,
     /// reusing the storage of whichever warp it held before.
     fn launch(&mut self, first_thread: u64, lanes: u32);

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpusim::{GpuConfig, Metric, SimStats, Simulator};
+use gpusim::{GpuConfig, Metric, NullHooks, SimHooks, SimStats, Simulator, Workload};
 use minijson::{FromJson, JsonError, ToJson, Value};
 use obs::span::SpanSheet;
 use obs::{MetricsRegistry, ObsHooks, ObserveOptions, SpanRecord};
@@ -29,7 +29,7 @@ use crate::metrics::abs_error;
 use crate::partition::{chunk_count, divide, DivisionMethod, Group};
 use crate::quantize::QuantizedHeatmap;
 use crate::select::{select_pixels, SelectionOptions};
-use crate::sim_executor::{available_jobs, SimExecutor};
+use crate::sim_executor::{available_jobs, SimExecutor, Worker};
 use crate::stages::{ArtifactCache, Fingerprint, HeatmapStage, Stage, StageCacheRecord};
 
 /// How the target GPU is downscaled before group simulation.
@@ -590,8 +590,15 @@ impl<'s> Zatel<'s> {
 
     /// Simulates the full workload on the full-size GPU — the ground truth
     /// every prediction is evaluated against (and the denominator of the
-    /// speedup). [`run_jobs`] runs it as one job of a list.
+    /// speedup). [`run_jobs`] runs it as one job of a list; alone, it is a
+    /// one-job list of this predictor's [`Zatel::executor`], so with two or
+    /// more workers a spare one decodes ahead of it.
     pub fn run_reference(&self) -> Reference {
+        self.executor().run_one(|worker| self.reference(worker))
+    }
+
+    /// [`Zatel::run_reference`] as the job of `worker`.
+    fn reference(&self, worker: Worker) -> Reference {
         #[expect(
             clippy::disallowed_methods,
             reason = "measurement around the reference simulation: feeds only Reference::wall \
@@ -599,7 +606,7 @@ impl<'s> Zatel<'s> {
         )]
         let start = Instant::now();
         let workload = RtWorkload::full_frame(self.scene, self.width, self.height, self.trace);
-        let stats = Simulator::new(self.target.clone()).run(&workload);
+        let stats = simulate(&self.target, &workload, &mut NullHooks, worker);
         Reference {
             stats,
             wall: start.elapsed(),
@@ -689,7 +696,7 @@ impl<'z, 's> Plan<'z, 's> {
     /// Selects `group`'s pixels under `options` and simulates them on the
     /// downscaled GPU; the outcome's wall is the simulation's, recorded as
     /// its `group N` span on track `1 + worker`.
-    fn run_group(&self, worker: usize, options: &SelectionOptions, group: &Group) -> Done {
+    fn run_group(&self, worker: Worker, options: &SelectionOptions, group: &Group) -> Done {
         let (zatel, down) = (self.zatel, &self.down);
         let selecting = self.sheet.elapsed();
         let selection = select_pixels(group, &self.quantized, options);
@@ -697,19 +704,18 @@ impl<'z, 's> Plan<'z, 's> {
         let pixels = group.pixels.clone();
         let workload = RtWorkload::new(zatel.scene, zatel.width, zatel.height, zatel.trace, pixels)
             .with_selection(selection.mask);
-        let simulator = Simulator::new(down.clone());
         let (stats, obs) = match &zatel.options.observe {
             // The uninstrumented path keeps the NullHooks monomorphization.
-            None => (simulator.run(&workload), None),
+            None => (simulate(down, &workload, &mut NullHooks, worker), None),
             Some(o) => {
                 let label = format!("group {}", group.index);
                 let mut obs = ObsHooks::for_gpu(group.index, &label, down, o);
-                (simulator.run_with_hooks(&workload, &mut obs), Some(obs))
+                (simulate(down, &workload, &mut obs, worker), Some(obs))
             }
         };
         let end = self.sheet.elapsed();
         let wall = end.saturating_sub(simulating);
-        let (name, track) = (format!("group {}", group.index), worker as u32 + 1);
+        let (name, track) = (format!("group {}", group.index), worker.index() as u32 + 1);
         self.sheet.record(&name, track, simulating, wall);
         let outcome = GroupOutcome {
             index: group.index,
@@ -794,6 +800,23 @@ impl<'z, 's> Plan<'z, 's> {
     }
 }
 
+/// Simulates `workload` on `config` as the job of `worker`: helped by the
+/// worker's spare one, when the pool lends it one, else on this thread
+/// alone. The statistics and hook calls are the same either way.
+fn simulate<H: SimHooks>(
+    config: &GpuConfig,
+    workload: &dyn Workload,
+    hooks: &mut H,
+    worker: Worker,
+) -> SimStats {
+    let simulator = Simulator::new(config.clone());
+    if worker.has_spare() {
+        simulator.run_helped(workload, hooks, |main, help| worker.join(main, help))
+    } else {
+        simulator.run_with_hooks(workload, hooks)
+    }
+}
+
 /// Runs `predictions` (each a predictor with its own [`RunContext`]) and
 /// full-frame `references` as one job list on `executor`; returns both in
 /// input order.
@@ -829,7 +852,7 @@ pub fn run_jobs<'z, 's>(
         .chain(plans.iter().flat_map(Plan::jobs))
         .collect();
     let outcomes = executor.map(&jobs, |worker, job| match *job {
-        Job::Reference(zatel) => Done::Reference(zatel.run_reference()),
+        Job::Reference(zatel) => Done::Reference(zatel.reference(worker)),
         Job::Group(plan, options, group) => plan.run_group(worker, options, group),
     });
     let (mut simulated, mut groups) = (Vec::new(), Vec::new());

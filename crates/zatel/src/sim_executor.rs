@@ -9,7 +9,11 @@
 //!   result is a pure function of its item, so the output is bit-identical
 //!   regardless of worker count or scheduling;
 //! * **scoped** — workers are scoped threads, so jobs may borrow from the
-//!   caller's stack (scenes, configs, heatmaps) without `Arc`.
+//!   caller's stack (scenes, configs, heatmaps) without `Arc`;
+//! * **lending** — a list with at least two workers per job (a lone
+//!   reference or a one-group prediction on two cores) lends each job a
+//!   spare worker ([`Worker::join`]), which the simulation uses to decode
+//!   ahead of its commit loop (`gpusim::Simulator::run_helped`).
 //!
 //! ```
 //! use zatel::sim_executor::SimExecutor;
@@ -20,6 +24,7 @@
 //! ```
 
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A deterministic scoped-thread job pool.
@@ -30,6 +35,49 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimExecutor {
     jobs: usize,
+}
+
+/// The worker a job runs on: its index, and whether the pool lends the job
+/// a spare worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Worker {
+    index: usize,
+    spare: bool,
+}
+
+impl Worker {
+    /// The index of the worker thread running the job (0 on the serial
+    /// path), for recording the job on that worker's span track.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Whether [`Worker::join`] runs its helper on a spare worker.
+    pub fn has_spare(&self) -> bool {
+        self.spare
+    }
+
+    /// Runs `main` on this worker, handing it `start`: when the pool lends
+    /// the job a spare worker, `start()` runs `help` on it, and `join`
+    /// returns once both have; otherwise `start()` does nothing. Only the
+    /// first call of `start` counts.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `help`, else of `main`, once both have returned.
+    pub fn join(&self, main: &mut dyn FnMut(&dyn Fn()), help: &(dyn Fn() + Sync)) {
+        if !self.spare {
+            return main(&|| ());
+        }
+        let started = std::cell::Cell::new(false);
+        scoped(|spawn| {
+            main(&|| {
+                if !started.replace(true) {
+                    spawn(Box::new(help));
+                }
+            })
+        });
+    }
 }
 
 impl SimExecutor {
@@ -43,12 +91,12 @@ impl SimExecutor {
     /// [`SimExecutor::new`]) scoped worker threads and returns the results
     /// **in input order**.
     ///
-    /// `f` receives `(worker, &item)`: the index of the worker thread
-    /// running the job (0 on the serial path), for recording the job on
-    /// that worker's span track, and the item. Workers claim jobs in input
-    /// order from one atomic cursor, so uneven job lengths load-balance;
-    /// determinism is preserved because each result is put back in its
-    /// input slot, so a result must not depend on `worker`.
+    /// `f` receives the [`Worker`] running the job and the item. The
+    /// calling thread is worker 0; workers claim jobs in input order from
+    /// one atomic cursor, so uneven job lengths load-balance; determinism
+    /// is preserved because each result is put back in its input slot, so
+    /// a result must not depend on the worker. With at least two workers
+    /// per item, every job is lent a spare one ([`Worker::join`]).
     ///
     /// # Panics
     ///
@@ -57,48 +105,82 @@ impl SimExecutor {
     where
         T: Sync,
         R: Send,
-        F: Fn(usize, &T) -> R + Sync,
+        F: Fn(Worker, &T) -> R + Sync,
     {
         let cursor = AtomicUsize::new(0);
-        let work = |worker: usize| {
+        let spare = self.jobs >= 2 * items.len();
+        let work = |index: usize| {
             let mut done = Vec::new();
             loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(index) else {
+                let next = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(next) else {
                     return done;
                 };
-                done.push((index, f(worker, item)));
+                done.push((next, f(Worker { index, spare }, item)));
             }
         };
-        let workers = self.jobs.min(items.len());
-        let mut done = if workers <= 1 {
+        let workers = self.jobs.min(items.len()).max(1);
+        let (mut done, rest) = scoped(|spawn| {
+            for index in 1..workers {
+                spawn(Box::new(move || work(index)));
+            }
             work(0)
-        } else {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the `--jobs` pool: scoped workers claim disjoint job indices from one cursor \
-                          and the results are put back in input order before returning, so worker \
-                          count and claim order never reach the output — pinned by the \
-                          serial/parallel identity tests"
-            )]
-            std::thread::scope(|scope| {
-                let work = &work;
-                let handles: Vec<_> = (0..workers)
-                    .map(|worker| scope.spawn(move || work(worker)))
-                    .collect();
-                let mut done = Vec::with_capacity(items.len());
-                for handle in handles {
-                    match handle.join() {
-                        Ok(part) => done.extend(part),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                done
-            })
-        };
+        });
+        done.extend(rest.into_iter().flatten());
         done.sort_unstable_by_key(|&(index, _)| index);
         done.into_iter().map(|(_, result)| result).collect()
     }
+
+    /// Runs one job, `f`, on the calling thread: `map` over a one-item
+    /// list, so with two or more workers the job is lent a spare one.
+    pub fn run_one<R>(&self, f: impl FnOnce(Worker) -> R) -> R {
+        f(Worker {
+            index: 0,
+            spare: self.jobs >= 2,
+        })
+    }
+}
+
+/// A job for a thread of its own, borrowing from the caller's stack.
+type Job<'env, B> = Box<dyn FnOnce() -> B + Send + 'env>;
+
+/// Runs `main` on the calling thread, handing it `spawn`, which starts a
+/// job on a scoped thread of its own; returns `main`'s result and the
+/// started jobs' results in start order once every thread has returned:
+/// the one place the simulation crates create threads.
+///
+/// # Panics
+///
+/// Re-raises the first panic of a started job, else `main`'s, once every
+/// thread has returned: a helper's panic is the cause of a commit loop's.
+fn scoped<'env, A, B: Send + 'env>(main: impl FnOnce(&dyn Fn(Job<'env, B>)) -> A) -> (A, Vec<B>) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the `--jobs` pool: scoped workers claim disjoint job indices from one cursor \
+                  and the results are put back in input order before returning, and a lent \
+                  worker only decodes ahead of a simulation's commit loop, so worker count, claim \
+                  order and helping never reach the output — pinned by the serial/parallel and \
+                  helped/unhelped identity tests"
+    )]
+    std::thread::scope(|scope| {
+        let handles = std::cell::RefCell::new(Vec::new());
+        let spawn = |job: Job<'env, B>| handles.borrow_mut().push(scope.spawn(job));
+        let main = catch_unwind(AssertUnwindSafe(|| main(&spawn)));
+        let mut done = Vec::new();
+        let mut panicked = None;
+        for handle in handles.into_inner() {
+            match handle.join() {
+                Ok(part) => done.push(part),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        match (panicked, main) {
+            (Some(payload), _) | (None, Err(payload)) => resume_unwind(payload),
+            (None, Ok(main)) => (main, done),
+        }
+    })
 }
 
 /// The host's available parallelism (1 if it cannot be determined).
@@ -115,7 +197,7 @@ mod tests {
     #[test]
     fn zero_jobs_clamps_to_serial() {
         let workers = SimExecutor::new(0).map(&[1, 2, 3], |worker, _: &u32| worker);
-        assert_eq!(workers, [0, 0, 0]);
+        assert!(workers.iter().all(|w| w.index() == 0 && !w.has_spare()));
     }
 
     #[test]
@@ -134,7 +216,7 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..50).collect();
-        let f = |_: usize, x: &u64| x.wrapping_mul(31).wrapping_add(*x >> 1);
+        let f = |_: Worker, x: &u64| x.wrapping_mul(31).wrapping_add(*x >> 1);
         let serial = SimExecutor::new(1).map(&items, f);
         let parallel = SimExecutor::new(7).map(&items, f);
         assert_eq!(serial, parallel);
@@ -152,7 +234,7 @@ mod tests {
     fn map_hands_each_job_a_worker_below_jobs() {
         let items: Vec<u64> = (0..20).collect();
         for jobs in [1usize, 4] {
-            let out = SimExecutor::new(jobs).map(&items, |worker, &x| (worker, 2 * x));
+            let out = SimExecutor::new(jobs).map(&items, |worker, &x| (worker.index(), 2 * x));
             let results: Vec<u64> = out.iter().map(|&(_, r)| r).collect();
             assert_eq!(results, (0..20).map(|i| 2 * i).collect::<Vec<u64>>());
             assert!(out.iter().all(|&(worker, _)| worker < jobs), "{out:?}");
