@@ -75,7 +75,7 @@ const RUN: &[Opt] = &[
     ("--no-downscale", "single group on the full GPU (not with --k)"),
     ("--division KIND", "fine | coarse (default fine)"),
     ("--dist KIND", "uniform | lintmp | exptmp (default uniform)"),
-    ("--jobs N", "worker threads for group simulation (default: host cores)"),
+    ("--jobs N", "simulation threads; a spare one decodes ahead (default: host cores)"),
     ("--reference", "also run the full simulation and report errors"),
     ("--json", "emit machine-readable JSON instead of tables"),
 ];

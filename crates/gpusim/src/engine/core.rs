@@ -48,7 +48,7 @@ impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
         Engine {
             config,
             threads: workload.thread_count(),
-            decoder: Decoder::new(workload, slots),
+            decoder: Decoder::new(workload, slots, config.l1d.line_bytes),
             mem,
             sms,
             events: EventQueue::new(),

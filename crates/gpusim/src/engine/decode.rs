@@ -24,7 +24,6 @@
 //! keep ahead of, and a warp's lanes stay in one core's cache.
 
 use std::collections::VecDeque;
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -144,8 +143,8 @@ impl<'w> WarpSlots<'w> {
         self.wanted.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Marks the run ended and wakes the helper when dropped, also while
-    /// the commit loop unwinds, so [`WarpSlots::help`] returns.
+    /// Marks the run ended when dropped, also while the commit loop
+    /// unwinds, so [`WarpSlots::help`] returns.
     pub(crate) fn end_on_drop(&self) -> RunEnd<'_, 'w> {
         RunEnd(self)
     }
@@ -268,60 +267,23 @@ impl Drop for RunEnd<'_, '_> {
     }
 }
 
-/// The commit loop's hold on its run's slots.
+/// The commit loop's hold on its run's warp slots.
 pub(crate) enum Access<'a, 'w> {
-    /// Unhelped: no other thread sees the slots, so none is locked.
-    Alone(WarpSlots<'w>),
-    /// Helped: each slot is locked while the commit loop uses it. The
-    /// closure starts the helper; the commit loop calls it once, when it
-    /// has gathered [`ALONE_PHASES`] phases inline.
+    /// Unhelped: the warp programs, indexed `[sm][slot]`, which no other
+    /// thread sees. Slots are dense and stable: a retired warp's slot,
+    /// storage included, is reused by its backfill, and emptied by
+    /// [`Decoder::on_vacate`] when none comes.
+    Alone(Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>),
+    /// Helped: the slots, each locked while the commit loop uses it, and
+    /// what starts the helper: the commit loop calls it once, when it has
+    /// gathered [`ALONE_PHASES`] phases inline.
     Shared(&'a WarpSlots<'w>, &'a dyn Fn()),
 }
 
-/// A slot as [`Access`] reaches it.
-enum SlotRef<'s, 'w> {
-    Alone(&'s mut Slot<'w>),
-    Shared(MutexGuard<'s, Slot<'w>>),
-}
-
-impl<'w> Deref for SlotRef<'_, 'w> {
-    type Target = Slot<'w>;
-
-    fn deref(&self) -> &Slot<'w> {
-        match self {
-            SlotRef::Alone(slot) => slot,
-            SlotRef::Shared(guard) => guard,
-        }
-    }
-}
-
-impl<'w> DerefMut for SlotRef<'_, 'w> {
-    fn deref_mut(&mut self) -> &mut Slot<'w> {
-        match self {
-            SlotRef::Alone(slot) => slot,
-            SlotRef::Shared(guard) => guard,
-        }
-    }
-}
-
-impl<'w> Access<'_, 'w> {
-    fn slots(&self) -> &WarpSlots<'w> {
-        match self {
-            Access::Alone(slots) => slots,
-            Access::Shared(slots, _) => slots,
-        }
-    }
-
-    fn slot(&mut self, sm: usize, slot: usize) -> SlotRef<'_, 'w> {
-        match self {
-            Access::Alone(slots) => {
-                let index = sm * slots.slots_per_sm + slot;
-                let slot = slots.slots[index].get_mut();
-                // Never locked, so never poisoned.
-                SlotRef::Alone(slot.unwrap_or_else(PoisonError::into_inner))
-            }
-            Access::Shared(slots, _) => SlotRef::Shared(slots.lock(sm, slot)),
-        }
+impl Access<'_, '_> {
+    /// An unhelped run's slots on `num_sms` SMs.
+    pub(crate) fn alone(num_sms: usize) -> Self {
+        Access::Alone((0..num_sms).map(|_| Vec::new()).collect())
     }
 }
 
@@ -335,26 +297,18 @@ pub(crate) struct Decoder<'a, 'w> {
     slots: Access<'a, 'w>,
     /// Phases gathered inline in a helped run, up to [`ALONE_PHASES`].
     inline: u32,
-    /// Starts the helper of a helped run, until called.
-    start: Option<&'a dyn Fn()>,
     /// The phase handed to the commit loop; its line buffers back every
     /// phase.
     phase: PhaseMix,
 }
 
 impl<'a, 'w> Decoder<'a, 'w> {
-    pub(crate) fn new(workload: &'w dyn Workload, slots: Access<'a, 'w>) -> Self {
-        let phase = PhaseMix::new(slots.slots().line_bytes);
-        let start = match slots {
-            Access::Alone(_) => None,
-            Access::Shared(_, start) => Some(start),
-        };
+    pub(crate) fn new(workload: &'w dyn Workload, slots: Access<'a, 'w>, line_bytes: u32) -> Self {
         Decoder {
             workload,
             slots,
             inline: 0,
-            start,
-            phase,
+            phase: PhaseMix::new(line_bytes),
         }
     }
 
@@ -362,62 +316,103 @@ impl<'a, 'w> Decoder<'a, 'w> {
     /// was launched into `slot` on `sm`: a fresh slot, or one whose warp
     /// has retired.
     pub(crate) fn on_launch(&mut self, sm: usize, slot: usize, first_thread: u64, lanes: u32) {
-        let mut slot = self.slots.slot(sm, slot);
-        debug_assert_eq!(slot.phases, 0, "a retired warp's ring is drained");
-        slot.program
+        let program = match &mut self.slots {
+            Access::Alone(warps) => {
+                let slots = &mut warps[sm];
+                if slot == slots.len() {
+                    slots.push(None);
+                }
+                &mut slots[slot]
+            }
+            Access::Shared(slots, _) => {
+                let mut slot = slots.lock(sm, slot);
+                debug_assert_eq!(slot.phases, 0, "a retired warp's ring is drained");
+                slot.started = false;
+                slot.adopted = false;
+                slot.wanted = false;
+                slot.exhausted = false;
+                let workload = self.workload;
+                slot.program
+                    .get_or_insert_with(|| workload.warp_program())
+                    .launch(first_thread, lanes);
+                return;
+            }
+        };
+        program
             .get_or_insert_with(|| self.workload.warp_program())
             .launch(first_thread, lanes);
-        slot.started = false;
-        slot.adopted = false;
-        slot.wanted = false;
-        slot.exhausted = false;
     }
 
     /// The warp in `(sm, slot)` has retired and no warp is left to backfill
     /// it: its storage goes back to the allocator now rather than at the end
     /// of the run, while the memory model's tables are still growing.
     pub(crate) fn on_vacate(&mut self, sm: usize, slot: usize) {
-        let mut slot = self.slots.slot(sm, slot);
-        slot.program = None;
-        slot.ring = VecDeque::new();
+        match &mut self.slots {
+            Access::Alone(warps) => warps[sm][slot] = None,
+            Access::Shared(slots, _) => {
+                let mut slot = slots.lock(sm, slot);
+                slot.program = None;
+                slot.ring = VecDeque::new();
+                slot.started = false;
+            }
+        }
     }
 
-    /// The next phase of the warp resident in `(sm, slot)` — the front of
-    /// its ring, else gathered and categorized here — or `None` once every
-    /// lane has exited: the warp retires. Never called again for a warp
-    /// after it returned `None`. In a helped run, a warp gathered here is
-    /// the commit loop's again, and an adopted warp whose ring is down to
-    /// half asks the helper for more.
+    /// The next phase of the warp resident in `(sm, slot)`, gathered and
+    /// categorized here — or, in a helped run, taken from its slot's ring —
+    /// or `None` once every lane has exited: the warp retires. Never called
+    /// again for a warp after it returned `None`.
     pub(crate) fn next_phase(&mut self, sm: usize, slot: usize) -> Option<&PhaseMix> {
-        let shared = match self.slots {
-            Access::Alone(_) => None,
-            Access::Shared(slots, _) => Some(slots),
+        let (slots, start) = match &mut self.slots {
+            Access::Alone(warps) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
+                )]
+                let warp = warps[sm][slot]
+                    .as_mut()
+                    .expect("phase for a vacant warp slot");
+                self.phase.clear();
+                warp.gather(&mut self.phase);
+                return (!self.phase.is_empty()).then_some(&self.phase);
+            }
+            Access::Shared(slots, start) => (*slots, *start),
         };
-        let mut warp = self.slots.slot(sm, slot);
+        self.next_shared(slots, start, sm, slot)
+    }
+
+    /// [`Decoder::next_phase`] in a helped run, out of line so that an
+    /// unhelped run's stays small.
+    #[inline(never)]
+    fn next_shared(
+        &mut self,
+        slots: &WarpSlots<'w>,
+        start: &dyn Fn(),
+        sm: usize,
+        slot: usize,
+    ) -> Option<&PhaseMix> {
+        let mut warp = slots.lock(sm, slot);
         if warp.phases > 0 {
             warp.phases -= 1;
             self.phase.take_words(&mut warp.ring);
         } else if warp.exhausted {
             return None;
         } else {
-            if let Some(slots) = shared {
-                let taken_back = std::mem::take(&mut warp.adopted);
-                if taken_back {
-                    slots.taken_back.store(true, Ordering::Relaxed);
-                }
-                if taken_back || !warp.started {
-                    slots.starts.fetch_add(1, Ordering::Relaxed);
-                }
-                if self.inline < ALONE_PHASES {
-                    self.inline += 1;
-                    if self.inline == ALONE_PHASES {
-                        if let Some(start) = self.start.take() {
-                            start();
-                        }
-                    }
-                }
+            // Gathered here: the warp is the commit loop's again.
+            let taken_back = std::mem::take(&mut warp.adopted);
+            if taken_back {
+                slots.taken_back.store(true, Ordering::Relaxed);
+            }
+            if taken_back || !warp.started {
+                slots.starts.fetch_add(1, Ordering::Relaxed);
             }
             warp.started = true;
+            if self.inline < ALONE_PHASES {
+                self.inline += 1;
+                if self.inline == ALONE_PHASES {
+                    start();
+                }
+            }
             #[expect(
                 clippy::expect_used,
                 reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
@@ -429,13 +424,12 @@ impl<'a, 'w> Decoder<'a, 'w> {
                 return None;
             }
         }
-        if let Some(slots) = shared {
-            let low = warp.phases <= RING_PHASES / 2;
-            if warp.adopted && low && !warp.wanted && !warp.exhausted {
-                warp.wanted = true;
-                slots.wanted().push(sm * slots.slots_per_sm + slot);
-                slots.pending.store(true, Ordering::Release);
-            }
+        // An adopted warp down to half its ring asks the helper for more.
+        let low = warp.phases <= RING_PHASES / 2;
+        if warp.adopted && low && !warp.wanted && !warp.exhausted {
+            warp.wanted = true;
+            slots.wanted().push(sm * slots.slots_per_sm + slot);
+            slots.pending.store(true, Ordering::Release);
         }
         Some(&self.phase)
     }
@@ -518,10 +512,10 @@ mod tests {
         });
         let slots = WarpSlots::new(&one_sm());
         let access = match help_every {
-            0 => Access::Alone(WarpSlots::new(&one_sm())),
+            0 => Access::alone(1),
             _ => Access::Shared(&slots, &|| ()),
         };
-        let mut decoder = Decoder::new(&w, access);
+        let mut decoder = Decoder::new(&w, access, 128);
         let mut helper = helper();
         let mut pending = deal_warps(w.thread_count(), 32, 1).remove(0).into_iter();
         let mut resident = [true; 2];
@@ -582,7 +576,7 @@ mod tests {
             ],
         );
         let slots = WarpSlots::new(&one_sm());
-        let mut decoder = Decoder::new(&w, Access::Shared(&slots, &|| ()));
+        let mut decoder = Decoder::new(&w, Access::Shared(&slots, &|| ()), 128);
         let mut helper = helper();
         decoder.on_launch(0, 0, 0, 32);
         decoder.on_launch(0, 1, 32, 32);
@@ -626,7 +620,7 @@ mod tests {
                 Op::Load { addr: 0, bytes: 4 },
             ],
         );
-        let mut src = Decoder::new(&w, Access::Alone(WarpSlots::new(&one_sm())));
+        let mut src = Decoder::new(&w, Access::alone(1), 128);
         src.on_launch(0, 0, 0, 4);
         let mix = src.next_phase(0, 0).expect("a compute phase");
         assert_eq!(mix.compute_cycles, 2);

@@ -62,9 +62,7 @@ impl Simulator {
     /// [`NullHooks`](crate::hooks::NullHooks). Hooks observe only — the
     /// returned statistics are bit-identical for every hook implementation.
     pub fn run_with_hooks<H: SimHooks>(&self, workload: &dyn Workload, hooks: &mut H) -> SimStats {
-        let slots = Access::Alone(WarpSlots::new(&self.config));
-        let stats = Engine::new(&self.config, workload, slots, hooks).run();
-        Self::finish(stats, workload)
+        self.simulate(workload, Access::alone(self.config.num_sms as usize), hooks)
     }
 
     /// [`Simulator::run_with_hooks`] with a second thread that decodes
@@ -98,8 +96,7 @@ impl Simulator {
         lend(
             &mut |start| {
                 let _end = slots.end_on_drop();
-                let access = Access::Shared(&slots, start);
-                stats = Some(Engine::new(&self.config, workload, access, hooks).run());
+                stats = Some(self.simulate(workload, Access::Shared(&slots, start), hooks));
             },
             &|| slots.help(),
         );
@@ -107,11 +104,18 @@ impl Simulator {
             clippy::expect_used,
             reason = "documented `# Panics` contract: a lender that skips the commit loop is a caller bug"
         )]
-        let stats = stats.expect("lend must call the commit loop");
-        Self::finish(stats, workload)
+        stats.expect("lend must call the commit loop")
     }
 
-    fn finish(mut stats: SimStats, workload: &dyn Workload) -> SimStats {
+    /// The one call of the commit loop, helped or not.
+    #[inline(never)]
+    fn simulate<'w, H: SimHooks>(
+        &self,
+        workload: &'w dyn Workload,
+        slots: Access<'_, 'w>,
+        hooks: &mut H,
+    ) -> SimStats {
+        let mut stats = Engine::new(&self.config, workload, slots, hooks).run();
         // Filtering is a property of the workload, not of the engine.
         stats.threads_filtered = workload.filtered_threads();
         stats

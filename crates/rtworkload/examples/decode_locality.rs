@@ -5,7 +5,11 @@
 //! which is how `gpusim` actually pulls ops. The second number is the one
 //! the decode path is built for, and the one the frozen benchmark cannot
 //! see. Then the whole engine: the best of five `Simulator::run`s on the
-//! Mobile SoC and an FNV-1a digest of its `SimStats` JSON. Last, the other
+//! Mobile SoC and an FNV-1a digest of its `SimStats` JSON, next to the best
+//! of five `Simulator::run_helped`s lent a helper thread when the commit
+//! loop asks for one, as a `--jobs` worker is; each helped run, and one
+//! whose helper runs from the first cycle, must give the same digest (a
+//! small frame is over before it asks for a helper). Last, the other
 //! sink of the same path machine: the best of five `profile_costs` of the
 //! frame and the Σ of its cost map. Before all of it, the scene itself: the
 //! best of five `SceneId::build`s and of five `Bvh::build`s over its
@@ -19,7 +23,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpusim::{GpuConfig, PhaseMix, Simulator, Workload};
+use gpusim::{GpuConfig, NullHooks, PhaseMix, SimStats, Simulator, Workload};
 use minijson::ToJson;
 use rtcore::bvh::Bvh;
 use rtcore::fingerprint::Fnv64;
@@ -76,6 +80,30 @@ fn engine_order(workload: &RtWorkload<'_>, slots: u64, gpu: &GpuConfig) -> u64 {
     }
 }
 
+/// FNV-1a of the statistics' JSON.
+fn digest(stats: &SimStats) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_bytes(stats.to_json().to_string().as_bytes());
+    h.finish()
+}
+
+/// A run lent a helper thread: when the commit loop asks for it, as a spare
+/// `--jobs` worker is lent, or from the first cycle.
+fn helped(sim: &Simulator, workload: &RtWorkload<'_>, eager: bool) -> SimStats {
+    sim.run_helped(workload, &mut NullHooks, |commit, help| {
+        std::thread::scope(|scope| {
+            if eager {
+                scope.spawn(help);
+            }
+            commit(&|| {
+                if !eager {
+                    scope.spawn(help);
+                }
+            });
+        });
+    })
+}
+
 fn main() {
     let res: u32 = std::env::args()
         .nth(1)
@@ -115,6 +143,7 @@ fn main() {
         let trace = TraceConfig::default();
         let workload = RtWorkload::full_frame(&scene, res, res, trace);
         let (mut seq_s, mut eng_s, mut sim_s, mut ops) = (f64::MAX, f64::MAX, f64::MAX, 0);
+        let mut helped_s = f64::MAX;
         let (mut profile_s, mut work) = (f64::MAX, 0);
         let mut digest = None;
         for _ in 0..5 {
@@ -128,13 +157,21 @@ fn main() {
             let start = Instant::now();
             let stats = sim.run(&workload);
             sim_s = sim_s.min(start.elapsed().as_secs_f64());
-            let mut h = Fnv64::new();
-            h.write_bytes(stats.to_json().to_string().as_bytes());
             assert!(
-                digest.is_none_or(|d| d == h.finish()),
+                digest.is_none_or(|d| d == self::digest(&stats)),
                 "every run simulates the same"
             );
-            digest = Some(h.finish());
+            digest = Some(self::digest(&stats));
+            let start = Instant::now();
+            let stats = helped(&sim, &workload, false);
+            helped_s = helped_s.min(start.elapsed().as_secs_f64());
+            for stats in [stats, helped(&sim, &workload, true)] {
+                assert_eq!(
+                    digest,
+                    Some(self::digest(&stats)),
+                    "a helped run simulates the same"
+                );
+            }
             let start = Instant::now();
             let costs = profile_costs(&scene, res, res, &trace);
             profile_s = profile_s.min(start.elapsed().as_secs_f64());
@@ -149,9 +186,11 @@ fn main() {
             eng_s / seq_s,
         );
         println!(
-            "{} {res}x{res}: Simulator::run {:.1} ms, SimStats digest {:#018x}",
+            "{} {res}x{res}: Simulator::run {:.1} ms, helped {:.1} ms = {:.2}x, SimStats digest {:#018x}",
             id.name(),
             sim_s * 1e3,
+            helped_s * 1e3,
+            helped_s / sim_s,
             digest.unwrap_or_default(),
         );
         println!(
