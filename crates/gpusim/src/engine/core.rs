@@ -12,7 +12,7 @@ use crate::mem::MemoryHierarchy;
 use crate::stats::SimStats;
 use crate::workload::Workload;
 
-use super::decode::{deal_warps, Access, Decoder};
+use super::decode::{deal_warps, Decoder, WarpSlots};
 use super::events::{Event, EventQueue};
 use super::sm::SmState;
 
@@ -36,11 +36,11 @@ pub(crate) struct Engine<'a, 'w, H: SimHooks> {
 }
 
 impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
-    /// An engine whose warps occupy `slots`.
+    /// An engine; `helper` as in [`Decoder::new`].
     pub(crate) fn new(
         config: &'a GpuConfig,
         workload: &'w dyn Workload,
-        slots: Access<'a, 'w>,
+        helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
         hooks: &'a mut H,
     ) -> Self {
         let mem = MemoryHierarchy::new(config);
@@ -48,7 +48,12 @@ impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
         Engine {
             config,
             threads: workload.thread_count(),
-            decoder: Decoder::new(workload, slots, config.l1d.line_bytes),
+            decoder: Decoder::new(
+                workload,
+                config.num_sms as usize,
+                config.l1d.line_bytes,
+                helper,
+            ),
             mem,
             sms,
             events: EventQueue::new(),

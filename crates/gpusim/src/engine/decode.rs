@@ -32,11 +32,12 @@ use crate::workload::{PhaseMix, WarpProgram, Workload};
 
 /// Phases a slot's ring holds at most. The commit loop asks the helper for
 /// more once it has taken half.
-const RING_PHASES: u32 = 8;
+const RING_PHASES: u32 = 4;
 
-/// Phases the commit loop gathers inline before it starts the helper: a
-/// short run is over before a helper would pay for its thread and for the
-/// cache misses of moving warps' lanes to its core.
+/// Phases the commit loop gathers alone before it shares the slots and
+/// starts the helper: a short run is over before a helper would pay for
+/// its thread, the slots' locks and the cache misses of moving warps' lanes
+/// to its core.
 const ALONE_PHASES: u32 = 8192;
 
 /// How often the commit loop tries a slot the helper holds before it
@@ -75,6 +76,10 @@ pub(crate) struct WarpSlots<'w> {
     wanted: Mutex<Vec<usize>>,
     /// Set when `wanted` gains a slot, so an idle helper polls a flag
     /// rather than the list's lock.
+    ///
+    /// The three hints below carry no data: the list and the slots they
+    /// point at are read under their own locks, so the hints' orderings
+    /// only decide how soon the helper looks.
     pending: AtomicBool,
     /// Counts the warps the commit loop has started or taken back: an idle
     /// helper looks for a warp to adopt only when it has moved.
@@ -82,7 +87,8 @@ pub(crate) struct WarpSlots<'w> {
     /// Set by the commit loop when it takes back an adopted warp whose ring
     /// ran dry: the helper, falling behind, skips its next adoption.
     taken_back: AtomicBool,
-    /// Set once the commit loop has returned or unwound: the helper stops.
+    /// Set, with `Release`, once the commit loop has returned or unwound;
+    /// the helper stops at its next `Acquire` load.
     ended: AtomicBool,
 }
 
@@ -269,22 +275,14 @@ impl Drop for RunEnd<'_, '_> {
 
 /// The commit loop's hold on its run's warp slots.
 pub(crate) enum Access<'a, 'w> {
-    /// Unhelped: the warp programs, indexed `[sm][slot]`, which no other
-    /// thread sees. Slots are dense and stable: a retired warp's slot,
+    /// No other thread sees the slots: the warp programs, indexed
+    /// `[sm][slot]`. Slots are dense and stable: a retired warp's slot,
     /// storage included, is reused by its backfill, and emptied by
     /// [`Decoder::on_vacate`] when none comes.
     Alone(Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>),
-    /// Helped: the slots, each locked while the commit loop uses it, and
-    /// what starts the helper: the commit loop calls it once, when it has
-    /// gathered [`ALONE_PHASES`] phases inline.
-    Shared(&'a WarpSlots<'w>, &'a dyn Fn()),
-}
-
-impl Access<'_, '_> {
-    /// An unhelped run's slots on `num_sms` SMs.
-    pub(crate) fn alone(num_sms: usize) -> Self {
-        Access::Alone((0..num_sms).map(|_| Vec::new()).collect())
-    }
+    /// Shared with the helper: each slot is locked while the commit loop
+    /// uses it.
+    Shared(&'a WarpSlots<'w>),
 }
 
 /// Supplies decoded phases to the engine's commit loop.
@@ -292,22 +290,36 @@ impl Access<'_, '_> {
 /// The engine drives it with the exact warp schedule it commits:
 /// [`Decoder::on_launch`] when a warp enters a slot, then one
 /// [`Decoder::next_phase`] per wake-up event until it returns `None`.
+///
+/// A run starts alone. In a helped run, once the commit loop has gathered
+/// [`ALONE_PHASES`] phases, the programs move into the shared slots and the
+/// helper starts; a shorter run never shares.
 pub(crate) struct Decoder<'a, 'w> {
     workload: &'w dyn Workload,
     slots: Access<'a, 'w>,
-    /// Phases gathered inline in a helped run, up to [`ALONE_PHASES`].
-    inline: u32,
+    /// A helped run's shared slots and what starts its helper, until the
+    /// run shares them.
+    helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
+    /// Phases gathered alone in a helped run.
+    alone: u32,
     /// The phase handed to the commit loop; its line buffers back every
     /// phase.
     phase: PhaseMix,
 }
 
 impl<'a, 'w> Decoder<'a, 'w> {
-    pub(crate) fn new(workload: &'w dyn Workload, slots: Access<'a, 'w>, line_bytes: u32) -> Self {
+    /// A decoder for `num_sms` SMs; `helper` as in [`Decoder::helper`].
+    pub(crate) fn new(
+        workload: &'w dyn Workload,
+        num_sms: usize,
+        line_bytes: u32,
+        helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
+    ) -> Self {
         Decoder {
             workload,
-            slots,
-            inline: 0,
+            slots: Access::Alone((0..num_sms).map(|_| Vec::new()).collect()),
+            helper,
+            alone: 0,
             phase: PhaseMix::new(line_bytes),
         }
     }
@@ -324,7 +336,7 @@ impl<'a, 'w> Decoder<'a, 'w> {
                 }
                 &mut slots[slot]
             }
-            Access::Shared(slots, _) => {
+            Access::Shared(slots) => {
                 let mut slot = slots.lock(sm, slot);
                 debug_assert_eq!(slot.phases, 0, "a retired warp's ring is drained");
                 slot.started = false;
@@ -349,7 +361,7 @@ impl<'a, 'w> Decoder<'a, 'w> {
     pub(crate) fn on_vacate(&mut self, sm: usize, slot: usize) {
         match &mut self.slots {
             Access::Alone(warps) => warps[sm][slot] = None,
-            Access::Shared(slots, _) => {
+            Access::Shared(slots) => {
                 let mut slot = slots.lock(sm, slot);
                 slot.program = None;
                 slot.ring = VecDeque::new();
@@ -359,11 +371,11 @@ impl<'a, 'w> Decoder<'a, 'w> {
     }
 
     /// The next phase of the warp resident in `(sm, slot)`, gathered and
-    /// categorized here — or, in a helped run, taken from its slot's ring —
-    /// or `None` once every lane has exited: the warp retires. Never called
-    /// again for a warp after it returned `None`.
+    /// categorized here — or, once the run shares its slots, taken from the
+    /// slot's ring — or `None` once every lane has exited: the warp retires.
+    /// Never called again for a warp after it returned `None`.
     pub(crate) fn next_phase(&mut self, sm: usize, slot: usize) -> Option<&PhaseMix> {
-        let (slots, start) = match &mut self.slots {
+        let slots = match &mut self.slots {
             Access::Alone(warps) => {
                 #[expect(
                     clippy::expect_used,
@@ -374,23 +386,41 @@ impl<'a, 'w> Decoder<'a, 'w> {
                     .expect("phase for a vacant warp slot");
                 self.phase.clear();
                 warp.gather(&mut self.phase);
+                if self.helper.is_some() {
+                    self.alone += 1;
+                    if self.alone == ALONE_PHASES {
+                        self.share();
+                    }
+                }
                 return (!self.phase.is_empty()).then_some(&self.phase);
             }
-            Access::Shared(slots, start) => (*slots, *start),
+            Access::Shared(slots) => *slots,
         };
-        self.next_shared(slots, start, sm, slot)
+        self.next_shared(slots, sm, slot)
     }
 
-    /// [`Decoder::next_phase`] in a helped run, out of line so that an
-    /// unhelped run's stays small.
+    /// Moves the warp programs into the shared slots and starts the helper.
+    /// A moved warp is adoptable once the commit loop has gathered it again.
+    #[cold]
+    fn share(&mut self) {
+        let Some((slots, start)) = self.helper.take() else {
+            return;
+        };
+        let alone = std::mem::replace(&mut self.slots, Access::Shared(slots));
+        if let Access::Alone(warps) = alone {
+            for (sm, warps) in warps.into_iter().enumerate() {
+                for (slot, program) in warps.into_iter().enumerate() {
+                    slots.lock(sm, slot).program = program;
+                }
+            }
+        }
+        start();
+    }
+
+    /// [`Decoder::next_phase`] once the run shares its slots, out of line so
+    /// that an unshared run's stays small.
     #[inline(never)]
-    fn next_shared(
-        &mut self,
-        slots: &WarpSlots<'w>,
-        start: &dyn Fn(),
-        sm: usize,
-        slot: usize,
-    ) -> Option<&PhaseMix> {
+    fn next_shared(&mut self, slots: &WarpSlots<'w>, sm: usize, slot: usize) -> Option<&PhaseMix> {
         let mut warp = slots.lock(sm, slot);
         if warp.phases > 0 {
             warp.phases -= 1;
@@ -407,12 +437,6 @@ impl<'a, 'w> Decoder<'a, 'w> {
                 slots.starts.fetch_add(1, Ordering::Relaxed);
             }
             warp.started = true;
-            if self.inline < ALONE_PHASES {
-                self.inline += 1;
-                if self.inline == ALONE_PHASES {
-                    start();
-                }
-            }
             #[expect(
                 clippy::expect_used,
                 reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
@@ -511,11 +535,10 @@ mod tests {
                 .collect()
         });
         let slots = WarpSlots::new(&one_sm());
-        let access = match help_every {
-            0 => Access::alone(1),
-            _ => Access::Shared(&slots, &|| ()),
-        };
-        let mut decoder = Decoder::new(&w, access, 128);
+        let mut decoder = Decoder::new(&w, 1, 128, Some((&slots, &|| ())));
+        if help_every > 0 {
+            decoder.share();
+        }
         let mut helper = helper();
         let mut pending = deal_warps(w.thread_count(), 32, 1).remove(0).into_iter();
         let mut resident = [true; 2];
@@ -576,7 +599,8 @@ mod tests {
             ],
         );
         let slots = WarpSlots::new(&one_sm());
-        let mut decoder = Decoder::new(&w, Access::Shared(&slots, &|| ()), 128);
+        let mut decoder = Decoder::new(&w, 1, 128, Some((&slots, &|| ())));
+        decoder.share();
         let mut helper = helper();
         decoder.on_launch(0, 0, 0, 32);
         decoder.on_launch(0, 1, 32, 32);
@@ -620,7 +644,7 @@ mod tests {
                 Op::Load { addr: 0, bytes: 4 },
             ],
         );
-        let mut src = Decoder::new(&w, Access::alone(1), 128);
+        let mut src = Decoder::new(&w, 1, 128, None);
         src.on_launch(0, 0, 0, 4);
         let mix = src.next_phase(0, 0).expect("a compute phase");
         assert_eq!(mix.compute_cycles, 2);

@@ -18,4 +18,4 @@ mod events;
 mod sm;
 
 pub(crate) use core::Engine;
-pub(crate) use decode::{Access, WarpSlots};
+pub(crate) use decode::WarpSlots;

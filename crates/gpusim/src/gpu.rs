@@ -1,7 +1,7 @@
 //! Public facade over the simulation engine.
 
 use crate::config::GpuConfig;
-use crate::engine::{Access, Engine, WarpSlots};
+use crate::engine::{Engine, WarpSlots};
 use crate::hooks::{NullHooks, SimHooks};
 use crate::stats::SimStats;
 use crate::workload::Workload;
@@ -62,7 +62,7 @@ impl Simulator {
     /// [`NullHooks`](crate::hooks::NullHooks). Hooks observe only — the
     /// returned statistics are bit-identical for every hook implementation.
     pub fn run_with_hooks<H: SimHooks>(&self, workload: &dyn Workload, hooks: &mut H) -> SimStats {
-        self.simulate(workload, Access::alone(self.config.num_sms as usize), hooks)
+        self.simulate(workload, None, hooks)
     }
 
     /// [`Simulator::run_with_hooks`] with a second thread that decodes
@@ -96,7 +96,7 @@ impl Simulator {
         lend(
             &mut |start| {
                 let _end = slots.end_on_drop();
-                stats = Some(self.simulate(workload, Access::Shared(&slots, start), hooks));
+                stats = Some(self.simulate(workload, Some((&slots, start)), hooks));
             },
             &|| slots.help(),
         );
@@ -112,10 +112,10 @@ impl Simulator {
     fn simulate<'w, H: SimHooks>(
         &self,
         workload: &'w dyn Workload,
-        slots: Access<'_, 'w>,
+        helper: Option<(&WarpSlots<'w>, &dyn Fn())>,
         hooks: &mut H,
     ) -> SimStats {
-        let mut stats = Engine::new(&self.config, workload, slots, hooks).run();
+        let mut stats = Engine::new(&self.config, workload, helper, hooks).run();
         // Filtering is a property of the workload, not of the engine.
         stats.threads_filtered = workload.filtered_threads();
         stats
