@@ -260,4 +260,40 @@ mod tests {
         let payload = result.expect_err("the job's panic reaches the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
+
+    #[test]
+    fn a_list_at_most_half_the_pool_lends_each_job_a_spare_worker() {
+        let spares = |jobs, items: usize| {
+            SimExecutor::new(jobs).map(&vec![0; items], |worker, _: &u8| worker.has_spare())
+        };
+        assert_eq!(spares(4, 2), [true; 2]);
+        assert_eq!(spares(4, 3), [false; 3]);
+        assert_eq!(spares(2, 1), [true]);
+        assert!(SimExecutor::new(2).run_one(|worker| worker.has_spare()));
+        assert!(!SimExecutor::new(1).run_one(|worker| worker.has_spare()));
+    }
+
+    #[test]
+    fn join_runs_the_helper_on_another_thread_once_started() {
+        let caller = std::thread::current().id();
+        for jobs in [1, 2] {
+            let helped = std::sync::Mutex::new(Vec::new());
+            let help = || helped.lock().unwrap().push(std::thread::current().id());
+            SimExecutor::new(jobs).run_one(|worker| {
+                worker.join(
+                    &mut |start| {
+                        assert_eq!(std::thread::current().id(), caller);
+                        start();
+                        start();
+                    },
+                    &help,
+                )
+            });
+            let helped = helped.into_inner().unwrap();
+            match jobs {
+                1 => assert!(helped.is_empty(), "no spare worker: start does nothing"),
+                _ => assert!(helped.len() == 1 && helped[0] != caller, "{helped:?}"),
+            }
+        }
+    }
 }

@@ -3,8 +3,9 @@
 //! unhelped one, and must end cleanly:
 //!
 //! * the `SimStats` of every scene × preset match unhelped runs, through
-//!   `Zatel::run_reference` at `jobs` 1 and 2 and with a helper that runs
-//!   from the first cycle; so do a one-group `--no-downscale` prediction's;
+//!   `Zatel::run_reference` at `jobs` 1 and 2 and with a helper thread that
+//!   starts before the commit loop and waits for it to share its warps; so
+//!   do a one-group `--no-downscale` prediction's;
 //! * on one SM with two warp slots and more warps than slots — so warps
 //!   retire, backfill and vacate their slots while the helper runs — every
 //!   hook call comes in the same order with the same arguments;
@@ -27,8 +28,8 @@ fn trace() -> TraceConfig {
     }
 }
 
-/// Runs the helper from the first cycle rather than when the commit loop
-/// asks for it, so that even a short run is helped.
+/// Starts the helper before the commit loop rather than when the commit
+/// loop asks for it: it idles until the commit loop shares its warps.
 fn eager<H: SimHooks>(sim: &Simulator, workload: &dyn Workload, hooks: &mut H) -> SimStats {
     sim.run_helped(workload, hooks, |commit, help| {
         std::thread::scope(|scope| {
@@ -36,6 +37,21 @@ fn eager<H: SimHooks>(sim: &Simulator, workload: &dyn Workload, hooks: &mut H) -
             commit(&|| ());
         });
     })
+}
+
+/// Starts the helper when the commit loop asks for it, as a spare `--jobs`
+/// worker is lent; also returns whether it asked.
+fn lent<H: SimHooks>(sim: &Simulator, workload: &dyn Workload, hooks: &mut H) -> (SimStats, bool) {
+    let asked = AtomicBool::new(false);
+    let stats = sim.run_helped(workload, hooks, |commit, help| {
+        std::thread::scope(|scope| {
+            commit(&|| {
+                asked.store(true, Ordering::Relaxed);
+                scope.spawn(help);
+            });
+        });
+    });
+    (stats, asked.into_inner())
 }
 
 #[test]
@@ -103,6 +119,11 @@ impl SimHooks for TraceHooks {
     }
     fn on_phase_issue(&mut self, sm: usize, warp: u64, class: PhaseClass, start: u64, ready: u64) {
         self.0.push(Call::Issue(sm, warp, class, start, ready));
+        // Slows the commit loop below the helper, so that the helper
+        // gathers warps to their end before they retire and backfill.
+        for i in 0..8000u32 {
+            std::hint::black_box(i);
+        }
     }
     fn on_dram_transfer(&mut self, channel: usize, bytes: u32, time: u64) {
         self.0.push(Call::Dram(channel, bytes, time));
@@ -125,9 +146,11 @@ fn one_sm() -> GpuConfig {
 
 #[test]
 fn backfills_and_vacated_slots_leave_every_hook_call_unchanged() {
-    // Nine warps of uneven length through two slots.
+    // Nine warps of uneven length through two slots, about 19 000 phases:
+    // the commit loop asks for its helper about five warps in, so the
+    // last warps launch, retire and vacate their slots while it runs.
     let workload = ScriptedWorkload::per_thread(9 * 32 - 7, |i| {
-        (0..(i * 7) % 61 + 3 * (i / 32))
+        (0..900 + (i * 7) % 61 + 300 * (i / 32))
             .map(|k| match k % 4 {
                 0 => Op::RtNode {
                     addr: ((i + k) % 97) * 32,
@@ -158,9 +181,11 @@ fn backfills_and_vacated_slots_leave_every_hook_call_unchanged() {
             .count(),
         9
     );
-    for _ in 0..8 {
+    for _ in 0..4 {
         let mut helped = TraceHooks::default();
-        assert_eq!(eager(&sim, &workload, &mut helped), stats);
+        let (helped_stats, asked) = lent(&sim, &workload, &mut helped);
+        assert!(asked, "the run is long enough to ask for its helper");
+        assert_eq!(helped_stats, stats);
         assert!(helped.0 == alone.0, "the helped run's hook calls differ");
     }
 }
