@@ -160,12 +160,7 @@ impl<'w> WarpSlots<'w> {
     /// reads two flags and a counter, so it notices work and the end of the
     /// run at once without taking a lock the commit loop uses.
     pub(crate) fn help(&self) {
-        let mut helper = Helper {
-            phase: PhaseMix::new(self.line_bytes),
-            batch: Vec::new(),
-            cursor: 0,
-            scanned_at: None,
-        };
+        let mut helper = Helper::new(self.line_bytes);
         while !self.ended.load(Ordering::Acquire) {
             if !self.help_step(&mut helper) {
                 std::thread::yield_now();
@@ -262,6 +257,17 @@ struct Helper {
     cursor: usize,
     /// [`WarpSlots::starts`] when a look for a warp to adopt found none.
     scanned_at: Option<u32>,
+}
+
+impl Helper {
+    fn new(line_bytes: u32) -> Self {
+        Helper {
+            phase: PhaseMix::new(line_bytes),
+            batch: Vec::new(),
+            cursor: 0,
+            scanned_at: None,
+        }
+    }
 }
 
 /// Ends a helped run when dropped ([`WarpSlots::end_on_drop`]).
@@ -503,15 +509,6 @@ mod tests {
         config
     }
 
-    fn helper() -> Helper {
-        Helper {
-            phase: PhaseMix::new(128),
-            batch: Vec::new(),
-            cursor: 0,
-            scanned_at: None,
-        }
-    }
-
     /// Every phase the commit loop takes, per step, from a run of 7 warps
     /// of uneven length through 2 slots, with a helper pass after every
     /// `help_every`-th step (never when 0): the engine's drive — launch,
@@ -539,7 +536,7 @@ mod tests {
         if help_every > 0 {
             decoder.share();
         }
-        let mut helper = helper();
+        let mut helper = Helper::new(128);
         let mut pending = deal_warps(w.thread_count(), 32, 1).remove(0).into_iter();
         let mut resident = [true; 2];
         for slot in 0..2 {
@@ -601,7 +598,7 @@ mod tests {
         let slots = WarpSlots::new(&one_sm());
         let mut decoder = Decoder::new(&w, 1, 128, Some((&slots, &|| ())));
         decoder.share();
-        let mut helper = helper();
+        let mut helper = Helper::new(128);
         decoder.on_launch(0, 0, 0, 32);
         decoder.on_launch(0, 1, 32, 32);
         assert!(!slots.help_step(&mut helper), "no warp has started");
