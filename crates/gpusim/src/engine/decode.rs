@@ -51,7 +51,7 @@ struct Slot<'w> {
     program: Option<Box<dyn WarpProgram + 'w>>,
     /// Phases gathered ahead, oldest first, as [`PhaseMix::put_words`].
     /// Allocated by the helper, the one thread that adds to it.
-    ring: VecDeque<u64>,
+    ring: VecDeque<u32>,
     /// Phases in `ring`.
     phases: u32,
     /// The commit loop has gathered the warp's first phase, so its lanes

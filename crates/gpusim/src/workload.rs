@@ -231,43 +231,69 @@ impl PhaseMix {
         (self.load_lines.len() + self.store_lines.len()) as u64
     }
 
-    /// Appends the phase to `words` without its set of seen lines: five
-    /// header words (ops and rays, compute cycles, instructions, the RT and
-    /// load list lengths, the store list length), then the three line
-    /// lists. [`PhaseMix::take_words`] reads it back.
-    pub(crate) fn put_words(&self, words: &mut VecDeque<u64>) {
+    /// Appends the phase to `words` without its set of seen lines: nine
+    /// header words (ops, RT rays, compute cycles and instructions in two
+    /// words each, the three list lengths), then the three line lists, a
+    /// word per line, or two when some line of the phase needs them, which
+    /// the top bit of the last length records. [`PhaseMix::take_words`]
+    /// reads it back.
+    pub(crate) fn put_words(&self, words: &mut VecDeque<u32>) {
         let lists = [&self.rt_lines, &self.load_lines, &self.store_lines];
+        let wide = lists
+            .iter()
+            .flat_map(|list| list.iter())
+            .any(|&line| line > u32::MAX as u64);
+        let split = |x: u64| [x as u32, (x >> 32) as u32];
+        let ([cycles, cycles_hi], [insts, insts_hi]) =
+            (split(self.compute_cycles), split(self.instructions));
         words.extend([
-            self.ops as u64 | (self.rt_rays as u64) << 32,
-            self.compute_cycles,
-            self.instructions,
-            self.rt_lines.len() as u64 | (self.load_lines.len() as u64) << 32,
-            self.store_lines.len() as u64,
+            self.ops,
+            self.rt_rays,
+            cycles,
+            cycles_hi,
+            insts,
+            insts_hi,
+            self.rt_lines.len() as u32,
+            self.load_lines.len() as u32,
+            self.store_lines.len() as u32 | (wide as u32) << 31,
         ]);
         for list in lists {
-            words.extend(list);
+            if wide {
+                words.extend(list.iter().flat_map(|&line| split(line)));
+            } else {
+                words.extend(list.iter().map(|&line| line as u32));
+            }
         }
     }
 
     /// Makes this the phase at the front of `words` ([`PhaseMix::put_words`])
     /// and removes it there. The mix is for reading only: its seen set stays
     /// empty, so [`PhaseMix::clear`] it before it gathers again.
-    pub(crate) fn take_words(&mut self, words: &mut VecDeque<u64>) {
+    pub(crate) fn take_words(&mut self, words: &mut VecDeque<u32>) {
         self.clear();
-        let [ops_rays, cycles, instructions, rt_load, stores] =
+        let [ops, rays, cycles, cycles_hi, insts, insts_hi, rt, load, store] =
             std::array::from_fn(|_| words.pop_front().unwrap_or_default());
-        self.ops = ops_rays as u32;
-        self.rt_rays = (ops_rays >> 32) as u32;
-        self.compute_cycles = cycles;
-        self.instructions = instructions;
-        let lens = [rt_load as u32, (rt_load >> 32) as u32, stores as u32];
+        let join = |lo: u32, hi: u32| lo as u64 | (hi as u64) << 32;
+        self.ops = ops;
+        self.rt_rays = rays;
+        self.compute_cycles = join(cycles, cycles_hi);
+        self.instructions = join(insts, insts_hi);
+        let wide = store >> 31 == 1;
+        let lens = [rt, load, store & !(1 << 31)];
         let lists = [
             &mut self.rt_lines,
             &mut self.load_lines,
             &mut self.store_lines,
         ];
         for (list, len) in lists.into_iter().zip(lens) {
-            list.extend(words.drain(..len as usize));
+            if wide {
+                let mut halves = words.drain(..2 * len as usize);
+                list.extend(std::iter::from_fn(|| {
+                    Some(join(halves.next()?, halves.next()?))
+                }));
+            } else {
+                list.extend(words.drain(..len as usize).map(u64::from));
+            }
         }
     }
 }
@@ -791,6 +817,37 @@ mod tests {
             prop::collection::vec(op(), 0..40),
             prop::collection::vec(wide_op(), 0..200),
         ]
+    }
+
+    #[test]
+    fn phases_come_back_from_words_as_they_went_in() {
+        let mut words = VecDeque::new();
+        let mut phases = Vec::new();
+        // The second phase has lines that need two words each.
+        for base in [0, 1 << 40, 12_345] {
+            let mut mix = PhaseMix::new(128);
+            mix.push(Op::Compute {
+                cycles: 7,
+                insts: 3,
+            });
+            mix.push(Op::RtNode { addr: base });
+            mix.push(Op::Load {
+                addr: base + 4096,
+                bytes: 200,
+            });
+            mix.push(Op::Store {
+                addr: base + 64,
+                bytes: 8,
+            });
+            mix.put_words(&mut words);
+            phases.push(mix);
+        }
+        for mix in phases {
+            let mut back = PhaseMix::new(128);
+            back.take_words(&mut words);
+            assert_eq!(back, mix);
+        }
+        assert!(words.is_empty());
     }
 
     #[test]
