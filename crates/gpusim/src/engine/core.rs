@@ -3,8 +3,9 @@
 //!
 //! The loop takes each phase from its [`Decoder`] — gathered ahead by a
 //! helper, or inline — and charges it to the timing state (issue ports, RT
-//! units, memory hierarchy) strictly in [`EventQueue`] pop order. Every timing decision and every
-//! hook call happens here, in that one deterministic order.
+//! units, memory hierarchy) strictly in [`EventQueue`] pop order. Every
+//! timing decision and every hook call happens here, in that one
+//! deterministic order.
 
 use crate::config::GpuConfig;
 use crate::hooks::{PhaseClass, SimHooks};
