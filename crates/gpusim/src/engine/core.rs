@@ -1,33 +1,38 @@
 //! The event-driven commit loop: launches the grid, steps warps through
 //! their SIMT phases and collects the final statistics.
 //!
-//! The loop takes each phase from its [`Decoder`] — gathered ahead by a
-//! helper, or inline — and charges it to the timing state (issue ports, RT
-//! units, memory hierarchy) strictly in [`EventQueue`] pop order. Every
-//! timing decision and every hook call happens here, in that one
-//! deterministic order.
+//! The loop takes each phase from its [`Decoder`] — read from a ring a
+//! helper gathered it into, or gathered inline — and charges it to the
+//! timing state (issue ports, RT units, memory hierarchy) strictly in
+//! [`EventQueue`] pop order. Every timing decision and every hook call
+//! happens here, in that one deterministic order.
 
 use crate::config::GpuConfig;
 use crate::hooks::{PhaseClass, SimHooks};
 use crate::mem::MemoryHierarchy;
 use crate::stats::SimStats;
-use crate::workload::Workload;
+use crate::workload::{LineList, PhaseView, Workload};
 
-use super::decode::{deal_warps, Decoder, WarpSlots};
+use super::decode::{deal_warps, Decoder, Phase, WarpSlots};
 use super::events::{Event, EventQueue};
 use super::sm::SmState;
 
 /// Cycles between a warp slot freeing and the replacement warp's first issue.
 const WARP_LAUNCH_LATENCY: u64 = 4;
 
-/// One simulation run in flight: the configuration, all mutable machine
-/// state and the observer. Generic over the hook type so the cycle path
+/// One simulation run in flight: the configuration, the decoder and the
+/// timing state. Generic over the hook type so the cycle path
 /// monomorphizes — [`NullHooks`](crate::hooks::NullHooks) compiles to
 /// exactly the pre-seam engine.
 pub(crate) struct Engine<'a, 'w, H: SimHooks> {
     config: &'a GpuConfig,
     threads: u64,
     decoder: Decoder<'a, 'w>,
+    timing: Timing<'a, H>,
+}
+
+/// All mutable machine state and the observer: what a phase is charged to.
+struct Timing<'a, H: SimHooks> {
     mem: MemoryHierarchy,
     sms: Vec<SmState>,
     events: EventQueue,
@@ -44,53 +49,50 @@ impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
         helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
         hooks: &'a mut H,
     ) -> Self {
-        let mem = MemoryHierarchy::new(config);
-        let sms = (0..config.num_sms).map(|_| SmState::new(config)).collect();
         Engine {
             config,
             threads: workload.thread_count(),
-            decoder: Decoder::new(
-                workload,
-                config.num_sms as usize,
-                config.l1d.line_bytes,
-                helper,
-            ),
-            mem,
-            sms,
-            events: EventQueue::new(),
-            stats: SimStats::default(),
-            max_time: 0,
-            hooks,
+            decoder: Decoder::new(workload, config, helper),
+            timing: Timing {
+                mem: MemoryHierarchy::new(config),
+                sms: (0..config.num_sms).map(|_| SmState::new(config)).collect(),
+                events: EventQueue::new(),
+                stats: SimStats::default(),
+                max_time: 0,
+                hooks,
+            },
         }
     }
 
     /// Runs the workload's grid to completion.
     pub(crate) fn run(mut self) -> SimStats {
         self.launch_grid();
-        while let Some(ev) = self.events.pop() {
+        while let Some(ev) = self.timing.events.pop() {
             self.step_warp(ev);
         }
+        let t = &mut self.timing;
         // The run ends when the last warp retires AND all write-back
         // traffic has drained from the DRAM channels.
-        self.stats.cycles = self.max_time.max(self.mem.drain_time());
-        self.stats.rt_warp_phases = self.sms.iter().map(|s| s.rt_unit.phases()).sum();
-        self.stats.rt_active_rays = self.sms.iter().map(|s| s.rt_unit.active_rays()).sum();
-        self.mem.export_stats(&mut self.stats);
-        self.stats
+        t.stats.cycles = t.max_time.max(t.mem.drain_time());
+        t.stats.rt_warp_phases = t.sms.iter().map(|s| s.rt_unit.phases()).sum();
+        t.stats.rt_active_rays = t.sms.iter().map(|s| s.rt_unit.active_rays()).sum();
+        t.mem.export_stats(&mut t.stats);
+        self.timing.stats
     }
 
     /// Deals warps to SMs (see [`deal_warps`]) and fills the initial warp
     /// slots.
     fn launch_grid(&mut self) {
-        self.stats.threads_launched = self.threads;
-        let lists = deal_warps(self.threads, self.config.warp_size, self.sms.len());
+        self.timing.stats.threads_launched = self.threads;
+        let sms = self.timing.sms.len();
+        let lists = deal_warps(self.threads, self.config.warp_size, sms);
         for (sm, list) in lists.into_iter().enumerate() {
-            self.sms[sm].pending = list
+            self.timing.sms[sm].pending = list
                 .into_iter()
                 .map(|w| (w.id, w.first_thread, w.lanes))
                 .collect();
         }
-        for sm in 0..self.sms.len() {
+        for sm in 0..sms {
             for _ in 0..self.config.max_warps_per_sm {
                 if !self.try_launch(sm, 0) {
                     break;
@@ -101,14 +103,15 @@ impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
 
     /// Launches the oldest warp pending on `sm` into a fresh slot at `t`.
     fn try_launch(&mut self, sm: usize, t: u64) -> bool {
-        let Some((id, first, lanes)) = self.sms[sm].pending.pop_front() else {
+        let t_sm = &mut self.timing.sms[sm];
+        let Some((id, first, lanes)) = t_sm.pending.pop_front() else {
             return false;
         };
-        let slot = self.sms[sm].slots_used;
-        self.sms[sm].slots_used += 1;
+        let slot = t_sm.slots_used;
+        t_sm.slots_used += 1;
         self.decoder.on_launch(sm, slot, first, lanes);
-        self.hooks.on_warp_launch(sm, id, t);
-        self.events.push(Event {
+        self.timing.hooks.on_warp_launch(sm, id, t);
+        self.timing.events.push(Event {
             time: t + WARP_LAUNCH_LATENCY,
             warp_id: id,
             sm,
@@ -119,27 +122,44 @@ impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
 
     /// Executes one SIMT phase of a warp (or retires it).
     fn step_warp(&mut self, ev: Event) {
-        let Some(mix) = self.decoder.next_phase(ev.sm, ev.slot) else {
-            // Retired: backfill the slot with this SM's oldest pending
-            // warp. Slot indices must stay stable, so the replacement
-            // reuses the retired warp's position.
-            self.max_time = self.max_time.max(ev.time);
-            self.hooks.on_warp_retire(ev.sm, ev.warp_id, ev.time);
-            if let Some((id, first, lanes)) = self.sms[ev.sm].pending.pop_front() {
-                self.decoder.on_launch(ev.sm, ev.slot, first, lanes);
-                self.hooks.on_warp_launch(ev.sm, id, ev.time);
-                self.events.push(Event {
-                    time: ev.time + WARP_LAUNCH_LATENCY,
-                    warp_id: id,
-                    sm: ev.sm,
-                    slot: ev.slot,
-                });
-            } else {
-                self.decoder.on_vacate(ev.sm, ev.slot);
-            }
-            return;
+        let retired = match self.decoder.next_phase(ev.sm, ev.slot) {
+            Some(Phase::Mix(mix)) => self.timing.commit(ev, mix),
+            Some(Phase::Ring(phase)) => self.timing.commit(ev, &*phase),
+            None => true,
         };
-        self.stats.instructions += mix.instructions;
+        if retired {
+            self.retire(ev);
+        }
+    }
+
+    /// The warp woken by `ev` has no phase left: backfill its slot with
+    /// this SM's oldest pending warp. Slot indices must stay stable, so the
+    /// replacement reuses the retired warp's position.
+    fn retire(&mut self, ev: Event) {
+        let t = &mut self.timing;
+        t.max_time = t.max_time.max(ev.time);
+        t.hooks.on_warp_retire(ev.sm, ev.warp_id, ev.time);
+        if let Some((id, first, lanes)) = t.sms[ev.sm].pending.pop_front() {
+            self.decoder.on_launch(ev.sm, ev.slot, first, lanes);
+            t.hooks.on_warp_launch(ev.sm, id, ev.time);
+            t.events.push(Event {
+                time: ev.time + WARP_LAUNCH_LATENCY,
+                warp_id: id,
+                sm: ev.sm,
+                slot: ev.slot,
+            });
+        } else {
+            self.decoder.on_vacate(ev.sm, ev.slot);
+        }
+    }
+}
+
+impl<H: SimHooks> Timing<'_, H> {
+    /// Charges one SIMT phase of the warp woken by `ev` to the timing state
+    /// and schedules the warp's next wake-up; `false`, the warp lives on.
+    #[inline]
+    fn commit(&mut self, ev: Event, mix: &impl PhaseView) -> bool {
+        self.stats.instructions += mix.instructions();
         self.stats.warp_issues += 1;
 
         // --- Issue arbitration --------------------------------------------
@@ -148,21 +168,22 @@ impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
         // --- Timing of each category --------------------------------------
         self.stats.bound_issue_cycles += start - ev.time;
         let mut ready = start + 1;
-        let compute_ready = start + mix.compute_cycles;
+        let compute_ready = start + mix.compute_cycles();
         ready = ready.max(compute_ready);
         let mut lsu_ready = start;
-        for line in &mix.load_lines {
-            lsu_ready = lsu_ready.max(self.mem.read_with(ev.sm, *line, start, self.hooks));
+        for line in mix.lines(LineList::Load) {
+            lsu_ready = lsu_ready.max(self.mem.read_with(ev.sm, line, start, self.hooks));
         }
-        for line in &mix.store_lines {
-            lsu_ready = lsu_ready.max(self.mem.write_with(ev.sm, *line, start, self.hooks));
+        for line in mix.lines(LineList::Store) {
+            lsu_ready = lsu_ready.max(self.mem.write_with(ev.sm, line, start, self.hooks));
         }
         ready = ready.max(lsu_ready);
         let mut rt_ready = start;
-        if mix.rt_rays > 0 {
+        let rt_rays = mix.rt_rays();
+        if rt_rays > 0 {
             let sm_state = &mut self.sms[ev.sm];
             let (slot, rt_start) = sm_state.rt_unit.acquire(start);
-            let occupancy = sm_state.rt_unit.occupancy_cycles(mix.rt_rays);
+            let occupancy = sm_state.rt_unit.occupancy_cycles(rt_rays);
             // The warp occupies a tester slot only while its rays are being
             // box/primitive-tested; node and primitive fetches then go out
             // without holding the slot (no bound on how many are in
@@ -171,17 +192,17 @@ impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
             // before the next phase.
             sm_state
                 .rt_unit
-                .complete(slot, rt_start + occupancy, mix.rt_rays);
+                .complete(slot, rt_start + occupancy, rt_rays);
             self.hooks.on_rt_phase(
                 ev.sm,
-                mix.rt_rays,
-                mix.rt_lines.len() as u32,
+                rt_rays,
+                mix.line_count(LineList::Rt) as u32,
                 rt_start,
                 occupancy,
             );
             let mut rt_done = rt_start + occupancy;
-            for line in &mix.rt_lines {
-                rt_done = rt_done.max(self.mem.read_with(ev.sm, *line, rt_start, self.hooks));
+            for line in mix.lines(LineList::Rt) {
+                rt_done = rt_done.max(self.mem.read_with(ev.sm, line, rt_start, self.hooks));
             }
             rt_ready = rt_done;
             ready = ready.max(rt_done);
@@ -210,6 +231,7 @@ impl<'a, 'w, H: SimHooks> Engine<'a, 'w, H> {
             sm: ev.sm,
             slot: ev.slot,
         });
+        false
     }
 }
 

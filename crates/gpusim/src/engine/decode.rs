@@ -13,140 +13,254 @@
 //! is none.
 //!
 //! A helped run ([`Simulator::run_helped`](crate::Simulator::run_helped))
-//! lends the slots ([`WarpSlots`]) to a second thread, the helper
-//! ([`WarpSlots::help`]). The helper adopts started warps one at a time
-//! while it keeps up, and gathers an adopted warp's phases ahead into its
-//! slot's bounded ring. The commit loop pops a slot's ring, or gathers
-//! inline, exactly as an unhelped run does, when the ring is empty: it never
-//! waits for a phase, and each warp's phase stream is the same whichever
-//! thread gathered which phase. A warp the commit loop had to gather
-//! inline goes back to it, so the helper owns no more warps than it can
-//! keep ahead of, and a warp's lanes stay in one core's cache.
+//! shares its warp slots ([`WarpSlots`]) with a second thread, the helper
+//! ([`WarpSlots::help`]), which gathers each warp's phases ahead into its
+//! slot's ring: a single-producer, single-consumer ring of 32-bit words
+//! ([`PhaseMix::put_words`]) that the commit loop reads in place, without a
+//! lock ([`RingPhase`]). The helper owns a warp from its launch: the commit
+//! loop launches the lanes and queues the slot, and the helper fills its
+//! ring, then refills it each time the commit loop queues the slot as
+//! running low. The commit loop gathers inline, under the slot's lock, when
+//! it finds the ring empty, and takes the warp back — to gather it with no
+//! lock — when it finds it empty twice running after the helper served it;
+//! it hands a warp back when the helper idles. It never waits for a phase, and each warp's phase
+//! stream is the same whichever thread gathered which phase.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 use crate::config::GpuConfig;
-use crate::workload::{PhaseMix, WarpProgram, Workload};
+use crate::workload::{word, PhaseMix, Ring, RingPhase, WarpProgram, Workload, RING_WORDS};
 
-/// Phases a slot's ring holds at most. The commit loop asks the helper for
-/// more once it has taken half.
-const RING_PHASES: u32 = 4;
+/// The helper gathers a slot's next phase only while its ring has this
+/// many words free: more than the largest phase of a ray-traced warp takes
+/// (about 40 words; 20 on average), so that a phase spills
+/// ([`Shared::spilled`]) only if it is larger.
+const FILL_FREE: u32 = 64;
 
-/// Phases the commit loop gathers alone before it shares the slots and
-/// starts the helper: a short run is over before a helper would pay for
-/// its thread, the slots' locks and the cache misses of moving warps' lanes
-/// to its core.
-const ALONE_PHASES: u32 = 8192;
+/// The commit loop asks the helper to fill a slot's ring once it holds
+/// this many unread words or fewer: about six phases of a ray-traced warp,
+/// time enough for the helper to get to it.
+const LOW_WORDS: u32 = RING_WORDS as u32 / 2;
+
+/// The first word of a warp's last ring entry: every lane has exited. No
+/// phase starts with it ([`PhaseMix::put_words`] writes only gathered ones).
+const END: u32 = 0;
+
+/// Phases a helped run gathers alone per warp of the grid's first wave,
+/// before it shares its slots and starts the helper: a grid whose warps
+/// average fewer phases is over before a helper would pay for its thread.
+const ALONE_PHASES_PER_WARP: u64 = 16;
 
 /// How often the commit loop tries a slot the helper holds before it
-/// sleeps on it: the helper holds a slot for one gather.
+/// sleeps on it: the helper publishes a phase as soon as it has gathered
+/// it, so the commit loop usually reads that phase instead.
 const SPINS: u32 = 1 << 16;
 
-/// One warp slot: the program of the warp resident in it, and in a helped
-/// run the phases gathered ahead of the commit loop.
-struct Slot<'w> {
-    /// Outlives its warp: a backfill reuses the storage.
+/// One warp slot as the helper sees it, locked while either thread uses it.
+struct Warp<'w> {
+    /// The program of a warp the helper owns: from its launch, until the
+    /// commit loop takes it back from a ring the helper lets run dry, and
+    /// again once the commit loop hands it back to an idle helper.
     program: Option<Box<dyn WarpProgram + 'w>>,
-    /// Phases gathered ahead, oldest first, as [`PhaseMix::put_words`].
-    /// Allocated by the helper, the one thread that adds to it.
-    ring: VecDeque<u32>,
-    /// Phases in `ring`.
-    phases: u32,
-    /// The commit loop has gathered the warp's first phase, so its lanes
-    /// hold their storage: the helper allocates no lane state.
-    started: bool,
-    /// The helper has adopted the warp and gathers it ahead.
-    adopted: bool,
-    /// The slot waits in [`WarpSlots::wanted`].
-    wanted: bool,
-    /// The helper's last gather came back empty: every lane has exited.
+    /// A gather came back empty: every lane has exited, and nothing is
+    /// gathered again until the slot's next launch.
     exhausted: bool,
 }
 
-/// The warp slots of one run, indexed `sm * slots_per_sm + slot`: shared by
-/// its commit loop and, in a helped run, the helper.
+/// What a helped run's commit loop shares with its helper: built in one
+/// go by the commit loop when it shares its slots, for the slots the grid
+/// fills, and indexed `sm * slots_per_sm + slot`.
+struct Shared<'w> {
+    warps: Box<[Mutex<Warp<'w>>]>,
+    /// Each slot's ring, one bounded block.
+    rings: Box<[Ring]>,
+    /// Per ring, the position after the last word the helper published:
+    /// stored with `Release` after the words it covers, loaded with
+    /// `Acquire` by the commit loop before it reads them.
+    tails: Box<[AtomicU32]>,
+    /// Per ring, the position after the last word the commit loop has
+    /// read: stored with `Release` once it has read them, loaded with
+    /// `Acquire` by the helper before it overwrites them.
+    heads: Box<[AtomicU32]>,
+    /// Per slot, set while it waits in `requests` or its ring is being
+    /// filled. The helper clears it with `Release` once it has filled the
+    /// ring, after it read the slot's request word; the commit loop's
+    /// `Acquire` swap that sees the clear may then reuse the word.
+    wanted: Box<[AtomicBool]>,
+    /// The slots the commit loop wants filled, in the order it asked, by
+    /// wrapping position; a power of two at least the slot count long. It
+    /// holds a slot at most once, so it never overflows.
+    requests: Box<[AtomicU32]>,
+    /// Requests queued: stored with `Release` after the request's word,
+    /// loaded with `Acquire` by the helper before it reads it.
+    requested: AtomicU32,
+    /// Phases too large for their ring's free words, or with a count or
+    /// line wider than a word, with their slot, oldest first.
+    spilled: Mutex<Vec<(usize, PhaseMix)>>,
+    /// The helper's working state, built with the rest on the commit
+    /// loop's thread: the helper allocates only what its lanes' rays need.
+    helper: Mutex<Helper>,
+    /// Raised while the helper finds no ring to fill; the commit loop takes
+    /// it down when it hands the helper the next warp it gathers. So a
+    /// helper whose core is taken while it idles is handed one warp, not
+    /// every warp the commit loop gathers meanwhile. A hint: the warp's
+    /// lock orders the hand-over itself.
+    idle: AtomicBool,
+}
+
+impl<'w> Shared<'w> {
+    /// Takes over the programs of an unshared run, `[sm][slot]`.
+    fn new(
+        programs: Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>,
+        slots_per_sm: usize,
+        config: &GpuConfig,
+    ) -> Self {
+        let warps: Box<[_]> = programs
+            .into_iter()
+            .flat_map(|list| {
+                let vacant = slots_per_sm - list.len();
+                list.into_iter()
+                    .chain(std::iter::repeat_with(|| None).take(vacant))
+            })
+            .map(|program| {
+                Mutex::new(Warp {
+                    program,
+                    exhausted: false,
+                })
+            })
+            .collect();
+        let slots = warps.len();
+        let atomics = |len: usize| (0..len).map(|_| AtomicU32::new(0)).collect();
+        let mut phase = PhaseMix::new(config.l1d.line_bytes);
+        phase.reserve(2 * config.warp_size as usize);
+        let helper = Helper {
+            phase,
+            heads: vec![0; slots],
+            taken: 0,
+        };
+        Shared {
+            rings: (0..slots)
+                .map(|_| std::array::from_fn(|_| AtomicU32::new(0)))
+                .collect(),
+            tails: atomics(slots),
+            heads: atomics(slots),
+            wanted: (0..slots).map(|_| AtomicBool::new(false)).collect(),
+            requests: atomics(slots.next_power_of_two()),
+            requested: AtomicU32::new(0),
+            spilled: Mutex::new(Vec::new()),
+            helper: Mutex::new(helper),
+            idle: AtomicBool::new(false),
+            warps,
+        }
+    }
+
+    /// The helper's loop: [`Shared::help_step`] until the run ends,
+    /// yielding its core whenever there was nothing to do.
+    fn help(&self, ended: &AtomicBool) {
+        // Only this thread locks it.
+        let mut helper = self.helper.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut idle = false;
+        while !ended.load(Ordering::Acquire) {
+            if self.help_step(&mut helper) {
+                if std::mem::take(&mut idle) {
+                    self.idle.store(false, Ordering::Relaxed);
+                }
+            } else {
+                // Raised again after each hand-over takes it down.
+                if !self.idle.load(Ordering::Relaxed) {
+                    self.idle.store(true, Ordering::Relaxed);
+                }
+                idle = true;
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Fills the ring of the oldest slot the commit loop has queued;
+    /// `false` if it had queued none.
+    fn help_step(&self, helper: &mut Helper) -> bool {
+        let requested = self.requested.load(Ordering::Acquire);
+        if requested == helper.taken {
+            return false;
+        }
+        let at = helper.taken as usize & (self.requests.len() - 1);
+        let slot = self.requests[at].load(Ordering::Relaxed) as usize;
+        helper.taken = helper.taken.wrapping_add(1);
+        self.fill(slot, &mut helper.phase, &mut helper.heads[slot]);
+        self.wanted[slot].store(false, Ordering::Release);
+        true
+    }
+
+    /// Gathers the phases of the warp in `slot` into its ring while the
+    /// helper owns the warp and the ring has [`FILL_FREE`] words free,
+    /// under the warp's lock, publishing each phase as soon as it is
+    /// written: consecutive phases of one warp, while its lanes are in
+    /// this core's cache. `head` is the ring's head as last loaded.
+    fn fill(&self, slot: usize, phase: &mut PhaseMix, head: &mut u32) {
+        // Poisoned by a commit loop that panicked: the run is ending.
+        let Ok(mut warp) = self.warps[slot].lock() else {
+            return;
+        };
+        let warp = &mut *warp;
+        let Some(program) = warp.program.as_mut() else {
+            return;
+        };
+        let (ring, tail) = (&self.rings[slot], &self.tails[slot]);
+        // Only this thread stores it.
+        let mut at = tail.load(Ordering::Relaxed);
+        while !warp.exhausted {
+            // The free words up to the head as last loaded, or loaded anew
+            // if they are too few.
+            let mut free = RING_WORDS as u32 - at.wrapping_sub(*head);
+            if free < FILL_FREE {
+                *head = self.heads[slot].load(Ordering::Acquire);
+                free = RING_WORDS as u32 - at.wrapping_sub(*head);
+                if free < FILL_FREE {
+                    return;
+                }
+            }
+            phase.clear();
+            program.gather(phase);
+            let words = if phase.is_empty() {
+                warp.exhausted = true;
+                put(ring, at, END)
+            } else if let Some(words) = phase.put_words(ring, at, free) {
+                words
+            } else {
+                self.spilled
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((slot, phase.clone()));
+                put(ring, at, RingPhase::SPILLED)
+            };
+            at = at.wrapping_add(words);
+            tail.store(at, Ordering::Release);
+        }
+    }
+}
+
+/// Writes a one-word ring entry; returns its length.
+fn put(ring: &Ring, at: u32, word: u32) -> u32 {
+    ring[at as usize % RING_WORDS].store(word, Ordering::Relaxed);
+    1
+}
+
+/// The warp slots of one helped run: shared by its commit loop and the
+/// helper once the commit loop shares them.
 pub(crate) struct WarpSlots<'w> {
-    slots: Vec<Mutex<Slot<'w>>>,
-    slots_per_sm: usize,
-    line_bytes: u32,
-    /// Adopted slots whose ring the commit loop has drained to half, in the
-    /// order it did; the helper takes the whole list at once.
-    wanted: Mutex<Vec<usize>>,
-    /// Set when `wanted` gains a slot, so an idle helper polls a flag
-    /// rather than the list's lock.
-    ///
-    /// The three hints below carry no data: the list and the slots they
-    /// point at are read under their own locks, so the hints' orderings
-    /// only decide how soon the helper looks.
-    pending: AtomicBool,
-    /// Counts the warps the commit loop has started or taken back: an idle
-    /// helper looks for a warp to adopt only when it has moved.
-    starts: AtomicU32,
-    /// Set by the commit loop when it takes back an adopted warp whose ring
-    /// ran dry: the helper, falling behind, skips its next adoption.
-    taken_back: AtomicBool,
+    shared: OnceLock<Shared<'w>>,
     /// Set, with `Release`, once the commit loop has returned or unwound;
     /// the helper stops at its next `Acquire` load.
     ended: AtomicBool,
 }
 
 impl<'w> WarpSlots<'w> {
-    pub(crate) fn new(config: &GpuConfig) -> Self {
-        let slots_per_sm = config.max_warps_per_sm as usize;
-        let empty = || {
-            Mutex::new(Slot {
-                program: None,
-                ring: VecDeque::new(),
-                phases: 0,
-                started: false,
-                adopted: false,
-                wanted: false,
-                exhausted: false,
-            })
-        };
+    pub(crate) fn new() -> Self {
         WarpSlots {
-            slots: (0..config.num_sms as usize * slots_per_sm)
-                .map(|_| empty())
-                .collect(),
-            slots_per_sm,
-            line_bytes: config.l1d.line_bytes,
-            wanted: Mutex::new(Vec::new()),
-            pending: AtomicBool::new(false),
-            starts: AtomicU32::new(0),
-            taken_back: AtomicBool::new(false),
+            shared: OnceLock::new(),
             ended: AtomicBool::new(false),
         }
-    }
-
-    /// The commit loop's lock on a slot. The helper holds a slot for one
-    /// gather at most, so the commit loop spins for it rather than sleep.
-    fn lock(&self, sm: usize, slot: usize) -> MutexGuard<'_, Slot<'w>> {
-        let slot = &self.slots[sm * self.slots_per_sm + slot];
-        let mut spins = 0u32;
-        let locked = loop {
-            match slot.try_lock() {
-                Err(TryLockError::WouldBlock) if spins < SPINS => {
-                    spins += 1;
-                    std::hint::spin_loop();
-                }
-                Err(TryLockError::WouldBlock) => break slot.lock(),
-                Err(TryLockError::Poisoned(poisoned)) => break Err(poisoned),
-                Ok(locked) => break Ok(locked),
-            }
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned slot means the helper panicked inside a gather; the run cannot go on, and the executor re-raises the helper's panic"
-        )]
-        locked.expect("the decode-ahead helper panicked")
-    }
-
-    /// The list of wanted slots. Only a push or a swap happens under its
-    /// lock, so it is never poisoned.
-    fn wanted(&self) -> MutexGuard<'_, Vec<usize>> {
-        self.wanted.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Marks the run ended when dropped, also while the commit loop
@@ -155,94 +269,16 @@ impl<'w> WarpSlots<'w> {
         RunEnd(self)
     }
 
-    /// The helper's loop: [`WarpSlots::help_step`] until the run ends,
-    /// yielding its core whenever there was nothing to do. An idle helper
-    /// reads two flags and a counter, so it notices work and the end of the
-    /// run at once without taking a lock the commit loop uses.
+    /// The helper: waits for the commit loop to share its slots, then fills
+    /// the rings it asks for until the run ends. An idle helper reads a
+    /// flag and a counter, so it notices work and the end of the run at
+    /// once without taking a lock the commit loop uses.
     pub(crate) fn help(&self) {
-        let mut helper = Helper::new(self.line_bytes);
         while !self.ended.load(Ordering::Acquire) {
-            if !self.help_step(&mut helper) {
-                std::thread::yield_now();
+            if let Some(shared) = self.shared.get() {
+                return shared.help(&self.ended);
             }
-        }
-    }
-
-    /// One round of the helper: fills the rings of the wanted slots or,
-    /// when none is wanted, adopts the next started warp in slot order and
-    /// fills its ring. `false` if there was neither.
-    fn help_step(&self, helper: &mut Helper) -> bool {
-        // Polled with a load: a write per poll would pull the line the
-        // commit loop reads the slot table through to this core.
-        if self.pending.load(Ordering::Relaxed) && self.pending.swap(false, Ordering::Acquire) {
-            std::mem::swap(&mut *self.wanted(), &mut helper.batch);
-        }
-        if helper.batch.is_empty() {
-            let Some(index) = self.adopt(helper) else {
-                return false;
-            };
-            helper.batch.push(index);
-        }
-        for index in helper.batch.drain(..) {
-            self.fill(index, &mut helper.phase);
-        }
-        true
-    }
-
-    /// Adopts the first started warp the helper does not own, looking from
-    /// the helper's cursor on and skipping slots the commit loop holds;
-    /// returns its slot. Adopts none right after the commit loop took a warp
-    /// back, nor while no warp has started or come back since a look that
-    /// found none.
-    fn adopt(&self, helper: &mut Helper) -> Option<usize> {
-        let starts = self.starts.load(Ordering::Relaxed);
-        if helper.scanned_at == Some(starts)
-            || (self.taken_back.load(Ordering::Relaxed)
-                && self.taken_back.swap(false, Ordering::Relaxed))
-        {
-            return None;
-        }
-        for _ in 0..self.slots.len() {
-            let index = helper.cursor;
-            helper.cursor = (index + 1) % self.slots.len();
-            // Busy, or poisoned by a commit loop that panicked.
-            let Ok(mut slot) = self.slots[index].try_lock() else {
-                continue;
-            };
-            if slot.started && !slot.adopted && !slot.exhausted {
-                slot.adopted = true;
-                return Some(index);
-            }
-        }
-        helper.scanned_at = Some(starts);
-        None
-    }
-
-    /// Fills the ring of slot `index` while the helper owns its warp, one
-    /// phase per lock, so that the commit loop waits at most one gather for
-    /// the slot.
-    fn fill(&self, index: usize, phase: &mut PhaseMix) {
-        loop {
-            // Poisoned by a commit loop that panicked: the run is ending.
-            let Ok(mut slot) = self.slots[index].lock() else {
-                return;
-            };
-            let slot = &mut *slot;
-            slot.wanted = false;
-            let Some(program) = slot.program.as_mut() else {
-                return;
-            };
-            if !slot.adopted || slot.exhausted || slot.phases == RING_PHASES {
-                return;
-            }
-            phase.clear();
-            program.gather(phase);
-            if phase.is_empty() {
-                slot.exhausted = true;
-            } else {
-                phase.put_words(&mut slot.ring);
-                slot.phases += 1;
-            }
+            std::thread::yield_now();
         }
     }
 }
@@ -251,23 +287,10 @@ impl<'w> WarpSlots<'w> {
 struct Helper {
     /// Where a phase is gathered before it goes into a ring.
     phase: PhaseMix,
-    /// The wanted slots being filled.
-    batch: Vec<usize>,
-    /// The slot to look for a warp to adopt from.
-    cursor: usize,
-    /// [`WarpSlots::starts`] when a look for a warp to adopt found none.
-    scanned_at: Option<u32>,
-}
-
-impl Helper {
-    fn new(line_bytes: u32) -> Self {
-        Helper {
-            phase: PhaseMix::new(line_bytes),
-            batch: Vec::new(),
-            cursor: 0,
-            scanned_at: None,
-        }
-    }
+    /// Per ring, the head as last loaded: the words before it are free.
+    heads: Vec<u32>,
+    /// Requests read so far.
+    taken: u32,
 }
 
 /// Ends a helped run when dropped ([`WarpSlots::end_on_drop`]).
@@ -279,16 +302,231 @@ impl Drop for RunEnd<'_, '_> {
     }
 }
 
-/// The commit loop's hold on its run's warp slots.
-pub(crate) enum Access<'a, 'w> {
-    /// No other thread sees the slots: the warp programs, indexed
-    /// `[sm][slot]`. Slots are dense and stable: a retired warp's slot,
-    /// storage included, is reused by its backfill, and emptied by
-    /// [`Decoder::on_vacate`] when none comes.
-    Alone(Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>),
-    /// Shared with the helper: each slot is locked while the commit loop
-    /// uses it.
-    Shared(&'a WarpSlots<'w>),
+/// The commit loop's side of shared slots.
+struct Commit<'a, 'w> {
+    shared: &'a Shared<'w>,
+    /// Per slot, the program of a warp the commit loop has taken back from
+    /// the helper, gathered here without a lock; or the storage a warp that
+    /// retired here leaves to its backfill.
+    mine: Vec<Option<Box<dyn WarpProgram + 'w>>>,
+    /// Per slot, the commit loop has read a phase of the warp from its
+    /// ring since the helper was given the warp.
+    served: Vec<bool>,
+    /// Per slot, the commit loop found the ring empty at the warp's last
+    /// phase.
+    dry: Vec<bool>,
+    /// Per ring, the tail last loaded: the words up to it are readable.
+    tails: Vec<u32>,
+    /// Requests queued so far.
+    requested: u32,
+}
+
+/// A decoded phase, as [`Decoder::next_phase`] hands it to the commit loop.
+pub(crate) enum Phase<'p> {
+    /// Gathered by the commit loop, or spilled by the helper.
+    Mix(&'p PhaseMix),
+    /// Read in place from its ring.
+    Ring(Taken<'p>),
+}
+
+/// A phase in its ring: the words are the helper's again once it drops.
+pub(crate) struct Taken<'p> {
+    phase: RingPhase<'p>,
+    head: &'p AtomicU32,
+    /// The position after the phase.
+    end: u32,
+}
+
+impl<'p> std::ops::Deref for Taken<'p> {
+    type Target = RingPhase<'p>;
+
+    fn deref(&self) -> &RingPhase<'p> {
+        &self.phase
+    }
+}
+
+impl Drop for Taken<'_> {
+    fn drop(&mut self) {
+        self.head.store(self.end, Ordering::Release);
+    }
+}
+
+impl<'a, 'w> Commit<'a, 'w> {
+    /// Whether `slot`'s ring holds a word at `head`; loads the helper's
+    /// tail only once every word up to the last one loaded is read.
+    #[inline]
+    fn ready(&mut self, slot: usize, head: u32) -> bool {
+        if self.tails[slot] == head {
+            self.tails[slot] = self.shared.tails[slot].load(Ordering::Acquire);
+        }
+        self.tails[slot] != head
+    }
+
+    /// The lock on `slot`'s warp. The helper holds it for one fill at most,
+    /// so the commit loop spins for it rather than sleep.
+    fn lock(&self, slot: usize) -> MutexGuard<'a, Warp<'w>> {
+        let warp = &self.shared.warps[slot];
+        let mut spins = 0u32;
+        let locked = loop {
+            match warp.try_lock() {
+                Err(TryLockError::WouldBlock) if spins < SPINS => {
+                    spins += 1;
+                    std::hint::spin_loop();
+                }
+                Err(TryLockError::WouldBlock) => break warp.lock(),
+                Err(TryLockError::Poisoned(poisoned)) => break Err(poisoned),
+                Ok(locked) => break Ok(locked),
+            }
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned slot means the helper panicked inside a gather; the run cannot go on, and the executor re-raises the helper's panic"
+        )]
+        locked.expect("the decode-ahead helper panicked")
+    }
+
+    /// The lock on `slot`'s warp once its ring is empty at `head` and the
+    /// helper does not hold it; `None` as soon as the ring has a word.
+    fn lock_if_dry(&mut self, slot: usize, head: u32) -> Option<MutexGuard<'a, Warp<'w>>> {
+        let warp = &self.shared.warps[slot];
+        let mut spins = 0u32;
+        while spins < SPINS {
+            if self.ready(slot, head) {
+                return None;
+            }
+            match warp.try_lock() {
+                Ok(locked) => return Some(locked),
+                Err(TryLockError::WouldBlock) => {
+                    spins += 1;
+                    std::hint::spin_loop();
+                }
+                // Poisoned: `lock` panics.
+                Err(TryLockError::Poisoned(_)) => break,
+            }
+        }
+        Some(self.lock(slot))
+    }
+
+    /// Hands the warp the commit loop gathers in `slot` to the helper.
+    #[cold]
+    fn hand_over(&mut self, slot: usize) {
+        let program = self.mine[slot].take();
+        let mut warp = self.lock(slot);
+        warp.program = program;
+        warp.exhausted = false;
+        drop(warp);
+        self.served[slot] = false;
+        self.want(slot);
+    }
+
+    /// Queues `slot` for the helper, unless it waits there already.
+    fn want(&mut self, slot: usize) {
+        let wanted = &self.shared.wanted[slot];
+        if wanted.load(Ordering::Relaxed) || wanted.swap(true, Ordering::Acquire) {
+            return;
+        }
+        let requests = &self.shared.requests;
+        let at = self.requested as usize & (requests.len() - 1);
+        requests[at].store(slot as u32, Ordering::Relaxed);
+        self.requested = self.requested.wrapping_add(1);
+        self.shared
+            .requested
+            .store(self.requested, Ordering::Release);
+    }
+
+    /// Queues `slot` once the commit loop has read its ring up to `head`
+    /// and [`LOW_WORDS`] or fewer are left.
+    #[inline]
+    fn read_to(&mut self, slot: usize, head: u32) {
+        if self.tails[slot].wrapping_sub(head) <= LOW_WORDS {
+            self.tails[slot] = self.shared.tails[slot].load(Ordering::Acquire);
+            if self.tails[slot].wrapping_sub(head) <= LOW_WORDS {
+                self.want(slot);
+            }
+        }
+    }
+
+    /// [`Decoder::next_phase`] once the run shares its slots: the phase at
+    /// the head of `slot`'s ring, or one gathered into `phase` when the
+    /// ring is empty.
+    fn next_phase<'p>(&'p mut self, slot: usize, phase: &'p mut PhaseMix) -> Option<Phase<'p>> {
+        if let Some(program) = &mut self.mine[slot] {
+            phase.clear();
+            program.gather(phase);
+            if phase.is_empty() {
+                return None;
+            }
+            let idle = &self.shared.idle;
+            if idle.load(Ordering::Relaxed) && idle.swap(false, Ordering::Relaxed) {
+                self.hand_over(slot);
+            }
+            return Some(Phase::Mix(phase));
+        }
+        let shared = self.shared;
+        // Only this thread stores it.
+        let head = shared.heads[slot].load(Ordering::Relaxed);
+        if let Some(mut warp) = self.lock_if_dry(slot, head) {
+            // The helper publishes what it gathers before it lets go of the
+            // warp, and gathers nothing while the commit loop holds it.
+            if !self.ready(slot, head) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
+                )]
+                let program = warp.program.as_mut().expect("phase for a vacant warp slot");
+                phase.clear();
+                program.gather(phase);
+                if phase.is_empty() {
+                    warp.exhausted = true;
+                    return None;
+                }
+                // Dry twice running after the helper served it, the helper
+                // has fallen behind: the warp is the commit loop's now, and
+                // its lanes stay in this core's cache. Once is a hiccup, and
+                // a warp the helper has not got to yet stays its own.
+                if std::mem::replace(&mut self.dry[slot], true) && self.served[slot] {
+                    self.mine[slot] = warp.program.take();
+                    self.dry[slot] = false;
+                }
+                return Some(Phase::Mix(phase));
+            }
+        }
+        self.dry[slot] = false;
+        self.served[slot] = true;
+        let ring = &shared.rings[slot];
+        let first = word(ring, head);
+        if first == END || first == RingPhase::SPILLED {
+            let head = head.wrapping_add(1);
+            shared.heads[slot].store(head, Ordering::Release);
+            if first == END {
+                return None;
+            }
+            let mut spilled = shared
+                .spilled
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            #[expect(
+                clippy::expect_used,
+                reason = "the helper queues a spilled phase before it publishes the word that points at it"
+            )]
+            let at = spilled
+                .iter()
+                .position(|&(of, _)| of == slot)
+                .expect("a spilled phase waits for its slot");
+            *phase = spilled.remove(at).1;
+            drop(spilled);
+            self.read_to(slot, head);
+            return Some(Phase::Mix(phase));
+        }
+        let read = RingPhase::read(ring, head);
+        let end = head.wrapping_add(read.words());
+        self.read_to(slot, end);
+        Some(Phase::Ring(Taken {
+            phase: read,
+            head: &shared.heads[slot],
+            end,
+        }))
+    }
 }
 
 /// Supplies decoded phases to the engine's commit loop.
@@ -298,66 +536,89 @@ pub(crate) enum Access<'a, 'w> {
 /// [`Decoder::next_phase`] per wake-up event until it returns `None`.
 ///
 /// A run starts alone. In a helped run, once the commit loop has gathered
-/// [`ALONE_PHASES`] phases, the programs move into the shared slots and the
-/// helper starts; a shorter run never shares.
+/// [`ALONE_PHASES_PER_WARP`] phases per warp of the grid's first wave, the
+/// programs
+/// move into the shared slots and the helper starts; a shorter run
+/// never shares.
 pub(crate) struct Decoder<'a, 'w> {
     workload: &'w dyn Workload,
-    slots: Access<'a, 'w>,
+    config: &'a GpuConfig,
+    /// The warp programs while no other thread sees them, indexed
+    /// `[sm][slot]`; emptied when the run shares its slots. Slots are dense
+    /// and stable: a retired warp's slot, storage included, is reused by
+    /// its backfill, and emptied by [`Decoder::on_vacate`] when none comes.
+    warps: Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>,
+    /// The shared slots, once the run has shared them.
+    commit: Option<Commit<'a, 'w>>,
     /// A helped run's shared slots and what starts its helper, until the
     /// run shares them.
     helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
-    /// Phases gathered alone in a helped run.
-    alone: u32,
-    /// The phase handed to the commit loop; its line buffers back every
-    /// phase.
+    /// Warp slots per SM the grid fills: the warps dealt to the first SM,
+    /// or every slot.
+    slots_per_sm: usize,
+    /// Phases a helped run gathers alone before it shares its slots.
+    alone: u64,
+    /// The phase gathered on the commit loop's thread; its line buffers
+    /// back every such phase.
     phase: PhaseMix,
 }
 
 impl<'a, 'w> Decoder<'a, 'w> {
-    /// A decoder for `num_sms` SMs; `helper` as in [`Decoder::helper`].
+    /// A decoder for `workload`'s grid on `config`; `helper` as in
+    /// [`Decoder::helper`].
     pub(crate) fn new(
         workload: &'w dyn Workload,
-        num_sms: usize,
-        line_bytes: u32,
+        config: &'a GpuConfig,
         helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
     ) -> Self {
+        let num_sms = config.num_sms as usize;
+        let warps = workload.thread_count().div_ceil(config.warp_size as u64);
+        let slots_per_sm = warps
+            .div_ceil(num_sms as u64)
+            .min(config.max_warps_per_sm as u64) as usize;
         Decoder {
             workload,
-            slots: Access::Alone((0..num_sms).map(|_| Vec::new()).collect()),
+            config,
+            warps: (0..num_sms).map(|_| Vec::new()).collect(),
+            commit: None,
             helper,
-            alone: 0,
-            phase: PhaseMix::new(line_bytes),
+            slots_per_sm,
+            alone: ALONE_PHASES_PER_WARP
+                * warps.min(u64::from(config.num_sms * config.max_warps_per_sm)),
+            phase: PhaseMix::new(config.l1d.line_bytes),
         }
     }
 
     /// The warp covering threads `[first_thread, first_thread + lanes)`
     /// was launched into `slot` on `sm`: a fresh slot, or one whose warp
-    /// has retired.
+    /// has retired. Its lanes are launched here, on the commit loop's
+    /// thread; a shared slot is then queued for the helper.
     pub(crate) fn on_launch(&mut self, sm: usize, slot: usize, first_thread: u64, lanes: u32) {
-        let program = match &mut self.slots {
-            Access::Alone(warps) => {
-                let slots = &mut warps[sm];
-                if slot == slots.len() {
-                    slots.push(None);
-                }
-                &mut slots[slot]
-            }
-            Access::Shared(slots) => {
-                let mut slot = slots.lock(sm, slot);
-                debug_assert_eq!(slot.phases, 0, "a retired warp's ring is drained");
-                slot.started = false;
-                slot.adopted = false;
-                slot.wanted = false;
-                slot.exhausted = false;
-                let workload = self.workload;
-                slot.program
-                    .get_or_insert_with(|| workload.warp_program())
-                    .launch(first_thread, lanes);
-                return;
-            }
-        };
-        program
-            .get_or_insert_with(|| self.workload.warp_program())
+        let workload = self.workload;
+        if let Some(commit) = &mut self.commit {
+            let slot = sm * self.slots_per_sm + slot;
+            let mine = commit.mine[slot].take();
+            commit.dry[slot] = false;
+            commit.served[slot] = false;
+            let mut warp = commit.lock(slot);
+            debug_assert_eq!(
+                commit.shared.tails[slot].load(Ordering::Relaxed),
+                commit.shared.heads[slot].load(Ordering::Relaxed),
+                "a retired warp's ring is read to its end"
+            );
+            warp.exhausted = false;
+            warp.program
+                .get_or_insert_with(|| mine.unwrap_or_else(|| workload.warp_program()))
+                .launch(first_thread, lanes);
+            drop(warp);
+            return commit.want(slot);
+        }
+        let slots = &mut self.warps[sm];
+        if slot == slots.len() {
+            slots.push(None);
+        }
+        slots[slot]
+            .get_or_insert_with(|| workload.warp_program())
             .launch(first_thread, lanes);
     }
 
@@ -365,103 +626,79 @@ impl<'a, 'w> Decoder<'a, 'w> {
     /// it: its storage goes back to the allocator now rather than at the end
     /// of the run, while the memory model's tables are still growing.
     pub(crate) fn on_vacate(&mut self, sm: usize, slot: usize) {
-        match &mut self.slots {
-            Access::Alone(warps) => warps[sm][slot] = None,
-            Access::Shared(slots) => {
-                let mut slot = slots.lock(sm, slot);
-                slot.program = None;
-                slot.ring = VecDeque::new();
-                slot.started = false;
+        match &mut self.commit {
+            Some(commit) => {
+                let slot = sm * self.slots_per_sm + slot;
+                commit.mine[slot] = None;
+                commit.lock(slot).program = None;
             }
+            None => self.warps[sm][slot] = None,
         }
     }
 
     /// The next phase of the warp resident in `(sm, slot)`, gathered and
-    /// categorized here — or, once the run shares its slots, taken from the
+    /// categorized here — or, once the run shares its slots, read from the
     /// slot's ring — or `None` once every lane has exited: the warp retires.
     /// Never called again for a warp after it returned `None`.
-    pub(crate) fn next_phase(&mut self, sm: usize, slot: usize) -> Option<&PhaseMix> {
-        let slots = match &mut self.slots {
-            Access::Alone(warps) => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
-                )]
-                let warp = warps[sm][slot]
-                    .as_mut()
-                    .expect("phase for a vacant warp slot");
-                self.phase.clear();
-                warp.gather(&mut self.phase);
-                if self.helper.is_some() {
-                    self.alone += 1;
-                    if self.alone == ALONE_PHASES {
-                        self.share();
-                    }
-                }
-                return (!self.phase.is_empty()).then_some(&self.phase);
-            }
-            Access::Shared(slots) => *slots,
-        };
-        self.next_shared(slots, sm, slot)
-    }
-
-    /// Moves the warp programs into the shared slots and starts the helper.
-    /// A moved warp is adoptable once the commit loop has gathered it again.
-    #[cold]
-    fn share(&mut self) {
-        let Some((slots, start)) = self.helper.take() else {
-            return;
-        };
-        let alone = std::mem::replace(&mut self.slots, Access::Shared(slots));
-        if let Access::Alone(warps) = alone {
-            for (sm, warps) in warps.into_iter().enumerate() {
-                for (slot, program) in warps.into_iter().enumerate() {
-                    slots.lock(sm, slot).program = program;
-                }
+    pub(crate) fn next_phase(&mut self, sm: usize, slot: usize) -> Option<Phase<'_>> {
+        if self.commit.is_some() {
+            return self.next_shared(sm * self.slots_per_sm + slot);
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
+        )]
+        let warp = self.warps[sm][slot]
+            .as_mut()
+            .expect("phase for a vacant warp slot");
+        self.phase.clear();
+        warp.gather(&mut self.phase);
+        if self.helper.is_some() {
+            self.alone -= 1;
+            if self.alone == 0 {
+                self.share();
             }
         }
-        start();
+        (!self.phase.is_empty()).then_some(Phase::Mix(&self.phase))
     }
 
     /// [`Decoder::next_phase`] once the run shares its slots, out of line so
     /// that an unshared run's stays small.
     #[inline(never)]
-    fn next_shared(&mut self, slots: &WarpSlots<'w>, sm: usize, slot: usize) -> Option<&PhaseMix> {
-        let mut warp = slots.lock(sm, slot);
-        if warp.phases > 0 {
-            warp.phases -= 1;
-            self.phase.take_words(&mut warp.ring);
-        } else if warp.exhausted {
-            return None;
-        } else {
-            // Gathered here: the warp is the commit loop's again.
-            let taken_back = std::mem::take(&mut warp.adopted);
-            if taken_back {
-                slots.taken_back.store(true, Ordering::Relaxed);
-            }
-            if taken_back || !warp.started {
-                slots.starts.fetch_add(1, Ordering::Relaxed);
-            }
-            warp.started = true;
-            #[expect(
-                clippy::expect_used,
-                reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
-            )]
-            let program = warp.program.as_mut().expect("phase for a vacant warp slot");
-            self.phase.clear();
-            program.gather(&mut self.phase);
-            if self.phase.is_empty() {
-                return None;
+    fn next_shared(&mut self, slot: usize) -> Option<Phase<'_>> {
+        let phase = &mut self.phase;
+        self.commit
+            .as_mut()
+            .and_then(|commit| commit.next_phase(slot, phase))
+    }
+
+    /// Moves the warp programs into the shared slots, queues every resident
+    /// warp for the helper and starts it.
+    #[cold]
+    fn share(&mut self) {
+        let Some((slots, start)) = self.helper.take() else {
+            return;
+        };
+        let programs = std::mem::take(&mut self.warps);
+        let shared = slots
+            .shared
+            .get_or_init(|| Shared::new(programs, self.slots_per_sm, self.config));
+        let slots = shared.warps.len();
+        let mut commit = Commit {
+            shared,
+            mine: (0..slots).map(|_| None).collect(),
+            served: vec![false; slots],
+            dry: vec![false; slots],
+            tails: vec![0; slots],
+            requested: 0,
+        };
+        for slot in 0..slots {
+            if commit.lock(slot).program.is_some() {
+                commit.want(slot);
             }
         }
-        // An adopted warp down to half its ring asks the helper for more.
-        let low = warp.phases <= RING_PHASES / 2;
-        if warp.adopted && low && !warp.wanted && !warp.exhausted {
-            warp.wanted = true;
-            slots.wanted().push(sm * slots.slots_per_sm + slot);
-            slots.pending.store(true, Ordering::Release);
-        }
-        Some(&self.phase)
+        self.commit = Some(commit);
+        start();
     }
 }
 
@@ -509,44 +746,94 @@ mod tests {
         config
     }
 
-    /// Every phase the commit loop takes, per step, from a run of 7 warps
-    /// of uneven length through 2 slots, with a helper pass after every
-    /// `help_every`-th step (never when 0): the engine's drive — launch,
-    /// phases, retire, backfill or vacate — in a fixed round-robin order.
-    fn drive(help_every: usize) -> Vec<Option<PhaseMix>> {
-        let w = ScriptedWorkload::per_thread(7 * 32 - 5, |i| {
-            (0..i % 13 + i / 32)
-                .map(|k| match k % 3 {
-                    0 => Op::RtNode {
-                        addr: (i * 7 + k) * 32,
-                    },
-                    1 => Op::Load {
-                        addr: (i % 5) * 64,
-                        bytes: 8,
-                    },
-                    _ => Op::Compute {
-                        cycles: k as u32,
-                        insts: 1,
-                    },
-                })
-                .collect()
-        });
-        let slots = WarpSlots::new(&one_sm());
-        let mut decoder = Decoder::new(&w, 1, 128, Some((&slots, &|| ())));
+    /// The phase as a mix, wherever the commit loop read it from.
+    fn owned(phase: Phase<'_>) -> PhaseMix {
+        match phase {
+            Phase::Mix(mix) => mix.clone(),
+            Phase::Ring(taken) => taken.to_mix(128),
+        }
+    }
+
+    /// 7 warps of uneven length, whose ops are `op(thread, k)`.
+    fn uneven(op: fn(u64, u64) -> Op) -> ScriptedWorkload {
+        ScriptedWorkload::per_thread(7 * 32 - 5, move |i| {
+            (0..i % 13 + i / 32).map(|k| op(i, k)).collect()
+        })
+    }
+
+    /// Ops of a few lines each.
+    fn narrow(i: u64, k: u64) -> Op {
+        match k % 3 {
+            0 => Op::RtNode {
+                addr: (i * 7 + k) * 32,
+            },
+            1 => Op::Load {
+                addr: (i % 5) * 64,
+                bytes: 8,
+            },
+            _ => Op::Compute {
+                cycles: k as u32,
+                insts: 1,
+            },
+        }
+    }
+
+    /// Every fourth op a load of many lines: its phases need more words
+    /// than a ring holds, or are wider than a word per line.
+    fn wide(i: u64, k: u64) -> Op {
+        match k % 4 {
+            0 => Op::Load {
+                addr: (i * 13 + k) * 512,
+                bytes: 64 * (k % 7) as u32 + 1,
+            },
+            1 => Op::RtPrim {
+                addr: (1 << 40) * (k % 2) + i * 64,
+            },
+            _ => narrow(i, k),
+        }
+    }
+
+    /// What [`drive`] saw.
+    #[derive(Debug, Default)]
+    struct Drive {
+        /// Every phase the commit loop took, per step.
+        phases: Vec<Option<PhaseMix>>,
+        /// Phases read from a ring.
+        ringed: usize,
+        /// Helper steps that left a spilled phase waiting.
+        spills: usize,
+        /// Commit-loop gathers that handed their warp to the helper.
+        hand_overs: usize,
+    }
+
+    /// Drives `w` through 2 slots in the engine's order — launch, phases,
+    /// retire, backfill or vacate — with the slots shared from the start
+    /// and a helper step before every `help_every`-th step (never shared
+    /// when 0); the helper reads as idle before every `idle_every`-th.
+    fn drive(w: &ScriptedWorkload, help_every: usize, idle_every: usize) -> Drive {
+        let config = one_sm();
+        let slots = WarpSlots::new();
+        let start = || ();
+        let mut decoder = Decoder::new(w, &config, Some((&slots, &start)));
         if help_every > 0 {
             decoder.share();
         }
-        let mut helper = Helper::new(128);
+        let shared = slots.shared.get();
         let mut pending = deal_warps(w.thread_count(), 32, 1).remove(0).into_iter();
         let mut resident = [true; 2];
         for slot in 0..2 {
             let warp = pending.next().expect("7 warps");
             decoder.on_launch(0, slot, warp.first_thread, warp.lanes);
         }
-        let mut taken = Vec::new();
+        let mut seen = Drive::default();
         for step in 0.. {
-            if help_every > 0 && step % help_every == 0 {
-                slots.help_step(&mut helper);
+            if let Some(shared) = shared.filter(|_| step % help_every.max(1) == 0) {
+                shared
+                    .idle
+                    .store(idle_every > 0 && step % idle_every == 0, Ordering::Relaxed);
+                let mut helper = shared.helper.lock().expect("one helper");
+                shared.help_step(&mut helper);
+                seen.spills += usize::from(!shared.spilled.lock().expect("spills").is_empty());
             }
             let slot = step % 2;
             if !resident[slot] {
@@ -555,7 +842,12 @@ mod tests {
                 }
                 continue;
             }
-            let phase = decoder.next_phase(0, slot).cloned();
+            let mine = |d: &Decoder<'_, '_>| d.commit.as_ref().map(|c| c.mine[slot].is_some());
+            let was_mine = mine(&decoder);
+            let phase = decoder.next_phase(0, slot);
+            seen.ringed += usize::from(matches!(phase, Some(Phase::Ring(_))));
+            let phase = phase.map(owned);
+            seen.hand_overs += usize::from(was_mine == Some(true) && mine(&decoder) == Some(false));
             if phase.is_none() {
                 match pending.next() {
                     Some(warp) => decoder.on_launch(0, slot, warp.first_thread, warp.lanes),
@@ -565,21 +857,41 @@ mod tests {
                     }
                 }
             }
-            taken.push(phase);
+            seen.phases.push(phase);
         }
-        taken
+        seen
     }
 
     #[test]
     fn a_helper_leaves_the_phase_stream_unchanged() {
-        let unhelped = drive(0);
-        assert!(unhelped.iter().filter(|p| p.is_none()).count() == 7);
-        for help_every in [1, 2, 3, 5, 17] {
-            assert_eq!(
-                drive(help_every),
-                unhelped,
-                "a helper pass every {help_every} steps"
-            );
+        for (name, w) in [("narrow", uneven(narrow)), ("wide", uneven(wide))] {
+            let unhelped = drive(&w, 0, 0).phases;
+            assert!(unhelped.iter().filter(|p| p.is_none()).count() == 7);
+            let mut hand_overs = 0;
+            for (help_every, idle_every) in [
+                (1, 0),
+                (2, 0),
+                (3, 0),
+                (5, 0),
+                (17, 0),
+                (3, 2),
+                (7, 1),
+                (23, 1),
+                (41, 1),
+                (61, 1),
+            ] {
+                let helped = drive(&w, help_every, idle_every);
+                let label = format!(
+                    "{name}: a helper step every {help_every} steps, idle every {idle_every}"
+                );
+                assert!(helped.phases == unhelped, "{label}");
+                assert!(helped.ringed > 0, "{label}: no phase came from a ring");
+                if name == "wide" {
+                    assert!(helped.spills > 0, "{label}: no phase spilled");
+                }
+                hand_overs += helped.hand_overs;
+            }
+            assert!(hand_overs > 0, "{name}: no warp was handed over");
         }
     }
 
@@ -592,41 +904,92 @@ mod tests {
                     cycles: 1,
                     insts: 1
                 };
-                40
+                120
             ],
         );
-        let slots = WarpSlots::new(&one_sm());
-        let mut decoder = Decoder::new(&w, 1, 128, Some((&slots, &|| ())));
+        let config = one_sm();
+        let slots = WarpSlots::new();
+        let mut decoder = Decoder::new(&w, &config, Some((&slots, &|| ())));
         decoder.share();
-        let mut helper = Helper::new(128);
+        let shared = slots.shared.get().expect("shared");
+        let mut helper = shared.helper.lock().expect("one helper");
+        let words = |slot: usize| {
+            let tail = shared.tails[slot].load(Ordering::Relaxed);
+            tail.wrapping_sub(shared.heads[slot].load(Ordering::Relaxed))
+        };
+        let mine = |d: &Decoder<'_, '_>| d.commit.as_ref().is_some_and(|c| c.mine[0].is_some());
+        assert!(!shared.help_step(&mut helper), "nothing launched");
         decoder.on_launch(0, 0, 0, 32);
         decoder.on_launch(0, 1, 32, 32);
-        assert!(!slots.help_step(&mut helper), "no warp has started");
-        assert!(decoder.next_phase(0, 0).is_some());
-        assert!(slots.help_step(&mut helper), "adopts slot 0");
-        let ring = |slot: usize| slots.lock(0, slot).phases;
-        assert_eq!((ring(0), ring(1)), (RING_PHASES, 0));
-        assert!(!slots.help_step(&mut helper), "slot 1 has not started");
-        // The commit loop takes half the ring, then asks for a refill.
-        for taken in 1..=RING_PHASES / 2 {
-            assert!(decoder.next_phase(0, 0).is_some());
-            assert_eq!(ring(0), RING_PHASES - taken);
+        // Adopted at launch: the ring fills before the warp's first phase,
+        // while it has room for the largest phase, a header per phase here.
+        let header = RingPhase::HEADER as u32;
+        let full = (RING_WORDS as u32 - FILL_FREE) / header * header + header;
+        assert!(shared.help_step(&mut helper));
+        assert_eq!((words(0), words(1)), (full, 0));
+        assert!(shared.help_step(&mut helper));
+        assert_eq!(words(1), full);
+        assert!(!shared.help_step(&mut helper), "both rings are full");
+        // The commit loop reads slot 0 to `LOW_WORDS`, and queues it.
+        let mut read = 0;
+        while words(0) > LOW_WORDS {
+            assert!(matches!(decoder.next_phase(0, 0), Some(Phase::Ring(_))));
+            read += 1;
         }
-        assert!(slots.help_step(&mut helper));
-        assert_eq!(ring(0), RING_PHASES);
-        // Unserved, the ring runs dry: the warp is gathered inline and is
-        // the commit loop's again, until the helper adopts it anew.
-        for _ in 0..=RING_PHASES {
-            assert!(decoder.next_phase(0, 0).is_some());
+        assert!(read > 1);
+        assert!(shared.help_step(&mut helper));
+        assert_eq!(words(0), full);
+        // Unserved, the ring runs dry: the commit loop gathers the warp
+        // itself, and takes it back when the ring is dry twice running.
+        while words(0) > 0 {
+            assert!(matches!(decoder.next_phase(0, 0), Some(Phase::Ring(_))));
         }
-        assert!(!slots.lock(0, 0).adopted);
-        std::mem::take(&mut *slots.wanted());
-        slots.pending.store(false, Ordering::Relaxed);
-        assert!(!slots.help_step(&mut helper), "no adoption right after");
-        assert!(slots.help_step(&mut helper), "adopts slot 0 again");
-        assert_eq!(ring(0), RING_PHASES);
+        assert!(matches!(decoder.next_phase(0, 0), Some(Phase::Mix(_))));
+        assert!(!mine(&decoder), "dry once");
+        assert!(matches!(decoder.next_phase(0, 0), Some(Phase::Mix(_))));
+        assert!(mine(&decoder), "dry twice");
+        assert!(shared.warps[0].lock().expect("slot 0").program.is_none());
+        // The helper reads the slot's last request and leaves it be.
+        shared.help_step(&mut helper);
+        assert_eq!(words(0), 0);
+        assert!(matches!(decoder.next_phase(0, 0), Some(Phase::Mix(_))));
+        // An idle helper is handed the warp at the next gather.
+        shared.idle.store(true, Ordering::Relaxed);
+        assert!(matches!(decoder.next_phase(0, 0), Some(Phase::Mix(_))));
+        assert!(!mine(&decoder));
+        assert!(shared.help_step(&mut helper));
+        assert_eq!(words(0), full);
+        drop(helper);
         drop(slots.end_on_drop());
         slots.help();
+    }
+
+    #[test]
+    fn phases_are_read_in_order_from_a_wrapping_ring() {
+        let w = uneven(narrow);
+        let config = one_sm();
+        let slots = WarpSlots::new();
+        let mut decoder = Decoder::new(&w, &config, Some((&slots, &|| ())));
+        decoder.share();
+        let mut unshared = Decoder::new(&w, &config, None);
+        let shared = slots.shared.get().expect("shared");
+        let mut helper = shared.helper.lock().expect("one helper");
+        // The last warp, the longest: 34 to 46 ops a lane.
+        for d in [&mut decoder, &mut unshared] {
+            d.on_launch(0, 0, 6 * 32, 27);
+        }
+        loop {
+            shared.help_step(&mut helper);
+            let want = unshared.next_phase(0, 0).map(owned);
+            assert_eq!(decoder.next_phase(0, 0).map(owned), want);
+            if want.is_none() {
+                break;
+            }
+            // Read one phase per fill: the ring's positions wrap.
+            shared.wanted[0].store(false, Ordering::Relaxed);
+            decoder.commit.as_mut().expect("shared").want(0);
+        }
+        assert!(shared.heads[0].load(Ordering::Relaxed) > RING_WORDS as u32);
     }
 
     #[test]
@@ -641,22 +1004,23 @@ mod tests {
                 Op::Load { addr: 0, bytes: 4 },
             ],
         );
-        let mut src = Decoder::new(&w, 1, 128, None);
+        let config = GpuConfig::mobile_soc();
+        let mut src = Decoder::new(&w, &config, None);
         src.on_launch(0, 0, 0, 4);
-        let mix = src.next_phase(0, 0).expect("a compute phase");
+        let mix = owned(src.next_phase(0, 0).expect("a compute phase"));
         assert_eq!(mix.compute_cycles, 2);
         assert_eq!(mix.instructions, 8, "4 lanes x 2 insts");
-        let mix = src.next_phase(0, 0).expect("a load phase");
+        let mix = owned(src.next_phase(0, 0).expect("a load phase"));
         assert_eq!(mix.load_lines, vec![0]);
         assert_eq!(mix.compute_cycles, 0, "nothing of the last phase survives");
-        assert_eq!(src.next_phase(0, 0), None);
+        assert!(src.next_phase(0, 0).is_none());
         // The slot is immediately reusable by a backfill, with its storage
         // or — once vacated — without.
         for _ in 0..2 {
             src.on_launch(0, 0, 0, 4);
             assert!(src.next_phase(0, 0).is_some());
             assert!(src.next_phase(0, 0).is_some());
-            assert_eq!(src.next_phase(0, 0), None);
+            assert!(src.next_phase(0, 0).is_none());
             src.on_vacate(0, 0);
         }
     }

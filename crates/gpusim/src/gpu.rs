@@ -72,13 +72,14 @@ impl Simulator {
     /// `lend(commit, help)` must call `commit(start)` — the commit loop,
     /// hooks included — on the calling thread, and return once it and any
     /// helper have returned. The commit loop calls `start()` at most once,
-    /// after it has gathered a few thousand phases alone, so a short run
-    /// never asks for a thread; `start` should then run `help` on another
-    /// thread. `help` adopts warps the commit loop has started and gathers
-    /// their phases ahead into each warp slot's bounded ring, until `commit`
-    /// returns or unwinds. The commit loop pops a ring, or gathers inline
-    /// when it is empty, so it never waits for a phase, and a `start` that
-    /// runs nothing only loses the speed.
+    /// after it has gathered 16 phases alone per warp of the grid's first
+    /// wave, so a short run never asks for a thread; `start` should then
+    /// run `help` on another thread. `help` owns each warp from its launch
+    /// and gathers its phases ahead into the warp slot's bounded ring,
+    /// until `commit` returns or unwinds. The commit
+    /// loop reads a ring in place without a lock, or takes the warp back
+    /// and gathers it inline when the ring is empty, so it never waits for
+    /// a phase, and a `start` that runs nothing only loses the speed.
     ///
     /// # Panics
     ///
@@ -91,7 +92,7 @@ impl Simulator {
         hooks: &mut H,
         lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
     ) -> SimStats {
-        let slots = WarpSlots::new(&self.config);
+        let slots = WarpSlots::new();
         let mut stats = None;
         lend(
             &mut |start| {

@@ -6,7 +6,7 @@
 //! resident warp — gathers one op per live lane into a [`PhaseMix`] per SIMT
 //! phase and charges the phase's latency/bandwidth to the modeled hardware.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Memory space an access belongs to; determines which units handle it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,9 +130,10 @@ impl PartialEq for PhaseMix {
 
 impl Eq for PhaseMix {}
 
-/// Which of a phase's line lists a line goes to.
+/// Which of a phase's line lists a line goes to, in the order a ring phase
+/// stores them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum LineList {
+pub(crate) enum LineList {
     #[default]
     Rt,
     Load,
@@ -226,75 +227,207 @@ impl PhaseMix {
         self.ops == 0
     }
 
-    /// LSU transactions generated by the phase (loads + stores).
-    pub(crate) fn lsu_slots(&self) -> u64 {
-        (self.load_lines.len() + self.store_lines.len()) as u64
-    }
-
-    /// Appends the phase to `words` without its set of seen lines: nine
-    /// header words (ops, RT rays, compute cycles and instructions in two
-    /// words each, the three list lengths), then the three line lists, a
-    /// word per line, or two when some line of the phase needs them, which
-    /// the top bit of the last length records. [`PhaseMix::take_words`]
-    /// reads it back.
-    pub(crate) fn put_words(&self, words: &mut VecDeque<u32>) {
-        let lists = [&self.rt_lines, &self.load_lines, &self.store_lines];
-        let wide = lists
-            .iter()
-            .flat_map(|list| list.iter())
-            .any(|&line| line > u32::MAX as u64);
-        let split = |x: u64| [x as u32, (x >> 32) as u32];
-        let ([cycles, cycles_hi], [insts, insts_hi]) =
-            (split(self.compute_cycles), split(self.instructions));
-        words.extend([
-            self.ops,
-            self.rt_rays,
-            cycles,
-            cycles_hi,
-            insts,
-            insts_hi,
-            self.rt_lines.len() as u32,
-            self.load_lines.len() as u32,
-            self.store_lines.len() as u32 | (wide as u32) << 31,
-        ]);
-        for list in lists {
-            if wide {
-                words.extend(list.iter().flat_map(|&line| split(line)));
-            } else {
-                words.extend(list.iter().map(|&line| line as u32));
-            }
-        }
-    }
-
-    /// Makes this the phase at the front of `words` ([`PhaseMix::put_words`])
-    /// and removes it there. The mix is for reading only: its seen set stays
-    /// empty, so [`PhaseMix::clear`] it before it gathers again.
-    pub(crate) fn take_words(&mut self, words: &mut VecDeque<u32>) {
-        self.clear();
-        let [ops, rays, cycles, cycles_hi, insts, insts_hi, rt, load, store] =
-            std::array::from_fn(|_| words.pop_front().unwrap_or_default());
-        let join = |lo: u32, hi: u32| lo as u64 | (hi as u64) << 32;
-        self.ops = ops;
-        self.rt_rays = rays;
-        self.compute_cycles = join(cycles, cycles_hi);
-        self.instructions = join(insts, insts_hi);
-        let wide = store >> 31 == 1;
-        let lens = [rt, load, store & !(1 << 31)];
-        let lists = [
+    /// Makes room for `lines` lines in each list without reallocating, so
+    /// that a decode-ahead helper's gathers allocate nothing.
+    pub(crate) fn reserve(&mut self, lines: usize) {
+        for list in [
             &mut self.rt_lines,
             &mut self.load_lines,
             &mut self.store_lines,
-        ];
-        for (list, len) in lists.into_iter().zip(lens) {
-            if wide {
-                let mut halves = words.drain(..2 * len as usize);
-                list.extend(std::iter::from_fn(|| {
-                    Some(join(halves.next()?, halves.next()?))
-                }));
-            } else {
-                list.extend(words.drain(..len as usize).map(u64::from));
-            }
+        ] {
+            list.reserve(lines);
         }
+    }
+
+    /// Writes the phase into `ring` from position `at` on, if it fits in
+    /// `free` words as [`RingPhase`] reads it: seven header words (ops, RT
+    /// rays, compute cycles, instructions, the three list lengths), then
+    /// the three line lists, a word per line. Returns the words written, or
+    /// `None` — with whatever it wrote left unpublished — for a phase that
+    /// does not fit, or has a count or line that needs more than a word.
+    pub(crate) fn put_words(&self, ring: &Ring, at: u32, free: u32) -> Option<u32> {
+        let lists = [&self.rt_lines, &self.load_lines, &self.store_lines];
+        let lines: usize = lists.iter().map(|list| list.len()).sum();
+        let words = u32::try_from(RingPhase::HEADER + lines)
+            .ok()
+            .filter(|&words| words <= free)?;
+        let header = [
+            self.ops,
+            self.rt_rays,
+            u32::try_from(self.compute_cycles).ok()?,
+            u32::try_from(self.instructions).ok()?,
+            self.rt_lines.len() as u32,
+            self.load_lines.len() as u32,
+            self.store_lines.len() as u32,
+        ];
+        if header[0] == RingPhase::SPILLED {
+            return None;
+        }
+        let put = |i: usize, word: u32| {
+            ring[at.wrapping_add(i as u32) as usize % RING_WORDS].store(word, Ordering::Relaxed);
+        };
+        for (i, word) in header.into_iter().enumerate() {
+            put(i, word);
+        }
+        for (i, &line) in lists.into_iter().flatten().enumerate() {
+            put(RingPhase::HEADER + i, u32::try_from(line).ok()?);
+        }
+        Some(words)
+    }
+}
+
+/// Words of one warp slot's ring of phases gathered ahead: a power of two,
+/// so that a wrapping position indexes it by a mask.
+pub(crate) const RING_WORDS: usize = 256;
+
+/// A warp slot's ring of phases gathered ahead, as 32-bit words
+/// ([`PhaseMix::put_words`]).
+pub(crate) type Ring = [AtomicU32; RING_WORDS];
+
+/// A phase as the commit loop reads it: gathered into a [`PhaseMix`], or
+/// read in place from a ring ([`RingPhase`]). The engine's commit code is
+/// generic over it, so an unhelped run's compiles to reads of a mix.
+pub(crate) trait PhaseView {
+    /// Dynamic instruction count of the phase.
+    fn instructions(&self) -> u64;
+    /// Longest `Op::Compute` latency in the phase.
+    fn compute_cycles(&self) -> u64;
+    /// Active rays (one per RT op).
+    fn rt_rays(&self) -> u32;
+    /// How many lines `list` holds.
+    fn line_count(&self, list: LineList) -> usize;
+    /// The coalesced lines of `list`, in first-occurrence order.
+    fn lines(&self, list: LineList) -> impl Iterator<Item = u64> + '_;
+
+    /// LSU transactions generated by the phase (loads + stores).
+    fn lsu_slots(&self) -> u64 {
+        (self.line_count(LineList::Load) + self.line_count(LineList::Store)) as u64
+    }
+}
+
+impl PhaseView for PhaseMix {
+    #[inline]
+    fn instructions(&self) -> u64 {
+        self.instructions
+    }
+
+    #[inline]
+    fn compute_cycles(&self) -> u64 {
+        self.compute_cycles
+    }
+
+    #[inline]
+    fn rt_rays(&self) -> u32 {
+        self.rt_rays
+    }
+
+    #[inline]
+    fn line_count(&self, list: LineList) -> usize {
+        self.list(list).len()
+    }
+
+    #[inline]
+    fn lines(&self, list: LineList) -> impl Iterator<Item = u64> + '_ {
+        self.list(list).iter().copied()
+    }
+}
+
+impl PhaseMix {
+    #[inline]
+    fn list(&self, list: LineList) -> &[u64] {
+        match list {
+            LineList::Rt => &self.rt_lines,
+            LineList::Load => &self.load_lines,
+            LineList::Store => &self.store_lines,
+        }
+    }
+}
+
+/// A phase [`PhaseMix::put_words`] wrote into a ring, read where it lies:
+/// its header is copied out, its lines are loaded from the ring as the
+/// commit loop walks them.
+pub(crate) struct RingPhase<'r> {
+    ring: &'r Ring,
+    /// Ops, RT rays, compute cycles, instructions, the three list lengths.
+    header: [u32; RingPhase::HEADER],
+    /// The position of the phase's first line.
+    lines_at: u32,
+}
+
+impl<'r> RingPhase<'r> {
+    /// Words before a phase's lines.
+    pub(crate) const HEADER: usize = 7;
+    /// A first word no phase starts with ([`PhaseMix::put_words`] refuses a
+    /// phase of that many ops): the ring's user marks an entry with it.
+    pub(crate) const SPILLED: u32 = u32::MAX;
+
+    /// The phase at position `at` of `ring`, whose first word is not
+    /// [`RingPhase::SPILLED`].
+    pub(crate) fn read(ring: &'r Ring, at: u32) -> Self {
+        RingPhase {
+            ring,
+            header: std::array::from_fn(|i| word(ring, at.wrapping_add(i as u32))),
+            lines_at: at.wrapping_add(Self::HEADER as u32),
+        }
+    }
+
+    /// The words the phase takes in its ring.
+    pub(crate) fn words(&self) -> u32 {
+        let [.., rt, load, store] = self.header;
+        Self::HEADER as u32 + rt + load + store
+    }
+}
+
+/// The word at wrapping position `at` of `ring`.
+#[inline]
+pub(crate) fn word(ring: &Ring, at: u32) -> u32 {
+    ring[at as usize % RING_WORDS].load(Ordering::Relaxed)
+}
+
+#[cfg(test)]
+impl RingPhase<'_> {
+    /// The phase as a mix whose accesses coalesced at `line_bytes`, to
+    /// compare with the one written.
+    pub(crate) fn to_mix(&self, line_bytes: u32) -> PhaseMix {
+        let mut mix = PhaseMix::new(line_bytes);
+        mix.ops = self.header[0];
+        mix.rt_rays = self.rt_rays();
+        mix.compute_cycles = self.compute_cycles();
+        mix.instructions = self.instructions();
+        mix.rt_lines.extend(self.lines(LineList::Rt));
+        mix.load_lines.extend(self.lines(LineList::Load));
+        mix.store_lines.extend(self.lines(LineList::Store));
+        mix
+    }
+}
+
+impl PhaseView for RingPhase<'_> {
+    #[inline]
+    fn instructions(&self) -> u64 {
+        self.header[3].into()
+    }
+
+    #[inline]
+    fn compute_cycles(&self) -> u64 {
+        self.header[2].into()
+    }
+
+    #[inline]
+    fn rt_rays(&self) -> u32 {
+        self.header[1]
+    }
+
+    #[inline]
+    fn line_count(&self, list: LineList) -> usize {
+        self.header[4 + list as usize] as usize
+    }
+
+    #[inline]
+    fn lines(&self, list: LineList) -> impl Iterator<Item = u64> + '_ {
+        let before: u32 = self.header[4..4 + list as usize].iter().sum();
+        let first = self.lines_at.wrapping_add(before);
+        (0..self.header[4 + list as usize])
+            .map(move |i| word(self.ring, first.wrapping_add(i)).into())
     }
 }
 
@@ -821,10 +954,12 @@ mod tests {
 
     #[test]
     fn phases_come_back_from_words_as_they_went_in() {
-        let mut words = VecDeque::new();
+        let ring: Ring = std::array::from_fn(|_| AtomicU32::new(0));
+        // From near the end of the position space: the phases wrap around
+        // the ring and the position around `u32`.
+        let mut at = u32::MAX - 20;
         let mut phases = Vec::new();
-        // The second phase has lines that need two words each.
-        for base in [0, 1 << 40, 12_345] {
+        for base in [0, 12_345, 7 << 20] {
             let mut mix = PhaseMix::new(128);
             mix.push(Op::Compute {
                 cycles: 7,
@@ -839,15 +974,45 @@ mod tests {
                 addr: base + 64,
                 bytes: 8,
             });
-            mix.put_words(&mut words);
-            phases.push(mix);
+            let lines = mix.rt_lines.len() + mix.load_lines.len() + mix.store_lines.len();
+            let words = mix.put_words(&ring, at, RING_WORDS as u32);
+            assert_eq!(words, Some((RingPhase::HEADER + lines) as u32));
+            phases.push((at, mix));
+            at = at.wrapping_add(words.unwrap_or_default());
         }
-        for mix in phases {
-            let mut back = PhaseMix::new(128);
-            back.take_words(&mut words);
-            assert_eq!(back, mix);
+        for (at, mix) in phases {
+            let back = RingPhase::read(&ring, at);
+            assert_eq!(back.to_mix(128), mix);
+            assert_eq!(back.lsu_slots(), mix.lsu_slots());
         }
-        assert!(words.is_empty());
+    }
+
+    #[test]
+    fn a_phase_that_does_not_fit_its_words_is_refused() {
+        let ring: Ring = std::array::from_fn(|_| AtomicU32::new(0));
+        let mut mix = PhaseMix::new(128);
+        mix.push(Op::Load {
+            addr: 0,
+            bytes: 300,
+        });
+        let words = RingPhase::HEADER as u32 + 3;
+        assert_eq!(
+            mix.put_words(&ring, 0, words - 1),
+            None,
+            "too few free words"
+        );
+        assert_eq!(mix.put_words(&ring, 0, words), Some(words));
+        // A line past 32 bits, and an instruction count past 32 bits.
+        mix.push(Op::RtPrim { addr: 1 << 40 });
+        assert_eq!(mix.put_words(&ring, 0, RING_WORDS as u32), None);
+        let mut mix = PhaseMix::new(128);
+        for _ in 0..2 {
+            mix.push(Op::Compute {
+                cycles: 1,
+                insts: u32::MAX,
+            });
+        }
+        assert_eq!(mix.put_words(&ring, 0, RING_WORDS as u32), None);
     }
 
     #[test]

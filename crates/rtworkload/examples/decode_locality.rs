@@ -4,8 +4,8 @@
 //! is backfilled as warps retire, each phase categorized as it is gathered,
 //! which is how `gpusim` actually pulls ops. The second number is the one
 //! the decode path is built for, and the one the frozen benchmark cannot
-//! see. Then the whole engine: the best of five `Simulator::run`s on the
-//! Mobile SoC and an FNV-1a digest of its `SimStats` JSON, next to the best
+//! see. Then the whole engine: the best of five `Simulator::run`s and an
+//! FNV-1a digest of its `SimStats` JSON, next to the best
 //! of five `Simulator::run_helped`s lent a helper thread when the commit
 //! loop asks for one, as a `--jobs` worker is; each helped run, and one
 //! whose helper runs from the first cycle, must give the same digest (a
@@ -14,7 +14,9 @@
 //! frame and the Σ of its cost map. Before all of it, the scene itself: the
 //! best of five `SceneId::build`s and of five `Bvh::build`s over its
 //! primitives, and an FNV-1a digest of the BVH's JSON. Two builds can so be
-//! compared for speed and for identity, on every side, in seconds.
+//! compared for speed and for identity, on every side, in seconds. All of
+//! it runs on the Mobile SoC and again on the RTX 2060 preset, whose 30 SMs
+//! of 32 warp slots each are where slot bookkeeping costs most.
 //!
 //! ```text
 //! cargo run --release -p zatel-rtworkload --example decode_locality [RES]
@@ -109,95 +111,100 @@ fn main() {
         .nth(1)
         .map(|arg| arg.parse().expect("RES is a pixel count"))
         .unwrap_or(64);
-    let gpu = GpuConfig::mobile_soc();
-    let slots = u64::from(gpu.num_sms * gpu.max_warps_per_sm);
-    let sim = Simulator::new(gpu.clone());
-    for id in [SceneId::Park, SceneId::Bath] {
-        let (mut scene_s, mut bvh_s) = (f64::MAX, f64::MAX);
-        for _ in 0..5 {
-            let start = Instant::now();
-            black_box(id.build(1));
-            scene_s = scene_s.min(start.elapsed().as_secs_f64());
-        }
-        let scene = id.build(1);
-        let mut bvh_digest = None;
-        for _ in 0..5 {
-            let start = Instant::now();
-            let bvh = Bvh::build(scene.primitives());
-            bvh_s = bvh_s.min(start.elapsed().as_secs_f64());
-            let mut h = Fnv64::new();
-            h.write_bytes(bvh.to_json().to_string().as_bytes());
-            assert!(
-                bvh_digest.is_none_or(|d| d == h.finish()),
-                "every build lays out the same tree"
-            );
-            bvh_digest = Some(h.finish());
-        }
-        println!(
-            "{}: SceneId::build {:.1} ms, Bvh::build {:.1} ms, BVH JSON digest {:#018x}",
-            id.name(),
-            scene_s * 1e3,
-            bvh_s * 1e3,
-            bvh_digest.unwrap_or_default(),
-        );
-        let trace = TraceConfig::default();
-        let workload = RtWorkload::full_frame(&scene, res, res, trace);
-        let (mut seq_s, mut eng_s, mut sim_s, mut ops) = (f64::MAX, f64::MAX, f64::MAX, 0);
-        let mut helped_s = f64::MAX;
-        let (mut profile_s, mut work) = (f64::MAX, 0);
-        let mut digest = None;
-        for _ in 0..5 {
-            let start = Instant::now();
-            ops = sequential(&workload);
-            seq_s = seq_s.min(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            let engine_ops = engine_order(&workload, slots, &gpu);
-            eng_s = eng_s.min(start.elapsed().as_secs_f64());
-            assert_eq!(ops, engine_ops, "both orders decode every op");
-            let start = Instant::now();
-            let stats = sim.run(&workload);
-            sim_s = sim_s.min(start.elapsed().as_secs_f64());
-            let run = Some(self::digest(&stats));
-            assert!(
-                digest.is_none() || digest == run,
-                "every run simulates the same"
-            );
-            digest = run;
-            let start = Instant::now();
-            let stats = helped(&sim, &workload, false);
-            helped_s = helped_s.min(start.elapsed().as_secs_f64());
-            for stats in [stats, helped(&sim, &workload, true)] {
-                assert_eq!(
-                    digest,
-                    Some(self::digest(&stats)),
-                    "a helped run simulates the same"
-                );
+    let presets = [
+        ("Mobile SoC", GpuConfig::mobile_soc()),
+        ("RTX 2060", GpuConfig::rtx_2060()),
+    ];
+    for (preset, gpu) in presets {
+        let slots = u64::from(gpu.num_sms * gpu.max_warps_per_sm);
+        let sim = Simulator::new(gpu.clone());
+        for id in [SceneId::Park, SceneId::Bath] {
+            let (mut scene_s, mut bvh_s) = (f64::MAX, f64::MAX);
+            for _ in 0..5 {
+                let start = Instant::now();
+                black_box(id.build(1));
+                scene_s = scene_s.min(start.elapsed().as_secs_f64());
             }
-            let start = Instant::now();
-            let costs = profile_costs(&scene, res, res, &trace);
-            profile_s = profile_s.min(start.elapsed().as_secs_f64());
-            work = costs.values().iter().sum::<u64>();
+            let scene = id.build(1);
+            let mut bvh_digest = None;
+            for _ in 0..5 {
+                let start = Instant::now();
+                let bvh = Bvh::build(scene.primitives());
+                bvh_s = bvh_s.min(start.elapsed().as_secs_f64());
+                let mut h = Fnv64::new();
+                h.write_bytes(bvh.to_json().to_string().as_bytes());
+                assert!(
+                    bvh_digest.is_none_or(|d| d == h.finish()),
+                    "every build lays out the same tree"
+                );
+                bvh_digest = Some(h.finish());
+            }
+            println!(
+                "{} on {preset}: SceneId::build {:.1} ms, Bvh::build {:.1} ms, BVH JSON digest {:#018x}",
+                id.name(),
+                scene_s * 1e3,
+                bvh_s * 1e3,
+                bvh_digest.unwrap_or_default(),
+            );
+            let trace = TraceConfig::default();
+            let workload = RtWorkload::full_frame(&scene, res, res, trace);
+            let (mut seq_s, mut eng_s, mut sim_s, mut ops) = (f64::MAX, f64::MAX, f64::MAX, 0);
+            let mut helped_s = f64::MAX;
+            let (mut profile_s, mut work) = (f64::MAX, 0);
+            let mut digest = None;
+            for _ in 0..5 {
+                let start = Instant::now();
+                ops = sequential(&workload);
+                seq_s = seq_s.min(start.elapsed().as_secs_f64());
+                let start = Instant::now();
+                let engine_ops = engine_order(&workload, slots, &gpu);
+                eng_s = eng_s.min(start.elapsed().as_secs_f64());
+                assert_eq!(ops, engine_ops, "both orders decode every op");
+                let start = Instant::now();
+                let stats = sim.run(&workload);
+                sim_s = sim_s.min(start.elapsed().as_secs_f64());
+                let run = Some(self::digest(&stats));
+                assert!(
+                    digest.is_none() || digest == run,
+                    "every run simulates the same"
+                );
+                digest = run;
+                let start = Instant::now();
+                let stats = helped(&sim, &workload, false);
+                helped_s = helped_s.min(start.elapsed().as_secs_f64());
+                for stats in [stats, helped(&sim, &workload, true)] {
+                    assert_eq!(
+                        digest,
+                        Some(self::digest(&stats)),
+                        "a helped run simulates the same"
+                    );
+                }
+                let start = Instant::now();
+                let costs = profile_costs(&scene, res, res, &trace);
+                profile_s = profile_s.min(start.elapsed().as_secs_f64());
+                work = costs.values().iter().sum::<u64>();
+            }
+            let ns_per_op = |seconds: f64| seconds * 1e9 / ops as f64;
+            println!(
+                "{} {res}x{res} on {preset}: {ops} ops, sequential {:.1} ns/op, engine order ({slots} warp slots) {:.1} ns/op = {:.2}x",
+                id.name(),
+                ns_per_op(seq_s),
+                ns_per_op(eng_s),
+                eng_s / seq_s,
+            );
+            println!(
+                "{} {res}x{res} on {preset}: Simulator::run {:.1} ms, helped {:.1} ms = {:.2}x, SimStats digest {:#018x}",
+                id.name(),
+                sim_s * 1e3,
+                helped_s * 1e3,
+                helped_s / sim_s,
+                digest.unwrap_or_default(),
+            );
+            println!(
+                "{} {res}x{res} on {preset}: profile_costs {:.1} ms, {work} work units",
+                id.name(),
+                profile_s * 1e3,
+            );
         }
-        let ns_per_op = |seconds: f64| seconds * 1e9 / ops as f64;
-        println!(
-            "{} {res}x{res}: {ops} ops, sequential {:.1} ns/op, engine order ({slots} warp slots) {:.1} ns/op = {:.2}x",
-            id.name(),
-            ns_per_op(seq_s),
-            ns_per_op(eng_s),
-            eng_s / seq_s,
-        );
-        println!(
-            "{} {res}x{res}: Simulator::run {:.1} ms, helped {:.1} ms = {:.2}x, SimStats digest {:#018x}",
-            id.name(),
-            sim_s * 1e3,
-            helped_s * 1e3,
-            helped_s / sim_s,
-            digest.unwrap_or_default(),
-        );
-        println!(
-            "{} {res}x{res}: profile_costs {:.1} ms, {work} work units",
-            id.name(),
-            profile_s * 1e3,
-        );
     }
 }

@@ -8,7 +8,9 @@
 //!   do a one-group `--no-downscale` prediction's;
 //! * on one SM with two warp slots and more warps than slots — so warps
 //!   retire, backfill and vacate their slots while the helper runs — every
-//!   hook call comes in the same order with the same arguments;
+//!   hook call comes in the same order with the same arguments: also when
+//!   most warps are adopted by the helper at launch, and when phases are
+//!   too large for a ring's words and take the spill path;
 //! * a thread program's panic on either thread reaches the caller, and the
 //!   helper returns once the commit loop has.
 
@@ -188,6 +190,85 @@ fn backfills_and_vacated_slots_leave_every_hook_call_unchanged() {
         assert_eq!(helped_stats, stats);
         assert!(helped.0 == alone.0, "the helped run's hook calls differ");
     }
+}
+
+/// The hook calls and statistics of `workload` on one SM with two slots,
+/// unhelped, must be those of every helped run: lent a helper when the
+/// commit loop asks, and with one that idles from the start.
+fn helped_runs_match(workload: &ScriptedWorkload, label: &str) {
+    let sim = Simulator::new(one_sm());
+    let mut alone = TraceHooks::default();
+    let stats = sim.run_with_hooks(workload, &mut alone);
+    for _ in 0..2 {
+        let mut helped = TraceHooks::default();
+        let (helped_stats, asked) = lent(&sim, workload, &mut helped);
+        assert!(
+            asked,
+            "{label}: the run is long enough to ask for its helper"
+        );
+        assert_eq!(helped_stats, stats, "{label}");
+        assert!(
+            helped.0 == alone.0,
+            "{label}: the helped run's hook calls differ"
+        );
+        let mut helped = TraceHooks::default();
+        assert_eq!(eager(&sim, workload, &mut helped), stats, "{label}: eager");
+        assert!(
+            helped.0 == alone.0,
+            "{label}: the eager run's hook calls differ"
+        );
+    }
+}
+
+#[test]
+fn warps_the_helper_adopts_at_launch_leave_every_hook_call_unchanged() {
+    // Forty short warps through two slots: the commit loop shares its
+    // slots after its first few dozen phases, so most warps launch — and
+    // are adopted before their first phase — backfill and retire while
+    // the helper runs, and the last two vacate their slots.
+    let workload = ScriptedWorkload::per_thread(40 * 32 - 3, |i| {
+        (0..40 + (i * 11) % 37 + 5 * (i / 32 % 3))
+            .map(|k| match k % 3 {
+                0 => Op::RtNode {
+                    addr: ((i + k) % 89) * 32,
+                },
+                1 => Op::Load {
+                    addr: (i % 7) * 128 + k * 256,
+                    bytes: 8,
+                },
+                _ => Op::Compute {
+                    cycles: (k % 5) as u32 + 1,
+                    insts: 1,
+                },
+            })
+            .collect()
+    });
+    helped_runs_match(&workload, "forty warps");
+}
+
+#[test]
+fn phases_larger_than_a_ring_leave_every_hook_call_unchanged() {
+    // Every fifth op loads up to 2 KiB, 16 lines a lane, so a phase of it
+    // holds hundreds of lines: more words than a ring holds. Every
+    // seventh fetches a node past 2^40 bytes, a line wider than a word.
+    let workload = ScriptedWorkload::per_thread(6 * 32 - 9, |i| {
+        (0..300 + (i * 7) % 53)
+            .map(|k| match k % 35 {
+                k5 if k5 % 5 == 0 => Op::Load {
+                    addr: (i * 31 + k) * 4096,
+                    bytes: 256 * (k % 9) as u32 + 1,
+                },
+                k7 if k7 % 7 == 0 => Op::RtNode {
+                    addr: (1 << 40) + i * 32,
+                },
+                _ => Op::Compute {
+                    cycles: (k % 4) as u32 + 1,
+                    insts: 2,
+                },
+            })
+            .collect()
+    });
+    helped_runs_match(&workload, "wide phases");
 }
 
 /// Each thread runs `ops` one-cycle compute ops, and panics before op `op`
