@@ -50,6 +50,9 @@ const END: u32 = 0;
 /// Phases a helped run gathers alone per warp of the grid's first wave,
 /// before it shares its slots and starts the helper: a grid whose warps
 /// average fewer phases is over before a helper would pay for its thread.
+/// Measured against 8 192 phases and 32 or 64 per warp (DESIGN.md, "One
+/// commit loop"): no cheap-to-decode frame it lets share reads slower than
+/// a helped run that never shares, and a larger prefix only gives up gain.
 const ALONE_PHASES_PER_WARP: u64 = 16;
 
 /// How often the commit loop tries a slot the helper holds before it
@@ -83,10 +86,10 @@ struct Shared<'w> {
     /// read: stored with `Release` once it has read them, loaded with
     /// `Acquire` by the helper before it overwrites them.
     heads: Box<[AtomicU32]>,
-    /// Per slot, set while it waits in `requests` or its ring is being
-    /// filled. The helper clears it with `Release` once it has filled the
-    /// ring, after it read the slot's request word; the commit loop's
-    /// `Acquire` swap that sees the clear may then reuse the word.
+    /// Per slot, set while it waits in `requests`. The helper clears it
+    /// with `Release` once it has read the slot's request word, before it
+    /// fills the ring; the commit loop's `Acquire` swap that sees the clear
+    /// may then reuse the word.
     wanted: Box<[AtomicBool]>,
     /// The slots the commit loop wants filled, in the order it asked, by
     /// wrapping position; a power of two at least the slot count long. It
@@ -187,8 +190,11 @@ impl<'w> Shared<'w> {
         let at = helper.taken as usize & (self.requests.len() - 1);
         let slot = self.requests[at].load(Ordering::Relaxed) as usize;
         helper.taken = helper.taken.wrapping_add(1);
-        self.fill(slot, &mut helper.phase, &mut helper.heads[slot]);
+        // Cleared before the fill, so that a request made during it queues
+        // the slot again rather than being lost: at worst a second fill
+        // finds nothing to do.
         self.wanted[slot].store(false, Ordering::Release);
+        self.fill(slot, &mut helper.phase, &mut helper.heads[slot]);
         true
     }
 
@@ -537,8 +543,7 @@ impl<'a, 'w> Commit<'a, 'w> {
 ///
 /// A run starts alone. In a helped run, once the commit loop has gathered
 /// [`ALONE_PHASES_PER_WARP`] phases per warp of the grid's first wave, the
-/// programs
-/// move into the shared slots and the helper starts; a shorter run
+/// programs move into the shared slots and the helper starts; a shorter run
 /// never shares.
 pub(crate) struct Decoder<'a, 'w> {
     workload: &'w dyn Workload,
@@ -653,13 +658,19 @@ impl<'a, 'w> Decoder<'a, 'w> {
             .expect("phase for a vacant warp slot");
         self.phase.clear();
         warp.gather(&mut self.phase);
+        if self.phase.is_empty() {
+            return None;
+        }
+        // Only a gathered phase counts: the warp of the gather that shares
+        // the slots is live, and every other resident warp is too, as the
+        // engine backfills or vacates a slot as soon as its warp retires.
         if self.helper.is_some() {
             self.alone -= 1;
             if self.alone == 0 {
                 self.share();
             }
         }
-        (!self.phase.is_empty()).then_some(Phase::Mix(&self.phase))
+        Some(Phase::Mix(&self.phase))
     }
 
     /// [`Decoder::next_phase`] once the run shares its slots, out of line so
@@ -962,6 +973,40 @@ mod tests {
         drop(helper);
         drop(slots.end_on_drop());
         slots.help();
+    }
+
+    #[test]
+    fn a_warps_last_empty_gather_does_not_share_the_slots() {
+        // Two warps of three phases each through one slot.
+        let w = ScriptedWorkload::uniform(64, vec![Op::Load { addr: 0, bytes: 4 }; 3]);
+        let config = one_sm();
+        let slots = WarpSlots::new();
+        let mut decoder = Decoder::new(&w, &config, Some((&slots, &|| ())));
+        let mut unshared = Decoder::new(&w, &config, None);
+        // The empty gather that retires the first warp would be the last
+        // one alone if it counted.
+        decoder.alone = 4;
+        let mut phases = Vec::new();
+        for warp in 0..2 {
+            for d in [&mut decoder, &mut unshared] {
+                d.on_launch(0, 0, warp * 32, 32);
+            }
+            loop {
+                let want = unshared.next_phase(0, 0).map(owned);
+                let got = decoder.next_phase(0, 0).map(owned);
+                assert_eq!(got, want, "warp {warp}, phase {}", phases.len());
+                // A helper that is already waiting fills every queued ring
+                // before the engine gets to its backfill.
+                if let Some(shared) = slots.shared.get() {
+                    let mut helper = shared.helper.lock().expect("one helper");
+                    while shared.help_step(&mut helper) {}
+                }
+                let Some(phase) = got else { break };
+                phases.push(phase);
+            }
+        }
+        assert!(decoder.commit.is_some(), "the slots were shared");
+        assert_eq!(phases.len(), 6);
     }
 
     #[test]
