@@ -75,7 +75,7 @@ const RUN: &[Opt] = &[
     ("--no-downscale", "single group on the full GPU (not with --k)"),
     ("--division KIND", "fine | coarse (default fine)"),
     ("--dist KIND", "uniform | lintmp | exptmp (default uniform)"),
-    ("--jobs N", "simulation threads; a spare one decodes ahead (default: host cores)"),
+    ("--jobs N", "worker threads; a spare one builds the BVH, profiles and decodes ahead (default: host cores)"),
     ("--reference", "also run the full simulation and report errors"),
     ("--json", "emit machine-readable JSON instead of tables"),
 ];

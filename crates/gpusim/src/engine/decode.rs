@@ -113,9 +113,11 @@ struct Shared<'w> {
 }
 
 impl<'w> Shared<'w> {
-    /// Takes over the programs of an unshared run, `[sm][slot]`.
+    /// Takes over the programs of an unshared run, `[sm][slot]`, and a
+    /// ring per slot.
     fn new(
         programs: Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>,
+        rings: Box<[Ring]>,
         slots_per_sm: usize,
         config: &GpuConfig,
     ) -> Self {
@@ -142,10 +144,9 @@ impl<'w> Shared<'w> {
             heads: vec![0; slots],
             taken: 0,
         };
+        debug_assert_eq!(rings.len(), slots);
         Shared {
-            rings: (0..slots)
-                .map(|_| std::array::from_fn(|_| AtomicU32::new(0)))
-                .collect(),
+            rings,
             tails: atomics(slots),
             heads: atomics(slots),
             wanted: (0..slots).map(|_| AtomicBool::new(false)).collect(),
@@ -558,6 +559,10 @@ pub(crate) struct Decoder<'a, 'w> {
     /// A helped run's shared slots and what starts its helper, until the
     /// run shares them.
     helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
+    /// A helped run's rings, one per slot the grid fills, allocated with
+    /// the engine rather than mid-run, once the memory model's tables have
+    /// grown; they move into the shared slots.
+    rings: Option<Box<[Ring]>>,
     /// Warp slots per SM the grid fills: the warps dealt to the first SM,
     /// or every slot.
     slots_per_sm: usize,
@@ -586,6 +591,11 @@ impl<'a, 'w> Decoder<'a, 'w> {
             config,
             warps: (0..num_sms).map(|_| Vec::new()).collect(),
             commit: None,
+            rings: helper.map(|_| {
+                (0..num_sms * slots_per_sm)
+                    .map(|_| std::array::from_fn(|_| AtomicU32::new(0)))
+                    .collect()
+            }),
             helper,
             slots_per_sm,
             alone: ALONE_PHASES_PER_WARP
@@ -691,9 +701,10 @@ impl<'a, 'w> Decoder<'a, 'w> {
             return;
         };
         let programs = std::mem::take(&mut self.warps);
+        let rings = self.rings.take().unwrap_or_default();
         let shared = slots
             .shared
-            .get_or_init(|| Shared::new(programs, self.slots_per_sm, self.config));
+            .get_or_init(|| Shared::new(programs, rings, self.slots_per_sm, self.config));
         let slots = shared.warps.len();
         let mut commit = Commit {
             shared,

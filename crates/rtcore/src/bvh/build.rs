@@ -30,6 +30,8 @@
 //!   every input.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::geom::Primitive;
 use crate::math::{Aabb, Vec3};
@@ -149,61 +151,434 @@ struct Bin {
 /// Returns an empty (single empty-leaf) BVH for an empty primitive list so
 /// that traversal of empty scenes is well defined.
 pub(crate) fn build_bvh(prims: &[Primitive]) -> Bvh {
-    if prims.is_empty() {
-        return Bvh::new(vec![FlatNode::leaf(Aabb::empty(), 0, 0)], Vec::new());
-    }
-
-    let info: Vec<PrimInfo> = prims
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let c = p.centroid();
-            PrimInfo {
-                index: i as u32,
-                bounds: p.bounds(),
-                centroid: [c.x, c.y, c.z],
-            }
-        })
-        .collect();
-    let mut builder = Builder {
-        nodes: Vec::with_capacity(prims.len() * 2),
-        scan_every_node: info.iter().any(PrimInfo::has_negative_zero),
-        tags: vec![0; info.len()],
-        info,
+    let Some(mut info) = records(prims) else {
+        return empty_bvh();
     };
-    let root = Boxes::scan(&builder.info);
+    let scan_every_node = info.iter().any(PrimInfo::has_negative_zero);
+    let mut tags = vec![0; info.len()];
+    let root = Boxes::scan(&info);
+    let nodes = Vec::with_capacity(prims.len() * 2);
+    let mut builder = Builder::new(nodes, &mut info, &mut tags, 0, scan_every_node);
     builder.build(0..prims.len(), 0, root);
-    let order: Vec<u32> = builder.info.iter().map(|p| p.index).collect();
-    Bvh::new(builder.nodes, order)
+    let nodes = builder.nodes;
+    Bvh::new(nodes, info.iter().map(|p| p.index).collect())
 }
 
-struct Builder {
-    /// The tree so far, depth-first: a parent's left child is at
-    /// `parent + 1`.
+/// The lent build splits a subtree further while it holds more than this
+/// share of the primitives.
+const FRONTIER: usize = 16;
+
+/// [`build_bvh`] with a lent thread (`crate::lend`): the same tree, bit for
+/// bit.
+///
+/// Both threads take subtrees from one queue, largest first. A subtree over
+/// more than 1/[`FRONTIER`] of the primitives is split, one node, and its
+/// two children are queued; a smaller one is built whole by the serial
+/// builder. Each subtree owns its own slice of the record array, so no two
+/// threads touch the same record. The tree is then stitched in depth-first
+/// order, each whole subtree's node links shifted by where it lands. A
+/// node's split reads only its own primitives' records, its depth and its
+/// boxes, which are the same whichever thread splits it and in whatever
+/// order, so every node is the serial builder's.
+pub(crate) fn build_bvh_lent(
+    prims: &[Primitive],
+    lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
+) -> Bvh {
+    let Some(mut info) = records(prims) else {
+        return empty_bvh();
+    };
+    let scan_every_node = info.iter().any(PrimInfo::has_negative_zero);
+    let mut tags = vec![0; info.len()];
+    let grain = prims.len() / FRONTIER;
+    let root = Task {
+        id: 0,
+        offset: 0,
+        depth: 0,
+        boxes: Boxes::scan(&info),
+        records: &mut info,
+        tags: &mut tags,
+    };
+    // What the threads fill is allocated here, on the calling thread, and
+    // freed in one piece: what a lent thread allocates and frees stays
+    // resident with its allocator arena, which the rest of a run barely
+    // uses, and a node array per subtree left the main arena's freed
+    // pieces resident too.
+    let mut queue = Vec::with_capacity(4 * FRONTIER);
+    queue.push(root);
+    let pool = Pool {
+        queue: Mutex::new((queue, 1)),
+        pending: AtomicUsize::new(1),
+        built: Mutex::new(Vec::with_capacity(8 * FRONTIER)),
+        buffers: Mutex::new(
+            (0..2)
+                .map(|_| Some(Vec::with_capacity(prims.len() * 2)))
+                .collect(),
+        ),
+    };
+    let work = || {
+        let (at, mut buffer) = {
+            let buffers = &mut *lock(&pool.buffers);
+            match buffers.iter().position(Option::is_some) {
+                Some(at) => (at, buffers[at].take().unwrap_or_default()),
+                None => {
+                    buffers.push(None);
+                    (buffers.len() - 1, Vec::new())
+                }
+            }
+        };
+        while pool.pending.load(Ordering::Acquire) > 0 {
+            let task = {
+                let (queue, _) = &mut *lock(&pool.queue);
+                let largest = (0..queue.len()).max_by_key(|&i| queue[i].records.len());
+                largest.map(|i| queue.swap_remove(i))
+            };
+            match task {
+                Some(task) => {
+                    // Counted out even if it panics, so the other thread
+                    // stops and the panic reaches the caller.
+                    let _done = CountOut(&pool.pending);
+                    let built = task.run(grain, scan_every_node, &pool, (at, &mut buffer));
+                    lock(&pool.built).push(built);
+                }
+                // The other thread is splitting what is left.
+                None => std::thread::yield_now(),
+            }
+        }
+        lock(&pool.buffers)[at] = Some(buffer);
+    };
+    lend(
+        &mut |start| {
+            start();
+            work();
+        },
+        &work,
+    );
+    let mut built: Vec<Option<Built>> = Vec::new();
+    for (id, subtree) in pool
+        .built
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        if built.len() <= id {
+            built.resize_with(id + 1, || None);
+        }
+        built[id] = Some(subtree);
+    }
+    let buffers: Vec<Vec<FlatNode>> = (pool.buffers.into_inner())
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(Option::unwrap_or_default)
+        .collect();
+    // The records go before the copy, whose array can take their place.
+    let order = info.iter().map(|p| p.index).collect();
+    drop((info, tags));
+    let count = built.iter().flatten().map(Built::node_count).sum();
+    let mut nodes = Vec::with_capacity(count);
+    stitch(&mut built, &buffers, 0, &mut nodes);
+    Bvh::new(nodes, order)
+}
+
+/// Counts a subtree out of [`Pool::pending`] when dropped.
+struct CountOut<'p>(&'p AtomicUsize);
+
+impl Drop for CountOut<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The lock of the lent build's shared state, whatever a panic left in it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The tree over no primitive: one empty leaf.
+fn empty_bvh() -> Bvh {
+    Bvh::new(vec![FlatNode::leaf(Aabb::empty(), 0, 0)], Vec::new())
+}
+
+/// Each primitive's record, in scene order; `None` for no primitive.
+fn records(prims: &[Primitive]) -> Option<Vec<PrimInfo>> {
+    (!prims.is_empty()).then(|| {
+        prims
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let c = p.centroid();
+                PrimInfo {
+                    index: i as u32,
+                    bounds: p.bounds(),
+                    centroid: [c.x, c.y, c.z],
+                }
+            })
+            .collect()
+    })
+}
+
+/// What the lent build's threads share.
+struct Pool<'a> {
+    /// The subtrees to lay out, and the next free subtree id.
+    queue: Mutex<(Vec<Task<'a>>, usize)>,
+    /// Subtrees queued or being laid out: the build is done at zero. A
+    /// split adds its children before it counts itself out.
+    pending: AtomicUsize,
+    /// Each laid-out subtree, by id, in the order they were finished.
+    built: Mutex<Vec<(usize, Built)>>,
+    /// A node array per thread, which it builds its whole subtrees into one
+    /// after another; taken while the thread runs.
+    buffers: Mutex<Vec<Option<Vec<FlatNode>>>>,
+}
+
+/// A subtree the lent build has yet to lay out: the serial builder's call
+/// over primitives `offset..offset + records.len()` at `depth`, whose
+/// boxes are `boxes`.
+struct Task<'a> {
+    id: usize,
+    offset: usize,
+    depth: usize,
+    boxes: Boxes,
+    /// The subtree's own slice of the record array, and of the tags.
+    records: &'a mut [PrimInfo],
+    tags: &'a mut [u8],
+}
+
+/// A subtree as the lent build laid it out.
+enum Built {
+    /// Built whole by the serial builder, as nodes `start..start + len` of
+    /// node array `buffer`: links count from its first node.
+    Whole {
+        buffer: usize,
+        start: usize,
+        len: usize,
+    },
+    /// Split: an interior node over the subtrees `children` (ids).
+    Split {
+        bounds: Aabb,
+        axis: u8,
+        children: [usize; 2],
+    },
+}
+
+impl Built {
+    /// The nodes it lays out itself.
+    fn node_count(&self) -> usize {
+        match self {
+            Built::Whole { len, .. } => *len,
+            Built::Split { .. } => 1,
+        }
+    }
+}
+
+impl<'a> Task<'a> {
+    /// Builds the subtree whole at the end of node array `buffer` (with its
+    /// index) if it holds at most `grain` primitives, or else splits its
+    /// root and queues the two children in `pool`.
+    fn run(
+        self,
+        grain: usize,
+        scan_every_node: bool,
+        pool: &Pool<'a>,
+        (at, buffer): (usize, &mut Vec<FlatNode>),
+    ) -> (usize, Built) {
+        let Task {
+            id,
+            offset,
+            depth,
+            boxes,
+            records,
+            tags,
+        } = self;
+        let len = records.len();
+        if len <= grain {
+            let start = buffer.len();
+            let nodes = std::mem::take(buffer);
+            let mut builder = Builder::new(nodes, records, tags, offset, scan_every_node);
+            builder.build(0..len, depth, boxes);
+            *buffer = builder.nodes;
+            let whole = Built::Whole {
+                buffer: at,
+                start,
+                len: buffer.len() - start,
+            };
+            return (id, whole);
+        }
+        let mut builder = Builder::new(Vec::new(), records, tags, offset, scan_every_node);
+        let bounds = boxes.bounds.aabb();
+        let Split::Interior {
+            axis,
+            mid,
+            left,
+            right,
+        } = builder.split(0..len, depth, &boxes)
+        else {
+            let start = buffer.len();
+            buffer.push(builder.leaf(bounds, &(0..len)));
+            let leaf = Built::Whole {
+                buffer: at,
+                start,
+                len: 1,
+            };
+            return (id, leaf);
+        };
+        let Builder { info, tags, .. } = builder;
+        let (left_records, right_records) = info.split_at_mut(mid);
+        let (left_tags, right_tags) = tags.split_at_mut(mid);
+        let (queue, next) = &mut *lock(&pool.queue);
+        let children = [*next, *next + 1];
+        *next += 2;
+        pool.pending.fetch_add(2, Ordering::AcqRel);
+        queue.push(Task {
+            id: children[0],
+            offset,
+            depth: depth + 1,
+            boxes: left,
+            records: left_records,
+            tags: left_tags,
+        });
+        queue.push(Task {
+            id: children[1],
+            offset: offset + mid,
+            depth: depth + 1,
+            boxes: right,
+            records: right_records,
+            tags: right_tags,
+        });
+        (
+            id,
+            Built::Split {
+                bounds,
+                axis,
+                children,
+            },
+        )
+    }
+}
+
+/// Lays out subtree `id` and its descendants depth-first at the end of
+/// `nodes`, taking whole subtrees from `buffers`; returns its root's node
+/// index.
+fn stitch(
+    built: &mut [Option<Built>],
+    buffers: &[Vec<FlatNode>],
+    id: usize,
+    nodes: &mut Vec<FlatNode>,
+) -> u32 {
+    let index = nodes.len() as u32;
+    match built[id].take() {
+        Some(Built::Whole { buffer, start, len }) => {
+            let subtree = &buffers[buffer][start..start + len];
+            nodes.extend(subtree.iter().map(|node| node.shifted(index)));
+        }
+        Some(Built::Split {
+            bounds,
+            axis,
+            children: [left, right],
+        }) => {
+            nodes.push(FlatNode::leaf(bounds, 0, 0));
+            stitch(built, buffers, left, nodes);
+            let right = stitch(built, buffers, right, nodes);
+            nodes[index as usize] = FlatNode::interior(bounds, right, axis);
+        }
+        None => {}
+    }
+    index
+}
+
+/// How a node splits.
+enum Split {
+    /// It is a leaf.
+    Leaf,
+    /// An interior node on `axis`: the primitives before `mid`, whose boxes
+    /// are `left`, go left, the rest, whose boxes are `right`, go right.
+    Interior {
+        axis: u8,
+        mid: usize,
+        left: Boxes,
+        right: Boxes,
+    },
+}
+
+/// Builds subtrees over one slice of the record array.
+struct Builder<'a> {
+    /// The tree so far, depth-first from `base`: a parent's left child is at
+    /// `parent + 1`. Node links count from `base`.
     nodes: Vec<FlatNode>,
-    info: Vec<PrimInfo>,
+    base: usize,
+    /// The records, `offset` into the whole array: ranges index this slice,
+    /// leaves store positions in the whole array.
+    info: &'a mut [PrimInfo],
     /// Each primitive's SAH bin at the node being split, swapped alongside
     /// `info`.
-    tags: Vec<u8>,
+    tags: &'a mut [u8],
+    offset: usize,
     /// Some primitive has a negative-zero coordinate, so a union of bins
     /// may differ from a scan in the sign of a zero: scan every child.
     scan_every_node: bool,
 }
 
-impl Builder {
+impl<'a> Builder<'a> {
+    /// A builder that lays out its nodes at the end of `nodes`.
+    fn new(
+        nodes: Vec<FlatNode>,
+        info: &'a mut [PrimInfo],
+        tags: &'a mut [u8],
+        offset: usize,
+        scan_every_node: bool,
+    ) -> Self {
+        Builder {
+            base: nodes.len(),
+            nodes,
+            info,
+            tags,
+            offset,
+            scan_every_node,
+        }
+    }
+
     /// Recursively builds the subtree over primitives `range`, whose boxes
     /// are `boxes`. Returns the index of the created node.
     fn build(&mut self, range: Range<usize>, depth: usize, boxes: Boxes) -> u32 {
-        let node_index = self.nodes.len() as u32;
-        let count = range.len();
+        let node_index = (self.nodes.len() - self.base) as u32;
         let bounds = boxes.bounds.aabb();
-        let leaf = FlatNode::leaf(bounds, range.start as u32, count as u32);
+        match self.split(range.clone(), depth, &boxes) {
+            Split::Leaf => {
+                let leaf = self.leaf(bounds, &range);
+                self.nodes.push(leaf);
+            }
+            Split::Interior {
+                axis,
+                mid,
+                left,
+                right,
+            } => {
+                // Placeholder; patched after children are built.
+                self.nodes.push(FlatNode::leaf(bounds, 0, 0));
+                self.build(range.start..mid, depth + 1, left);
+                let right = self.build(mid..range.end, depth + 1, right);
+                self.nodes[self.base + node_index as usize] =
+                    FlatNode::interior(bounds, right, axis);
+            }
+        }
+        node_index
+    }
 
+    /// The leaf over primitives `range`.
+    fn leaf(&self, bounds: Aabb, range: &Range<usize>) -> FlatNode {
+        FlatNode::leaf(
+            bounds,
+            (self.offset + range.start) as u32,
+            range.len() as u32,
+        )
+    }
+
+    /// Splits the node over primitives `range` at `depth`, whose boxes are
+    /// `boxes`, partitioning the range in place.
+    fn split(&mut self, range: Range<usize>, depth: usize, boxes: &Boxes) -> Split {
         // A branch that reaches the traversal stack's depth limit (only a
         // pathologically skewed split sequence does) ends in an oversized leaf.
+        let count = range.len();
         if count <= MAX_LEAF_PRIMS || depth == MAX_DEPTH {
-            self.nodes.push(leaf);
-            return node_index;
+            return Split::Leaf;
         }
 
         let centroids = boxes.centroids.aabb();
@@ -211,8 +586,7 @@ impl Builder {
         let axis = extent.largest_axis();
         if extent[axis] < 1e-8 {
             // Degenerate spread: all centroids coincide. Make a leaf.
-            self.nodes.push(leaf);
-            return node_index;
+            return Split::Leaf;
         }
 
         let (start, end) = (range.start, range.end);
@@ -228,13 +602,12 @@ impl Builder {
                 (mid, self.scan(start..mid), self.scan(mid..end))
             }
         };
-
-        // Placeholder; patched after children are built.
-        self.nodes.push(leaf);
-        self.build(start..mid, depth + 1, left);
-        let right = self.build(mid..end, depth + 1, right);
-        self.nodes[node_index as usize] = FlatNode::interior(bounds, right, axis as u8);
-        node_index
+        Split::Interior {
+            axis: axis as u8,
+            mid,
+            left,
+            right,
+        }
     }
 
     fn scan(&self, range: Range<usize>) -> Boxes {
@@ -334,6 +707,7 @@ mod tests {
     use super::*;
     use crate::bvh::reference::{axis_star, reference_bvh};
     use crate::geom::{Sphere, Triangle};
+    use crate::lend::tests::lenders;
     use crate::material::MaterialId;
     use crate::math::Pcg;
     use minijson::ToJson;
@@ -478,6 +852,23 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_lent_build_lays_out_the_serial_tree_on_the_fixtures() {
+        // The depth cap, the median fallback at the root and below it, a
+        // flat scene, and frames smaller than the frontier.
+        let fixtures = [axis_star(), random_tris(3000, 5)]
+            .into_iter()
+            .chain([5, 16, 79, 300].map(overflowing_clusters))
+            .chain((0..40).map(|n| random_tris(n, 6)));
+        for prims in fixtures {
+            let want = tree_text(&build_bvh(&prims));
+            for (name, lend) in lenders() {
+                let got = tree_text(&build_bvh_lent(&prims, lend));
+                assert!(got == want, "{} primitives, {name}", prims.len());
+            }
+        }
+    }
+
     /// Where a soup's coordinates come from.
     #[derive(Debug, Clone, Copy)]
     enum Palette {
@@ -571,6 +962,31 @@ mod tests {
                 tree_text(&got) == tree_text(&want),
                 "{n} primitives, seed {seed}, {palette:?}, flat {flat}, far {far}, \
                  repeats {repeats}: the trees differ"
+            );
+        }
+
+        /// The lent build lays out exactly the serial builder's tree, however
+        /// its lender runs the helper.
+        #[test]
+        fn the_lent_build_matches_the_serial_build(
+            n in prop_oneof![0usize..64, 0usize..3000],
+            seed in any::<u64>(),
+            palette in prop_oneof![
+                Just(Palette::Range),
+                Just(Palette::Grid),
+                Just(Palette::SignedGrid),
+            ],
+            flat in any::<bool>(),
+            far in any::<bool>(),
+            repeats in any::<bool>(),
+            lender in 0usize..4,
+        ) {
+            let prims = soup(n, seed, palette, flat, far, repeats);
+            let (name, lend) = lenders()[lender];
+            prop_assert!(
+                tree_text(&build_bvh_lent(&prims, lend)) == tree_text(&build_bvh(&prims)),
+                "{n} primitives, seed {seed}, {palette:?}, flat {flat}, far {far}, \
+                 repeats {repeats}, {name}: the trees differ"
             );
         }
     }

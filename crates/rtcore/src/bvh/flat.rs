@@ -90,6 +90,15 @@ impl FlatNode {
         debug_assert!(!self.leaf);
         self.first_or_right
     }
+
+    /// The node of a subtree laid out `by` nodes further on: an interior
+    /// node's right child moves with it.
+    pub(super) fn shifted(mut self, by: u32) -> Self {
+        if !self.leaf {
+            self.first_or_right += by;
+        }
+        self
+    }
 }
 
 /// Counters accumulated while traversing; the basis of the execution-time
@@ -291,6 +300,26 @@ impl Bvh {
     /// Builds a BVH over `prims` with the binned-SAH builder.
     pub fn build(prims: &[Primitive]) -> Self {
         super::build::build_bvh(prims)
+    }
+
+    /// [`Bvh::build`] with a lent thread: the same tree, bit for bit, built
+    /// on the calling thread and, when `lend` starts one, a spare thread.
+    ///
+    /// `lend(main, help)` must call `main(start)` on the calling thread and
+    /// return once it and any helper have returned; `start()` may run `help`
+    /// on another thread (the shape of `gpusim::Simulator::run_helped`'s
+    /// lender). The top of the tree is split serially into subtrees that
+    /// both threads then claim one at a time, so a `start` that runs nothing
+    /// only loses the speed.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the helper, through `lend`.
+    pub fn build_lent(
+        prims: &[Primitive],
+        lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
+    ) -> Self {
+        super::build::build_bvh_lent(prims, lend)
     }
 
     /// The flattened node array.

@@ -39,6 +39,7 @@ pub mod camera;
 pub mod fingerprint;
 pub mod geom;
 pub mod image;
+mod lend;
 pub mod material;
 pub mod math;
 pub mod scene;

@@ -1,4 +1,5 @@
-//! Scene container: geometry, materials, lights, camera and the BVH.
+//! Scene container: geometry, materials, lights, camera, and the BVH built
+//! over them on first use.
 
 use std::sync::OnceLock;
 
@@ -21,7 +22,8 @@ pub struct PointLight {
 
 /// A complete renderable scene.
 ///
-/// Construct with [`SceneBuilder`]; the builder finalizes the BVH.
+/// Construct with [`SceneBuilder`]. The BVH is derived from the geometry:
+/// built once, by the first [`Scene::bvh`] or [`Scene::bvh_lent`] call.
 #[derive(Debug, Clone)]
 pub struct Scene {
     name: String,
@@ -29,7 +31,8 @@ pub struct Scene {
     materials: Vec<Material>,
     lights: Vec<PointLight>,
     camera: Camera,
-    bvh: Bvh,
+    /// [`Scene::bvh`], built on its first call or by [`Scene::bvh_lent`].
+    bvh: OnceLock<Bvh>,
     /// [`Scene::fingerprint`], hashed on its first call: rendering and
     /// simulating never read it.
     fingerprint: OnceLock<u64>,
@@ -70,9 +73,27 @@ impl Scene {
         &self.camera
     }
 
-    /// The acceleration structure.
+    /// The acceleration structure, built on this thread by the first call
+    /// ([`Bvh::build`]) unless [`Scene::bvh_lent`] built it already.
     pub fn bvh(&self) -> &Bvh {
-        &self.bvh
+        self.bvh.get_or_init(|| Bvh::build(&self.primitives))
+    }
+
+    /// Whether a [`Scene::bvh`] or [`Scene::bvh_lent`] call has built the
+    /// BVH.
+    pub fn bvh_is_built(&self) -> bool {
+        self.bvh.get().is_some()
+    }
+
+    /// [`Scene::bvh`], built with a lent thread ([`Bvh::build_lent`], the
+    /// same tree) if no call has built it yet; `lend` is not called
+    /// otherwise. Whichever call comes first builds the tree, once.
+    pub fn bvh_lent(
+        &self,
+        lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
+    ) -> &Bvh {
+        self.bvh
+            .get_or_init(|| Bvh::build_lent(&self.primitives, lend))
     }
 
     /// Total triangle + sphere count.
@@ -227,7 +248,8 @@ impl SceneBuilder {
         self
     }
 
-    /// Builds the BVH and finalizes the scene.
+    /// Finalizes the scene: its geometry, whose BVH is built on first use
+    /// ([`Scene::bvh`]).
     ///
     /// # Panics
     ///
@@ -240,14 +262,13 @@ impl SceneBuilder {
                 p.material()
             );
         }
-        let bvh = Bvh::build(&self.primitives);
         Scene {
             name: self.name,
             primitives: self.primitives,
             materials: self.materials,
             lights: self.lights,
             camera: self.camera,
-            bvh,
+            bvh: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }
     }
@@ -275,6 +296,32 @@ mod tests {
         assert_eq!(s.lights().len(), 1);
         assert_eq!(s.materials().len(), 1);
         assert!(s.bvh().node_count() >= 1);
+    }
+
+    #[test]
+    fn the_bvh_is_built_once_whichever_path_asks_first() {
+        let scene = || {
+            let mut b = SceneBuilder::new("once", camera());
+            let m = b.add_material(Material::diffuse(Vec3::ONE));
+            b.add_mesh((0..20).flat_map(|i| mesh::cuboid(Vec3::X * i as f32, Vec3::ONE, m)));
+            b.build()
+        };
+        let lent = std::cell::Cell::new(0);
+        let lend = |main: &mut dyn FnMut(&dyn Fn()), help: &(dyn Fn() + Sync)| {
+            lent.set(lent.get() + 1);
+            main(&|| help());
+        };
+
+        let s = scene();
+        let first = s.bvh();
+        assert!(std::ptr::eq(first, s.bvh_lent(lend)));
+        assert_eq!(lent.get(), 0, "a built tree is not built again");
+
+        let s = scene();
+        let first = s.bvh_lent(lend);
+        assert!(std::ptr::eq(first, s.bvh_lent(lend)) && std::ptr::eq(first, s.bvh()));
+        assert_eq!(lent.get(), 1, "the first lent call built the tree, once");
+        assert_eq!(first, &Bvh::build(s.primitives()));
     }
 
     #[test]

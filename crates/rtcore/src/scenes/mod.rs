@@ -90,7 +90,8 @@ impl SceneId {
         }
     }
 
-    /// Builds the scene deterministically from `seed`.
+    /// Builds the scene's geometry deterministically from `seed`; its BVH
+    /// is built on first use ([`Scene::bvh`]).
     pub fn build(self, seed: u64) -> Scene {
         match self {
             SceneId::Park => park(seed),

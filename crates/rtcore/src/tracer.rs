@@ -453,27 +453,74 @@ pub fn render(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> I
 /// Each traced value is the work that pixel's first sample does in a
 /// simulation at any spp.
 pub fn profile_costs(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> CostMap {
-    let config = config.profiled();
-    let work = |x, y| {
-        trace_pixel(scene, x, y, width, height, &config)
-            .stats
-            .work()
-    };
     let mut costs = CostMap::new(width, height);
-    for y in (0..height - height % 2).step_by(2) {
-        for x in 0..width {
-            let w = work(x, y + x % 2);
-            costs.set(x, y, w);
-            costs.set(x, y + 1, w);
-        }
-    }
-    if height % 2 == 1 {
-        let y = height - 1;
-        for x in 0..width {
-            costs.set(x, y, work(x, y));
-        }
-    }
+    profile_band(scene, width, height, &config.profiled(), 0, &mut costs.work);
     costs
+}
+
+/// Row bands [`profile_costs_lent`] splits a frame into, at most.
+const PROFILE_BANDS: u32 = 16;
+
+/// [`profile_costs`] with a lent thread: the same map, bit for bit,
+/// profiled in row bands on the calling thread and, when `lend` starts one,
+/// a spare thread (`lend` as in [`crate::bvh::Bvh::build_lent`]).
+///
+/// Bands start at even rows, so each holds whole row pairs and the
+/// checkerboard is the one pass's; the last band takes the unpaired last
+/// row of an odd height. Each pixel's trace draws from its own
+/// `Pcg::for_index` stream, so a value does not depend on which thread
+/// traced it or when.
+///
+/// # Panics
+///
+/// Re-raises a panic of the helper, through `lend`.
+pub fn profile_costs_lent(
+    scene: &Scene,
+    width: u32,
+    height: u32,
+    config: &TraceConfig,
+    lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
+) -> CostMap {
+    let config = config.profiled();
+    let mut costs = CostMap::new(width, height);
+    let band_rows = 2 * (height / 2).div_ceil(PROFILE_BANDS).max(1);
+    let bands: Vec<(u32, &mut [u64])> = (0..)
+        .step_by(band_rows as usize)
+        .zip(costs.work.chunks_mut((band_rows * width) as usize))
+        .collect();
+    crate::lend::share(
+        bands,
+        |(y, work)| profile_band(scene, width, height, &config, y, work),
+        lend,
+    );
+    costs
+}
+
+/// Profiles the rows from `y`, an even row, whose values `work` holds: whole
+/// row pairs, and the frame's unpaired last row if `work` ends with it.
+fn profile_band(
+    scene: &Scene,
+    width: u32,
+    height: u32,
+    config: &TraceConfig,
+    y: u32,
+    work: &mut [u64],
+) {
+    let traced = |x, y| trace_pixel(scene, x, y, width, height, config).stats.work();
+    let row = width as usize;
+    for (y, rows) in (y..).step_by(2).zip(work.chunks_mut(2 * row)) {
+        if rows.len() == 2 * row {
+            let (upper, lower) = rows.split_at_mut(row);
+            for (x, (upper, lower)) in (0..).zip(upper.iter_mut().zip(lower)) {
+                let w = traced(x, y + x % 2);
+                (*upper, *lower) = (w, w);
+            }
+        } else {
+            for (x, value) in (0..).zip(rows) {
+                *value = traced(x, y);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -682,6 +729,23 @@ mod tests {
                     }
                     prop_assert_eq!(Some(work), sink.first, "pixel ({}, {})", x, y);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn the_banded_profile_is_the_one_pass_profile() {
+        let scene = test_scene();
+        let cfg = TraceConfig {
+            samples_per_pixel: 2,
+            max_bounces: 2,
+            seed: 9,
+        };
+        for (width, height) in [(1, 1), (7, 1), (6, 2), (7, 3), (6, 34), (7, 35), (5, 67)] {
+            let want = profile_costs(&scene, width, height, &cfg);
+            for (name, lend) in crate::lend::tests::lenders() {
+                let got = profile_costs_lent(&scene, width, height, &cfg, lend);
+                assert!(got == want, "{width}x{height}, {name}");
             }
         }
     }

@@ -12,8 +12,10 @@
 //! small frame is over before it asks for a helper). Last, the other
 //! sink of the same path machine: the best of five `profile_costs` of the
 //! frame and the Σ of its cost map. Before all of it, the scene itself: the
-//! best of five `SceneId::build`s and of five `Bvh::build`s over its
-//! primitives, and an FNV-1a digest of the BVH's JSON. Two builds can so be
+//! best of five `SceneId::build`s (its geometry), of five `Bvh::build`s over
+//! its primitives and of five `Bvh::build_lent`s lent a second thread, as a
+//! `--jobs` list lends its spare worker, and an FNV-1a digest of the BVH's
+//! JSON, which every build, serial or lent, must match. Two builds can so be
 //! compared for speed and for identity, on every side, in seconds. All of
 //! it runs on the Mobile SoC and again on the RTX 2060 preset, whose 30 SMs
 //! of 32 warp slots each are where slot bookkeeping costs most.
@@ -119,7 +121,7 @@ fn main() {
         let slots = u64::from(gpu.num_sms * gpu.max_warps_per_sm);
         let sim = Simulator::new(gpu.clone());
         for id in [SceneId::Park, SceneId::Bath] {
-            let (mut scene_s, mut bvh_s) = (f64::MAX, f64::MAX);
+            let (mut scene_s, mut bvh_s, mut lent_s) = (f64::MAX, f64::MAX, f64::MAX);
             for _ in 0..5 {
                 let start = Instant::now();
                 black_box(id.build(1));
@@ -139,11 +141,27 @@ fn main() {
                 );
                 bvh_digest = Some(h.finish());
             }
+            for _ in 0..5 {
+                let start = Instant::now();
+                let bvh = Bvh::build_lent(scene.primitives(), |main, help| {
+                    std::thread::scope(|scope| main(&|| drop(scope.spawn(help))));
+                });
+                lent_s = lent_s.min(start.elapsed().as_secs_f64());
+                let mut h = Fnv64::new();
+                h.write_bytes(bvh.to_json().to_string().as_bytes());
+                assert_eq!(
+                    bvh_digest,
+                    Some(h.finish()),
+                    "the lent build lays out the serial tree"
+                );
+            }
             println!(
-                "{} on {preset}: SceneId::build {:.1} ms, Bvh::build {:.1} ms, BVH JSON digest {:#018x}",
+                "{} on {preset}: SceneId::build {:.1} ms, Bvh::build {:.1} ms, lent {:.1} ms = {:.2}x, BVH JSON digest {:#018x}",
                 id.name(),
                 scene_s * 1e3,
                 bvh_s * 1e3,
+                lent_s * 1e3,
+                lent_s / bvh_s,
                 bvh_digest.unwrap_or_default(),
             );
             let trace = TraceConfig::default();

@@ -335,6 +335,9 @@ impl PackedOp {
     const MATERIAL: u32 = 3;
     /// `Op::Store` of the lane's own framebuffer pixel.
     const STORE: u32 = 4;
+    /// A deselected pixel's one op: the paper's `filter_shader` + exit
+    /// (Listing 1).
+    const FILTER_EXIT: PackedOp = PackedOp(Self::COMPUTE << Self::ARG_BITS | 2);
 }
 
 /// A lane's decoded ops, and the recording sink of its path: each node fetch
@@ -406,7 +409,9 @@ impl PathSink for &mut LaneOps {
 struct PixelProgram<'w> {
     workload: &'w RtWorkload<'w>,
     ops: LaneOps,
-    /// `ops[head..]` is decoded and not yet handed out.
+    /// `ops[head..]` is decoded and not yet handed out; [`FILTERED`] while
+    /// a deselected lane's [`PackedOp::FILTER_EXIT`] is, which takes no
+    /// buffer.
     head: u32,
     pixel: Pixel,
     /// `None` once the thread's last op is decoded.
@@ -428,43 +433,50 @@ impl<'w> PixelProgram<'w> {
             let (width, height) = (workload.width, workload.height);
             lane.path = Some(PixelPath::new(x, y, width, height, &workload.trace));
         } else {
-            // A deselected pixel: the paper's `filter_shader` + exit (Listing 1).
-            lane.ops.push(PackedOp::COMPUTE, 2);
+            lane.head = FILTERED;
         }
         lane
     }
 
     /// Decodes the next ray — its visits, then the shading of what it hit —
-    /// or the framebuffer write into the dry buffer; `false` if the thread
-    /// has exited. Out of line, so that the pop in `next_op` stays a handful
-    /// of instructions that inline into a warp's gather loop.
+    /// or the framebuffer write into the dry buffer, and hands out its
+    /// first op (or a deselected lane's one op); `None` if the thread has
+    /// exited. Out of line, so that the pop in `next_op` stays a handful of
+    /// instructions that inline into a warp's gather loop.
     #[inline(never)]
-    fn refill(&mut self) -> bool {
-        self.head = 0;
+    fn refill(&mut self) -> Option<PackedOp> {
+        if self.head == FILTERED {
+            self.head = 0;
+            return Some(PackedOp::FILTER_EXIT);
+        }
         self.ops.clear();
         // A shadow ray that misses the scene's box records nothing.
         while self.ops.0.is_empty() {
-            let Some(path) = &mut self.path else {
-                return false;
-            };
+            let path = self.path.as_mut()?;
             if !path.step(self.workload.scene, &mut self.ops).0 {
                 // Frame done for this pixel: write the framebuffer.
                 self.ops.push(PackedOp::STORE, 0);
                 self.path = None;
             }
         }
-        true
+        self.head = 1;
+        self.ops.0.first().copied()
     }
 }
+
+/// [`PixelProgram::head`] of a deselected lane before its one op.
+const FILTERED: u32 = u32::MAX;
 
 impl ThreadProgram for PixelProgram<'_> {
     #[inline]
     fn next_op(&mut self) -> Option<Op> {
-        if self.head as usize == self.ops.0.len() && !self.refill() {
-            return None;
-        }
-        let PackedOp(packed) = self.ops.0[self.head as usize];
-        self.head += 1;
+        let PackedOp(packed) = match self.ops.0.get(self.head as usize) {
+            Some(&op) => {
+                self.head += 1;
+                op
+            }
+            None => self.refill()?,
+        };
         let (map, arg) = (&self.workload.map, packed & PackedOp::ARG_MAX);
         Some(match packed >> PackedOp::ARG_BITS {
             PackedOp::COMPUTE => Op::Compute {

@@ -2,9 +2,10 @@
 //! downscale → divide → select → simulate per group → combine.
 //!
 //! [`run_jobs`] plans and schedules every simulation, in three steps.
-//! *Plan*: each heatmap comes through an [`ArtifactCache`]
-//! ([`crate::stages`]); each distinct quantization and division is made
-//! once per list. *Run*: every full-frame reference and every group's
+//! *Plan*: each scene's BVH is built, then each heatmap comes through an
+//! [`ArtifactCache`] ([`crate::stages`]), both on the calling worker and
+//! its spare one when the list lends one; each distinct quantization and
+//! division is made once per list. *Run*: every full-frame reference and every group's
 //! selection and simulation is one job of a single
 //! [`SimExecutor::map`] call, references first. *Finish*:
 //! extrapolation. A predict ([`Zatel::execute`]), a Section IV-F regression
@@ -196,9 +197,12 @@ pub struct Prediction {
     /// prediction's jobs (every traced fraction's under regression): the
     /// serial cost, the same whichever number of workers ran them.
     pub sim_wall: Duration,
-    /// Host wall-clock spans of the pipeline phases (heatmap, quantize,
-    /// divide, select, simulate-groups with one `group N` span per job on
-    /// track `1 + worker`, and extrapolate), sorted by start offset. A
+    /// Host wall-clock spans of the pipeline phases (bvh, heatmap,
+    /// quantize, divide, select, simulate-groups with one `group N` span per
+    /// job on track `1 + worker`, and extrapolate), sorted by start offset.
+    /// `bvh` is there when the prediction's planning built its scene's BVH,
+    /// which a scene's first planning in a list does unless something
+    /// built it before. A
     /// heatmap served by the cache is `heatmap (cached)`; a quantization or
     /// division made by an earlier prediction of the job list is a
     /// zero-length `quantize (shared)` or `divide (shared)`. A traced
@@ -480,8 +484,9 @@ impl<'s> Zatel<'s> {
         Ok(predictions.swap_remove(0))
     }
 
-    /// Plans one execution: validates, takes the heatmap through `cache`,
-    /// then quantizes and divides (unless an earlier plan of the list in
+    /// Plans one execution as the job of `worker`: validates, builds the
+    /// scene's BVH unless built, takes the heatmap through `cache`, then
+    /// quantizes and divides (unless an earlier plan of the list in
     /// `shared` already did), each under a span of its name. What is left
     /// are the group selections and simulations and the extrapolation
     /// ([`run_jobs`]).
@@ -490,6 +495,7 @@ impl<'s> Zatel<'s> {
         ctx: &RunContext<'_>,
         cache: &ArtifactCache,
         shared: &mut Shared,
+        worker: Worker,
     ) -> Result<Plan<'_, 's>, ZatelError> {
         self.options.validate()?;
         if let Some(fractions @ [f1, f2, f3]) = ctx.regression {
@@ -501,6 +507,10 @@ impl<'s> Zatel<'s> {
             }
         }
         let sheet = SpanSheet::new();
+        if !self.scene.bvh_is_built() {
+            let _span = sheet.span("bvh");
+            build_bvh(self.scene, worker);
+        }
         let start = sheet.elapsed();
         let stage = HeatmapStage {
             width: self.width,
@@ -508,7 +518,9 @@ impl<'s> Zatel<'s> {
             trace: self.trace,
         };
         let (heatmap, fingerprint, outcome) =
-            cache.get_or_run(&stage, self.scene, self.scene.fingerprint());
+            cache.get_or_make(&stage, self.scene.fingerprint(), || {
+                stage.run_on(self.scene, worker)
+            });
         let span = if outcome.is_hit() {
             format!("{} (cached)", HeatmapStage::NAME)
         } else {
@@ -597,8 +609,10 @@ impl<'s> Zatel<'s> {
         self.executor().run_one(|worker| self.reference(worker))
     }
 
-    /// [`Zatel::run_reference`] as the job of `worker`.
+    /// [`Zatel::run_reference`] as the job of `worker`. The scene's BVH is
+    /// built first, unless built, outside the reference's wall.
     fn reference(&self, worker: Worker) -> Reference {
+        build_bvh(self.scene, worker);
         #[expect(
             clippy::disallowed_methods,
             reason = "measurement around the reference simulation: feeds only Reference::wall \
@@ -800,6 +814,17 @@ impl<'z, 's> Plan<'z, 's> {
     }
 }
 
+/// Builds `scene`'s BVH as the job of `worker` unless a call has built it:
+/// on the worker and its spare one when the pool lends it one
+/// ([`Scene::bvh_lent`], the same tree), else on the worker alone.
+fn build_bvh(scene: &Scene, worker: Worker) {
+    if worker.has_spare() {
+        scene.bvh_lent(|main, help| worker.join(main, help));
+    } else {
+        scene.bvh();
+    }
+}
+
 /// Simulates `workload` on `config` as the job of `worker`: helped by the
 /// worker's spare one, when the pool lends it one, else on this thread
 /// alone. The statistics and hook calls are the same either way.
@@ -821,9 +846,13 @@ fn simulate<H: SimHooks>(
 /// full-frame `references` as one job list on `executor`; returns both in
 /// input order.
 ///
-/// The predictions are planned serially: each heatmap comes through its
-/// context's cache (a private one shared by contexts without one), and
-/// each distinct quantization and division is made once for the list.
+/// The predictions are planned one after another on the calling thread,
+/// which is lent the pool's spare worker when it has one
+/// ([`SimExecutor::run_one`]): each scene's BVH is built by its first
+/// plan, unless built before, and each heatmap comes through its context's
+/// cache (a private one shared by contexts without one); each distinct
+/// quantization and division is made once for the list. A reference whose
+/// scene no plan built builds it in its job.
 /// Then every reference and every `(prediction, traced fraction, group)`
 /// selection and simulation is one job of a single
 /// [`SimExecutor::map`] call, references first. Every job times itself on
@@ -841,10 +870,15 @@ pub fn run_jobs<'z, 's>(
 ) -> Result<(Vec<Prediction>, Vec<Reference>), ZatelError> {
     let private = ArtifactCache::in_memory();
     let mut shared = Shared::default();
-    let plans = predictions
-        .iter()
-        .map(|(zatel, ctx)| zatel.plan(ctx, ctx.cache.unwrap_or(&private), &mut shared))
-        .collect::<Result<Vec<_>, _>>()?;
+    let plans = executor.run_one(|worker| {
+        predictions
+            .iter()
+            .map(|(zatel, ctx)| {
+                let cache = ctx.cache.unwrap_or(&private);
+                zatel.plan(ctx, cache, &mut shared, worker)
+            })
+            .collect::<Result<Vec<_>, _>>()
+    })?;
 
     let jobs: Vec<Job<'_, 'z, 's>> = references
         .iter()

@@ -44,6 +44,7 @@ use rtcore::scene::Scene;
 use rtcore::tracer::TraceConfig;
 
 use crate::heatmap::Heatmap;
+use crate::sim_executor::Worker;
 
 /// A 64-bit content/derivation fingerprint (FNV-1a).
 pub(crate) type Fingerprint = u64;
@@ -495,6 +496,17 @@ impl TieredCache {
         scene: &Scene,
         scene_fp: Fingerprint,
     ) -> (Arc<Heatmap>, Fingerprint, CacheOutcome) {
+        self.get_or_make(stage, scene_fp, || stage.run(scene))
+    }
+
+    /// [`ArtifactCache::get_or_run`] with the profile made by `make`, which
+    /// must return what `stage.run` would.
+    pub(crate) fn get_or_make(
+        &self,
+        stage: &HeatmapStage,
+        scene_fp: Fingerprint,
+        make: impl FnOnce() -> Heatmap,
+    ) -> (Arc<Heatmap>, Fingerprint, CacheOutcome) {
         let fp = Self::key_of(stage, scene_fp);
         let held = self.memory().get(&fp).cloned();
         if let Some(heatmap) = held {
@@ -505,7 +517,7 @@ impl TieredCache {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             return (self.remember(fp, heatmap), fp, CacheOutcome::DiskHit);
         }
-        let heatmap = self.remember(fp, stage.run(scene));
+        let heatmap = self.remember(fp, make());
         if let Some(disk) = &self.disk {
             disk.put(fp, &heatmap);
         }
@@ -558,6 +570,21 @@ impl Stage for HeatmapStage {
 
     fn run(&self, scene: &Scene) -> Heatmap {
         Heatmap::profile(scene, self.width, self.height, &self.trace)
+    }
+}
+
+impl HeatmapStage {
+    /// [`Stage::run`] as the job of `worker`: profiled in row bands on it
+    /// and on its spare worker when the pool lends it one
+    /// ([`Heatmap::profile_lent`], the same heatmap), else on it alone.
+    pub(crate) fn run_on(&self, scene: &Scene, worker: Worker) -> Heatmap {
+        if !worker.has_spare() {
+            return self.run(scene);
+        }
+        let lend = |main: &mut dyn FnMut(&dyn Fn()), help: &(dyn Fn() + Sync)| {
+            worker.join(main, help);
+        };
+        Heatmap::profile_lent(scene, self.width, self.height, &self.trace, lend)
     }
 }
 

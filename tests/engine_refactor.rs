@@ -204,3 +204,44 @@ fn golden_stats_print() {
         println!("    (SceneId::{id:?}, {:?}),", fingerprint(id));
     }
 }
+
+/// The front end at one and two workers: with two, a predict's planning
+/// builds the scene's BVH and profiles its heatmap on both, and
+/// `run_reference` builds its BVH on both; the trees, heatmaps, references
+/// and predictions must be the one-worker ones, bit for bit, at even and
+/// odd frame sizes.
+#[test]
+fn the_front_end_is_bit_identical_at_one_and_two_jobs() {
+    let tree = |scene: &rtcore::scene::Scene| minijson::ToJson::to_json(scene.bvh()).to_string();
+    for (id, width, height) in [(SceneId::Park, 48, 48), (SceneId::Bath, 33, 35)] {
+        let front_end = |jobs: usize| {
+            let scene = id.build(3);
+            let mut z = Zatel::new(&scene, GpuConfig::mobile_soc(), width, height, trace());
+            z.options_mut().jobs = Some(jobs);
+            assert!(!scene.bvh_is_built());
+            let prediction = z.run().expect("predict runs");
+            let spans: Vec<&str> = prediction.spans.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(spans[..2], ["bvh", "heatmap"], "{jobs} jobs: {spans:?}");
+            let values: Vec<u64> = Metric::ALL
+                .iter()
+                .map(|&m| prediction.value(m).to_bits())
+                .collect();
+            let fresh = id.build(3);
+            let mut alone = Zatel::new(&fresh, GpuConfig::mobile_soc(), width, height, trace());
+            alone.options_mut().jobs = Some(jobs);
+            let reference = alone.run_reference().stats;
+            assert_eq!(
+                tree(&fresh),
+                tree(&scene),
+                "{jobs} jobs: the reference's tree"
+            );
+            (tree(&scene), prediction.heatmap.clone(), values, reference)
+        };
+        let serial = front_end(1);
+        let lent = front_end(2);
+        assert!(serial.0 == lent.0, "{id}: the BVH");
+        assert_eq!(serial.1, lent.1, "{id}: the heatmap");
+        assert_eq!(serial.2, lent.2, "{id}: the prediction");
+        assert_eq!(serial.3, lent.3, "{id}: the reference");
+    }
+}
