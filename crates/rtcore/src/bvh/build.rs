@@ -31,9 +31,10 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::geom::Primitive;
+use crate::lend::{lock, share};
 use crate::math::{Aabb, Vec3};
 
 use super::flat::{Bvh, FlatNode, MAX_DEPTH};
@@ -171,15 +172,15 @@ const FRONTIER: usize = 16;
 /// [`build_bvh`] with a lent thread (`crate::lend`): the same tree, bit for
 /// bit.
 ///
-/// Both threads take subtrees from one queue, largest first. A subtree over
-/// more than 1/[`FRONTIER`] of the primitives is split, one node, and its
-/// two children are queued; a smaller one is built whole by the serial
-/// builder. Each subtree owns its own slice of the record array, so no two
-/// threads touch the same record. The tree is then stitched in depth-first
-/// order, each whole subtree's node links shifted by where it lands. A
-/// node's split reads only its own primitives' records, its depth and its
-/// boxes, which are the same whichever thread splits it and in whatever
-/// order, so every node is the serial builder's.
+/// The subtrees are [`crate::lend::share`]'s tasks, largest first. A
+/// subtree over more than 1/[`FRONTIER`] of the primitives is split, one
+/// node, and its two children are queued; a smaller one is built whole by
+/// the serial builder. Each subtree owns its own slice of the record array,
+/// so no two threads touch the same record. The tree is then stitched in
+/// depth-first order, each whole subtree's node links shifted by where it
+/// lands. A node's split reads only its own primitives' records, its depth
+/// and its boxes, which are the same whichever thread splits it and in
+/// whatever order, so every node is the serial builder's.
 pub(crate) fn build_bvh_lent(
     prims: &[Primitive],
     lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
@@ -189,7 +190,6 @@ pub(crate) fn build_bvh_lent(
     };
     let scan_every_node = info.iter().any(PrimInfo::has_negative_zero);
     let mut tags = vec![0; info.len()];
-    let grain = prims.len() / FRONTIER;
     let root = Task {
         id: 0,
         offset: 0,
@@ -202,94 +202,39 @@ pub(crate) fn build_bvh_lent(
     // freed in one piece: what a lent thread allocates and frees stays
     // resident with its allocator arena, which the rest of a run barely
     // uses, and a node array per subtree left the main arena's freed
-    // pieces resident too.
-    let mut queue = Vec::with_capacity(4 * FRONTIER);
-    queue.push(root);
-    let pool = Pool {
-        queue: Mutex::new((queue, 1)),
-        pending: AtomicUsize::new(1),
+    // pieces resident too. Two threads fill at most two node arrays.
+    let build = Build {
+        grain: prims.len() / FRONTIER,
+        scan_every_node,
+        next_id: AtomicUsize::new(1),
         built: Mutex::new(Vec::with_capacity(8 * FRONTIER)),
-        buffers: Mutex::new(
-            (0..2)
-                .map(|_| Some(Vec::with_capacity(prims.len() * 2)))
-                .collect(),
-        ),
+        buffers: [(); 2].map(|()| Mutex::new(Vec::with_capacity(prims.len() * 2))),
     };
-    let work = || {
-        let (at, mut buffer) = {
-            let buffers = &mut *lock(&pool.buffers);
-            match buffers.iter().position(Option::is_some) {
-                Some(at) => (at, buffers[at].take().unwrap_or_default()),
-                None => {
-                    buffers.push(None);
-                    (buffers.len() - 1, Vec::new())
-                }
-            }
-        };
-        while pool.pending.load(Ordering::Acquire) > 0 {
-            let task = {
-                let (queue, _) = &mut *lock(&pool.queue);
-                let largest = (0..queue.len()).max_by_key(|&i| queue[i].records.len());
-                largest.map(|i| queue.swap_remove(i))
-            };
-            match task {
-                Some(task) => {
-                    // Counted out even if it panics, so the other thread
-                    // stops and the panic reaches the caller.
-                    let _done = CountOut(&pool.pending);
-                    let built = task.run(grain, scan_every_node, &pool, (at, &mut buffer));
-                    lock(&pool.built).push(built);
-                }
-                // The other thread is splitting what is left.
-                None => std::thread::yield_now(),
-            }
-        }
-        lock(&pool.buffers)[at] = Some(buffer);
-    };
-    lend(
-        &mut |start| {
-            start();
-            work();
+    share(
+        vec![root],
+        |task| task.records.len(),
+        |task, queue| {
+            let built = build.run(task, queue);
+            lock(&build.built).push(built);
         },
-        &work,
+        lend,
     );
-    let mut built: Vec<Option<Built>> = Vec::new();
-    for (id, subtree) in pool
+    let mut built = build
         .built
         .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        if built.len() <= id {
-            built.resize_with(id + 1, || None);
-        }
-        built[id] = Some(subtree);
-    }
-    let buffers: Vec<Vec<FlatNode>> = (pool.buffers.into_inner())
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(Option::unwrap_or_default)
-        .collect();
+        .unwrap_or_else(PoisonError::into_inner);
+    // Every id below `next_id` was laid out once: sorted, an id indexes it.
+    built.sort_unstable_by_key(|&(id, _)| id);
+    let buffers = build
+        .buffers
+        .map(|b| b.into_inner().unwrap_or_else(PoisonError::into_inner));
     // The records go before the copy, whose array can take their place.
     let order = info.iter().map(|p| p.index).collect();
     drop((info, tags));
-    let count = built.iter().flatten().map(Built::node_count).sum();
+    let count = built.iter().map(|(_, subtree)| subtree.node_count()).sum();
     let mut nodes = Vec::with_capacity(count);
-    stitch(&mut built, &buffers, 0, &mut nodes);
+    stitch(&built, &buffers, 0, &mut nodes);
     Bvh::new(nodes, order)
-}
-
-/// Counts a subtree out of [`Pool::pending`] when dropped.
-struct CountOut<'p>(&'p AtomicUsize);
-
-impl Drop for CountOut<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// The lock of the lent build's shared state, whatever a panic left in it.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The tree over no primitive: one empty leaf.
@@ -315,18 +260,18 @@ fn records(prims: &[Primitive]) -> Option<Vec<PrimInfo>> {
     })
 }
 
-/// What the lent build's threads share.
-struct Pool<'a> {
-    /// The subtrees to lay out, and the next free subtree id.
-    queue: Mutex<(Vec<Task<'a>>, usize)>,
-    /// Subtrees queued or being laid out: the build is done at zero. A
-    /// split adds its children before it counts itself out.
-    pending: AtomicUsize,
+/// What the lent build's threads share beside the subtree queue.
+struct Build {
+    /// Subtrees over at most this many primitives are built whole.
+    grain: usize,
+    scan_every_node: bool,
+    /// The next free subtree id.
+    next_id: AtomicUsize,
     /// Each laid-out subtree, by id, in the order they were finished.
     built: Mutex<Vec<(usize, Built)>>,
-    /// A node array per thread, which it builds its whole subtrees into one
-    /// after another; taken while the thread runs.
-    buffers: Mutex<Vec<Option<Vec<FlatNode>>>>,
+    /// The node arrays whole subtrees are built into, one after another,
+    /// each by one thread at a time.
+    buffers: [Mutex<Vec<FlatNode>>; 2],
 }
 
 /// A subtree the lent build has yet to lay out: the serial builder's call
@@ -343,6 +288,7 @@ struct Task<'a> {
 }
 
 /// A subtree as the lent build laid it out.
+#[derive(Clone, Copy)]
 enum Built {
     /// Built whole by the serial builder, as nodes `start..start + len` of
     /// node array `buffer`: links count from its first node.
@@ -369,17 +315,11 @@ impl Built {
     }
 }
 
-impl<'a> Task<'a> {
-    /// Builds the subtree whole at the end of node array `buffer` (with its
-    /// index) if it holds at most `grain` primitives, or else splits its
-    /// root and queues the two children in `pool`.
-    fn run(
-        self,
-        grain: usize,
-        scan_every_node: bool,
-        pool: &Pool<'a>,
-        (at, buffer): (usize, &mut Vec<FlatNode>),
-    ) -> (usize, Built) {
+impl Build {
+    /// Lays out `task`: whole, at the end of whichever node array the other
+    /// thread is not filling, if it holds at most `grain` primitives or is
+    /// a leaf, or else as its split root, queueing the two children.
+    fn run<'a>(&self, task: Task<'a>, queue: &dyn Fn(Task<'a>)) -> (usize, Built) {
         let Task {
             id,
             offset,
@@ -387,62 +327,59 @@ impl<'a> Task<'a> {
             boxes,
             records,
             tags,
-        } = self;
+        } = task;
         let len = records.len();
-        if len <= grain {
-            let start = buffer.len();
-            let nodes = std::mem::take(buffer);
-            let mut builder = Builder::new(nodes, records, tags, offset, scan_every_node);
-            builder.build(0..len, depth, boxes);
-            *buffer = builder.nodes;
-            let whole = Built::Whole {
-                buffer: at,
-                start,
-                len: buffer.len() - start,
-            };
-            return (id, whole);
-        }
-        let mut builder = Builder::new(Vec::new(), records, tags, offset, scan_every_node);
-        let bounds = boxes.bounds.aabb();
+        let mut builder = Builder::new(Vec::new(), records, tags, offset, self.scan_every_node);
+        // A leaf's split returns before it reorders anything.
+        let split = if len > self.grain {
+            builder.split(0..len, depth, &boxes)
+        } else {
+            Split::Leaf
+        };
         let Split::Interior {
             axis,
             mid,
             left,
             right,
-        } = builder.split(0..len, depth, &boxes)
+        } = split
         else {
-            let start = buffer.len();
-            buffer.push(builder.leaf(bounds, &(0..len)));
-            let leaf = Built::Whole {
-                buffer: at,
-                start,
-                len: 1,
+            let (buffer, mut nodes) = match self.buffers[0].try_lock() {
+                Ok(nodes) => (0, nodes),
+                Err(_) => (1, lock(&self.buffers[1])),
             };
-            return (id, leaf);
+            let start = nodes.len();
+            let mut builder = Builder {
+                base: start,
+                nodes: std::mem::take(&mut *nodes),
+                ..builder
+            };
+            builder.build(0..len, depth, boxes);
+            *nodes = builder.nodes;
+            let len = nodes.len() - start;
+            return (id, Built::Whole { buffer, start, len });
         };
         let Builder { info, tags, .. } = builder;
         let (left_records, right_records) = info.split_at_mut(mid);
         let (left_tags, right_tags) = tags.split_at_mut(mid);
-        let (queue, next) = &mut *lock(&pool.queue);
-        let children = [*next, *next + 1];
-        *next += 2;
-        pool.pending.fetch_add(2, Ordering::AcqRel);
-        queue.push(Task {
-            id: children[0],
+        let first = self.next_id.fetch_add(2, Ordering::Relaxed);
+        queue(Task {
+            id: first,
             offset,
             depth: depth + 1,
             boxes: left,
             records: left_records,
             tags: left_tags,
         });
-        queue.push(Task {
-            id: children[1],
+        queue(Task {
+            id: first + 1,
             offset: offset + mid,
             depth: depth + 1,
             boxes: right,
             records: right_records,
             tags: right_tags,
         });
+        let bounds = boxes.bounds.aabb();
+        let children = [first, first + 1];
         (
             id,
             Built::Split {
@@ -456,30 +393,29 @@ impl<'a> Task<'a> {
 
 /// Lays out subtree `id` and its descendants depth-first at the end of
 /// `nodes`, taking whole subtrees from `buffers`; returns its root's node
-/// index.
+/// index. `built` holds every subtree with its id, in id order.
 fn stitch(
-    built: &mut [Option<Built>],
+    built: &[(usize, Built)],
     buffers: &[Vec<FlatNode>],
     id: usize,
     nodes: &mut Vec<FlatNode>,
 ) -> u32 {
     let index = nodes.len() as u32;
-    match built[id].take() {
-        Some(Built::Whole { buffer, start, len }) => {
+    match built[id].1 {
+        Built::Whole { buffer, start, len } => {
             let subtree = &buffers[buffer][start..start + len];
             nodes.extend(subtree.iter().map(|node| node.shifted(index)));
         }
-        Some(Built::Split {
+        Built::Split {
             bounds,
             axis,
             children: [left, right],
-        }) => {
+        } => {
             nodes.push(FlatNode::leaf(bounds, 0, 0));
             stitch(built, buffers, left, nodes);
             let right = stitch(built, buffers, right, nodes);
             nodes[index as usize] = FlatNode::interior(bounds, right, axis);
         }
-        None => {}
     }
     index
 }

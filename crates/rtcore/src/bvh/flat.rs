@@ -308,9 +308,10 @@ impl Bvh {
     /// `lend(main, help)` must call `main(start)` on the calling thread and
     /// return once it and any helper have returned; `start()` may run `help`
     /// on another thread (the shape of `gpusim::Simulator::run_helped`'s
-    /// lender). The top of the tree is split serially into subtrees that
-    /// both threads then claim one at a time, so a `start` that runs nothing
-    /// only loses the speed.
+    /// lender). Both threads run one claim loop over a queue of subtrees,
+    /// largest first: each splits a large subtree one node and queues its
+    /// two children, or builds a small one whole, so a `start` that runs
+    /// nothing only loses the speed.
     ///
     /// # Panics
     ///

@@ -452,10 +452,11 @@ pub fn render(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> I
 ///
 /// Each traced value is the work that pixel's first sample does in a
 /// simulation at any spp.
+///
+/// The frame is profiled in row bands, [`profile_costs_lent`]'s with a
+/// lender that never starts its helper.
 pub fn profile_costs(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> CostMap {
-    let mut costs = CostMap::new(width, height);
-    profile_band(scene, width, height, &config.profiled(), 0, &mut costs.work);
-    costs
+    profile_costs_lent(scene, width, height, config, |main, _| main(&|| ()))
 }
 
 /// Row bands [`profile_costs_lent`] splits a frame into, at most.
@@ -466,7 +467,7 @@ const PROFILE_BANDS: u32 = 16;
 /// a spare thread (`lend` as in [`crate::bvh::Bvh::build_lent`]).
 ///
 /// Bands start at even rows, so each holds whole row pairs and the
-/// checkerboard is the one pass's; the last band takes the unpaired last
+/// checkerboard is one pass's; the last band takes the unpaired last
 /// row of an odd height. Each pixel's trace draws from its own
 /// `Pcg::for_index` stream, so a value does not depend on which thread
 /// traced it or when.
@@ -490,7 +491,8 @@ pub fn profile_costs_lent(
         .collect();
     crate::lend::share(
         bands,
-        |(y, work)| profile_band(scene, width, height, &config, y, work),
+        |(_, work)| work.len(),
+        |(y, work), _| profile_band(scene, width, height, &config, y, work),
         lend,
     );
     costs
@@ -733,6 +735,33 @@ mod tests {
         }
     }
 
+    /// The profile as one pass over the frame: every row pair, then the
+    /// unpaired last row of an odd height.
+    fn one_pass_profile(scene: &Scene, width: u32, height: u32, config: &TraceConfig) -> CostMap {
+        let config = config.profiled();
+        let mut costs = CostMap::new(width, height);
+        let traced = |x, y| {
+            trace_pixel(scene, x, y, width, height, &config)
+                .stats
+                .work()
+        };
+        let row = width as usize;
+        for (y, rows) in (0..).step_by(2).zip(costs.work.chunks_mut(2 * row)) {
+            if rows.len() == 2 * row {
+                let (upper, lower) = rows.split_at_mut(row);
+                for (x, (upper, lower)) in (0..).zip(upper.iter_mut().zip(lower)) {
+                    let w = traced(x, y + x % 2);
+                    (*upper, *lower) = (w, w);
+                }
+            } else {
+                for (x, value) in (0..).zip(rows) {
+                    *value = traced(x, y);
+                }
+            }
+        }
+        costs
+    }
+
     #[test]
     fn the_banded_profile_is_the_one_pass_profile() {
         let scene = test_scene();
@@ -742,7 +771,11 @@ mod tests {
             seed: 9,
         };
         for (width, height) in [(1, 1), (7, 1), (6, 2), (7, 3), (6, 34), (7, 35), (5, 67)] {
-            let want = profile_costs(&scene, width, height, &cfg);
+            let want = one_pass_profile(&scene, width, height, &cfg);
+            assert!(
+                profile_costs(&scene, width, height, &cfg) == want,
+                "{width}x{height}"
+            );
             for (name, lend) in crate::lend::tests::lenders() {
                 let got = profile_costs_lent(&scene, width, height, &cfg, lend);
                 assert!(got == want, "{width}x{height}, {name}");

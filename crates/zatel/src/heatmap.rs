@@ -8,7 +8,7 @@ use minijson::JsonError;
 use rtcore::image::Image;
 use rtcore::math::Vec3;
 use rtcore::scene::Scene;
-use rtcore::tracer::{profile_costs, profile_costs_lent, CostMap, TraceConfig};
+use rtcore::tracer::{profile_costs, CostMap, TraceConfig};
 
 /// The NVIDIA shader-profiling heat gradient, approximated by five stops
 /// from cold (dark blue) to hot (red).
@@ -144,19 +144,6 @@ impl Heatmap {
     /// one frame shares one heatmap.
     pub fn profile(scene: &Scene, width: u32, height: u32, trace: &TraceConfig) -> Self {
         Self::from_costs(&profile_costs(scene, width, height, trace))
-    }
-
-    /// [`Heatmap::profile`] with a lent thread: the same heatmap, profiled
-    /// in row bands on the calling thread and the one `lend` lends
-    /// ([`profile_costs_lent`]).
-    pub(crate) fn profile_lent(
-        scene: &Scene,
-        width: u32,
-        height: u32,
-        trace: &TraceConfig,
-        lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
-    ) -> Self {
-        Self::from_costs(&profile_costs_lent(scene, width, height, trace, lend))
     }
 
     /// A decoded heatmap (the on-disk artifact cache) holds one value per

@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use minijson::{FromJson, ToJson, Value};
 use rtcore::fingerprint::Fnv64;
 use rtcore::scene::Scene;
-use rtcore::tracer::TraceConfig;
+use rtcore::tracer::{profile_costs_lent, TraceConfig};
 
 use crate::heatmap::Heatmap;
 use crate::sim_executor::Worker;
@@ -574,17 +574,15 @@ impl Stage for HeatmapStage {
 }
 
 impl HeatmapStage {
-    /// [`Stage::run`] as the job of `worker`: profiled in row bands on it
-    /// and on its spare worker when the pool lends it one
-    /// ([`Heatmap::profile_lent`], the same heatmap), else on it alone.
+    /// [`Stage::run`] as the job of `worker`: the same heatmap, profiled in
+    /// row bands on it and on its spare worker when the pool lends it one
+    /// ([`profile_costs_lent`] under [`Worker::join`]), else on it alone.
     pub(crate) fn run_on(&self, scene: &Scene, worker: Worker) -> Heatmap {
-        if !worker.has_spare() {
-            return self.run(scene);
-        }
-        let lend = |main: &mut dyn FnMut(&dyn Fn()), help: &(dyn Fn() + Sync)| {
+        let (width, height) = (self.width, self.height);
+        let costs = profile_costs_lent(scene, width, height, &self.trace, |main, help| {
             worker.join(main, help);
-        };
-        Heatmap::profile_lent(scene, self.width, self.height, &self.trace, lend)
+        });
+        Heatmap::from_costs(&costs)
     }
 }
 
