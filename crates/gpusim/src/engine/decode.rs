@@ -14,20 +14,24 @@
 //!
 //! A helped run ([`Simulator::run_helped`](crate::Simulator::run_helped))
 //! shares its warp slots ([`WarpSlots`]) with a second thread, the helper
-//! ([`WarpSlots::help`]), which gathers each warp's phases ahead into its
-//! slot's ring: a single-producer, single-consumer ring of 32-bit words
+//! ([`WarpSlots::help`]). Each warp has one owner. The commit loop gathers
+//! its own warps inline with no lock, from the [`Decoder`]'s table. The
+//! helper gathers its warps' phases ahead into each slot's ring: a
+//! single-producer, single-consumer ring of 32-bit words
 //! ([`PhaseMix::put_words`]) that the commit loop reads in place, without a
-//! lock ([`RingPhase`]). The helper owns a warp from its launch: the commit
-//! loop launches the lanes and queues the slot, and the helper fills its
-//! ring, then refills it each time the commit loop queues the slot as
-//! running low. The commit loop gathers inline, under the slot's lock, when
-//! it finds the ring empty, and takes the warp back — to gather it with no
-//! lock — when it finds it empty twice running after the helper served it;
-//! it hands a warp back when the helper idles. It never waits for a phase, and each warp's phase
-//! stream is the same whichever thread gathered which phase.
+//! lock ([`RingPhase`]). Every warp is the commit loop's until the run
+//! shares; sharing hands each resident warp to the helper, which from then
+//! on owns each warp from its launch: the commit loop launches the lanes
+//! and queues the slot, and the helper fills its ring, then refills it each
+//! time the commit loop queues the slot as running low. The commit loop
+//! gathers inline, under the slot's lock, when it finds the ring empty, and
+//! takes the warp back when it finds it empty twice running after the
+//! helper served it; it hands a warp back when the helper idles. It never
+//! waits for a phase, and each warp's phase stream is the same whichever
+//! thread gathered which phase.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::config::GpuConfig;
 use crate::workload::{word, PhaseMix, Ring, RingPhase, WarpProgram, Workload, RING_WORDS};
@@ -60,20 +64,23 @@ const ALONE_PHASES_PER_WARP: u64 = 16;
 /// it, so the commit loop usually reads that phase instead.
 const SPINS: u32 = 1 << 16;
 
+/// A warp slot's program, if it holds one.
+type Program<'w> = Option<Box<dyn WarpProgram + 'w>>;
+
 /// One warp slot as the helper sees it, locked while either thread uses it.
+#[derive(Default)]
 struct Warp<'w> {
-    /// The program of a warp the helper owns: from its launch, until the
-    /// commit loop takes it back from a ring the helper lets run dry, and
-    /// again once the commit loop hands it back to an idle helper.
-    program: Option<Box<dyn WarpProgram + 'w>>,
+    /// The program of a warp the helper owns: from its hand-over, until the
+    /// commit loop takes it back from a ring the helper lets run dry.
+    program: Program<'w>,
     /// A gather came back empty: every lane has exited, and nothing is
     /// gathered again until the slot's next launch.
     exhausted: bool,
 }
 
-/// What a helped run's commit loop shares with its helper: built in one
-/// go by the commit loop when it shares its slots, for the slots the grid
-/// fills, and indexed `sm * slots_per_sm + slot`.
+/// What a helped run's commit loop shares with its helper: built before
+/// the run, for the slots the grid fills, indexed `sm * slots_per_sm +
+/// slot`. It holds no warp until the run shares its slots.
 struct Shared<'w> {
     warps: Box<[Mutex<Warp<'w>>]>,
     /// Each slot's ring, one bounded block.
@@ -101,8 +108,8 @@ struct Shared<'w> {
     /// Phases too large for their ring's free words, or with a count or
     /// line wider than a word, with their slot, oldest first.
     spilled: Mutex<Vec<(usize, PhaseMix)>>,
-    /// The helper's working state, built with the rest on the commit
-    /// loop's thread: the helper allocates only what its lanes' rays need.
+    /// The helper's working state, built with the rest before the run:
+    /// the helper allocates only what its lanes' rays need.
     helper: Mutex<Helper>,
     /// Raised while the helper finds no ring to fill; the commit loop takes
     /// it down when it hands the helper the next warp it gathers. So a
@@ -112,30 +119,9 @@ struct Shared<'w> {
     idle: AtomicBool,
 }
 
-impl<'w> Shared<'w> {
-    /// Takes over the programs of an unshared run, `[sm][slot]`, and a
-    /// ring per slot.
-    fn new(
-        programs: Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>,
-        rings: Box<[Ring]>,
-        slots_per_sm: usize,
-        config: &GpuConfig,
-    ) -> Self {
-        let warps: Box<[_]> = programs
-            .into_iter()
-            .flat_map(|list| {
-                let vacant = slots_per_sm - list.len();
-                list.into_iter()
-                    .chain(std::iter::repeat_with(|| None).take(vacant))
-            })
-            .map(|program| {
-                Mutex::new(Warp {
-                    program,
-                    exhausted: false,
-                })
-            })
-            .collect();
-        let slots = warps.len();
+impl Shared<'_> {
+    /// `slots` empty warp slots, each with its ring.
+    fn new(slots: usize, config: &GpuConfig) -> Self {
         let atomics = |len: usize| (0..len).map(|_| AtomicU32::new(0)).collect();
         let mut phase = PhaseMix::new(config.l1d.line_bytes);
         phase.reserve(2 * config.warp_size as usize);
@@ -144,9 +130,11 @@ impl<'w> Shared<'w> {
             heads: vec![0; slots],
             taken: 0,
         };
-        debug_assert_eq!(rings.len(), slots);
         Shared {
-            rings,
+            warps: (0..slots).map(|_| Mutex::default()).collect(),
+            rings: (0..slots)
+                .map(|_| std::array::from_fn(|_| AtomicU32::new(0)))
+                .collect(),
             tails: atomics(slots),
             heads: atomics(slots),
             wanted: (0..slots).map(|_| AtomicBool::new(false)).collect(),
@@ -155,7 +143,6 @@ impl<'w> Shared<'w> {
             spilled: Mutex::new(Vec::new()),
             helper: Mutex::new(helper),
             idle: AtomicBool::new(false),
-            warps,
         }
     }
 
@@ -253,41 +240,48 @@ fn put(ring: &Ring, at: u32, word: u32) -> u32 {
     1
 }
 
-/// The warp slots of one helped run: shared by its commit loop and the
-/// helper once the commit loop shares them.
+/// The warp slots of one helped run, built before its commit loop starts
+/// and shared by it and the helper.
 pub(crate) struct WarpSlots<'w> {
-    shared: OnceLock<Shared<'w>>,
+    shared: Shared<'w>,
     /// Set, with `Release`, once the commit loop has returned or unwound;
     /// the helper stops at its next `Acquire` load.
     ended: AtomicBool,
 }
 
-impl<'w> WarpSlots<'w> {
-    pub(crate) fn new() -> Self {
+impl WarpSlots<'_> {
+    /// A slot and a ring for each warp slot `workload`'s grid fills on
+    /// `config`.
+    pub(crate) fn new(workload: &dyn Workload, config: &GpuConfig) -> Self {
+        let slots = config.num_sms as usize * slots_per_sm(workload, config);
         WarpSlots {
-            shared: OnceLock::new(),
+            shared: Shared::new(slots, config),
             ended: AtomicBool::new(false),
         }
     }
 
     /// Marks the run ended when dropped, also while the commit loop
     /// unwinds, so [`WarpSlots::help`] returns.
-    pub(crate) fn end_on_drop(&self) -> RunEnd<'_, 'w> {
-        RunEnd(self)
+    pub(crate) fn end_on_drop(&self) -> RunEnd<'_> {
+        RunEnd(&self.ended)
     }
 
-    /// The helper: waits for the commit loop to share its slots, then fills
-    /// the rings it asks for until the run ends. An idle helper reads a
-    /// flag and a counter, so it notices work and the end of the run at
-    /// once without taking a lock the commit loop uses.
+    /// The helper: fills the rings the commit loop asks for until the run
+    /// ends; it asks for none before it shares its slots. An idle helper
+    /// reads a flag and a counter, so it notices work and the end of the
+    /// run at once without taking a lock the commit loop uses.
     pub(crate) fn help(&self) {
-        while !self.ended.load(Ordering::Acquire) {
-            if let Some(shared) = self.shared.get() {
-                return shared.help(&self.ended);
-            }
-            std::thread::yield_now();
-        }
+        self.shared.help(&self.ended);
     }
+}
+
+/// Warp slots per SM that `workload`'s grid fills on `config`: the warps
+/// dealt to the first SM, or every slot.
+fn slots_per_sm(workload: &dyn Workload, config: &GpuConfig) -> usize {
+    let warps = workload.thread_count().div_ceil(config.warp_size as u64);
+    warps
+        .div_ceil(u64::from(config.num_sms))
+        .min(u64::from(config.max_warps_per_sm)) as usize
 }
 
 /// The helper's working state.
@@ -301,21 +295,17 @@ struct Helper {
 }
 
 /// Ends a helped run when dropped ([`WarpSlots::end_on_drop`]).
-pub(crate) struct RunEnd<'a, 'w>(&'a WarpSlots<'w>);
+pub(crate) struct RunEnd<'a>(&'a AtomicBool);
 
-impl Drop for RunEnd<'_, '_> {
+impl Drop for RunEnd<'_> {
     fn drop(&mut self) {
-        self.0.ended.store(true, Ordering::Release);
+        self.0.store(true, Ordering::Release);
     }
 }
 
 /// The commit loop's side of shared slots.
 struct Commit<'a, 'w> {
     shared: &'a Shared<'w>,
-    /// Per slot, the program of a warp the commit loop has taken back from
-    /// the helper, gathered here without a lock; or the storage a warp that
-    /// retired here leaves to its backfill.
-    mine: Vec<Option<Box<dyn WarpProgram + 'w>>>,
     /// Per slot, the commit loop has read a phase of the warp from its
     /// ring since the helper was given the warp.
     served: Vec<bool>,
@@ -414,14 +404,20 @@ impl<'a, 'w> Commit<'a, 'w> {
         Some(self.lock(slot))
     }
 
-    /// Hands the warp the commit loop gathers in `slot` to the helper.
+    /// Gives the helper the warp in `slot` and queues the slot: `give`
+    /// puts the warp's program in the slot, under its lock.
     #[cold]
-    fn hand_over(&mut self, slot: usize) {
-        let program = self.mine[slot].take();
+    fn hand_over(&mut self, slot: usize, give: impl FnOnce(&mut Program<'w>)) {
         let mut warp = self.lock(slot);
-        warp.program = program;
+        debug_assert_eq!(
+            self.shared.tails[slot].load(Ordering::Relaxed),
+            self.shared.heads[slot].load(Ordering::Relaxed),
+            "a warp is handed over with its slot's ring read to the end"
+        );
+        give(&mut warp.program);
         warp.exhausted = false;
         drop(warp);
+        self.dry[slot] = false;
         self.served[slot] = false;
         self.want(slot);
     }
@@ -453,22 +449,15 @@ impl<'a, 'w> Commit<'a, 'w> {
         }
     }
 
-    /// [`Decoder::next_phase`] once the run shares its slots: the phase at
-    /// the head of `slot`'s ring, or one gathered into `phase` when the
-    /// ring is empty.
-    fn next_phase<'p>(&'p mut self, slot: usize, phase: &'p mut PhaseMix) -> Option<Phase<'p>> {
-        if let Some(program) = &mut self.mine[slot] {
-            phase.clear();
-            program.gather(phase);
-            if phase.is_empty() {
-                return None;
-            }
-            let idle = &self.shared.idle;
-            if idle.load(Ordering::Relaxed) && idle.swap(false, Ordering::Relaxed) {
-                self.hand_over(slot);
-            }
-            return Some(Phase::Mix(phase));
-        }
+    /// [`Decoder::next_phase`] for a warp the helper owns: the phase at the
+    /// head of `slot`'s ring, or one gathered into `phase` when the ring is
+    /// empty; a warp taken back goes to `mine`.
+    fn next_phase<'p>(
+        &'p mut self,
+        slot: usize,
+        phase: &'p mut PhaseMix,
+        mine: &mut Program<'w>,
+    ) -> Option<Phase<'p>> {
         let shared = self.shared;
         // Only this thread stores it.
         let head = shared.heads[slot].load(Ordering::Relaxed);
@@ -492,7 +481,7 @@ impl<'a, 'w> Commit<'a, 'w> {
                 // its lanes stay in this core's cache. Once is a hiccup, and
                 // a warp the helper has not got to yet stays its own.
                 if std::mem::replace(&mut self.dry[slot], true) && self.served[slot] {
-                    self.mine[slot] = warp.program.take();
+                    *mine = warp.program.take();
                     self.dry[slot] = false;
                 }
                 return Some(Phase::Mix(phase));
@@ -543,28 +532,24 @@ impl<'a, 'w> Commit<'a, 'w> {
 /// [`Decoder::next_phase`] per wake-up event until it returns `None`.
 ///
 /// A run starts alone. In a helped run, once the commit loop has gathered
-/// [`ALONE_PHASES_PER_WARP`] phases per warp of the grid's first wave, the
-/// programs move into the shared slots and the helper starts; a shorter run
+/// [`ALONE_PHASES_PER_WARP`] phases per warp of the grid's first wave, it
+/// hands every resident warp to the helper and starts it; a shorter run
 /// never shares.
 pub(crate) struct Decoder<'a, 'w> {
     workload: &'w dyn Workload,
-    config: &'a GpuConfig,
-    /// The warp programs while no other thread sees them, indexed
-    /// `[sm][slot]`; emptied when the run shares its slots. Slots are dense
-    /// and stable: a retired warp's slot, storage included, is reused by
-    /// its backfill, and emptied by [`Decoder::on_vacate`] when none comes.
-    warps: Vec<Vec<Option<Box<dyn WarpProgram + 'w>>>>,
+    /// The programs the commit loop gathers with no lock, indexed
+    /// `sm * slots_per_sm + slot`: every warp until the run shares its
+    /// slots, and after that each warp it takes back from the helper. Slots
+    /// are dense and stable: a retired warp's slot, storage included, is
+    /// reused by its backfill, and emptied by [`Decoder::on_vacate`] when
+    /// none comes.
+    mine: Vec<Program<'w>>,
     /// The shared slots, once the run has shared them.
     commit: Option<Commit<'a, 'w>>,
     /// A helped run's shared slots and what starts its helper, until the
     /// run shares them.
     helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
-    /// A helped run's rings, one per slot the grid fills, allocated with
-    /// the engine rather than mid-run, once the memory model's tables have
-    /// grown; they move into the shared slots.
-    rings: Option<Box<[Ring]>>,
-    /// Warp slots per SM the grid fills: the warps dealt to the first SM,
-    /// or every slot.
+    /// Warp slots per SM the grid fills.
     slots_per_sm: usize,
     /// Phases a helped run gathers alone before it shares its slots.
     alone: u64,
@@ -578,24 +563,17 @@ impl<'a, 'w> Decoder<'a, 'w> {
     /// [`Decoder::helper`].
     pub(crate) fn new(
         workload: &'w dyn Workload,
-        config: &'a GpuConfig,
+        config: &GpuConfig,
         helper: Option<(&'a WarpSlots<'w>, &'a dyn Fn())>,
     ) -> Self {
-        let num_sms = config.num_sms as usize;
         let warps = workload.thread_count().div_ceil(config.warp_size as u64);
-        let slots_per_sm = warps
-            .div_ceil(num_sms as u64)
-            .min(config.max_warps_per_sm as u64) as usize;
+        let slots_per_sm = slots_per_sm(workload, config);
         Decoder {
             workload,
-            config,
-            warps: (0..num_sms).map(|_| Vec::new()).collect(),
+            mine: (0..config.num_sms as usize * slots_per_sm)
+                .map(|_| None)
+                .collect(),
             commit: None,
-            rings: helper.map(|_| {
-                (0..num_sms * slots_per_sm)
-                    .map(|_| std::array::from_fn(|_| AtomicU32::new(0)))
-                    .collect()
-            }),
             helper,
             slots_per_sm,
             alone: ALONE_PHASES_PER_WARP
@@ -607,116 +585,105 @@ impl<'a, 'w> Decoder<'a, 'w> {
     /// The warp covering threads `[first_thread, first_thread + lanes)`
     /// was launched into `slot` on `sm`: a fresh slot, or one whose warp
     /// has retired. Its lanes are launched here, on the commit loop's
-    /// thread; a shared slot is then queued for the helper.
+    /// thread; once the run shares its slots, the warp is then the
+    /// helper's. Once per warp: out of line, the commit loop stays small.
+    #[inline(never)]
     pub(crate) fn on_launch(&mut self, sm: usize, slot: usize, first_thread: u64, lanes: u32) {
+        let slot = sm * self.slots_per_sm + slot;
         let workload = self.workload;
-        if let Some(commit) = &mut self.commit {
-            let slot = sm * self.slots_per_sm + slot;
-            let mine = commit.mine[slot].take();
-            commit.dry[slot] = false;
-            commit.served[slot] = false;
-            let mut warp = commit.lock(slot);
-            debug_assert_eq!(
-                commit.shared.tails[slot].load(Ordering::Relaxed),
-                commit.shared.heads[slot].load(Ordering::Relaxed),
-                "a retired warp's ring is read to its end"
-            );
-            warp.exhausted = false;
-            warp.program
+        let mine = &mut self.mine[slot];
+        let Some(commit) = &mut self.commit else {
+            return mine
+                .get_or_insert_with(|| workload.warp_program())
+                .launch(first_thread, lanes);
+        };
+        // The retired warp's storage is here or in the shared slot.
+        let mine = mine.take();
+        commit.hand_over(slot, |program| {
+            program
                 .get_or_insert_with(|| mine.unwrap_or_else(|| workload.warp_program()))
                 .launch(first_thread, lanes);
-            drop(warp);
-            return commit.want(slot);
-        }
-        let slots = &mut self.warps[sm];
-        if slot == slots.len() {
-            slots.push(None);
-        }
-        slots[slot]
-            .get_or_insert_with(|| workload.warp_program())
-            .launch(first_thread, lanes);
+        });
     }
 
     /// The warp in `(sm, slot)` has retired and no warp is left to backfill
     /// it: its storage goes back to the allocator now rather than at the end
     /// of the run, while the memory model's tables are still growing.
     pub(crate) fn on_vacate(&mut self, sm: usize, slot: usize) {
-        match &mut self.commit {
-            Some(commit) => {
-                let slot = sm * self.slots_per_sm + slot;
-                commit.mine[slot] = None;
-                commit.lock(slot).program = None;
-            }
-            None => self.warps[sm][slot] = None,
+        let slot = sm * self.slots_per_sm + slot;
+        self.mine[slot] = None;
+        if let Some(commit) = &self.commit {
+            commit.lock(slot).program = None;
         }
     }
 
     /// The next phase of the warp resident in `(sm, slot)`, gathered and
-    /// categorized here — or, once the run shares its slots, read from the
+    /// categorized here — or, for a warp the helper owns, read from the
     /// slot's ring — or `None` once every lane has exited: the warp retires.
     /// Never called again for a warp after it returned `None`.
     pub(crate) fn next_phase(&mut self, sm: usize, slot: usize) -> Option<Phase<'_>> {
-        if self.commit.is_some() {
-            return self.next_shared(sm * self.slots_per_sm + slot);
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
-        )]
-        let warp = self.warps[sm][slot]
-            .as_mut()
-            .expect("phase for a vacant warp slot");
+        let slot = sm * self.slots_per_sm + slot;
+        let Some(program) = &mut self.mine[slot] else {
+            return self.next_shared(slot);
+        };
         self.phase.clear();
-        warp.gather(&mut self.phase);
+        program.gather(&mut self.phase);
         if self.phase.is_empty() {
             return None;
         }
-        // Only a gathered phase counts: the warp of the gather that shares
-        // the slots is live, and every other resident warp is too, as the
-        // engine backfills or vacates a slot as soon as its warp retires.
-        if self.helper.is_some() {
-            self.alone -= 1;
-            if self.alone == 0 {
-                self.share();
+        match &mut self.commit {
+            // Only a gathered phase counts: the warp of the gather that
+            // shares the slots is live, and every other resident warp is
+            // too, as the engine backfills or vacates a slot as soon as its
+            // warp retires.
+            None if self.helper.is_some() => {
+                self.alone -= 1;
+                if self.alone == 0 {
+                    self.share();
+                }
+            }
+            None => {}
+            Some(commit) => {
+                let idle = &commit.shared.idle;
+                if idle.load(Ordering::Relaxed) && idle.swap(false, Ordering::Relaxed) {
+                    let program = self.mine[slot].take();
+                    commit.hand_over(slot, |warp| *warp = program);
+                }
             }
         }
         Some(Phase::Mix(&self.phase))
     }
 
-    /// [`Decoder::next_phase`] once the run shares its slots, out of line so
-    /// that an unshared run's stays small.
+    /// [`Decoder::next_phase`] for a warp the helper owns, out of line so
+    /// that the commit loop's own gather stays small.
     #[inline(never)]
     fn next_shared(&mut self, slot: usize) -> Option<Phase<'_>> {
-        let phase = &mut self.phase;
-        self.commit
-            .as_mut()
-            .and_then(|commit| commit.next_phase(slot, phase))
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: next_phase is only called for slots the engine launched into and never after retirement"
+        )]
+        let commit = self.commit.as_mut().expect("phase for a vacant warp slot");
+        commit.next_phase(slot, &mut self.phase, &mut self.mine[slot])
     }
 
-    /// Moves the warp programs into the shared slots, queues every resident
-    /// warp for the helper and starts it.
+    /// Hands every resident warp to the helper, in slot order, and starts
+    /// it.
     #[cold]
     fn share(&mut self) {
         let Some((slots, start)) = self.helper.take() else {
             return;
         };
-        let programs = std::mem::take(&mut self.warps);
-        let rings = self.rings.take().unwrap_or_default();
-        let shared = slots
-            .shared
-            .get_or_init(|| Shared::new(programs, rings, self.slots_per_sm, self.config));
-        let slots = shared.warps.len();
+        let count = self.mine.len();
         let mut commit = Commit {
-            shared,
-            mine: (0..slots).map(|_| None).collect(),
-            served: vec![false; slots],
-            dry: vec![false; slots],
-            tails: vec![0; slots],
+            shared: &slots.shared,
+            served: vec![false; count],
+            dry: vec![false; count],
+            tails: vec![0; count],
             requested: 0,
         };
-        for slot in 0..slots {
-            if commit.lock(slot).program.is_some() {
-                commit.want(slot);
+        for (slot, mine) in self.mine.iter_mut().enumerate() {
+            if let Some(program) = mine.take() {
+                commit.hand_over(slot, |warp| *warp = Some(program));
             }
         }
         self.commit = Some(commit);
@@ -834,13 +801,13 @@ mod tests {
     /// when 0); the helper reads as idle before every `idle_every`-th.
     fn drive(w: &ScriptedWorkload, help_every: usize, idle_every: usize) -> Drive {
         let config = one_sm();
-        let slots = WarpSlots::new();
+        let slots = WarpSlots::new(w, &config);
         let start = || ();
         let mut decoder = Decoder::new(w, &config, Some((&slots, &start)));
         if help_every > 0 {
             decoder.share();
         }
-        let shared = slots.shared.get();
+        let shared = Some(&slots.shared).filter(|_| help_every > 0);
         let mut pending = deal_warps(w.thread_count(), 32, 1).remove(0).into_iter();
         let mut resident = [true; 2];
         for slot in 0..2 {
@@ -864,7 +831,7 @@ mod tests {
                 }
                 continue;
             }
-            let mine = |d: &Decoder<'_, '_>| d.commit.as_ref().map(|c| c.mine[slot].is_some());
+            let mine = |d: &Decoder<'_, '_>| d.commit.as_ref().map(|_| d.mine[slot].is_some());
             let was_mine = mine(&decoder);
             let phase = decoder.next_phase(0, slot);
             seen.ringed += usize::from(matches!(phase, Some(Phase::Ring(_))));
@@ -930,16 +897,16 @@ mod tests {
             ],
         );
         let config = one_sm();
-        let slots = WarpSlots::new();
+        let slots = WarpSlots::new(&w, &config);
         let mut decoder = Decoder::new(&w, &config, Some((&slots, &|| ())));
         decoder.share();
-        let shared = slots.shared.get().expect("shared");
+        let shared = &slots.shared;
         let mut helper = shared.helper.lock().expect("one helper");
         let words = |slot: usize| {
             let tail = shared.tails[slot].load(Ordering::Relaxed);
             tail.wrapping_sub(shared.heads[slot].load(Ordering::Relaxed))
         };
-        let mine = |d: &Decoder<'_, '_>| d.commit.as_ref().is_some_and(|c| c.mine[0].is_some());
+        let mine = |d: &Decoder<'_, '_>| d.mine[0].is_some();
         assert!(!shared.help_step(&mut helper), "nothing launched");
         decoder.on_launch(0, 0, 0, 32);
         decoder.on_launch(0, 1, 32, 32);
@@ -991,7 +958,7 @@ mod tests {
         // Two warps of three phases each through one slot.
         let w = ScriptedWorkload::uniform(64, vec![Op::Load { addr: 0, bytes: 4 }; 3]);
         let config = one_sm();
-        let slots = WarpSlots::new();
+        let slots = WarpSlots::new(&w, &config);
         let mut decoder = Decoder::new(&w, &config, Some((&slots, &|| ())));
         let mut unshared = Decoder::new(&w, &config, None);
         // The empty gather that retires the first warp would be the last
@@ -1008,7 +975,8 @@ mod tests {
                 assert_eq!(got, want, "warp {warp}, phase {}", phases.len());
                 // A helper that is already waiting fills every queued ring
                 // before the engine gets to its backfill.
-                if let Some(shared) = slots.shared.get() {
+                if decoder.commit.is_some() {
+                    let shared = &slots.shared;
                     let mut helper = shared.helper.lock().expect("one helper");
                     while shared.help_step(&mut helper) {}
                 }
@@ -1021,14 +989,79 @@ mod tests {
     }
 
     #[test]
+    fn sharing_mid_run_hands_each_resident_warp_over_once() {
+        // Four slots, each holding a live warp of at least 12 phases when
+        // the ninth gather shares them.
+        let mut config = one_sm();
+        config.max_warps_per_sm = 4;
+        let w = uneven(narrow);
+        let slots = WarpSlots::new(&w, &config);
+        let mut decoder = Decoder::new(&w, &config, Some((&slots, &|| ())));
+        let mut unshared = Decoder::new(&w, &config, None);
+        decoder.alone = 9;
+        let shared = &slots.shared;
+        let mut helper = shared.helper.lock().expect("one helper");
+        let mut pending = deal_warps(w.thread_count(), 32, 1).remove(0).into_iter();
+        let mut launch = |decoders: [&mut Decoder<'_, '_>; 2], slot: usize| {
+            let warp = pending.next();
+            for d in decoders {
+                match warp {
+                    Some(warp) => d.on_launch(0, slot, warp.first_thread, warp.lanes),
+                    None => d.on_vacate(0, slot),
+                }
+            }
+            warp.is_some()
+        };
+        let mut resident = [true; 4];
+        for slot in 0..4 {
+            launch([&mut decoder, &mut unshared], slot);
+        }
+        let mut shared_at = None;
+        for step in 0.. {
+            let slot = step % 4;
+            if !resident[slot] {
+                if resident == [false; 4] {
+                    break;
+                }
+                continue;
+            }
+            let want = unshared.next_phase(0, slot).map(owned);
+            assert_eq!(decoder.next_phase(0, slot).map(owned), want, "step {step}");
+            if shared_at.is_none() && decoder.commit.is_some() {
+                shared_at = Some(step);
+                let requested = shared.requested.load(Ordering::Relaxed);
+                assert_eq!(requested, 4, "each resident warp queued once");
+                let queued: Vec<_> = shared
+                    .requests
+                    .iter()
+                    .map(|r| r.load(Ordering::Relaxed))
+                    .collect();
+                assert_eq!(queued, [0, 1, 2, 3], "in slot order");
+                assert!(
+                    decoder.mine.iter().all(Option::is_none),
+                    "every warp handed over"
+                );
+                while shared.help_step(&mut helper) {}
+                let filled = shared.tails.iter().all(|t| t.load(Ordering::Relaxed) > 0);
+                assert!(filled, "every ring filled");
+            }
+            shared.help_step(&mut helper);
+            if want.is_none() {
+                resident[slot] = launch([&mut decoder, &mut unshared], slot);
+            }
+        }
+        assert_eq!(shared_at, Some(8), "the ninth gather shares");
+    }
+
+    #[test]
     fn phases_are_read_in_order_from_a_wrapping_ring() {
         let w = uneven(narrow);
         let config = one_sm();
-        let slots = WarpSlots::new();
+        let slots = WarpSlots::new(&w, &config);
         let mut decoder = Decoder::new(&w, &config, Some((&slots, &|| ())));
         decoder.share();
         let mut unshared = Decoder::new(&w, &config, None);
-        let shared = slots.shared.get().expect("shared");
+        let shared = &slots.shared;
         let mut helper = shared.helper.lock().expect("one helper");
         // The last warp, the longest: 34 to 46 ops a lane.
         for d in [&mut decoder, &mut unshared] {

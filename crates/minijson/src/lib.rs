@@ -874,7 +874,8 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 /// Before the entries, `schema(S)` renders `"schema": S` first and
 /// rejects a document whose `schema` is another string, and `check(f)`
 /// runs `f(&record) -> Result<(), JsonError>` on every decoded record.
-/// `to_json Type { .. }` implements [`ToJson`] alone.
+/// `to_json Type { .. }` implements [`ToJson`] alone; its codec hooks
+/// may be written `field: with(write)`.
 ///
 /// `record! { pub enum Type { Variant => "tag", .. } }` renders each
 /// variant as its string tag, rejects any other string, and adds
@@ -933,7 +934,7 @@ macro_rules! record {
         $map.insert($key.into(), $crate::ToJson::to_json(&$this.$field));
         $crate::record!(@put $this $map $($rest)*);
     };
-    (@put $this:ident $map:ident $field:ident : with($write:expr, $read:expr) $($rest:tt)*) => {
+    (@put $this:ident $map:ident $field:ident : with($write:expr $(, $read:expr)?) $($rest:tt)*) => {
         $write(&$this.$field, &mut $map);
         $crate::record!(@put $this $map $($rest)*);
     };

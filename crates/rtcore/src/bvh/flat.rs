@@ -17,7 +17,7 @@
 
 use crate::geom::{Hit, Primitive, PrimitiveId};
 use crate::math::{slab, Aabb, Ray, Vec3};
-use minijson::{FromJson, JsonError, ToJson, Value};
+use minijson::ToJson;
 
 /// A node of the flattened BVH.
 ///
@@ -190,15 +190,9 @@ fn write_bounds(corners: &[Vec3; 2], map: &mut minijson::Map) {
     map.insert("bounds".into(), Aabb { min, max }.to_json());
 }
 
-/// The `bounds` box of a node on the wire, as corners.
-fn read_bounds(value: &Value, ty: &str) -> Result<[Vec3; 2], JsonError> {
-    let bounds: Aabb = minijson::field(value, ty, "bounds")?;
-    Ok([bounds.min, bounds.max])
-}
-
 minijson::record! {
-    FlatNode {
-        corners: with(write_bounds, read_bounds),
+    to_json FlatNode {
+        corners: with(write_bounds),
         "first_or_right" => first_or_right,
         "count" => count,
         "axis" => axis,
@@ -207,7 +201,7 @@ minijson::record! {
 }
 
 minijson::record! {
-    TraversalStats {
+    to_json TraversalStats {
         "nodes_visited" => nodes_visited,
         "box_tests" => box_tests,
         "prim_tests" => prim_tests,
@@ -243,8 +237,8 @@ pub struct Bvh {
 /// Deepest node level a [`Bvh`] may have (root = 0). The traversal loop keeps
 /// its stack inline: ordered depth-first traversal defers at most one sibling
 /// per level, so a tree of depth `d` never stacks more than `d + 1` nodes.
-/// The builder ends a branch with a leaf at this level and
-/// [`Bvh::from_json`] rejects deeper trees.
+/// The builder ends a branch with a leaf at this level, and [`Bvh`]'s
+/// constructor checks that no node lies deeper.
 pub const MAX_DEPTH: usize = 47;
 
 /// The level of the deepest node, or `None` unless `nodes` is a non-empty
@@ -272,24 +266,18 @@ fn tree_depth(nodes: &[FlatNode]) -> Option<usize> {
 }
 
 impl Bvh {
-    /// Assembles a BVH from prebuilt parts; `None` if [`tree_depth`] rejects
-    /// `nodes`.
-    fn checked(nodes: Vec<FlatNode>, prim_order: Vec<u32>) -> Option<Self> {
-        let depth = tree_depth(&nodes)?;
-        Some(Bvh {
-            nodes,
-            prim_order,
-            depth,
-        })
-    }
-
     /// Assembles a BVH from the builder's output.
     pub(crate) fn new(nodes: Vec<FlatNode>, prim_order: Vec<u32>) -> Self {
         #[expect(
             clippy::expect_used,
             reason = "audited stack invariant: the builder lays nodes out depth-first and ends branches at MAX_DEPTH, so a failure is a builder bug"
         )]
-        Self::checked(nodes, prim_order).expect("builder output fits the traversal stack")
+        let depth = tree_depth(&nodes).expect("builder output fits the traversal stack");
+        Bvh {
+            nodes,
+            prim_order,
+            depth,
+        }
     }
 
     /// Level of the deepest node (root = 0); never above [`MAX_DEPTH`].
@@ -477,17 +465,6 @@ minijson::record! {
     }
 }
 
-/// Hand-written: decoding goes through `Bvh::checked`.
-impl FromJson for Bvh {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let nodes = minijson::field(value, "Bvh", "nodes")?;
-        let prim_order = minijson::field(value, "Bvh", "prim_order")?;
-        Bvh::checked(nodes, prim_order).ok_or_else(|| {
-            JsonError::conversion("Bvh: nodes must form a depth-first tree within MAX_DEPTH")
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,23 +583,15 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_trees_the_stack_cannot_hold() {
-        let bvh = Bvh::build(&axis_star());
-        assert_eq!(Bvh::from_json(&bvh.to_json()).unwrap(), bvh);
+    fn tree_depth_rejects_trees_the_stack_cannot_hold() {
+        assert_eq!(
+            tree_depth(Bvh::build(&axis_star()).nodes()),
+            Some(MAX_DEPTH)
+        );
         let leaf = FlatNode::leaf(Aabb::empty(), 0, 0);
         // A right child pointing back at its parent: traversal would cycle.
-        let cyclic = Bvh {
-            nodes: vec![FlatNode::interior(Aabb::empty(), 0, 0), leaf, leaf],
-            prim_order: Vec::new(),
-            depth: 0,
-        };
-        assert!(Bvh::from_json(&cyclic.to_json()).is_err());
-        // A split axis past `u8` is rejected, not truncated to axis 0.
-        let mut node = FlatNode::interior(Aabb::empty(), 2, 1).to_json();
-        if let Value::Object(m) = &mut node {
-            m.insert("axis".into(), Value::from(256u32));
-        }
-        assert!(FlatNode::from_json(&node).is_err());
+        let cyclic = [FlatNode::interior(Aabb::empty(), 0, 0), leaf, leaf];
+        assert_eq!(tree_depth(&cyclic), None);
         // A well-formed left spine of `levels` interior nodes: accepted up to
         // the stack's depth, rejected one level beyond it.
         let spine = |levels: u32| {
@@ -630,15 +599,9 @@ mod tests {
                 .map(|i| FlatNode::interior(Aabb::empty(), 2 * levels - i, 0))
                 .collect();
             nodes.resize(2 * levels as usize + 1, leaf);
-            let json = Bvh {
-                nodes,
-                prim_order: Vec::new(),
-                depth: 0,
-            }
-            .to_json();
-            Bvh::from_json(&json).map(|bvh| bvh.depth())
+            tree_depth(&nodes)
         };
-        assert_eq!(spine(MAX_DEPTH as u32).ok(), Some(MAX_DEPTH));
-        assert!(spine(MAX_DEPTH as u32 + 1).is_err());
+        assert_eq!(spine(MAX_DEPTH as u32), Some(MAX_DEPTH));
+        assert_eq!(spine(MAX_DEPTH as u32 + 1), None);
     }
 }

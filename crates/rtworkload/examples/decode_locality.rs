@@ -8,8 +8,9 @@
 //! FNV-1a digest of its `SimStats` JSON, next to the best
 //! of five `Simulator::run_helped`s lent a helper thread when the commit
 //! loop asks for one, as a `--jobs` worker is; each helped run, and one
-//! whose helper runs from the first cycle, must give the same digest (a
-//! small frame is over before it asks for a helper). Last, the other
+//! whose helper runs from the first cycle, must give the same digest, and
+//! must have asked for its helper: a run that never shares its warp slots
+//! is an unhelped run, and its digest would check nothing. Last, the other
 //! sink of the same path machine: the best of five `profile_costs` of the
 //! frame and the Σ of its cost map. Before all of it, the scene itself: the
 //! best of five `SceneId::build`s (its geometry), of five `Bvh::build`s over
@@ -24,6 +25,7 @@
 //! cargo run --release -p zatel-rtworkload --example decode_locality [RES]
 //! ```
 
+use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -92,20 +94,24 @@ fn digest(stats: &SimStats) -> u64 {
 }
 
 /// A run lent a helper thread: when the commit loop asks for it, as a spare
-/// `--jobs` worker is lent, or from the first cycle.
-fn helped(sim: &Simulator, workload: &RtWorkload<'_>, eager: bool) -> SimStats {
-    sim.run_helped(workload, &mut NullHooks, |commit, help| {
+/// `--jobs` worker is lent, or from the first cycle. Also returns whether
+/// the commit loop asked for it.
+fn helped(sim: &Simulator, workload: &RtWorkload<'_>, eager: bool) -> (SimStats, bool) {
+    let started = Cell::new(false);
+    let stats = sim.run_helped(workload, &mut NullHooks, |commit, help| {
         std::thread::scope(|scope| {
             if eager {
                 scope.spawn(help);
             }
             commit(&|| {
+                started.set(true);
                 if !eager {
                     scope.spawn(help);
                 }
             });
         });
-    })
+    });
+    (stats, started.get())
 }
 
 fn main() {
@@ -167,7 +173,7 @@ fn main() {
             let trace = TraceConfig::default();
             let workload = RtWorkload::full_frame(&scene, res, res, trace);
             let (mut seq_s, mut eng_s, mut sim_s, mut ops) = (f64::MAX, f64::MAX, f64::MAX, 0);
-            let mut helped_s = f64::MAX;
+            let (mut helped_s, mut starts) = (f64::MAX, 0);
             let (mut profile_s, mut work) = (f64::MAX, 0);
             let mut digest = None;
             for _ in 0..5 {
@@ -188,14 +194,15 @@ fn main() {
                 );
                 digest = run;
                 let start = Instant::now();
-                let stats = helped(&sim, &workload, false);
+                let run = helped(&sim, &workload, false);
                 helped_s = helped_s.min(start.elapsed().as_secs_f64());
-                for stats in [stats, helped(&sim, &workload, true)] {
+                for (stats, started) in [run, helped(&sim, &workload, true)] {
                     assert_eq!(
                         digest,
                         Some(self::digest(&stats)),
                         "a helped run simulates the same"
                     );
+                    starts += usize::from(started);
                 }
                 let start = Instant::now();
                 let costs = profile_costs(&scene, res, res, &trace);
@@ -211,13 +218,14 @@ fn main() {
                 eng_s / seq_s,
             );
             println!(
-                "{} {res}x{res} on {preset}: Simulator::run {:.1} ms, helped {:.1} ms = {:.2}x, SimStats digest {:#018x}",
+                "{} {res}x{res} on {preset}: Simulator::run {:.1} ms, helped {:.1} ms = {:.2}x, helper started in {starts} of 10 helped runs, SimStats digest {:#018x}",
                 id.name(),
                 sim_s * 1e3,
                 helped_s * 1e3,
                 helped_s / sim_s,
                 digest.unwrap_or_default(),
             );
+            assert_eq!(starts, 10, "every helped run shares its warp slots");
             println!(
                 "{} {res}x{res} on {preset}: profile_costs {:.1} ms, {work} work units",
                 id.name(),

@@ -239,18 +239,6 @@ fn sweep_spec_roundtrip() {
 }
 
 #[test]
-fn bvh_roundtrips_and_still_traverses() {
-    use rtcore::math::{Ray, Vec3};
-    let scene = SceneId::Sprng.build(1);
-    let back = roundtrip(scene.bvh());
-    assert_eq!(scene.bvh(), &back);
-    let ray = Ray::new(Vec3::new(0.0, 0.0, -10.0), Vec3::Z);
-    let (a, _) = scene.bvh().intersect(&ray, scene.primitives());
-    let (b, _) = back.intersect(&ray, scene.primitives());
-    assert_eq!(a.map(|h| h.primitive), b.map(|h| h.primitive));
-}
-
-#[test]
 fn prediction_records_roundtrip() {
     use zatel_proto::{ConfigRef, PointRecord, PredictRequest, PredictResponse, RunRecord};
     let scene = SceneId::Sprng.build(1);
