@@ -643,11 +643,15 @@ fn append_history(path: &str, records: &[PointRecord]) -> Result<(), String> {
 }
 
 fn cmd_heatmap(args: &Args) -> Result<(), String> {
-    let PredictRequest { scene, seed, .. } = scene_request(args)?;
+    let mut request = scene_request(args)?;
+    request.res = args.get_parsed("res", 256)?;
+    request.validate()?;
+    let PredictRequest {
+        scene, seed, res, ..
+    } = request;
     let scene = rtcore::scenes::by_name(&scene)
         .ok_or_else(|| format!("unknown scene '{scene}'; see 'zatel scenes'"))?
         .build(seed);
-    let res = args.get_parsed("res", 256u32)?;
     let out = std::path::PathBuf::from(args.get("out").unwrap_or("target/heatmaps"));
     std::fs::create_dir_all(&out).map_err(|e| format!("creating '{}': {e}", out.display()))?;
     let trace = TraceConfig {

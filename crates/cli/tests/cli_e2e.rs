@@ -900,6 +900,15 @@ fn help_mentions_serve_and_url() {
 }
 
 #[test]
+fn heatmap_rejects_zero_res() {
+    let out = zatel(&["heatmap", "--scene", "SPRNG", "--res", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("res must be in 1..=4096"), "{stderr}");
+    assert_eq!(stderr.trim().lines().count(), 1, "{stderr}");
+}
+
+#[test]
 fn heatmap_writes_ppm_files() {
     let dir = std::env::temp_dir().join("zatel-cli-heatmaps");
     let _ = std::fs::remove_dir_all(&dir);

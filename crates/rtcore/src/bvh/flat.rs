@@ -285,9 +285,11 @@ impl Bvh {
         self.depth
     }
 
-    /// Builds a BVH over `prims` with the binned-SAH builder.
+    /// Builds a BVH over `prims` with the binned-SAH builder, on this
+    /// thread: [`Bvh::build_lent`] with a lender that never starts its
+    /// helper.
     pub fn build(prims: &[Primitive]) -> Self {
-        super::build::build_bvh(prims)
+        super::build::build_bvh(prims, |main, _| main(&|| ()))
     }
 
     /// [`Bvh::build`] with a lent thread: the same tree, bit for bit, built
@@ -308,7 +310,7 @@ impl Bvh {
         prims: &[Primitive],
         lend: impl FnOnce(&mut dyn FnMut(&dyn Fn()), &(dyn Fn() + Sync)),
     ) -> Self {
-        super::build::build_bvh_lent(prims, lend)
+        super::build::build_bvh(prims, lend)
     }
 
     /// The flattened node array.

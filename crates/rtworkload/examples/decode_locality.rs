@@ -12,11 +12,13 @@
 //! must have asked for its helper: a run that never shares its warp slots
 //! is an unhelped run, and its digest would check nothing. Last, the other
 //! sink of the same path machine: the best of five `profile_costs` of the
-//! frame and the Σ of its cost map. Before all of it, the scene itself: the
-//! best of five `SceneId::build`s (its geometry), of five `Bvh::build`s over
-//! its primitives and of five `Bvh::build_lent`s lent a second thread, as a
-//! `--jobs` list lends its spare worker, and an FNV-1a digest of the BVH's
-//! JSON, which every build, serial or lent, must match. Two builds can so be
+//! frame and the Σ of its cost map, next to the best of five
+//! `profile_costs_lent`s lent a second thread, whose map must be the same.
+//! Before all of it, the scene itself: the best of five `SceneId::build`s
+//! (its geometry), of five `Bvh::build`s over its primitives (one thread)
+//! and of five `Bvh::build_lent`s lent a second thread, as a `--jobs` list
+//! lends its spare worker, and an FNV-1a digest of the BVH's JSON, which
+//! every build, on one thread or two, must match. Two builds can so be
 //! compared for speed and for identity, on every side, in seconds. All of
 //! it runs on the Mobile SoC and again on the RTX 2060 preset, whose 30 SMs
 //! of 32 warp slots each are where slot bookkeeping costs most.
@@ -34,7 +36,7 @@ use minijson::ToJson;
 use rtcore::bvh::Bvh;
 use rtcore::fingerprint::Fnv64;
 use rtcore::scenes::SceneId;
-use rtcore::tracer::{profile_costs, TraceConfig};
+use rtcore::tracer::{profile_costs, profile_costs_lent, TraceConfig};
 use rtworkload::RtWorkload;
 
 /// Drains every thread to its end before starting the next; returns the op
@@ -93,6 +95,12 @@ fn digest(stats: &SimStats) -> u64 {
     h.finish()
 }
 
+/// A lender that runs the helper on a thread of its own when started, as a
+/// spare `--jobs` worker does.
+fn spare(main: &mut dyn FnMut(&dyn Fn()), help: &(dyn Fn() + Sync)) {
+    std::thread::scope(|scope| main(&|| drop(scope.spawn(help))));
+}
+
 /// A run lent a helper thread: when the commit loop asks for it, as a spare
 /// `--jobs` worker is lent, or from the first cycle. Also returns whether
 /// the commit loop asked for it.
@@ -149,16 +157,14 @@ fn main() {
             }
             for _ in 0..5 {
                 let start = Instant::now();
-                let bvh = Bvh::build_lent(scene.primitives(), |main, help| {
-                    std::thread::scope(|scope| main(&|| drop(scope.spawn(help))));
-                });
+                let bvh = Bvh::build_lent(scene.primitives(), spare);
                 lent_s = lent_s.min(start.elapsed().as_secs_f64());
                 let mut h = Fnv64::new();
                 h.write_bytes(bvh.to_json().to_string().as_bytes());
                 assert_eq!(
                     bvh_digest,
                     Some(h.finish()),
-                    "the lent build lays out the serial tree"
+                    "the lent build lays out the one-thread tree"
                 );
             }
             println!(
@@ -174,7 +180,7 @@ fn main() {
             let workload = RtWorkload::full_frame(&scene, res, res, trace);
             let (mut seq_s, mut eng_s, mut sim_s, mut ops) = (f64::MAX, f64::MAX, f64::MAX, 0);
             let (mut helped_s, mut starts) = (f64::MAX, 0);
-            let (mut profile_s, mut work) = (f64::MAX, 0);
+            let (mut profile_s, mut profile_lent_s, mut work) = (f64::MAX, f64::MAX, 0);
             let mut digest = None;
             for _ in 0..5 {
                 let start = Instant::now();
@@ -208,6 +214,10 @@ fn main() {
                 let costs = profile_costs(&scene, res, res, &trace);
                 profile_s = profile_s.min(start.elapsed().as_secs_f64());
                 work = costs.values().iter().sum::<u64>();
+                let start = Instant::now();
+                let lent = profile_costs_lent(&scene, res, res, &trace, spare);
+                profile_lent_s = profile_lent_s.min(start.elapsed().as_secs_f64());
+                assert!(lent == costs, "the lent profile is the one-thread map");
             }
             let ns_per_op = |seconds: f64| seconds * 1e9 / ops as f64;
             println!(
@@ -227,9 +237,11 @@ fn main() {
             );
             assert_eq!(starts, 10, "every helped run shares its warp slots");
             println!(
-                "{} {res}x{res} on {preset}: profile_costs {:.1} ms, {work} work units",
+                "{} {res}x{res} on {preset}: profile_costs {:.1} ms, lent {:.1} ms = {:.2}x, {work} work units",
                 id.name(),
                 profile_s * 1e3,
+                profile_lent_s * 1e3,
+                profile_lent_s / profile_s,
             );
         }
     }

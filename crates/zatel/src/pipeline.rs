@@ -509,7 +509,7 @@ impl<'s> Zatel<'s> {
         let sheet = SpanSheet::new();
         if !self.scene.bvh_is_built() {
             let _span = sheet.span("bvh");
-            build_bvh(self.scene, worker);
+            self.scene.bvh_lent(|main, help| worker.join(main, help));
         }
         let start = sheet.elapsed();
         let stage = HeatmapStage {
@@ -612,7 +612,7 @@ impl<'s> Zatel<'s> {
     /// [`Zatel::run_reference`] as the job of `worker`. The scene's BVH is
     /// built first, unless built, outside the reference's wall.
     fn reference(&self, worker: Worker) -> Reference {
-        build_bvh(self.scene, worker);
+        self.scene.bvh_lent(|main, help| worker.join(main, help));
         #[expect(
             clippy::disallowed_methods,
             reason = "measurement around the reference simulation: feeds only Reference::wall \
@@ -811,17 +811,6 @@ impl<'z, 's> Plan<'z, 's> {
             heatmap: self.heatmap,
             cache: vec![self.record],
         }
-    }
-}
-
-/// Builds `scene`'s BVH as the job of `worker` unless a call has built it:
-/// on the worker and its spare one when the pool lends it one
-/// ([`Scene::bvh_lent`], the same tree), else on the worker alone.
-fn build_bvh(scene: &Scene, worker: Worker) {
-    if worker.has_spare() {
-        scene.bvh_lent(|main, help| worker.join(main, help));
-    } else {
-        scene.bvh();
     }
 }
 

@@ -340,16 +340,21 @@ impl DiskTier {
     }
 
     /// Looks up a heatmap, making it the most recently used; `None` is a
-    /// miss. A file that does not read back — truncated, not JSON, or JSON
-    /// that fails the typed decode — is deleted and counted corrupt, and
-    /// the caller's recompute writes it anew.
+    /// miss. A file that does not read back — truncated, not JSON, JSON
+    /// that fails the typed decode, or a heatmap with a value outside
+    /// `[0, 1]` — is deleted and counted corrupt, and the caller's
+    /// recompute writes it anew.
     fn get(&self, fp: Fingerprint) -> Option<Heatmap> {
         let name = Self::file_name(fp);
         let path = self.dir.join(&name);
         let text = std::fs::read_to_string(&path).ok()?;
         let decoded = Value::parse(&text)
             .ok()
-            .and_then(|v| Heatmap::from_json(&v).ok());
+            .and_then(|v| Heatmap::from_json(&v).ok())
+            // `from_costs` writes every value in [0, 1]. The decode itself
+            // allows any: a run record's heatmap is read by `zatel report`,
+            // which normalizes to the hottest pixel.
+            .filter(|h| h.values().iter().all(|v| (0.0..=1.0).contains(v)));
         let mut idx = self.index();
         if decoded.is_some() {
             idx.touch(name, text.len() as u64);
@@ -793,6 +798,18 @@ mod tests {
         assert_eq!(o4, CacheOutcome::Miss);
         assert_eq!(fourth.stats().disk_corrupt, 1);
         assert_eq!(on_disk(&path), *hm1);
+
+        // So is a heatmap with a value outside [0, 1], or one that decodes
+        // to infinity: `from_costs` never writes either.
+        for values in ["[2.5,-1.0]", "[1e40,0.5]"] {
+            let entry = format!(r#"{{"width":2,"height":1,"values":{values}}}"#);
+            std::fs::write(&path, entry).expect("out-of-range entry");
+            let cache = ArtifactCache::with_disk(&dir);
+            let (_, _, outcome) = cache.get_or_run(&stage, &scene, scene.fingerprint());
+            assert_eq!(outcome, CacheOutcome::Miss, "{values}");
+            assert_eq!(cache.stats().disk_corrupt, 1, "{values}");
+            assert_eq!(on_disk(&path), *hm1, "{values}");
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }
