@@ -32,11 +32,12 @@ use zatel_serve::HttpClient;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "help" || args::is_help(&argv[0]) {
-        print_help();
-        return ExitCode::SUCCESS;
-    }
-    match run(argv) {
+    let result = if argv.is_empty() || argv[0] == "help" || args::is_help(&argv[0]) {
+        emit(&help())
+    } else {
+        run(argv)
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -48,10 +49,26 @@ fn main() -> ExitCode {
 fn run(argv: Vec<String>) -> Result<(), String> {
     let args = Args::parse(&COMMANDS, argv)?;
     if args.help {
-        print!("{}", args.command.usage());
-        return Ok(());
+        return emit(&args.command.usage());
     }
     (args.command.run)(&args)
+}
+
+/// Writes `text` to stdout, the one place the binary does. A reader that
+/// closed its end (`zatel scenes | head -1`) wants no more output, so a
+/// broken pipe ends the process quietly with status 0.
+fn emit(text: &str) -> Result<(), String> {
+    use std::io::Write as _;
+    let written = {
+        let mut stdout = std::io::stdout().lock();
+        stdout
+            .write_all(text.as_bytes())
+            .and_then(|()| stdout.flush())
+    };
+    match written {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        written => written.map_err(|e| format!("writing stdout: {e}")),
+    }
 }
 
 const SCENE: Opt = (
@@ -181,38 +198,42 @@ static COMMANDS: [Command; 7] = [
     },
 ];
 
-fn print_help() {
+fn help() -> String {
     let names = COMMANDS.each_ref().map(|c| c.name).join("|");
-    println!(
+    let mut text = format!(
         "zatel — sample complexity-aware scale-model simulation for ray tracing\n\
          \n\
          USAGE:\n  zatel <{names}|help> [options]\n  \
-         zatel <command> --help"
+         zatel <command> --help\n"
     );
     for command in &COMMANDS {
-        print!("\n{}", command.usage());
+        text += &format!("\n{}", command.usage());
     }
+    text
 }
 
 /// Lists each scene as a default request builds it.
 fn cmd_scenes(_: &Args) -> Result<(), String> {
     let seed = default_request("").seed;
-    println!("{:<8} {:>10}  characteristics", "scene", "primitives");
+    emit(&format!(
+        "{:<8} {:>10}  characteristics\n",
+        "scene", "primitives"
+    ))?;
     for id in rtcore::scenes::all() {
         let scene = id.build(seed);
-        println!(
-            "{:<8} {:>10}  {}",
+        emit(&format!(
+            "{:<8} {:>10}  {}\n",
             id.name(),
             scene.primitive_count(),
             id.description()
-        );
+        ))?;
     }
     Ok(())
 }
 
 fn cmd_configs(_: &Args) -> Result<(), String> {
     for config in [GpuConfig::mobile_soc(), GpuConfig::rtx_2060()] {
-        println!("{}", config.to_json().pretty());
+        emit(&format!("{}\n", config.to_json().pretty()))?;
     }
     Ok(())
 }
@@ -444,11 +465,10 @@ fn emit_predict_log_line(
 /// identical.
 fn render<T: ToJson>(args: &Args, response: &T, table: fn(&T) -> String) -> Result<(), String> {
     if args.flag("json") {
-        println!("{}", response.to_json().pretty());
+        emit(&format!("{}\n", response.to_json().pretty()))
     } else {
-        print!("{}", table(response));
+        emit(&table(response))
     }
-    Ok(())
 }
 
 /// Parses a comma-separated `--ks`/`--percents` list.
@@ -589,9 +609,11 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     let history = args.get("history").unwrap_or("runs.jsonl");
     let Some(path) = args.get("run") else {
         let runs = zatel_proto::read_history(std::path::Path::new(history))?;
-        println!("{} recorded runs in {history}", runs.len());
-        print!("{}", report::render_points(&runs));
-        return Ok(());
+        let summary = report::render_points(&runs);
+        return emit(&format!(
+            "{} recorded runs in {history}\n{summary}",
+            runs.len()
+        ));
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading run record '{path}': {e}"))?;
@@ -603,7 +625,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
                  'zatel predict ... --run-out {path}'"
             )
         })?;
-    print!("{}", report::render_run(&run));
+    emit(&report::render_run(&run))?;
 
     let line = PointRecord::new(SweepPointSpec::named("predict"), &run.response);
     append_history(history, &[line])?;
@@ -669,11 +691,10 @@ fn cmd_heatmap(args: &Args) -> Result<(), String> {
         .to_image()
         .save_ppm(out.join("heatmap_quantized.ppm"))
         .map_err(|e| e.to_string())?;
-    println!(
-        "wrote {}/heatmap.ppm and heatmap_quantized.ppm ({} colours, mean temperature {:.3})",
+    emit(&format!(
+        "wrote {}/heatmap.ppm and heatmap_quantized.ppm ({} colours, mean temperature {:.3})\n",
         out.display(),
         quantized.cluster_count(),
         heatmap.mean_temperature()
-    );
-    Ok(())
+    ))
 }

@@ -1,7 +1,12 @@
 //! End-to-end tests of the `zatel` binary: spawn the real executable and
 //! check its output and exit codes.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
+
+use minijson::{FromJson, Value};
 
 fn zatel(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_zatel"))
@@ -372,6 +377,22 @@ fn every_command_prints_its_usage_on_help() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // `zatel scenes | head -1`: the reader is gone before the output is.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zatel"))
+        .arg("scenes")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?} {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
 fn bad_config_file_fails_cleanly() {
     let out = zatel(&["predict", "--config", "/nonexistent/cfg.json"]);
     assert!(!out.status.success());
@@ -624,6 +645,107 @@ fn report_renders_run_record_and_appends_history() {
     let prom_text = std::fs::read_to_string(&prom).expect("prom written");
     assert!(prom_text.contains("# TYPE zatel_warps_launched counter"));
     assert!(prom_text.contains("zatel_mem_read_latency_cycles_count"));
+    // Counters exported from the groups' SimStats and event stream.
+    for counter in ["l1_hits", "l2_misses", "dram_transfers", "warps_launched"] {
+        let value = prom_text
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("zatel_{counter} ")))
+            .and_then(|v| v.parse::<u64>().ok());
+        assert!(value.is_some_and(|v| v > 0), "zatel_{counter}: {prom_text}");
+    }
+
+    // The run's point record joined the history, labelled predict.
+    let summary = stdout(&["report", "--history", history.to_str().unwrap()]);
+    assert!(
+        summary.lines().any(|l| {
+            let fields: Vec<&str> = l.split_whitespace().collect();
+            fields.len() > 2
+                && fields[..2] == ["SPRNG", "predict"]
+                && fields[2].parse::<u32>().is_ok()
+        }),
+        "{summary}"
+    );
+
+    // The record is zatel-run-v2, and its response is what predict --json
+    // prints, up to wall clocks.
+    let record = Value::parse(&std::fs::read_to_string(&run_path).unwrap()).expect("valid JSON");
+    assert_eq!(
+        record.get("schema").and_then(Value::as_str),
+        Some("zatel-run-v2")
+    );
+    let recorded = record.get("response").expect("response section");
+    let printed = stdout(&[
+        "predict",
+        "--scene",
+        "SPRNG",
+        "--res",
+        "32",
+        "--spp",
+        "1",
+        "--reference",
+        "--json",
+    ]);
+    assert_eq!(
+        deterministic(recorded),
+        deterministic(&Value::parse(&printed).expect("valid JSON")),
+        "the run record's response differs from predict --json"
+    );
+}
+
+/// The wall-clock-free subset of a `predict --json` document.
+fn deterministic(response: &Value) -> String {
+    zatel_proto::PredictResponse::from_json(response)
+        .expect("zatel-api-v1 response")
+        .deterministic_json()
+        .to_string()
+}
+
+#[test]
+fn predict_request_id_reaches_the_log_line_and_the_report() {
+    let dir = std::env::temp_dir().join(format!("zatel-cli-request-id-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (log, run) = (dir.join("predict.jsonl"), dir.join("run.json"));
+    stdout(&[
+        "predict",
+        "--scene",
+        "SPRNG",
+        "--res",
+        "32",
+        "--spp",
+        "1",
+        "--request-id",
+        "ci-obs-7",
+        "--log-out",
+        log.to_str().unwrap(),
+        "--run-out",
+        run.to_str().unwrap(),
+    ]);
+    let log_text = std::fs::read_to_string(&log).expect("log written");
+    let line = Value::parse(log_text.trim()).expect("one JSON log line");
+    assert_eq!(
+        line.get("request_id").and_then(Value::as_str),
+        Some("ci-obs-7"),
+        "{log_text}"
+    );
+
+    // The report names the request in its header and opens its span
+    // sheet with the request span.
+    let report = stdout(&[
+        "report",
+        "--run",
+        run.to_str().unwrap(),
+        "--history",
+        dir.join("runs.jsonl").to_str().unwrap(),
+    ]);
+    let (header, spans) = report.split_once("pipeline spans").expect("a span section");
+    assert!(header.contains("\n  request ci-obs-7\n"), "{report}");
+    let first_span = spans.lines().nth(1).unwrap_or_default();
+    assert!(
+        first_span.trim_start().starts_with("request ci-obs-7 "),
+        "{report}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -700,16 +822,6 @@ fn sweep_matrix_appends_runs_and_warm_cache_agrees() {
             w.get("label").and_then(minijson::Value::as_str)
         );
     }
-    let heatmap_outcome = |v: &minijson::Value| -> String {
-        v.get("cache")
-            .and_then(minijson::Value::as_array)
-            .expect("cache records")
-            .iter()
-            .find(|r| r.get("stage").and_then(minijson::Value::as_str) == Some("heatmap"))
-            .and_then(|r| r.get("outcome").and_then(minijson::Value::as_str))
-            .expect("heatmap outcome")
-            .to_owned()
-    };
     // Within a run the driver plans points in order, so only the first
     // point computes the heatmap and later points see memory hits; the
     // warm process never recomputes (its first point loads from disk).
@@ -735,6 +847,136 @@ fn sweep_matrix_appends_runs_and_warm_cache_agrees() {
     let history = stdout(&["report", "--history", runs.to_str().unwrap()]);
     assert!(history.contains("4 recorded runs"), "{history}");
     assert!(history.contains("K=1 p=50%"), "{history}");
+}
+
+/// The outcome of a sweep point's one heatmap stage record.
+fn heatmap_outcome(point: &Value) -> String {
+    let heatmaps: Vec<&str> = point
+        .get("cache")
+        .and_then(Value::as_array)
+        .expect("cache records")
+        .iter()
+        .filter(|r| r.get("stage").and_then(Value::as_str) == Some("heatmap"))
+        .map(|r| r.get("outcome").and_then(Value::as_str).expect("outcome"))
+        .collect();
+    assert_eq!(heatmaps.len(), 1, "one heatmap row per point: {point}");
+    heatmaps[0].to_owned()
+}
+
+/// `sweep --json` of SPRNG at 64x64 over K = 1, 2 and 30 %, 60 % at `spp`,
+/// with `extra` options.
+fn sweep_json(spp: &str, extra: &[&str]) -> Value {
+    let matrix = [
+        "sweep",
+        "--scene",
+        "SPRNG",
+        "--res",
+        "64",
+        "--spp",
+        spp,
+        "--ks",
+        "1,2",
+        "--percents",
+        "0.3,0.6",
+        "--json",
+    ];
+    Value::parse(&stdout(&[&matrix[..], extra].concat())).expect("valid JSON")
+}
+
+fn points(sweep: &Value) -> &[Value] {
+    sweep
+        .get("points")
+        .and_then(Value::as_array)
+        .expect("points array")
+}
+
+/// `value` with every object member named in `keys` removed, at any depth.
+fn without(value: &Value, keys: &[&str]) -> Value {
+    match value {
+        Value::Object(map) => Value::Object(
+            map.iter()
+                .filter(|(k, _)| !keys.contains(&k.as_str()))
+                .map(|(k, v)| (k.clone(), without(v, keys)))
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.iter().map(|v| without(v, keys)).collect()),
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn sweep_is_the_same_at_one_job_from_disk_and_at_two_samples_per_pixel() {
+    let dir = std::env::temp_dir().join(format!("zatel-cli-sweep-jobs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let cold = sweep_json("1", &["--cache-dir", cache]);
+    let warm = sweep_json("1", &["--cache-dir", cache]);
+    let serial = sweep_json("1", &["--jobs", "1"]);
+
+    // Which tier served the heatmap depends on the cache's state; the
+    // fingerprints and every prediction must not, nor the worker count.
+    let walls = ["sim_wall_ms", "preprocess_wall_ms"];
+    let deterministic =
+        |sweep: &Value| without(sweep, &[&walls[..], &["cache_stats", "outcome"]].concat());
+    assert_eq!(
+        deterministic(&cold),
+        deterministic(&warm),
+        "warm sweep differs from the cold one"
+    );
+    assert_eq!(
+        deterministic(&serial),
+        deterministic(&cold),
+        "the --jobs 1 sweep differs from the host-sized one"
+    );
+    let disk_hits = warm.get("cache_stats").and_then(|s| s.get("disk_hits"));
+    assert!(disk_hits.and_then(Value::as_u64) >= Some(1), "{warm}");
+    for point in points(&warm) {
+        let outcome = heatmap_outcome(point);
+        assert!(
+            ["disk", "memory"].contains(&outcome.as_str()),
+            "warm heatmap: {outcome}"
+        );
+    }
+
+    // The profile is one sample per pixel, so the 1-spp heatmaps on disk
+    // serve a 2-spp sweep.
+    let spp2 = sweep_json("2", &["--cache-dir", cache]);
+    for point in points(&spp2) {
+        let outcome = heatmap_outcome(point);
+        assert!(
+            ["disk", "memory"].contains(&outcome.as_str()),
+            "spp 2 heatmap: {outcome}"
+        );
+    }
+    let misses = spp2.get("cache_stats").and_then(|s| s.get("misses"));
+    assert_eq!(
+        misses.and_then(Value::as_u64),
+        Some(0),
+        "spp 2 profiled a heatmap: {spp2}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn referenced_sweep_is_the_same_at_one_job_and_carries_each_points_mae() {
+    // The reference runs in the sweep's job list, so the worker count must
+    // not reach it either; only its wall clocks and the speedup over them
+    // may differ.
+    let serial = sweep_json("1", &["--reference", "--jobs", "1"]);
+    let host = sweep_json("1", &["--reference"]);
+    for point in points(&serial).iter().chain(points(&host)) {
+        assert!(
+            point.get("mae").and_then(Value::as_f64).is_some(),
+            "a point without its mae: {point}"
+        );
+    }
+    let walls = ["speedup_concurrent", "sim_wall_ms", "preprocess_wall_ms"];
+    assert_eq!(
+        without(&serial, &walls),
+        without(&host, &walls),
+        "the referenced --jobs 1 sweep differs from the host-sized one"
+    );
 }
 
 #[test]
@@ -807,14 +1049,11 @@ fn predict_url_output_is_identical_to_local() {
     let with_ref = [&base, &["--reference"][..]].concat();
     let local_json = stdout(&[&with_ref, &["--json"][..]].concat());
     let remote_json = stdout(&[&with_ref, &["--json", "--url", url.as_str()][..]].concat());
-    let deterministic = |text: &str| {
-        let v = minijson::Value::parse(text).expect("valid JSON");
-        <zatel_proto::PredictResponse as minijson::FromJson>::from_json(&v)
-            .expect("zatel-api-v1 response")
-            .deterministic_json()
-            .to_string()
-    };
-    assert_eq!(deterministic(&local_json), deterministic(&remote_json));
+    let parse = |text: &str| Value::parse(text).expect("valid JSON");
+    assert_eq!(
+        deterministic(&parse(&local_json)),
+        deterministic(&parse(&remote_json))
+    );
 
     handle.shutdown();
     join.join().expect("server thread").expect("clean run");
@@ -891,6 +1130,191 @@ fn serve_rejects_zero_workers() {
     );
 }
 
+/// A `zatel serve` process, killed on drop so that a failing assertion
+/// never leaves a server running.
+struct ServeProcess(Child);
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// POSTs `body` verbatim to `/v1/predict` at `addr` and returns the whole
+/// HTTP answer.
+fn post_raw(addr: &str, body: &str, request_id: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "POST /v1/predict HTTP/1.1\r\nHost: zatel\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nx-zatel-request-id: {request_id}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send request");
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).expect("read answer");
+    answer
+}
+
+#[test]
+fn serve_binary_answers_over_http_and_drains_on_sigterm() {
+    let dir = std::env::temp_dir().join(format!("zatel-cli-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("serve.jsonl");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zatel"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .args(["--log-out", log.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("zatel serve starts");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut server = ServeProcess(child);
+
+    // Port 0 picks an ephemeral port, logged on stderr.
+    let mut boot = String::new();
+    let url = loop {
+        let mut line = String::new();
+        let read = stderr.read_line(&mut line).expect("read stderr");
+        boot += &line;
+        assert!(read > 0, "zatel serve exited before listening: {boot}");
+        if let Some((_, rest)) = line.split_once("listening on ") {
+            break rest
+                .split_whitespace()
+                .next()
+                .expect("an address")
+                .to_owned();
+        }
+    };
+    let client = zatel_serve::HttpClient::new(&url).expect("client");
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+
+    // Cold, then warm: the warm one carries a caller's request id.
+    let request = Value::parse(
+        r#"{"schema":"zatel-api-v1","scene":"SPRNG","config":"mobile","res":64,"spp":1,"seed":7}"#,
+    )
+    .unwrap();
+    let cold = client
+        .post_json("/v1/predict", &request)
+        .expect("cold predict");
+    assert_eq!(cold.status, 200, "{}", cold.body);
+    let warm = client
+        .post_json_with_headers(
+            "/v1/predict",
+            &request,
+            &[("x-zatel-request-id", "ci-trace-42")],
+        )
+        .expect("warm predict");
+    assert_eq!(warm.status, 200, "{}", warm.body);
+    assert_eq!(warm.header("x-zatel-request-id"), Some("ci-trace-42"));
+
+    // The mobile preset as `zatel configs` printed it before six Table II
+    // values the model never read left GpuConfig: removed keys are unknown
+    // fields, so it predicts exactly what "config":"mobile" does.
+    let legacy = Value::parse(
+        r#"{"schema":"zatel-api-v1","scene":"SPRNG","config":{"name":"Mobile SoC","num_sms":8,"num_mem_partitions":4,"max_warps_per_sm":32,"warp_size":32,"registers_per_sm":32768,"rt_units_per_sm":1,"rt_max_warps":4,"rt_mshr_size":64,"rt_lanes_per_cycle":4,"l1d":{"bytes":65536,"ways":0,"line_bytes":128,"latency":20},"l2":{"bytes":3145728,"ways":16,"line_bytes":128,"latency":160},"interconnect_latency":8,"interconnect_bytes_per_cycle":32.0,"dram_latency":100,"dram_bytes_per_cycle":16.0,"issue_width":1,"core_clock_mhz":1365,"memory_clock_mhz":3500},"res":64,"spp":1,"seed":7}"#,
+    )
+    .unwrap();
+    let inline = client
+        .post_json("/v1/predict", &legacy)
+        .expect("inline predict");
+    assert_eq!(inline.status, 200, "{}", inline.body);
+    let prediction = |body: &Value| body.get("prediction").cloned().expect("prediction");
+    assert_eq!(
+        prediction(&inline.json().unwrap()),
+        prediction(&cold.json().unwrap()),
+        "an inline config with removed keys predicts like the preset"
+    );
+
+    let metrics = client.get("/metrics").expect("metrics").body;
+    let sample = |name: &str| {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<f64>().ok())
+    };
+    assert!(
+        sample("zatel_serve_cache_memory_hits") >= Some(1.0),
+        "{metrics}"
+    );
+    assert!(sample("zatel_serve_queue_depth").is_some(), "{metrics}");
+
+    // A body that is not JSON is answered by the router, under its id.
+    let addr = url.trim_start_matches("http://");
+    let bad = post_raw(addr, "not json", "ci-bad-body-1");
+    assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
+    assert!(bad.contains(r#""bad_request""#), "{bad}");
+
+    // SIGTERM through kill(1): the workspace denies unsafe code.
+    let pid = server.0.id().to_string();
+    let kill = Command::new("kill").args(["-TERM", &pid]).status();
+    assert!(kill.expect("kill runs").success());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.0.try_wait().expect("try_wait") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "zatel serve still running 30 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).expect("read stderr");
+    assert!(status.success(), "{status:?}: {rest}");
+    assert!(rest.contains("zatel serve: drained;"), "{rest}");
+
+    // The log holds only zatel-log-v1 lines: one per request, each with
+    // the fields below (a worker's answer and the router's inline 400
+    // alike), and the drain summary.
+    let log_text = std::fs::read_to_string(&log).expect("log written");
+    let lines: Vec<Value> = log_text
+        .lines()
+        .map(|l| Value::parse(l).expect("every log line is JSON"))
+        .collect();
+    assert!(!lines.is_empty(), "empty request log");
+    let field = |line: &Value, key: &str| line.get(key).and_then(Value::as_str).map(str::to_owned);
+    for line in &lines {
+        assert_eq!(
+            field(line, "schema").as_deref(),
+            Some("zatel-log-v1"),
+            "{line}"
+        );
+    }
+    assert!(
+        lines
+            .iter()
+            .any(|l| field(l, "event").as_deref() == Some("serve_drained")),
+        "{log_text}"
+    );
+    let requests: Vec<&Value> = lines
+        .iter()
+        .filter(|l| field(l, "event").as_deref() == Some("request"))
+        .collect();
+    for line in &requests {
+        for key in ["request_id", "route", "status", "queue_wait_ms", "wall_ms"] {
+            assert!(line.get(key).is_some(), "{key} missing: {line}");
+        }
+    }
+    assert!(
+        requests
+            .iter()
+            .any(|l| field(l, "request_id").as_deref() == Some("ci-trace-42")),
+        "{log_text}"
+    );
+    assert!(
+        requests.iter().any(|l| {
+            field(l, "request_id").as_deref() == Some("ci-bad-body-1")
+                && l.get("status").and_then(Value::as_u64) == Some(400)
+                && field(l, "route").as_deref() == Some("POST /v1/predict")
+        }),
+        "{log_text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn help_mentions_serve_and_url() {
     let text = stdout(&["help"]);
@@ -910,24 +1334,28 @@ fn heatmap_rejects_zero_res() {
 
 #[test]
 fn heatmap_writes_ppm_files() {
+    // README's heatmap command at 32x32.
     let dir = std::env::temp_dir().join("zatel-cli-heatmaps");
     let _ = std::fs::remove_dir_all(&dir);
     let text = stdout(&[
         "heatmap",
         "--scene",
-        "SPRNG",
+        "WKND",
         "--res",
-        "24",
+        "32",
         "--out",
         dir.to_str().unwrap(),
     ]);
     assert!(text.contains("wrote"));
+    let header = b"P6\n32 32\n255\n";
     for f in ["heatmap.ppm", "heatmap_quantized.ppm"] {
         let p = dir.join(f);
         let bytes = std::fs::read(&p).unwrap_or_else(|_| panic!("{f} missing"));
-        assert!(
-            bytes.starts_with(b"P6\n24 24\n255\n"),
-            "{f} has a valid PPM header"
+        assert!(bytes.starts_with(header), "{f} has a valid PPM header");
+        assert_eq!(
+            bytes.len(),
+            header.len() + 32 * 32 * 3,
+            "{f}: one RGB pixel each"
         );
     }
 }

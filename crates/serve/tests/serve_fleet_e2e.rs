@@ -53,16 +53,21 @@ fn plug_request() -> PredictRequest {
     req
 }
 
-/// Reads one `zatel_serve_*` counter off a `/metrics` scrape.
-fn scrape(client: &HttpClient, name: &str) -> u64 {
-    let body = client.get("/metrics").expect("metrics").body;
-    body.lines()
+/// The value of the series `name` in a `/metrics` body, if it has one.
+fn sample(metrics: &str, name: &str) -> Option<u64> {
+    metrics
+        .lines()
         .filter(|l| !l.starts_with('#'))
         .find_map(|l| {
             let rest = l.strip_prefix(name)?;
             rest.trim().parse::<f64>().ok()
         })
-        .unwrap_or(0.0) as u64
+        .map(|v| v as u64)
+}
+
+/// Reads one `zatel_serve_*` counter off a `/metrics` scrape.
+fn scrape(client: &HttpClient, name: &str) -> u64 {
+    sample(&client.get("/metrics").expect("metrics").body, name).unwrap_or(0)
 }
 
 #[test]
@@ -86,6 +91,53 @@ fn worker_count_never_changes_the_deterministic_subset() {
         join.join().expect("server thread").expect("clean run");
     }
     assert_eq!(subsets[0], subsets[1], "1 vs 4 workers");
+}
+
+#[test]
+fn a_disk_budgeted_pool_shares_one_cache() {
+    // Four workers over one memory tier and a size-budgeted disk tier:
+    // seeds 7 8 7 8, so each repeat hits memory whichever worker serves it.
+    let dir = std::env::temp_dir().join(format!("zatel-serve-pool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (client, _url, handle, join) = boot(ServeConfig {
+        workers: 4,
+        cache_dir: Some(dir.to_str().expect("utf-8 temp path").to_owned()),
+        cache_budget_mb: Some(64),
+        ..ServeConfig::default()
+    });
+    for seed in [7, 8, 7, 8] {
+        let mut req = tiny_request(seed);
+        req.res = 64;
+        let resp = client
+            .post_json("/v1/predict", &req.to_json())
+            .expect("predict");
+        assert_eq!(resp.status, 200, "body: {}", resp.body);
+    }
+    let metrics = client.get("/metrics").expect("metrics").body;
+    let series = |name| sample(&metrics, name);
+    assert!(
+        series("zatel_serve_cache_memory_hits") >= Some(1),
+        "{metrics}"
+    );
+    assert!(series("zatel_serve_cache_disk_hits").is_some(), "{metrics}");
+    assert!(
+        series("zatel_serve_cache_disk_bytes").is_some(),
+        "{metrics}"
+    );
+    assert!(
+        series("zatel_serve_cache_disk_entries") >= Some(1),
+        "{metrics}"
+    );
+    // The cache dir is writable: no artifact write failed.
+    assert_eq!(
+        series("zatel_serve_cache_disk_write_failures"),
+        Some(0),
+        "{metrics}"
+    );
+
+    handle.shutdown();
+    join.join().expect("server thread").expect("clean run");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
